@@ -15,10 +15,10 @@ from dataclasses import asdict, dataclass
 
 from .kernels import hurst_constant
 from .noise import generate_noise, make_grid, process_path, write_path_csv, PROCESS_KINDS
-from .integrands import DeterministicIntegrand, PiecewisePredictableIntegrand, SegmentGrid, dyadic_projection
 from .integrator import delayed_integral_xd, result_record
 from .experiments import (
     DeskConfig,
+    _integration_plan,
     cauchy_decay_study,
     continuity_study,
     nonconvergence_demo,
@@ -166,14 +166,7 @@ def _run(cfg: RunConfig) -> list[str]:
         hp = hurst_constant(cfg.hurst[0])
         grid = make_grid(cfg.horizon, cfg.steps, cfg.warmup)
         noise = generate_noise(cfg.seed, grid)
-        gamma = parse_integrand(cfg.integrand, cfg.horizon)
-        if isinstance(gamma, DeterministicIntegrand):
-            seg = SegmentGrid.dyadic(cfg.horizon, 0)
-        elif isinstance(gamma, PiecewisePredictableIntegrand):
-            seg = gamma.grid
-        else:
-            gamma = dyadic_projection(gamma, cfg.level, grid)
-            seg = SegmentGrid.dyadic(cfg.horizon, cfg.level)
+        gamma, seg = _integration_plan(parse_integrand(cfg.integrand, cfg.horizon), grid, cfg.level)
         result = delayed_integral_xd(gamma, seg, noise, hp)
         with open(cfg.out, "w") as fh:
             json.dump(result_record(result, cfg.seed), fh, indent=2, sort_keys=True)

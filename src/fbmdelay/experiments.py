@@ -32,6 +32,7 @@ from .integrands import (
     dyadic_projection,
 )
 from .integrator import (
+    MIN_CELLS_PER_SEGMENT,
     _segment_lattice_indices,
     delayed_parts_for_cells,
     noise_transforms,
@@ -46,6 +47,7 @@ from .noise import (
     dr_values,
     fbm_values,
     generate_noise_batch,
+    history_conv,
     make_grid,
 )
 
@@ -261,11 +263,11 @@ def nonconvergence_demo(hursts, reps: int, seed: int, horizon: float = 1.0,
     for lo, hi in _chunks(reps, cfg.chunk):
         nb = generate_noise_batch(seed, grid, hi - lo, first_stream=lo)
         crc = _checksum(nb.increments)
-        b = np.zeros((hi - lo, n + 1))
-        np.cumsum(nb.increments[:, grid.origin_index:], axis=-1, out=b[:, 1:])
+        b = history_conv(nb.increments, None, (grid.origin_index, grid.cell_count),
+                         (grid.origin_index, grid.cell_count + 1))
         ito_b = np.sum(b[:, :-1] * np.diff(b, axis=-1), axis=-1)
         for hp in hps:
-            bh = b if hp.is_brownian else fbm_values(nb.increments, grid, hp)
+            bh = fbm_values(nb.increments, grid, hp)
             riem = np.sum(bh[:, :-1] * np.diff(bh, axis=-1), axis=-1)
             d_riem[hp.h][lo:hi] = riem - ito_b
             d_lim[hp.h][lo:hi] = 0.5 * bh[:, -1] ** 2 - ito_b
@@ -323,19 +325,22 @@ class ContinuityCurve:
         return self.final_gap < self.tol
 
 
-def _integration_plan(gamma: Integrand, grid: SimulationGrid, proj_level: int):
-    """Segment grid plus per-h integrand for the delayed-integral evaluation."""
+def _integration_plan(gamma: Integrand, grid: SimulationGrid, level: int):
+    """(integrand, segment grid) for one delayed-integral evaluation.
+
+    Deterministic integrands need one segment and piecewise-predictable ones
+    bring their own grid; any other integrand is projected on the dyadic
+    grid of the given level.
+    """
     if isinstance(gamma, DeterministicIntegrand):
         return gamma, SegmentGrid.dyadic(grid.horizon, 0)
     if isinstance(gamma, PiecewisePredictableIntegrand):
         return gamma, gamma.grid
-    if gamma.nu_exponent is not None and gamma.nu_exponent > 0.0:
-        projected = dyadic_projection(gamma, proj_level, grid)
-        return projected, SegmentGrid.dyadic(grid.horizon, proj_level)
-    raise ContinuityNotApplicableError(
-        f"integrand {gamma.spec_string()!r} has forecast-variance exponent nu = 0 and is not "
-        "piecewise predictable; the Hurst-continuity theorem is not applicable to this "
-        "convergence (it is the non-convergent Riemann-sum regime)")
+    if grid.main_steps < MIN_CELLS_PER_SEGMENT * 2 ** level:
+        raise ValueError(
+            f"projection level {level} leaves fewer than {MIN_CELLS_PER_SEGMENT} fine cells per "
+            f"segment on {grid.main_steps} steps; lower --level or raise --steps")
+    return dyadic_projection(gamma, level, grid), SegmentGrid.dyadic(grid.horizon, level)
 
 
 def _reference_x_norm(gamma: Integrand, grid: SimulationGrid, seed: int, reps: int = 256) -> float:
@@ -359,6 +364,11 @@ def continuity_study(gamma: Integrand | str, hursts, reps: int, seed: int,
     grid = config.grid()
     if isinstance(gamma, str):
         gamma = parse_integrand(gamma, horizon=grid.horizon)
+    if not isinstance(gamma, PiecewisePredictableIntegrand) and not (gamma.nu_exponent or 0.0) > 0.0:
+        raise ContinuityNotApplicableError(
+            f"integrand {gamma.spec_string()!r} has forecast-variance exponent nu = 0 and is not "
+            "piecewise predictable; the Hurst-continuity theorem is not applicable to this "
+            "convergence (it is the non-convergent Riemann-sum regime)")
     integrand, seg = _integration_plan(gamma, grid, proj_level)
     hps = [hurst_constant(h) for h in hursts]
     for hp in hps:

@@ -27,8 +27,8 @@ from .noise import (
     NoiseBatch,
     NoisePath,
     SimulationGrid,
-    avg_kernel_table,
-    causal_conv,
+    _synthesis_table,
+    history_conv,
 )
 
 __all__ = [
@@ -148,15 +148,6 @@ class DeterministicIntegrand(Integrand):
         return self.label
 
 
-def _local_run_conv(x: np.ndarray, table: np.ndarray, a: int, b: int) -> np.ndarray:
-    """local[j - a] = sum_{a <= i < j} table[j - i] x[..., i] for j = a..b-1."""
-    ell = b - a
-    out = np.zeros(x.shape[:-1] + (ell,))
-    if ell > 1:
-        out[..., 1:] = causal_conv(x[..., a:b - 1], table[:ell])[..., 1:ell]
-    return out
-
-
 class _PowerKernelIntegrand(Integrand):
     """Shared machinery for Wiener integrals of power kernels (t - r)^(h1 - 1/2)."""
 
@@ -197,52 +188,39 @@ class _PowerKernelIntegrand(Integrand):
 
     # -- vectorized -----------------------------------------------------------
 
-    def _mask_from(self, grid: SimulationGrid) -> int:
+    def _first_cell(self, grid: SimulationGrid) -> int:
         return 0 if self.include_history else grid.index_of(self.start)
 
-    def _full_prefix(self, grid: SimulationGrid, incs: np.ndarray) -> np.ndarray:
+    def _values_from(self, grid: SimulationGrid, incs: np.ndarray, j0: int) -> np.ndarray:
+        """gamma at lattice points j = j0..cell_count-1, for j0 at or before the origin."""
         if self.include_history and not self.hp1.is_brownian and grid.origin_index == 0:
             raise ValueError("empty warmup window with h1 > 1/2: truncation error uncontrolled")
-        start = self._mask_from(grid)
-        sel = incs
-        if start > 0:
-            sel = np.zeros_like(incs)
-            sel[..., start:] = incs[..., start:]
-        if self.hp1.is_brownian:
-            out = np.zeros(sel.shape[:-1] + (grid.cell_count + 1,))
-            np.cumsum(sel, axis=-1, out=out[..., 1:])
-            return out
-        table = avg_kernel_table(self.hp1, grid.cell_count, grid.step)
-        return self.hp1.c_h * causal_conv(sel, table)
-
-    def _origin_offset(self, grid: SimulationGrid, prefix: np.ndarray) -> np.ndarray:
+        n = grid.cell_count
+        table = _synthesis_table(self.hp1, grid)
+        x = history_conv(incs, table, (self._first_cell(grid), n), (j0, n))
         if self.include_history:
-            return prefix[..., grid.origin_index:grid.origin_index + 1]
-        return np.zeros(prefix.shape[:-1] + (1,))
+            m0 = grid.origin_index - j0
+            return x - x[..., m0:m0 + 1]
+        return x
 
     def values_on_cells(self, grid, incs):
-        prefix = self._full_prefix(grid, incs)
-        m0 = grid.origin_index
-        return prefix[..., m0:grid.cell_count] - self._origin_offset(grid, prefix)
+        return self._values_from(grid, incs, grid.origin_index)
 
     def frozen_values_on_cells(self, grid, incs, freeze_idx):
-        prefix = self._full_prefix(grid, incs)
+        freeze_idx = np.asarray(freeze_idx)
         m0 = grid.origin_index
-        out = prefix[..., m0:grid.cell_count] - self._origin_offset(grid, prefix)
+        j0 = int(freeze_idx.min(initial=m0))  # freezes may sit before the origin
+        vals = self._values_from(grid, incs, j0)
         if self.hp1.is_brownian:
-            # kernel == 1: E_tau gamma(t) is just the prefix at the freeze time
-            return prefix[..., np.asarray(freeze_idx)] - self._origin_offset(grid, prefix)
-        table = self.hp1.c_h * avg_kernel_table(self.hp1, grid.cell_count, grid.step)
-        start = self._mask_from(grid)
-        runs = _runs_of(freeze_idx)
-        for a, cell_lo, cell_hi in runs:
-            lo = max(a, start)
-            j_hi = m0 + cell_hi
-            if lo >= j_hi:
-                continue
-            local = _local_run_conv(incs, table, lo, j_hi)
-            first = max(cell_lo, lo - m0)
-            out[..., first:cell_hi] -= local[..., (m0 + first) - lo:]
+            # kernel == 1: E_tau gamma(t) is just the value at the freeze time
+            return vals[..., freeze_idx - j0]
+        out = vals[..., m0 - j0:]
+        table = _synthesis_table(self.hp1, grid)
+        start = self._first_cell(grid)
+        for a, cell_lo, cell_hi in _runs_of(freeze_idx):
+            # E_a drops the kernel mass of cells a <= i < j
+            out[..., cell_lo:cell_hi] -= history_conv(
+                incs, table, (max(a, start), m0 + cell_hi), (m0 + cell_lo, m0 + cell_hi))
         return out
 
     def spec_string(self):
@@ -310,11 +288,10 @@ class QuadraticBrownianIntegrand(Integrand):
 
     nu_exponent = 0.0
 
-    def _prefix(self, grid, incs):
-        m0 = grid.origin_index
-        out = np.zeros(incs.shape[:-1] + (grid.cell_count + 1 - m0,))
-        np.cumsum(incs[..., m0:], axis=-1, out=out[..., 1:])
-        return out
+    def _b_on_cells(self, grid, incs):
+        """B at the left edge of every cell of [0, horizon)."""
+        m0, n = grid.origin_index, grid.cell_count
+        return history_conv(incs, None, (m0, n), (m0, n))
 
     def _b_at(self, t, noise):
         g = noise.grid
@@ -326,7 +303,7 @@ class QuadraticBrownianIntegrand(Integrand):
         return self._b_at(t, noise) ** 2
 
     def cond_exp(self, tau, t, noise):
-        tau = min(tau, t)
+        tau = min(max(tau, 0.0), t)
         return self._b_at(tau, noise) ** 2 + (t - tau)
 
     def cond_var(self, tau, t):
@@ -337,15 +314,12 @@ class QuadraticBrownianIntegrand(Integrand):
         return 3.0 * float(t) ** 2
 
     def values_on_cells(self, grid, incs):
-        return self._prefix(grid, incs)[..., :-1] ** 2
+        return self._b_on_cells(grid, incs) ** 2
 
     def frozen_values_on_cells(self, grid, incs, freeze_idx):
-        prefix = self._prefix(grid, incs)
-        m0 = grid.origin_index
-        freeze_idx = np.asarray(freeze_idx)
-        t_cells = fine_cell_times(grid)
-        t_freeze = (freeze_idx - m0) * grid.step
-        return prefix[..., freeze_idx - m0] ** 2 + (t_cells - t_freeze)
+        # B(0) = 0 is known from the start: a freeze before the origin acts at the origin
+        k = np.maximum(np.asarray(freeze_idx), grid.origin_index) - grid.origin_index
+        return self._b_on_cells(grid, incs)[..., k] ** 2 + (fine_cell_times(grid) - k * grid.step)
 
     def spec_string(self):
         return "bm2"

@@ -42,9 +42,9 @@ from .noise import (
     NoisePath,
     SimulationGrid,
     avg_kernel_table,
-    causal_conv,
     declared_truncation_budget,
     fbm_values,
+    history_conv,
 )
 
 __all__ = [
@@ -120,23 +120,18 @@ def _segment_corr(gseg: np.ndarray, kernel: np.ndarray) -> np.ndarray:
 def noise_transforms(grid: SimulationGrid, incs: np.ndarray, hp: HurstParameter, end: int):
     """History primitives shared by every delayed-integral assembly on this noise.
 
-    Returns (tail_prim, cross_global): the warmup-history primitive on
-    [origin, end] and the post-origin global convolution on [0, end].  Both
-    depend only on (noise, h, end), so drivers that sweep integrands or
-    segment grids compute them once.
+    Returns (tail_prim, cross_global), both on the lattice points
+    origin..end (index 0 is the origin): the primitive of the warmup history
+    (cells before the origin) and the global convolution of the post-origin
+    cells up to end.  Both depend only on (noise, h, end), so drivers that
+    sweep integrands or segment grids compute them once.
     """
     if hp.is_brownian:
         return None, None
     m0 = grid.origin_index
     c_table = hp.c_h * avg_kernel_table(hp, end, grid.step)
-    tp = None
-    if m0 > 0:
-        warm = np.zeros_like(incs)
-        warm[..., :m0] = incs[..., :m0]
-        tp = causal_conv(warm, c_table)[..., m0:end + 1]
-    post = np.zeros_like(incs)
-    post[..., m0:end] = incs[..., m0:end]
-    cg = causal_conv(post, c_table)
+    tp = history_conv(incs, c_table, (0, m0), (m0, end + 1))
+    cg = history_conv(incs, c_table, (m0, end), (m0, end + 1))
     return tp, cg
 
 
@@ -162,24 +157,19 @@ def _delayed_parts(gamma_cells: np.ndarray, seg_idx: np.ndarray, grid: Simulatio
 
     if not hp.is_brownian:
         tp, cg = transforms if transforms is not None else noise_transforms(grid, incs, hp, end)
-        if tp is not None:
-            tail = np.sum(gamma_cells[..., :n_cells] * np.diff(tp, axis=-1), axis=-1)
+        tail = np.sum(gamma_cells[..., :n_cells] * np.diff(tp, axis=-1), axis=-1)
 
     d_table = np.diff(c_table)  # d_table[m] = c_h * (A[m+1] - A[m])
 
     for a, b in zip(seg_idx[:-1], seg_idx[1:]):
         a, b = int(a), int(b)
-        ell = b - a
         gseg = gamma_cells[..., a - m0:b - m0]
         gbar = _segment_corr(gseg, d_table)
         ito = ito + np.sum(gbar * incs[..., a:b], axis=-1)
         if hp.is_brownian or a == m0:
             continue
         # cross primitive on [a, b]: global post-origin conv minus the within-segment part
-        local = np.zeros(incs.shape[:-1] + (ell + 1,))
-        if ell >= 1:
-            local[..., 1:] = causal_conv(incs[..., a:b], c_table[:ell + 1])[..., 1:ell + 1]
-        prim = cg[..., a:b + 1] - local
+        prim = cg[..., a - m0:b - m0 + 1] - history_conv(incs, c_table, (a, b), (a, b + 1))
         cross = cross + np.sum(gseg * np.diff(prim, axis=-1), axis=-1)
 
     return ito, tail, cross
@@ -238,9 +228,7 @@ def delayed_segment(gamma: Integrand, seg_start: float, seg_end: float,
     ito = float(np.sum(gbar * incs[..., a:b]))
     if hp.is_brownian:
         return ito
-    hist = np.zeros_like(incs)
-    hist[..., :a] = incs[..., :a]
-    prim = causal_conv(hist, c_table)[..., a:b + 1]
+    prim = history_conv(incs, c_table, (0, a), (a, b + 1))
     lebesgue = float(np.sum(gseg * np.diff(prim, axis=-1)))
     return ito + lebesgue
 
@@ -273,12 +261,7 @@ def riemann_fbm_integral_batch(gamma: Integrand, n_steps: int, batch: NoiseBatch
     if n_steps < 1 or grid.main_steps % n_steps != 0:
         raise ValueError(f"n_steps must divide the fine grid ({grid.main_steps})")
     stride = grid.main_steps // n_steps
-    bh = fbm_values(batch.increments, grid, hp) if not hp.is_brownian else None
-    if bh is None:
-        out = np.zeros(batch.increments.shape[:-1] + (grid.main_steps + 1,))
-        np.cumsum(batch.increments[..., grid.origin_index:], axis=-1, out=out[..., 1:])
-        bh = out
-    coarse = bh[..., ::stride]
+    coarse = fbm_values(batch.increments, grid, hp)[..., ::stride]
     cells = gamma.values_on_cells(grid, batch.increments)
     left = cells[..., ::stride]
     return np.sum(left * np.diff(coarse, axis=-1), axis=-1)

@@ -7,11 +7,12 @@ it.  Wiener integrals are discretized with cell-averaged kernel weights:
 the exact integral of the power kernel over each noise cell, divided by the
 step, applied to the increment.  On the uniform lattice those weights are a
 function of the index lag only, so whole paths come out of one causal
-convolution (FFT).
+convolution (FFT).  That convolution is `history_conv`, the one primitive
+behind every process and integral in the package.
 
 Measurability is structural: any quantity conditioned on time tau is
 computed from increments in cells ending at or before tau, enforced by
-masking, never by zeroing data.
+slicing the window of driving cells, never by zeroing data.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ __all__ = [
     "make_grid",
     "generate_noise",
     "generate_noise_batch",
+    "history_conv",
     "synthesize_fbm",
     "synthesize_w",
     "synthesize_dr",
@@ -167,7 +169,7 @@ def generate_noise_batch(seed: int, grid: SimulationGrid, reps: int, first_strea
 
 
 # ---------------------------------------------------------------------------
-# kernel weight tables and causal convolution on the lattice
+# kernel weight tables and the history convolution on the lattice
 # ---------------------------------------------------------------------------
 
 def avg_kernel_table(hp: HurstParameter, n: int, step: float) -> np.ndarray:
@@ -196,54 +198,59 @@ def dr_kernel_table(hp: HurstParameter, n: int, step: float) -> np.ndarray:
     return out
 
 
-def causal_conv(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """y[..., j] = sum_{i < j} kernel[j - i] * x[..., i] for j = 0..len(kernel)-1.
+def history_conv(incs: np.ndarray, table: np.ndarray | None,
+                 cells: tuple[int, int], outputs: tuple[int, int]) -> np.ndarray:
+    """y[..., j - j0] = sum_{lo <= i < min(hi, j)} table[j - i] * incs[..., i] for j0 <= j < j1.
 
-    kernel[0] must be 0; x has the cells along the last axis.
+    cells = (lo, hi) is the window of driving cells and outputs = (j0, j1)
+    the lattice points wanted; incs has the cells along the last axis.  The
+    cells are sliced, never masked, and the circular FFT length is the
+    shortest that keeps the requested outputs alias-free.  table=None is the
+    unit kernel, an exact running sum (h = 1/2); otherwise table[0] is never
+    read and table must reach lag j1 - 1 - lo.
     """
+    j0, j1 = outputs
+    lo = max(cells[0], 0)
+    x = incs[..., lo:max(lo, min(cells[1], j1 - 1))]  # cells from j1 - 1 on reach no output
     m = x.shape[-1]
-    out_len = kernel.shape[-1]
-    n = _fft.next_fast_len(m + out_len - 1)
-    fx = _fft.rfft(x, n, axis=-1)
-    fk = _fft.rfft(kernel, n)
-    y = _fft.irfft(fx * fk, n, axis=-1)
-    return y[..., :out_len]
-
-
-def _prefix_values(incs: np.ndarray, grid: SimulationGrid, hp: HurstParameter,
-                   mask_before: int | None = None, mask_from: int | None = None) -> np.ndarray:
-    """X[..., j] = c_h * sum over selected cells i < j of A[j-i] dB_i, j = 0..cell_count.
-
-    mask_before keeps cells i < mask_before; mask_from keeps i >= mask_from.
-    At h = 1/2 the kernel is identically 1 and X is a running sum.
-    """
-    sel = incs
-    if mask_before is not None or mask_from is not None:
-        lo = 0 if mask_from is None else mask_from
-        hi = incs.shape[-1] if mask_before is None else mask_before
-        sel = np.zeros_like(incs)
-        sel[..., lo:hi] = incs[..., lo:hi]
-    if hp.is_brownian:
-        out = np.zeros(sel.shape[:-1] + (grid.cell_count + 1,))
-        np.cumsum(sel, axis=-1, out=out[..., 1:])
+    k0, k1 = max(j0 - lo, 1), j1 - lo  # output lags from lo; lag <= 0 sees no cell
+    out = np.zeros(incs.shape[:-1] + (max(j1 - j0, 0),))
+    if m == 0 or k1 <= k0:
         return out
-    table = avg_kernel_table(hp, grid.cell_count, grid.step)
-    return hp.c_h * causal_conv(sel, table)
+    if table is None:
+        y = np.cumsum(x, axis=-1)[..., np.minimum(np.arange(k0, k1), m) - 1]
+    else:
+        if table.shape[-1] < k1:
+            raise ValueError(f"kernel table reaches lag {table.shape[-1] - 1}, need {k1 - 1}")
+        # z = x * table[1:] linearly; y[k] = z[k - 1], kept alias-free for k0 <= k < k1
+        n = _fft.next_fast_len(max(k1 - 1, m + k1 - 1 - k0))
+        fx = _fft.rfft(x, n, axis=-1)
+        fx *= _fft.rfft(table[1:k1], n)
+        y = _fft.irfft(fx, n, axis=-1)[..., k0 - 1:k1 - 1]
+    out[..., k0 + lo - j0:] = y
+    return out
+
+
+def _synthesis_table(hp: HurstParameter, grid: SimulationGrid) -> np.ndarray | None:
+    """c_h * A over the whole lattice, or None (the unit kernel) at h = 1/2."""
+    return None if hp.is_brownian else hp.c_h * avg_kernel_table(hp, grid.cell_count, grid.step)
 
 
 def fbm_values(incs: np.ndarray, grid: SimulationGrid, hp: HurstParameter) -> np.ndarray:
     """B_H at the lattice points of [0, horizon]; B_H(0) = 0.  Batched over leading axes."""
     if not hp.is_brownian and grid.origin_index == 0:
         raise ValueError("empty warmup window with h > 1/2: truncation error uncontrolled")
-    x = _prefix_values(incs, grid, hp)
-    m0 = grid.origin_index
-    return x[..., m0:] - x[..., m0:m0 + 1]
+    m0, n = grid.origin_index, grid.cell_count
+    table = _synthesis_table(hp, grid)
+    # at h = 1/2 the history cancels exactly, so only post-origin cells enter
+    x = history_conv(incs, table, (0 if table is not None else m0, n), (m0, n + 1))
+    return x - x[..., :1]
 
 
 def w_values(incs: np.ndarray, grid: SimulationGrid, hp: HurstParameter, seg_idx: int) -> np.ndarray:
     """W_H(t_j) = c_h int_seg^t (t-r)^(h-1/2) dB for lattice j = seg_idx..cell_count."""
-    x = _prefix_values(incs, grid, hp, mask_from=seg_idx)
-    return x[..., seg_idx:]
+    n = grid.cell_count
+    return history_conv(incs, _synthesis_table(hp, grid), (seg_idx, n), (seg_idx, n + 1))
 
 
 def r_values(incs: np.ndarray, grid: SimulationGrid, hp: HurstParameter, seg_idx: int) -> np.ndarray:
@@ -252,21 +259,16 @@ def r_values(incs: np.ndarray, grid: SimulationGrid, hp: HurstParameter, seg_idx
     Obtained by exact integration of DR_H from the segment start: the
     primitive of the cell-averaged f-kernel synthesis, so R(seg) = 0.
     """
-    if hp.is_brownian:
-        return np.zeros(incs.shape[:-1] + (grid.cell_count + 1 - seg_idx,))
-    y = _prefix_values(incs, grid, hp, mask_before=seg_idx)
-    return y[..., seg_idx:] - y[..., seg_idx:seg_idx + 1]
+    y = history_conv(incs, _synthesis_table(hp, grid), (0, seg_idx), (seg_idx, grid.cell_count + 1))
+    return y - y[..., :1]
 
 
 def dr_values(incs: np.ndarray, grid: SimulationGrid, hp: HurstParameter, seg_idx: int) -> np.ndarray:
     """DR_H(t_j) at lattice points j = seg_idx+1..cell_count (strictly after the start)."""
     if hp.is_brownian:
         return np.zeros(incs.shape[:-1] + (grid.cell_count - seg_idx,))
-    sel = np.zeros_like(incs)
-    sel[..., :seg_idx] = incs[..., :seg_idx]
-    table = dr_kernel_table(hp, grid.cell_count, grid.step)
-    y = hp.c_h * causal_conv(sel, table)
-    return y[..., seg_idx + 1:]
+    table = hp.c_h * dr_kernel_table(hp, grid.cell_count, grid.step)
+    return history_conv(incs, table, (0, seg_idx), (seg_idx + 1, grid.cell_count + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +344,7 @@ def driving_path(noise: NoisePath) -> ProcessPath:
     """The driving Brownian motion restricted to [0, horizon], B(0) = 0."""
     g = noise.grid
     m0 = g.origin_index
-    vals = np.concatenate([[0.0], np.cumsum(noise.increments[m0:])])
+    vals = history_conv(noise.increments, None, (m0, g.cell_count), (m0, g.cell_count + 1))
     times = g.step * np.arange(g.main_steps + 1)
     hp = HurstParameter(h=HALF, c_h=1.0, d_h=0.0)
     return ProcessPath("B", hp, 0.0, times, vals, noise.seed)
@@ -426,11 +428,12 @@ def discrete_dr_energy(grid: SimulationGrid, hp: HurstParameter, seg_idx: int,
     """Exact expectation of sum_l quad_weights[l] * DR_H(t_{eval_idx[l]})^2."""
     if hp.is_brownian:
         return 0.0
+    eval_idx = np.asarray(eval_idx)
+    j0 = int(eval_idx.min())
     table = dr_kernel_table(hp, grid.cell_count, grid.step)
-    mask = np.zeros(grid.cell_count)
-    mask[:seg_idx] = 1.0
-    sq = hp.c_h ** 2 * causal_conv(mask, table ** 2) * grid.step
-    return float(np.dot(quad_weights, sq[eval_idx]))
+    sq = hp.c_h ** 2 * history_conv(np.ones(seg_idx), table ** 2, (0, seg_idx),
+                                    (j0, int(eval_idx.max()) + 1)) * grid.step
+    return float(np.dot(quad_weights, sq[eval_idx - j0]))
 
 
 def declared_truncation_budget(grid: SimulationGrid, hp: HurstParameter) -> float:

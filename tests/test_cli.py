@@ -92,6 +92,8 @@ def test_continuity_and_decay_commands(tmp_path, capsys):
     (["simulate", "--steps", "32", "--out", "x.csv"], "power of two"),
     (["nonconv", "--reps", "1", "--out", "x.csv"], "reps"),
     (["simulate", "--kind", "X_H", "--out", "x.csv"], "kind"),
+    (["integrate", "--integrand", "fbm:0.75", "--steps", "256", "--out", "x.json"], "--level"),
+    (["continuity", "--integrand", "fbm:0.75", "--steps", "256", "--out", "x.csv"], "--steps"),
 ])
 def test_validation_failures_are_one_line_and_nonzero(tmp_path, capsys, argv, fragment):
     os.chdir(tmp_path)

@@ -31,12 +31,17 @@ BATCH = generate_noise_batch(123, GRID, 800)
 # contracts shared by the provided family
 # ---------------------------------------------------------------------------
 
+PRE_ORIGIN = SegmentGrid.from_breakpoints([-0.25, 0.5, 1.0])  # first freeze before the origin
+
 FAMILY = [
     DeterministicIntegrand.polynomial([0.5, -1.0, 2.0]),
     BrownianIntegrand(),
     FbmIntegrand(0.75),
     RlFbmIntegrand(0.7),
     QuadraticBrownianIntegrand(),
+    *(PiecewisePredictableIntegrand(inner, PRE_ORIGIN)
+      for inner in (BrownianIntegrand(), FbmIntegrand(0.75), RlFbmIntegrand(0.7),
+                    QuadraticBrownianIntegrand())),
 ]
 
 
@@ -101,6 +106,10 @@ def test_quadratic_brownian_contract():
     assert q.cond_exp(tau, t, NOISE) == pytest.approx(b_tau ** 2 + (t - tau), abs=1e-12)
     assert q.cond_var(tau, t) == pytest.approx(4 * tau * (t - tau) + 2 * (t - tau) ** 2)
     assert q.second_moment(t) == pytest.approx(3 * t * t)
+    # frozen before the origin, B(t)^2 is forecast from B(0) = 0 alone
+    frozen = PiecewisePredictableIntegrand(q, PRE_ORIGIN)
+    for t in (0.0, 0.125, 0.25, 0.375):
+        assert frozen.value(t, NOISE) == t
 
 
 # ---------------------------------------------------------------------------

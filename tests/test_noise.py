@@ -4,11 +4,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fbmdelay.kernels import hurst_constant
 from fbmdelay.noise import (
     SimulationGrid,
+    avg_kernel_table,
     discrete_dr_second_moment,
     discrete_fbm_cov,
     dr_energy_closed_form,
@@ -18,6 +19,7 @@ from fbmdelay.noise import (
     fbm_values,
     generate_noise,
     generate_noise_batch,
+    history_conv,
     make_grid,
     path_csv_string,
     process_path,
@@ -284,6 +286,47 @@ def test_dr_mc_energy_three_hurst_values(grid):
         target = discrete_dr_energy(grid, hp, m0, m0 + 1 + np.arange(n), wq)
         assert abs(est - target) <= 3 * se
         assert abs(est - closed) <= 3 * se + abs(closed - target)
+
+
+# ---------------------------------------------------------------------------
+# the history convolution against a direct double sum
+# ---------------------------------------------------------------------------
+
+def _direct_history_sum(x, table, cells, outputs):
+    """y[..., j - j0] = sum over lo <= i < min(hi, j) of table[j - i] x[..., i], term by term."""
+    (lo, hi), (j0, j1) = cells, outputs
+    w = np.zeros((max(j1 - j0, 0), x.shape[-1]))
+    for j in range(j0, j1):
+        for i in range(lo, min(hi, j)):
+            w[j - j0, i] = 1.0 if table is None else table[j - i]
+    return x @ w.T
+
+
+@given(n=st.integers(1, 160), lo=st.integers(0, 160), hi=st.integers(0, 160),
+       j0=st.integers(0, 161), span=st.integers(0, 161),
+       h=st.sampled_from([None, 0.51, 0.75, 0.95]))
+@example(n=128, lo=0, hi=64, j0=64, span=65, h=0.75)   # history-only: both length bounds meet
+@example(n=160, lo=0, hi=32, j0=100, span=27, h=0.75)  # history-only: lag k1 - 1 = 126 binds
+@example(n=128, lo=0, hi=64, j0=1, span=65, h=0.95)    # all outputs: m + k1 - 1 - k0 binds
+@example(n=64, lo=10, hi=50, j0=0, span=65, h=None)    # outputs before lo and past hi
+@example(n=64, lo=40, hi=20, j0=0, span=65, h=0.51)    # empty cell window
+@example(n=64, lo=0, hi=64, j0=30, span=0, h=0.75)     # empty output window
+@settings(max_examples=150, deadline=None)
+def test_history_conv_matches_direct_sum(n, lo, hi, j0, span, h):
+    lo, hi, j0 = min(lo, n), min(hi, n), min(j0, n + 1)
+    j1 = min(j0 + span, n + 1)
+    x = np.random.default_rng(n + 1000 * lo + 7 * hi).standard_normal((3, n))
+    table = None if h is None else avg_kernel_table(hurst_constant(h), n, 1.0 / n)
+    got = history_conv(x, table, (lo, hi), (j0, j1))
+    want = _direct_history_sum(x, table, (lo, hi), (j0, j1))
+    assert got.shape == want.shape
+    scale = np.max(_direct_history_sum(np.abs(x), table, (lo, hi), (j0, j1)), initial=0.0)
+    assert np.max(np.abs(got - want), initial=0.0) <= 1e-12 * scale
+
+
+def test_history_conv_rejects_short_tables():
+    with pytest.raises(ValueError, match="lag"):
+        history_conv(np.ones(20), avg_kernel_table(H75, 10, 0.1), (0, 20), (0, 21))
 
 
 # ---------------------------------------------------------------------------
