@@ -169,8 +169,10 @@ class _PowerKernelIntegrand(Integrand):
         b = np.clip(edges[1:], lo, hi)
         w = ((t - a) ** p1 - (t - b) ** p1) / (p1 * grid.step)
         if self.include_history:
-            a0 = np.clip(edges[:-1], grid.warmup_start, 0.0)
-            b0 = np.clip(edges[1:], grid.warmup_start, 0.0)
+            # subtract E_tau of the history value at the origin, not its pathwise value
+            hi0 = 0.0 if tau is None else min(0.0, tau)
+            a0 = np.clip(edges[:-1], grid.warmup_start, hi0)
+            b0 = np.clip(edges[1:], grid.warmup_start, hi0)
             w = w - ((0.0 - a0) ** p1 - (0.0 - b0) ** p1) / (p1 * grid.step)
         return self.hp1.c_h * w
 
@@ -181,10 +183,18 @@ class _PowerKernelIntegrand(Integrand):
         return float(np.dot(self._weights(noise.grid, t, tau), _incs_of(noise)))
 
     def cond_var(self, tau, t):
+        h1 = self.hp1.h
+        c2 = self.hp1.c_h ** 2
+        if self.include_history and tau < 0.0 and t > tau:
+            # the kernel (t-r)^p - (-r)^p of cells in (tau, 0) is still unknown at tau;
+            # scipy.integrate is imported here, its import alone costs ~25 MB of RSS
+            from scipy.integrate import quad
+            p = h1 - HALF
+            near, _ = quad(lambda r: ((t - r) ** p - (-r) ** p) ** 2, tau, min(t, 0.0))
+            return c2 * (abs(t) ** (2 * h1) / (2 * h1) + near)
         lo = max(tau, self.start) if not self.include_history else tau
         span = max(t - lo, 0.0)
-        h1 = self.hp1.h
-        return self.hp1.c_h ** 2 * span ** (2 * h1) / (2 * h1)
+        return c2 * span ** (2 * h1) / (2 * h1)
 
     # -- vectorized -----------------------------------------------------------
 
@@ -212,8 +222,12 @@ class _PowerKernelIntegrand(Integrand):
         j0 = int(freeze_idx.min(initial=m0))  # freezes may sit before the origin
         vals = self._values_from(grid, incs, j0)
         if self.hp1.is_brownian:
-            # kernel == 1: E_tau gamma(t) is just the value at the freeze time
-            return vals[..., freeze_idx - j0]
+            # kernel == 1: E_tau gamma(t) is the value at min(tau, t), and with
+            # history a freeze before the origin forecasts B(t) - B(0) as 0
+            at = np.minimum(freeze_idx, m0 + np.arange(freeze_idx.size))
+            if self.include_history:
+                at = np.maximum(at, m0)
+            return vals[..., at - j0]
         out = vals[..., m0 - j0:]
         table = _synthesis_table(self.hp1, grid)
         start = self._first_cell(grid)
@@ -221,6 +235,9 @@ class _PowerKernelIntegrand(Integrand):
             # E_a drops the kernel mass of cells a <= i < j
             out[..., cell_lo:cell_hi] -= history_conv(
                 incs, table, (max(a, start), m0 + cell_hi), (m0 + cell_lo, m0 + cell_hi))
+            if self.include_history and a < m0:
+                # ... and the value at the origin that vals subtracted is forecast too
+                out[..., cell_lo:cell_hi] += history_conv(incs, table, (max(a, start), m0), (m0, m0 + 1))
         return out
 
     def spec_string(self):

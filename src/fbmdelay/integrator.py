@@ -185,17 +185,18 @@ def delayed_parts_for_cells(gamma_cells: np.ndarray, seg: SegmentGrid, batch: No
 
 
 def delayed_integral_batch(gamma: Integrand, seg: SegmentGrid, batch: NoiseBatch,
-                           hp: HurstParameter):
-    """Per-replication delayed integral; returns (value, ito, tail, cross) arrays."""
+                           hp: HurstParameter, transforms=None):
+    """Per-replication delayed integral; returns (value, ito, tail, cross) arrays.
+
+    transforms, when given, is noise_transforms(grid, batch.increments, hp,
+    end) for the segment grid's end lattice index.
+    """
     if not gamma.segment_predictable_on(seg.breakpoints):
         raise ValueError(
             "integrand is not measurable at the segment left endpoints; "
             "the delayed integral is undefined on this class (freeze it or refine its grid)")
-    grid = batch.grid
-    seg_idx = _segment_lattice_indices(grid, seg)
-    cells = gamma.values_on_cells(grid, batch.increments)
-    ito, tail, cross = _delayed_parts(cells, seg_idx, grid, batch.increments, hp)
-    return ito + tail + cross, ito, tail, cross
+    cells = gamma.values_on_cells(batch.grid, batch.increments)
+    return delayed_parts_for_cells(cells, seg, batch, hp, transforms)
 
 
 def delayed_integral_xd(gamma: Integrand, seg: SegmentGrid, noise: NoisePath,
@@ -281,6 +282,8 @@ def extended_integral(gamma: Integrand, hp: HurstParameter, ensemble: NoiseBatch
     if tol is None:
         xn, _ = x_norm(gamma, ensemble)
         tol = 1e-3 * (xn if xn > 0.0 else 1.0)
+    # every level's grid ends at the horizon, so the history primitives are shared
+    transforms = noise_transforms(grid, ensemble.increments, hp, grid.cell_count)
     levels, samples = [], []
     gaps, gap_ses = [], []
     converged = False
@@ -288,7 +291,7 @@ def extended_integral(gamma: Integrand, hp: HurstParameter, ensemble: NoiseBatch
     for n in range(n_start, n_max + 1):
         gamma_n = dyadic_projection(gamma, n, grid)
         seg = SegmentGrid.dyadic(grid.horizon, n)
-        value, _, _, _ = delayed_integral_batch(gamma_n, seg, ensemble, hp)
+        value, _, _, _ = delayed_integral_batch(gamma_n, seg, ensemble, hp, transforms)
         levels.append(n)
         samples.append(value)
         if len(samples) >= 2:

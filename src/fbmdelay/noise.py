@@ -10,6 +10,13 @@ function of the index lag only, so whole paths come out of one causal
 convolution (FFT).  That convolution is `history_conv`, the one primitive
 behind every process and integral in the package.
 
+Both hot layers use every CPU in the process's affinity mask (`WORKERS`):
+the batch draw fills blocks of rows on threads, and a large history
+convolution hands the worker count to pocketfft, which splits the batch
+of rows across threads.  Each row is still drawn from its own stream and
+transformed as one 1-D FFT, so the output bytes do not depend on the
+worker count.
+
 Measurability is structural: any quantity conditioned on time tau is
 computed from increments in cells ending at or before tau, enforced by
 slicing the window of driving cells, never by zeroing data.
@@ -20,6 +27,7 @@ from __future__ import annotations
 import io
 import math
 import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +55,13 @@ __all__ = [
 PROCESS_KINDS = ("B", "B_H", "W_H", "R_H", "DR_H")
 
 _LATTICE_RTOL = 1e-9
+
+#: CPUs this process may run on; the batch draw and the large FFTs use all of them
+WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else (os.cpu_count() or 1)
+
+#: a history convolution threads its FFTs from rows * FFT length points on;
+#: threading the small per-segment transforms made the level-10 assembly slower
+_PARALLEL_FFT_POINTS = 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -160,11 +175,26 @@ def generate_noise(seed: int, grid: SimulationGrid, stream: int = 0) -> NoisePat
 
 
 def generate_noise_batch(seed: int, grid: SimulationGrid, reps: int, first_stream: int = 0) -> NoiseBatch:
-    """Independent replications; row r is identical to generate_noise(seed, grid, first_stream + r)."""
+    """Independent replications; row r is identical to generate_noise(seed, grid, first_stream + r).
+
+    The rows are split into min(WORKERS, reps) contiguous blocks, filled on
+    threads (Philox draws release the GIL).  Every row is drawn in place
+    from its own stream, so the batch is the same for any worker count.
+    """
     out = np.empty((reps, grid.cell_count))
     root = math.sqrt(grid.step)
-    for r in range(reps):
-        out[r] = _rng(seed, first_stream + r).standard_normal(grid.cell_count) * root
+
+    def fill(rows):
+        for r in rows:
+            _rng(seed, first_stream + r).standard_normal(out=out[r])
+            out[r] *= root
+
+    blocks = min(WORKERS, reps)
+    if blocks <= 1:
+        fill(range(reps))
+    else:
+        with ThreadPoolExecutor(blocks) as pool:
+            list(pool.map(fill, np.array_split(np.arange(reps), blocks)))
     return NoiseBatch(grid=grid, increments=out, seed=seed, first_stream=first_stream)
 
 
@@ -208,6 +238,11 @@ def history_conv(incs: np.ndarray, table: np.ndarray | None,
     shortest that keeps the requested outputs alias-free.  table=None is the
     unit kernel, an exact running sum (h = 1/2); otherwise table[0] is never
     read and table must reach lag j1 - 1 - lo.
+
+    From rows * FFT length >= 2^20 on, the batched transforms run on WORKERS
+    threads.  pocketfft splits the rows among them and transforms each row
+    exactly as a serial call does, so the result is bit-identical for any
+    worker count; smaller inputs stay serial.
     """
     j0, j1 = outputs
     lo = max(cells[0], 0)
@@ -224,9 +259,10 @@ def history_conv(incs: np.ndarray, table: np.ndarray | None,
             raise ValueError(f"kernel table reaches lag {table.shape[-1] - 1}, need {k1 - 1}")
         # z = x * table[1:] linearly; y[k] = z[k - 1], kept alias-free for k0 <= k < k1
         n = _fft.next_fast_len(max(k1 - 1, m + k1 - 1 - k0))
-        fx = _fft.rfft(x, n, axis=-1)
+        workers = WORKERS if x.size // m * n >= _PARALLEL_FFT_POINTS else 1
+        fx = _fft.rfft(x, n, axis=-1, workers=workers)
         fx *= _fft.rfft(table[1:k1], n)
-        y = _fft.irfft(fx, n, axis=-1)[..., k0 - 1:k1 - 1]
+        y = _fft.irfft(fx, n, axis=-1, workers=workers)[..., k0 - 1:k1 - 1]
     out[..., k0 + lo - j0:] = y
     return out
 

@@ -6,6 +6,9 @@ were frozen from pilot runs (seeds recorded here) before the suite became
 the gate; nothing is fitted at test time.
 
 Run with `pytest tests/test_acceptance.py -v -s` for one line per criterion.
+Each line carries the criterion's margin: the worst |estimate - target| /
+tolerance over its checks (one-sided checks: excess / tolerance), so a
+margin <= 1 passes and drift shows before a criterion fails.
 """
 
 import json
@@ -32,9 +35,16 @@ from fbmdelay.cli import parse_and_dispatch
 GRID = DESK.grid()
 
 
-def _report(criterion: str, ok: bool, detail: str) -> bool:
-    print(f"ACCEPTANCE {criterion}: {'PASS' if ok else 'FAIL'} ({detail})")
+def _report(criterion: str, ok: bool, detail: str, margins) -> bool:
+    """Print the criterion's line; margins holds |estimate - target| / tolerance per check."""
+    margin = f"{max(margins):.3f}" if margins else "n/a (exact)"
+    print(f"ACCEPTANCE {criterion}: {'PASS' if ok else 'FAIL'} margin {margin} ({detail})")
     return ok
+
+
+def _steps_within(values, ses):
+    """(v[i+1] - v[i]) / hypot(se[i], se[i+1]): a rise beyond 1 joint SE shows as a margin > 1."""
+    return [(values[i + 1] - values[i]) / math.hypot(ses[i], ses[i + 1]) for i in range(len(values) - 1)]
 
 
 # --- 1 -----------------------------------------------------------------------
@@ -46,7 +56,8 @@ def test_c01_normalizing_constant():
     got = hurst_constant(0.75).c_h
     ten_digits = abs(got - oracle) <= 1e-10 * oracle
     ok = exact_half and ten_digits
-    assert _report("01 constant", ok, f"c(1/2)={hurst_constant(0.5).c_h!r}, c(0.75)={got!r} vs {oracle!r}")
+    assert _report("01 constant", ok, f"c(1/2)={hurst_constant(0.5).c_h!r}, c(0.75)={got!r} vs {oracle!r}",
+                   [abs(got - oracle) / (1e-10 * oracle)])
 
 
 # --- 2 -----------------------------------------------------------------------
@@ -61,7 +72,7 @@ def test_c02_kernel_transform_closed_form():
                 want = hp.c_h * (1.0 - tau) ** (h - 0.5)
                 worst = max(worst, abs(got - want) / abs(want))
     ok = worst <= 1e-10
-    assert _report("02 kernel-transform", ok, f"worst relative error {worst:.3e} <= 1e-10")
+    assert _report("02 kernel-transform", ok, f"worst relative error {worst:.3e} <= 1e-10", [worst / 1e-10])
 
 
 # --- 3 -----------------------------------------------------------------------
@@ -72,13 +83,15 @@ def test_c03_dr_moment_identities(h):
     rep = verify_dr_moments(hp, 1.0, 10_000, seed=42)
     ok = True
     details = []
+    margins = []
     for name, res, closed in [("pointwise", rep.pointwise, rep.pointwise_closed),
                               ("energy", rep.energy, rep.energy_closed)]:
         tol = 3 * res.std_error + res.truncation_budget
         good = abs(res.estimate - closed) <= tol
         ok = ok and good
         details.append(f"{name}: |{res.estimate:.5f}-{closed:.5f}| <= {tol:.5f}")
-    assert _report(f"03 dr-moments h={h}", ok, "; ".join(details))
+        margins.append(abs(res.estimate - closed) / tol)
+    assert _report(f"03 dr-moments h={h}", ok, "; ".join(details), margins)
 
 
 # --- 4 -----------------------------------------------------------------------
@@ -90,7 +103,9 @@ def test_c04_fbm_law():
     ok = abs(var_res.estimate - var_closed) <= var_tol and abs(cov_res.estimate - cov_closed) <= cov_tol
     assert _report("04 fbm-law", ok,
                    f"Var(1): |{var_res.estimate:.4f}-1| <= {var_tol:.4f}; "
-                   f"Cov(1,1/2): |{cov_res.estimate:.4f}-0.5| <= {cov_tol:.4f}")
+                   f"Cov(1,1/2): |{cov_res.estimate:.4f}-0.5| <= {cov_tol:.4f}",
+                   [abs(var_res.estimate - var_closed) / var_tol,
+                    abs(cov_res.estimate - cov_closed) / cov_tol])
 
 
 # --- 5 -----------------------------------------------------------------------
@@ -109,7 +124,7 @@ def test_c05_telescoping_identity():
             rel = np.abs(value - want) / np.maximum(np.abs(want), 1e-3)
             worst = max(worst, float(rel.max()))
     ok = worst <= 1e-6
-    assert _report("05 telescoping", ok, f"worst per-path relative error {worst:.3e} <= 1e-6")
+    assert _report("05 telescoping", ok, f"worst per-path relative error {worst:.3e} <= 1e-6", [worst / 1e-6])
 
 
 # --- 6 -----------------------------------------------------------------------
@@ -132,7 +147,8 @@ def test_c06_piecewise_constant_consistency():
         rel = np.abs(value - riem) / np.maximum(np.abs(riem), 1e-3)
         worst = max(worst, float(rel.max()))
     ok = worst <= 1e-9
-    assert _report("06 pc-consistency", ok, f"worst per-path relative error {worst:.3e} <= 1e-9")
+    assert _report("06 pc-consistency", ok, f"worst per-path relative error {worst:.3e} <= 1e-9",
+                   [worst / 1e-9])
 
 
 # --- 7 -----------------------------------------------------------------------
@@ -147,7 +163,8 @@ def test_c07_quadratic_identity_refinement():
     final_ok = defects[-1] < 0.05
     ok = monotone and final_ok
     assert _report("07 quadratic-identity", ok,
-                   "defects " + " -> ".join(f"{d:.5f}" for d in defects) + " (< 0.05 at 2^12)")
+                   "defects " + " -> ".join(f"{d:.5f}" for d in defects) + " (< 0.05 at 2^12)",
+                   [defects[-1] / 0.05, *_steps_within(defects, ses)])
 
 
 # --- 8 -----------------------------------------------------------------------
@@ -156,6 +173,7 @@ def test_c08_nonconvergence_gap():
     rows = nonconvergence_demo([0.51, 0.6, 0.75], reps=4000, seed=9, horizon=1.0)
     ok = True
     details = []
+    margins = []
     for r in rows:
         lim_tol = 3 * r.gap_limit.std_error + r.gap_limit.truncation_budget
         lim_ok = abs(r.gap_limit.estimate - 0.5) <= lim_tol
@@ -163,9 +181,11 @@ def test_c08_nonconvergence_gap():
         riem_ok = abs(r.gap_riemann.estimate - 0.5) <= riem_tol
         ok = ok and lim_ok and riem_ok
         details.append(f"h={r.h}: limit {r.gap_limit.estimate:.4f}+-{lim_tol:.4f}")
+        margins += [abs(r.gap_limit.estimate - 0.5) / lim_tol, abs(r.gap_riemann.estimate - 0.5) / riem_tol]
     # the gap does NOT shrink toward 0 as h drops to 1/2
     ok = ok and min(r.gap_limit.estimate for r in rows) > 0.25
-    assert _report("08 nonconvergence", ok, "; ".join(details))
+    margins.append(0.25 / min(r.gap_limit.estimate for r in rows))
+    assert _report("08 nonconvergence", ok, "; ".join(details), margins)
 
 
 # --- 9 -----------------------------------------------------------------------
@@ -178,7 +198,9 @@ def test_c09_hurst_continuity(spec):
     ok = decreasing and final_ok
     assert _report(f"09 continuity {spec}", ok,
                    "gaps " + " -> ".join(f"{g:.4f}" for g in curve.gaps) +
-                   f"; final < 0.05*||gamma||_X = {0.05 * curve.x_norm_ref:.4f}")
+                   f"; final < 0.05*||gamma||_X = {0.05 * curve.x_norm_ref:.4f}",
+                   [curve.final_gap / (0.05 * curve.x_norm_ref),
+                    *_steps_within(curve.gaps, curve.std_errors)])
 
 
 # --- 10 ----------------------------------------------------------------------
@@ -196,7 +218,8 @@ def test_c10_cauchy_decay_slope(spec, h, target, band):
     got = study.cross_fitted_slope
     ok = abs(got - target) <= band
     assert _report(f"10 cauchy-decay {spec} h={h}", ok,
-                   f"cross slope {got:.4f} in {target}+-{band} (full-gap slope {study.fitted_slope:.4f})")
+                   f"cross slope {got:.4f} in {target}+-{band} (full-gap slope {study.fitted_slope:.4f})",
+                   [abs(got - target) / band])
 
 
 # --- 11 ----------------------------------------------------------------------
@@ -213,4 +236,4 @@ def test_c11_manifest_replay_determinism(tmp_path, capsys):
     assert parse_and_dispatch(["--manifest", str(manifest)]) == 0
     capsys.readouterr()
     ok = out.read_bytes() == first and manifest.read_bytes() == first_manifest
-    assert _report("11 determinism", ok, "manifest replay reproduced output files byte-for-byte")
+    assert _report("11 determinism", ok, "manifest replay reproduced output files byte-for-byte", [])

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import fbmdelay.noise
 from fbmdelay.kernels import hurst_constant
 from fbmdelay.experiments import (
     ContinuityNotApplicableError,
@@ -119,6 +120,20 @@ def test_decay_study_runs_and_reports_both_slopes():
     assert study.fitted_slope is not None and study.fitted_slope < 0
     assert study.cross_fitted_slope is not None and study.cross_fitted_slope < 0
     assert study.target_slope == pytest.approx(-0.25)
+
+
+def test_drivers_are_identical_for_any_worker_count(monkeypatch):
+    """1, 2 or 3 workers give equal results; with threads, every history FFT is threaded too."""
+    runs = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(fbmdelay.noise, "WORKERS", workers)
+        if workers > 1:  # SMALL stays below the size guard; lower it so the FFTs thread
+            monkeypatch.setattr(fbmdelay.noise, "_PARALLEL_FFT_POINTS", 1)
+        runs.append((continuity_study("fbm:0.75", [0.7, 0.51], 150, 5, config=SMALL),
+                     cauchy_decay_study("fbm:0.75", hurst_constant(0.6), range(3, 6), 150, 5,
+                                        config=SMALL)))
+    for other in runs[1:]:
+        assert other == runs[0]
 
 
 def test_decay_study_deterministic_integrand_skips_fit():

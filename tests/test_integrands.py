@@ -20,7 +20,7 @@ from fbmdelay.integrands import (
     x_norm,
     y_norm,
 )
-from fbmdelay.noise import generate_noise, generate_noise_batch, make_grid
+from fbmdelay.noise import avg_kernel_table, generate_noise, generate_noise_batch, make_grid
 
 GRID = make_grid(1.0, 512, warmup=2.0)
 NOISE = generate_noise(8, GRID)
@@ -97,6 +97,54 @@ def test_wiener_kernel_cond_exp_is_truncated_integral():
     se = float(np.std(diffs ** 2, ddof=1) / math.sqrt(reps))
     assert abs(np.mean(diffs)) <= 3 * float(np.std(diffs, ddof=1) / math.sqrt(reps))
     assert abs(est - f.cond_var(tau, t)) <= 3 * se + 0.01 * f.cond_var(tau, t)
+
+
+def _fbm_forecast_oracle(h1, a, j, incs):
+    """E_a X(t_j) as a weight sum: c (sum_{i < min(a, j)} A[j - i] dB_i - sum_{i < min(a, m0)} A[m0 - i] dB_i)."""
+    hp1 = hurst_constant(h1)
+    table = avg_kernel_table(hp1, GRID.cell_count, GRID.step)
+    i = np.arange(GRID.cell_count)
+    m0 = GRID.origin_index
+    w = np.where(i < min(a, j), table[np.clip(j - i, 0, None)], 0.0) \
+        - np.where(i < min(a, m0), table[np.clip(m0 - i, 0, None)], 0.0)
+    return hp1.c_h * (incs @ w)
+
+
+@pytest.mark.parametrize("h1", [0.5, 0.6, 0.75])
+def test_fbm_forecast_before_origin_matches_weight_sum(h1):
+    """E_tau B_H1(t) subtracts E_tau of the history value at the origin, in both paths.
+
+    Subtracting the pathwise value instead gave E_{-1/4} X(1/2) = 0.409 where
+    the weight sum gives 0.0508 (256 steps, warmup 2, seed 4).
+    """
+    gamma = FbmIntegrand(h1)
+    m0 = GRID.origin_index
+    incs = BATCH.increments[:3]
+    for tau in (-1.0, -0.25, 0.0, 0.25):
+        a = GRID.index_of(tau)
+        cells = gamma.frozen_values_on_cells(GRID, incs, np.full(GRID.main_steps, a))
+        for t in (0.0, 0.125, 0.5, 0.875):
+            j = GRID.index_of(t)
+            want = _fbm_forecast_oracle(h1, a, j, incs)
+            np.testing.assert_allclose(cells[:, j - m0], want, rtol=0, atol=1e-12)
+            assert gamma.cond_exp(tau, t, NOISE) == pytest.approx(
+                _fbm_forecast_oracle(h1, a, j, NOISE.increments), abs=1e-12)
+
+
+def test_fbm_cond_var_before_origin_mc():
+    """Var_tau B_H1(t) at tau = -1/4 carries the cells of (tau, 0) through (t-r)^p - (-r)^p."""
+    gamma = FbmIntegrand(0.75)
+    tau, t = -0.25, 0.5
+    incs = BATCH.increments
+    freeze = np.full(GRID.main_steps, GRID.index_of(tau))
+    l = GRID.index_of(t) - GRID.origin_index
+    sq = (gamma.values_on_cells(GRID, incs)[:, l]
+          - gamma.frozen_values_on_cells(GRID, incs, freeze)[:, l]) ** 2
+    est, se = float(np.mean(sq)), float(np.std(sq, ddof=1) / math.sqrt(sq.size))
+    want = gamma.cond_var(tau, t)
+    assert abs(est - want) <= 3 * se + 0.01 * want
+    assert gamma.cond_var(tau, tau) == 0.0
+    assert gamma.cond_var(0.0, t) == pytest.approx(hurst_constant(0.75).c_h ** 2 * t ** 1.5 / 1.5)
 
 
 def test_quadratic_brownian_contract():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import fbmdelay.integrator
 from fbmdelay.kernels import hurst_constant
 from fbmdelay.integrands import (
     BrownianIntegrand,
@@ -243,6 +244,23 @@ def test_extension_converges_with_loose_tol(ensemble):
     assert trace.converged
     assert trace.gaps[-1] < 0.5
     assert trace.stopping_level < 8
+
+
+def test_extension_computes_history_transforms_once(ensemble, monkeypatch):
+    """One noise_transforms call per extension; the trace equals level-by-level evaluation."""
+    calls = []
+    real = fbmdelay.integrator.noise_transforms
+    monkeypatch.setattr(fbmdelay.integrator, "noise_transforms",
+                        lambda *args: calls.append(args) or real(*args))
+    gamma = FbmIntegrand(0.75)
+    trace = extended_integral(gamma, H6, ensemble, tol=1e-9, n_max=6)
+    assert len(calls) == 1
+    assert trace.levels == (1, 2, 3, 4, 5, 6)
+    for n, samples in zip(trace.levels, trace.samples):
+        own, _, _, _ = delayed_integral_batch(dyadic_projection(gamma, n, GRID),
+                                              SegmentGrid.dyadic(1.0, n), ensemble, H6)
+        assert np.array_equal(samples, own)
+    assert len(calls) == 1 + len(trace.levels)  # level by level, each call pays for its own
 
 
 def test_extension_deterministic_collapses(ensemble):

@@ -1,11 +1,14 @@
 """Noise generation contracts and the moving-average synthesis identities."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy import fft
 
+import fbmdelay.noise
 from fbmdelay.kernels import hurst_constant
 from fbmdelay.noise import (
     SimulationGrid,
@@ -81,6 +84,19 @@ def test_batch_rows_match_streams(grid):
     # chunk-size independence: a later window reproduces the same rows
     tail = generate_noise_batch(7, grid, 2, first_stream=4)
     assert np.array_equal(tail.increments[1], nb.increments[5])
+
+
+@pytest.mark.parametrize("reps", [1, 2, 5, 7])
+def test_batch_draw_is_identical_for_any_worker_count(grid, monkeypatch, reps):
+    """Row blocks on 1, 2 or 3 threads give the same bytes; reps < workers and uneven splits too."""
+    batches = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(fbmdelay.noise, "WORKERS", workers)
+        batches.append(generate_noise_batch(7, grid, reps, first_stream=3).increments)
+    for other in batches[1:]:
+        assert other.tobytes() == batches[0].tobytes()
+    for r in range(reps):
+        assert np.array_equal(batches[-1][r], generate_noise(7, grid, stream=3 + r).increments)
 
 
 def test_increment_variance_matches_step():
@@ -322,6 +338,32 @@ def test_history_conv_matches_direct_sum(n, lo, hi, j0, span, h):
     assert got.shape == want.shape
     scale = np.max(_direct_history_sum(np.abs(x), table, (lo, hi), (j0, j1)), initial=0.0)
     assert np.max(np.abs(got - want), initial=0.0) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("rows,cells,threaded", [(64, 8192, True), (8, 1024, False)])
+def test_history_conv_is_identical_for_any_worker_count(monkeypatch, rows, cells, threaded):
+    """Above 2^20 rows x FFT length the FFTs take every worker, below they stay serial; same bytes."""
+    x = np.random.default_rng(cells).standard_normal((rows, cells))
+    table = avg_kernel_table(H75, cells, 1.0 / cells)
+    used = set()
+
+    def spy(name):
+        def call(*args, workers=None, **kwargs):
+            if args[0].ndim > 1:  # the batch, not the kernel table
+                used.add(workers)
+            return getattr(fft, name)(*args, workers=workers, **kwargs)
+        return call
+
+    monkeypatch.setattr(fbmdelay.noise, "_fft", SimpleNamespace(
+        rfft=spy("rfft"), irfft=spy("irfft"), next_fast_len=fft.next_fast_len))
+    outs = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(fbmdelay.noise, "WORKERS", workers)
+        used.clear()
+        outs.append(history_conv(x, table, (0, cells), (0, cells + 1)))
+        assert used == {workers if threaded else 1}
+    for other in outs[1:]:
+        assert other.tobytes() == outs[0].tobytes()
 
 
 def test_history_conv_rejects_short_tables():
