@@ -13,7 +13,6 @@ Writes, into outdir (default ./results):
   run_manifest.json  full configuration and seeds
 """
 
-import json
 import os
 import sys
 import time
@@ -30,6 +29,7 @@ from fbmdelay.experiments import (
     verify_dr_moments,
     write_continuity_csv,
     write_decay_csv,
+    write_law_csv,
     write_manifest,
     write_moments_csv,
     write_nonconv_csv,
@@ -60,14 +60,8 @@ def main() -> int:
                for h in (0.55, 0.75, 0.9)]
     write_moments_csv(put("dr_moments.csv"), reports)
 
-    (var_res, var_closed), (cov_res, cov_closed) = fbm_law_check(
-        hurst_constant(0.75), reps_moments, SEEDS["law"], cfg)
-    with open(put("fbm_law.csv"), "w") as fh:
-        fh.write("quantity,estimate,closed_form,se,budget\n")
-        fh.write(f"var_1,{var_res.estimate!r},{var_closed!r},{var_res.std_error!r},"
-                 f"{var_res.truncation_budget!r}\n")
-        fh.write(f"cov_1_half,{cov_res.estimate!r},{cov_closed!r},{cov_res.std_error!r},"
-                 f"{cov_res.truncation_budget!r}\n")
+    write_law_csv(put("fbm_law.csv"),
+                  fbm_law_check(hurst_constant(0.75), reps_moments, SEEDS["law"], cfg))
 
     n_seq = [cfg.steps // 16, cfg.steps // 4, cfg.steps]
     write_shiryaev_csv(put("shiryaev.csv"),

@@ -22,9 +22,7 @@ from .noise import (
     generate_noise,
     generate_noise_batch,
     make_grid,
-    synthesize_dr,
     synthesize_fbm,
-    synthesize_w,
 )
 from .integrands import (
     BrownianIntegrand,
@@ -40,19 +38,19 @@ from .integrands import (
     y_norm,
 )
 from .integrator import (
-    DelayedIntegralResult,
     ExtensionTrace,
-    delayed_integral_xd,
+    delayed_integral_batch,
     delayed_segment,
     extended_integral,
-    ito_integral,
-    riemann_fbm_integral,
+    ito_integral_batch,
+    riemann_fbm_integral_batch,
 )
 from .experiments import (
     DeskConfig,
     MCResult,
     cauchy_decay_study,
     continuity_study,
+    fbm_law_check,
     nonconvergence_demo,
     parse_integrand,
     shiryaev_identity_check,

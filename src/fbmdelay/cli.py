@@ -15,10 +15,11 @@ from dataclasses import asdict, dataclass
 
 from .kernels import hurst_constant
 from .noise import generate_noise, make_grid, process_path, write_path_csv, PROCESS_KINDS
-from .integrator import delayed_integral_xd, result_record
+from .integrator import delayed_integral_batch, result_record
 from .experiments import (
     DeskConfig,
     _integration_plan,
+    _replicate,
     cauchy_decay_study,
     continuity_study,
     nonconvergence_demo,
@@ -165,11 +166,11 @@ def _run(cfg: RunConfig) -> list[str]:
     elif cfg.command == "integrate":
         hp = hurst_constant(cfg.hurst[0])
         grid = make_grid(cfg.horizon, cfg.steps, cfg.warmup)
-        noise = generate_noise(cfg.seed, grid)
         gamma, seg = _integration_plan(parse_integrand(cfg.integrand, cfg.horizon), grid, cfg.level)
-        result = delayed_integral_xd(gamma, seg, noise, hp)
+        # one replication, stream 0: the path `simulate` draws for the same seed
+        parts = _replicate(cfg.seed, grid, 1, 1, lambda nb: delayed_integral_batch(gamma, seg, nb, hp))
         with open(cfg.out, "w") as fh:
-            json.dump(result_record(result, cfg.seed), fh, indent=2, sort_keys=True)
+            json.dump(result_record(parts, seg, grid, hp, cfg.seed), fh, indent=2, sort_keys=True)
             fh.write("\n")
     elif cfg.command == "verify-moments":
         hp = hurst_constant(cfg.hurst[0])

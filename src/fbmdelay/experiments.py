@@ -4,8 +4,9 @@ Every driver follows the same discipline:
 
 * common random numbers: within a replication, every Hurst value consumes the
   identical driving noise (one Philox stream per replication, checksummed);
-* per-replication results are materialized in stream order and aggregated
-  once, so output is independent of chunking and scheduling;
+* one runner, `_replicate`, draws the replications chunk by chunk and
+  concatenates the per-replication results in stream order; they are
+  aggregated once, so output is independent of chunking and scheduling;
 * every tolerance is 3 standard errors plus a declared budget computed from
   exact expectations of the discrete estimators, never a fitted fudge.
 """
@@ -38,6 +39,7 @@ from .integrator import (
     noise_transforms,
 )
 from .noise import (
+    NoiseBatch,
     SimulationGrid,
     discrete_dr_energy,
     discrete_dr_second_moment,
@@ -58,12 +60,14 @@ __all__ = [
     "ContinuityCurve",
     "ContinuityNotApplicableError",
     "verify_dr_moments",
+    "fbm_law_check",
     "shiryaev_identity_check",
     "nonconvergence_demo",
     "continuity_study",
     "cauchy_decay_study",
     "parse_integrand",
     "write_moments_csv",
+    "write_law_csv",
     "write_continuity_csv",
     "write_decay_csv",
     "write_nonconv_csv",
@@ -105,15 +109,27 @@ def _mc(values: np.ndarray, seed: int, budget: float) -> MCResult:
                     replications=n, seed=seed, truncation_budget=budget)
 
 
-def _chunks(reps: int, chunk: int):
-    start = 0
-    while start < reps:
-        yield start, min(start + chunk, reps)
-        start += chunk
+def _replicate(seed: int, grid: SimulationGrid, reps: int, chunk: int, per_chunk) -> tuple:
+    """Run per_chunk over replications 0..reps-1, at most chunk at a time.
+
+    Replication r is noise stream r of seed.  per_chunk maps a NoiseBatch to
+    a tuple of arrays with one entry per replication along the first axis;
+    the runner returns each array concatenated in stream order, so the
+    result does not depend on chunk.
+    """
+    parts = [per_chunk(generate_noise_batch(seed, grid, min(chunk, reps - lo), first_stream=lo))
+             for lo in range(0, reps, chunk)]
+    return tuple(np.concatenate(col) for col in zip(*parts))
 
 
-def _checksum(incs: np.ndarray) -> int:
-    return zlib.crc32(np.ascontiguousarray(incs).tobytes())
+def _stream_crcs(batch: NoiseBatch) -> np.ndarray:
+    """CRC-32 of each replication's increments."""
+    return np.array([zlib.crc32(row) for row in batch.increments], dtype=np.uint32)
+
+
+def _fold_crcs(crcs: np.ndarray) -> int:
+    """One checksum of every replication's noise: the CRC-32 of the per-replication CRCs."""
+    return zlib.crc32(crcs.astype("<u4").tobytes())
 
 
 # ---------------------------------------------------------------------------
@@ -163,13 +179,12 @@ def verify_dr_moments(hp: HurstParameter, span: float, reps: int, seed: int,
     m0 = grid.origin_index
     eval_idx, quad_w = _energy_quadrature(grid, hp)
 
-    point = np.empty(reps)
-    energy = np.empty(reps)
-    for lo, hi in _chunks(reps, config.chunk):
-        nb = generate_noise_batch(seed, grid, hi - lo, first_stream=lo)
-        drv = dr_values(nb.increments, grid, hp, m0)  # lattice j = m0+1 .. cell_count
-        point[lo:hi] = drv[:, grid.cell_count - m0 - 1] ** 2
-        energy[lo:hi] = drv[:, eval_idx - m0 - 1] ** 2 @ quad_w
+    def per_chunk(nb):
+        drv = dr_values(nb.increments, grid, hp, m0)  # lattice j = m0+1 .. cell_count = eval_idx
+        # a row-wise sum, not a matrix product: BLAS rounding depends on the row count
+        return drv[:, -1] ** 2, np.sum(drv ** 2 * quad_w, axis=-1)
+
+    point, energy = _replicate(seed, grid, reps, config.chunk, per_chunk)
 
     p_closed = dr_pointwise_closed_form(hp, span)
     e_closed = dr_energy_closed_form(hp, span) if not hp.is_brownian else 0.0
@@ -187,13 +202,12 @@ def fbm_law_check(hp: HurstParameter, reps: int, seed: int, config: DeskConfig =
     """MC Var B_H(1) and Cov(B_H(1), B_H(1/2)) with exact discrete-expectation budgets."""
     grid = config.grid()
     n = grid.main_steps
-    var_s = np.empty(reps)
-    cov_s = np.empty(reps)
-    for lo, hi in _chunks(reps, config.chunk):
-        nb = generate_noise_batch(seed, grid, hi - lo, first_stream=lo)
+
+    def per_chunk(nb):
         bh = fbm_values(nb.increments, grid, hp)
-        var_s[lo:hi] = bh[:, n] ** 2
-        cov_s[lo:hi] = bh[:, n] * bh[:, n // 2]
+        return bh[:, n] ** 2, bh[:, n] * bh[:, n // 2]
+
+    var_s, cov_s = _replicate(seed, grid, reps, config.chunk, per_chunk)
     t, s = grid.horizon, grid.horizon / 2
     var_closed = t ** (2 * hp.h)
     cov_closed = 0.5 * (t ** (2 * hp.h) + s ** (2 * hp.h) - (t - s) ** (2 * hp.h))
@@ -222,17 +236,20 @@ def shiryaev_identity_check(hp: HurstParameter, n_steps_seq, reps: int, seed: in
     for n in seq:
         if n < 1 or n_fine % n != 0:
             raise ValueError(f"refinement level {n} does not divide the fine grid {n_fine}")
-    defects = {n: np.empty(reps) for n in seq}
-    for lo, hi in _chunks(reps, config.chunk):
-        nb = generate_noise_batch(seed, grid, hi - lo, first_stream=lo)
+
+    def per_chunk(nb):
         bh = fbm_values(nb.increments, grid, hp)
         final_sq = bh[:, -1] ** 2
+        defects = []
         for n in seq:
             coarse = bh[:, ::n_fine // n]
             riem = np.sum(coarse[:, :-1] * np.diff(coarse, axis=-1), axis=-1)
-            defects[n][lo:hi] = np.abs(2.0 * riem - final_sq)
+            defects.append(np.abs(2.0 * riem - final_sq))
+        return tuple(defects)
+
+    defects = _replicate(seed, grid, reps, config.chunk, per_chunk)
     budget = 0.0  # identity is pathwise in the synthesized process; no closed-form target
-    return [(n, _mc(defects[n], seed, budget)) for n in seq]
+    return [(n, _mc(d, seed, budget)) for n, d in zip(seq, defects)]
 
 
 @dataclass(frozen=True)
@@ -253,30 +270,25 @@ def nonconvergence_demo(hursts, reps: int, seed: int, horizon: float = 1.0,
     the refinement tolerance) and from the quadratic-identity limit object
     0.5 B_H(T)^2, which is the n -> infinity value of the sums.
     """
-    cfg = DeskConfig(horizon=horizon, steps=config.steps, warmup=config.warmup, chunk=config.chunk)
-    grid = cfg.grid()
+    grid = make_grid(horizon, config.steps, config.warmup)
     n = grid.main_steps
     hps = [hurst_constant(h) for h in hursts]
-    d_riem = {hp.h: np.empty(reps) for hp in hps}
-    d_lim = {hp.h: np.empty(reps) for hp in hps}
-    checksums: dict[float, set] = {hp.h: set() for hp in hps}
-    for lo, hi in _chunks(reps, cfg.chunk):
-        nb = generate_noise_batch(seed, grid, hi - lo, first_stream=lo)
-        crc = _checksum(nb.increments)
+
+    def per_chunk(nb):
         b = history_conv(nb.increments, None, (grid.origin_index, grid.cell_count),
                          (grid.origin_index, grid.cell_count + 1))
         ito_b = np.sum(b[:, :-1] * np.diff(b, axis=-1), axis=-1)
-        for hp in hps:
+        gaps = []
+        for hp in hps:  # every h reads the same batch: common random numbers by construction
             bh = fbm_values(nb.increments, grid, hp)
             riem = np.sum(bh[:, :-1] * np.diff(bh, axis=-1), axis=-1)
-            d_riem[hp.h][lo:hi] = riem - ito_b
-            d_lim[hp.h][lo:hi] = 0.5 * bh[:, -1] ** 2 - ito_b
-            checksums[hp.h].add(crc)
-    base = next(iter(checksums.values()))
-    if any(cs != base for cs in checksums.values()):
-        raise AssertionError("common-random-number discipline violated across Hurst values")
+            gaps += [riem - ito_b, 0.5 * bh[:, -1] ** 2 - ito_b]
+        return (*gaps, _stream_crcs(nb))
+
+    *gaps, crcs = _replicate(seed, grid, reps, config.chunk, per_chunk)
+    checksum = _fold_crcs(crcs)
     rows = []
-    for hp in hps:
+    for hp, d_riem, d_lim in zip(hps, gaps[::2], gaps[1::2]):
         if hp.is_brownian:
             refinement, budget = 0.0, 0.0
         else:
@@ -285,10 +297,10 @@ def nonconvergence_demo(hursts, reps: int, seed: int, horizon: float = 1.0,
             budget = 0.5 * abs(horizon ** (2 * hp.h) - discrete_fbm_cov(grid, hp, horizon, horizon))
         rows.append(NonConvergenceRow(
             h=hp.h,
-            gap_riemann=_mc(d_riem[hp.h], seed, budget),
-            gap_limit=_mc(d_lim[hp.h], seed, budget),
+            gap_riemann=_mc(d_riem, seed, budget),
+            gap_limit=_mc(d_lim, seed, budget),
             refinement_tol=refinement,
-            noise_checksum=min(base),
+            noise_checksum=checksum,
         ))
     return rows
 
@@ -377,19 +389,20 @@ def continuity_study(gamma: Integrand | str, hursts, reps: int, seed: int,
     half = hurst_constant(HALF)
     if not integrand.segment_predictable_on(seg.breakpoints):
         raise ValueError("integration plan produced a non-predictable integrand")
-    end = _segment_lattice_indices(grid, seg)[-1]
-    gaps = {hp.h: np.empty(reps) for hp in hps}
-    crcs: set[int] = set()
-    for lo, hi in _chunks(reps, config.chunk):
-        nb = generate_noise_batch(seed, grid, hi - lo, first_stream=lo)
-        crcs.add(_checksum(nb.increments))
+    end = int(_segment_lattice_indices(grid, seg)[-1])
+
+    def per_chunk(nb):
         cells = integrand.values_on_cells(grid, nb.increments)
         base, _, _, _ = delayed_parts_for_cells(cells, seg, nb, half)
+        gaps = []
         for hp in hps:
-            pre = noise_transforms(grid, nb.increments, hp, int(end))
+            pre = noise_transforms(grid, nb.increments, hp, end)
             value, _, _, _ = delayed_parts_for_cells(cells, seg, nb, hp, pre)
-            gaps[hp.h][lo:hi] = np.abs(value - base)
-    results = [_mc(gaps[hp.h], seed, 0.0) for hp in hps]
+            gaps.append(np.abs(value - base))
+        return (*gaps, _stream_crcs(nb))
+
+    *gaps, crcs = _replicate(seed, grid, reps, config.chunk, per_chunk)
+    results = [_mc(g, seed, 0.0) for g in gaps]
     x_ref = _reference_x_norm(gamma, grid, seed)
     return ContinuityCurve(
         hurst_values=tuple(hp.h for hp in hps),
@@ -398,7 +411,7 @@ def continuity_study(gamma: Integrand | str, hursts, reps: int, seed: int,
         integrand_spec=gamma.spec_string(),
         base_seed=seed,
         x_norm_ref=x_ref,
-        noise_checksum=min(crcs),
+        noise_checksum=_fold_crcs(crcs),
         tol=tol if tol is not None else 0.05 * x_ref,
     )
 
@@ -456,23 +469,23 @@ def cauchy_decay_study(gamma: Integrand | str, hp: HurstParameter, levels, reps:
         raise ValueError("the decay study needs an integrand with a known variance exponent")
 
     pair_levels = levels[:-1]
-    gap_tot = {m: np.empty(reps) for m in pair_levels}
-    gap_cross = {m: np.empty(reps) for m in pair_levels}
     end = grid.origin_index + grid.main_steps
-    for lo, hi in _chunks(reps, config.chunk):
-        nb = generate_noise_batch(seed, grid, hi - lo, first_stream=lo)
+
+    def per_chunk(nb):
         pre = noise_transforms(grid, nb.increments, hp, end)
         cells = {n: dyadic_projection(gamma, n, grid).values_on_cells(grid, nb.increments)
                  for n in levels}
+        gaps = []
         for m in pair_levels:
             seg = SegmentGrid.dyadic(grid.horizon, m + 1)
             v0, _, _, c0 = delayed_parts_for_cells(cells[m], seg, nb, hp, pre)
             v1, _, _, c1 = delayed_parts_for_cells(cells[m + 1], seg, nb, hp, pre)
-            gap_tot[m][lo:hi] = np.abs(v1 - v0)
-            gap_cross[m][lo:hi] = np.abs(c1 - c0)
+            gaps += [np.abs(v1 - v0), np.abs(c1 - c0)]
+        return tuple(gaps)
 
-    tot = [_mc(gap_tot[m], seed, 0.0) for m in pair_levels]
-    cross = [_mc(gap_cross[m], seed, 0.0) for m in pair_levels]
+    gaps = _replicate(seed, grid, reps, config.chunk, per_chunk)
+    tot = [_mc(g, seed, 0.0) for g in gaps[::2]]
+    cross = [_mc(g, seed, 0.0) for g in gaps[1::2]]
     target = None
     if math.isfinite(gamma.nu_exponent) and not hp.is_brownian:
         target = -(gamma.nu_exponent / 2.0 + hp.h - 0.5)
@@ -549,6 +562,13 @@ def write_moments_csv(path, reports: list[DrMomentReport]) -> None:
             rows.append([r["h"], r["span"], r["quantity"], r["estimate"],
                          r["closed_form"], r["se"], r["budget"]])
     _write_csv(path, ["h", "span", "quantity", "estimate", "closed_form", "se", "budget"], rows)
+
+
+def write_law_csv(path, law) -> None:
+    """The two rows of fbm_law_check: Var B_H(1) and Cov(B_H(1), B_H(1/2))."""
+    rows = [[name, res.estimate, closed, res.std_error, res.truncation_budget]
+            for name, (res, closed) in zip(("var_1", "cov_1_half"), law)]
+    _write_csv(path, ["quantity", "estimate", "closed_form", "se", "budget"], rows)
 
 
 def write_continuity_csv(path, curve: ContinuityCurve) -> None:

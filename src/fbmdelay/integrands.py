@@ -480,20 +480,12 @@ def dyadic_projection(gamma: Integrand, n: int, noise=None) -> Integrand:
 # norms
 # ---------------------------------------------------------------------------
 
-def x_norm(gamma: Integrand, ensemble) -> tuple[float, float]:
+def x_norm(gamma: Integrand, ensemble: NoiseBatch) -> tuple[float, float]:
     """MC estimate of (E int_0^T gamma^2 dt)^(1/2) with its standard error."""
-    if isinstance(ensemble, NoiseBatch):
-        grid, incs = ensemble.grid, ensemble.increments
-    else:
-        paths = list(ensemble)
-        if len(paths) < 2:
-            raise ValueError("need an ensemble of at least 2 noise paths")
-        grid = paths[0].grid
-        incs = np.stack([p.increments for p in paths])
-    if incs.shape[0] < 2:
+    if ensemble.replications < 2:
         raise ValueError("need an ensemble of at least 2 noise paths")
-    vals = gamma.values_on_cells(grid, incs)
-    per_rep = np.sum(vals ** 2, axis=-1) * grid.step
+    vals = gamma.values_on_cells(ensemble.grid, ensemble.increments)
+    per_rep = np.sum(vals ** 2, axis=-1) * ensemble.grid.step
     mean = float(np.mean(per_rep))
     se_mean = float(np.std(per_rep, ddof=1) / math.sqrt(per_rep.shape[0]))
     if mean <= 0.0:

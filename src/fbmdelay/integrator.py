@@ -39,7 +39,6 @@ from .integrands import (
 )
 from .noise import (
     NoiseBatch,
-    NoisePath,
     SimulationGrid,
     avg_kernel_table,
     declared_truncation_budget,
@@ -48,32 +47,18 @@ from .noise import (
 )
 
 __all__ = [
-    "DelayedIntegralResult",
     "ExtensionTrace",
     "delayed_segment",
-    "delayed_integral_xd",
     "delayed_integral_batch",
     "delayed_parts_for_cells",
     "noise_transforms",
     "extended_integral",
-    "ito_integral",
-    "riemann_fbm_integral",
+    "ito_integral_batch",
+    "riemann_fbm_integral_batch",
     "result_record",
 ]
 
 MIN_CELLS_PER_SEGMENT = 2
-
-
-@dataclass(frozen=True)
-class DelayedIntegralResult:
-    """Value with its decomposition; value = ito_part + tail_part + cross_part."""
-
-    value: float
-    ito_part: float
-    tail_part: float
-    cross_part: float
-    grid: SegmentGrid
-    truncation_budget: float
 
 
 @dataclass(frozen=True)
@@ -199,26 +184,14 @@ def delayed_integral_batch(gamma: Integrand, seg: SegmentGrid, batch: NoiseBatch
     return delayed_parts_for_cells(cells, seg, batch, hp, transforms)
 
 
-def delayed_integral_xd(gamma: Integrand, seg: SegmentGrid, noise: NoisePath,
-                        hp: HurstParameter) -> DelayedIntegralResult:
-    """Delayed integral of a piecewise-predictable integrand over a segment grid."""
-    batch = NoiseBatch(noise.grid, noise.increments[None, :].copy(), noise.seed, noise.stream)
-    value, ito, tail, cross = delayed_integral_batch(gamma, seg, batch, hp)
-    return DelayedIntegralResult(
-        value=float(value[0]), ito_part=float(ito[0]), tail_part=float(tail[0]),
-        cross_part=float(cross[0]), grid=seg,
-        truncation_budget=declared_truncation_budget(noise.grid, hp),
-    )
-
-
 def delayed_segment(gamma: Integrand, seg_start: float, seg_end: float,
-                    noise: NoisePath, hp: HurstParameter) -> float:
-    """Single-segment delayed integral; gamma is frozen at seg_start via its forecast rule."""
-    grid = noise.grid
+                    batch: NoiseBatch, hp: HurstParameter) -> np.ndarray:
+    """Single-segment delayed integral per replication; gamma is frozen at seg_start via its forecast rule."""
+    grid = batch.grid
     a, b = grid.index_of(seg_start), grid.index_of(seg_end)
     if b - a < MIN_CELLS_PER_SEGMENT:
         raise ValueError(f"degenerate segment: fewer than {MIN_CELLS_PER_SEGMENT} fine cells")
-    incs = noise.increments[None, :]
+    incs = batch.increments
     m0 = grid.origin_index
     freeze = np.full(grid.main_steps, a)
     cells = gamma.frozen_values_on_cells(grid, incs, freeze)
@@ -226,38 +199,23 @@ def delayed_segment(gamma: Integrand, seg_start: float, seg_end: float,
 
     c_table = hp.c_h * avg_kernel_table(hp, int(b), grid.step)
     gbar = _segment_corr(gseg, np.diff(c_table))
-    ito = float(np.sum(gbar * incs[..., a:b]))
+    ito = np.sum(gbar * incs[..., a:b], axis=-1)
     if hp.is_brownian:
         return ito
     prim = history_conv(incs, c_table, (0, a), (a, b + 1))
-    lebesgue = float(np.sum(gseg * np.diff(prim, axis=-1)))
-    return ito + lebesgue
-
-
-def ito_integral(gamma: Integrand, noise: NoisePath) -> float:
-    """Left-point Riemann-Ito sum of gamma against the driving noise on the fine grid."""
-    grid = noise.grid
-    cells = gamma.values_on_cells(grid, noise.increments[None, :])
-    return float(np.sum(cells * noise.increments[None, grid.origin_index:]))
+    return ito + np.sum(gseg * np.diff(prim, axis=-1), axis=-1)
 
 
 def ito_integral_batch(gamma: Integrand, batch: NoiseBatch) -> np.ndarray:
+    """Left-point Riemann-Ito sum of gamma against the driving noise on the fine grid, per replication."""
     grid = batch.grid
     cells = gamma.values_on_cells(grid, batch.increments)
     return np.sum(cells * batch.increments[..., grid.origin_index:], axis=-1)
 
 
-def riemann_fbm_integral(gamma: Integrand, n_steps: int, noise: NoisePath,
-                         hp: HurstParameter) -> float:
-    """Left-point sum of gamma against fBm increments on an n_steps uniform grid of [0, T]."""
-    return float(riemann_fbm_integral_batch(
-        gamma, n_steps,
-        NoiseBatch(noise.grid, noise.increments[None, :].copy(), noise.seed, noise.stream),
-        hp)[0])
-
-
 def riemann_fbm_integral_batch(gamma: Integrand, n_steps: int, batch: NoiseBatch,
                                hp: HurstParameter) -> np.ndarray:
+    """Left-point sum of gamma against fBm increments on an n_steps uniform grid of [0, T], per replication."""
     grid = batch.grid
     if n_steps < 1 or grid.main_steps % n_steps != 0:
         raise ValueError(f"n_steps must divide the fine grid ({grid.main_steps})")
@@ -319,17 +277,19 @@ def extended_integral(gamma: Integrand, hp: HurstParameter, ensemble: NoiseBatch
     )
 
 
-def result_record(result: DelayedIntegralResult, seed: int) -> dict:
-    """JSON-ready export of a delayed-integral evaluation."""
+def result_record(parts, seg: SegmentGrid, grid: SimulationGrid, hp: HurstParameter,
+                  seed: int) -> dict:
+    """JSON-ready export of the first replication of delayed_integral_batch's (value, ito, tail, cross)."""
+    value, ito, tail, cross = (float(p[0]) for p in parts)
     return {
-        "value": result.value,
-        "ito_part": result.ito_part,
-        "tail_part": result.tail_part,
-        "cross_part": result.cross_part,
+        "value": value,
+        "ito_part": ito,
+        "tail_part": tail,
+        "cross_part": cross,
         "grid": {
-            "breakpoints": list(result.grid.breakpoints),
-            "min_spacing": result.grid.min_spacing,
+            "breakpoints": list(seg.breakpoints),
+            "min_spacing": seg.min_spacing,
         },
-        "truncation_budget": result.truncation_budget,
+        "truncation_budget": declared_truncation_budget(grid, hp),
         "seed": seed,
     }

@@ -24,7 +24,6 @@ slicing the window of driving cells, never by zeroing data.
 
 from __future__ import annotations
 
-import io
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -45,8 +44,6 @@ __all__ = [
     "generate_noise_batch",
     "history_conv",
     "synthesize_fbm",
-    "synthesize_w",
-    "synthesize_dr",
     "dr_pointwise_closed_form",
     "dr_energy_closed_form",
     "write_path_csv",
@@ -157,9 +154,6 @@ class NoiseBatch:
     @property
     def replications(self) -> int:
         return self.increments.shape[0]
-
-    def path(self, r: int) -> NoisePath:
-        return NoisePath(self.grid, self.increments[r].copy(), self.seed, self.first_stream + r)
 
 
 def _rng(seed: int, stream: int) -> np.random.Generator:
@@ -308,45 +302,6 @@ def dr_values(incs: np.ndarray, grid: SimulationGrid, hp: HurstParameter, seg_id
 
 
 # ---------------------------------------------------------------------------
-# scalar synthesis (off-lattice times allowed; weights from exact cell clips)
-# ---------------------------------------------------------------------------
-
-def _clipped_avg_weights(edges: np.ndarray, t: float, lo: float, p1: float, step: float) -> np.ndarray:
-    """Cell averages of u^(p1-1), u = t - q, with q clipped to [lo, t] per cell."""
-    a = np.clip(edges[:-1], lo, t)
-    b = np.clip(edges[1:], lo, t)
-    ua = t - a
-    ub = t - b
-    return (ua ** p1 - ub ** p1) / (p1 * step)
-
-
-def synthesize_w(noise: NoisePath, hp: HurstParameter, seg_start: float, t: float) -> float:
-    """W_H(t) over [seg_start, t]; uses only increments in (seg_start, t]."""
-    if t < seg_start:
-        raise ValueError("need t >= seg_start")
-    if t == seg_start:
-        return 0.0
-    g = noise.grid
-    w = _clipped_avg_weights(g.edges(), t, seg_start, hp.h + HALF, g.step)
-    return float(hp.c_h * np.dot(w, noise.increments))
-
-
-def synthesize_dr(noise: NoisePath, hp: HurstParameter, seg_start: float, t: float) -> float:
-    """DR_H(t) = c_h int_(-L)^seg_start (h-1/2)(t-q)^(h-3/2) dB(q); needs t > seg_start."""
-    if t <= seg_start:
-        raise ValueError("DR_H is defined for t strictly after the segment start")
-    if hp.is_brownian:
-        return 0.0
-    g = noise.grid
-    edges = g.edges()
-    a = np.minimum(edges[:-1], seg_start)
-    b = np.minimum(edges[1:], seg_start)
-    p = hp.h - HALF
-    w = ((t - a) ** p - (t - b) ** p) / g.step
-    return float(hp.c_h * np.dot(w, noise.increments))
-
-
-# ---------------------------------------------------------------------------
 # public path objects
 # ---------------------------------------------------------------------------
 
@@ -490,8 +445,3 @@ def write_path_csv(path: ProcessPath, dest) -> None:
         if own:
             fh.close()
 
-
-def path_csv_string(path: ProcessPath) -> str:
-    buf = io.StringIO()
-    write_path_csv(path, buf)
-    return buf.getvalue()

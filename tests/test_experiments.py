@@ -18,6 +18,7 @@ from fbmdelay.experiments import (
     verify_dr_moments,
     write_continuity_csv,
     write_decay_csv,
+    write_law_csv,
     write_manifest,
     write_moments_csv,
     write_nonconv_csv,
@@ -136,6 +137,35 @@ def test_drivers_are_identical_for_any_worker_count(monkeypatch):
         assert other == runs[0]
 
 
+def _every_driver(chunk, reps):
+    cfg = DeskConfig(steps=512, warmup=2.0, chunk=chunk)
+    return (verify_dr_moments(H75, 1.0, reps, 3, cfg),
+            fbm_law_check(H75, reps, 3, cfg),
+            shiryaev_identity_check(H75, [64, 512], reps, 3, cfg),
+            nonconvergence_demo([0.75, 0.51], reps, 3, config=cfg),
+            continuity_study("fbm:0.75", [0.7, 0.51], reps, 3, config=cfg),
+            cauchy_decay_study("fbm:0.75", hurst_constant(0.6), range(3, 6), reps, 3, config=cfg))
+
+
+def test_drivers_are_identical_for_any_chunk_size():
+    """Chunks of 7 (not a divisor of reps), 128 and reps give equal results, checksums included."""
+    reps = 150
+    whole = _every_driver(reps, reps)
+    for chunk in (7, 128):
+        for got, want in zip(_every_driver(chunk, reps), whole):
+            assert got == want
+
+
+def test_common_random_numbers_across_hurst_lists():
+    """h = 0.51 gives bit-identical results alone and after another h in the list."""
+    alone = continuity_study("fbm:0.75", [0.51], 150, 5, config=SMALL)
+    inside = continuity_study("fbm:0.75", [0.75, 0.51], 150, 5, config=SMALL)
+    assert (alone.gaps[0], alone.std_errors[0], alone.noise_checksum) == \
+        (inside.gaps[1], inside.std_errors[1], inside.noise_checksum)
+    assert nonconvergence_demo([0.51], 150, 5, config=SMALL)[0] == \
+        nonconvergence_demo([0.75, 0.51], 150, 5, config=SMALL)[1]
+
+
 def test_decay_study_deterministic_integrand_skips_fit():
     study = cauchy_decay_study("det:poly:0.0,1.0", H75, range(3, 6), 50, 77, config=SMALL)
     assert study.fitted_slope is None
@@ -209,6 +239,13 @@ def test_remaining_writers_produce_declared_headers(tmp_path):
     srows = shiryaev_identity_check(H75, [64, 128], 120, 3, SMALL)
     write_shiryaev_csv(tmp_path / "s.csv", srows)
     assert (tmp_path / "s.csv").read_text().splitlines()[0] == "n_steps,defect,se"
+
+    law = fbm_law_check(H75, 120, 3, SMALL)
+    write_law_csv(tmp_path / "l.csv", law)
+    lines = (tmp_path / "l.csv").read_text().splitlines()
+    assert lines[0] == "quantity,estimate,closed_form,se,budget"
+    for line, name, (res, closed) in zip(lines[1:], ("var_1", "cov_1_half"), law):
+        assert line == f"{name},{res.estimate!r},{closed!r},{res.std_error!r},{res.truncation_budget!r}"
 
 
 def test_manifest_roundtrip(tmp_path):

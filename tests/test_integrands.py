@@ -20,7 +20,7 @@ from fbmdelay.integrands import (
     x_norm,
     y_norm,
 )
-from fbmdelay.noise import avg_kernel_table, generate_noise, generate_noise_batch, make_grid
+from fbmdelay.noise import NoisePath, avg_kernel_table, generate_noise, generate_noise_batch, make_grid
 
 GRID = make_grid(1.0, 512, warmup=2.0)
 NOISE = generate_noise(8, GRID)
@@ -90,7 +90,7 @@ def test_wiener_kernel_cond_exp_is_truncated_integral():
     # evaluate at t = 1.0 via scalar calls on a few paths for exactness of the contract
     diffs = []
     for r in range(reps):
-        p = nb.path(r)
+        p = NoisePath(GRID, nb.increments[r].copy(), nb.seed, r)
         diffs.append(f.value(t, p) - f.cond_exp(tau, t, p))
     diffs = np.asarray(diffs)
     est = float(np.mean(diffs ** 2))
@@ -278,7 +278,7 @@ def test_x_norm_trivial_cases():
     assert v0 == 0.0
     assert v1 == pytest.approx(1.0, rel=1e-9)
     with pytest.raises(ValueError):
-        x_norm(one, [NOISE])
+        x_norm(one, generate_noise_batch(8, GRID, 1))
 
 
 def test_x_norm_brownian():

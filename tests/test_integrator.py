@@ -18,17 +18,17 @@ from fbmdelay.integrands import (
 )
 from fbmdelay.integrator import (
     delayed_integral_batch,
-    delayed_integral_xd,
     delayed_segment,
     extended_integral,
-    ito_integral,
+    ito_integral_batch,
     result_record,
-    riemann_fbm_integral,
+    riemann_fbm_integral_batch,
 )
 from fbmdelay.noise import fbm_values, generate_noise, generate_noise_batch, make_grid
 
 GRID = make_grid(1.0, 512, warmup=2.0)
 NOISE = generate_noise(40, GRID)
+ONE_PATH = generate_noise_batch(40, GRID, 1)  # a batch of one: row 0 is NOISE
 H6 = hurst_constant(0.6)
 H75 = hurst_constant(0.75)
 H9 = hurst_constant(0.9)
@@ -40,6 +40,11 @@ def _bh(noise, hp):
     return fbm_values(noise.increments, noise.grid, hp)
 
 
+def _integral(gamma, seg, hp):
+    """(value, ito, tail, cross) of the delayed integral on NOISE, as floats."""
+    return tuple(float(p[0]) for p in delayed_integral_batch(gamma, seg, ONE_PATH, hp))
+
+
 # ---------------------------------------------------------------------------
 # exact pathwise identities
 # ---------------------------------------------------------------------------
@@ -49,9 +54,9 @@ def _bh(noise, hp):
 def test_telescoping_identity(hp, level):
     """Delayed integral of 1 equals the fbm increment, per path, any grid."""
     bh = _bh(NOISE, hp)
-    res = delayed_integral_xd(ONE, SegmentGrid.dyadic(1.0, level), NOISE, hp)
+    value = _integral(ONE, SegmentGrid.dyadic(1.0, level), hp)[0]
     want = bh[-1] - bh[0]
-    assert abs(res.value - want) <= 1e-9 * max(abs(want), 1e-3)
+    assert abs(value - want) <= 1e-9 * max(abs(want), 1e-3)
 
 
 def test_decomposition_identity_every_path():
@@ -72,44 +77,43 @@ def test_piecewise_constant_equals_riemann_sum(seed, level):
     gamma = DeterministicIntegrand(
         fn=lambda t, v=vals, n=n_seg: v[np.minimum((np.asarray(t, dtype=float) * n).astype(int), n - 1)],
         label="pc")
-    res = delayed_integral_xd(gamma, SegmentGrid.dyadic(1.0, level), NOISE, H75)
+    value = _integral(gamma, SegmentGrid.dyadic(1.0, level), H75)[0]
     bh = _bh(NOISE, H75)
     riem = float(np.sum(vals * np.diff(bh[:: 512 // n_seg])))
-    assert abs(res.value - riem) <= 1e-9 * max(abs(riem), 1e-3)
+    assert abs(value - riem) <= 1e-9 * max(abs(riem), 1e-3)
 
 
 def test_brownian_case_is_left_point_ito_sum():
     gamma = dyadic_projection(QuadraticBrownianIntegrand(), 3, GRID)
-    res = delayed_integral_xd(gamma, SegmentGrid.dyadic(1.0, 3), NOISE, H5)
-    assert res.tail_part == 0.0 and res.cross_part == 0.0
+    value, _, tail, cross = _integral(gamma, SegmentGrid.dyadic(1.0, 3), H5)
+    assert tail == 0.0 and cross == 0.0
     cells = gamma.values_on_cells(GRID, NOISE.increments[None, :])[0]
     ito = float(np.sum(cells * NOISE.increments[GRID.origin_index:]))
-    assert res.value == pytest.approx(ito, abs=1e-12)
+    assert value == pytest.approx(ito, abs=1e-12)
 
 
 def test_linearity_per_path():
     g1 = dyadic_projection(BrownianIntegrand(), 4, GRID)
     g2 = dyadic_projection(FbmIntegrand(0.6), 4, GRID)
     seg = SegmentGrid.dyadic(1.0, 4)
-    v1 = delayed_integral_xd(g1, seg, NOISE, H75).value
-    v2 = delayed_integral_xd(g2, seg, NOISE, H75).value
+    v1 = _integral(g1, seg, H75)[0]
+    v2 = _integral(g2, seg, H75)[0]
 
     class Combo(PiecewisePredictableIntegrand):
         def values_on_cells(self, grid, incs):
             return 2.0 * g1.values_on_cells(grid, incs) - 0.5 * g2.values_on_cells(grid, incs)
 
     combo = Combo(BrownianIntegrand(), SegmentGrid.dyadic(1.0, 4))
-    got = delayed_integral_xd(combo, seg, NOISE, H75).value
+    got = _integral(combo, seg, H75)[0]
     assert got == pytest.approx(2.0 * v1 - 0.5 * v2, abs=1e-11)
 
 
 def test_additivity_under_grid_refinement():
     """Inserting breakpoints where gamma is already measurable leaves the value unchanged."""
     gamma = dyadic_projection(FbmIntegrand(0.75), 2, GRID)
-    coarse = delayed_integral_xd(gamma, SegmentGrid.dyadic(1.0, 2), NOISE, H75).value
-    fine = delayed_integral_xd(gamma, SegmentGrid.dyadic(1.0, 6), NOISE, H75).value
-    uneven = delayed_integral_xd(
-        gamma, SegmentGrid.from_breakpoints([0.0, 0.25, 0.3125, 0.5, 0.75, 1.0]), NOISE, H75).value
+    coarse = _integral(gamma, SegmentGrid.dyadic(1.0, 2), H75)[0]
+    fine = _integral(gamma, SegmentGrid.dyadic(1.0, 6), H75)[0]
+    uneven = _integral(gamma, SegmentGrid.from_breakpoints([0.0, 0.25, 0.3125, 0.5, 0.75, 1.0]), H75)[0]
     assert coarse == pytest.approx(fine, abs=1e-12)
     assert coarse == pytest.approx(uneven, abs=1e-12)
 
@@ -117,24 +121,25 @@ def test_additivity_under_grid_refinement():
 def test_measurability_is_enforced():
     fine_gamma = dyadic_projection(FbmIntegrand(0.75), 5, GRID)
     with pytest.raises(ValueError, match="not measurable"):
-        delayed_integral_xd(fine_gamma, SegmentGrid.dyadic(1.0, 3), NOISE, H75)
+        _integral(fine_gamma, SegmentGrid.dyadic(1.0, 3), H75)
     raw = BrownianIntegrand()
     with pytest.raises(ValueError, match="not measurable"):
-        delayed_integral_xd(raw, SegmentGrid.dyadic(1.0, 3), NOISE, H75)
+        _integral(raw, SegmentGrid.dyadic(1.0, 3), H75)
 
 
 def test_degenerate_segments_rejected():
     with pytest.raises(ValueError, match="degenerate"):
-        delayed_integral_xd(ONE, SegmentGrid.dyadic(1.0, 9), NOISE, H75)  # 1 cell per segment
+        _integral(ONE, SegmentGrid.dyadic(1.0, 9), H75)  # 1 cell per segment
     with pytest.raises(ValueError, match="origin"):
-        delayed_integral_xd(ONE, SegmentGrid.from_breakpoints([0.25, 1.0]), NOISE, H75)
+        _integral(ONE, SegmentGrid.from_breakpoints([0.25, 1.0]), H75)
 
 
 def test_truncation_budget_reported():
-    res = delayed_integral_xd(ONE, SegmentGrid.dyadic(1.0, 0), NOISE, H75)
-    assert res.truncation_budget > 0.0
-    rec = result_record(res, NOISE.seed)
-    assert rec["value"] == res.value
+    seg = SegmentGrid.dyadic(1.0, 0)
+    parts = delayed_integral_batch(ONE, seg, ONE_PATH, H75)
+    rec = result_record(parts, seg, GRID, H75, NOISE.seed)
+    assert rec["truncation_budget"] > 0.0
+    assert rec["value"] == parts[0][0]
     assert rec["grid"]["breakpoints"] == [0.0, 1.0]
 
 
@@ -143,9 +148,9 @@ def test_truncation_budget_reported():
 # ---------------------------------------------------------------------------
 
 def test_delayed_segment_examples():
-    assert delayed_segment(DeterministicIntegrand.constant(0.0), 0.25, 0.75, NOISE, H75) == 0.0
+    assert delayed_segment(DeterministicIntegrand.constant(0.0), 0.25, 0.75, ONE_PATH, H75)[0] == 0.0
     bh = _bh(NOISE, H9)
-    got = delayed_segment(ONE, 0.25, 0.75, NOISE, H9)
+    got = delayed_segment(ONE, 0.25, 0.75, ONE_PATH, H9)[0]
     want = bh[GRID.index_of(0.75) - GRID.origin_index] - bh[GRID.index_of(0.25) - GRID.origin_index]
     assert got == pytest.approx(want, abs=1e-10)
 
@@ -153,7 +158,7 @@ def test_delayed_segment_examples():
 def test_delayed_segment_freezes_the_integrand():
     """A non-predictable integrand is integrated through its forecast at the segment start."""
     gamma = BrownianIntegrand()
-    got = delayed_segment(gamma, 0.25, 0.75, NOISE, H75)
+    got = delayed_segment(gamma, 0.25, 0.75, ONE_PATH, H75)[0]
     frozen = PiecewisePredictableIntegrand(gamma, SegmentGrid.from_breakpoints([0.25, 1.0]))
     # reference: one-segment grid starting at 0.25 handled via the generic path on [0, T]
     b_at_start = gamma.value(0.25, NOISE)
@@ -163,7 +168,7 @@ def test_delayed_segment_freezes_the_integrand():
 
 
 def test_delayed_segment_brownian_case():
-    got = delayed_segment(BrownianIntegrand(), 0.25, 0.75, NOISE, H5)
+    got = delayed_segment(BrownianIntegrand(), 0.25, 0.75, ONE_PATH, H5)[0]
     b = np.concatenate([[0.0], np.cumsum(NOISE.increments[GRID.origin_index:])])
     i0, i1 = GRID.index_of(0.25) - GRID.origin_index, GRID.index_of(0.75) - GRID.origin_index
     want = b[i0] * (b[i1] - b[i0])
@@ -175,19 +180,20 @@ def test_delayed_segment_brownian_case():
 # ---------------------------------------------------------------------------
 
 def test_ito_integral_constant_and_zero():
-    assert ito_integral(DeterministicIntegrand.constant(0.0), NOISE) == 0.0
+    assert ito_integral_batch(DeterministicIntegrand.constant(0.0), ONE_PATH)[0] == 0.0
     b_t = float(np.sum(NOISE.increments[GRID.origin_index:]))
-    assert ito_integral(DeterministicIntegrand.constant(2.0), NOISE) == pytest.approx(2 * b_t, abs=1e-12)
+    assert ito_integral_batch(DeterministicIntegrand.constant(2.0), ONE_PATH)[0] == pytest.approx(
+        2 * b_t, abs=1e-12)
 
 
 def test_ito_integral_brownian_discrete_identity_and_refinement():
     """2 int B dB = B(T)^2 - [B]_T exactly; [B]_T -> T under refinement."""
     for steps in (256, 4096):
         g = make_grid(1.0, steps)
-        noise = generate_noise(11, g)
-        got = ito_integral(BrownianIntegrand(), noise)
-        b = np.concatenate([[0.0], np.cumsum(noise.increments)])
-        qv = float(np.sum(noise.increments ** 2))
+        noise = generate_noise_batch(11, g, 1)
+        got = ito_integral_batch(BrownianIntegrand(), noise)[0]
+        b = np.concatenate([[0.0], np.cumsum(noise.increments[0])])
+        qv = float(np.sum(noise.increments[0] ** 2))
         assert 2 * got == pytest.approx(b[-1] ** 2 - qv, abs=1e-10)
     # with the finer grid the quadratic variation concentrates at T
     gf = make_grid(1.0, 4096)
@@ -197,27 +203,27 @@ def test_ito_integral_brownian_discrete_identity_and_refinement():
 
 def test_riemann_fbm_telescoping_and_identity():
     for n in (8, 64, 512):
-        got = riemann_fbm_integral(ONE, n, NOISE, H75)
+        got = riemann_fbm_integral_batch(ONE, n, ONE_PATH, H75)[0]
         bh = _bh(NOISE, H75)
         assert got == pytest.approx(bh[-1] - bh[0], abs=1e-10)
     # left-point sums of B_H against itself: 2 sum = B_H(T)^2 - sum dBH^2, exact per path
     gamma = FbmIntegrand(0.75)
     bh = _bh(NOISE, H75)
     for n in (8, 64, 512):
-        got = riemann_fbm_integral(gamma, n, NOISE, H75)
+        got = riemann_fbm_integral_batch(gamma, n, ONE_PATH, H75)[0]
         coarse = bh[:: 512 // n]
         qv = float(np.sum(np.diff(coarse) ** 2))
         assert 2 * got == pytest.approx(bh[-1] ** 2 - qv, abs=1e-10)
 
 
 def test_riemann_fbm_brownian_case_matches_ito():
-    got = riemann_fbm_integral(BrownianIntegrand(), 512, NOISE, H5)
-    assert got == pytest.approx(ito_integral(BrownianIntegrand(), NOISE), abs=1e-12)
+    got = riemann_fbm_integral_batch(BrownianIntegrand(), 512, ONE_PATH, H5)[0]
+    assert got == pytest.approx(ito_integral_batch(BrownianIntegrand(), ONE_PATH)[0], abs=1e-12)
 
 
 def test_riemann_fbm_validates_steps():
     with pytest.raises(ValueError):
-        riemann_fbm_integral(ONE, 500, NOISE, H75)
+        riemann_fbm_integral_batch(ONE, 500, ONE_PATH, H75)
 
 
 # ---------------------------------------------------------------------------
@@ -267,12 +273,12 @@ def test_extension_deterministic_collapses(ensemble):
     trace = extended_integral(ONE, H75, ensemble, n_max=6)
     assert trace.converged
     assert trace.gaps[-1] <= 1e-12
-    single = delayed_integral_xd(ONE, SegmentGrid.dyadic(1.0, 1), NOISE, H75)
+    single = _integral(ONE, SegmentGrid.dyadic(1.0, 1), H75)[0]
     # limit equals the single-segment value on a common path
     own = delayed_integral_batch(ONE, SegmentGrid.dyadic(1.0, trace.stopping_level),
                                  ensemble, H75)[0]
     assert float(np.mean(own - trace.samples[-1])) == pytest.approx(0.0, abs=1e-12)
-    assert single.value == pytest.approx(_bh(NOISE, H75)[-1], abs=1e-10)
+    assert single == pytest.approx(_bh(NOISE, H75)[-1], abs=1e-10)
 
 
 def test_first_moment_bound_across_family(ensemble):

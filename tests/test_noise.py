@@ -24,14 +24,12 @@ from fbmdelay.noise import (
     generate_noise_batch,
     history_conv,
     make_grid,
-    path_csv_string,
     process_path,
     r_values,
-    synthesize_dr,
     synthesize_fbm,
-    synthesize_w,
     w_values,
 )
+from oracles import path_csv_string, synthesize_dr, synthesize_w
 
 H75 = hurst_constant(0.75)
 H5 = hurst_constant(0.5)
