@@ -222,3 +222,7 @@ def parse_and_dispatch(argv=None) -> int:
 
 def main() -> None:
     raise SystemExit(parse_and_dispatch())
+
+
+if __name__ == "__main__":
+    main()

@@ -348,11 +348,20 @@ def _integration_plan(gamma: Integrand, grid: SimulationGrid, level: int):
         return gamma, SegmentGrid.dyadic(grid.horizon, 0)
     if isinstance(gamma, PiecewisePredictableIntegrand):
         return gamma, gamma.grid
-    if grid.main_steps < MIN_CELLS_PER_SEGMENT * 2 ** level:
-        raise ValueError(
-            f"projection level {level} leaves fewer than {MIN_CELLS_PER_SEGMENT} fine cells per "
-            f"segment on {grid.main_steps} steps; lower --level or raise --steps")
+    _check_dyadic_level(grid, level, "--level")
     return dyadic_projection(gamma, level, grid), SegmentGrid.dyadic(grid.horizon, level)
+
+
+def _check_dyadic_level(grid: SimulationGrid, level: int, flag: str) -> None:
+    """Refuse a level whose dyadic segments are not whole runs of MIN_CELLS_PER_SEGMENT or more cells.
+
+    flag names the option that set the level.
+    """
+    n_seg = 2 ** level
+    if grid.main_steps % n_seg or grid.main_steps < MIN_CELLS_PER_SEGMENT * n_seg:
+        raise ValueError(
+            f"projection level {level} does not split {grid.main_steps} steps into 2^{level} "
+            f"segments of at least {MIN_CELLS_PER_SEGMENT} fine cells; lower {flag} or raise --steps")
 
 
 def _reference_x_norm(gamma: Integrand, grid: SimulationGrid, seed: int, reps: int = 256) -> float:
@@ -457,6 +466,7 @@ def cauchy_decay_study(gamma: Integrand | str, hp: HurstParameter, levels, reps:
     levels = sorted(int(n) for n in levels)
     if len(levels) < 2 or any(b - a != 1 for a, b in zip(levels[:-1], levels[1:])):
         raise ValueError("levels must be consecutive integers")
+    _check_dyadic_level(grid, levels[-1], "--levels")
     if isinstance(gamma, DeterministicIntegrand):
         # projection is vacuous; gaps sit at the quadrature-noise floor
         return DecayStudy(levels=tuple(levels[:-1]), gaps=(0.0,) * (len(levels) - 1),
@@ -473,14 +483,15 @@ def cauchy_decay_study(gamma: Integrand | str, hp: HurstParameter, levels, reps:
 
     def per_chunk(nb):
         pre = noise_transforms(grid, nb.increments, hp, end)
-        cells = {n: dyadic_projection(gamma, n, grid).values_on_cells(grid, nb.increments)
-                 for n in levels}
+        cells = np.empty((len(levels), nb.replications, grid.main_steps))
+        for i, level_cells in enumerate(gamma.dyadic_cells(grid, nb.increments, levels)):
+            cells[i] = level_cells
         gaps = []
-        for m in pair_levels:
+        for i, m in enumerate(pair_levels):
+            # both levels of the pair in one assembly: the history parts are shared
             seg = SegmentGrid.dyadic(grid.horizon, m + 1)
-            v0, _, _, c0 = delayed_parts_for_cells(cells[m], seg, nb, hp, pre)
-            v1, _, _, c1 = delayed_parts_for_cells(cells[m + 1], seg, nb, hp, pre)
-            gaps += [np.abs(v1 - v0), np.abs(c1 - c0)]
+            v, _, _, c = delayed_parts_for_cells(cells[i:i + 2], seg, nb, hp, pre)
+            gaps += [np.abs(v[1] - v[0]), np.abs(c[1] - c[0])]
         return tuple(gaps)
 
     gaps = _replicate(seed, grid, reps, config.chunk, per_chunk)

@@ -93,6 +93,11 @@ class Integrand(ABC):
         """E at lattice time freeze_idx[l] of gamma at cell l's left edge."""
         raise IntegrandCapabilityError(f"{type(self).__name__} has no conditional-expectation rule")
 
+    def dyadic_cells(self, grid: SimulationGrid, incs: np.ndarray, levels: Sequence[int]):
+        """Yield the cell values of the level-n dyadic projection for each n in levels, in turn."""
+        for n in levels:
+            yield dyadic_projection(self, n, grid).values_on_cells(grid, incs)
+
     def segment_predictable_on(self, breakpoints: Sequence[float]) -> bool:
         """Whether gamma(t) is measurable at the active left endpoint of this grid."""
         return False
@@ -218,9 +223,25 @@ class _PowerKernelIntegrand(Integrand):
 
     def frozen_values_on_cells(self, grid, incs, freeze_idx):
         freeze_idx = np.asarray(freeze_idx)
+        j0 = int(freeze_idx.min(initial=grid.origin_index))  # freezes may sit before the origin
+        return self._forecast(grid, incs, freeze_idx, self._values_from(grid, incs, j0), j0)
+
+    def dyadic_cells(self, grid, incs, levels):
+        # one path for every level: dyadic freezes never precede the origin
         m0 = grid.origin_index
-        j0 = int(freeze_idx.min(initial=m0))  # freezes may sit before the origin
-        vals = self._values_from(grid, incs, j0)
+        path = self._values_from(grid, incs, m0)
+        for n in levels:
+            freeze_idx = dyadic_projection(self, n, grid).freeze_index_per_cell(grid)
+            # only the non-Brownian forecasts write into the path
+            yield self._forecast(grid, incs, freeze_idx,
+                                 path if self.hp1.is_brownian else path.copy(), m0)
+
+    def _forecast(self, grid, incs, freeze_idx, vals, j0):
+        """E at freeze_idx[l] of gamma at cell l's left edge, from vals = _values_from(grid, incs, j0).
+
+        A non-Brownian kernel corrects vals in place.
+        """
+        m0 = grid.origin_index
         if self.hp1.is_brownian:
             # kernel == 1: E_tau gamma(t) is the value at min(tau, t), and with
             # history a freeze before the origin forecasts B(t) - B(0) as 0

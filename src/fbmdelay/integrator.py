@@ -34,7 +34,6 @@ from .kernels import HurstParameter
 from .integrands import (
     Integrand,
     SegmentGrid,
-    dyadic_projection,
     x_norm,
 )
 from .noise import (
@@ -162,7 +161,13 @@ def _delayed_parts(gamma_cells: np.ndarray, seg_idx: np.ndarray, grid: Simulatio
 
 def delayed_parts_for_cells(gamma_cells: np.ndarray, seg: SegmentGrid, batch: NoiseBatch,
                             hp: HurstParameter, transforms=None):
-    """Assembly entry point for drivers that manage cell values and transforms themselves."""
+    """Assembly entry point for drivers that manage cell values and transforms themselves.
+
+    Extra leading axes of gamma_cells, in front of the replication axis, are
+    integrands that share the noise: (n_integrands, reps, cells) gives
+    (n_integrands, reps) parts, and the history parts that depend only on
+    the noise are computed once for all of them.
+    """
     seg_idx = _segment_lattice_indices(batch.grid, seg)
     ito, tail, cross = _delayed_parts(gamma_cells, seg_idx, batch.grid, batch.increments,
                                       hp, transforms)
@@ -246,10 +251,10 @@ def extended_integral(gamma: Integrand, hp: HurstParameter, ensemble: NoiseBatch
     gaps, gap_ses = [], []
     converged = False
     stopping = n_max
-    for n in range(n_start, n_max + 1):
-        gamma_n = dyadic_projection(gamma, n, grid)
+    ns = range(n_start, n_max + 1)
+    for n, cells in zip(ns, gamma.dyadic_cells(grid, ensemble.increments, ns)):
         seg = SegmentGrid.dyadic(grid.horizon, n)
-        value, _, _, _ = delayed_integral_batch(gamma_n, seg, ensemble, hp, transforms)
+        value, _, _, _ = delayed_parts_for_cells(cells, seg, ensemble, hp, transforms)
         levels.append(n)
         samples.append(value)
         if len(samples) >= 2:

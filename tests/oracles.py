@@ -10,7 +10,9 @@ import io
 import numpy as np
 
 from fbmdelay.kernels import HALF, HurstParameter
-from fbmdelay.noise import NoisePath, ProcessPath, write_path_csv
+from fbmdelay.integrands import Integrand, SegmentGrid, dyadic_projection
+from fbmdelay.integrator import delayed_parts_for_cells, noise_transforms
+from fbmdelay.noise import NoiseBatch, NoisePath, ProcessPath, write_path_csv
 
 
 def _clipped_avg_weights(edges: np.ndarray, t: float, lo: float, p1: float, step: float) -> np.ndarray:
@@ -52,3 +54,22 @@ def path_csv_string(path: ProcessPath) -> str:
     buf = io.StringIO()
     write_path_csv(path, buf)
     return buf.getvalue()
+
+
+def decay_gaps_per_level(gamma: Integrand, hp: HurstParameter, levels, nb: NoiseBatch) -> tuple:
+    """cauchy_decay_study's per-chunk gaps, from one projection and one assembly per level.
+
+    Returns (|v1 - v0|, |c1 - c0|) per replication for each level pair
+    (m, m + 1), both levels integrated on the level-(m + 1) grid.
+    """
+    grid = nb.grid
+    pre = noise_transforms(grid, nb.increments, hp, grid.origin_index + grid.main_steps)
+    cells = {n: dyadic_projection(gamma, n, grid).values_on_cells(grid, nb.increments)
+             for n in levels}
+    gaps = []
+    for m in levels[:-1]:
+        seg = SegmentGrid.dyadic(grid.horizon, m + 1)
+        v0, _, _, c0 = delayed_parts_for_cells(cells[m], seg, nb, hp, pre)
+        v1, _, _, c1 = delayed_parts_for_cells(cells[m + 1], seg, nb, hp, pre)
+        gaps += [np.abs(v1 - v0), np.abs(c1 - c0)]
+    return tuple(gaps)

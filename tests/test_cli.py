@@ -2,6 +2,9 @@
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -94,6 +97,8 @@ def test_continuity_and_decay_commands(tmp_path, capsys):
     (["simulate", "--kind", "X_H", "--out", "x.csv"], "kind"),
     (["integrate", "--integrand", "fbm:0.75", "--steps", "256", "--out", "x.json"], "--level"),
     (["continuity", "--integrand", "fbm:0.75", "--steps", "256", "--out", "x.csv"], "--steps"),
+    (["decay", "--steps", "256", "--out", "x.csv"], "--levels"),
+    (["decay", "--steps", "1024", "--out", "x.csv"], "--levels"),
 ])
 def test_validation_failures_are_one_line_and_nonzero(tmp_path, capsys, argv, fragment):
     os.chdir(tmp_path)
@@ -101,6 +106,15 @@ def test_validation_failures_are_one_line_and_nonzero(tmp_path, capsys, argv, fr
     assert code == 2
     assert err.count("\n") == 1
     assert fragment in err
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "fbmdelay.cli", "simulate", "--steps", "100",
+                           "--out", "x.csv"], cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert "power of two" in proc.stderr
 
 
 def test_output_dir_env_var(tmp_path, capsys, monkeypatch):

@@ -4,11 +4,16 @@ import json
 
 import pytest
 
+import fbmdelay.experiments
+import fbmdelay.integrands
+import fbmdelay.integrator
 import fbmdelay.noise
 from fbmdelay.kernels import hurst_constant
 from fbmdelay.experiments import (
     ContinuityNotApplicableError,
     DeskConfig,
+    _mc,
+    _replicate,
     cauchy_decay_study,
     continuity_study,
     fbm_law_check,
@@ -32,6 +37,7 @@ from fbmdelay.integrands import (
     QuadraticBrownianIntegrand,
     SegmentGrid,
 )
+from oracles import decay_gaps_per_level
 
 SMALL = DeskConfig(steps=512, warmup=2.0, chunk=128)
 H75 = hurst_constant(0.75)
@@ -166,17 +172,64 @@ def test_common_random_numbers_across_hurst_lists():
         nonconvergence_demo([0.75, 0.51], 150, 5, config=SMALL)[1]
 
 
+@pytest.mark.parametrize("spec,h", [("bm", 0.75), ("fbm:0.75", 0.6), ("rl:0.7", 0.7), ("bm2", 0.6)])
+def test_decay_study_equals_per_level_reference(spec, h):
+    """One path and one assembly per level pair give the bytes of the per-level evaluation."""
+    hp, levels, reps = hurst_constant(h), [3, 4, 5], 150  # chunks of 128 and 22
+    study = cauchy_decay_study(spec, hp, levels, reps, 9, config=SMALL)
+    gamma = parse_integrand(spec)
+    gaps = _replicate(9, SMALL.grid(), reps, SMALL.chunk,
+                      lambda nb: decay_gaps_per_level(gamma, hp, levels, nb))
+    tot = [_mc(g, 9, 0.0) for g in gaps[::2]]
+    cross = [_mc(g, 9, 0.0) for g in gaps[1::2]]
+    assert study.gaps == tuple(r.estimate for r in tot)
+    assert study.std_errors == tuple(r.std_error for r in tot)
+    assert study.cross_gaps == tuple(r.estimate for r in cross)
+    assert study.cross_std_errors == tuple(r.std_error for r in cross)
+
+
+def test_decay_study_shares_the_path_and_the_cross_convolutions(monkeypatch):
+    """Per chunk: one full-lattice fbm path, and one cross convolution per segment per level pair."""
+    grid = SMALL.grid()
+    m0, n = grid.origin_index, grid.cell_count
+    paths, crosses = [], []
+
+    def spy(module, hits, wanted):
+        real = module.history_conv
+
+        def conv(incs, table, cells, outputs):
+            if wanted(tuple(cells), tuple(outputs)):
+                hits.append(cells)
+            return real(incs, table, cells, outputs)
+        monkeypatch.setattr(module, "history_conv", conv)
+
+    spy(fbmdelay.integrands, paths, lambda c, o: (c, o) == ((0, n), (m0, n)))
+    # the within-segment parts of segments after the first; noise_transforms starts at 0 or m0
+    spy(fbmdelay.integrator, crosses, lambda c, o: c[0] > m0)
+    cauchy_decay_study("fbm:0.75", hurst_constant(0.6), range(3, 6), 150, 5, config=SMALL)
+    chunks = 2  # 128 + 22 replications
+    assert len(paths) == chunks
+    assert len(crosses) == chunks * sum(2 ** (m + 1) - 1 for m in (3, 4))
+
+
 def test_decay_study_deterministic_integrand_skips_fit():
     study = cauchy_decay_study("det:poly:0.0,1.0", H75, range(3, 6), 50, 77, config=SMALL)
     assert study.fitted_slope is None
     assert all(g == 0.0 for g in study.gaps)
 
 
-def test_decay_study_validates_levels():
+def test_decay_study_validates_levels(monkeypatch):
     with pytest.raises(ValueError):
         cauchy_decay_study("bm", H75, [3, 5], 50, 77, config=SMALL)
     with pytest.raises(ValueError):
         cauchy_decay_study("bm2", H75, [3], 50, 77, config=SMALL)
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("noise drawn for a level list the grid cannot carry")
+    monkeypatch.setattr(fbmdelay.experiments, "generate_noise_batch", no_draw)
+    for levels in (range(8, 11), range(7, 10)):  # 2^10 segments do not align; 2^9 get 1 cell each
+        with pytest.raises(ValueError, match="split 512 steps .* lower --levels or raise --steps"):
+            cauchy_decay_study("fbm:0.75", H75, levels, 50, 7, config=SMALL)
 
 
 # ---------------------------------------------------------------------------

@@ -229,6 +229,19 @@ def test_projection_error_decay_slopes():
         assert slope == pytest.approx((1 + nu) / 2, rel=0.15)
 
 
+@pytest.mark.parametrize("gamma", FAMILY, ids=lambda g: g.spec_string())
+def test_dyadic_cells_equal_per_level_projections(gamma):
+    """The levels computed from one path are byte-equal to one projection per level."""
+    incs = BATCH.increments[:16]
+    levels = (3, 0, 6, 2)
+    got = list(gamma.dyadic_cells(GRID, incs, levels))  # every level held at once: no aliasing
+    assert len(got) == len(levels)
+    for n, cells in zip(levels, got):
+        want = dyadic_projection(gamma, n, GRID).values_on_cells(GRID, incs)
+        assert cells.shape == want.shape
+        assert cells.tobytes() == want.tobytes()
+
+
 def test_projection_validation():
     with pytest.raises(IntegrandCapabilityError):
         class NoRule(BrownianIntegrand):

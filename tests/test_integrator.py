@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import fbmdelay.integrands
 import fbmdelay.integrator
 from fbmdelay.kernels import hurst_constant
 from fbmdelay.integrands import (
@@ -18,6 +19,7 @@ from fbmdelay.integrands import (
 )
 from fbmdelay.integrator import (
     delayed_integral_batch,
+    delayed_parts_for_cells,
     delayed_segment,
     extended_integral,
     ito_integral_batch,
@@ -267,6 +269,48 @@ def test_extension_computes_history_transforms_once(ensemble, monkeypatch):
                                               SegmentGrid.dyadic(1.0, n), ensemble, H6)
         assert np.array_equal(samples, own)
     assert len(calls) == 1 + len(trace.levels)  # level by level, each call pays for its own
+
+
+def test_extension_computes_one_path_and_stops_the_levels(ensemble, monkeypatch):
+    """One full-lattice fbm path per ensemble; levels past the stopping level are not computed."""
+    m0, n = GRID.origin_index, GRID.cell_count
+    paths, computed = [], []
+    real_conv = fbmdelay.integrands.history_conv
+    real_cells = FbmIntegrand.dyadic_cells
+
+    def conv_spy(incs, table, cells, outputs):
+        if (tuple(cells), tuple(outputs)) == ((0, n), (m0, n)):
+            paths.append(cells)
+        return real_conv(incs, table, cells, outputs)
+
+    def cells_spy(self, grid, incs, levels):
+        for level, cells in zip(levels, real_cells(self, grid, incs, levels)):
+            computed.append(level)
+            yield cells
+
+    monkeypatch.setattr(fbmdelay.integrands, "history_conv", conv_spy)
+    monkeypatch.setattr(FbmIntegrand, "dyadic_cells", cells_spy)
+    trace = extended_integral(FbmIntegrand(0.75), H6, ensemble, tol=0.05, n_max=8)
+    assert trace.converged and trace.stopping_level < 8
+    assert computed == list(trace.levels)
+    assert len(paths) == 1  # tol is given, so x_norm draws no path of its own
+
+
+@pytest.mark.parametrize("hp", [H5, H6], ids=lambda h: f"h{h.h}")
+@pytest.mark.parametrize("seg", [SegmentGrid.dyadic(1.0, 4),
+                                 SegmentGrid.from_breakpoints([0.0, 0.125, 0.3125, 0.5, 0.875, 1.0])],
+                         ids=["dyadic4", "nonuniform"])
+def test_stacked_assembly_equals_single_calls(hp, seg):
+    """Integrands stacked on a leading axis assemble to the bytes of one call each."""
+    batch = generate_noise_batch(77, GRID, 24)
+    cells = np.stack([PiecewisePredictableIntegrand(inner, seg).values_on_cells(GRID, batch.increments)
+                      for inner in (FbmIntegrand(0.75), QuadraticBrownianIntegrand())])
+    stacked = delayed_parts_for_cells(cells, seg, batch, hp)
+    for k in range(2):
+        single = delayed_parts_for_cells(cells[k], seg, batch, hp)
+        for got, want in zip(stacked, single):
+            assert got.shape == (2, 24) and want.shape == (24,)
+            assert got[k].tobytes() == want.tobytes()
 
 
 def test_extension_deterministic_collapses(ensemble):
