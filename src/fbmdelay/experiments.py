@@ -398,15 +398,14 @@ def continuity_study(gamma: Integrand | str, hursts, reps: int, seed: int,
     half = hurst_constant(HALF)
     if not integrand.segment_predictable_on(seg.breakpoints):
         raise ValueError("integration plan produced a non-predictable integrand")
-    end = int(_segment_lattice_indices(grid, seg)[-1])
+    _segment_lattice_indices(grid, seg)  # refuse a grid the lattice cannot carry before any draw
 
     def per_chunk(nb):
         cells = integrand.values_on_cells(grid, nb.increments)
         base, _, _, _ = delayed_parts_for_cells(cells, seg, nb, half)
         gaps = []
         for hp in hps:
-            pre = noise_transforms(grid, nb.increments, hp, end)
-            value, _, _, _ = delayed_parts_for_cells(cells, seg, nb, hp, pre)
+            value, _, _, _ = delayed_parts_for_cells(cells, seg, nb, hp)
             gaps.append(np.abs(value - base))
         return (*gaps, _stream_crcs(nb))
 

@@ -28,6 +28,7 @@ from .noise import (
     NoisePath,
     SimulationGrid,
     _synthesis_table,
+    block_conv,
     history_conv,
 )
 
@@ -232,14 +233,12 @@ class _PowerKernelIntegrand(Integrand):
         path = self._values_from(grid, incs, m0)
         for n in levels:
             freeze_idx = dyadic_projection(self, n, grid).freeze_index_per_cell(grid)
-            # only the non-Brownian forecasts write into the path
-            yield self._forecast(grid, incs, freeze_idx,
-                                 path if self.hp1.is_brownian else path.copy(), m0)
+            yield self._forecast(grid, incs, freeze_idx, path, m0)
 
     def _forecast(self, grid, incs, freeze_idx, vals, j0):
         """E at freeze_idx[l] of gamma at cell l's left edge, from vals = _values_from(grid, incs, j0).
 
-        A non-Brownian kernel corrects vals in place.
+        Returns a new C-ordered array; vals is not written.
         """
         m0 = grid.origin_index
         if self.hp1.is_brownian:
@@ -248,11 +247,17 @@ class _PowerKernelIntegrand(Integrand):
             at = np.minimum(freeze_idx, m0 + np.arange(freeze_idx.size))
             if self.include_history:
                 at = np.maximum(at, m0)
-            return vals[..., at - j0]
-        out = vals[..., m0 - j0:]
+            return np.take(vals, at - j0, axis=-1)
         table = _synthesis_table(self.hp1, grid)
         start = self._first_cell(grid)
-        for a, cell_lo, cell_hi in _runs_of(freeze_idx):
+        runs = _runs_of(freeze_idx)
+        if all(a == m0 + lo and a >= start for a, lo, _ in runs):
+            # each run freezes at its own start: E_a drops the kernel mass of the
+            # run's cells a <= i < j, one convolution restarted at every run start
+            out = block_conv(incs[..., m0:], table, [lo for _, lo, _ in runs] + [freeze_idx.size])
+            return np.subtract(vals[..., m0 - j0:], out, out=out)
+        out = vals[..., m0 - j0:].copy()
+        for a, cell_lo, cell_hi in runs:
             # E_a drops the kernel mass of cells a <= i < j
             out[..., cell_lo:cell_hi] -= history_conv(
                 incs, table, (max(a, start), m0 + cell_hi), (m0 + cell_lo, m0 + cell_hi))
@@ -357,7 +362,7 @@ class QuadraticBrownianIntegrand(Integrand):
     def frozen_values_on_cells(self, grid, incs, freeze_idx):
         # B(0) = 0 is known from the start: a freeze before the origin acts at the origin
         k = np.maximum(np.asarray(freeze_idx), grid.origin_index) - grid.origin_index
-        return self._b_on_cells(grid, incs)[..., k] ** 2 + (fine_cell_times(grid) - k * grid.step)
+        return np.take(self._b_on_cells(grid, incs), k, axis=-1) ** 2 + (fine_cell_times(grid) - k * grid.step)
 
     def spec_string(self):
         return "bm2"

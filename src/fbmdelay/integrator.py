@@ -6,20 +6,20 @@ Lebesgue integral against the history-derivative process:
 
     int G_H(tau, T_{k-1}, T_k, gamma) dB(tau)  +  int gamma(t) DR_H(t) dt.
 
-Discretization notes (all on the shared fine lattice):
+On the fine lattice, with gamma at cell left edges, each part is a row-wise
+dot product of gamma with an increment field of the noise, h and the grid:
 
-* the Ito factor uses the cell average of G_H over each fine cell, which is
-  measurable at the segment start (a left-point scheme) and makes the
-  telescoping identity "delayed integral of 1 == B_H increment" exact;
-* the Lebesgue factor integrates DR_H exactly over each fine cell (its cell
-  integrals are increments of the history component R_H), with the
-  piecewise-constant integrand values at cell left edges;
-* the history integral is split at the origin into a tail part (warmup
-  history, common to all segments) and a cross part (history accumulated
-  since the origin), so value = ito_part + tail_part + cross_part exactly.
+* value = sum gamma dB_H, the increments of the synthesized fbm, which makes
+  the telescoping identity "delayed integral of 1 == B_H increment" exact;
+* ito = sum gamma dW, where dW convolves each segment's own increments with
+  the cell-averaged G_H weights, restarted at every segment start
+  (`block_conv`): a left-point scheme, measurable at the segment start;
+* tail = sum gamma d_tail, the increments of the warmup history (cells
+  before the origin), and cross = value - ito - tail, the history
+  accumulated since the origin before each segment starts.
 
-At h = 1/2 the transform degenerates to the identity and both history parts
-vanish, so the same code path produces the left-point Ito sum.
+At h = 1/2 the transform is the identity and both history parts vanish,
+so value is the left-point Ito sum.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft as _fft
 
 from .kernels import HurstParameter
 from .integrands import (
@@ -40,6 +39,7 @@ from .noise import (
     NoiseBatch,
     SimulationGrid,
     avg_kernel_table,
+    block_conv,
     declared_truncation_budget,
     fbm_values,
     history_conv,
@@ -91,87 +91,54 @@ def _segment_lattice_indices(grid: SimulationGrid, seg: SegmentGrid) -> np.ndarr
     return idx
 
 
-def _segment_corr(gseg: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """corr[..., l] = sum_{m >= 0} gseg[..., l + m] * kernel[m]."""
-    ell = gseg.shape[-1]
-    n = _fft.next_fast_len(2 * ell - 1)
-    fx = _fft.rfft(gseg[..., ::-1], n, axis=-1)
-    fk = _fft.rfft(kernel[:ell], n)
-    z = _fft.irfft(fx * fk, n, axis=-1)[..., :ell]
-    return z[..., ::-1]
-
-
 def noise_transforms(grid: SimulationGrid, incs: np.ndarray, hp: HurstParameter, end: int):
-    """History primitives shared by every delayed-integral assembly on this noise.
+    """(d_tail, d_bh): the history increment fields of every assembly on this noise.
 
-    Returns (tail_prim, cross_global), both on the lattice points
-    origin..end (index 0 is the origin): the primitive of the warmup history
-    (cells before the origin) and the global convolution of the post-origin
-    cells up to end.  Both depend only on (noise, h, end), so drivers that
-    sweep integrands or segment grids compute them once.
+    On the fine cells origin..end - 1, the lattice increments of the warmup
+    history (cells before the origin) and of the whole synthesis B_H.  Both
+    depend only on (noise, h, end); drivers compute them once per h.
     """
     if hp.is_brownian:
         return None, None
     m0 = grid.origin_index
     c_table = hp.c_h * avg_kernel_table(hp, end, grid.step)
-    tp = history_conv(incs, c_table, (0, m0), (m0, end + 1))
-    cg = history_conv(incs, c_table, (m0, end), (m0, end + 1))
-    return tp, cg
+    tail = history_conv(incs, c_table, (0, m0), (m0, end + 1))
+    bh = history_conv(incs, c_table, (m0, end), (m0, end + 1))
+    bh += tail
+    return np.diff(tail, axis=-1), np.diff(bh, axis=-1)
 
 
-def _delayed_parts(gamma_cells: np.ndarray, seg_idx: np.ndarray, grid: SimulationGrid,
-                   incs: np.ndarray, hp: HurstParameter, transforms=None):
-    """(ito, tail, cross) for one segment grid; batched over leading axes of incs.
-
-    gamma_cells holds the integrand's predictable cell values on the fine
-    cells of [0, end); seg_idx are lattice indices with seg_idx[0] = origin.
-    """
-    m0 = grid.origin_index
-    end = int(seg_idx[-1])
-    n_cells = end - m0
-    if gamma_cells.shape[-1] < n_cells:
-        raise ValueError("gamma_cells does not cover the integration window")
-    step = grid.step
-    batch = np.broadcast_shapes(gamma_cells.shape[:-1], incs.shape[:-1])
-
-    c_table = hp.c_h * avg_kernel_table(hp, end, step)
-    ito = np.zeros(batch)
-    cross = np.zeros(batch)
-    tail = np.zeros(batch)
-
-    if not hp.is_brownian:
-        tp, cg = transforms if transforms is not None else noise_transforms(grid, incs, hp, end)
-        tail = np.sum(gamma_cells[..., :n_cells] * np.diff(tp, axis=-1), axis=-1)
-
-    d_table = np.diff(c_table)  # d_table[m] = c_h * (A[m+1] - A[m])
-
-    for a, b in zip(seg_idx[:-1], seg_idx[1:]):
-        a, b = int(a), int(b)
-        gseg = gamma_cells[..., a - m0:b - m0]
-        gbar = _segment_corr(gseg, d_table)
-        ito = ito + np.sum(gbar * incs[..., a:b], axis=-1)
-        if hp.is_brownian or a == m0:
-            continue
-        # cross primitive on [a, b]: global post-origin conv minus the within-segment part
-        prim = cg[..., a - m0:b - m0 + 1] - history_conv(incs, c_table, (a, b), (a, b + 1))
-        cross = cross + np.sum(gseg * np.diff(prim, axis=-1), axis=-1)
-
-    return ito, tail, cross
+def _dot(gamma_cells: np.ndarray, field: np.ndarray) -> np.ndarray:
+    # a row-wise sum, not a BLAS dot: its rounding must not depend on strides or batch size
+    return np.sum(gamma_cells * field, axis=-1)
 
 
 def delayed_parts_for_cells(gamma_cells: np.ndarray, seg: SegmentGrid, batch: NoiseBatch,
                             hp: HurstParameter, transforms=None):
-    """Assembly entry point for drivers that manage cell values and transforms themselves.
+    """(value, ito, tail, cross) per replication, for drivers that manage cells and transforms.
 
-    Extra leading axes of gamma_cells, in front of the replication axis, are
-    integrands that share the noise: (n_integrands, reps, cells) gives
-    (n_integrands, reps) parts, and the history parts that depend only on
-    the noise are computed once for all of them.
+    gamma_cells holds the integrand's predictable values on the fine cells
+    of [0, seg.end).  Extra leading axes, in front of the replication axis,
+    are integrands that share the noise: (n_integrands, reps, cells) gives
+    (n_integrands, reps) parts, and the fields that depend only on the
+    noise are computed once for all of them.
     """
-    seg_idx = _segment_lattice_indices(batch.grid, seg)
-    ito, tail, cross = _delayed_parts(gamma_cells, seg_idx, batch.grid, batch.increments,
-                                      hp, transforms)
-    return ito + tail + cross, ito, tail, cross
+    grid, incs = batch.grid, batch.increments
+    m0 = grid.origin_index
+    seg_idx = _segment_lattice_indices(grid, seg)
+    end = int(seg_idx[-1])
+    if gamma_cells.shape[-1] < end - m0:
+        raise ValueError("gamma_cells does not cover the integration window")
+    gamma_cells = gamma_cells[..., :end - m0]
+    # d_table[m] = c_h * (A[m+1] - A[m]): the G_H transform's weights, restarted per segment
+    d_table = np.diff(hp.c_h * avg_kernel_table(hp, end - m0, grid.step))
+    ito = _dot(gamma_cells, block_conv(incs[..., m0:end], d_table, seg_idx - m0))
+    if hp.is_brownian:
+        return ito, ito.copy(), np.zeros(ito.shape), np.zeros(ito.shape)
+    d_tail, d_bh = transforms if transforms is not None else noise_transforms(grid, incs, hp, end)
+    value = _dot(gamma_cells, d_bh)
+    tail = _dot(gamma_cells, d_tail)
+    return value, ito, tail, value - ito - tail
 
 
 def delayed_integral_batch(gamma: Integrand, seg: SegmentGrid, batch: NoiseBatch,
@@ -192,23 +159,19 @@ def delayed_integral_batch(gamma: Integrand, seg: SegmentGrid, batch: NoiseBatch
 def delayed_segment(gamma: Integrand, seg_start: float, seg_end: float,
                     batch: NoiseBatch, hp: HurstParameter) -> np.ndarray:
     """Single-segment delayed integral per replication; gamma is frozen at seg_start via its forecast rule."""
-    grid = batch.grid
+    grid, incs = batch.grid, batch.increments
     a, b = grid.index_of(seg_start), grid.index_of(seg_end)
     if b - a < MIN_CELLS_PER_SEGMENT:
         raise ValueError(f"degenerate segment: fewer than {MIN_CELLS_PER_SEGMENT} fine cells")
-    incs = batch.increments
     m0 = grid.origin_index
-    freeze = np.full(grid.main_steps, a)
-    cells = gamma.frozen_values_on_cells(grid, incs, freeze)
+    cells = gamma.frozen_values_on_cells(grid, incs, np.full(grid.main_steps, a))
     gseg = cells[..., a - m0:b - m0]
-
     c_table = hp.c_h * avg_kernel_table(hp, int(b), grid.step)
-    gbar = _segment_corr(gseg, np.diff(c_table))
-    ito = np.sum(gbar * incs[..., a:b], axis=-1)
+    ito = _dot(gseg, block_conv(incs[..., a:b], np.diff(c_table), (0, b - a)))
     if hp.is_brownian:
         return ito
     prim = history_conv(incs, c_table, (0, a), (a, b + 1))
-    return ito + np.sum(gseg * np.diff(prim, axis=-1), axis=-1)
+    return ito + _dot(gseg, np.diff(prim, axis=-1))
 
 
 def ito_integral_batch(gamma: Integrand, batch: NoiseBatch) -> np.ndarray:

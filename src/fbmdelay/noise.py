@@ -7,8 +7,8 @@ it.  Wiener integrals are discretized with cell-averaged kernel weights:
 the exact integral of the power kernel over each noise cell, divided by the
 step, applied to the increment.  On the uniform lattice those weights are a
 function of the index lag only, so whole paths come out of one causal
-convolution (FFT).  That convolution is `history_conv`, the one primitive
-behind every process and integral in the package.
+convolution (FFT), `history_conv`; `block_conv` restarts one at every
+block start, for the delayed integral's segments and forecast runs.
 
 Both hot layers use every CPU in the process's affinity mask (`WORKERS`):
 the batch draw fills blocks of rows on threads, and a large history
@@ -43,6 +43,7 @@ __all__ = [
     "generate_noise",
     "generate_noise_batch",
     "history_conv",
+    "block_conv",
     "synthesize_fbm",
     "dr_pointwise_closed_form",
     "dr_energy_closed_form",
@@ -59,6 +60,9 @@ WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 
 #: a history convolution threads its FFTs from rows * FFT length points on;
 #: threading the small per-segment transforms made the level-10 assembly slower
 _PARALLEL_FFT_POINTS = 2 ** 20
+
+#: block_conv takes a Toeplitz product up to this block length, an FFT beyond
+_TOEPLITZ_MAX = 256
 
 
 @dataclass(frozen=True)
@@ -259,6 +263,35 @@ def history_conv(incs: np.ndarray, table: np.ndarray | None,
         y = _fft.irfft(fx, n, axis=-1, workers=workers)[..., k0 - 1:k1 - 1]
     out[..., k0 + lo - j0:] = y
     return out
+
+
+def block_conv(x: np.ndarray, table: np.ndarray, bounds) -> np.ndarray:
+    """y[..., j] = sum_{a <= i <= j} table[j - i] * x[..., i], a the start of j's block.
+
+    bounds are the block edges along the last axis of x: 0, every later
+    block start, x.shape[-1]; table[0] is read.  Equal blocks of L cells go
+    at once as (..., n_blocks, L): a product with the L x L triangular
+    Toeplitz matrix of table (matmul runs one per leading index, so no
+    block's rounding sees the batch size), or one batched FFT beyond
+    _TOEPLITZ_MAX cells.  Unequal blocks go one by one.
+    """
+    edges = np.asarray(bounds)
+    lengths = np.diff(edges)
+    if edges[0] != 0 or edges[-1] != x.shape[-1] or np.any(lengths <= 0):
+        raise ValueError(f"block edges must rise from 0 to {x.shape[-1]}")
+    if np.any(lengths != lengths[0]):
+        out = np.empty(x.shape)
+        for a, b in zip(edges[:-1], edges[1:]):
+            out[..., a:b] = block_conv(x[..., a:b], table, (0, b - a))
+        return out
+    size = int(lengths[0])
+    blocks = x.reshape(x.shape[:-1] + (lengths.size, size))
+    if size > _TOEPLITZ_MAX:
+        y = history_conv(blocks, np.concatenate(([0.0], table[:size])), (0, size), (1, size + 1))
+    else:
+        lag = np.subtract.outer(np.arange(size), np.arange(size))  # lag[i, j] = i - j
+        y = blocks @ np.where(lag <= 0, table[np.abs(lag)], 0.0)
+    return y.reshape(x.shape)
 
 
 def _synthesis_table(hp: HurstParameter, grid: SimulationGrid) -> np.ndarray | None:

@@ -1,18 +1,32 @@
-"""Scalar reference implementations that only the tests use.
+"""Reference implementations and instruments that only the tests use.
 
-Each evaluates one quantity on one NoisePath from explicit per-cell
+Most evaluate one quantity on one NoisePath from explicit per-cell
 weights, so the vectorized lattice paths of the package can be checked
-against an independent formula.
+against an independent formula.  The per-segment assembly is the
+package's earlier delayed-integral assembly, kept as an independent
+reference for the one built on increment fields.
 """
 
 import io
 
 import numpy as np
+from scipy import fft as _fft
 
+import fbmdelay.integrands
+import fbmdelay.integrator
 from fbmdelay.kernels import HALF, HurstParameter
 from fbmdelay.integrands import Integrand, SegmentGrid, dyadic_projection
 from fbmdelay.integrator import delayed_parts_for_cells, noise_transforms
-from fbmdelay.noise import NoiseBatch, NoisePath, ProcessPath, write_path_csv
+from fbmdelay.noise import (
+    NoiseBatch,
+    NoisePath,
+    ProcessPath,
+    SimulationGrid,
+    avg_kernel_table,
+    discrete_fbm_cov,
+    history_conv,
+    write_path_csv,
+)
 
 
 def _clipped_avg_weights(edges: np.ndarray, t: float, lo: float, p1: float, step: float) -> np.ndarray:
@@ -73,3 +87,86 @@ def decay_gaps_per_level(gamma: Integrand, hp: HurstParameter, levels, nb: Noise
         v1, _, _, c1 = delayed_parts_for_cells(cells[m + 1], seg, nb, hp, pre)
         gaps += [np.abs(v1 - v0), np.abs(c1 - c0)]
     return tuple(gaps)
+
+
+def _segment_corr(gseg: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """corr[..., l] = sum_{m >= 0} gseg[..., l + m] * kernel[m]."""
+    ell = gseg.shape[-1]
+    n = _fft.next_fast_len(2 * ell - 1)
+    fx = _fft.rfft(gseg[..., ::-1], n, axis=-1)
+    fk = _fft.rfft(kernel[:ell], n)
+    z = _fft.irfft(fx * fk, n, axis=-1)[..., :ell]
+    return z[..., ::-1]
+
+
+def per_segment_parts(gamma_cells: np.ndarray, seg_idx: np.ndarray, grid: SimulationGrid,
+                      incs: np.ndarray, hp: HurstParameter):
+    """(value, ito, tail, cross) assembled segment by segment, with per-segment FFTs.
+
+    gamma_cells holds the integrand's predictable cell values on the fine
+    cells of [0, end); seg_idx are lattice indices with seg_idx[0] = origin.
+    """
+    m0 = grid.origin_index
+    end = int(seg_idx[-1])
+    n_cells = end - m0
+    step = grid.step
+    batch = np.broadcast_shapes(gamma_cells.shape[:-1], incs.shape[:-1])
+
+    c_table = hp.c_h * avg_kernel_table(hp, end, step)
+    ito = np.zeros(batch)
+    cross = np.zeros(batch)
+    tail = np.zeros(batch)
+
+    if not hp.is_brownian:
+        # the warmup history's primitive and the global post-origin convolution
+        tp = history_conv(incs, c_table, (0, m0), (m0, end + 1))
+        cg = history_conv(incs, c_table, (m0, end), (m0, end + 1))
+        tail = np.sum(gamma_cells[..., :n_cells] * np.diff(tp, axis=-1), axis=-1)
+
+    d_table = np.diff(c_table)  # d_table[m] = c_h * (A[m+1] - A[m])
+
+    for a, b in zip(seg_idx[:-1], seg_idx[1:]):
+        a, b = int(a), int(b)
+        gseg = gamma_cells[..., a - m0:b - m0]
+        gbar = _segment_corr(gseg, d_table)
+        ito = ito + np.sum(gbar * incs[..., a:b], axis=-1)
+        if hp.is_brownian or a == m0:
+            continue
+        # cross primitive on [a, b]: global post-origin conv minus the within-segment part
+        prim = cg[..., a - m0:b - m0 + 1] - history_conv(incs, c_table, (a, b), (a, b + 1))
+        cross = cross + np.sum(gseg * np.diff(prim, axis=-1), axis=-1)
+
+    return ito + tail + cross, ito, tail, cross
+
+
+def riemann_gap_expectation(grid: SimulationGrid, hp: HurstParameter) -> float:
+    """Exact mean of nonconvergence_demo's Riemann gap on the discrete synthesis.
+
+    The left-point sum of B_H dB_H is 0.5 (B_H(T)^2 - sum_k dB_H,k^2), and
+    the Ito sum of B dB it is compared with has mean 0.  The k-th increment
+    weighs cell i with c_h (A[m + 1] - A[m]) at lag m = m0 + k - i, so its
+    variance is step c_h^2 cumsum(diff(A)^2)[m0 + k].
+    """
+    m0 = grid.origin_index
+    a = avg_kernel_table(hp, grid.cell_count, grid.step)
+    inc_var = grid.step * hp.c_h ** 2 * np.cumsum(np.diff(a) ** 2)[m0:m0 + grid.main_steps]
+    return 0.5 * (discrete_fbm_cov(grid, hp, grid.horizon, grid.horizon) - float(np.sum(inc_var)))
+
+
+def spy_convolutions(monkeypatch) -> dict:
+    """Record the history_conv and block_conv calls that integrator and integrands make.
+
+    Returns {"<module>.<function>": [...]}, one entry per call: the
+    (cells, outputs) windows of a history_conv, the block edges of a
+    block_conv.
+    """
+    calls = {}
+    for module in (fbmdelay.integrator, fbmdelay.integrands):
+        for name in ("history_conv", "block_conv"):
+            hits = calls[f"{module.__name__.rsplit('.', 1)[-1]}.{name}"] = []
+
+            def spy(incs, table, *windows, _real=getattr(module, name), _hits=hits):
+                _hits.append(windows if len(windows) > 1 else tuple(windows[0]))
+                return _real(incs, table, *windows)
+            monkeypatch.setattr(module, name, spy)
+    return calls

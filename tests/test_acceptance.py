@@ -31,6 +31,7 @@ from fbmdelay.experiments import (
     verify_dr_moments,
 )
 from fbmdelay.cli import parse_and_dispatch
+from oracles import riemann_gap_expectation
 
 GRID = DESK.grid()
 
@@ -179,9 +180,15 @@ def test_c08_nonconvergence_gap():
         lim_ok = abs(r.gap_limit.estimate - 0.5) <= lim_tol
         riem_tol = 3 * r.gap_riemann.std_error + r.refinement_tol + r.gap_riemann.truncation_budget
         riem_ok = abs(r.gap_riemann.estimate - 0.5) <= riem_tol
-        ok = ok and lim_ok and riem_ok
-        details.append(f"h={r.h}: limit {r.gap_limit.estimate:.4f}+-{lim_tol:.4f}")
-        margins += [abs(r.gap_limit.estimate - 0.5) / lim_tol, abs(r.gap_riemann.estimate - 0.5) / riem_tol]
+        # the Riemann gap against its exact discrete mean: no deficit formula, no budget
+        exact = riemann_gap_expectation(GRID, hurst_constant(r.h))
+        exact_tol = 3 * r.gap_riemann.std_error
+        exact_ok = abs(r.gap_riemann.estimate - exact) <= exact_tol
+        ok = ok and lim_ok and riem_ok and exact_ok
+        details.append(f"h={r.h}: limit {r.gap_limit.estimate:.4f}+-{lim_tol:.4f}, "
+                       f"riemann {r.gap_riemann.estimate:.5f} vs exact {exact:.5f}+-{exact_tol:.5f}")
+        margins += [abs(r.gap_limit.estimate - 0.5) / lim_tol, abs(r.gap_riemann.estimate - 0.5) / riem_tol,
+                    abs(r.gap_riemann.estimate - exact) / exact_tol]
     # the gap does NOT shrink toward 0 as h drops to 1/2
     ok = ok and min(r.gap_limit.estimate for r in rows) > 0.25
     margins.append(0.25 / min(r.gap_limit.estimate for r in rows))

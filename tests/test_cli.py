@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from fbmdelay.cli import parse_and_dispatch
+from oracles import spy_convolutions
 
 FAST = ["--steps", "128", "--warmup", "1.0"]
 
@@ -48,6 +49,19 @@ def test_integrate_constant_equals_simulated_endpoint(tmp_path, capsys):
     assert record["value"] == pytest.approx(last_value, rel=1e-9)
     assert record["value"] == pytest.approx(
         record["ito_part"] + record["tail_part"] + record["cross_part"], abs=1e-12)
+
+
+def test_integrate_fbm_makes_no_per_segment_convolutions(tmp_path, capsys, monkeypatch):
+    """integrate fbm:0.75 at level 8: one path, two history fields, one block convolution each
+    for the 256 forecast runs and for the Ito field of the 256 segments."""
+    calls = spy_convolutions(monkeypatch)
+    code, _, _ = _run(["integrate", "--integrand", "fbm:0.75", "--hurst", "0.6", "--seed", "1",
+                       "--out", str(tmp_path / "int.json")], capsys)
+    assert code == 0
+    assert {k: len(v) for k, v in calls.items()} == {
+        "integrator.history_conv": 2, "integrator.block_conv": 1,
+        "integrands.history_conv": 1, "integrands.block_conv": 1}
+    assert len(calls["integrands.block_conv"][0]) == len(calls["integrator.block_conv"][0]) == 257
 
 
 def test_verify_moments_brownian_zero_table(tmp_path, capsys):

@@ -1,12 +1,14 @@
 """Experiment drivers: estimator contracts, qualification rules, file formats."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import fbmdelay.experiments
-import fbmdelay.integrands
-import fbmdelay.integrator
 import fbmdelay.noise
 from fbmdelay.kernels import hurst_constant
 from fbmdelay.experiments import (
@@ -37,7 +39,7 @@ from fbmdelay.integrands import (
     QuadraticBrownianIntegrand,
     SegmentGrid,
 )
-from oracles import decay_gaps_per_level
+from oracles import decay_gaps_per_level, spy_convolutions
 
 SMALL = DeskConfig(steps=512, warmup=2.0, chunk=128)
 H75 = hurst_constant(0.75)
@@ -143,6 +145,29 @@ def test_drivers_are_identical_for_any_worker_count(monkeypatch):
         assert other == runs[0]
 
 
+def test_drivers_are_identical_for_any_blas_thread_count():
+    """One or two OpenBLAS threads give the same bytes for continuity and decay.
+
+    The grid is large enough that the Toeplitz products of the block
+    convolutions (16 blocks of 256 cells, 32 of 128) are big enough to thread.
+    """
+    script = (
+        "from fbmdelay.experiments import DeskConfig, cauchy_decay_study, continuity_study\n"
+        "from fbmdelay.kernels import hurst_constant\n"
+        "cfg = DeskConfig(steps=4096, warmup=1.0, chunk=25)\n"
+        "print(repr(cauchy_decay_study('fbm:0.75', hurst_constant(0.6), range(3, 6), 40, 3, config=cfg)))\n"
+        "print(repr(continuity_study('fbm:0.75', [0.75, 0.51], 40, 3, config=cfg, proj_level=4)))\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1] and outs[0].count("\n") == 2
+
+
 def _every_driver(chunk, reps):
     cfg = DeskConfig(steps=512, warmup=2.0, chunk=chunk)
     return (verify_dr_moments(H75, 1.0, reps, 3, cfg),
@@ -189,27 +214,21 @@ def test_decay_study_equals_per_level_reference(spec, h):
 
 
 def test_decay_study_shares_the_path_and_the_cross_convolutions(monkeypatch):
-    """Per chunk: one full-lattice fbm path, and one cross convolution per segment per level pair."""
+    """Per chunk: one full-lattice fbm path, two history fields, one block convolution per level grid.
+
+    No segment and no freeze run has a convolution of its own: the cross
+    parts come from the shared fields, and each level's forecasts and each
+    pair's Ito field are one block convolution.
+    """
     grid = SMALL.grid()
     m0, n = grid.origin_index, grid.cell_count
-    paths, crosses = [], []
-
-    def spy(module, hits, wanted):
-        real = module.history_conv
-
-        def conv(incs, table, cells, outputs):
-            if wanted(tuple(cells), tuple(outputs)):
-                hits.append(cells)
-            return real(incs, table, cells, outputs)
-        monkeypatch.setattr(module, "history_conv", conv)
-
-    spy(fbmdelay.integrands, paths, lambda c, o: (c, o) == ((0, n), (m0, n)))
-    # the within-segment parts of segments after the first; noise_transforms starts at 0 or m0
-    spy(fbmdelay.integrator, crosses, lambda c, o: c[0] > m0)
+    calls = spy_convolutions(monkeypatch)
     cauchy_decay_study("fbm:0.75", hurst_constant(0.6), range(3, 6), 150, 5, config=SMALL)
     chunks = 2  # 128 + 22 replications
-    assert len(paths) == chunks
-    assert len(crosses) == chunks * sum(2 ** (m + 1) - 1 for m in (3, 4))
+    assert calls["integrands.history_conv"] == [((0, n), (m0, n))] * chunks
+    assert [len(b) - 1 for b in calls["integrands.block_conv"]] == [2 ** m for m in (3, 4, 5)] * chunks
+    assert calls["integrator.history_conv"] == [((0, m0), (m0, n + 1)), ((m0, n), (m0, n + 1))] * chunks
+    assert [len(b) - 1 for b in calls["integrator.block_conv"]] == [2 ** (m + 1) for m in (3, 4)] * chunks
 
 
 def test_decay_study_deterministic_integrand_skips_fit():

@@ -242,6 +242,39 @@ def test_dyadic_cells_equal_per_level_projections(gamma):
         assert cells.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("gamma", FAMILY, ids=lambda g: g.spec_string())
+def test_cell_values_are_c_ordered(gamma):
+    """Cell values come out C-ordered, so row-wise reductions over cells read contiguous rows.
+
+    Indexing the last axis with an index array gave bm, bm2 and pp:bm cells
+    strides (8, 64).
+    """
+    incs = BATCH.increments[:8]
+    freezes = [PiecewisePredictableIntegrand(gamma, grid).freeze_index_per_cell(GRID)
+               for grid in (PRE_ORIGIN, SegmentGrid.dyadic(1.0, 2))]
+    arrays = [gamma.values_on_cells(GRID, incs),
+              *(gamma.frozen_values_on_cells(GRID, incs, f) for f in freezes),
+              *gamma.dyadic_cells(GRID, incs, (0, 3))]
+    for cells in arrays:
+        assert cells.shape == (8, GRID.main_steps) and cells.flags.c_contiguous
+
+
+@pytest.mark.parametrize("h1", [0.6, 0.75])
+def test_forecast_runs_match_weight_sum(h1):
+    """Runs that freeze at their own start (one block convolution) match the weight sum in every run."""
+    gamma = FbmIntegrand(h1)
+    m0 = GRID.origin_index
+    incs = BATCH.increments[:3]
+    bps = (0.0, 0.125, 0.3125, 0.5, 1.0)
+    frozen = PiecewisePredictableIntegrand(gamma, SegmentGrid.from_breakpoints(bps))
+    cells = frozen.values_on_cells(GRID, incs)
+    for a, b in zip(bps[:-1], bps[1:]):
+        for t in (a, 0.5 * (a + b), b - GRID.step):
+            j = GRID.index_of(t)
+            want = _fbm_forecast_oracle(h1, GRID.index_of(a), j, incs)
+            np.testing.assert_allclose(cells[:, j - m0], want, rtol=0, atol=1e-12)
+
+
 def test_projection_validation():
     with pytest.raises(IntegrandCapabilityError):
         class NoRule(BrownianIntegrand):

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import fbmdelay.integrands
 import fbmdelay.integrator
@@ -18,15 +18,26 @@ from fbmdelay.integrands import (
     y_norm,
 )
 from fbmdelay.integrator import (
+    _segment_lattice_indices,
     delayed_integral_batch,
     delayed_parts_for_cells,
     delayed_segment,
     extended_integral,
     ito_integral_batch,
+    noise_transforms,
     result_record,
     riemann_fbm_integral_batch,
 )
-from fbmdelay.noise import fbm_values, generate_noise, generate_noise_batch, make_grid
+from fbmdelay.noise import (
+    avg_kernel_table,
+    block_conv,
+    fbm_values,
+    generate_noise,
+    generate_noise_batch,
+    make_grid,
+)
+from oracles import per_segment_parts
+from test_integrands import FAMILY
 
 GRID = make_grid(1.0, 512, warmup=2.0)
 NOISE = generate_noise(40, GRID)
@@ -311,6 +322,41 @@ def test_stacked_assembly_equals_single_calls(hp, seg):
         for got, want in zip(stacked, single):
             assert got.shape == (2, 24) and want.shape == (24,)
             assert got[k].tobytes() == want.tobytes()
+
+
+PARTS_BATCH = generate_noise_batch(5, GRID, 6)
+
+
+@given(gamma=st.sampled_from(FAMILY), h=st.sampled_from([0.5, 0.51, 0.75, 0.95]),
+       level=st.integers(0, 8), gaps=st.lists(st.integers(2, 120), min_size=1, max_size=8),
+       uniform=st.booleans())
+@example(gamma=FAMILY[-3], h=0.75, level=0, gaps=[100, 3, 250], uniform=False)  # pp:fbm, pre-origin
+@settings(max_examples=120, deadline=None)
+def test_parts_match_the_per_segment_assembly(gamma, h, level, gaps, uniform):
+    """(value, ito, tail, cross) from the increment fields equal the per-segment assembly.
+
+    The tolerance is 1e-12 of the integral's summands in absolute value:
+    sum over cells of |gamma| times the three fields.
+    """
+    if uniform:
+        seg = SegmentGrid.dyadic(1.0, level)
+    else:
+        cuts = np.cumsum(gaps)
+        seg = SegmentGrid.from_breakpoints([0.0, *(cuts[cuts <= GRID.main_steps] / GRID.main_steps)])
+    hp = hurst_constant(h)
+    incs = PARTS_BATCH.increments
+    cells = PiecewisePredictableIntegrand(gamma, seg).values_on_cells(GRID, incs)
+    got = delayed_parts_for_cells(cells, seg, PARTS_BATCH, hp)
+    seg_idx = _segment_lattice_indices(GRID, seg)
+    want = per_segment_parts(cells, seg_idx, GRID, incs, hp)
+    m0, end = GRID.origin_index, int(seg_idx[-1])
+    d_table = np.diff(hp.c_h * avg_kernel_table(hp, end - m0, GRID.step))
+    fields = np.abs(block_conv(incs[:, m0:end], d_table, seg_idx - m0))
+    if not hp.is_brownian:
+        fields += sum(np.abs(f) for f in noise_transforms(GRID, incs, hp, end))
+    size = np.sum(np.abs(cells[:, :end - m0]) * fields, axis=-1)
+    for g, w in zip(got, want):
+        assert np.all(np.abs(g - w) <= 1e-12 * size)
 
 
 def test_extension_deterministic_collapses(ensemble):

@@ -13,6 +13,7 @@ from fbmdelay.kernels import hurst_constant
 from fbmdelay.noise import (
     SimulationGrid,
     avg_kernel_table,
+    block_conv,
     discrete_dr_second_moment,
     discrete_fbm_cov,
     dr_energy_closed_form,
@@ -367,6 +368,46 @@ def test_history_conv_is_identical_for_any_worker_count(monkeypatch, rows, cells
 def test_history_conv_rejects_short_tables():
     with pytest.raises(ValueError, match="lag"):
         history_conv(np.ones(20), avg_kernel_table(H75, 10, 0.1), (0, 20), (0, 21))
+
+
+def _direct_block_sum(x, table, edges):
+    """y[..., j] = sum_{a <= i <= j} table[j - i] x[..., i], a the start of j's block, point by point."""
+    y = np.zeros(x.shape)
+    for a, b in zip(edges[:-1], edges[1:]):
+        for j in range(a, b):
+            y[..., j] = np.sum(x[..., a:j + 1] * table[j - a::-1], axis=-1)
+    return y
+
+
+@given(lengths=st.lists(st.integers(1, 300), min_size=1, max_size=4), equal=st.booleans(),
+       lead=st.sampled_from([(), (3,), (2, 3)]), fft_branch=st.booleans(),
+       seed=st.integers(0, 2 ** 16))
+@example(lengths=[256, 256], equal=True, lead=(3,), fft_branch=False, seed=1)  # longest Toeplitz block
+@example(lengths=[257, 257], equal=True, lead=(3,), fft_branch=False, seed=2)  # shortest FFT block
+@example(lengths=[1, 300, 2], equal=False, lead=(2, 3), fft_branch=False, seed=3)  # both, unequal
+@settings(max_examples=60, deadline=None)
+def test_block_conv_matches_direct_sum(lengths, equal, lead, fft_branch, seed):
+    """Both branches, equal and unequal blocks, leading batch axes; table[0] is read."""
+    if equal:
+        lengths = [lengths[0]] * len(lengths)
+    edges = np.concatenate([[0], np.cumsum(lengths)])
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(lead + (int(edges[-1]),))
+    table = rng.standard_normal(max(lengths) + 5)
+    with pytest.MonkeyPatch.context() as mp:
+        if fft_branch:
+            mp.setattr(fbmdelay.noise, "_TOEPLITZ_MAX", 0)
+        got = block_conv(x, table, edges)
+    want = _direct_block_sum(x, table, edges)
+    assert got.shape == x.shape
+    scale = np.max(_direct_block_sum(np.abs(x), np.abs(table), edges))
+    assert np.max(np.abs(got - want)) <= 1e-12 * scale
+
+
+def test_block_conv_rejects_bad_edges():
+    for edges in ([0, 5, 9], [1, 10], [0, 5, 5, 10]):
+        with pytest.raises(ValueError, match="edges"):
+            block_conv(np.ones(10), np.ones(10), edges)
 
 
 # ---------------------------------------------------------------------------
