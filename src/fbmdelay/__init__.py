@@ -6,23 +6,18 @@ harness for the moment identities and the small-Hurst continuity behaviour.
 
 from .kernels import (
     HurstParameter,
-    PowerKernelCell,
     gh_transform,
     hurst_constant,
     mvn_kernel,
-    truncation_horizon,
 )
 from .noise import (
     NoiseBatch,
-    NoisePath,
-    ProcessPath,
     SimulationGrid,
     dr_energy_closed_form,
     dr_pointwise_closed_form,
-    generate_noise,
     generate_noise_batch,
     make_grid,
-    synthesize_fbm,
+    process_values,
 )
 from .integrands import (
     BrownianIntegrand,

@@ -13,8 +13,8 @@ import os
 import sys
 from dataclasses import asdict, dataclass
 
-from .kernels import hurst_constant
-from .noise import generate_noise, make_grid, process_path, write_path_csv, PROCESS_KINDS
+from .kernels import HALF, hurst_constant
+from .noise import make_grid, process_values, write_path_csv, PROCESS_KINDS
 from .integrator import delayed_integral_batch, result_record
 from .experiments import (
     DeskConfig,
@@ -161,8 +161,11 @@ def _run(cfg: RunConfig) -> list[str]:
     if cfg.command == "simulate":
         hp = hurst_constant(cfg.hurst[0])
         grid = make_grid(cfg.horizon, cfg.steps, cfg.warmup)
-        noise = generate_noise(cfg.seed, grid)
-        write_path_csv(process_path(noise, hp, cfg.kind), cfg.out)
+        # one replication, stream 0: the path `integrate` draws for the same seed
+        times, values = _replicate(cfg.seed, grid, 1, 1,
+                                   lambda nb: process_values(nb.increments, grid, hp, cfg.kind))
+        h = HALF if cfg.kind == "B" else hp.h  # the driving path is the h = 1/2 process
+        write_path_csv(cfg.kind, h, cfg.seed, times[0], values[0], cfg.out)
     elif cfg.command == "integrate":
         hp = hurst_constant(cfg.hurst[0])
         grid = make_grid(cfg.horizon, cfg.steps, cfg.warmup)

@@ -30,7 +30,9 @@ from .integrands import (
     QuadraticBrownianIntegrand,
     RlFbmIntegrand,
     SegmentGrid,
+    closed_form_x_norm,
     dyadic_projection,
+    x_norm,
 )
 from .integrator import (
     MIN_CELLS_PER_SEGMENT,
@@ -332,10 +334,6 @@ class ContinuityCurve:
     def final_gap(self) -> float:
         return self.gaps[-1]
 
-    @property
-    def final_below_tol(self) -> bool:
-        return self.final_gap < self.tol
-
 
 def _integration_plan(gamma: Integrand, grid: SimulationGrid, level: int):
     """(integrand, segment grid) for one delayed-integral evaluation.
@@ -365,13 +363,10 @@ def _check_dyadic_level(grid: SimulationGrid, level: int, flag: str) -> None:
 
 
 def _reference_x_norm(gamma: Integrand, grid: SimulationGrid, seed: int, reps: int = 256) -> float:
-    sm = gamma.second_moment(grid.horizon / 2)
-    if sm is not None:
-        tt = grid.step * np.arange(grid.main_steps)
-        return math.sqrt(max(float(sum(gamma.second_moment(t) for t in tt) * grid.step), 0.0))
-    from .integrands import x_norm
-    nb = generate_noise_batch(seed + 101, grid, reps)
-    return x_norm(gamma, nb)[0]
+    closed = closed_form_x_norm(gamma, grid)
+    if closed is not None:
+        return closed
+    return x_norm(gamma, generate_noise_batch(seed + 101, grid, reps))[0]
 
 
 def continuity_study(gamma: Integrand | str, hursts, reps: int, seed: int,

@@ -1,10 +1,11 @@
-"""Integrand families with pathwise values, conditional forecasts, and norms.
+"""Integrand families with batched cell values, conditional forecasts, and norms.
 
-Every integrand exposes three views of the same process: the pathwise value
-gamma(t), the conditional expectation E_tau gamma(t) given the driving noise
-up to tau, and the deterministic forecast-variance profile E Var_tau gamma(t).
+An integrand maps a batch of driving-noise rows to its values at the left
+edges of the fine cells of [0, horizon], and to the forecasts of those
+values at given lattice times (E_tau gamma(t) given the noise up to tau).
 Conditioning is implemented by truncating stochastic integrals at tau, so it
-is measurable by construction.
+is measurable by construction.  The deterministic forecast-variance profile
+E Var_tau gamma(t) and, where known, E gamma(t)^2 come in closed form.
 
 The provided family covers deterministic functions, the driving Brownian
 motion, fractional Brownian motion (and its windowed Riemann-Liouville
@@ -25,7 +26,6 @@ import numpy as np
 from .kernels import HALF, HurstParameter, hurst_constant
 from .noise import (
     NoiseBatch,
-    NoisePath,
     SimulationGrid,
     _synthesis_table,
     block_conv,
@@ -43,6 +43,7 @@ __all__ = [
     "SegmentGrid",
     "dyadic_projection",
     "x_norm",
+    "closed_form_x_norm",
     "y_norm",
     "YNormResult",
 ]
@@ -52,29 +53,19 @@ class IntegrandCapabilityError(NotImplementedError):
     """Raised when an integrand lacks a conditional-expectation rule."""
 
 
-def _incs_of(noise) -> np.ndarray:
-    return noise.increments if hasattr(noise, "increments") else np.asarray(noise)
-
-
 def fine_cell_times(grid: SimulationGrid) -> np.ndarray:
     """Left edges of the cells partitioning [0, horizon)."""
     return grid.step * np.arange(grid.main_steps)
 
 
 class Integrand(ABC):
-    """Contract: value(t), E_tau gamma(t), and deterministic E Var_tau gamma(t)."""
+    """Contract: cell values and their forecasts on noise rows, and deterministic E Var_tau gamma(t)."""
 
     #: gamma(t) is measurable at t - predictability_eps (None: not known)
     predictability_eps: float | None = None
     #: known forecast-variance growth exponent nu (E Var_tau ~ (t-tau)^(1+nu))
     nu_exponent: float | None = None
     has_cond_exp: bool = True
-
-    @abstractmethod
-    def value(self, t: float, noise: NoisePath) -> float: ...
-
-    def cond_exp(self, tau: float, t: float, noise: NoisePath) -> float:
-        raise IntegrandCapabilityError(f"{type(self).__name__} has no conditional-expectation rule")
 
     def cond_var(self, tau: float, t: float) -> float:
         raise IntegrandCapabilityError(f"{type(self).__name__} has no conditional-variance rule")
@@ -128,17 +119,11 @@ class DeterministicIntegrand(Integrand):
         return DeterministicIntegrand(fn=lambda t, cs=cs: np.polynomial.polynomial.polyval(np.asarray(t, dtype=float), cs),
                                       label="det:poly:" + ",".join(repr(a) for a in cs))
 
-    def value(self, t, noise=None):
-        return float(self.fn(np.asarray(t, dtype=float)))
-
-    def cond_exp(self, tau, t, noise=None):
-        return self.value(t, noise)
-
     def cond_var(self, tau, t):
         return 0.0
 
     def second_moment(self, t):
-        return self.value(t, None) ** 2
+        return float(self.fn(np.asarray(t, dtype=float))) ** 2
 
     def values_on_cells(self, grid, incs):
         vals = self.fn(fine_cell_times(grid))
@@ -163,31 +148,6 @@ class _PowerKernelIntegrand(Integrand):
         self.start = float(start)
         self.nu_exponent = 2.0 * hp1.h - 1.0
 
-    # -- scalar ---------------------------------------------------------------
-
-    def _weights(self, grid: SimulationGrid, t: float, tau: float | None) -> np.ndarray:
-        """Cell-averaged kernel weights for E_tau gamma(t) (tau=None: pathwise)."""
-        edges = grid.edges()
-        hi = t if tau is None else min(t, tau)
-        lo = grid.warmup_start if self.include_history else max(self.start, grid.warmup_start)
-        p1 = self.hp1.h + HALF
-        a = np.clip(edges[:-1], lo, hi)
-        b = np.clip(edges[1:], lo, hi)
-        w = ((t - a) ** p1 - (t - b) ** p1) / (p1 * grid.step)
-        if self.include_history:
-            # subtract E_tau of the history value at the origin, not its pathwise value
-            hi0 = 0.0 if tau is None else min(0.0, tau)
-            a0 = np.clip(edges[:-1], grid.warmup_start, hi0)
-            b0 = np.clip(edges[1:], grid.warmup_start, hi0)
-            w = w - ((0.0 - a0) ** p1 - (0.0 - b0) ** p1) / (p1 * grid.step)
-        return self.hp1.c_h * w
-
-    def value(self, t, noise):
-        return float(np.dot(self._weights(noise.grid, t, None), _incs_of(noise)))
-
-    def cond_exp(self, tau, t, noise):
-        return float(np.dot(self._weights(noise.grid, t, tau), _incs_of(noise)))
-
     def cond_var(self, tau, t):
         h1 = self.hp1.h
         c2 = self.hp1.c_h ** 2
@@ -201,8 +161,6 @@ class _PowerKernelIntegrand(Integrand):
         lo = max(tau, self.start) if not self.include_history else tau
         span = max(t - lo, 0.0)
         return c2 * span ** (2 * h1) / (2 * h1)
-
-    # -- vectorized -----------------------------------------------------------
 
     def _first_cell(self, grid: SimulationGrid) -> int:
         return 0 if self.include_history else grid.index_of(self.start)
@@ -336,19 +294,6 @@ class QuadraticBrownianIntegrand(Integrand):
         m0, n = grid.origin_index, grid.cell_count
         return history_conv(incs, None, (m0, n), (m0, n))
 
-    def _b_at(self, t, noise):
-        g = noise.grid
-        m0 = g.origin_index
-        idx = g.index_of(min(max(t, 0.0), g.horizon))
-        return float(np.sum(_incs_of(noise)[..., m0:idx], axis=-1))
-
-    def value(self, t, noise):
-        return self._b_at(t, noise) ** 2
-
-    def cond_exp(self, tau, t, noise):
-        tau = min(max(tau, 0.0), t)
-        return self._b_at(tau, noise) ** 2 + (t - tau)
-
     def cond_var(self, tau, t):
         tau = min(max(tau, 0.0), t)
         return 4.0 * tau * (t - tau) + 2.0 * (t - tau) ** 2
@@ -370,43 +315,33 @@ class QuadraticBrownianIntegrand(Integrand):
 
 @dataclass(frozen=True)
 class SegmentGrid:
-    """Ordered breakpoints T_0 < ... < T_n with the minimum spacing recorded."""
+    """Ordered breakpoints T_0 < ... < T_n (any sequence of numbers, kept as a tuple of floats)."""
 
     breakpoints: tuple[float, ...]
-    min_spacing: float
 
     def __post_init__(self):
+        object.__setattr__(self, "breakpoints", tuple(float(p) for p in self.breakpoints))
         if len(self.breakpoints) < 2:
             raise ValueError("need at least two breakpoints")
-        gaps = np.diff(self.breakpoints)
-        if np.any(gaps <= 0.0):
+        if np.any(np.diff(self.breakpoints) <= 0.0):
             raise ValueError("breakpoints must be strictly increasing")
-        if self.min_spacing <= 0.0 or gaps.min() < self.min_spacing * (1 - 1e-12):
-            raise ValueError("min_spacing must be positive and no larger than the smallest gap")
-
-    @staticmethod
-    def from_breakpoints(points: Sequence[float]) -> "SegmentGrid":
-        pts = tuple(float(p) for p in points)
-        gaps = np.diff(pts)
-        if len(pts) < 2 or np.any(gaps <= 0.0):
-            raise ValueError("breakpoints must be strictly increasing with >= 2 entries")
-        return SegmentGrid(breakpoints=pts, min_spacing=float(gaps.min()))
 
     @staticmethod
     def dyadic(horizon: float, level: int) -> "SegmentGrid":
         """T_k = k * horizon / 2^level."""
         if level < 0:
             raise ValueError("level must be >= 0")
-        n = 2 ** level
-        pts = tuple(horizon * k / n for k in range(n + 1))
-        return SegmentGrid(breakpoints=pts, min_spacing=horizon / n)
+        return SegmentGrid.uniform(horizon, 2 ** level)
 
     @staticmethod
     def uniform(horizon: float, n_segments: int) -> "SegmentGrid":
         if n_segments < 1:
             raise ValueError("need at least one segment")
-        pts = tuple(horizon * k / n_segments for k in range(n_segments + 1))
-        return SegmentGrid(breakpoints=pts, min_spacing=horizon / n_segments)
+        return SegmentGrid(tuple(horizon * k / n_segments for k in range(n_segments + 1)))
+
+    @property
+    def min_spacing(self) -> float:
+        return float(np.diff(self.breakpoints).min())
 
     @property
     def n_segments(self) -> int:
@@ -442,12 +377,6 @@ class PiecewisePredictableIntegrand(Integrand):
         k = min(max(k, 0), len(bps) - 2)
         return bps[k]
 
-    def value(self, t, noise):
-        return self.inner.cond_exp(self.freeze_time(t), t, noise)
-
-    def cond_exp(self, tau, t, noise):
-        return self.inner.cond_exp(min(tau, self.freeze_time(t)), t, noise)
-
     def cond_var(self, tau, t):
         f = self.freeze_time(t)
         if tau >= f:
@@ -482,7 +411,7 @@ class PiecewisePredictableIntegrand(Integrand):
         return f"pp:{self.inner.spec_string()}:{self.grid.n_segments}"
 
 
-def dyadic_projection(gamma: Integrand, n: int, noise=None) -> Integrand:
+def dyadic_projection(gamma: Integrand, n: int, grid: SimulationGrid | None) -> Integrand:
     """Project gamma onto the dyadic piecewise-predictable class at level n.
 
     Returns gamma_n(t) = E_{T_k} gamma(t) for t in [T_k, T_{k+1}), T_k = k T / 2^n.
@@ -494,9 +423,8 @@ def dyadic_projection(gamma: Integrand, n: int, noise=None) -> Integrand:
         raise IntegrandCapabilityError("integrand has no conditional-expectation rule")
     if isinstance(gamma, DeterministicIntegrand):
         return gamma
-    if noise is None:
-        raise ValueError("a noise path (or simulation grid) fixes the horizon of the dyadic grid")
-    grid = noise if isinstance(noise, SimulationGrid) else noise.grid
+    if grid is None:
+        raise ValueError("a simulation grid fixes the horizon of the dyadic grid")
     if grid.main_steps % (2 ** n) != 0:
         raise ValueError(f"2^{n} dyadic segments do not align with {grid.main_steps} fine steps")
     return PiecewisePredictableIntegrand(gamma, SegmentGrid.dyadic(grid.horizon, n))
@@ -517,6 +445,17 @@ def x_norm(gamma: Integrand, ensemble: NoiseBatch) -> tuple[float, float]:
     if mean <= 0.0:
         return 0.0, se_mean
     return math.sqrt(mean), se_mean / (2.0 * math.sqrt(mean))
+
+
+def closed_form_x_norm(gamma: Integrand, grid: SimulationGrid) -> float | None:
+    """(step * sum_l E gamma(t_l)^2)^(1/2) over the left cell edges t_l of [0, horizon).
+
+    None when gamma has no closed-form second moment.
+    """
+    if gamma.second_moment(grid.horizon / 2) is None:
+        return None
+    total = sum(gamma.second_moment(t) for t in fine_cell_times(grid))
+    return math.sqrt(max(float(total * grid.step), 0.0))
 
 
 @dataclass(frozen=True)
@@ -540,11 +479,8 @@ def y_norm(gamma: Integrand, nu: float, eps: float, grid: SimulationGrid,
     if nu < 0.0 or eps <= 0.0:
         raise ValueError("need nu >= 0 and eps > 0")
     t_end = grid.horizon
-    if gamma.second_moment(0.5 * t_end) is not None:
-        tt = fine_cell_times(grid)
-        sq = np.array([gamma.second_moment(t) for t in tt])
-        x_part = math.sqrt(max(float(np.sum(sq) * grid.step), 0.0))
-    else:
+    x_part = closed_form_x_norm(gamma, grid)
+    if x_part is None:
         if ensemble is None:
             raise ValueError("no closed-form second moment: an ensemble is required for the X part")
         x_part, _ = x_norm(gamma, ensemble)

@@ -75,10 +75,6 @@ class ExtensionTrace:
     fitted_rate: float | None    # decay exponent r in gap ~ 2^(-r n)
     target_rate: float | None    # nu/2 + h - 1/2 when nu is known
 
-    @property
-    def value(self) -> float:
-        return float(self.means[-1])
-
 
 def _segment_lattice_indices(grid: SimulationGrid, seg: SegmentGrid) -> np.ndarray:
     if abs(seg.start - grid.origin) > 1e-12:

@@ -27,11 +27,9 @@ from scipy.special import gamma as _gamma
 
 __all__ = [
     "HurstParameter",
-    "PowerKernelCell",
     "hurst_constant",
     "mvn_kernel",
     "gh_transform",
-    "truncation_horizon",
     "truncation_tail_bound",
 ]
 
@@ -43,20 +41,17 @@ class HurstParameter:
     """Validated Hurst index with its derived constants.
 
     h lies in [1/2, 1); c_h is the moving-average normalizing constant
-    (exactly 1 at h = 1/2); d_h = c_h * (h - 1/2) vanishes iff h = 1/2.
+    (exactly 1 at h = 1/2).
     """
 
     h: float
     c_h: float
-    d_h: float
 
     def __post_init__(self):
         if not (HALF <= self.h < 1.0):
             raise ValueError(f"Hurst index must lie in [1/2, 1), got {self.h}")
         if not self.c_h > 0.0:
             raise ValueError("c_h must be positive")
-        if self.d_h < 0.0 or (self.d_h == 0.0) != (self.h == HALF):
-            raise ValueError("d_h must be nonnegative and zero exactly at h = 1/2")
 
     @property
     def is_brownian(self) -> bool:
@@ -73,34 +68,9 @@ def hurst_constant(h: float) -> HurstParameter:
     if not (HALF <= h < 1.0):
         raise ValueError(f"Hurst index must lie in [1/2, 1), got {h}")
     if h == HALF:
-        return HurstParameter(h=h, c_h=1.0, d_h=0.0)
+        return HurstParameter(h=h, c_h=1.0)
     c = float(np.sqrt(2.0 * h * _gamma(1.5 - h) / (_gamma(0.5 + h) * _gamma(2.0 - 2.0 * h))))
-    return HurstParameter(h=h, c_h=c, d_h=c * (h - HALF))
-
-
-@dataclass(frozen=True)
-class PowerKernelCell:
-    """One cell [lower, upper] over which x^exponent is integrated analytically."""
-
-    exponent: float
-    lower: float
-    upper: float
-
-    def __post_init__(self):
-        if not self.lower < self.upper:
-            raise ValueError("cell needs lower < upper")
-        if self.exponent <= -1.0 and self.lower <= 0.0:
-            raise ValueError("x^p with p <= -1 is not integrable through x = 0")
-        if self.lower < 0.0:
-            raise ValueError("cells live in the distance coordinate, need lower >= 0")
-
-    def integral(self) -> float:
-        """Exact value of int_lower^upper x^exponent dx."""
-        p1 = self.exponent + 1.0
-        return (self.upper ** p1 - self.lower ** p1) / p1
-
-    def average(self) -> float:
-        return self.integral() / (self.upper - self.lower)
+    return HurstParameter(h=h, c_h=c)
 
 
 def mvn_kernel(t: float, s: float, r: float, hp: HurstParameter) -> float:
@@ -163,20 +133,3 @@ def truncation_tail_bound(hp: HurstParameter, span: float, horizon: float) -> fl
         return 0.0
     h = hp.h
     return hp.c_h ** 2 * span ** 2 * (h - HALF) ** 2 * horizon ** (2 * h - 2) / (2 - 2 * h)
-
-
-def truncation_horizon(tol: float, span: float, hp: HurstParameter) -> float:
-    """Smallest history length L with truncated-tail variance below tol.
-
-    Solves the closed-form bound of truncation_tail_bound for L; returns 0
-    at h = 1/2 where there is no history dependence.
-    """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
-    if span <= 0.0:
-        raise ValueError("span must be positive")
-    if hp.is_brownian:
-        return 0.0
-    h = hp.h
-    base = hp.c_h ** 2 * span ** 2 * (h - HALF) ** 2 / (tol * (2 - 2 * h))
-    return float(base ** (1.0 / (2 - 2 * h)))

@@ -1,14 +1,16 @@
 """Seeded Brownian driver and moving-average synthesis of the derived processes.
 
-One NoisePath holds the increments of a single standard Brownian path on a
-uniform lattice covering [-L, T]; it is the only source of randomness, and
-every process here (B_H, W_H, R_H, DR_H) is a deterministic functional of
-it.  Wiener integrals are discretized with cell-averaged kernel weights:
-the exact integral of the power kernel over each noise cell, divided by the
-step, applied to the increment.  On the uniform lattice those weights are a
-function of the index lag only, so whole paths come out of one causal
-convolution (FFT), `history_conv`; `block_conv` restarts one at every
-block start, for the delayed integral's segments and forecast runs.
+A NoiseBatch holds the increments of independent standard Brownian paths,
+one row per replication, on a uniform lattice covering [-L, T]; a single
+path is a batch of one.  The rows are the only source of randomness, and
+every process here (B, B_H, W_H, R_H, DR_H) is a deterministic functional of
+them, computed for all rows at once.  Wiener integrals are discretized with
+cell-averaged kernel weights: the exact integral of the power kernel over
+each noise cell, divided by the step, applied to the increment.  On the
+uniform lattice those weights are a function of the index lag only, so whole
+paths come out of one causal convolution (FFT), `history_conv`; `block_conv`
+restarts one at every block start, for the delayed integral's segments and
+forecast runs.
 
 Both hot layers use every CPU in the process's affinity mask (`WORKERS`):
 the batch draw fills blocks of rows on threads, and a large history
@@ -28,6 +30,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 from scipy import fft as _fft
@@ -36,15 +39,12 @@ from .kernels import HALF, HurstParameter, truncation_tail_bound
 
 __all__ = [
     "SimulationGrid",
-    "NoisePath",
     "NoiseBatch",
-    "ProcessPath",
     "make_grid",
-    "generate_noise",
     "generate_noise_batch",
     "history_conv",
     "block_conv",
-    "synthesize_fbm",
+    "process_values",
     "dr_pointwise_closed_form",
     "dr_energy_closed_form",
     "write_path_csv",
@@ -70,14 +70,16 @@ class SimulationGrid:
     """Uniform lattice over [warmup_start, horizon] with the origin at 0."""
 
     warmup_start: float
-    origin: float
     horizon: float
     step: float
     cell_count: int
 
+    #: not a field: lattice times, integrand kernels and forecasts all count from t = 0
+    origin: ClassVar[float] = 0.0
+
     def __post_init__(self):
         if not (self.warmup_start <= self.origin < self.horizon):
-            raise ValueError("need warmup_start <= origin < horizon")
+            raise ValueError("need warmup_start <= 0 < horizon")
         if self.step <= 0.0:
             raise ValueError("step must be positive")
         span = self.horizon - self.warmup_start
@@ -119,7 +121,6 @@ def make_grid(horizon: float, steps: int, warmup: float = 0.0) -> SimulationGrid
     warmup_cells = int(math.ceil(warmup / step - 1e-12))
     return SimulationGrid(
         warmup_start=-warmup_cells * step,
-        origin=0.0,
         horizon=horizon,
         step=step,
         cell_count=steps + warmup_cells,
@@ -127,23 +128,8 @@ def make_grid(horizon: float, steps: int, warmup: float = 0.0) -> SimulationGrid
 
 
 @dataclass(frozen=True)
-class NoisePath:
-    """One realization of the driving Brownian increments (immutable)."""
-
-    grid: SimulationGrid
-    increments: np.ndarray
-    seed: int
-    stream: int = 0
-
-    def __post_init__(self):
-        if self.increments.shape != (self.grid.cell_count,):
-            raise ValueError("increments must hold one value per grid cell")
-        self.increments.setflags(write=False)
-
-
-@dataclass(frozen=True)
 class NoiseBatch:
-    """A stack of independent NoisePaths sharing one grid (rows = replications)."""
+    """Independent Brownian increments sharing one grid, one row per replication."""
 
     grid: SimulationGrid
     increments: np.ndarray  # shape (replications, cell_count)
@@ -166,18 +152,14 @@ def _rng(seed: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def generate_noise(seed: int, grid: SimulationGrid, stream: int = 0) -> NoisePath:
-    """Gaussian increments with variance = step; bit-for-bit reproducible."""
-    dB = _rng(seed, stream).standard_normal(grid.cell_count) * math.sqrt(grid.step)
-    return NoisePath(grid=grid, increments=dB, seed=seed, stream=stream)
-
-
 def generate_noise_batch(seed: int, grid: SimulationGrid, reps: int, first_stream: int = 0) -> NoiseBatch:
-    """Independent replications; row r is identical to generate_noise(seed, grid, first_stream + r).
+    """Independent replications: row r holds stream first_stream + r of seed, variance step per cell.
 
-    The rows are split into min(WORKERS, reps) contiguous blocks, filled on
-    threads (Philox draws release the GIL).  Every row is drawn in place
-    from its own stream, so the batch is the same for any worker count.
+    Bit-for-bit reproducible, and a row does not depend on the batch it is
+    drawn in.  The rows are split into min(WORKERS, reps) contiguous
+    blocks, filled on threads (Philox draws release the GIL).  Every row is
+    drawn in place from its own stream, so the batch is the same for any
+    worker count.
     """
     out = np.empty((reps, grid.cell_count))
     root = math.sqrt(grid.step)
@@ -334,66 +316,30 @@ def dr_values(incs: np.ndarray, grid: SimulationGrid, hp: HurstParameter, seg_id
     return history_conv(incs, table, (0, seg_idx), (seg_idx + 1, grid.cell_count + 1))
 
 
-# ---------------------------------------------------------------------------
-# public path objects
-# ---------------------------------------------------------------------------
+def process_values(incs: np.ndarray, grid: SimulationGrid, hp: HurstParameter,
+                   kind: str) -> tuple[np.ndarray, np.ndarray]:
+    """(times, values) of a process kind on [0, horizon], batched over the leading axes of incs.
 
-@dataclass(frozen=True)
-class ProcessPath:
-    kind: str
-    hp: HurstParameter
-    segment_start: float
-    times: np.ndarray
-    values: np.ndarray
-    seed: int
-
-    def __post_init__(self):
-        if self.kind not in PROCESS_KINDS:
-            raise ValueError(f"unknown process kind {self.kind!r}")
-        if self.times.shape != self.values.shape:
-            raise ValueError("times and values must align")
-        self.times.setflags(write=False)
-        self.values.setflags(write=False)
-
-
-def synthesize_fbm(noise: NoisePath, hp: HurstParameter) -> ProcessPath:
-    """Fractional Brownian motion on [0, horizon] from the shared driver."""
-    vals = fbm_values(noise.increments, noise.grid, hp)
-    g = noise.grid
-    times = g.step * np.arange(g.main_steps + 1)
-    return ProcessPath("B_H", hp, 0.0, times, vals, noise.seed)
-
-
-def driving_path(noise: NoisePath) -> ProcessPath:
-    """The driving Brownian motion restricted to [0, horizon], B(0) = 0."""
-    g = noise.grid
-    m0 = g.origin_index
-    vals = history_conv(noise.increments, None, (m0, g.cell_count), (m0, g.cell_count + 1))
-    times = g.step * np.arange(g.main_steps + 1)
-    hp = HurstParameter(h=HALF, c_h=1.0, d_h=0.0)
-    return ProcessPath("B", hp, 0.0, times, vals, noise.seed)
-
-
-def process_path(noise: NoisePath, hp: HurstParameter, kind: str, seg_start: float = 0.0) -> ProcessPath:
-    """Synthesize any of the supported process kinds on the lattice of [seg_start, horizon]."""
-    g = noise.grid
+    B is the driving Brownian motion with B(0) = 0 (hp is not read), W_H and
+    R_H are taken from the segment start 0, and DR_H starts one step after
+    it.  times is broadcast to the shape of values.
+    """
+    m0, n = grid.origin_index, grid.cell_count
+    times = grid.step * np.arange(grid.main_steps + 1)
     if kind == "B":
-        return driving_path(noise)
-    if kind == "B_H":
-        return synthesize_fbm(noise, hp)
-    idx = g.index_of(seg_start)
-    if kind == "W_H":
-        vals = w_values(noise.increments, g, hp, idx)
-        times = seg_start + g.step * np.arange(vals.shape[-1])
+        values = history_conv(incs, None, (m0, n), (m0, n + 1))
+    elif kind == "B_H":
+        values = fbm_values(incs, grid, hp)
+    elif kind == "W_H":
+        values = w_values(incs, grid, hp, m0)
     elif kind == "R_H":
-        vals = r_values(noise.increments, g, hp, idx)
-        times = seg_start + g.step * np.arange(vals.shape[-1])
+        values = r_values(incs, grid, hp, m0)
     elif kind == "DR_H":
-        vals = dr_values(noise.increments, g, hp, idx)
-        times = seg_start + g.step * (1 + np.arange(vals.shape[-1]))
+        values = dr_values(incs, grid, hp, m0)
+        times = grid.step * (1 + np.arange(grid.main_steps))
     else:
         raise ValueError(f"unknown process kind {kind!r}")
-    return ProcessPath(kind, hp, seg_start, times, vals, noise.seed)
+    return np.broadcast_to(times, values.shape), values
 
 
 def dr_pointwise_closed_form(hp: HurstParameter, span: float) -> float:
@@ -465,16 +411,15 @@ def declared_truncation_budget(grid: SimulationGrid, hp: HurstParameter) -> floa
     return truncation_tail_bound(hp, grid.horizon, grid.warmup_length) if not hp.is_brownian else 0.0
 
 
-def write_path_csv(path: ProcessPath, dest) -> None:
-    """CSV with (time, value) rows; the header row names kind, h and seed."""
+def write_path_csv(kind: str, h: float, seed: int, times: np.ndarray, values: np.ndarray, dest) -> None:
+    """CSV with (time, value) rows of one path; the header row names kind, h and seed."""
     own = isinstance(dest, (str, os.PathLike))
     fh = open(dest, "w", newline="") if own else dest
     try:
-        fh.write(f"# kind={path.kind} h={path.hp.h!r} seed={path.seed}\n")
+        fh.write(f"# kind={kind} h={h!r} seed={seed}\n")
         fh.write("time,value\n")
-        for t, v in zip(path.times, path.values):
+        for t, v in zip(times, values):
             fh.write(f"{float(t)!r},{float(v)!r}\n")
     finally:
         if own:
             fh.close()
-

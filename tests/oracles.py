@@ -1,13 +1,15 @@
 """Reference implementations and instruments that only the tests use.
 
-Most evaluate one quantity on one NoisePath from explicit per-cell
-weights, so the vectorized lattice paths of the package can be checked
-against an independent formula.  The per-segment assembly is the
-package's earlier delayed-integral assembly, kept as an independent
-reference for the one built on increment fields.
+Most evaluate one quantity on one path, a single row `incs` of increments
+on a grid, from explicit per-cell weights, so the batched lattice paths of
+the package can be checked against an independent formula.  The per-segment
+assembly is the package's earlier delayed-integral assembly, kept as an
+independent reference for the one built on increment fields.
 """
 
 import io
+import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import fft as _fft
@@ -15,18 +17,30 @@ from scipy import fft as _fft
 import fbmdelay.integrands
 import fbmdelay.integrator
 from fbmdelay.kernels import HALF, HurstParameter
-from fbmdelay.integrands import Integrand, SegmentGrid, dyadic_projection
+from fbmdelay.integrands import (
+    DeterministicIntegrand,
+    Integrand,
+    PiecewisePredictableIntegrand,
+    QuadraticBrownianIntegrand,
+    SegmentGrid,
+    _PowerKernelIntegrand,
+    dyadic_projection,
+)
 from fbmdelay.integrator import delayed_parts_for_cells, noise_transforms
 from fbmdelay.noise import (
     NoiseBatch,
-    NoisePath,
-    ProcessPath,
     SimulationGrid,
     avg_kernel_table,
     discrete_fbm_cov,
     history_conv,
     write_path_csv,
 )
+
+
+def reference_draw(seed: int, grid: SimulationGrid, stream: int) -> np.ndarray:
+    """Stream `stream` of seed drawn on its own: Philox keyed by (seed, stream), variance step per cell."""
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(stream,))
+    return np.random.Generator(np.random.Philox(ss)).standard_normal(grid.cell_count) * math.sqrt(grid.step)
 
 
 def _clipped_avg_weights(edges: np.ndarray, t: float, lo: float, p1: float, step: float) -> np.ndarray:
@@ -38,36 +52,136 @@ def _clipped_avg_weights(edges: np.ndarray, t: float, lo: float, p1: float, step
     return (ua ** p1 - ub ** p1) / (p1 * step)
 
 
-def synthesize_w(noise: NoisePath, hp: HurstParameter, seg_start: float, t: float) -> float:
+def synthesize_w(g: SimulationGrid, incs: np.ndarray, hp: HurstParameter, seg_start: float, t: float) -> float:
     """W_H(t) over [seg_start, t]; uses only increments in (seg_start, t]."""
     if t < seg_start:
         raise ValueError("need t >= seg_start")
     if t == seg_start:
         return 0.0
-    g = noise.grid
     w = _clipped_avg_weights(g.edges(), t, seg_start, hp.h + HALF, g.step)
-    return float(hp.c_h * np.dot(w, noise.increments))
+    return float(hp.c_h * np.dot(w, incs))
 
 
-def synthesize_dr(noise: NoisePath, hp: HurstParameter, seg_start: float, t: float) -> float:
+def synthesize_dr(g: SimulationGrid, incs: np.ndarray, hp: HurstParameter, seg_start: float, t: float) -> float:
     """DR_H(t) = c_h int_(-L)^seg_start (h-1/2)(t-q)^(h-3/2) dB(q); needs t > seg_start."""
     if t <= seg_start:
         raise ValueError("DR_H is defined for t strictly after the segment start")
     if hp.is_brownian:
         return 0.0
-    g = noise.grid
     edges = g.edges()
     a = np.minimum(edges[:-1], seg_start)
     b = np.minimum(edges[1:], seg_start)
     p = hp.h - HALF
     w = ((t - a) ** p - (t - b) ** p) / g.step
-    return float(hp.c_h * np.dot(w, noise.increments))
+    return float(hp.c_h * np.dot(w, incs))
 
 
-def path_csv_string(path: ProcessPath) -> str:
+def path_csv_string(kind: str, h: float, seed: int, times: np.ndarray, values: np.ndarray) -> str:
     buf = io.StringIO()
-    write_path_csv(path, buf)
+    write_path_csv(kind, h, seed, times, values, buf)
     return buf.getvalue()
+
+
+# ---------------------------------------------------------------------------
+# pathwise values and forecasts of the integrand families, one time at a time
+# ---------------------------------------------------------------------------
+
+def _power_kernel_weights(gamma: _PowerKernelIntegrand, grid: SimulationGrid, t: float,
+                          tau: float | None) -> np.ndarray:
+    """Cell-averaged kernel weights for E_tau gamma(t) (tau=None: pathwise)."""
+    edges = grid.edges()
+    hi = t if tau is None else min(t, tau)
+    lo = grid.warmup_start if gamma.include_history else max(gamma.start, grid.warmup_start)
+    p1 = gamma.hp1.h + HALF
+    a = np.clip(edges[:-1], lo, hi)
+    b = np.clip(edges[1:], lo, hi)
+    w = ((t - a) ** p1 - (t - b) ** p1) / (p1 * grid.step)
+    if gamma.include_history:
+        # subtract E_tau of the history value at the origin, not its pathwise value
+        hi0 = 0.0 if tau is None else min(0.0, tau)
+        a0 = np.clip(edges[:-1], grid.warmup_start, hi0)
+        b0 = np.clip(edges[1:], grid.warmup_start, hi0)
+        w = w - ((0.0 - a0) ** p1 - (0.0 - b0) ** p1) / (p1 * grid.step)
+    return gamma.hp1.c_h * w
+
+
+def _b_at(t: float, grid: SimulationGrid, incs: np.ndarray) -> float:
+    """The driving Brownian motion at t, clamped to [0, horizon]; B(0) = 0."""
+    idx = grid.index_of(min(max(t, 0.0), grid.horizon))
+    return float(np.sum(incs[grid.origin_index:idx]))
+
+
+def value(gamma: Integrand, t: float, grid: SimulationGrid, incs: np.ndarray) -> float:
+    """gamma(t) on the path incs."""
+    if isinstance(gamma, PiecewisePredictableIntegrand):
+        return cond_exp(gamma.inner, gamma.freeze_time(t), t, grid, incs)
+    if isinstance(gamma, DeterministicIntegrand):
+        return float(gamma.fn(np.asarray(t, dtype=float)))
+    if isinstance(gamma, QuadraticBrownianIntegrand):
+        return _b_at(t, grid, incs) ** 2
+    if isinstance(gamma, _PowerKernelIntegrand):
+        return float(np.dot(_power_kernel_weights(gamma, grid, t, None), incs))
+    raise TypeError(f"no oracle for {type(gamma).__name__}")
+
+
+def cond_exp(gamma: Integrand, tau: float, t: float, grid: SimulationGrid, incs: np.ndarray) -> float:
+    """E_tau gamma(t) on the path incs: reads only the increments of cells ending by tau."""
+    if isinstance(gamma, PiecewisePredictableIntegrand):
+        return cond_exp(gamma.inner, min(tau, gamma.freeze_time(t)), t, grid, incs)
+    if isinstance(gamma, DeterministicIntegrand):
+        return value(gamma, t, grid, incs)
+    if isinstance(gamma, QuadraticBrownianIntegrand):
+        tau = min(max(tau, 0.0), t)
+        return _b_at(tau, grid, incs) ** 2 + (t - tau)
+    if isinstance(gamma, _PowerKernelIntegrand):
+        return float(np.dot(_power_kernel_weights(gamma, grid, t, tau), incs))
+    raise TypeError(f"no oracle for {type(gamma).__name__}")
+
+
+# ---------------------------------------------------------------------------
+# kernel helpers the package itself does not need
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class PowerKernelCell:
+    """One cell [lower, upper] over which x^exponent is integrated analytically."""
+
+    exponent: float
+    lower: float
+    upper: float
+
+    def __post_init__(self):
+        if not self.lower < self.upper:
+            raise ValueError("cell needs lower < upper")
+        if self.exponent <= -1.0 and self.lower <= 0.0:
+            raise ValueError("x^p with p <= -1 is not integrable through x = 0")
+        if self.lower < 0.0:
+            raise ValueError("cells live in the distance coordinate, need lower >= 0")
+
+    def integral(self) -> float:
+        """Exact value of int_lower^upper x^exponent dx."""
+        p1 = self.exponent + 1.0
+        return (self.upper ** p1 - self.lower ** p1) / p1
+
+    def average(self) -> float:
+        return self.integral() / (self.upper - self.lower)
+
+
+def truncation_horizon(tol: float, span: float, hp: HurstParameter) -> float:
+    """Smallest history length L with truncated-tail variance below tol.
+
+    Solves the closed-form bound of truncation_tail_bound for L; returns 0
+    at h = 1/2 where there is no history dependence.
+    """
+    if tol <= 0.0:
+        raise ValueError("tol must be positive")
+    if span <= 0.0:
+        raise ValueError("span must be positive")
+    if hp.is_brownian:
+        return 0.0
+    h = hp.h
+    base = hp.c_h ** 2 * span ** 2 * (h - HALF) ** 2 / (tol * (2 - 2 * h))
+    return float(base ** (1.0 / (2 - 2 * h)))
 
 
 def decay_gaps_per_level(gamma: Integrand, hp: HurstParameter, levels, nb: NoiseBatch) -> tuple:

@@ -20,10 +20,12 @@ from fbmdelay.integrands import (
     x_norm,
     y_norm,
 )
-from fbmdelay.noise import NoisePath, avg_kernel_table, generate_noise, generate_noise_batch, make_grid
+from fbmdelay.noise import avg_kernel_table, generate_noise_batch, make_grid
+from oracles import cond_exp, value
 
 GRID = make_grid(1.0, 512, warmup=2.0)
-NOISE = generate_noise(8, GRID)
+NOISE = generate_noise_batch(8, GRID, 1)
+INCS = NOISE.increments[0]  # the one path of NOISE
 BATCH = generate_noise_batch(123, GRID, 800)
 
 
@@ -31,7 +33,7 @@ BATCH = generate_noise_batch(123, GRID, 800)
 # contracts shared by the provided family
 # ---------------------------------------------------------------------------
 
-PRE_ORIGIN = SegmentGrid.from_breakpoints([-0.25, 0.5, 1.0])  # first freeze before the origin
+PRE_ORIGIN = SegmentGrid([-0.25, 0.5, 1.0])  # first freeze before the origin
 
 FAMILY = [
     DeterministicIntegrand.polynomial([0.5, -1.0, 2.0]),
@@ -48,7 +50,7 @@ FAMILY = [
 @pytest.mark.parametrize("gamma", FAMILY, ids=lambda g: g.spec_string())
 def test_conditioning_at_t_is_identity(gamma):
     for t in (0.25, 0.5, 0.875):
-        assert gamma.cond_exp(t, t, NOISE) == pytest.approx(gamma.value(t, NOISE), abs=1e-12)
+        assert cond_exp(gamma, t, t, GRID, INCS) == pytest.approx(value(gamma, t, GRID, INCS), abs=1e-12)
         assert gamma.cond_var(t, t) == pytest.approx(0.0, abs=1e-12)
 
 
@@ -56,18 +58,17 @@ def test_conditioning_at_t_is_identity(gamma):
 def test_cond_exp_reads_only_past_increments(gamma):
     tau, t = 0.5, 0.875
     cut = GRID.index_of(tau)
-    tweaked = NOISE.increments.copy()
+    tweaked = INCS.copy()
     tweaked[cut:] = 3.14
-    other = type(NOISE)(GRID, tweaked, NOISE.seed)
-    assert gamma.cond_exp(tau, t, NOISE) == pytest.approx(gamma.cond_exp(tau, t, other), abs=1e-12)
+    assert cond_exp(gamma, tau, t, GRID, INCS) == pytest.approx(cond_exp(gamma, tau, t, GRID, tweaked), abs=1e-12)
 
 
 @pytest.mark.parametrize("gamma", FAMILY, ids=lambda g: g.spec_string())
 def test_cell_values_match_scalar_value(gamma):
-    cells = gamma.values_on_cells(GRID, NOISE.increments[None, :])[0]
+    cells = gamma.values_on_cells(GRID, NOISE.increments)[0]
     for l in (0, 17, 255, 511):
         t = l * GRID.step
-        assert cells[l] == pytest.approx(gamma.value(t, NOISE), abs=1e-10)
+        assert cells[l] == pytest.approx(value(gamma, t, GRID, INCS), abs=1e-10)
 
 
 def test_wiener_kernel_conditional_variances():
@@ -86,12 +87,10 @@ def test_wiener_kernel_cond_exp_is_truncated_integral():
     # conditional forecast + independent remainder: E[(value - forecast)^2] = cond_var
     reps = 600
     nb = generate_noise_batch(5150, GRID, reps)
-    vals = f.values_on_cells(GRID, nb.increments)
-    # evaluate at t = 1.0 via scalar calls on a few paths for exactness of the contract
+    # evaluate at t = 1.0 via scalar calls on every path for exactness of the contract
     diffs = []
-    for r in range(reps):
-        p = NoisePath(GRID, nb.increments[r].copy(), nb.seed, r)
-        diffs.append(f.value(t, p) - f.cond_exp(tau, t, p))
+    for row in nb.increments:
+        diffs.append(value(f, t, GRID, row) - cond_exp(f, tau, t, GRID, row))
     diffs = np.asarray(diffs)
     est = float(np.mean(diffs ** 2))
     se = float(np.std(diffs ** 2, ddof=1) / math.sqrt(reps))
@@ -127,8 +126,8 @@ def test_fbm_forecast_before_origin_matches_weight_sum(h1):
             j = GRID.index_of(t)
             want = _fbm_forecast_oracle(h1, a, j, incs)
             np.testing.assert_allclose(cells[:, j - m0], want, rtol=0, atol=1e-12)
-            assert gamma.cond_exp(tau, t, NOISE) == pytest.approx(
-                _fbm_forecast_oracle(h1, a, j, NOISE.increments), abs=1e-12)
+            assert cond_exp(gamma, tau, t, GRID, INCS) == pytest.approx(
+                _fbm_forecast_oracle(h1, a, j, INCS), abs=1e-12)
 
 
 def test_fbm_cond_var_before_origin_mc():
@@ -150,14 +149,14 @@ def test_fbm_cond_var_before_origin_mc():
 def test_quadratic_brownian_contract():
     q = QuadraticBrownianIntegrand()
     tau, t = 0.25, 0.75
-    b_tau = BrownianIntegrand().value(tau, NOISE)
-    assert q.cond_exp(tau, t, NOISE) == pytest.approx(b_tau ** 2 + (t - tau), abs=1e-12)
+    b_tau = value(BrownianIntegrand(), tau, GRID, INCS)
+    assert cond_exp(q, tau, t, GRID, INCS) == pytest.approx(b_tau ** 2 + (t - tau), abs=1e-12)
     assert q.cond_var(tau, t) == pytest.approx(4 * tau * (t - tau) + 2 * (t - tau) ** 2)
     assert q.second_moment(t) == pytest.approx(3 * t * t)
     # frozen before the origin, B(t)^2 is forecast from B(0) = 0 alone
     frozen = PiecewisePredictableIntegrand(q, PRE_ORIGIN)
     for t in (0.0, 0.125, 0.25, 0.375):
-        assert frozen.value(t, NOISE) == t
+        assert value(frozen, t, GRID, INCS) == t
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +172,7 @@ def test_projection_of_brownian_freezes_at_cell_starts():
     g = dyadic_projection(BrownianIntegrand(), 3, GRID)
     b = BrownianIntegrand()
     for t, tk in [(0.1, 0.0), (0.25, 0.25), (0.3, 0.25), (0.99, 0.875)]:
-        assert g.value(t, NOISE) == pytest.approx(b.value(tk, NOISE), abs=1e-12)
+        assert value(g, t, GRID, INCS) == pytest.approx(value(b, tk, GRID, INCS), abs=1e-12)
 
 
 def test_projection_is_piecewise_predictable_member():
@@ -266,7 +265,7 @@ def test_forecast_runs_match_weight_sum(h1):
     m0 = GRID.origin_index
     incs = BATCH.increments[:3]
     bps = (0.0, 0.125, 0.3125, 0.5, 1.0)
-    frozen = PiecewisePredictableIntegrand(gamma, SegmentGrid.from_breakpoints(bps))
+    frozen = PiecewisePredictableIntegrand(gamma, SegmentGrid(bps))
     cells = frozen.values_on_cells(GRID, incs)
     for a, b in zip(bps[:-1], bps[1:]):
         for t in (a, 0.5 * (a + b), b - GRID.step):
@@ -305,11 +304,12 @@ def test_segment_grid_accepts_sorted_rejects_else(pts):
     pts = sorted(pts)
     gaps = np.diff(pts)
     if len(pts) >= 2 and np.all(gaps > 0):
-        g = SegmentGrid.from_breakpoints(pts)
+        g = SegmentGrid(pts)
+        assert g.breakpoints == tuple(pts)
         assert g.min_spacing == pytest.approx(float(gaps.min()))
     if len(pts) >= 3:
         with pytest.raises(ValueError):
-            SegmentGrid.from_breakpoints([pts[0], pts[0]] + pts[1:])
+            SegmentGrid([pts[0], pts[0]] + pts[1:])
 
 
 # ---------------------------------------------------------------------------

