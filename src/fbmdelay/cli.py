@@ -1,7 +1,9 @@
 """Command-line entry point: wires configs, seeds and output paths to the drivers.
 
 Flags over config files; every run writes its outputs plus a JSON manifest
-that replays the run byte-for-byte via --manifest.  Relative output paths
+that replays the run byte-for-byte via --manifest.  The manifests of the
+multi-Hurst studies (continuity, nonconv) also record the checksum of the
+noise they consumed.  Relative output paths
 resolve against $FBMDELAY_OUT when it is set.
 """
 
@@ -158,6 +160,7 @@ def _run(cfg: RunConfig) -> list[str]:
     """Execute one validated config; returns the list of files written."""
     desk = _desk(cfg)
     outputs = [cfg.out]
+    record = {"tool": "fbmdelay", "config": asdict(cfg), "outputs": outputs}
     if cfg.command == "simulate":
         hp = hurst_constant(cfg.hurst[0])
         grid = make_grid(cfg.horizon, cfg.steps, cfg.warmup)
@@ -183,15 +186,16 @@ def _run(cfg: RunConfig) -> list[str]:
         curve = continuity_study(cfg.integrand, cfg.hurst, cfg.reps, cfg.seed,
                                  cfg.tol, desk, proj_level=cfg.level)
         write_continuity_csv(cfg.out, curve)
+        record["noise_checksum"] = curve.noise_checksum
     elif cfg.command == "nonconv":
         rows = nonconvergence_demo(cfg.hurst, cfg.reps, cfg.seed, cfg.horizon, desk)
         write_nonconv_csv(cfg.out, rows)
+        record["noise_checksum"] = rows[0].noise_checksum
     elif cfg.command == "decay":
         hp = hurst_constant(cfg.hurst[0])
         study = cauchy_decay_study(cfg.integrand, hp, cfg.levels, cfg.reps, cfg.seed, desk)
         write_decay_csv(cfg.out, study)
     manifest_path = cfg.out + ".manifest.json"
-    record = {"tool": "fbmdelay", "config": asdict(cfg), "outputs": outputs}
     write_manifest(manifest_path, record)
     outputs.append(manifest_path)
     return outputs

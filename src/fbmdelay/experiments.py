@@ -36,6 +36,7 @@ from .integrands import (
 )
 from .integrator import (
     MIN_CELLS_PER_SEGMENT,
+    _dot,
     _segment_lattice_indices,
     delayed_parts_for_cells,
     noise_transforms,
@@ -206,7 +207,7 @@ def fbm_law_check(hp: HurstParameter, reps: int, seed: int, config: DeskConfig =
     n = grid.main_steps
 
     def per_chunk(nb):
-        bh = fbm_values(nb.increments, grid, hp)
+        bh = fbm_values(nb.increments, grid, (hp,))[0]
         return bh[:, n] ** 2, bh[:, n] * bh[:, n // 2]
 
     var_s, cov_s = _replicate(seed, grid, reps, config.chunk, per_chunk)
@@ -240,7 +241,7 @@ def shiryaev_identity_check(hp: HurstParameter, n_steps_seq, reps: int, seed: in
             raise ValueError(f"refinement level {n} does not divide the fine grid {n_fine}")
 
     def per_chunk(nb):
-        bh = fbm_values(nb.increments, grid, hp)
+        bh = fbm_values(nb.increments, grid, (hp,))[0]
         final_sq = bh[:, -1] ** 2
         defects = []
         for n in seq:
@@ -273,16 +274,18 @@ def nonconvergence_demo(hursts, reps: int, seed: int, horizon: float = 1.0,
     0.5 B_H(T)^2, which is the n -> infinity value of the sums.
     """
     grid = make_grid(horizon, config.steps, config.warmup)
-    n = grid.main_steps
+    n, m0 = grid.main_steps, grid.origin_index
     hps = [hurst_constant(h) for h in hursts]
+    rough = [hp for hp in hps if not hp.is_brownian]
 
     def per_chunk(nb):
-        b = history_conv(nb.increments, None, (grid.origin_index, grid.cell_count),
-                         (grid.origin_index, grid.cell_count + 1))
+        b = history_conv(nb.increments, None, (m0, grid.cell_count), (m0, grid.cell_count + 1))
         ito_b = np.sum(b[:, :-1] * np.diff(b, axis=-1), axis=-1)
+        # every h reads the same batch, and the h > 1/2 paths one transform of it
+        paths = iter(fbm_values(nb.increments, grid, rough) if rough else ())
         gaps = []
-        for hp in hps:  # every h reads the same batch: common random numbers by construction
-            bh = fbm_values(nb.increments, grid, hp)
+        for hp in hps:
+            bh = b if hp.is_brownian else next(paths)
             riem = np.sum(bh[:, :-1] * np.diff(bh, axis=-1), axis=-1)
             gaps += [riem - ito_b, 0.5 * bh[:, -1] ** 2 - ito_b]
         return (*gaps, _stream_crcs(nb))
@@ -393,15 +396,16 @@ def continuity_study(gamma: Integrand | str, hursts, reps: int, seed: int,
     half = hurst_constant(HALF)
     if not integrand.segment_predictable_on(seg.breakpoints):
         raise ValueError("integration plan produced a non-predictable integrand")
-    _segment_lattice_indices(grid, seg)  # refuse a grid the lattice cannot carry before any draw
+    # refuse a grid the lattice cannot carry before any draw
+    end = int(_segment_lattice_indices(grid, seg)[-1])
 
     def per_chunk(nb):
         cells = integrand.values_on_cells(grid, nb.increments)
         base, _, _, _ = delayed_parts_for_cells(cells, seg, nb, half)
-        gaps = []
-        for hp in hps:
-            value, _, _, _ = delayed_parts_for_cells(cells, seg, nb, hp)
-            gaps.append(np.abs(value - base))
+        # every h reads one transform of the noise; its value is sum gamma dB_H, as in the assembly
+        _, d_bh = noise_transforms(grid, nb.increments, hps, end)
+        cells = cells[..., :end - grid.origin_index]
+        gaps = [np.abs(_dot(cells, field) - base) for field in d_bh]
         return (*gaps, _stream_crcs(nb))
 
     *gaps, crcs = _replicate(seed, grid, reps, config.chunk, per_chunk)
@@ -476,7 +480,7 @@ def cauchy_decay_study(gamma: Integrand | str, hp: HurstParameter, levels, reps:
     end = grid.origin_index + grid.main_steps
 
     def per_chunk(nb):
-        pre = noise_transforms(grid, nb.increments, hp, end)
+        pre = noise_transforms(grid, nb.increments, (hp,), end)
         cells = np.empty((len(levels), nb.replications, grid.main_steps))
         for i, level_cells in enumerate(gamma.dyadic_cells(grid, nb.increments, levels)):
             cells[i] = level_cells

@@ -61,8 +61,6 @@ def fine_cell_times(grid: SimulationGrid) -> np.ndarray:
 class Integrand(ABC):
     """Contract: cell values and their forecasts on noise rows, and deterministic E Var_tau gamma(t)."""
 
-    #: gamma(t) is measurable at t - predictability_eps (None: not known)
-    predictability_eps: float | None = None
     #: known forecast-variance growth exponent nu (E Var_tau ~ (t-tau)^(1+nu))
     nu_exponent: float | None = None
     has_cond_exp: bool = True
@@ -105,7 +103,6 @@ class DeterministicIntegrand(Integrand):
     fn: Callable[[np.ndarray], np.ndarray]
     label: str = "det"
 
-    predictability_eps = math.inf
     nu_exponent = math.inf
 
     @staticmethod
@@ -368,7 +365,6 @@ class PiecewisePredictableIntegrand(Integrand):
             raise IntegrandCapabilityError("inner integrand has no conditional-expectation rule")
         self.inner = inner
         self.grid = grid
-        self.predictability_eps = grid.min_spacing
         self.nu_exponent = None
 
     def freeze_time(self, t: float) -> float:

@@ -43,6 +43,7 @@ from .noise import (
     declared_truncation_budget,
     fbm_values,
     history_conv,
+    synthesis_tables,
 )
 
 __all__ = [
@@ -87,21 +88,28 @@ def _segment_lattice_indices(grid: SimulationGrid, seg: SegmentGrid) -> np.ndarr
     return idx
 
 
-def noise_transforms(grid: SimulationGrid, incs: np.ndarray, hp: HurstParameter, end: int):
-    """(d_tail, d_bh): the history increment fields of every assembly on this noise.
+def noise_transforms(grid: SimulationGrid, incs: np.ndarray, hps, end: int):
+    """(d_tail, d_bh): the history increment fields of every assembly on this noise, per h.
 
-    On the fine cells origin..end - 1, the lattice increments of the warmup
-    history (cells before the origin) and of the whole synthesis B_H.  Both
-    depend only on (noise, h, end); drivers compute them once per h.
+    For each h in hps, on the fine cells origin..end - 1, the lattice
+    increments of the warmup history (cells before the origin) and of the
+    whole synthesis B_H, stacked as (len(hps), ..., end - origin).  Both
+    depend only on (noise, h, end).  One stacked convolution covers the
+    warmup window and one the main window, so each window is transformed
+    forward once for all h; field q is byte for byte that of hps[q] alone.
+    The fields vanish at h = 1/2: (None, None) when every h is 1/2, and a
+    list mixing h = 1/2 with h > 1/2 is refused (see synthesis_tables).
     """
-    if hp.is_brownian:
+    c_tables = synthesis_tables(hps, end, grid.step)
+    if c_tables is None:
         return None, None
     m0 = grid.origin_index
-    c_table = hp.c_h * avg_kernel_table(hp, end, grid.step)
-    tail = history_conv(incs, c_table, (0, m0), (m0, end + 1))
-    bh = history_conv(incs, c_table, (m0, end), (m0, end + 1))
+    tail = history_conv(incs, c_tables, (0, m0), (m0, end + 1))
+    bh = history_conv(incs, c_tables, (m0, end), (m0, end + 1))
     bh += tail
-    return np.diff(tail, axis=-1), np.diff(bh, axis=-1)
+    d_bh = np.diff(bh, axis=-1)
+    del bh  # the fields are as large as the paths; hold at most three at once
+    return np.diff(tail, axis=-1), d_bh
 
 
 def _dot(gamma_cells: np.ndarray, field: np.ndarray) -> np.ndarray:
@@ -126,12 +134,15 @@ def delayed_parts_for_cells(gamma_cells: np.ndarray, seg: SegmentGrid, batch: No
     if gamma_cells.shape[-1] < end - m0:
         raise ValueError("gamma_cells does not cover the integration window")
     gamma_cells = gamma_cells[..., :end - m0]
+    if hp.is_brownian:  # the transform is the identity: the left-point sum against dB itself
+        ito = _dot(gamma_cells, incs[..., m0:end])
+        return ito, ito.copy(), np.zeros(ito.shape), np.zeros(ito.shape)
     # d_table[m] = c_h * (A[m+1] - A[m]): the G_H transform's weights, restarted per segment
     d_table = np.diff(hp.c_h * avg_kernel_table(hp, end - m0, grid.step))
     ito = _dot(gamma_cells, block_conv(incs[..., m0:end], d_table, seg_idx - m0))
-    if hp.is_brownian:
-        return ito, ito.copy(), np.zeros(ito.shape), np.zeros(ito.shape)
-    d_tail, d_bh = transforms if transforms is not None else noise_transforms(grid, incs, hp, end)
+    if transforms is None:
+        transforms = noise_transforms(grid, incs, (hp,), end)
+    d_tail, d_bh = (field[0] for field in transforms)
     value = _dot(gamma_cells, d_bh)
     tail = _dot(gamma_cells, d_tail)
     return value, ito, tail, value - ito - tail
@@ -141,8 +152,8 @@ def delayed_integral_batch(gamma: Integrand, seg: SegmentGrid, batch: NoiseBatch
                            hp: HurstParameter, transforms=None):
     """Per-replication delayed integral; returns (value, ito, tail, cross) arrays.
 
-    transforms, when given, is noise_transforms(grid, batch.increments, hp,
-    end) for the segment grid's end lattice index.
+    transforms, when given, is noise_transforms(grid, batch.increments,
+    (hp,), end) for the segment grid's end lattice index.
     """
     if not gamma.segment_predictable_on(seg.breakpoints):
         raise ValueError(
@@ -162,10 +173,10 @@ def delayed_segment(gamma: Integrand, seg_start: float, seg_end: float,
     m0 = grid.origin_index
     cells = gamma.frozen_values_on_cells(grid, incs, np.full(grid.main_steps, a))
     gseg = cells[..., a - m0:b - m0]
+    if hp.is_brownian:
+        return _dot(gseg, incs[..., a:b])
     c_table = hp.c_h * avg_kernel_table(hp, int(b), grid.step)
     ito = _dot(gseg, block_conv(incs[..., a:b], np.diff(c_table), (0, b - a)))
-    if hp.is_brownian:
-        return ito
     prim = history_conv(incs, c_table, (0, a), (a, b + 1))
     return ito + _dot(gseg, np.diff(prim, axis=-1))
 
@@ -184,7 +195,7 @@ def riemann_fbm_integral_batch(gamma: Integrand, n_steps: int, batch: NoiseBatch
     if n_steps < 1 or grid.main_steps % n_steps != 0:
         raise ValueError(f"n_steps must divide the fine grid ({grid.main_steps})")
     stride = grid.main_steps // n_steps
-    coarse = fbm_values(batch.increments, grid, hp)[..., ::stride]
+    coarse = fbm_values(batch.increments, grid, (hp,))[0, ..., ::stride]
     cells = gamma.values_on_cells(grid, batch.increments)
     left = cells[..., ::stride]
     return np.sum(left * np.diff(coarse, axis=-1), axis=-1)
@@ -205,7 +216,7 @@ def extended_integral(gamma: Integrand, hp: HurstParameter, ensemble: NoiseBatch
         xn, _ = x_norm(gamma, ensemble)
         tol = 1e-3 * (xn if xn > 0.0 else 1.0)
     # every level's grid ends at the horizon, so the history primitives are shared
-    transforms = noise_transforms(grid, ensemble.increments, hp, grid.cell_count)
+    transforms = noise_transforms(grid, ensemble.increments, (hp,), grid.cell_count)
     levels, samples = [], []
     gaps, gap_ses = [], []
     converged = False

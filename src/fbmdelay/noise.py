@@ -12,12 +12,20 @@ paths come out of one causal convolution (FFT), `history_conv`; `block_conv`
 restarts one at every block start, for the delayed integral's segments and
 forecast runs.
 
+`history_conv` also takes a stack of kernels that read the same window of
+driving cells (one per Hurst value, say): each row of the window is
+transformed forward once, and its spectrum serves every kernel.  Rows go
+through the transforms in blocks of at most `_FFT_BLOCK_POINTS` FFT points
+(never fewer than `WORKERS` rows), so the spectrum held across the kernels
+stays small whatever the batch.  `fbm_values` and the delayed integral's
+history fields take a list of Hurst values this way.
+
 Both hot layers use every CPU in the process's affinity mask (`WORKERS`):
-the batch draw fills blocks of rows on threads, and a large history
-convolution hands the worker count to pocketfft, which splits the batch
-of rows across threads.  Each row is still drawn from its own stream and
+the batch draw fills blocks of rows on threads, and a large block of a
+history convolution hands the worker count to pocketfft, which splits the
+rows across threads.  Each row is still drawn from its own stream and
 transformed as one 1-D FFT, so the output bytes do not depend on the
-worker count.
+worker count, the row blocks or the number of kernels.
 
 Measurability is structural: any quantity conditioned on time tau is
 computed from increments in cells ending at or before tau, enforced by
@@ -57,9 +65,14 @@ _LATTICE_RTOL = 1e-9
 #: CPUs this process may run on; the batch draw and the large FFTs use all of them
 WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else (os.cpu_count() or 1)
 
-#: a history convolution threads its FFTs from rows * FFT length points on;
+#: a block of a history convolution threads its FFTs from rows * FFT length points on;
 #: threading the small per-segment transforms made the level-10 assembly slower
 _PARALLEL_FFT_POINTS = 2 ** 20
+
+#: a history convolution transforms its rows in blocks of at most this many FFT points
+#: (but at least WORKERS rows, so a long transform still has a row for every thread),
+#: which bounds the spectra and inverse transforms it holds at once
+_FFT_BLOCK_POINTS = 2 ** 21
 
 #: block_conv takes a Toeplitz product up to this block length, an FFT beyond
 _TOEPLITZ_MAX = 256
@@ -219,31 +232,46 @@ def history_conv(incs: np.ndarray, table: np.ndarray | None,
     unit kernel, an exact running sum (h = 1/2); otherwise table[0] is never
     read and table must reach lag j1 - 1 - lo.
 
-    From rows * FFT length >= 2^20 on, the batched transforms run on WORKERS
-    threads.  pocketfft splits the rows among them and transforms each row
-    exactly as a serial call does, so the result is bit-identical for any
-    worker count; smaller inputs stay serial.
+    A (k, lags) table is k kernels on the same cells: the result is
+    (k, ..., j1 - j0), and each row of the window is transformed forward
+    once for all of them, then inverted once per kernel.  Row q of the
+    result is byte for byte the call with table[q] alone.
+
+    Rows are transformed in blocks of at most _FFT_BLOCK_POINTS FFT points,
+    or of WORKERS rows where fewer would fit.  A block of rows * FFT length
+    >= _PARALLEL_FFT_POINTS runs its transforms on WORKERS threads; pocketfft
+    splits the rows among them and transforms each row exactly as a serial
+    call does, so the result is bit-identical for any worker count and block
+    size; smaller blocks stay serial.
     """
     j0, j1 = outputs
     lo = max(cells[0], 0)
     x = incs[..., lo:max(lo, min(cells[1], j1 - 1))]  # cells from j1 - 1 on reach no output
     m = x.shape[-1]
     k0, k1 = max(j0 - lo, 1), j1 - lo  # output lags from lo; lag <= 0 sees no cell
-    out = np.zeros(incs.shape[:-1] + (max(j1 - j0, 0),))
+    kernels = () if table is None else table.shape[:-1]
+    out = np.zeros(kernels + incs.shape[:-1] + (max(j1 - j0, 0),))
     if m == 0 or k1 <= k0:
         return out
     if table is None:
-        y = np.cumsum(x, axis=-1)[..., np.minimum(np.arange(k0, k1), m) - 1]
-    else:
-        if table.shape[-1] < k1:
-            raise ValueError(f"kernel table reaches lag {table.shape[-1] - 1}, need {k1 - 1}")
-        # z = x * table[1:] linearly; y[k] = z[k - 1], kept alias-free for k0 <= k < k1
-        n = _fft.next_fast_len(max(k1 - 1, m + k1 - 1 - k0))
-        workers = WORKERS if x.size // m * n >= _PARALLEL_FFT_POINTS else 1
-        fx = _fft.rfft(x, n, axis=-1, workers=workers)
-        fx *= _fft.rfft(table[1:k1], n)
-        y = _fft.irfft(fx, n, axis=-1, workers=workers)[..., k0 - 1:k1 - 1]
-    out[..., k0 + lo - j0:] = y
+        out[..., k0 + lo - j0:] = np.cumsum(x, axis=-1)[..., np.minimum(np.arange(k0, k1), m) - 1]
+        return out
+    if table.shape[-1] < k1:
+        raise ValueError(f"kernel table reaches lag {table.shape[-1] - 1}, need {k1 - 1}")
+    # z = x * table[1:] linearly; y[k] = z[k - 1], kept alias-free for k0 <= k < k1
+    n = _fft.next_fast_len(max(k1 - 1, m + k1 - 1 - k0))
+    spectra = _fft.rfft(table[..., 1:k1], n, axis=-1).reshape(-1, n // 2 + 1)
+    rows = x.reshape(-1, m)
+    dest = out.reshape(len(spectra), rows.shape[0], out.shape[-1])[..., k0 + lo - j0:]
+    block = max(_FFT_BLOCK_POINTS // n, WORKERS)
+    for r in range(0, rows.shape[0], block):
+        fx = rows[r:r + block]
+        workers = WORKERS if fx.shape[0] * n >= _PARALLEL_FFT_POINTS else 1
+        fx = _fft.rfft(fx, n, axis=-1, workers=workers)
+        prod = fx if len(spectra) == 1 else np.empty_like(fx)
+        for q, spectrum in enumerate(spectra):
+            np.multiply(fx, spectrum, out=prod)
+            dest[q, r:r + block] = _fft.irfft(prod, n, axis=-1, workers=workers)[:, k0 - 1:k1 - 1]
     return out
 
 
@@ -276,19 +304,42 @@ def block_conv(x: np.ndarray, table: np.ndarray, bounds) -> np.ndarray:
     return y.reshape(x.shape)
 
 
+def synthesis_tables(hps, n: int, step: float) -> np.ndarray | None:
+    """c_h * A to lag n for every h in hps, stacked as (len(hps), n + 1).
+
+    None (the unit kernel, an exact running sum) when every h is 1/2; a
+    list that mixes h = 1/2 with h > 1/2 has no one stacked kernel and is
+    refused.
+    """
+    brownian = [hp.is_brownian for hp in hps]
+    if all(brownian):
+        return None
+    if any(brownian):
+        raise ValueError("h = 1/2 is an exact running sum; do not stack it with h > 1/2")
+    return np.stack([hp.c_h * avg_kernel_table(hp, n, step) for hp in hps])
+
+
 def _synthesis_table(hp: HurstParameter, grid: SimulationGrid) -> np.ndarray | None:
     """c_h * A over the whole lattice, or None (the unit kernel) at h = 1/2."""
-    return None if hp.is_brownian else hp.c_h * avg_kernel_table(hp, grid.cell_count, grid.step)
+    tables = synthesis_tables((hp,), grid.cell_count, grid.step)
+    return None if tables is None else tables[0]
 
 
-def fbm_values(incs: np.ndarray, grid: SimulationGrid, hp: HurstParameter) -> np.ndarray:
-    """B_H at the lattice points of [0, horizon]; B_H(0) = 0.  Batched over leading axes."""
-    if not hp.is_brownian and grid.origin_index == 0:
-        raise ValueError("empty warmup window with h > 1/2: truncation error uncontrolled")
+def fbm_values(incs: np.ndarray, grid: SimulationGrid, hps) -> np.ndarray:
+    """B_H at the lattice points of [0, horizon] for each h in hps; B_H(0) = 0.
+
+    Stacked as (len(hps), ..., main_steps + 1) and batched over the leading
+    axes of incs.  hps are all h > 1/2, which share one forward transform of
+    the noise, or all h = 1/2 (see synthesis_tables).
+    """
     m0, n = grid.origin_index, grid.cell_count
-    table = _synthesis_table(hp, grid)
-    # at h = 1/2 the history cancels exactly, so only post-origin cells enter
-    x = history_conv(incs, table, (0 if table is not None else m0, n), (m0, n + 1))
+    tables = synthesis_tables(hps, n, grid.step)
+    if tables is None:  # at h = 1/2 the history cancels exactly, so only post-origin cells enter
+        x = history_conv(incs, None, (m0, n), (m0, n + 1))
+        return np.repeat((x - x[..., :1])[None], len(hps), axis=0)
+    if m0 == 0:
+        raise ValueError("empty warmup window with h > 1/2: truncation error uncontrolled")
+    x = history_conv(incs, tables, (0, n), (m0, n + 1))
     return x - x[..., :1]
 
 
@@ -329,7 +380,7 @@ def process_values(incs: np.ndarray, grid: SimulationGrid, hp: HurstParameter,
     if kind == "B":
         values = history_conv(incs, None, (m0, n), (m0, n + 1))
     elif kind == "B_H":
-        values = fbm_values(incs, grid, hp)
+        values = fbm_values(incs, grid, (hp,))[0]
     elif kind == "W_H":
         values = w_values(incs, grid, hp, m0)
     elif kind == "R_H":

@@ -10,12 +10,14 @@ independent reference for the one built on increment fields.
 import io
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 from scipy import fft as _fft
 
 import fbmdelay.integrands
 import fbmdelay.integrator
+import fbmdelay.noise
 from fbmdelay.kernels import HALF, HurstParameter
 from fbmdelay.integrands import (
     DeterministicIntegrand,
@@ -191,7 +193,7 @@ def decay_gaps_per_level(gamma: Integrand, hp: HurstParameter, levels, nb: Noise
     (m, m + 1), both levels integrated on the level-(m + 1) grid.
     """
     grid = nb.grid
-    pre = noise_transforms(grid, nb.increments, hp, grid.origin_index + grid.main_steps)
+    pre = noise_transforms(grid, nb.increments, (hp,), grid.origin_index + grid.main_steps)
     cells = {n: dyadic_projection(gamma, n, grid).values_on_cells(grid, nb.increments)
              for n in levels}
     gaps = []
@@ -283,4 +285,23 @@ def spy_convolutions(monkeypatch) -> dict:
                 _hits.append(windows if len(windows) > 1 else tuple(windows[0]))
                 return _real(incs, table, *windows)
             monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+def spy_noise_ffts(monkeypatch) -> list:
+    """Record the forward FFTs that history_conv makes of rows of its input.
+
+    Returns a list with one (rows, width, FFT length, workers) entry per
+    call, rows counting every leading index.  The kernel tables are
+    transformed without a worker count and are not recorded.
+    """
+    calls = []
+
+    def rfft(a, n, axis=-1, workers=None):
+        if workers is not None:
+            calls.append((math.prod(a.shape[:-1]), a.shape[-1], n, workers))
+        return _fft.rfft(a, n, axis=axis, workers=workers)
+
+    monkeypatch.setattr(fbmdelay.noise, "_fft", SimpleNamespace(
+        rfft=rfft, irfft=_fft.irfft, next_fast_len=_fft.next_fast_len))
     return calls

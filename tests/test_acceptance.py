@@ -118,7 +118,7 @@ def test_c05_telescoping_identity():
     worst = 0.0
     for h in (0.6, 0.9):
         hp = hurst_constant(h)
-        bh = fbm_values(nb.increments, GRID, hp)
+        bh = fbm_values(nb.increments, GRID, (hp,))[0]
         want = bh[:, -1] - bh[:, 0]
         for level in (0, 3):
             value, _, _, _ = delayed_integral_batch(one, SegmentGrid.dyadic(1.0, level), nb, hp)
@@ -143,7 +143,7 @@ def test_c06_piecewise_constant_consistency():
     for h in (0.6, 0.75):
         hp = hurst_constant(h)
         value, _, _, _ = delayed_integral_batch(gamma, SegmentGrid.dyadic(1.0, 3), nb, hp)
-        bh = fbm_values(nb.increments, GRID, hp)
+        bh = fbm_values(nb.increments, GRID, (hp,))[0]
         riem = np.sum(vals * np.diff(bh[:, :: GRID.main_steps // n_seg], axis=-1), axis=-1)
         rel = np.abs(value - riem) / np.maximum(np.abs(riem), 1e-3)
         worst = max(worst, float(rel.max()))

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from fbmdelay.cli import parse_and_dispatch
+from fbmdelay.experiments import DeskConfig, continuity_study, nonconvergence_demo
 from oracles import spy_convolutions
 
 FAST = ["--steps", "128", "--warmup", "1.0"]
@@ -32,6 +33,7 @@ def test_simulate_writes_csv_and_manifest(tmp_path, capsys):
     assert len(lines) == 2 + 129
     manifest = json.loads((tmp_path / "path.csv.manifest.json").read_text())
     assert manifest["config"]["command"] == "simulate"
+    assert "noise_checksum" not in manifest
 
 
 def test_integrate_constant_equals_simulated_endpoint(tmp_path, capsys):
@@ -150,6 +152,28 @@ def test_manifest_replay_is_byte_identical(tmp_path, capsys):
     assert _run(["--manifest", str(manifest)], capsys)[0] == 0
     assert out.read_bytes() == first
     assert manifest.read_bytes() == first_manifest
+
+
+@pytest.mark.parametrize("command", ["continuity", "nonconv"])
+def test_study_manifests_record_the_noise_checksum(tmp_path, capsys, command):
+    """The manifest carries the study's noise checksum, and a replay rewrites it byte for byte."""
+    out = tmp_path / "study.csv"
+    argv = [command, "--hurst-list", "0.7,0.51", "--reps", "40", "--seed", "3", *FAST,
+            "--out", str(out)]
+    if command == "continuity":
+        argv += ["--integrand", "pp:bm:4"]
+    assert _run(argv, capsys)[0] == 0
+    manifest = out.with_suffix(".csv.manifest.json")
+    first = manifest.read_bytes()
+    desk = DeskConfig(steps=128, warmup=1.0)
+    if command == "continuity":
+        want = continuity_study("pp:bm:4", [0.7, 0.51], 40, 3, config=desk).noise_checksum
+    else:
+        want = nonconvergence_demo([0.7, 0.51], 40, 3, config=desk)[0].noise_checksum
+    assert json.loads(first)["noise_checksum"] == want
+    out.unlink()
+    assert _run(["--manifest", str(manifest)], capsys)[0] == 0
+    assert manifest.read_bytes() == first
 
 
 def test_no_command_prints_usage(capsys):

@@ -1,5 +1,6 @@
 """Experiment drivers: estimator contracts, qualification rules, file formats."""
 
+import functools
 import json
 import os
 import subprocess
@@ -7,6 +8,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import fbmdelay.experiments
 import fbmdelay.noise
@@ -39,7 +41,7 @@ from fbmdelay.integrands import (
     QuadraticBrownianIntegrand,
     SegmentGrid,
 )
-from oracles import decay_gaps_per_level, spy_convolutions
+from oracles import decay_gaps_per_level, spy_convolutions, spy_noise_ffts
 
 SMALL = DeskConfig(steps=512, warmup=2.0, chunk=128)
 H75 = hurst_constant(0.75)
@@ -195,6 +197,47 @@ def test_common_random_numbers_across_hurst_lists():
         (inside.gaps[1], inside.std_errors[1], inside.noise_checksum)
     assert nonconvergence_demo([0.51], 150, 5, config=SMALL)[0] == \
         nonconvergence_demo([0.75, 0.51], 150, 5, config=SMALL)[1]
+
+
+CRN_POOL = (0.5, 0.51, 0.55, 0.6, 0.75, 0.9)
+
+
+@functools.cache
+def _alone(h):
+    """(continuity gap, se, checksum) and the nonconv row of h, each from a list of h alone."""
+    curve = None if h == 0.5 else continuity_study("pp:bm:8", [h], 40, 5, config=SMALL)
+    cont = None if curve is None else (curve.gaps[0], curve.std_errors[0], curve.noise_checksum)
+    return cont, nonconvergence_demo([h], 40, 5, config=SMALL)[0]
+
+
+@given(hursts=st.lists(st.sampled_from(CRN_POOL), min_size=1, max_size=5, unique=True))
+@settings(max_examples=25, deadline=None)
+def test_every_hurst_value_sees_the_same_noise_in_any_list(hursts):
+    """Each h's results are bit-identical alone and inside any list and order of h."""
+    rough = [h for h in hursts if h != 0.5]
+    if rough:
+        curve = continuity_study("pp:bm:8", rough, 40, 5, config=SMALL)
+        for h, gap, se in zip(rough, curve.gaps, curve.std_errors):
+            assert (gap, se, curve.noise_checksum) == _alone(h)[0]
+    for h, row in zip(hursts, nonconvergence_demo(hursts, 40, 5, config=SMALL)):
+        assert row == _alone(h)[1]
+
+
+@pytest.mark.parametrize("spec", ["det:const:1.0", "pp:bm:8"])
+def test_continuity_transforms_each_noise_window_once_for_every_h(monkeypatch, spec):
+    """One chunk, 4 h: every row of the warmup and of the main window is transformed forward once.
+
+    The values come straight off the B_H increment field, so no h makes a
+    segment block convolution either.
+    """
+    grid = SMALL.grid()
+    ffts = spy_noise_ffts(monkeypatch)
+    calls = spy_convolutions(monkeypatch)
+    reps = 6
+    continuity_study(spec, [0.7, 0.6, 0.55, 0.51], reps, 5, config=SMALL)
+    for window in (grid.origin_index, grid.main_steps):
+        assert sum(rows for rows, width, _, _ in ffts if width == window) == reps
+    assert calls["integrator.block_conv"] == []
 
 
 @pytest.mark.parametrize("spec,h", [("bm", 0.75), ("fbm:0.75", 0.6), ("rl:0.7", 0.7), ("bm2", 0.6)])

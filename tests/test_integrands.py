@@ -178,7 +178,7 @@ def test_projection_of_brownian_freezes_at_cell_starts():
 def test_projection_is_piecewise_predictable_member():
     g = dyadic_projection(FbmIntegrand(0.75), 4, GRID)
     assert isinstance(g, PiecewisePredictableIntegrand)
-    assert g.predictability_eps == pytest.approx(1.0 / 16)
+    assert g.grid.min_spacing == pytest.approx(1.0 / 16)
     assert g.segment_predictable_on(SegmentGrid.dyadic(1.0, 4).breakpoints)
     assert g.segment_predictable_on(SegmentGrid.dyadic(1.0, 6).breakpoints)      # finer host
     assert not g.segment_predictable_on(SegmentGrid.dyadic(1.0, 2).breakpoints)  # coarser host

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import fbmdelay.integrands
 import fbmdelay.integrator
+from fbmdelay.experiments import _integration_plan, parse_integrand
 from fbmdelay.kernels import hurst_constant
 from fbmdelay.integrands import (
     BrownianIntegrand,
@@ -51,7 +52,7 @@ ONE = DeterministicIntegrand.constant(1.0)
 
 def _bh(hp):
     """B_H on the lattice of [0, 1] along INCS."""
-    return fbm_values(INCS, GRID, hp)
+    return fbm_values(INCS, GRID, (hp,))[0]
 
 
 def _integral(gamma, seg, hp):
@@ -221,6 +222,27 @@ def test_delayed_segment_brownian_case():
     assert got == pytest.approx(want, abs=1e-12)
 
 
+def test_history_fields_vanish_at_the_brownian_value():
+    """Only h = 1/2 gives no fields; a list mixing it with h > 1/2 is refused."""
+    end = GRID.cell_count
+    assert noise_transforms(GRID, INCS, (H5, H5), end) == (None, None)
+    with pytest.raises(ValueError, match="running sum"):
+        noise_transforms(GRID, INCS, (H75, H5), end)
+
+
+@pytest.mark.parametrize("spec", ["det:const:1.0", "pp:bm:8", "fbm:0.75"])
+@pytest.mark.parametrize("horizon", [1.0, 0.7])
+def test_brownian_value_is_exactly_the_ito_sum(spec, horizon):
+    """At h = 1/2 the value and the Ito part are sum gamma dB to the last bit, on any step."""
+    grid = make_grid(horizon, 512, warmup=2.0)
+    gamma, seg = _integration_plan(parse_integrand(spec, horizon), grid, 4)
+    batch = generate_noise_batch(3, grid, 16)
+    value, ito, tail, cross = delayed_integral_batch(gamma, seg, batch, H5)
+    want = ito_integral_batch(gamma, batch)
+    assert value.tobytes() == want.tobytes() and ito.tobytes() == want.tobytes()
+    assert not np.any(tail) and not np.any(cross)
+
+
 # ---------------------------------------------------------------------------
 # classical baselines
 # ---------------------------------------------------------------------------
@@ -386,7 +408,7 @@ def test_parts_match_the_per_segment_assembly(gamma, h, level, gaps, uniform):
     d_table = np.diff(hp.c_h * avg_kernel_table(hp, end - m0, GRID.step))
     fields = np.abs(block_conv(incs[:, m0:end], d_table, seg_idx - m0))
     if not hp.is_brownian:
-        fields += sum(np.abs(f) for f in noise_transforms(GRID, incs, hp, end))
+        fields += sum(np.abs(f[0]) for f in noise_transforms(GRID, incs, (hp,), end))
     size = np.sum(np.abs(cells[:, :end - m0]) * fields, axis=-1)
     for g, w in zip(got, want):
         assert np.all(np.abs(g - w) <= 1e-12 * size)

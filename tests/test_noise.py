@@ -30,7 +30,7 @@ from fbmdelay.noise import (
     r_values,
     w_values,
 )
-from oracles import path_csv_string, reference_draw, synthesize_dr, synthesize_w
+from oracles import path_csv_string, reference_draw, spy_noise_ffts, synthesize_dr, synthesize_w
 
 KINDS = ("B", "B_H", "W_H", "R_H", "DR_H")
 
@@ -152,7 +152,7 @@ def test_increment_decomposition_pathwise(incs, grid):
     """B_H(t) - B_H(seg) = W_H(t) + R_H(t) on the whole lattice."""
     for seg_start in (0.0, 0.25):
         idx = grid.index_of(seg_start)
-        x = fbm_values(incs, grid, H75)
+        x = fbm_values(incs, grid, (H75,))[0]
         w = w_values(incs, grid, H75, idx)
         r = r_values(incs, grid, H75, idx)
         rel = idx - grid.origin_index
@@ -266,7 +266,7 @@ def test_dr_pointwise_mc_matches_discrete_expectation(mc_batch, grid):
 
 
 def test_fbm_moments_mc(mc_batch, grid):
-    bh = fbm_values(mc_batch.increments, grid, H75)
+    bh = fbm_values(mc_batch.increments, grid, (H75,))[0]
     v1 = bh[:, -1] ** 2
     est = float(np.mean(v1))
     se = float(np.std(v1, ddof=1) / math.sqrt(v1.size))
@@ -281,7 +281,7 @@ def test_fbm_moments_mc(mc_batch, grid):
 
 
 def test_fbm_terminal_value_gaussian(mc_batch, grid):
-    bh1 = fbm_values(mc_batch.increments, grid, H75)[:, -1]
+    bh1 = fbm_values(mc_batch.increments, grid, (H75,))[0, :, -1]
     n = bh1.size
     z = (bh1 - bh1.mean()) / bh1.std()
     skew = float(np.mean(z ** 3))
@@ -373,6 +373,58 @@ def test_history_conv_is_identical_for_any_worker_count(monkeypatch, rows, cells
         assert other.tobytes() == outs[0].tobytes()
 
 
+@given(lead=st.sampled_from([(), (1,), (4,), (5,), (2, 3)]), block_rows=st.integers(0, 5),
+       kernels=st.integers(1, 3), window=st.sampled_from(["all", "history", "main"]),
+       threaded=st.booleans(), seed=st.integers(0, 2 ** 16))
+@example(lead=(4,), block_rows=4, kernels=3, window="history", threaded=True, seed=1)   # rows fill a block
+@example(lead=(5,), block_rows=4, kernels=3, window="history", threaded=False, seed=2)  # one row spills over
+@example(lead=(2, 3), block_rows=4, kernels=2, window="main", threaded=True, seed=3)    # 3-D, two blocks
+@example(lead=(2, 3), block_rows=0, kernels=2, window="all", threaded=True, seed=4)     # budget below one row
+@settings(max_examples=60, deadline=None)
+def test_stacked_history_conv_equals_one_call_per_kernel(lead, block_rows, kernels, window, threaded, seed):
+    """A (k, lags) table gives, per kernel, the bytes of its own call, in any row blocks, threaded or not.
+
+    A block never holds fewer than WORKERS rows, so a transform too long
+    for the point budget (block_rows < WORKERS) still has a row per thread.
+    """
+    n_cells, m0 = 200, 120
+    cells, outputs = {"all": ((0, n_cells), (0, n_cells + 1)),
+                      "history": ((0, m0), (m0, n_cells + 1)),
+                      "main": ((m0, n_cells), (m0, n_cells + 1))}[window]
+    x = np.random.default_rng(seed).standard_normal(lead + (n_cells,))
+    hps = [hurst_constant(h) for h in (0.51, 0.75, 0.95)[:kernels]]
+    tables = np.stack([hp.c_h * avg_kernel_table(hp, n_cells, 1.0 / n_cells) for hp in hps])
+    want = [history_conv(x, table, cells, outputs) for table in tables]  # one serial block each
+    with pytest.MonkeyPatch.context() as mp:
+        blocks = spy_noise_ffts(mp)
+        history_conv(x, tables[0], cells, outputs)
+        n = blocks[-1][2]  # the FFT length of this window
+        blocks.clear()
+        mp.setattr(fbmdelay.noise, "_FFT_BLOCK_POINTS", block_rows * n + n // 2)
+        mp.setattr(fbmdelay.noise, "WORKERS", 3)
+        mp.setattr(fbmdelay.noise, "_PARALLEL_FFT_POINTS", 1 if threaded else 2 ** 62)
+        got = history_conv(x, tables, cells, outputs)
+    rows, size = math.prod(lead), max(block_rows, 3)
+    assert [b[0] for b in blocks] == [min(size, rows - r) for r in range(0, rows, size)]
+    assert {b[3] for b in blocks} == {3 if threaded else 1}
+    assert got.shape == (kernels,) + want[0].shape
+    for q in range(kernels):
+        assert got[q].tobytes() == want[q].tobytes()
+
+
+def test_fbm_values_stacks_a_list_of_hurst_values(incs, grid):
+    """Each h of a list gets the bytes of its own call; h = 1/2 never shares a list with h > 1/2."""
+    hs = (0.9, 0.75, 0.51)
+    alone = [fbm_values(incs, grid, (hurst_constant(h),))[0] for h in hs]
+    stacked = fbm_values(incs, grid, [hurst_constant(h) for h in hs])
+    assert [row.tobytes() for row in stacked] == [row.tobytes() for row in alone]
+    brownian = fbm_values(incs, grid, (H5, H5))
+    b = process_values(incs, grid, H5, "B")[1]
+    assert brownian[0].tobytes() == brownian[1].tobytes() == b.tobytes()
+    with pytest.raises(ValueError, match="running sum"):
+        fbm_values(incs, grid, (H75, H5))
+
+
 def test_history_conv_rejects_short_tables():
     with pytest.raises(ValueError, match="lag"):
         history_conv(np.ones(20), avg_kernel_table(H75, 10, 0.1), (0, 20), (0, 21))
@@ -454,7 +506,7 @@ def test_process_path_kinds_and_csv(noise, incs, grid, tmp_path, capsys):
     assert lines[2] == "0.0,0.0"
     # shortest-roundtrip floats: parsing back reproduces the values exactly
     t, v = lines[-1].split(",")
-    assert float(v) == fbm_values(incs, grid, H75)[-1]
+    assert float(v) == fbm_values(incs, grid, (H75,))[0, -1]
 
     # CLI simulate writes row 0 of the batch of one, for every kind; B is the h = 1/2 path
     grid_args = ["--steps", "512", "--warmup", "4.0"]
