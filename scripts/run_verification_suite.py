@@ -70,7 +70,7 @@ def main() -> int:
 
     write_nonconv_csv(put("nonconv.csv"),
                       nonconvergence_demo([0.51, 0.6, 0.75], 4 * reps_curves,
-                                          SEEDS["nonconv"], 1.0, cfg))
+                                          SEEDS["nonconv"], cfg))
 
     for spec, tag in [("det:const:1.0", "det"), ("fbm:0.75", "fbm075"), ("pp:bm:8", "ppbm8")]:
         curve = continuity_study(spec, [0.7, 0.6, 0.55, 0.51], reps_curves,

@@ -3,8 +3,9 @@
 Flags over config files; every run writes its outputs plus a JSON manifest
 that replays the run byte-for-byte via --manifest.  The manifests of the
 multi-Hurst studies (continuity, nonconv) also record the checksum of the
-noise they consumed.  Relative output paths
-resolve against $FBMDELAY_OUT when it is set.
+noise they consumed.  A setting that a command's flags leave out (--kind,
+--level, --levels) takes its one default from RunConfig.  Relative output
+paths resolve against $FBMDELAY_OUT when it is set.
 """
 
 from __future__ import annotations
@@ -103,12 +104,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("simulate", help="export one simulated path as CSV")
     common(sp)
-    sp.add_argument("--kind", default="B_H", help="one of " + ", ".join(PROCESS_KINDS))
+    sp.add_argument("--kind", default=argparse.SUPPRESS, help="one of " + ", ".join(PROCESS_KINDS))
 
     sp = sub.add_parser("integrate", help="delayed integral of an integrand on one path (JSON)")
     common(sp)
     sp.add_argument("--integrand", default="det:const:1.0")
-    sp.add_argument("--level", type=int, default=8,
+    sp.add_argument("--level", type=int, default=argparse.SUPPRESS,
                     help="dyadic projection level for non-predictable integrands")
 
     sp = sub.add_parser("verify-moments", help="MC check of the history-derivative moment identities")
@@ -124,17 +125,17 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("decay", help="level-to-level gaps of the dyadic extension")
     common(sp)
     sp.add_argument("--integrand", default="bm")
-    sp.add_argument("--levels", default="4:10", help="coarse:fine consecutive dyadic levels")
+    sp.add_argument("--levels", default=argparse.SUPPRESS, help="coarse:fine consecutive dyadic levels")
     return p
 
 
 def _config_from_args(args) -> RunConfig:
     hurst = tuple(float(x) for x in args.hurst_list.split(",")) if hasattr(args, "hurst_list") \
         else (float(args.hurst),)
-    levels = tuple(range(4, 11))
-    if getattr(args, "levels", None):
-        lo, hi = (int(x) for x in str(args.levels).split(":"))
-        levels = tuple(range(lo, hi + 1))
+    given = {key: getattr(args, key) for key in ("kind", "level") if hasattr(args, key)}
+    if hasattr(args, "levels"):
+        lo, hi = (int(x) for x in args.levels.split(":"))
+        given["levels"] = tuple(range(lo, hi + 1))
     return RunConfig(
         command=args.command,
         hurst=hurst,
@@ -146,9 +147,7 @@ def _config_from_args(args) -> RunConfig:
         seed=args.seed,
         tol=args.tol,
         out=_resolve_out(args.out),
-        kind=getattr(args, "kind", "B_H"),
-        level=getattr(args, "level", 8),
-        levels=levels,
+        **given,
     )
 
 
@@ -188,7 +187,7 @@ def _run(cfg: RunConfig) -> list[str]:
         write_continuity_csv(cfg.out, curve)
         record["noise_checksum"] = curve.noise_checksum
     elif cfg.command == "nonconv":
-        rows = nonconvergence_demo(cfg.hurst, cfg.reps, cfg.seed, cfg.horizon, desk)
+        rows = nonconvergence_demo(cfg.hurst, cfg.reps, cfg.seed, desk)
         write_nonconv_csv(cfg.out, rows)
         record["noise_checksum"] = rows[0].noise_checksum
     elif cfg.command == "decay":

@@ -37,6 +37,7 @@ from .integrands import (
 from .integrator import (
     MIN_CELLS_PER_SEGMENT,
     _dot,
+    _fit_slope,
     _segment_lattice_indices,
     delayed_parts_for_cells,
     noise_transforms,
@@ -45,7 +46,6 @@ from .noise import (
     NoiseBatch,
     SimulationGrid,
     discrete_dr_energy,
-    discrete_dr_second_moment,
     discrete_fbm_cov,
     dr_energy_closed_form,
     dr_pointwise_closed_form,
@@ -191,7 +191,7 @@ def verify_dr_moments(hp: HurstParameter, span: float, reps: int, seed: int,
 
     p_closed = dr_pointwise_closed_form(hp, span)
     e_closed = dr_energy_closed_form(hp, span) if not hp.is_brownian else 0.0
-    p_budget = abs(p_closed - discrete_dr_second_moment(grid, hp, m0, span))
+    p_budget = abs(p_closed - discrete_dr_energy(grid, hp, m0, eval_idx[-1:], np.ones(1)))
     e_budget = abs(e_closed - discrete_dr_energy(grid, hp, m0, eval_idx, quad_w))
     return DrMomentReport(
         h=hp.h, span=span,
@@ -264,7 +264,7 @@ class NonConvergenceRow:
     noise_checksum: int
 
 
-def nonconvergence_demo(hursts, reps: int, seed: int, horizon: float = 1.0,
+def nonconvergence_demo(hursts, reps: int, seed: int,
                         config: DeskConfig = DESK) -> list[NonConvergenceRow]:
     """Gap E int B_H dB_H - E int B dB per Hurst value; it does not vanish as h drops to 1/2.
 
@@ -273,8 +273,8 @@ def nonconvergence_demo(hursts, reps: int, seed: int, horizon: float = 1.0,
     the refinement tolerance) and from the quadratic-identity limit object
     0.5 B_H(T)^2, which is the n -> infinity value of the sums.
     """
-    grid = make_grid(horizon, config.steps, config.warmup)
-    n, m0 = grid.main_steps, grid.origin_index
+    grid = config.grid()
+    horizon, n, m0 = grid.horizon, grid.main_steps, grid.origin_index
     hps = [hurst_constant(h) for h in hursts]
     rough = [hp for hp in hps if not hp.is_brownian]
 
@@ -394,8 +394,6 @@ def continuity_study(gamma: Integrand | str, hursts, reps: int, seed: int,
         if hp.is_brownian:
             raise ValueError("the baseline h = 1/2 is implicit; pass only h > 1/2 values")
     half = hurst_constant(HALF)
-    if not integrand.segment_predictable_on(seg.breakpoints):
-        raise ValueError("integration plan produced a non-predictable integrand")
     # refuse a grid the lattice cannot carry before any draw
     end = int(_segment_lattice_indices(grid, seg)[-1])
 
@@ -440,13 +438,6 @@ class DecayStudy:
     integrand_spec: str
     h: float
     seed: int
-
-
-def _fit_slope(levels, gaps) -> float | None:
-    g = np.asarray(gaps)
-    if np.any(g <= 0.0) or g.size < 2:
-        return None
-    return float(np.polyfit(np.asarray(levels, dtype=float), np.log2(g), 1)[0])
 
 
 def cauchy_decay_study(gamma: Integrand | str, hp: HurstParameter, levels, reps: int,

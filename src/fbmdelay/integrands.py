@@ -63,7 +63,6 @@ class Integrand(ABC):
 
     #: known forecast-variance growth exponent nu (E Var_tau ~ (t-tau)^(1+nu))
     nu_exponent: float | None = None
-    has_cond_exp: bool = True
 
     def cond_var(self, tau: float, t: float) -> float:
         raise IntegrandCapabilityError(f"{type(self).__name__} has no conditional-variance rule")
@@ -245,13 +244,9 @@ class BrownianIntegrand(_PowerKernelIntegrand):
 
     def __init__(self):
         super().__init__(hurst_constant(HALF), include_history=False, start=0.0)
-        self.nu_exponent = 0.0
 
     def second_moment(self, t):
         return float(t)
-
-    def spec_string(self):
-        return "bm"
 
 
 class FbmIntegrand(_PowerKernelIntegrand):
@@ -262,9 +257,6 @@ class FbmIntegrand(_PowerKernelIntegrand):
 
     def second_moment(self, t):
         return float(t) ** (2 * self.hp1.h)
-
-    def spec_string(self):
-        return f"fbm:{self.hp1.h!r}"
 
 
 class RlFbmIntegrand(_PowerKernelIntegrand):
@@ -361,8 +353,6 @@ class PiecewisePredictableIntegrand(Integrand):
     """
 
     def __init__(self, inner: Integrand, grid: SegmentGrid):
-        if not inner.has_cond_exp:
-            raise IntegrandCapabilityError("inner integrand has no conditional-expectation rule")
         self.inner = inner
         self.grid = grid
         self.nu_exponent = None
@@ -415,8 +405,6 @@ def dyadic_projection(gamma: Integrand, n: int, grid: SimulationGrid | None) -> 
     """
     if n < 0:
         raise ValueError("level must be >= 0")
-    if not gamma.has_cond_exp:
-        raise IntegrandCapabilityError("integrand has no conditional-expectation rule")
     if isinstance(gamma, DeterministicIntegrand):
         return gamma
     if grid is None:

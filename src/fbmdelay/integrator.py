@@ -19,7 +19,9 @@ dot product of gamma with an increment field of the noise, h and the grid:
   accumulated since the origin before each segment starts.
 
 At h = 1/2 the transform is the identity and both history parts vanish,
-so value is the left-point Ito sum.
+so value is the left-point Ito sum.  Since value does not depend on the
+segment grid, one segment [a, b] (`delayed_segment`) is the value part on
+the grid (0, b) with the integrand set to zero before a.
 """
 
 from __future__ import annotations
@@ -149,36 +151,34 @@ def delayed_parts_for_cells(gamma_cells: np.ndarray, seg: SegmentGrid, batch: No
 
 
 def delayed_integral_batch(gamma: Integrand, seg: SegmentGrid, batch: NoiseBatch,
-                           hp: HurstParameter, transforms=None):
-    """Per-replication delayed integral; returns (value, ito, tail, cross) arrays.
-
-    transforms, when given, is noise_transforms(grid, batch.increments,
-    (hp,), end) for the segment grid's end lattice index.
-    """
+                           hp: HurstParameter):
+    """Per-replication delayed integral; returns (value, ito, tail, cross) arrays."""
     if not gamma.segment_predictable_on(seg.breakpoints):
         raise ValueError(
             "integrand is not measurable at the segment left endpoints; "
             "the delayed integral is undefined on this class (freeze it or refine its grid)")
     cells = gamma.values_on_cells(batch.grid, batch.increments)
-    return delayed_parts_for_cells(cells, seg, batch, hp, transforms)
+    return delayed_parts_for_cells(cells, seg, batch, hp)
 
 
 def delayed_segment(gamma: Integrand, seg_start: float, seg_end: float,
                     batch: NoiseBatch, hp: HurstParameter) -> np.ndarray:
-    """Single-segment delayed integral per replication; gamma is frozen at seg_start via its forecast rule."""
-    grid, incs = batch.grid, batch.increments
+    """Single-segment delayed integral per replication; gamma is frozen at seg_start via its forecast rule.
+
+    The delayed integral is the value part sum gamma dB_H of the common
+    assembly, which does not depend on the segment grid: it is read off the
+    grid (0, seg_end), with the frozen cells before seg_start set to zero.
+    """
+    grid = batch.grid
+    if seg_start < grid.origin:
+        raise ValueError(f"seg_start={seg_start} lies before the origin; segments start at 0 or later")
     a, b = grid.index_of(seg_start), grid.index_of(seg_end)
     if b - a < MIN_CELLS_PER_SEGMENT:
         raise ValueError(f"degenerate segment: fewer than {MIN_CELLS_PER_SEGMENT} fine cells")
-    m0 = grid.origin_index
-    cells = gamma.frozen_values_on_cells(grid, incs, np.full(grid.main_steps, a))
-    gseg = cells[..., a - m0:b - m0]
-    if hp.is_brownian:
-        return _dot(gseg, incs[..., a:b])
-    c_table = hp.c_h * avg_kernel_table(hp, int(b), grid.step)
-    ito = _dot(gseg, block_conv(incs[..., a:b], np.diff(c_table), (0, b - a)))
-    prim = history_conv(incs, c_table, (0, a), (a, b + 1))
-    return ito + _dot(gseg, np.diff(prim, axis=-1))
+    cells = gamma.frozen_values_on_cells(grid, batch.increments, np.full(grid.main_steps, a))
+    cells[..., :a - grid.origin_index] = 0.0
+    value, _, _, _ = delayed_parts_for_cells(cells, SegmentGrid((grid.origin, seg_end)), batch, hp)
+    return value
 
 
 def ito_integral_batch(gamma: Integrand, batch: NoiseBatch) -> np.ndarray:
@@ -199,6 +199,14 @@ def riemann_fbm_integral_batch(gamma: Integrand, n_steps: int, batch: NoiseBatch
     cells = gamma.values_on_cells(grid, batch.increments)
     left = cells[..., ::stride]
     return np.sum(left * np.diff(coarse, axis=-1), axis=-1)
+
+
+def _fit_slope(levels, gaps) -> float | None:
+    """Least-squares slope of log2(gaps) against levels; None unless there are two or more gaps, all positive."""
+    g = np.asarray(gaps)
+    if np.any(g <= 0.0) or g.size < 2:
+        return None
+    return float(np.polyfit(np.asarray(levels, dtype=float), np.log2(g), 1)[0])
 
 
 def extended_integral(gamma: Integrand, hp: HurstParameter, ensemble: NoiseBatch,
@@ -237,18 +245,16 @@ def extended_integral(gamma: Integrand, hp: HurstParameter, ensemble: NoiseBatch
                 break
     samples = np.asarray(samples)
     gaps = np.asarray(gaps)
-    fitted = None
     pos = gaps > 0.0
-    if pos.sum() >= 2:
-        lv = np.asarray(levels[1:], dtype=float)[pos]
-        fitted = float(-np.polyfit(lv, np.log2(gaps[pos]), 1)[0])
+    slope = _fit_slope(np.asarray(levels[1:])[pos], gaps[pos])
     target = None
     if gamma.nu_exponent is not None and not hp.is_brownian and math.isfinite(gamma.nu_exponent):
         target = gamma.nu_exponent / 2.0 + hp.h - 0.5
     return ExtensionTrace(
         levels=tuple(levels), samples=samples, means=samples.mean(axis=-1),
         gaps=gaps, gap_ses=np.asarray(gap_ses), stopping_level=stopping,
-        converged=converged, tol=float(tol), fitted_rate=fitted, target_rate=target,
+        converged=converged, tol=float(tol), fitted_rate=None if slope is None else -slope,
+        target_rate=target,
     )
 
 

@@ -10,7 +10,8 @@ each noise cell, divided by the step, applied to the increment.  On the
 uniform lattice those weights are a function of the index lag only, so whole
 paths come out of one causal convolution (FFT), `history_conv`; `block_conv`
 restarts one at every block start, for the delayed integral's segments and
-forecast runs.
+forecast runs.  The DR_H weights, differences of powers u^(h-1/2), are taken
+through expm1/log1p so that they keep their relative precision as h -> 1/2.
 
 `history_conv` also takes a stack of kernels that read the same window of
 driving cells (one per Hurst value, say): each row of the window is
@@ -210,14 +211,20 @@ def avg_kernel_table(hp: HurstParameter, n: int, step: float) -> np.ndarray:
 
 
 def dr_kernel_table(hp: HurstParameter, n: int, step: float) -> np.ndarray:
-    """D[m] = cell average of f'_t = (h-1/2) u^(h-3/2) at lag m; D[0] = 0."""
+    """D[m] = cell average of f'_t = (h-1/2) u^(h-3/2) at lag m; D[0] = 0.
+
+    D[m] = ((m step)^p - ((m-1) step)^p) / step with p = h - 1/2.  Lag 1 is
+    step^p / step; from lag 2 on the difference is taken as
+    ((m-1) step)^p expm1(p log1p(1/(m-1))) / step, which keeps full relative
+    precision as p -> 0, where the plain difference of powers cancels.
+    """
     if hp.is_brownian:
         return np.zeros(n + 1)
-    m = np.arange(n + 1, dtype=float)
     p = hp.h - HALF
-    out = np.empty(n + 1)
-    out[0] = 0.0
-    out[1:] = ((m[1:] * step) ** p - ((m[1:] - 1.0) * step) ** p) / step
+    k = np.arange(1, n, dtype=float)  # k = m - 1 for the lags m = 2..n
+    out = np.zeros(n + 1)
+    out[1:2] = step ** p / step
+    out[2:] = (k * step) ** p * np.expm1(p * np.log1p(1.0 / k)) / step
     return out
 
 
@@ -334,13 +341,13 @@ def fbm_values(incs: np.ndarray, grid: SimulationGrid, hps) -> np.ndarray:
     """
     m0, n = grid.origin_index, grid.cell_count
     tables = synthesis_tables(hps, n, grid.step)
-    if tables is None:  # at h = 1/2 the history cancels exactly, so only post-origin cells enter
-        x = history_conv(incs, None, (m0, n), (m0, n + 1))
-        return np.repeat((x - x[..., :1])[None], len(hps), axis=0)
+    if tables is None:  # at h = 1/2 the history cancels exactly: only post-origin cells enter, B(0) = 0
+        return np.repeat(history_conv(incs, None, (m0, n), (m0, n + 1))[None], len(hps), axis=0)
     if m0 == 0:
         raise ValueError("empty warmup window with h > 1/2: truncation error uncontrolled")
     x = history_conv(incs, tables, (0, n), (m0, n + 1))
-    return x - x[..., :1]
+    x -= x[..., :1]
+    return x
 
 
 def w_values(incs: np.ndarray, grid: SimulationGrid, hp: HurstParameter, seg_idx: int) -> np.ndarray:
@@ -432,29 +439,24 @@ def discrete_fbm_cov(grid: SimulationGrid, hp: HurstParameter, t1: float, t2: fl
     return float(grid.step * np.dot(w1, w2))
 
 
-def discrete_dr_second_moment(grid: SimulationGrid, hp: HurstParameter, seg_idx: int, t: float) -> float:
-    """Exact E DR_H(t)^2 of the discrete synthesis with history cut at the grid start."""
-    if hp.is_brownian:
-        return 0.0
-    edges = grid.edges()
-    a = np.minimum(edges[:-1], edges[seg_idx])
-    b = np.minimum(edges[1:], edges[seg_idx])
-    p = hp.h - HALF
-    w = hp.c_h * ((t - a) ** p - (t - b) ** p) / grid.step
-    return float(grid.step * np.dot(w, w))
-
-
 def discrete_dr_energy(grid: SimulationGrid, hp: HurstParameter, seg_idx: int,
                        eval_idx: np.ndarray, quad_weights: np.ndarray) -> float:
-    """Exact expectation of sum_l quad_weights[l] * DR_H(t_{eval_idx[l]})^2."""
+    """Exact expectation of sum_l quad_weights[l] * DR_H(t_{eval_idx[l]})^2, history cut at the grid start.
+
+    One evaluation point with weight 1 is the pointwise second moment E DR_H(t)^2.
+    """
     if hp.is_brownian:
         return 0.0
     eval_idx = np.asarray(eval_idx)
-    j0 = int(eval_idx.min())
-    table = dr_kernel_table(hp, grid.cell_count, grid.step)
-    sq = hp.c_h ** 2 * history_conv(np.ones(seg_idx), table ** 2, (0, seg_idx),
-                                    (j0, int(eval_idx.max()) + 1)) * grid.step
-    return float(np.dot(quad_weights, sq[eval_idx - j0]))
+    if eval_idx.min() < seg_idx:
+        raise ValueError("DR_H is evaluated at lattice points from seg_idx on")
+    # DR_H(t_j) weighs cell i < seg_idx with c_h D[j - i], so its second moment is step c_h^2
+    # times the sum of D^2 over lags j - seg_idx + 1 .. j: a difference of tail sums, added
+    # from the far lags in, so the large near lags do not swamp the small far ones
+    sq = dr_kernel_table(hp, grid.cell_count, grid.step)[1:] ** 2
+    tail = np.append(np.cumsum(sq[::-1])[::-1], 0.0)  # tail[l] = sum of D[m]^2 over m > l
+    moments = hp.c_h ** 2 * grid.step * (tail[eval_idx - seg_idx] - tail[eval_idx])
+    return float(np.dot(quad_weights, moments))
 
 
 def declared_truncation_budget(grid: SimulationGrid, hp: HurstParameter) -> float:

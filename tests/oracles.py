@@ -3,8 +3,9 @@
 Most evaluate one quantity on one path, a single row `incs` of increments
 on a grid, from explicit per-cell weights, so the batched lattice paths of
 the package can be checked against an independent formula.  The per-segment
-assembly is the package's earlier delayed-integral assembly, kept as an
-independent reference for the one built on increment fields.
+and one-segment assemblies are the package's earlier delayed-integral
+assemblies, kept as independent references for the one built on increment
+fields.
 """
 
 import io
@@ -33,6 +34,7 @@ from fbmdelay.noise import (
     NoiseBatch,
     SimulationGrid,
     avg_kernel_table,
+    block_conv,
     discrete_fbm_cov,
     history_conv,
     write_path_csv,
@@ -253,6 +255,26 @@ def per_segment_parts(gamma_cells: np.ndarray, seg_idx: np.ndarray, grid: Simula
         cross = cross + np.sum(gseg * np.diff(prim, axis=-1), axis=-1)
 
     return ito + tail + cross, ito, tail, cross
+
+
+def one_segment_delayed(gamma: Integrand, seg_start: float, seg_end: float, batch: NoiseBatch,
+                        hp: HurstParameter) -> np.ndarray:
+    """Delayed integral over the one segment [seg_start, seg_end], gamma frozen at seg_start, per replication.
+
+    The segment's own assembly: the G_H-transformed cells against the
+    segment's increments, plus the primitive of the history before seg_start.
+    """
+    grid, incs = batch.grid, batch.increments
+    a, b = grid.index_of(seg_start), grid.index_of(seg_end)
+    m0 = grid.origin_index
+    cells = gamma.frozen_values_on_cells(grid, incs, np.full(grid.main_steps, a))
+    gseg = cells[..., a - m0:b - m0]
+    if hp.is_brownian:
+        return np.sum(gseg * incs[..., a:b], axis=-1)
+    c_table = hp.c_h * avg_kernel_table(hp, int(b), grid.step)
+    ito = np.sum(gseg * block_conv(incs[..., a:b], np.diff(c_table), (0, b - a)), axis=-1)
+    prim = history_conv(incs, c_table, (0, a), (a, b + 1))
+    return ito + np.sum(gseg * np.diff(prim, axis=-1), axis=-1)
 
 
 def riemann_gap_expectation(grid: SimulationGrid, hp: HurstParameter) -> float:

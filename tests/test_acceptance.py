@@ -171,7 +171,7 @@ def test_c07_quadratic_identity_refinement():
 # --- 8 -----------------------------------------------------------------------
 
 def test_c08_nonconvergence_gap():
-    rows = nonconvergence_demo([0.51, 0.6, 0.75], reps=4000, seed=9, horizon=1.0)
+    rows = nonconvergence_demo([0.51, 0.6, 0.75], reps=4000, seed=9)
     ok = True
     details = []
     margins = []

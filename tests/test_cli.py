@@ -1,5 +1,6 @@
 """CLI: dispatch, validation messages, manifests, and replay determinism."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from fbmdelay.cli import parse_and_dispatch
+from fbmdelay.cli import RunConfig, parse_and_dispatch
 from fbmdelay.experiments import DeskConfig, continuity_study, nonconvergence_demo
 from oracles import spy_convolutions
 
@@ -34,6 +35,19 @@ def test_simulate_writes_csv_and_manifest(tmp_path, capsys):
     manifest = json.loads((tmp_path / "path.csv.manifest.json").read_text())
     assert manifest["config"]["command"] == "simulate"
     assert "noise_checksum" not in manifest
+
+
+@pytest.mark.parametrize("argv", [["simulate"], ["integrate"], ["verify-moments", "--reps", "100"]])
+def test_left_out_flags_take_the_run_config_defaults(tmp_path, capsys, argv):
+    """--kind, --level and --levels left out: the manifest records RunConfig's own defaults."""
+    out = tmp_path / "run.out"
+    code, _, _ = _run([*argv, *FAST, "--out", str(out)], capsys)
+    assert code == 0
+    config = json.loads((tmp_path / "run.out.manifest.json").read_text())["config"]
+    for field in dataclasses.fields(RunConfig):
+        if field.default is not dataclasses.MISSING:
+            want = field.default
+            assert config[field.name] == (list(want) if isinstance(want, tuple) else want)
 
 
 def test_integrate_constant_equals_simulated_endpoint(tmp_path, capsys):

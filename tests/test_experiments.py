@@ -180,13 +180,27 @@ def _every_driver(chunk, reps):
             cauchy_decay_study("fbm:0.75", hurst_constant(0.6), range(3, 6), reps, 3, config=cfg))
 
 
+CHUNK_REPS = 150
+
+
+@functools.cache
+def _every_driver_in_one_chunk():
+    return _every_driver(CHUNK_REPS, CHUNK_REPS)
+
+
 def test_drivers_are_identical_for_any_chunk_size():
     """Chunks of 7 (not a divisor of reps), 128 and reps give equal results, checksums included."""
-    reps = 150
-    whole = _every_driver(reps, reps)
     for chunk in (7, 128):
-        for got, want in zip(_every_driver(chunk, reps), whole):
+        for got, want in zip(_every_driver(chunk, CHUNK_REPS), _every_driver_in_one_chunk()):
             assert got == want
+
+
+@given(chunk=st.integers(1, CHUNK_REPS))
+@settings(max_examples=10, deadline=None)
+def test_drivers_are_identical_for_a_random_chunk_size(chunk):
+    """Any chunk size in [1, reps] gives the one-chunk result of every driver, checksums included."""
+    for got, want in zip(_every_driver(chunk, CHUNK_REPS), _every_driver_in_one_chunk()):
+        assert got == want
 
 
 def test_common_random_numbers_across_hurst_lists():

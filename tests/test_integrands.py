@@ -11,6 +11,7 @@ from fbmdelay.integrands import (
     BrownianIntegrand,
     DeterministicIntegrand,
     FbmIntegrand,
+    Integrand,
     IntegrandCapabilityError,
     PiecewisePredictableIntegrand,
     QuadraticBrownianIntegrand,
@@ -275,10 +276,14 @@ def test_forecast_runs_match_weight_sum(h1):
 
 
 def test_projection_validation():
-    with pytest.raises(IntegrandCapabilityError):
-        class NoRule(BrownianIntegrand):
-            has_cond_exp = False
-        dyadic_projection(NoRule(), 3, GRID)
+    class NoRule(Integrand):
+        """Values on cells, but no forecast rule."""
+
+        def values_on_cells(self, grid, incs):
+            return np.zeros(incs.shape[:-1] + (grid.main_steps,))
+
+    with pytest.raises(IntegrandCapabilityError, match="NoRule has no conditional-expectation rule"):
+        dyadic_projection(NoRule(), 3, GRID).values_on_cells(GRID, NOISE.increments)
     with pytest.raises(ValueError):
         dyadic_projection(BrownianIntegrand(), 3, None)
     with pytest.raises(ValueError):

@@ -37,7 +37,7 @@ from fbmdelay.noise import (
     generate_noise_batch,
     make_grid,
 )
-from oracles import per_segment_parts, value as path_value
+from oracles import one_segment_delayed, per_segment_parts, value as path_value
 from test_integrands import FAMILY
 
 GRID = make_grid(1.0, 512, warmup=2.0)
@@ -220,6 +220,36 @@ def test_delayed_segment_brownian_case():
     i0, i1 = GRID.index_of(0.25) - GRID.origin_index, GRID.index_of(0.75) - GRID.origin_index
     want = b[i0] * (b[i1] - b[i0])
     assert got == pytest.approx(want, abs=1e-12)
+
+
+@pytest.mark.parametrize("hp", [H5, H6, H9], ids=lambda hp: f"h={hp.h}")
+@pytest.mark.parametrize("gamma", [ONE, BrownianIntegrand(), FbmIntegrand(0.7), QuadraticBrownianIntegrand(),
+                                   PiecewisePredictableIntegrand(BrownianIntegrand(), SegmentGrid.dyadic(1.0, 3))],
+                         ids=lambda g: g.spec_string())
+def test_delayed_segment_matches_the_one_segment_assembly(gamma, hp):
+    """The value part on (0, seg_end) with zeros before seg_start equals the segment's own assembly."""
+    batch = generate_noise_batch(41, GRID, 3)
+    for start, end in ((0.0, 0.5), (0.25, 0.75), (0.3125, 1.0)):
+        got = delayed_segment(gamma, start, end, batch, hp)
+        want = one_segment_delayed(gamma, start, end, batch, hp)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def test_value_part_does_not_depend_on_the_segment_grid():
+    """Two segment grids with the same end give the same value part, byte for byte."""
+    batch = generate_noise_batch(41, GRID, 3)
+    cells = np.random.default_rng(5).standard_normal((3, GRID.main_steps))
+    for hp in (H5, H75):
+        one = delayed_parts_for_cells(cells, SegmentGrid((0.0, 0.75)), batch, hp)[0]
+        three = delayed_parts_for_cells(cells, SegmentGrid((0.0, 0.25, 0.3125, 0.75)), batch, hp)[0]
+        assert one.tobytes() == three.tobytes()
+
+
+def test_delayed_segment_refuses_bad_segments():
+    with pytest.raises(ValueError, match="seg_start=-0.25"):
+        delayed_segment(ONE, -0.25, 0.5, ONE_PATH, H75)
+    with pytest.raises(ValueError, match="degenerate"):
+        delayed_segment(ONE, 0.5, 0.5 + GRID.step, ONE_PATH, H75)
 
 
 def test_history_fields_vanish_at_the_brownian_value():

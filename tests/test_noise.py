@@ -5,6 +5,7 @@ import tempfile
 from pathlib import Path
 from types import SimpleNamespace
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -17,9 +18,10 @@ from fbmdelay.noise import (
     SimulationGrid,
     avg_kernel_table,
     block_conv,
-    discrete_dr_second_moment,
+    discrete_dr_energy,
     discrete_fbm_cov,
     dr_energy_closed_form,
+    dr_kernel_table,
     dr_pointwise_closed_form,
     dr_values,
     fbm_values,
@@ -221,6 +223,38 @@ def test_dr_second_moment_scaling_in_span():
     assert dr_energy_closed_form(H5, 1.0) == 0.0
 
 
+def _exact_dr_table(hp, m, step):
+    """D[m] = ((m step)^p - ((m-1) step)^p) / step with p = h - 1/2, at mpmath's working precision."""
+    p = mpmath.mpf(hp.h) - mpmath.mpf(0.5)  # exact: h - 1/2 has no rounding for h in [1/2, 1)
+    return ((m * mpmath.mpf(step)) ** p - ((m - 1) * mpmath.mpf(step)) ** p) / step
+
+
+@pytest.mark.parametrize("k", range(2, 15))
+def test_dr_kernel_table_keeps_precision_as_h_nears_half(k):
+    """At h = 1/2 + 10^-k the DR table is within 1e-14 relative of 50-digit arithmetic, desk lags."""
+    hp, step, n = hurst_constant(0.5 + 10.0 ** -k), 2.0 ** -12, 36864
+    table = dr_kernel_table(hp, n, step)
+    assert table[0] == 0.0
+    for m in np.unique(np.geomspace(1, n, 60).astype(int)):
+        with mpmath.workdps(50):
+            want = _exact_dr_table(hp, int(m), step)
+        assert abs(table[m] - want) <= 1e-14 * abs(want), (m, table[m], want)
+
+
+@pytest.mark.parametrize("h", [0.5 + 1e-12, 0.55, 0.75, 0.9])
+def test_dr_budget_matches_exact_arithmetic(grid, h):
+    """E DR_H(t)^2 from discrete_dr_energy agrees with the 50-digit weight sum to 1e-13 relative."""
+    hp, m0, n = hurst_constant(h), grid.origin_index, grid.cell_count
+    for j in (m0 + 1, m0 + 7, n):
+        with mpmath.workdps(50):  # DR_H(t_j) weighs cell i < m0 with c_h D[j - i]
+            want = hp.c_h ** 2 * grid.step * mpmath.fsum(_exact_dr_table(hp, j - i, grid.step) ** 2
+                                                        for i in range(m0))
+        got = discrete_dr_energy(grid, hp, m0, [j], [1.0])
+        assert abs(got - want) <= 1e-13 * want, (j, got, want)
+    with pytest.raises(ValueError, match="seg_idx"):
+        discrete_dr_energy(grid, hp, m0, [m0 - 1, n], [1.0, 1.0])
+
+
 def test_dr_closed_forms_frozen_oracle_values():
     # gamma-oracle derived: c_h^2 (h-1/2)^2/(2-2h) and c_h^2 (h-1/2)/(2(2-2h))
     assert dr_pointwise_closed_form(H75, 1.0) == pytest.approx(0.143017455657, rel=1e-9)
@@ -257,7 +291,7 @@ def test_dr_pointwise_mc_matches_discrete_expectation(mc_batch, grid):
     sq = drv ** 2
     est = float(np.mean(sq))
     se = float(np.std(sq, ddof=1) / math.sqrt(sq.size))
-    target = discrete_dr_second_moment(grid, H75, m0, 1.0)
+    target = discrete_dr_energy(grid, H75, m0, [grid.cell_count], [1.0])
     assert abs(est - target) <= 3 * se
     # the distance to the continuum closed form is the declared budget; at this
     # unit-test warmup (L = 4) the truncated tail carries (1+L)^(2h-2) = 44.7%
@@ -305,7 +339,6 @@ def test_dr_mc_energy_three_hurst_values(grid):
         est = float(np.mean(vals))
         se = float(np.std(vals, ddof=1) / math.sqrt(vals.size))
         closed = dr_energy_closed_form(hp, 1.0)
-        from fbmdelay.noise import discrete_dr_energy
         target = discrete_dr_energy(grid, hp, m0, m0 + 1 + np.arange(n), wq)
         assert abs(est - target) <= 3 * se
         assert abs(est - closed) <= 3 * se + abs(closed - target)
