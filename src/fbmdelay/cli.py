@@ -3,7 +3,8 @@
 Flags over config files; every run writes its outputs plus a JSON manifest
 that replays the run byte-for-byte via --manifest.  The manifests of the
 multi-Hurst studies (continuity, nonconv) also record the checksum of the
-noise they consumed.  A setting that a command's flags leave out (--kind,
+noise they consumed; a manifest replays only if its config has exactly
+RunConfig's fields.  A setting that a command's flags leave out (--kind,
 --level, --levels) takes its one default from RunConfig.  Relative output
 paths resolve against $FBMDELAY_OUT when it is set.
 """
@@ -14,10 +15,10 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 from .kernels import HALF, hurst_constant
-from .noise import make_grid, process_values, write_path_csv, PROCESS_KINDS
+from .noise import process_values, write_path_csv, PROCESS_KINDS
 from .integrator import delayed_integral_batch, result_record
 from .experiments import (
     DeskConfig,
@@ -50,7 +51,6 @@ class RunConfig:
     warmup: float
     reps: int
     seed: int
-    tol: float | None
     out: str
     kind: str = "B_H"
     level: int = 8
@@ -99,7 +99,6 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--warmup", type=float, default=8.0)
         sp.add_argument("--reps", type=int, default=1000)
         sp.add_argument("--seed", type=int, default=1)
-        sp.add_argument("--tol", type=float, default=None)
         sp.add_argument("--out", required=True)
 
     sp = sub.add_parser("simulate", help="export one simulated path as CSV")
@@ -130,11 +129,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args) -> RunConfig:
-    hurst = tuple(float(x) for x in args.hurst_list.split(",")) if hasattr(args, "hurst_list") \
-        else (float(args.hurst),)
+    try:
+        hurst = tuple(float(x) for x in args.hurst_list.split(",")) if hasattr(args, "hurst_list") \
+            else (float(args.hurst),)
+    except ValueError:
+        raise ValueError(f"--hurst-list takes comma-separated numbers such as 0.7,0.51 "
+                         f"(got {args.hurst_list!r})") from None
     given = {key: getattr(args, key) for key in ("kind", "level") if hasattr(args, key)}
     if hasattr(args, "levels"):
-        lo, hi = (int(x) for x in args.levels.split(":"))
+        try:
+            lo, hi = (int(x) for x in args.levels.split(":"))
+        except ValueError:
+            raise ValueError(f"--levels takes coarse:fine integers such as 4:10 (got {args.levels!r})") from None
         given["levels"] = tuple(range(lo, hi + 1))
     return RunConfig(
         command=args.command,
@@ -145,45 +151,45 @@ def _config_from_args(args) -> RunConfig:
         warmup=args.warmup,
         reps=args.reps,
         seed=args.seed,
-        tol=args.tol,
         out=_resolve_out(args.out),
         **given,
     )
 
 
-def _desk(cfg: RunConfig) -> DeskConfig:
-    return DeskConfig(horizon=cfg.horizon, steps=cfg.steps, warmup=cfg.warmup)
+def _config_from_manifest(stored) -> RunConfig:
+    """The RunConfig a manifest recorded; refused unless its config keys are exactly RunConfig's fields."""
+    config = stored.get("config") if isinstance(stored, dict) else None
+    keys, names = set(config) if isinstance(config, dict) else set(), {f.name for f in fields(RunConfig)}
+    if keys != names:
+        raise ValueError(f"manifest config does not match RunConfig: unknown keys {sorted(keys - names)}, "
+                         f"missing keys {sorted(names - keys)}")
+    return RunConfig(**{**config, "hurst": tuple(config["hurst"]), "levels": tuple(config["levels"])})
 
 
 def _run(cfg: RunConfig) -> list[str]:
     """Execute one validated config; returns the list of files written."""
-    desk = _desk(cfg)
+    desk = DeskConfig(horizon=cfg.horizon, steps=cfg.steps, warmup=cfg.warmup)
+    grid, hp = desk.grid(), hurst_constant(cfg.hurst[0])
     outputs = [cfg.out]
     record = {"tool": "fbmdelay", "config": asdict(cfg), "outputs": outputs}
     if cfg.command == "simulate":
-        hp = hurst_constant(cfg.hurst[0])
-        grid = make_grid(cfg.horizon, cfg.steps, cfg.warmup)
         # one replication, stream 0: the path `integrate` draws for the same seed
-        times, values = _replicate(cfg.seed, grid, 1, 1,
+        times, values = _replicate(cfg.seed, grid, 1,
                                    lambda nb: process_values(nb.increments, grid, hp, cfg.kind))
         h = HALF if cfg.kind == "B" else hp.h  # the driving path is the h = 1/2 process
         write_path_csv(cfg.kind, h, cfg.seed, times[0], values[0], cfg.out)
     elif cfg.command == "integrate":
-        hp = hurst_constant(cfg.hurst[0])
-        grid = make_grid(cfg.horizon, cfg.steps, cfg.warmup)
         gamma, seg = _integration_plan(parse_integrand(cfg.integrand, cfg.horizon), grid, cfg.level)
         # one replication, stream 0: the path `simulate` draws for the same seed
-        parts = _replicate(cfg.seed, grid, 1, 1, lambda nb: delayed_integral_batch(gamma, seg, nb, hp))
+        parts = _replicate(cfg.seed, grid, 1, lambda nb: delayed_integral_batch(gamma, seg, nb, hp))
         with open(cfg.out, "w") as fh:
             json.dump(result_record(parts, seg, grid, hp, cfg.seed), fh, indent=2, sort_keys=True)
             fh.write("\n")
     elif cfg.command == "verify-moments":
-        hp = hurst_constant(cfg.hurst[0])
         report = verify_dr_moments(hp, cfg.horizon, cfg.reps, cfg.seed, desk)
         write_moments_csv(cfg.out, [report])
     elif cfg.command == "continuity":
-        curve = continuity_study(cfg.integrand, cfg.hurst, cfg.reps, cfg.seed,
-                                 cfg.tol, desk, proj_level=cfg.level)
+        curve = continuity_study(cfg.integrand, cfg.hurst, cfg.reps, cfg.seed, desk, cfg.level)
         write_continuity_csv(cfg.out, curve)
         record["noise_checksum"] = curve.noise_checksum
     elif cfg.command == "nonconv":
@@ -191,7 +197,6 @@ def _run(cfg: RunConfig) -> list[str]:
         write_nonconv_csv(cfg.out, rows)
         record["noise_checksum"] = rows[0].noise_checksum
     elif cfg.command == "decay":
-        hp = hurst_constant(cfg.hurst[0])
         study = cauchy_decay_study(cfg.integrand, hp, cfg.levels, cfg.reps, cfg.seed, desk)
         write_decay_csv(cfg.out, study)
     manifest_path = cfg.out + ".manifest.json"
@@ -206,11 +211,7 @@ def parse_and_dispatch(argv=None) -> int:
     try:
         if args.manifest:
             with open(args.manifest) as fh:
-                stored = json.load(fh)
-            cfg_dict = dict(stored["config"])
-            for key in ("hurst", "levels"):
-                cfg_dict[key] = tuple(cfg_dict[key])
-            cfg = RunConfig(**cfg_dict)
+                cfg = _config_from_manifest(json.load(fh))
         elif args.command is None:
             parser.print_usage(sys.stderr)
             return 2

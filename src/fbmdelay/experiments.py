@@ -4,7 +4,8 @@ Every driver follows the same discipline:
 
 * common random numbers: within a replication, every Hurst value consumes the
   identical driving noise (one Philox stream per replication, checksummed);
-* one runner, `_replicate`, draws the replications chunk by chunk and
+* one runner, `_replicate`, draws the replications chunk by chunk, each
+  chunk sized from the grid to at most `_CHUNK_BYTES` of noise, and
   concatenates the per-replication results in stream order; they are
   aggregated once, so output is independent of chunking and scheduling;
 * every tolerance is 3 standard errors plus a declared budget computed from
@@ -86,13 +87,15 @@ class DeskConfig:
     horizon: float = 1.0
     steps: int = 4096
     warmup: float = 8.0
-    chunk: int = 256
 
     def grid(self) -> SimulationGrid:
         return make_grid(self.horizon, self.steps, self.warmup)
 
 
 DESK = DeskConfig()
+
+#: bytes of noise drawn per chunk: 256 replications of the 36,864-cell desk grid
+_CHUNK_BYTES = 256 * 36_864 * 8
 
 
 @dataclass(frozen=True)
@@ -112,14 +115,15 @@ def _mc(values: np.ndarray, seed: int, budget: float) -> MCResult:
                     replications=n, seed=seed, truncation_budget=budget)
 
 
-def _replicate(seed: int, grid: SimulationGrid, reps: int, chunk: int, per_chunk) -> tuple:
-    """Run per_chunk over replications 0..reps-1, at most chunk at a time.
+def _replicate(seed: int, grid: SimulationGrid, reps: int, per_chunk) -> tuple:
+    """Run per_chunk over replications 0..reps-1, at most _CHUNK_BYTES of noise at a time.
 
     Replication r is noise stream r of seed.  per_chunk maps a NoiseBatch to
     a tuple of arrays with one entry per replication along the first axis;
     the runner returns each array concatenated in stream order, so the
-    result does not depend on chunk.
+    result does not depend on the chunk size.
     """
+    chunk = max(1, _CHUNK_BYTES // (8 * grid.cell_count))
     parts = [per_chunk(generate_noise_batch(seed, grid, min(chunk, reps - lo), first_stream=lo))
              for lo in range(0, reps, chunk)]
     return tuple(np.concatenate(col) for col in zip(*parts))
@@ -175,10 +179,12 @@ class DrMomentReport:
 
 def verify_dr_moments(hp: HurstParameter, span: float, reps: int, seed: int,
                       config: DeskConfig = DESK) -> DrMomentReport:
-    """MC check of E DR_H(span)^2 and E int_0^span DR_H^2 against the closed forms."""
+    """MC check of E DR_H(span)^2 and E int_0^span DR_H^2 against the closed forms; span is config.horizon."""
     if reps < 100:
         raise ValueError("need at least 100 replications")
-    grid = make_grid(span, config.steps, config.warmup)
+    if span != config.horizon:
+        raise ValueError(f"span {span} is not the config horizon {config.horizon}")
+    grid = config.grid()
     m0 = grid.origin_index
     eval_idx, quad_w = _energy_quadrature(grid, hp)
 
@@ -187,7 +193,7 @@ def verify_dr_moments(hp: HurstParameter, span: float, reps: int, seed: int,
         # a row-wise sum, not a matrix product: BLAS rounding depends on the row count
         return drv[:, -1] ** 2, np.sum(drv ** 2 * quad_w, axis=-1)
 
-    point, energy = _replicate(seed, grid, reps, config.chunk, per_chunk)
+    point, energy = _replicate(seed, grid, reps, per_chunk)
 
     p_closed = dr_pointwise_closed_form(hp, span)
     e_closed = dr_energy_closed_form(hp, span) if not hp.is_brownian else 0.0
@@ -210,7 +216,7 @@ def fbm_law_check(hp: HurstParameter, reps: int, seed: int, config: DeskConfig =
         bh = fbm_values(nb.increments, grid, (hp,))[0]
         return bh[:, n] ** 2, bh[:, n] * bh[:, n // 2]
 
-    var_s, cov_s = _replicate(seed, grid, reps, config.chunk, per_chunk)
+    var_s, cov_s = _replicate(seed, grid, reps, per_chunk)
     t, s = grid.horizon, grid.horizon / 2
     var_closed = t ** (2 * hp.h)
     cov_closed = 0.5 * (t ** (2 * hp.h) + s ** (2 * hp.h) - (t - s) ** (2 * hp.h))
@@ -250,7 +256,7 @@ def shiryaev_identity_check(hp: HurstParameter, n_steps_seq, reps: int, seed: in
             defects.append(np.abs(2.0 * riem - final_sq))
         return tuple(defects)
 
-    defects = _replicate(seed, grid, reps, config.chunk, per_chunk)
+    defects = _replicate(seed, grid, reps, per_chunk)
     budget = 0.0  # identity is pathwise in the synthesized process; no closed-form target
     return [(n, _mc(d, seed, budget)) for n, d in zip(seq, defects)]
 
@@ -290,7 +296,7 @@ def nonconvergence_demo(hursts, reps: int, seed: int,
             gaps += [riem - ito_b, 0.5 * bh[:, -1] ** 2 - ito_b]
         return (*gaps, _stream_crcs(nb))
 
-    *gaps, crcs = _replicate(seed, grid, reps, config.chunk, per_chunk)
+    *gaps, crcs = _replicate(seed, grid, reps, per_chunk)
     checksum = _fold_crcs(crcs)
     rows = []
     for hp, d_riem, d_lim in zip(hps, gaps[::2], gaps[1::2]):
@@ -327,7 +333,6 @@ class ContinuityCurve:
     base_seed: int
     x_norm_ref: float
     noise_checksum: int
-    tol: float
 
     def decreasing_within_1se(self) -> bool:
         g, s = self.gaps, self.std_errors
@@ -373,13 +378,8 @@ def _reference_x_norm(gamma: Integrand, grid: SimulationGrid, seed: int, reps: i
 
 
 def continuity_study(gamma: Integrand | str, hursts, reps: int, seed: int,
-                     tol: float | None = None, config: DeskConfig = DESK,
-                     proj_level: int = 8) -> ContinuityCurve:
-    """Pathwise L1 gaps E|I_H(gamma) - I_(1/2)(gamma)| under common noise, per Hurst value.
-
-    tol is the acceptance level for the final gap (default: 5% of the
-    integrand's X norm); the curve records it alongside the estimates.
-    """
+                     config: DeskConfig = DESK, proj_level: int = 8) -> ContinuityCurve:
+    """Pathwise L1 gaps E|I_H(gamma) - I_(1/2)(gamma)| under common noise, per Hurst value."""
     grid = config.grid()
     if isinstance(gamma, str):
         gamma = parse_integrand(gamma, horizon=grid.horizon)
@@ -406,7 +406,7 @@ def continuity_study(gamma: Integrand | str, hursts, reps: int, seed: int,
         gaps = [np.abs(_dot(cells, field) - base) for field in d_bh]
         return (*gaps, _stream_crcs(nb))
 
-    *gaps, crcs = _replicate(seed, grid, reps, config.chunk, per_chunk)
+    *gaps, crcs = _replicate(seed, grid, reps, per_chunk)
     results = [_mc(g, seed, 0.0) for g in gaps]
     x_ref = _reference_x_norm(gamma, grid, seed)
     return ContinuityCurve(
@@ -417,7 +417,6 @@ def continuity_study(gamma: Integrand | str, hursts, reps: int, seed: int,
         base_seed=seed,
         x_norm_ref=x_ref,
         noise_checksum=_fold_crcs(crcs),
-        tol=tol if tol is not None else 0.05 * x_ref,
     )
 
 
@@ -483,7 +482,7 @@ def cauchy_decay_study(gamma: Integrand | str, hp: HurstParameter, levels, reps:
             gaps += [np.abs(v[1] - v[0]), np.abs(c[1] - c[0])]
         return tuple(gaps)
 
-    gaps = _replicate(seed, grid, reps, config.chunk, per_chunk)
+    gaps = _replicate(seed, grid, reps, per_chunk)
     tot = [_mc(g, seed, 0.0) for g in gaps[::2]]
     cross = [_mc(g, seed, 0.0) for g in gaps[1::2]]
     target = None

@@ -464,15 +464,10 @@ def declared_truncation_budget(grid: SimulationGrid, hp: HurstParameter) -> floa
     return truncation_tail_bound(hp, grid.horizon, grid.warmup_length) if not hp.is_brownian else 0.0
 
 
-def write_path_csv(kind: str, h: float, seed: int, times: np.ndarray, values: np.ndarray, dest) -> None:
+def write_path_csv(kind: str, h: float, seed: int, times: np.ndarray, values: np.ndarray, path) -> None:
     """CSV with (time, value) rows of one path; the header row names kind, h and seed."""
-    own = isinstance(dest, (str, os.PathLike))
-    fh = open(dest, "w", newline="") if own else dest
-    try:
+    with open(path, "w", newline="") as fh:
         fh.write(f"# kind={kind} h={h!r} seed={seed}\n")
         fh.write("time,value\n")
         for t, v in zip(times, values):
             fh.write(f"{float(t)!r},{float(v)!r}\n")
-    finally:
-        if own:
-            fh.close()

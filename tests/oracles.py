@@ -8,8 +8,9 @@ assemblies, kept as independent references for the one built on increment
 fields.
 """
 
-import io
 import math
+import os
+import tempfile
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -81,9 +82,12 @@ def synthesize_dr(g: SimulationGrid, incs: np.ndarray, hp: HurstParameter, seg_s
 
 
 def path_csv_string(kind: str, h: float, seed: int, times: np.ndarray, values: np.ndarray) -> str:
-    buf = io.StringIO()
-    write_path_csv(kind, h, seed, times, values, buf)
-    return buf.getvalue()
+    """The text write_path_csv writes, read back from a temporary file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "path.csv")
+        write_path_csv(kind, h, seed, times, values, path)
+        with open(path, newline="") as fh:
+            return fh.read()
 
 
 # ---------------------------------------------------------------------------

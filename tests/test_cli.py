@@ -129,6 +129,9 @@ def test_continuity_and_decay_commands(tmp_path, capsys):
     (["continuity", "--integrand", "fbm:0.75", "--steps", "256", "--out", "x.csv"], "--steps"),
     (["decay", "--steps", "256", "--out", "x.csv"], "--levels"),
     (["decay", "--steps", "1024", "--out", "x.csv"], "--levels"),
+    (["decay", "--levels", "4", "--out", "x.csv"], "--levels takes coarse:fine integers"),
+    (["decay", "--levels", "4:a", "--out", "x.csv"], "--levels takes coarse:fine integers"),
+    (["continuity", "--hurst-list", "0.7,abc", "--out", "x.csv"], "--hurst-list takes comma-separated"),
 ])
 def test_validation_failures_are_one_line_and_nonzero(tmp_path, capsys, argv, fragment):
     os.chdir(tmp_path)
@@ -188,6 +191,26 @@ def test_study_manifests_record_the_noise_checksum(tmp_path, capsys, command):
     out.unlink()
     assert _run(["--manifest", str(manifest)], capsys)[0] == 0
     assert manifest.read_bytes() == first
+
+
+@pytest.mark.parametrize("edit,fragment", [
+    (lambda m: m["config"].update(tol=None), "unknown keys ['tol'], missing keys []"),
+    (lambda m: m["config"].pop("seed"), "unknown keys [], missing keys ['seed']"),
+    (lambda m: m.pop("config"), "missing keys ['command', 'horizon'"),
+])
+def test_manifest_replay_refuses_a_config_that_is_not_a_run_config(tmp_path, capsys, edit, fragment):
+    """An unknown key (the --tol of older manifests), a missing key or no config: one line, exit 2."""
+    out = tmp_path / "path.csv"
+    assert _run(["simulate", "--seed", "3", *FAST, "--out", str(out)], capsys)[0] == 0
+    manifest = tmp_path / "path.csv.manifest.json"
+    record = json.loads(manifest.read_text())
+    edit(record)
+    manifest.write_text(json.dumps(record))
+    out.unlink()
+    code, stdout, err = _run(["--manifest", str(manifest)], capsys)
+    assert code == 2 and stdout == "" and not out.exists()
+    assert err.count("\n") == 1
+    assert err.startswith("fbmdelay: error: manifest config does not match RunConfig") and fragment in err
 
 
 def test_no_command_prints_usage(capsys):

@@ -6,13 +6,16 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import fbmdelay.experiments
 import fbmdelay.noise
 from fbmdelay.kernels import hurst_constant
+from fbmdelay.noise import dr_pointwise_closed_form
 from fbmdelay.experiments import (
     ContinuityNotApplicableError,
     DeskConfig,
@@ -43,7 +46,7 @@ from fbmdelay.integrands import (
 )
 from oracles import decay_gaps_per_level, spy_convolutions, spy_noise_ffts
 
-SMALL = DeskConfig(steps=512, warmup=2.0, chunk=128)
+SMALL = DeskConfig(steps=512, warmup=2.0)
 H75 = hurst_constant(0.75)
 H5 = hurst_constant(0.5)
 
@@ -68,6 +71,32 @@ def test_verify_dr_moments_brownian_is_exactly_zero():
 def test_verify_dr_moments_rejects_tiny_ensembles():
     with pytest.raises(ValueError):
         verify_dr_moments(H75, 1.0, 99, 12, SMALL)
+
+
+def test_verify_dr_moments_runs_on_the_config_horizon():
+    """span must be the config's horizon: a second horizon is refused, naming both."""
+    short = DeskConfig(horizon=0.7, steps=512, warmup=2.0)
+    with pytest.raises(ValueError, match="span 1.0 .* horizon 0.7"):
+        verify_dr_moments(H75, 1.0, 100, 1, short)
+    rep = verify_dr_moments(H75, 0.7, 100, 1, short)
+    assert rep.span == 0.7 and rep.pointwise_closed == dr_pointwise_closed_form(H75, 0.7)
+
+
+def test_replicate_sizes_chunks_from_the_grid(monkeypatch):
+    """256 rows at desk scale, 16 at 2^16 steps, and never fewer than one; nothing is allocated."""
+    sizes = []
+
+    def stub(seed, grid, reps, first_stream=0):
+        sizes.append(reps)
+        return SimpleNamespace(replications=reps)
+
+    monkeypatch.setattr(fbmdelay.experiments, "generate_noise_batch", stub)
+    for config, reps, want in ((DeskConfig(), 512, [256, 256]),
+                               (DeskConfig(steps=65536), 40, [16, 16, 8]),
+                               (DeskConfig(steps=2 ** 24), 2, [1, 1])):
+        sizes.clear()
+        out, = _replicate(1, config.grid(), reps, lambda nb: (np.zeros(nb.replications),))
+        assert sizes == want and out.shape == (reps,)
 
 
 def test_fbm_law_check_small_scale():
@@ -156,7 +185,9 @@ def test_drivers_are_identical_for_any_blas_thread_count():
     script = (
         "from fbmdelay.experiments import DeskConfig, cauchy_decay_study, continuity_study\n"
         "from fbmdelay.kernels import hurst_constant\n"
-        "cfg = DeskConfig(steps=4096, warmup=1.0, chunk=25)\n"
+        "import fbmdelay.experiments\n"
+        "cfg = DeskConfig(steps=4096, warmup=1.0)\n"
+        "fbmdelay.experiments._CHUNK_BYTES = 25 * 8 * cfg.grid().cell_count\n"
         "print(repr(cauchy_decay_study('fbm:0.75', hurst_constant(0.6), range(3, 6), 40, 3, config=cfg)))\n"
         "print(repr(continuity_study('fbm:0.75', [0.75, 0.51], 40, 3, config=cfg, proj_level=4)))\n")
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -170,14 +201,20 @@ def test_drivers_are_identical_for_any_blas_thread_count():
     assert outs[0] == outs[1] and outs[0].count("\n") == 2
 
 
+def _chunk_bytes(rows, config=SMALL):
+    """The _CHUNK_BYTES that makes _replicate draw chunks of rows replications on config's grid."""
+    return rows * 8 * config.grid().cell_count
+
+
 def _every_driver(chunk, reps):
-    cfg = DeskConfig(steps=512, warmup=2.0, chunk=chunk)
-    return (verify_dr_moments(H75, 1.0, reps, 3, cfg),
-            fbm_law_check(H75, reps, 3, cfg),
-            shiryaev_identity_check(H75, [64, 512], reps, 3, cfg),
-            nonconvergence_demo([0.75, 0.51], reps, 3, config=cfg),
-            continuity_study("fbm:0.75", [0.7, 0.51], reps, 3, config=cfg),
-            cauchy_decay_study("fbm:0.75", hurst_constant(0.6), range(3, 6), reps, 3, config=cfg))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fbmdelay.experiments, "_CHUNK_BYTES", _chunk_bytes(chunk))
+        return (verify_dr_moments(H75, 1.0, reps, 3, SMALL),
+                fbm_law_check(H75, reps, 3, SMALL),
+                shiryaev_identity_check(H75, [64, 512], reps, 3, SMALL),
+                nonconvergence_demo([0.75, 0.51], reps, 3, config=SMALL),
+                continuity_study("fbm:0.75", [0.7, 0.51], reps, 3, config=SMALL),
+                cauchy_decay_study("fbm:0.75", hurst_constant(0.6), range(3, 6), reps, 3, config=SMALL))
 
 
 CHUNK_REPS = 150
@@ -255,13 +292,13 @@ def test_continuity_transforms_each_noise_window_once_for_every_h(monkeypatch, s
 
 
 @pytest.mark.parametrize("spec,h", [("bm", 0.75), ("fbm:0.75", 0.6), ("rl:0.7", 0.7), ("bm2", 0.6)])
-def test_decay_study_equals_per_level_reference(spec, h):
+def test_decay_study_equals_per_level_reference(monkeypatch, spec, h):
     """One path and one assembly per level pair give the bytes of the per-level evaluation."""
+    monkeypatch.setattr(fbmdelay.experiments, "_CHUNK_BYTES", _chunk_bytes(128))
     hp, levels, reps = hurst_constant(h), [3, 4, 5], 150  # chunks of 128 and 22
     study = cauchy_decay_study(spec, hp, levels, reps, 9, config=SMALL)
     gamma = parse_integrand(spec)
-    gaps = _replicate(9, SMALL.grid(), reps, SMALL.chunk,
-                      lambda nb: decay_gaps_per_level(gamma, hp, levels, nb))
+    gaps = _replicate(9, SMALL.grid(), reps, lambda nb: decay_gaps_per_level(gamma, hp, levels, nb))
     tot = [_mc(g, 9, 0.0) for g in gaps[::2]]
     cross = [_mc(g, 9, 0.0) for g in gaps[1::2]]
     assert study.gaps == tuple(r.estimate for r in tot)
@@ -279,6 +316,7 @@ def test_decay_study_shares_the_path_and_the_cross_convolutions(monkeypatch):
     """
     grid = SMALL.grid()
     m0, n = grid.origin_index, grid.cell_count
+    monkeypatch.setattr(fbmdelay.experiments, "_CHUNK_BYTES", _chunk_bytes(128))
     calls = spy_convolutions(monkeypatch)
     cauchy_decay_study("fbm:0.75", hurst_constant(0.6), range(3, 6), 150, 5, config=SMALL)
     chunks = 2  # 128 + 22 replications
