@@ -10,7 +10,7 @@ each noise cell, divided by the step, applied to the increment.  On the
 uniform lattice those weights are a function of the index lag only, so whole
 paths come out of one causal convolution (FFT), `history_conv`; `block_conv`
 restarts one at every block start, for the delayed integral's segments and
-forecast runs.  The DR_H weights, differences of powers u^(h-1/2), are taken
+forecast runs.  The B_H and DR_H weights, differences of powers, are taken
 through expm1/log1p so that they keep their relative precision as h -> 1/2.
 
 `history_conv` also takes a stack of kernels that read the same window of
@@ -200,13 +200,15 @@ def avg_kernel_table(hp: HurstParameter, n: int, step: float) -> np.ndarray:
     """A[m] = cell average of u^(h-1/2) over [(m-1)*step, m*step]; A[0] = 0.
 
     These are the fbm synthesis weights: at lag m the increment of cell
-    [t_{j-m}, t_{j-m+1}] enters B_H(t_j) with weight c_h * A[m].
+    [t_{j-m}, t_{j-m+1}] enters B_H(t_j) with weight c_h * A[m].  As D in
+    dr_kernel_table, the difference of powers in A[m] = ((m step)^p1 -
+    ((m-1) step)^p1) / (p1 step), p1 = h + 1/2, goes through expm1/log1p.
     """
-    m = np.arange(n + 1, dtype=float)
     p1 = hp.h + HALF
-    out = np.empty(n + 1)
-    out[0] = 0.0
-    out[1:] = ((m[1:] * step) ** p1 - ((m[1:] - 1.0) * step) ** p1) / (p1 * step)
+    k = np.arange(1, n, dtype=float)  # k = m - 1 for the lags m = 2..n
+    out = np.zeros(n + 1)
+    out[1:2] = step ** p1 / (p1 * step)
+    out[2:] = (k * step) ** p1 * np.expm1(p1 * np.log1p(1.0 / k)) / (p1 * step)
     return out
 
 

@@ -241,6 +241,19 @@ def test_dr_kernel_table_keeps_precision_as_h_nears_half(k):
         assert abs(table[m] - want) <= 1e-14 * abs(want), (m, table[m], want)
 
 
+@pytest.mark.parametrize("h", [0.5 + 1e-2, 0.5 + 1e-6, 0.5 + 1e-10, 0.5 + 1e-14, 0.55, 0.75, 0.99])
+def test_avg_kernel_table_matches_exact_arithmetic(h):
+    """The fbm synthesis table is within 1e-14 relative of 50-digit arithmetic at the desk lags."""
+    hp, step, n = hurst_constant(h), 2.0 ** -12, 36864
+    table = avg_kernel_table(hp, n, step)
+    assert table[0] == 0.0
+    for m in np.unique(np.geomspace(1, n, 60).astype(int)):
+        with mpmath.workdps(50):
+            p1 = mpmath.mpf(hp.h) + mpmath.mpf(0.5)
+            want = ((m * mpmath.mpf(step)) ** p1 - ((m - 1) * mpmath.mpf(step)) ** p1) / (p1 * step)
+        assert abs(table[m] - want) <= 1e-14 * want, (m, table[m], want)
+
+
 @pytest.mark.parametrize("h", [0.5 + 1e-12, 0.55, 0.75, 0.9])
 def test_dr_budget_matches_exact_arithmetic(grid, h):
     """E DR_H(t)^2 from discrete_dr_energy agrees with the 50-digit weight sum to 1e-13 relative."""
