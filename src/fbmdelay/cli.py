@@ -159,7 +159,8 @@ def _config_from_args(args) -> RunConfig:
 def _config_from_manifest(stored) -> RunConfig:
     """The RunConfig a manifest recorded; refused unless its config keys are exactly RunConfig's fields."""
     config = stored.get("config") if isinstance(stored, dict) else None
-    keys, names = set(config) if isinstance(config, dict) else set(), {f.name for f in fields(RunConfig)}
+    keys = set(config) if isinstance(config, dict) else set()
+    names = {f.name for f in fields(RunConfig)}
     if keys != names:
         raise ValueError(f"manifest config does not match RunConfig: unknown keys {sorted(keys - names)}, "
                          f"missing keys {sorted(names - keys)}")
