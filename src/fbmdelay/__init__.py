@@ -32,14 +32,7 @@ from .integrands import (
     x_norm,
     y_norm,
 )
-from .integrator import (
-    ExtensionTrace,
-    delayed_integral_batch,
-    delayed_segment,
-    extended_integral,
-    ito_integral_batch,
-    riemann_fbm_integral_batch,
-)
+from .integrator import delayed_integral_batch, delayed_segment
 from .experiments import (
     DeskConfig,
     MCResult,

@@ -4,9 +4,9 @@ Flags over config files; every run writes its outputs plus a JSON manifest
 that replays the run byte-for-byte via --manifest.  The manifests of the
 multi-Hurst studies (continuity, nonconv) also record the checksum of the
 noise they consumed; a manifest replays only if its config has exactly
-RunConfig's fields.  A setting that a command's flags leave out (--kind,
---level, --levels) takes its one default from RunConfig.  Relative output
-paths resolve against $FBMDELAY_OUT when it is set.
+RunConfig's fields, with their types.  A setting that a command's flags
+leave out (--kind, --level, --levels) takes its one default from RunConfig.
+Relative output paths resolve against $FBMDELAY_OUT when it is set.
 """
 
 from __future__ import annotations
@@ -156,14 +156,29 @@ def _config_from_args(args) -> RunConfig:
     )
 
 
+def _json_has_type(value, annotation: str) -> bool:
+    """Whether a JSON value has the type of a RunConfig field annotation (tuples are JSON lists)."""
+    if annotation.startswith("tuple["):
+        item = annotation[len("tuple["):].split(",")[0]
+        return isinstance(value, list) and all(_json_has_type(v, item) for v in value)
+    if annotation.endswith(" | None"):
+        return value is None or _json_has_type(value, annotation.removesuffix(" | None"))
+    kinds = {"int": int, "float": (int, float), "str": str}[annotation]
+    return isinstance(value, kinds) and not isinstance(value, bool)
+
+
 def _config_from_manifest(stored) -> RunConfig:
-    """The RunConfig a manifest recorded; refused unless its config keys are exactly RunConfig's fields."""
+    """The RunConfig a manifest recorded; refused unless its config has RunConfig's fields and types."""
     config = stored.get("config") if isinstance(stored, dict) else None
     keys = set(config) if isinstance(config, dict) else set()
     names = {f.name for f in fields(RunConfig)}
     if keys != names:
         raise ValueError(f"manifest config does not match RunConfig: unknown keys {sorted(keys - names)}, "
                          f"missing keys {sorted(names - keys)}")
+    for f in fields(RunConfig):
+        if not _json_has_type(config[f.name], f.type):
+            raise ValueError(f"manifest config does not match RunConfig: key {f.name!r} must be {f.type} "
+                             f"(got {config[f.name]!r})")
     return RunConfig(**{**config, "hurst": tuple(config["hurst"]), "levels": tuple(config["levels"])})
 
 
@@ -180,7 +195,8 @@ def _run(cfg: RunConfig) -> list[str]:
         h = HALF if cfg.kind == "B" else hp.h  # the driving path is the h = 1/2 process
         write_path_csv(cfg.kind, h, cfg.seed, times[0], values[0], cfg.out)
     elif cfg.command == "integrate":
-        gamma, seg = _integration_plan(parse_integrand(cfg.integrand, cfg.horizon), grid, cfg.level)
+        gamma, seg = _integration_plan(parse_integrand(cfg.integrand, cfg.horizon), grid, cfg.level,
+                                       "--level")
         # one replication, stream 0: the path `simulate` draws for the same seed
         parts = _replicate(cfg.seed, grid, 1, lambda nb: delayed_integral_batch(gamma, seg, nb, hp))
         with open(cfg.out, "w") as fh:

@@ -38,7 +38,6 @@ from .integrands import (
 from .integrator import (
     MIN_CELLS_PER_SEGMENT,
     _dot,
-    _fit_slope,
     _segment_lattice_indices,
     delayed_parts_for_cells,
     noise_transforms,
@@ -127,6 +126,14 @@ def _replicate(seed: int, grid: SimulationGrid, reps: int, per_chunk) -> tuple:
     parts = [per_chunk(generate_noise_batch(seed, grid, min(chunk, reps - lo), first_stream=lo))
              for lo in range(0, reps, chunk)]
     return tuple(np.concatenate(col) for col in zip(*parts))
+
+
+def _fit_slope(levels, gaps) -> float | None:
+    """Least-squares slope of log2(gaps) against levels; None unless there are two or more gaps, all positive."""
+    g = np.asarray(gaps)
+    if np.any(g <= 0.0) or g.size < 2:
+        return None
+    return float(np.polyfit(np.asarray(levels, dtype=float), np.log2(g), 1)[0])
 
 
 def _stream_crcs(batch: NoiseBatch) -> np.ndarray:
@@ -229,6 +236,11 @@ def fbm_law_check(hp: HurstParameter, reps: int, seed: int, config: DeskConfig =
 # Riemann-sum refinement and the quadratic identity
 # ---------------------------------------------------------------------------
 
+def _left_point_sum(path: np.ndarray) -> np.ndarray:
+    """sum_k path[k] (path[k+1] - path[k]) per row: the left-point Riemann sum of a path against itself."""
+    return np.sum(path[:, :-1] * np.diff(path, axis=-1), axis=-1)
+
+
 def shiryaev_identity_check(hp: HurstParameter, n_steps_seq, reps: int, seed: int,
                             config: DeskConfig = DESK):
     """Defect E|2 sum B_H(T_k) dB_H - B_H(T)^2| along a refinement sequence.
@@ -251,9 +263,7 @@ def shiryaev_identity_check(hp: HurstParameter, n_steps_seq, reps: int, seed: in
         final_sq = bh[:, -1] ** 2
         defects = []
         for n in seq:
-            coarse = bh[:, ::n_fine // n]
-            riem = np.sum(coarse[:, :-1] * np.diff(coarse, axis=-1), axis=-1)
-            defects.append(np.abs(2.0 * riem - final_sq))
+            defects.append(np.abs(2.0 * _left_point_sum(bh[:, ::n_fine // n]) - final_sq))
         return tuple(defects)
 
     defects = _replicate(seed, grid, reps, per_chunk)
@@ -286,14 +296,13 @@ def nonconvergence_demo(hursts, reps: int, seed: int,
 
     def per_chunk(nb):
         b = history_conv(nb.increments, None, (m0, grid.cell_count), (m0, grid.cell_count + 1))
-        ito_b = np.sum(b[:, :-1] * np.diff(b, axis=-1), axis=-1)
+        ito_b = _left_point_sum(b)
         # every h reads the same batch, and the h > 1/2 paths one transform of it
         paths = iter(fbm_values(nb.increments, grid, rough) if rough else ())
         gaps = []
         for hp in hps:
             bh = b if hp.is_brownian else next(paths)
-            riem = np.sum(bh[:, :-1] * np.diff(bh, axis=-1), axis=-1)
-            gaps += [riem - ito_b, 0.5 * bh[:, -1] ** 2 - ito_b]
+            gaps += [_left_point_sum(bh) - ito_b, 0.5 * bh[:, -1] ** 2 - ito_b]
         return (*gaps, _stream_crcs(nb))
 
     *gaps, crcs = _replicate(seed, grid, reps, per_chunk)
@@ -343,31 +352,32 @@ class ContinuityCurve:
         return self.gaps[-1]
 
 
-def _integration_plan(gamma: Integrand, grid: SimulationGrid, level: int):
+def _integration_plan(gamma: Integrand, grid: SimulationGrid, level: int, flag: str | None):
     """(integrand, segment grid) for one delayed-integral evaluation.
 
     Deterministic integrands need one segment and piecewise-predictable ones
     bring their own grid; any other integrand is projected on the dyadic
-    grid of the given level.
+    grid of the given level, which the option flag set (None: no option).
     """
     if isinstance(gamma, DeterministicIntegrand):
         return gamma, SegmentGrid.dyadic(grid.horizon, 0)
     if isinstance(gamma, PiecewisePredictableIntegrand):
         return gamma, gamma.grid
-    _check_dyadic_level(grid, level, "--level")
+    _check_dyadic_level(grid, level, flag)
     return dyadic_projection(gamma, level, grid), SegmentGrid.dyadic(grid.horizon, level)
 
 
-def _check_dyadic_level(grid: SimulationGrid, level: int, flag: str) -> None:
+def _check_dyadic_level(grid: SimulationGrid, level: int, flag: str | None) -> None:
     """Refuse a level whose dyadic segments are not whole runs of MIN_CELLS_PER_SEGMENT or more cells.
 
-    flag names the option that set the level.
+    flag names the option that set the level; None when no option sets it.
     """
     n_seg = 2 ** level
     if grid.main_steps % n_seg or grid.main_steps < MIN_CELLS_PER_SEGMENT * n_seg:
+        remedy = f"lower {flag} or raise --steps" if flag else "raise --steps"
         raise ValueError(
             f"projection level {level} does not split {grid.main_steps} steps into 2^{level} "
-            f"segments of at least {MIN_CELLS_PER_SEGMENT} fine cells; lower {flag} or raise --steps")
+            f"segments of at least {MIN_CELLS_PER_SEGMENT} fine cells; {remedy}")
 
 
 def _reference_x_norm(gamma: Integrand, grid: SimulationGrid, seed: int, reps: int = 256) -> float:
@@ -388,7 +398,7 @@ def continuity_study(gamma: Integrand | str, hursts, reps: int, seed: int,
             f"integrand {gamma.spec_string()!r} has forecast-variance exponent nu = 0 and is not "
             "piecewise predictable; the Hurst-continuity theorem is not applicable to this "
             "convergence (it is the non-convergent Riemann-sum regime)")
-    integrand, seg = _integration_plan(gamma, grid, proj_level)
+    integrand, seg = _integration_plan(gamma, grid, proj_level, None)
     hps = [hurst_constant(h) for h in hursts]
     for hp in hps:
         if hp.is_brownian:
@@ -457,11 +467,9 @@ def cauchy_decay_study(gamma: Integrand | str, hp: HurstParameter, levels, reps:
     _check_dyadic_level(grid, levels[-1], "--levels")
     if isinstance(gamma, DeterministicIntegrand):
         # projection is vacuous; gaps sit at the quadrature-noise floor
-        return DecayStudy(levels=tuple(levels[:-1]), gaps=(0.0,) * (len(levels) - 1),
-                          std_errors=(0.0,) * (len(levels) - 1),
-                          cross_gaps=(0.0,) * (len(levels) - 1),
-                          cross_std_errors=(0.0,) * (len(levels) - 1),
-                          fitted_slope=None, cross_fitted_slope=None, target_slope=None,
+        zeros = (0.0,) * (len(levels) - 1)
+        return DecayStudy(levels=tuple(levels[:-1]), gaps=zeros, std_errors=zeros, cross_gaps=zeros,
+                          cross_std_errors=zeros, fitted_slope=None, cross_fitted_slope=None, target_slope=None,
                           integrand_spec=gamma.spec_string(), h=hp.h, seed=seed)
     if gamma.nu_exponent is None:
         raise ValueError("the decay study needs an integrand with a known variance exponent")

@@ -1,4 +1,4 @@
-"""The delayed stochastic integral and its dyadic extension, plus classical baselines.
+"""The delayed stochastic integral of segment-predictable integrands on a noise batch.
 
 Per segment [T_{k-1}, T_k] the delayed integral of a segment-predictable
 integrand is an Ito integral of the kernel-transformed integrand plus a
@@ -26,57 +26,29 @@ the grid (0, b) with the integrand set to zero before a.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from .kernels import HurstParameter
-from .integrands import (
-    Integrand,
-    SegmentGrid,
-    x_norm,
-)
+from .integrands import Integrand, SegmentGrid
 from .noise import (
     NoiseBatch,
     SimulationGrid,
     avg_kernel_table,
     block_conv,
     declared_truncation_budget,
-    fbm_values,
     history_conv,
     synthesis_tables,
 )
 
 __all__ = [
-    "ExtensionTrace",
     "delayed_segment",
     "delayed_integral_batch",
     "delayed_parts_for_cells",
     "noise_transforms",
-    "extended_integral",
-    "ito_integral_batch",
-    "riemann_fbm_integral_batch",
     "result_record",
 ]
 
 MIN_CELLS_PER_SEGMENT = 2
-
-
-@dataclass(frozen=True)
-class ExtensionTrace:
-    """Per-level values of the dyadic extension with the stopping diagnostics."""
-
-    levels: tuple[int, ...]
-    samples: np.ndarray          # (n_levels, replications)
-    means: np.ndarray
-    gaps: np.ndarray             # L1 gap between consecutive levels
-    gap_ses: np.ndarray
-    stopping_level: int
-    converged: bool
-    tol: float
-    fitted_rate: float | None    # decay exponent r in gap ~ 2^(-r n)
-    target_rate: float | None    # nu/2 + h - 1/2 when nu is known
 
 
 def _segment_lattice_indices(grid: SimulationGrid, seg: SegmentGrid) -> np.ndarray:
@@ -179,83 +151,6 @@ def delayed_segment(gamma: Integrand, seg_start: float, seg_end: float,
     cells[..., :a - grid.origin_index] = 0.0
     value, _, _, _ = delayed_parts_for_cells(cells, SegmentGrid((grid.origin, seg_end)), batch, hp)
     return value
-
-
-def ito_integral_batch(gamma: Integrand, batch: NoiseBatch) -> np.ndarray:
-    """Left-point Riemann-Ito sum of gamma against the driving noise on the fine grid, per replication."""
-    grid = batch.grid
-    cells = gamma.values_on_cells(grid, batch.increments)
-    return np.sum(cells * batch.increments[..., grid.origin_index:], axis=-1)
-
-
-def riemann_fbm_integral_batch(gamma: Integrand, n_steps: int, batch: NoiseBatch,
-                               hp: HurstParameter) -> np.ndarray:
-    """Left-point sum of gamma against fBm increments on an n_steps uniform grid of [0, T], per replication."""
-    grid = batch.grid
-    if n_steps < 1 or grid.main_steps % n_steps != 0:
-        raise ValueError(f"n_steps must divide the fine grid ({grid.main_steps})")
-    stride = grid.main_steps // n_steps
-    coarse = fbm_values(batch.increments, grid, (hp,))[0, ..., ::stride]
-    cells = gamma.values_on_cells(grid, batch.increments)
-    left = cells[..., ::stride]
-    return np.sum(left * np.diff(coarse, axis=-1), axis=-1)
-
-
-def _fit_slope(levels, gaps) -> float | None:
-    """Least-squares slope of log2(gaps) against levels; None unless there are two or more gaps, all positive."""
-    g = np.asarray(gaps)
-    if np.any(g <= 0.0) or g.size < 2:
-        return None
-    return float(np.polyfit(np.asarray(levels, dtype=float), np.log2(g), 1)[0])
-
-
-def extended_integral(gamma: Integrand, hp: HurstParameter, ensemble: NoiseBatch,
-                      tol: float | None = None, n_max: int = 10, n_start: int = 1) -> ExtensionTrace:
-    """Dyadic-projection extension I_H(gamma) = lim I_H(gamma_n), with an L1 stopping rule.
-
-    Evaluates the delayed integral of gamma_n on shared noise for n =
-    n_start..n_max, stopping once the Monte Carlo L1 gap between successive
-    levels falls below tol (default 1e-3 of the integrand's X norm).  A
-    non-converged trace is a reported outcome, expected whenever the
-    forecast-variance exponent of gamma is not positive.
-    """
-    grid = ensemble.grid
-    if tol is None:
-        xn, _ = x_norm(gamma, ensemble)
-        tol = 1e-3 * (xn if xn > 0.0 else 1.0)
-    # every level's grid ends at the horizon, so the history primitives are shared
-    transforms = noise_transforms(grid, ensemble.increments, (hp,), grid.cell_count)
-    levels, samples = [], []
-    gaps, gap_ses = [], []
-    converged = False
-    stopping = n_max
-    ns = range(n_start, n_max + 1)
-    for n, cells in zip(ns, gamma.dyadic_cells(grid, ensemble.increments, ns)):
-        seg = SegmentGrid.dyadic(grid.horizon, n)
-        value, _, _, _ = delayed_parts_for_cells(cells, seg, ensemble, hp, transforms)
-        levels.append(n)
-        samples.append(value)
-        if len(samples) >= 2:
-            diff = np.abs(samples[-1] - samples[-2])
-            gaps.append(float(np.mean(diff)))
-            gap_ses.append(float(np.std(diff, ddof=1) / math.sqrt(diff.size)))
-            if gaps[-1] < tol:
-                converged = True
-                stopping = n
-                break
-    samples = np.asarray(samples)
-    gaps = np.asarray(gaps)
-    pos = gaps > 0.0
-    slope = _fit_slope(np.asarray(levels[1:])[pos], gaps[pos])
-    target = None
-    if gamma.nu_exponent is not None and not hp.is_brownian and math.isfinite(gamma.nu_exponent):
-        target = gamma.nu_exponent / 2.0 + hp.h - 0.5
-    return ExtensionTrace(
-        levels=tuple(levels), samples=samples, means=samples.mean(axis=-1),
-        gaps=gaps, gap_ses=np.asarray(gap_ses), stopping_level=stopping,
-        converged=converged, tol=float(tol), fitted_rate=None if slope is None else -slope,
-        target_rate=target,
-    )
 
 
 def result_record(parts, seg: SegmentGrid, grid: SimulationGrid, hp: HurstParameter,

@@ -5,7 +5,7 @@ on a grid, from explicit per-cell weights, so the batched lattice paths of
 the package can be checked against an independent formula.  The per-segment
 and one-segment assemblies are the package's earlier delayed-integral
 assemblies, kept as independent references for the one built on increment
-fields.
+fields, and so are the extension's level loop and the left-point baselines.
 """
 
 import math
@@ -37,6 +37,7 @@ from fbmdelay.noise import (
     avg_kernel_table,
     block_conv,
     discrete_fbm_cov,
+    fbm_values,
     history_conv,
     write_path_csv,
 )
@@ -209,6 +210,43 @@ def decay_gaps_per_level(gamma: Integrand, hp: HurstParameter, levels, nb: Noise
         v1, _, _, c1 = delayed_parts_for_cells(cells[m + 1], seg, nb, hp, pre)
         gaps += [np.abs(v1 - v0), np.abs(c1 - c0)]
     return tuple(gaps)
+
+
+def extension(gamma: Integrand, hp: HurstParameter, batch: NoiseBatch, levels, tol: float):
+    """The dyadic extension I_H(gamma) = lim I_H(gamma_n) on one batch, level by level in levels.
+
+    Stops once the L1 gap mean |I_H(gamma_n) - I_H(gamma_(n-1))| falls below tol: later levels are not computed.
+    """
+    grid, incs = batch.grid, batch.increments
+    transforms = fbmdelay.integrator.noise_transforms(grid, incs, (hp,), grid.cell_count)
+    samples, gaps = [], []
+    for n, cells in zip(levels, gamma.dyadic_cells(grid, incs, levels)):
+        samples.append(delayed_parts_for_cells(cells, SegmentGrid.dyadic(grid.horizon, n), batch, hp,
+                                               transforms)[0])
+        if len(samples) > 1:
+            gaps.append(float(np.mean(np.abs(samples[-1] - samples[-2]))))
+            if gaps[-1] < tol:
+                break
+    computed = tuple(levels[:len(samples)])
+    return SimpleNamespace(levels=computed, samples=np.array(samples), gaps=gaps,
+                           converged=bool(gaps) and gaps[-1] < tol, stopping_level=computed[-1])
+
+
+def ito_sum(gamma: Integrand, batch: NoiseBatch) -> np.ndarray:
+    """Left-point Ito sum of gamma against the driving noise on the fine grid, per replication."""
+    m0 = batch.grid.origin_index
+    return np.sum(gamma.values_on_cells(batch.grid, batch.increments) * batch.increments[..., m0:], axis=-1)
+
+
+def riemann_fbm_sum(gamma: Integrand, n_steps: int, batch: NoiseBatch, hp: HurstParameter) -> np.ndarray:
+    """Left-point sum of gamma against B_H increments on n_steps uniform cells of [0, T], per replication."""
+    grid = batch.grid
+    if n_steps < 1 or grid.main_steps % n_steps != 0:
+        raise ValueError(f"n_steps must divide the fine grid ({grid.main_steps})")
+    stride = grid.main_steps // n_steps
+    coarse = fbm_values(batch.increments, grid, (hp,))[0, ..., ::stride]
+    left = gamma.values_on_cells(grid, batch.increments)[..., ::stride]
+    return np.sum(left * np.diff(coarse, axis=-1), axis=-1)
 
 
 def _segment_corr(gseg: np.ndarray, kernel: np.ndarray) -> np.ndarray:

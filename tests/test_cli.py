@@ -132,6 +132,10 @@ def test_continuity_and_decay_commands(tmp_path, capsys):
     (["decay", "--levels", "4", "--out", "x.csv"], "--levels takes coarse:fine integers"),
     (["decay", "--levels", "4:a", "--out", "x.csv"], "--levels takes coarse:fine integers"),
     (["continuity", "--hurst-list", "0.7,abc", "--out", "x.csv"], "--hurst-list takes comma-separated"),
+    # a grid too coarse for the projection level: the remedy names only the subcommand's flags
+    (["integrate", "--integrand", "fbm:0.75", "--steps", "256", "--out", "x.json"], "lower --level or"),
+    (["continuity", "--integrand", "fbm:0.75", "--steps", "256", "--out", "x.csv"], "cells; raise --steps\n"),
+    (["decay", "--steps", "256", "--out", "x.csv"], "; lower --levels or raise --steps"),
 ])
 def test_validation_failures_are_one_line_and_nonzero(tmp_path, capsys, argv, fragment):
     os.chdir(tmp_path)
@@ -197,9 +201,12 @@ def test_study_manifests_record_the_noise_checksum(tmp_path, capsys, command):
     (lambda m: m["config"].update(tol=None), "unknown keys ['tol'], missing keys []"),
     (lambda m: m["config"].pop("seed"), "unknown keys [], missing keys ['seed']"),
     (lambda m: m.pop("config"), "missing keys ['command', 'horizon'"),
+    (lambda m: m["config"].update(steps="512"), "key 'steps' must be int (got '512')"),
+    (lambda m: m["config"].update(seed=3.0), "key 'seed' must be int (got 3.0)"),
+    (lambda m: m["config"].update(hurst=0.75), "key 'hurst' must be tuple[float, ...] (got 0.75)"),
 ])
 def test_manifest_replay_refuses_a_config_that_is_not_a_run_config(tmp_path, capsys, edit, fragment):
-    """An unknown key (the --tol of older manifests), a missing key or no config: one line, exit 2."""
+    """An unknown key (older manifests' --tol), a missing key, no config, a mistyped value: one line, exit 2."""
     out = tmp_path / "path.csv"
     assert _run(["simulate", "--seed", "3", *FAST, "--out", str(out)], capsys)[0] == 0
     manifest = tmp_path / "path.csv.manifest.json"

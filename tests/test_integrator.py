@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import fbmdelay.integrands
 import fbmdelay.integrator
-from fbmdelay.experiments import _integration_plan, parse_integrand
+from fbmdelay.experiments import DeskConfig, _integration_plan, cauchy_decay_study, parse_integrand
 from fbmdelay.kernels import hurst_constant
 from fbmdelay.integrands import (
     BrownianIntegrand,
@@ -24,11 +24,8 @@ from fbmdelay.integrator import (
     delayed_integral_batch,
     delayed_parts_for_cells,
     delayed_segment,
-    extended_integral,
-    ito_integral_batch,
     noise_transforms,
     result_record,
-    riemann_fbm_integral_batch,
 )
 from fbmdelay.noise import (
     avg_kernel_table,
@@ -37,10 +34,12 @@ from fbmdelay.noise import (
     generate_noise_batch,
     make_grid,
 )
-from oracles import one_segment_delayed, per_segment_parts, value as path_value
+from oracles import (extension, ito_sum, one_segment_delayed, per_segment_parts, riemann_fbm_sum,
+                     value as path_value)
 from test_integrands import FAMILY
 
-GRID = make_grid(1.0, 512, warmup=2.0)
+SMALL = DeskConfig(steps=512, warmup=2.0)
+GRID = SMALL.grid()
 ONE_PATH = generate_noise_batch(40, GRID, 1)  # a batch of one
 INCS = ONE_PATH.increments[0]  # its path
 H6 = hurst_constant(0.6)
@@ -265,22 +264,22 @@ def test_history_fields_vanish_at_the_brownian_value():
 def test_brownian_value_is_exactly_the_ito_sum(spec, horizon):
     """At h = 1/2 the value and the Ito part are sum gamma dB to the last bit, on any step."""
     grid = make_grid(horizon, 512, warmup=2.0)
-    gamma, seg = _integration_plan(parse_integrand(spec, horizon), grid, 4)
+    gamma, seg = _integration_plan(parse_integrand(spec, horizon), grid, 4, "--level")
     batch = generate_noise_batch(3, grid, 16)
     value, ito, tail, cross = delayed_integral_batch(gamma, seg, batch, H5)
-    want = ito_integral_batch(gamma, batch)
+    want = ito_sum(gamma, batch)
     assert value.tobytes() == want.tobytes() and ito.tobytes() == want.tobytes()
     assert not np.any(tail) and not np.any(cross)
 
 
 # ---------------------------------------------------------------------------
-# classical baselines
+# classical baselines (test oracles)
 # ---------------------------------------------------------------------------
 
 def test_ito_integral_constant_and_zero():
-    assert ito_integral_batch(DeterministicIntegrand.constant(0.0), ONE_PATH)[0] == 0.0
+    assert ito_sum(DeterministicIntegrand.constant(0.0), ONE_PATH)[0] == 0.0
     b_t = float(np.sum(INCS[GRID.origin_index:]))
-    assert ito_integral_batch(DeterministicIntegrand.constant(2.0), ONE_PATH)[0] == pytest.approx(
+    assert ito_sum(DeterministicIntegrand.constant(2.0), ONE_PATH)[0] == pytest.approx(
         2 * b_t, abs=1e-12)
 
 
@@ -289,7 +288,7 @@ def test_ito_integral_brownian_discrete_identity_and_refinement():
     for steps in (256, 4096):
         g = make_grid(1.0, steps)
         noise = generate_noise_batch(11, g, 1)
-        got = ito_integral_batch(BrownianIntegrand(), noise)[0]
+        got = ito_sum(BrownianIntegrand(), noise)[0]
         b = np.concatenate([[0.0], np.cumsum(noise.increments[0])])
         qv = float(np.sum(noise.increments[0] ** 2))
         assert 2 * got == pytest.approx(b[-1] ** 2 - qv, abs=1e-10)
@@ -301,31 +300,31 @@ def test_ito_integral_brownian_discrete_identity_and_refinement():
 
 def test_riemann_fbm_telescoping_and_identity():
     for n in (8, 64, 512):
-        got = riemann_fbm_integral_batch(ONE, n, ONE_PATH, H75)[0]
+        got = riemann_fbm_sum(ONE, n, ONE_PATH, H75)[0]
         bh = _bh(H75)
         assert got == pytest.approx(bh[-1] - bh[0], abs=1e-10)
     # left-point sums of B_H against itself: 2 sum = B_H(T)^2 - sum dBH^2, exact per path
     gamma = FbmIntegrand(0.75)
     bh = _bh(H75)
     for n in (8, 64, 512):
-        got = riemann_fbm_integral_batch(gamma, n, ONE_PATH, H75)[0]
+        got = riemann_fbm_sum(gamma, n, ONE_PATH, H75)[0]
         coarse = bh[:: 512 // n]
         qv = float(np.sum(np.diff(coarse) ** 2))
         assert 2 * got == pytest.approx(bh[-1] ** 2 - qv, abs=1e-10)
 
 
 def test_riemann_fbm_brownian_case_matches_ito():
-    got = riemann_fbm_integral_batch(BrownianIntegrand(), 512, ONE_PATH, H5)[0]
-    assert got == pytest.approx(ito_integral_batch(BrownianIntegrand(), ONE_PATH)[0], abs=1e-12)
+    got = riemann_fbm_sum(BrownianIntegrand(), 512, ONE_PATH, H5)[0]
+    assert got == pytest.approx(ito_sum(BrownianIntegrand(), ONE_PATH)[0], abs=1e-12)
 
 
 def test_riemann_fbm_validates_steps():
     with pytest.raises(ValueError):
-        riemann_fbm_integral_batch(ONE, 500, ONE_PATH, H75)
+        riemann_fbm_sum(ONE, 500, ONE_PATH, H75)
 
 
 # ---------------------------------------------------------------------------
-# the extension
+# the extension: cauchy_decay_study is its one level loop; tests/oracles.py::extension adds the stopping rule
 # ---------------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
@@ -333,18 +332,27 @@ def ensemble():
     return generate_noise_batch(21024, GRID, 200)
 
 
+@pytest.mark.parametrize("spec,hp", [("bm", H75), ("fbm:0.75", H6)], ids=["bm", "fbm0.75"])
+def test_extension_gaps_are_the_decay_study_gaps(spec, hp):
+    """One dyadic extension: on the same streams, the level-to-level L1 gaps are the study's to the bit."""
+    study = cauchy_decay_study(spec, hp, range(3, 7), 64, 9, SMALL)
+    trace = extension(parse_integrand(spec), hp, generate_noise_batch(9, GRID, 64), range(3, 7), tol=0.0)
+    assert tuple(trace.gaps) == study.gaps
+
+
 def test_extension_trace_for_brownian(ensemble):
-    trace = extended_integral(BrownianIntegrand(), H6, ensemble, tol=1e-9, n_max=8, n_start=2)
+    trace = extension(BrownianIntegrand(), H6, ensemble, range(2, 9), tol=1e-9)
     assert not trace.converged  # nu = 0: slow geometric decay cannot hit 1e-9
-    assert np.all(trace.gaps >= 0.0)
-    assert trace.target_rate == pytest.approx(0.1)
-    assert 0.0 < trace.fitted_rate < 0.6
     assert trace.stopping_level == 8
     assert trace.samples.shape == (7, 200)
+    study = cauchy_decay_study("bm", H6, range(2, 9), 200, ensemble.seed, SMALL)  # the same streams
+    assert np.all(np.array(study.gaps) >= 0.0)
+    assert study.target_slope == pytest.approx(-0.1)
+    assert 0.0 < -study.fitted_slope < 0.6
 
 
 def test_extension_converges_with_loose_tol(ensemble):
-    trace = extended_integral(BrownianIntegrand(), H6, ensemble, tol=0.5, n_max=8)
+    trace = extension(BrownianIntegrand(), H6, ensemble, range(1, 9), tol=0.5)
     assert trace.converged
     assert trace.gaps[-1] < 0.5
     assert trace.stopping_level < 8
@@ -357,7 +365,7 @@ def test_extension_computes_history_transforms_once(ensemble, monkeypatch):
     monkeypatch.setattr(fbmdelay.integrator, "noise_transforms",
                         lambda *args: calls.append(args) or real(*args))
     gamma = FbmIntegrand(0.75)
-    trace = extended_integral(gamma, H6, ensemble, tol=1e-9, n_max=6)
+    trace = extension(gamma, H6, ensemble, range(1, 7), tol=1e-9)
     assert len(calls) == 1
     assert trace.levels == (1, 2, 3, 4, 5, 6)
     for n, samples in zip(trace.levels, trace.samples):
@@ -386,10 +394,10 @@ def test_extension_computes_one_path_and_stops_the_levels(ensemble, monkeypatch)
 
     monkeypatch.setattr(fbmdelay.integrands, "history_conv", conv_spy)
     monkeypatch.setattr(FbmIntegrand, "dyadic_cells", cells_spy)
-    trace = extended_integral(FbmIntegrand(0.75), H6, ensemble, tol=0.05, n_max=8)
+    trace = extension(FbmIntegrand(0.75), H6, ensemble, range(1, 9), tol=0.05)
     assert trace.converged and trace.stopping_level < 8
     assert computed == list(trace.levels)
-    assert len(paths) == 1  # tol is given, so x_norm draws no path of its own
+    assert len(paths) == 1
 
 
 @pytest.mark.parametrize("hp", [H5, H6], ids=lambda h: f"h{h.h}")
@@ -445,7 +453,7 @@ def test_parts_match_the_per_segment_assembly(gamma, h, level, gaps, uniform):
 
 
 def test_extension_deterministic_collapses(ensemble):
-    trace = extended_integral(ONE, H75, ensemble, n_max=6)
+    trace = extension(ONE, H75, ensemble, range(1, 7), tol=1e-3)
     assert trace.converged
     assert trace.gaps[-1] <= 1e-12
     single = _integral(ONE, SegmentGrid.dyadic(1.0, 1), H75)[0]
