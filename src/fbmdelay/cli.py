@@ -5,7 +5,8 @@ that replays the run byte-for-byte via --manifest.  The manifests of the
 multi-Hurst studies (continuity, nonconv) also record the checksum of the
 noise they consumed; a manifest replays only if its config has exactly
 RunConfig's fields, with their types.  A setting that a command's flags
-leave out (--kind, --level, --levels) takes its one default from RunConfig.
+leave out (--kind, --level, --levels) takes its one default from RunConfig,
+and only integrate may set level to anything else.
 Relative output paths resolve against $FBMDELAY_OUT when it is set.
 """
 
@@ -72,6 +73,9 @@ class RunConfig:
             raise ValueError(f"--warmup must be >= 0 (got {self.warmup})")
         if self.kind not in PROCESS_KINDS:
             raise ValueError(f"--kind must be one of {', '.join(PROCESS_KINDS)} (got {self.kind})")
+        if self.level != RunConfig.level and self.command != "integrate":
+            raise ValueError(f"level is set only by integrate's --level; {self.command} takes "
+                             f"{RunConfig.level} (got {self.level})")
 
 
 def _resolve_out(path: str) -> str:

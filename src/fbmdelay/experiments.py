@@ -4,10 +4,13 @@ Every driver follows the same discipline:
 
 * common random numbers: within a replication, every Hurst value consumes the
   identical driving noise (one Philox stream per replication, checksummed);
-* one runner, `_replicate`, draws the replications chunk by chunk, each
-  chunk sized from the grid to at most `_CHUNK_BYTES` of noise, and
+* one runner, `_replicate`, draws the replications chunk by chunk and
   concatenates the per-replication results in stream order; they are
   aggregated once, so output is independent of chunking and scheduling;
+* that runner is the package's one level of parallelism: it runs the chunks
+  on up to `WORKERS` threads (numpy, scipy's FFTs and the Philox draws
+  release the GIL), each drawing its own noise and doing its own transforms
+  serially, with at most `_CHUNK_BYTES` of noise in flight;
 * every tolerance is 3 standard errors plus a declared budget computed from
   exact expectations of the discrete estimators, never a fitted fudge.
 """
@@ -16,7 +19,9 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import zlib
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,8 +98,11 @@ class DeskConfig:
 
 DESK = DeskConfig()
 
-#: bytes of noise drawn per chunk: 256 replications of the 36,864-cell desk grid
-_CHUNK_BYTES = 256 * 36_864 * 8
+#: CPUs this process may run on: _replicate runs up to this many chunks at once
+WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else (os.cpu_count() or 1)
+
+#: the most noise, in bytes, in flight across all chunk threads: 128 replications of the 36,864-cell desk grid
+_CHUNK_BYTES = 128 * 36_864 * 8
 
 
 @dataclass(frozen=True)
@@ -115,16 +123,32 @@ def _mc(values: np.ndarray, seed: int, budget: float) -> MCResult:
 
 
 def _replicate(seed: int, grid: SimulationGrid, reps: int, per_chunk) -> tuple:
-    """Run per_chunk over replications 0..reps-1, at most _CHUNK_BYTES of noise at a time.
+    """Run per_chunk over replications 0..reps-1 in chunks, up to WORKERS chunks at once.
 
     Replication r is noise stream r of seed.  per_chunk maps a NoiseBatch to
     a tuple of arrays with one entry per replication along the first axis;
     the runner returns each array concatenated in stream order, so the
-    result does not depend on the chunk size.
+    result does not depend on the chunk size or the thread count.  A chunk
+    holds _CHUNK_BYTES / WORKERS of noise (at least one row), and no more
+    than reps / WORKERS rows, so a short run still keeps every CPU busy.  A
+    chunk draws its noise in its own task, and no more chunks run at once
+    than fit in _CHUNK_BYTES (one, if a row is larger).  One thread runs
+    inline.  If a chunk raises, the chunks that have not started are
+    cancelled and the exception reaches the caller.
     """
-    chunk = max(1, _CHUNK_BYTES // (8 * grid.cell_count))
-    parts = [per_chunk(generate_noise_batch(seed, grid, min(chunk, reps - lo), first_stream=lo))
-             for lo in range(0, reps, chunk)]
+    rows = max(1, _CHUNK_BYTES // (8 * grid.cell_count))
+    chunk = max(1, min(rows // WORKERS, -(-reps // WORKERS)))
+    starts = range(0, reps, chunk)
+
+    def run(lo):
+        return per_chunk(generate_noise_batch(seed, grid, min(chunk, reps - lo), first_stream=lo))
+
+    threads = min(WORKERS, len(starts), rows // chunk)
+    if threads <= 1:
+        parts = [run(lo) for lo in starts]
+    else:
+        with ThreadPoolExecutor(threads) as pool:
+            parts = list(pool.map(run, starts))  # map cancels the unstarted chunks when one raises
     return tuple(np.concatenate(col) for col in zip(*parts))
 
 

@@ -379,7 +379,7 @@ class PiecewisePredictableIntegrand(Integrand):
         t_cells = fine_cell_times(grid)
         bps = np.asarray(self.grid.breakpoints)
         k = np.clip(np.searchsorted(bps, t_cells, side="right") - 1, 0, len(bps) - 2)
-        return np.array([grid.index_of(bps[i]) for i in range(len(bps))])[k]
+        return grid.index_of(bps)[k]
 
     def values_on_cells(self, grid, incs):
         return self.inner.frozen_values_on_cells(grid, incs, self.freeze_index_per_cell(grid))

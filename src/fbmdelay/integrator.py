@@ -54,9 +54,7 @@ MIN_CELLS_PER_SEGMENT = 2
 def _segment_lattice_indices(grid: SimulationGrid, seg: SegmentGrid) -> np.ndarray:
     if abs(seg.start - grid.origin) > 1e-12:
         raise ValueError("segment grids start at the origin (general starts are handled by time shift)")
-    idx = np.array([grid.index_of(b) for b in seg.breakpoints])
-    if idx[-1] > grid.cell_count:
-        raise ValueError("segment grid extends beyond the simulation horizon")
+    idx = grid.index_of(seg.breakpoints)
     if np.any(np.diff(idx) < MIN_CELLS_PER_SEGMENT):
         raise ValueError(f"degenerate segment: fewer than {MIN_CELLS_PER_SEGMENT} fine cells")
     return idx

@@ -16,17 +16,16 @@ through expm1/log1p so that they keep their relative precision as h -> 1/2.
 `history_conv` also takes a stack of kernels that read the same window of
 driving cells (one per Hurst value, say): each row of the window is
 transformed forward once, and its spectrum serves every kernel.  Rows go
-through the transforms in blocks of at most `_FFT_BLOCK_POINTS` FFT points
-(never fewer than `WORKERS` rows), so the spectrum held across the kernels
-stays small whatever the batch.  `fbm_values` and the delayed integral's
-history fields take a list of Hurst values this way.
+through the transforms in blocks of at most `_FFT_BLOCK_POINTS` FFT points,
+so the spectrum held across the kernels stays small whatever the batch.
+`fbm_values` and the delayed integral's history fields take a list of
+Hurst values this way.
 
-Both hot layers use every CPU in the process's affinity mask (`WORKERS`):
-the batch draw fills blocks of rows on threads, and a large block of a
-history convolution hands the worker count to pocketfft, which splits the
-rows across threads.  Each row is still drawn from its own stream and
-transformed as one 1-D FFT, so the output bytes do not depend on the
-worker count, the row blocks or the number of kernels.
+Everything here runs on the calling thread: the drivers run whole chunks
+of replications on threads instead (`experiments._replicate`), and each
+chunk's draw and transforms are serial.  Each row is drawn from its own
+stream and transformed as one 1-D FFT, so the output bytes do not depend
+on the row blocks or the number of kernels.
 
 Measurability is structural: any quantity conditioned on time tau is
 computed from increments in cells ending at or before tau, enforced by
@@ -36,8 +35,6 @@ slicing the window of driving cells, never by zeroing data.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -63,17 +60,10 @@ PROCESS_KINDS = ("B", "B_H", "W_H", "R_H", "DR_H")
 
 _LATTICE_RTOL = 1e-9
 
-#: CPUs this process may run on; the batch draw and the large FFTs use all of them
-WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else (os.cpu_count() or 1)
-
-#: a block of a history convolution threads its FFTs from rows * FFT length points on;
-#: threading the small per-segment transforms made the level-10 assembly slower
-_PARALLEL_FFT_POINTS = 2 ** 20
-
-#: a history convolution transforms its rows in blocks of at most this many FFT points
-#: (but at least WORKERS rows, so a long transform still has a row for every thread),
-#: which bounds the spectra and inverse transforms it holds at once
-_FFT_BLOCK_POINTS = 2 ** 21
+#: a history convolution transforms its rows in blocks of at most this many FFT points,
+#: which bounds the spectra and inverse transforms it holds at once; the budget is per
+#: thread, since every chunk thread of a driver runs its own convolutions
+_FFT_BLOCK_POINTS = 2 ** 20
 
 #: block_conv takes a Toeplitz product up to this block length, an FFT beyond
 _TOEPLITZ_MAX = 256
@@ -116,13 +106,14 @@ class SimulationGrid:
     def edges(self) -> np.ndarray:
         return self.warmup_start + self.step * np.arange(self.cell_count + 1)
 
-    def index_of(self, t: float) -> int:
-        """Lattice index of a grid point; rejects off-lattice times."""
-        pos = (t - self.warmup_start) / self.step
-        idx = int(round(pos))
-        if not (0 <= idx <= self.cell_count) or abs(pos - idx) > 1e-6:
-            raise ValueError(f"t={t} is not on the simulation lattice")
-        return idx
+    def index_of(self, t):
+        """Lattice index of a grid point, or an array of them for an array of times; rejects off-lattice times."""
+        pos = (np.asarray(t, dtype=float) - self.warmup_start) / self.step
+        idx = np.rint(pos).astype(int)  # half to even, as round()
+        bad = (idx < 0) | (idx > self.cell_count) | (np.abs(pos - idx) > 1e-6)
+        if np.any(bad):
+            raise ValueError(f"t={float(np.asarray(t)[bad][0])!r} is not on the simulation lattice")
+        return int(idx) if idx.ndim == 0 else idx
 
 
 def make_grid(horizon: float, steps: int, warmup: float = 0.0) -> SimulationGrid:
@@ -170,25 +161,13 @@ def generate_noise_batch(seed: int, grid: SimulationGrid, reps: int, first_strea
     """Independent replications: row r holds stream first_stream + r of seed, variance step per cell.
 
     Bit-for-bit reproducible, and a row does not depend on the batch it is
-    drawn in.  The rows are split into min(WORKERS, reps) contiguous
-    blocks, filled on threads (Philox draws release the GIL).  Every row is
-    drawn in place from its own stream, so the batch is the same for any
-    worker count.
+    drawn in: every row is drawn in place from its own stream.
     """
     out = np.empty((reps, grid.cell_count))
     root = math.sqrt(grid.step)
-
-    def fill(rows):
-        for r in rows:
-            _rng(seed, first_stream + r).standard_normal(out=out[r])
-            out[r] *= root
-
-    blocks = min(WORKERS, reps)
-    if blocks <= 1:
-        fill(range(reps))
-    else:
-        with ThreadPoolExecutor(blocks) as pool:
-            list(pool.map(fill, np.array_split(np.arange(reps), blocks)))
+    for r in range(reps):
+        _rng(seed, first_stream + r).standard_normal(out=out[r])
+        out[r] *= root
     return NoiseBatch(grid=grid, increments=out, seed=seed, first_stream=first_stream)
 
 
@@ -246,12 +225,9 @@ def history_conv(incs: np.ndarray, table: np.ndarray | None,
     once for all of them, then inverted once per kernel.  Row q of the
     result is byte for byte the call with table[q] alone.
 
-    Rows are transformed in blocks of at most _FFT_BLOCK_POINTS FFT points,
-    or of WORKERS rows where fewer would fit.  A block of rows * FFT length
-    >= _PARALLEL_FFT_POINTS runs its transforms on WORKERS threads; pocketfft
-    splits the rows among them and transforms each row exactly as a serial
-    call does, so the result is bit-identical for any worker count and block
-    size; smaller blocks stay serial.
+    Rows are transformed in blocks of at most _FFT_BLOCK_POINTS FFT points
+    (one row where a single row exceeds it).  Each row is transformed as
+    one 1-D FFT, so the result is bit-identical for any block size.
     """
     j0, j1 = outputs
     lo = max(cells[0], 0)
@@ -272,15 +248,13 @@ def history_conv(incs: np.ndarray, table: np.ndarray | None,
     spectra = _fft.rfft(table[..., 1:k1], n, axis=-1).reshape(-1, n // 2 + 1)
     rows = x.reshape(-1, m)
     dest = out.reshape(len(spectra), rows.shape[0], out.shape[-1])[..., k0 + lo - j0:]
-    block = max(_FFT_BLOCK_POINTS // n, WORKERS)
+    block = max(_FFT_BLOCK_POINTS // n, 1)
     for r in range(0, rows.shape[0], block):
-        fx = rows[r:r + block]
-        workers = WORKERS if fx.shape[0] * n >= _PARALLEL_FFT_POINTS else 1
-        fx = _fft.rfft(fx, n, axis=-1, workers=workers)
+        fx = _fft.rfft(rows[r:r + block], n, axis=-1)
         prod = fx if len(spectra) == 1 else np.empty_like(fx)
         for q, spectrum in enumerate(spectra):
             np.multiply(fx, spectrum, out=prod)
-            dest[q, r:r + block] = _fft.irfft(prod, n, axis=-1, workers=workers)[:, k0 - 1:k1 - 1]
+            dest[q, r:r + block] = _fft.irfft(prod, n, axis=-1)[:, k0 - 1:k1 - 1]
     return out
 
 

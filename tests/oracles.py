@@ -355,17 +355,25 @@ def spy_convolutions(monkeypatch) -> dict:
 def spy_noise_ffts(monkeypatch) -> list:
     """Record the forward FFTs that history_conv makes of rows of its input.
 
-    Returns a list with one (rows, width, FFT length, workers) entry per
-    call, rows counting every leading index.  The kernel tables are
-    transformed without a worker count and are not recorded.
+    Returns a list with one (rows, width, FFT length) entry per call, rows
+    counting every leading index, from any thread.  The kernel tables are
+    transformed too; they are told apart by their memory, which the spy
+    learns from the table argument of every history_conv call, and are not
+    recorded.
     """
-    calls = []
+    calls, tables = [], []
 
-    def rfft(a, n, axis=-1, workers=None):
-        if workers is not None:
-            calls.append((math.prod(a.shape[:-1]), a.shape[-1], n, workers))
-        return _fft.rfft(a, n, axis=axis, workers=workers)
+    def rfft(a, n, axis=-1):
+        if not any(np.may_share_memory(a, table) for table in tables):
+            calls.append((math.prod(a.shape[:-1]), a.shape[-1], n))
+        return _fft.rfft(a, n, axis=axis)
 
+    for module in (fbmdelay.noise, fbmdelay.integrator, fbmdelay.integrands):
+        def history_conv(incs, table, *windows, _real=module.history_conv):
+            if table is not None:
+                tables.append(table)
+            return _real(incs, table, *windows)
+        monkeypatch.setattr(module, "history_conv", history_conv)
     monkeypatch.setattr(fbmdelay.noise, "_fft", SimpleNamespace(
         rfft=rfft, irfft=_fft.irfft, next_fast_len=_fft.next_fast_len))
     return calls

@@ -220,6 +220,23 @@ def test_manifest_replay_refuses_a_config_that_is_not_a_run_config(tmp_path, cap
     assert err.startswith("fbmdelay: error: manifest config does not match RunConfig") and fragment in err
 
 
+def test_manifest_replay_refuses_a_level_for_any_command_but_integrate(tmp_path, capsys):
+    """continuity has no --level: a manifest edited to another level is refused in one line, exit 2."""
+    out = tmp_path / "study.csv"
+    argv = ["continuity", "--integrand", "fbm:0.75", "--hurst-list", "0.7,0.51", "--reps", "20",
+            "--steps", "512", "--warmup", "1.0", "--out", str(out)]
+    assert _run(argv, capsys)[0] == 0
+    manifest = out.with_suffix(".csv.manifest.json")
+    record = json.loads(manifest.read_text())
+    record["config"].update(level=4, steps=256)
+    manifest.write_text(json.dumps(record))
+    out.unlink()
+    code, stdout, err = _run(["--manifest", str(manifest)], capsys)
+    assert code == 2 and stdout == "" and not out.exists()
+    assert err.count("\n") == 1
+    assert err.startswith("fbmdelay: error: level is set only by integrate's --level; continuity takes 8 (got 4)")
+
+
 def test_no_command_prints_usage(capsys):
     code, _, err = _run([], capsys)
     assert code == 2

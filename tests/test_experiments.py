@@ -5,6 +5,9 @@ import json
 import os
 import subprocess
 import sys
+import threading
+import time
+from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -13,7 +16,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fbmdelay.experiments
-import fbmdelay.noise
 from fbmdelay.kernels import hurst_constant
 from fbmdelay.noise import dr_pointwise_closed_form
 from fbmdelay.experiments import (
@@ -83,20 +85,88 @@ def test_verify_dr_moments_runs_on_the_config_horizon():
 
 
 def test_replicate_sizes_chunks_from_the_grid(monkeypatch):
-    """256 rows at desk scale, 16 at 2^16 steps, and never fewer than one; nothing is allocated."""
-    sizes = []
+    """_CHUNK_BYTES split over WORKERS, no more than reps / WORKERS rows, and never fewer than one.
+
+    64 rows at desk scale on 2 workers, 128 on one, 4 at 2^16 steps; every
+    stream is drawn once.  At 2^24 steps one row is more than _CHUNK_BYTES,
+    so the chunks run one at a time on the calling thread.  Nothing is
+    allocated.
+    """
+    drawn = []
 
     def stub(seed, grid, reps, first_stream=0):
-        sizes.append(reps)
+        drawn.append((first_stream, reps, threading.get_ident()))
         return SimpleNamespace(replications=reps)
 
     monkeypatch.setattr(fbmdelay.experiments, "generate_noise_batch", stub)
-    for config, reps, want in ((DeskConfig(), 512, [256, 256]),
-                               (DeskConfig(steps=65536), 40, [16, 16, 8]),
-                               (DeskConfig(steps=2 ** 24), 2, [1, 1])):
-        sizes.clear()
+    for workers, config, reps, want, inline in ((2, DeskConfig(), 512, [64] * 8, False),
+                                                (1, DeskConfig(), 512, [128] * 4, True),
+                                                (2, DeskConfig(steps=65536), 40, [4] * 10, False),
+                                                (2, DeskConfig(), 10, [5, 5], False),
+                                                (3, DeskConfig(), 10, [4, 4, 2], False),
+                                                (2, DeskConfig(steps=2 ** 24), 2, [1, 1], True)):
+        monkeypatch.setattr(fbmdelay.experiments, "WORKERS", workers)
+        drawn.clear()
         out, = _replicate(1, config.grid(), reps, lambda nb: (np.zeros(nb.replications),))
-        assert sizes == want and out.shape == (reps,)
+        starts = np.cumsum([0] + want[:-1])
+        assert sorted(d[:2] for d in drawn) == list(zip(starts, want)) and out.shape == (reps,)
+        assert inline == all(d[2] == threading.get_ident() for d in drawn)
+
+
+@pytest.mark.parametrize("budget_rows, chunk_rows", [(6, 2), (2, 1)])
+def test_replicate_keeps_at_most_the_budget_alive(monkeypatch, budget_rows, chunk_rows):
+    """From its draw to its return no more than _CHUNK_BYTES of noise exists, and that much does at once.
+
+    On 3 workers a budget of 6 rows runs 3 chunks of 2 rows together; a
+    budget of 2 rows runs chunks of 1 row on 2 threads only.  Every chunk
+    waits at a barrier of as many parties as the budget allows chunks, which
+    only that many chunks alive together can pass.  The rows come back in
+    stream order, and a single chunk runs on the calling thread.
+    """
+    workers, grid = 3, SMALL.grid()
+    monkeypatch.setattr(fbmdelay.experiments, "WORKERS", workers)
+    monkeypatch.setattr(fbmdelay.experiments, "_CHUNK_BYTES", _chunk_bytes(budget_rows))
+    lock, alive, peak = threading.Lock(), [0], [0]
+    barrier = threading.Barrier(budget_rows // chunk_rows, timeout=30)
+    real_draw = fbmdelay.experiments.generate_noise_batch
+
+    def draw(seed, grid, reps, first_stream=0):
+        with lock:
+            alive[0] += reps
+            peak[0] = max(peak[0], alive[0])
+        return real_draw(seed, grid, reps, first_stream=first_stream)
+
+    def per_chunk(nb):
+        assert nb.replications == chunk_rows
+        barrier.wait()
+        with lock:
+            alive[0] -= nb.replications
+        return (nb.increments[:, :3],)
+
+    monkeypatch.setattr(fbmdelay.experiments, "generate_noise_batch", draw)
+    rows, = _replicate(3, grid, 36, per_chunk)  # 36 / chunk_rows chunks, several rounds of the barrier
+    assert peak[0] == budget_rows and alive[0] == 0
+    assert rows.tobytes() == real_draw(3, grid, 36).increments[:, :3].tobytes()
+    caller, = _replicate(3, grid, 1, lambda nb: (np.array([threading.get_ident()]),))
+    assert caller[0] == threading.get_ident()
+
+
+def test_replicate_passes_a_chunk_exception_to_the_caller(monkeypatch):
+    """A chunk that raises stops the run: the caller gets its exception, and unstarted chunks never run."""
+    monkeypatch.setattr(fbmdelay.experiments, "WORKERS", 2)
+    monkeypatch.setattr(fbmdelay.experiments, "_CHUNK_BYTES", _chunk_bytes(2 * 2))  # 2 rows a chunk
+    started = []
+
+    def per_chunk(nb):
+        started.append(nb.first_stream)
+        if nb.first_stream == 0:
+            raise RuntimeError("chunk at stream 0 failed")
+        time.sleep(0.02)
+        return (nb.increments[:, 0],)
+
+    with pytest.raises(RuntimeError, match="chunk at stream 0 failed"):
+        _replicate(3, SMALL.grid(), 40, per_chunk)  # 20 chunks
+    assert 0 in started and len(started) < 20
 
 
 def test_fbm_law_check_small_scale():
@@ -162,18 +232,22 @@ def test_decay_study_runs_and_reports_both_slopes():
     assert study.target_slope == pytest.approx(-0.25)
 
 
-def test_drivers_are_identical_for_any_worker_count(monkeypatch):
-    """1, 2 or 3 workers give equal results; with threads, every history FFT is threaded too."""
-    runs = []
-    for workers in (1, 2, 3):
-        monkeypatch.setattr(fbmdelay.noise, "WORKERS", workers)
-        if workers > 1:  # SMALL stays below the size guard; lower it so the FFTs thread
-            monkeypatch.setattr(fbmdelay.noise, "_PARALLEL_FFT_POINTS", 1)
-        runs.append((continuity_study("fbm:0.75", [0.7, 0.51], 150, 5, config=SMALL),
-                     cauchy_decay_study("fbm:0.75", hurst_constant(0.6), range(3, 6), 150, 5,
-                                        config=SMALL)))
-    for other in runs[1:]:
-        assert other == runs[0]
+def test_drivers_are_identical_for_any_worker_count():
+    """Every driver gives its one-chunk result on 1, 2 or 3 chunk threads, with up to 8 chunks of 20 rows.
+
+    The interpreter switches threads every microsecond here, so chunks
+    interleave as finely as they can.
+    """
+    want = _every_driver_in_one_chunk()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runs = [_every_driver(20, CHUNK_REPS, workers) for workers in (1, 2, 3)]
+    finally:
+        sys.setswitchinterval(interval)
+    for run in runs:
+        for got, expected in zip(run, want):
+            assert got == expected
 
 
 def test_drivers_are_identical_for_any_blas_thread_count():
@@ -202,13 +276,15 @@ def test_drivers_are_identical_for_any_blas_thread_count():
 
 
 def _chunk_bytes(rows, config=SMALL):
-    """The _CHUNK_BYTES that makes _replicate draw chunks of rows replications on config's grid."""
+    """The _CHUNK_BYTES that makes _replicate draw chunks of rows replications on config's grid, at WORKERS = 1."""
     return rows * 8 * config.grid().cell_count
 
 
-def _every_driver(chunk, reps):
+def _every_driver(chunk, reps, workers=1):
+    """Every driver's result, in chunks of at most chunk rows run on workers threads."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(fbmdelay.experiments, "_CHUNK_BYTES", _chunk_bytes(chunk))
+        mp.setattr(fbmdelay.experiments, "WORKERS", workers)
+        mp.setattr(fbmdelay.experiments, "_CHUNK_BYTES", _chunk_bytes(chunk * workers))
         return (verify_dr_moments(H75, 1.0, reps, 3, SMALL),
                 fbm_law_check(H75, reps, 3, SMALL),
                 shiryaev_identity_check(H75, [64, 512], reps, 3, SMALL),
@@ -276,24 +352,26 @@ def test_every_hurst_value_sees_the_same_noise_in_any_list(hursts):
 
 @pytest.mark.parametrize("spec", ["det:const:1.0", "pp:bm:8"])
 def test_continuity_transforms_each_noise_window_once_for_every_h(monkeypatch, spec):
-    """One chunk, 4 h: every row of the warmup and of the main window is transformed forward once.
+    """Three chunks on three threads, 4 h: every row of the warmup and of the main window is transformed forward once.
 
     The values come straight off the B_H increment field, so no h makes a
     segment block convolution either.
     """
     grid = SMALL.grid()
+    monkeypatch.setattr(fbmdelay.experiments, "WORKERS", 3)
     ffts = spy_noise_ffts(monkeypatch)
     calls = spy_convolutions(monkeypatch)
-    reps = 6
+    reps = 6  # chunks of 2
     continuity_study(spec, [0.7, 0.6, 0.55, 0.51], reps, 5, config=SMALL)
     for window in (grid.origin_index, grid.main_steps):
-        assert sum(rows for rows, width, _, _ in ffts if width == window) == reps
+        assert sum(rows for rows, width, _ in ffts if width == window) == reps
     assert calls["integrator.block_conv"] == []
 
 
 @pytest.mark.parametrize("spec,h", [("bm", 0.75), ("fbm:0.75", 0.6), ("rl:0.7", 0.7), ("bm2", 0.6)])
 def test_decay_study_equals_per_level_reference(monkeypatch, spec, h):
     """One path and one assembly per level pair give the bytes of the per-level evaluation."""
+    monkeypatch.setattr(fbmdelay.experiments, "WORKERS", 1)
     monkeypatch.setattr(fbmdelay.experiments, "_CHUNK_BYTES", _chunk_bytes(128))
     hp, levels, reps = hurst_constant(h), [3, 4, 5], 150  # chunks of 128 and 22
     study = cauchy_decay_study(spec, hp, levels, reps, 9, config=SMALL)
@@ -312,18 +390,23 @@ def test_decay_study_shares_the_path_and_the_cross_convolutions(monkeypatch):
 
     No segment and no freeze run has a convolution of its own: the cross
     parts come from the shared fields, and each level's forecasts and each
-    pair's Ito field are one block convolution.
+    pair's Ito field are one block convolution.  The two chunks run on two
+    threads, so the calls are counted, not ordered.
     """
     grid = SMALL.grid()
     m0, n = grid.origin_index, grid.cell_count
-    monkeypatch.setattr(fbmdelay.experiments, "_CHUNK_BYTES", _chunk_bytes(128))
+    monkeypatch.setattr(fbmdelay.experiments, "WORKERS", 2)
     calls = spy_convolutions(monkeypatch)
     cauchy_decay_study("fbm:0.75", hurst_constant(0.6), range(3, 6), 150, 5, config=SMALL)
-    chunks = 2  # 128 + 22 replications
-    assert calls["integrands.history_conv"] == [((0, n), (m0, n))] * chunks
-    assert [len(b) - 1 for b in calls["integrands.block_conv"]] == [2 ** m for m in (3, 4, 5)] * chunks
-    assert calls["integrator.history_conv"] == [((0, m0), (m0, n + 1)), ((m0, n), (m0, n + 1))] * chunks
-    assert [len(b) - 1 for b in calls["integrator.block_conv"]] == [2 ** (m + 1) for m in (3, 4)] * chunks
+    chunks = 2  # 75 + 75 replications
+
+    def count(key, entry=lambda c: c):
+        return Counter(entry(c) for c in calls[key])
+
+    assert count("integrands.history_conv") == {((0, n), (m0, n)): chunks}
+    assert count("integrands.block_conv", len) == {2 ** m + 1: chunks for m in (3, 4, 5)}
+    assert count("integrator.history_conv") == {((0, m0), (m0, n + 1)): chunks, ((m0, n), (m0, n + 1)): chunks}
+    assert count("integrator.block_conv", len) == {2 ** (m + 1) + 1: chunks for m in (3, 4)}
 
 
 def test_decay_study_deterministic_integrand_skips_fit():

@@ -2,6 +2,7 @@
 
 import math
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy import fft
 
+import fbmdelay.experiments
 import fbmdelay.noise
 from fbmdelay.cli import parse_and_dispatch
 from fbmdelay.kernels import hurst_constant
@@ -71,6 +73,20 @@ def test_grid_construction_and_indexing(grid):
         grid.index_of(0.12345)  # off-lattice
 
 
+def test_index_of_takes_an_array_as_the_scalar_loop(grid):
+    """An array of times gives the indices of one call per time, rounded alike; one bad time refuses all."""
+    step = grid.step
+    times = np.concatenate([grid.edges()[::97], [0.0, 1.0, 0.25 + 1e-9 * step, -4.0 + 0.4e-6 * step]])
+    got = grid.index_of(times)
+    assert got.dtype.kind == "i" and got.tolist() == [grid.index_of(float(t)) for t in times]
+    assert type(grid.index_of(0.25)) is int
+    for bad in (0.12345, 1.0 + step, -4.0 - step, 0.5 + 0.01 * step):
+        with pytest.raises(ValueError, match=f"t={bad!r} is not on the simulation lattice"):
+            grid.index_of(bad)
+        with pytest.raises(ValueError, match=f"t={bad!r} is not on the simulation lattice"):
+            grid.index_of(np.array([0.0, bad, 0.12345, 1.0]))
+
+
 def test_grid_validation():
     with pytest.raises(ValueError):
         SimulationGrid(warmup_start=1.0, horizon=2.0, step=0.1, cell_count=10)
@@ -97,15 +113,17 @@ def test_batch_rows_match_streams(grid):
 
 @pytest.mark.parametrize("reps", [1, 2, 5, 7])
 def test_batch_draw_is_identical_for_any_worker_count(grid, monkeypatch, reps):
-    """Row blocks on 1, 2 or 3 threads give the same bytes; reps < workers and uneven splits too."""
+    """Chunks of 2 rows drawn on 1, 2 or 3 threads give the same bytes; reps < workers and uneven splits too."""
     batches = []
     for workers in (1, 2, 3):
-        monkeypatch.setattr(fbmdelay.noise, "WORKERS", workers)
-        batches.append(generate_noise_batch(7, grid, reps, first_stream=3).increments)
+        monkeypatch.setattr(fbmdelay.experiments, "WORKERS", workers)
+        monkeypatch.setattr(fbmdelay.experiments, "_CHUNK_BYTES", 2 * workers * 8 * grid.cell_count)
+        rows, = fbmdelay.experiments._replicate(7, grid, reps, lambda nb: (nb.increments,))
+        batches.append(rows)
     for other in batches[1:]:
         assert other.tobytes() == batches[0].tobytes()
     for r in range(reps):
-        assert np.array_equal(batches[-1][r], reference_draw(7, grid, 3 + r))
+        assert np.array_equal(batches[-1][r], reference_draw(7, grid, r))
 
 
 def test_increment_variance_matches_step():
@@ -395,43 +413,50 @@ def test_history_conv_matches_direct_sum(n, lo, hi, j0, span, h):
 
 @pytest.mark.parametrize("rows,cells,threaded", [(64, 8192, True), (8, 1024, False)])
 def test_history_conv_is_identical_for_any_worker_count(monkeypatch, rows, cells, threaded):
-    """Above 2^20 rows x FFT length the FFTs take every worker, below they stay serial; same bytes."""
+    """Row blocks convolved on 3 threads at once, or one after another, give the bytes of one call.
+
+    No FFT is handed a worker count: a chunk thread's transforms stay on that thread.
+    """
     x = np.random.default_rng(cells).standard_normal((rows, cells))
     table = avg_kernel_table(H75, cells, 1.0 / cells)
-    used = set()
+    kwargs = []
 
     def spy(name):
-        def call(*args, workers=None, **kwargs):
-            if args[0].ndim > 1:  # the batch, not the kernel table
-                used.add(workers)
-            return getattr(fft, name)(*args, workers=workers, **kwargs)
+        def call(*args, **kw):
+            kwargs.append(kw)
+            return getattr(fft, name)(*args, **kw)
         return call
 
     monkeypatch.setattr(fbmdelay.noise, "_fft", SimpleNamespace(
         rfft=spy("rfft"), irfft=spy("irfft"), next_fast_len=fft.next_fast_len))
-    outs = []
-    for workers in (1, 2, 3):
-        monkeypatch.setattr(fbmdelay.noise, "WORKERS", workers)
-        used.clear()
-        outs.append(history_conv(x, table, (0, cells), (0, cells + 1)))
-        assert used == {workers if threaded else 1}
-    for other in outs[1:]:
-        assert other.tobytes() == outs[0].tobytes()
+    whole = history_conv(x, table, (0, cells), (0, cells + 1))
+
+    def conv(block):
+        return history_conv(x[block], table, (0, cells), (0, cells + 1))
+
+    blocks = np.array_split(np.arange(rows), 3)
+    if threaded:
+        with ThreadPoolExecutor(3) as pool:
+            parts = list(pool.map(conv, blocks))
+    else:
+        parts = [conv(block) for block in blocks]
+    assert np.concatenate(parts).tobytes() == whole.tobytes()
+    assert kwargs and all("workers" not in kw for kw in kwargs)
 
 
 @given(lead=st.sampled_from([(), (1,), (4,), (5,), (2, 3)]), block_rows=st.integers(0, 5),
        kernels=st.integers(1, 3), window=st.sampled_from(["all", "history", "main"]),
-       threaded=st.booleans(), seed=st.integers(0, 2 ** 16))
-@example(lead=(4,), block_rows=4, kernels=3, window="history", threaded=True, seed=1)   # rows fill a block
-@example(lead=(5,), block_rows=4, kernels=3, window="history", threaded=False, seed=2)  # one row spills over
-@example(lead=(2, 3), block_rows=4, kernels=2, window="main", threaded=True, seed=3)    # 3-D, two blocks
-@example(lead=(2, 3), block_rows=0, kernels=2, window="all", threaded=True, seed=4)     # budget below one row
+       seed=st.integers(0, 2 ** 16))
+@example(lead=(4,), block_rows=4, kernels=3, window="history", seed=1)   # rows fill a block
+@example(lead=(5,), block_rows=4, kernels=3, window="history", seed=2)   # one row spills over
+@example(lead=(2, 3), block_rows=4, kernels=2, window="main", seed=3)    # 3-D, two blocks
+@example(lead=(2, 3), block_rows=0, kernels=2, window="all", seed=4)     # budget below one row
 @settings(max_examples=60, deadline=None)
-def test_stacked_history_conv_equals_one_call_per_kernel(lead, block_rows, kernels, window, threaded, seed):
-    """A (k, lags) table gives, per kernel, the bytes of its own call, in any row blocks, threaded or not.
+def test_stacked_history_conv_equals_one_call_per_kernel(lead, block_rows, kernels, window, seed):
+    """A (k, lags) table gives, per kernel, the bytes of its own call, in any row blocks.
 
-    A block never holds fewer than WORKERS rows, so a transform too long
-    for the point budget (block_rows < WORKERS) still has a row per thread.
+    A block holds as many rows as the point budget allows, and one row when
+    a single row is over budget.
     """
     n_cells, m0 = 200, 120
     cells, outputs = {"all": ((0, n_cells), (0, n_cells + 1)),
@@ -440,19 +465,16 @@ def test_stacked_history_conv_equals_one_call_per_kernel(lead, block_rows, kerne
     x = np.random.default_rng(seed).standard_normal(lead + (n_cells,))
     hps = [hurst_constant(h) for h in (0.51, 0.75, 0.95)[:kernels]]
     tables = np.stack([hp.c_h * avg_kernel_table(hp, n_cells, 1.0 / n_cells) for hp in hps])
-    want = [history_conv(x, table, cells, outputs) for table in tables]  # one serial block each
+    want = [history_conv(x, table, cells, outputs) for table in tables]  # one block each
     with pytest.MonkeyPatch.context() as mp:
         blocks = spy_noise_ffts(mp)
-        history_conv(x, tables[0], cells, outputs)
+        fbmdelay.noise.history_conv(x, tables[0], cells, outputs)
         n = blocks[-1][2]  # the FFT length of this window
         blocks.clear()
         mp.setattr(fbmdelay.noise, "_FFT_BLOCK_POINTS", block_rows * n + n // 2)
-        mp.setattr(fbmdelay.noise, "WORKERS", 3)
-        mp.setattr(fbmdelay.noise, "_PARALLEL_FFT_POINTS", 1 if threaded else 2 ** 62)
-        got = history_conv(x, tables, cells, outputs)
-    rows, size = math.prod(lead), max(block_rows, 3)
+        got = fbmdelay.noise.history_conv(x, tables, cells, outputs)
+    rows, size = math.prod(lead), max(block_rows, 1)
     assert [b[0] for b in blocks] == [min(size, rows - r) for r in range(0, rows, size)]
-    assert {b[3] for b in blocks} == {3 if threaded else 1}
     assert got.shape == (kernels,) + want[0].shape
     for q in range(kernels):
         assert got[q].tobytes() == want[q].tobytes()
