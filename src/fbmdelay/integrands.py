@@ -27,9 +27,10 @@ from .kernels import HALF, HurstParameter, hurst_constant
 from .noise import (
     NoiseBatch,
     SimulationGrid,
-    _synthesis_table,
     block_conv,
     history_conv,
+    history_kernel,
+    past_conv,
 )
 
 __all__ = [
@@ -162,15 +163,17 @@ class _PowerKernelIntegrand(Integrand):
         return 0 if self.include_history else grid.index_of(self.start)
 
     def _values_from(self, grid: SimulationGrid, incs: np.ndarray, j0: int) -> np.ndarray:
-        """gamma at lattice points j = j0..cell_count-1, for j0 at or before the origin."""
-        if self.include_history and not self.hp1.is_brownian and grid.origin_index == 0:
-            raise ValueError("empty warmup window with h1 > 1/2: truncation error uncontrolled")
-        n = grid.cell_count
-        table = _synthesis_table(self.hp1, grid)
-        x = history_conv(incs, table, (self._first_cell(grid), n), (j0, n))
+        """gamma at lattice points j = j0..cell_count-1; j0 precedes the origin only for the unit kernel."""
+        n, m0 = grid.cell_count, grid.origin_index
+        kernel = history_kernel(grid, (self.hp1,))
+        if self.include_history and kernel is not None:
+            if m0 == 0:
+                raise ValueError("empty warmup window with h1 > 1/2: truncation error uncontrolled")
+            x = past_conv(incs, grid, kernel, n, (m0, n))[0]
+            return x - x[..., :1]
+        x = history_conv(incs, None if kernel is None else kernel.table[0], (self._first_cell(grid), n), (j0, n))
         if self.include_history:
-            m0 = grid.origin_index - j0
-            return x - x[..., m0:m0 + 1]
+            return x - x[..., m0 - j0:m0 - j0 + 1]
         return x
 
     def values_on_cells(self, grid, incs):
@@ -178,7 +181,9 @@ class _PowerKernelIntegrand(Integrand):
 
     def frozen_values_on_cells(self, grid, incs, freeze_idx):
         freeze_idx = np.asarray(freeze_idx)
-        j0 = int(freeze_idx.min(initial=grid.origin_index))  # freezes may sit before the origin
+        j0 = grid.origin_index
+        if self.hp1.is_brownian:  # E_a of a running sum is its value at a, which may precede the origin
+            j0 = int(freeze_idx.min(initial=j0))
         return self._forecast(grid, incs, freeze_idx, self._values_from(grid, incs, j0), j0)
 
     def dyadic_cells(self, grid, incs, levels):
@@ -202,7 +207,7 @@ class _PowerKernelIntegrand(Integrand):
             if self.include_history:
                 at = np.maximum(at, m0)
             return np.take(vals, at - j0, axis=-1)
-        table = _synthesis_table(self.hp1, grid)
+        table = history_kernel(grid, (self.hp1,)).table[0]
         start = self._first_cell(grid)
         runs = _runs_of(freeze_idx)
         if all(a == m0 + lo and a >= start for a, lo, _ in runs):

@@ -33,11 +33,11 @@ from .integrands import Integrand, SegmentGrid
 from .noise import (
     NoiseBatch,
     SimulationGrid,
-    avg_kernel_table,
     block_conv,
     declared_truncation_budget,
     history_conv,
-    synthesis_tables,
+    history_kernel,
+    past_conv,
 )
 
 __all__ = [
@@ -70,14 +70,14 @@ def noise_transforms(grid: SimulationGrid, incs: np.ndarray, hps, end: int):
     warmup window and one the main window, so each window is transformed
     forward once for all h; field q is byte for byte that of hps[q] alone.
     The fields vanish at h = 1/2: (None, None) when every h is 1/2, and a
-    list mixing h = 1/2 with h > 1/2 is refused (see synthesis_tables).
+    list mixing h = 1/2 with h > 1/2 is refused (see noise.synthesis_tables).
     """
-    c_tables = synthesis_tables(hps, end, grid.step)
-    if c_tables is None:
+    kernel = history_kernel(grid, hps)
+    if kernel is None:
         return None, None
     m0 = grid.origin_index
-    tail = history_conv(incs, c_tables, (0, m0), (m0, end + 1))
-    bh = history_conv(incs, c_tables, (m0, end), (m0, end + 1))
+    tail = past_conv(incs, grid, kernel, m0, (m0, end + 1))
+    bh = history_conv(incs, kernel.table, (m0, end), (m0, end + 1))
     bh += tail
     d_bh = np.diff(bh, axis=-1)
     del bh  # the fields are as large as the paths; hold at most three at once
@@ -110,7 +110,7 @@ def delayed_parts_for_cells(gamma_cells: np.ndarray, seg: SegmentGrid, batch: No
         ito = _dot(gamma_cells, incs[..., m0:end])
         return ito, ito.copy(), np.zeros(ito.shape), np.zeros(ito.shape)
     # d_table[m] = c_h * (A[m+1] - A[m]): the G_H transform's weights, restarted per segment
-    d_table = np.diff(hp.c_h * avg_kernel_table(hp, end - m0, grid.step))
+    d_table = np.diff(history_kernel(grid, (hp,)).table[0, :end - m0 + 1])
     ito = _dot(gamma_cells, block_conv(incs[..., m0:end], d_table, seg_idx - m0))
     if transforms is None:
         transforms = noise_transforms(grid, incs, (hp,), end)

@@ -34,7 +34,9 @@ slicing the window of driving cells, never by zeroing data.
 
 from __future__ import annotations
 
+import functools
 import math
+import threading
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -50,6 +52,8 @@ __all__ = [
     "generate_noise_batch",
     "history_conv",
     "block_conv",
+    "history_kernel",
+    "past_conv",
     "process_values",
     "dr_pointwise_closed_form",
     "dr_energy_closed_form",
@@ -302,10 +306,58 @@ def synthesis_tables(hps, n: int, step: float) -> np.ndarray | None:
     return np.stack([hp.c_h * avg_kernel_table(hp, n, step) for hp in hps])
 
 
-def _synthesis_table(hp: HurstParameter, grid: SimulationGrid) -> np.ndarray | None:
-    """c_h * A over the whole lattice, or None (the unit kernel) at h = 1/2."""
-    tables = synthesis_tables((hp,), grid.cell_count, grid.step)
-    return None if tables is None else tables[0]
+@dataclass(frozen=True)
+class HistoryKernel:
+    """One kernel for a list of Hurst values on one grid, one row per h, read-only.
+
+    table[q, m] is kernel q's cell-average weight at lag m on the lattice
+    (table[q, 0] is never read).
+    """
+
+    table: np.ndarray
+
+
+_KERNEL_LOCK = threading.Lock()
+
+
+def history_kernel(grid: SimulationGrid, hps, kind: str = "B_H") -> HistoryKernel | None:
+    """The kernel of B_H (c_h * A) or of DR_H (c_h * D) for every h in hps, stacked.
+
+    Built once per (grid, hps, kind) and shared by every chunk thread.  For
+    B_H, None is the unit kernel of h = 1/2 (see synthesis_tables).
+    """
+    with _KERNEL_LOCK:  # one build, however many chunk threads ask at once
+        return _build_kernel(grid, tuple(hps), kind)
+
+
+@functools.lru_cache(maxsize=16)
+def _build_kernel(grid: SimulationGrid, hps: tuple, kind: str) -> HistoryKernel | None:
+    n = grid.cell_count
+    if kind == "DR_H":
+        table = np.stack([hp.c_h * dr_kernel_table(hp, n, grid.step) for hp in hps])
+    elif kind == "B_H":
+        table = synthesis_tables(hps, n, grid.step)
+        if table is None:
+            return None
+    else:
+        raise ValueError(f"no history kernel of kind {kind!r}")
+    table.setflags(write=False)
+    return HistoryKernel(table=table)
+
+
+def past_conv(incs: np.ndarray, grid: SimulationGrid, kernel: HistoryKernel, cells_end: int,
+              outputs: tuple[int, int]) -> np.ndarray:
+    """sum over the cells i < cells_end of kernel q's weight at t_j times incs[..., i], per kernel q.
+
+    The one reader of the cells before the origin: B_H, the history fields
+    of the delayed integral, R_H, DR_H and the fbm integrands take their
+    history from here.  outputs = (j0, j1) are main lattice points (j0 at or
+    after the origin) and cells_end is at or after the origin; the result
+    is (len(hps), ..., j1 - j0).
+    """
+    if outputs[0] < grid.origin_index or cells_end < grid.origin_index:
+        raise ValueError("the history is evaluated from the origin on")
+    return history_conv(incs, kernel.table, (0, cells_end), outputs)
 
 
 def fbm_values(incs: np.ndarray, grid: SimulationGrid, hps) -> np.ndarray:
@@ -316,12 +368,12 @@ def fbm_values(incs: np.ndarray, grid: SimulationGrid, hps) -> np.ndarray:
     the noise, or all h = 1/2 (see synthesis_tables).
     """
     m0, n = grid.origin_index, grid.cell_count
-    tables = synthesis_tables(hps, n, grid.step)
-    if tables is None:  # at h = 1/2 the history cancels exactly: only post-origin cells enter, B(0) = 0
+    kernel = history_kernel(grid, hps)
+    if kernel is None:  # at h = 1/2 the history cancels exactly: only post-origin cells enter, B(0) = 0
         return np.repeat(history_conv(incs, None, (m0, n), (m0, n + 1))[None], len(hps), axis=0)
     if m0 == 0:
         raise ValueError("empty warmup window with h > 1/2: truncation error uncontrolled")
-    x = history_conv(incs, tables, (0, n), (m0, n + 1))
+    x = past_conv(incs, grid, kernel, n, (m0, n + 1))
     x -= x[..., :1]
     return x
 
@@ -329,7 +381,8 @@ def fbm_values(incs: np.ndarray, grid: SimulationGrid, hps) -> np.ndarray:
 def w_values(incs: np.ndarray, grid: SimulationGrid, hp: HurstParameter, seg_idx: int) -> np.ndarray:
     """W_H(t_j) = c_h int_seg^t (t-r)^(h-1/2) dB for lattice j = seg_idx..cell_count."""
     n = grid.cell_count
-    return history_conv(incs, _synthesis_table(hp, grid), (seg_idx, n), (seg_idx, n + 1))
+    kernel = history_kernel(grid, (hp,))
+    return history_conv(incs, None if kernel is None else kernel.table[0], (seg_idx, n), (seg_idx, n + 1))
 
 
 def r_values(incs: np.ndarray, grid: SimulationGrid, hp: HurstParameter, seg_idx: int) -> np.ndarray:
@@ -338,7 +391,10 @@ def r_values(incs: np.ndarray, grid: SimulationGrid, hp: HurstParameter, seg_idx
     Obtained by exact integration of DR_H from the segment start: the
     primitive of the cell-averaged f-kernel synthesis, so R(seg) = 0.
     """
-    y = history_conv(incs, _synthesis_table(hp, grid), (0, seg_idx), (seg_idx, grid.cell_count + 1))
+    kernel = history_kernel(grid, (hp,))
+    if kernel is None:  # the unit kernel: the history is a constant, R_H = 0
+        return np.zeros(incs.shape[:-1] + (grid.cell_count + 1 - seg_idx,))
+    y = past_conv(incs, grid, kernel, seg_idx, (seg_idx, grid.cell_count + 1))[0]
     return y - y[..., :1]
 
 
@@ -346,8 +402,8 @@ def dr_values(incs: np.ndarray, grid: SimulationGrid, hp: HurstParameter, seg_id
     """DR_H(t_j) at lattice points j = seg_idx+1..cell_count (strictly after the start)."""
     if hp.is_brownian:
         return np.zeros(incs.shape[:-1] + (grid.cell_count - seg_idx,))
-    table = hp.c_h * dr_kernel_table(hp, grid.cell_count, grid.step)
-    return history_conv(incs, table, (0, seg_idx), (seg_idx + 1, grid.cell_count + 1))
+    kernel = history_kernel(grid, (hp,), "DR_H")
+    return past_conv(incs, grid, kernel, seg_idx, (seg_idx + 1, grid.cell_count + 1))[0]
 
 
 def process_values(incs: np.ndarray, grid: SimulationGrid, hp: HurstParameter,

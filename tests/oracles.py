@@ -334,20 +334,21 @@ def riemann_gap_expectation(grid: SimulationGrid, hp: HurstParameter) -> float:
 
 
 def spy_convolutions(monkeypatch) -> dict:
-    """Record the history_conv and block_conv calls that integrator and integrands make.
+    """Record the history_conv, block_conv and past_conv calls that integrator and integrands make.
 
     Returns {"<module>.<function>": [...]}, one entry per call: the
     (cells, outputs) windows of a history_conv, the block edges of a
-    block_conv.
+    block_conv, the (cells_end, outputs) of a past_conv.
     """
     calls = {}
     for module in (fbmdelay.integrator, fbmdelay.integrands):
-        for name in ("history_conv", "block_conv"):
+        for name in ("history_conv", "block_conv", "past_conv"):
             hits = calls[f"{module.__name__.rsplit('.', 1)[-1]}.{name}"] = []
 
-            def spy(incs, table, *windows, _real=getattr(module, name), _hits=hits):
+            def spy(incs, *args, _real=getattr(module, name), _hits=hits, _name=name):
+                windows = args[2:] if _name == "past_conv" else args[1:]  # past_conv: (grid, kernel, ...)
                 _hits.append(windows if len(windows) > 1 else tuple(windows[0]))
-                return _real(incs, table, *windows)
+                return _real(incs, *args)
             monkeypatch.setattr(module, name, spy)
     return calls
 

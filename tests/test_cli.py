@@ -69,14 +69,16 @@ def test_integrate_constant_equals_simulated_endpoint(tmp_path, capsys):
 
 def test_integrate_fbm_makes_no_per_segment_convolutions(tmp_path, capsys, monkeypatch):
     """integrate fbm:0.75 at level 8: one path, two history fields, one block convolution each
-    for the 256 forecast runs and for the Ito field of the 256 segments."""
+    for the 256 forecast runs and for the Ito field of the 256 segments.
+
+    The path and the warmup field take the cells before the origin through past_conv."""
     calls = spy_convolutions(monkeypatch)
     code, _, _ = _run(["integrate", "--integrand", "fbm:0.75", "--hurst", "0.6", "--seed", "1",
                        "--out", str(tmp_path / "int.json")], capsys)
     assert code == 0
     assert {k: len(v) for k, v in calls.items()} == {
-        "integrator.history_conv": 2, "integrator.block_conv": 1,
-        "integrands.history_conv": 1, "integrands.block_conv": 1}
+        "integrator.history_conv": 1, "integrator.past_conv": 1, "integrator.block_conv": 1,
+        "integrands.history_conv": 0, "integrands.past_conv": 1, "integrands.block_conv": 1}
     assert len(calls["integrands.block_conv"][0]) == len(calls["integrator.block_conv"][0]) == 257
 
 

@@ -403,9 +403,11 @@ def test_decay_study_shares_the_path_and_the_cross_convolutions(monkeypatch):
     def count(key, entry=lambda c: c):
         return Counter(entry(c) for c in calls[key])
 
-    assert count("integrands.history_conv") == {((0, n), (m0, n)): chunks}
+    assert count("integrands.history_conv") == {}
+    assert count("integrands.past_conv") == {(n, (m0, n)): chunks}
     assert count("integrands.block_conv", len) == {2 ** m + 1: chunks for m in (3, 4, 5)}
-    assert count("integrator.history_conv") == {((0, m0), (m0, n + 1)): chunks, ((m0, n), (m0, n + 1)): chunks}
+    assert count("integrator.history_conv") == {((m0, n), (m0, n + 1)): chunks}
+    assert count("integrator.past_conv") == {(m0, (m0, n + 1)): chunks}
     assert count("integrator.block_conv", len) == {2 ** (m + 1) + 1: chunks for m in (3, 4)}
 
 

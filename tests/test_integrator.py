@@ -379,20 +379,20 @@ def test_extension_computes_one_path_and_stops_the_levels(ensemble, monkeypatch)
     """One full-lattice fbm path per ensemble; levels past the stopping level are not computed."""
     m0, n = GRID.origin_index, GRID.cell_count
     paths, computed = [], []
-    real_conv = fbmdelay.integrands.history_conv
+    real_conv = fbmdelay.integrands.past_conv
     real_cells = FbmIntegrand.dyadic_cells
 
-    def conv_spy(incs, table, cells, outputs):
-        if (tuple(cells), tuple(outputs)) == ((0, n), (m0, n)):
-            paths.append(cells)
-        return real_conv(incs, table, cells, outputs)
+    def conv_spy(incs, grid, kernel, cells_end, outputs):
+        if (cells_end, tuple(outputs)) == (n, (m0, n)):
+            paths.append(cells_end)
+        return real_conv(incs, grid, kernel, cells_end, outputs)
 
     def cells_spy(self, grid, incs, levels):
         for level, cells in zip(levels, real_cells(self, grid, incs, levels)):
             computed.append(level)
             yield cells
 
-    monkeypatch.setattr(fbmdelay.integrands, "history_conv", conv_spy)
+    monkeypatch.setattr(fbmdelay.integrands, "past_conv", conv_spy)
     monkeypatch.setattr(FbmIntegrand, "dyadic_cells", cells_spy)
     trace = extension(FbmIntegrand(0.75), H6, ensemble, range(1, 9), tol=0.05)
     assert trace.converged and trace.stopping_level < 8
