@@ -3,10 +3,13 @@
 Flags over config files; every run writes its outputs plus a JSON manifest
 that replays the run byte-for-byte via --manifest.  The manifests of the
 multi-Hurst studies (continuity, nonconv) also record the checksum of the
-noise they consumed; a manifest replays only if its config has exactly
-RunConfig's fields, with their types.  A setting that a command's flags
-leave out (--kind, --level, --levels) takes its one default from RunConfig,
-and only integrate may set level to anything else.
+noise they consumed.  Every manifest records the package, Python, numpy and
+scipy versions and the history lattice of its grid (see noise.make_grid); a
+manifest replays only if its config has exactly RunConfig's fields, with
+their types, and its lattice is the one this build makes of that config.  A
+setting that a command's flags leave out (--kind, --level, --levels) takes
+its one default from RunConfig, and only integrate may set level to anything
+else.
 Relative output paths resolve against $FBMDELAY_OUT when it is set.
 """
 
@@ -14,12 +17,18 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
+import platform
 import sys
 from dataclasses import asdict, dataclass, fields
 
+import numpy
+import scipy
+
+from . import __version__
 from .kernels import HALF, hurst_constant
-from .noise import process_values, write_path_csv, PROCESS_KINDS
+from .noise import FAR_RATIO, SimulationGrid, process_values, write_path_csv, PROCESS_KINDS
 from .integrator import delayed_integral_batch, result_record
 from .experiments import (
     DeskConfig,
@@ -69,8 +78,8 @@ class RunConfig:
             raise ValueError(f"--reps must be >= 2 (got {self.reps})")
         if self.horizon <= 0.0:
             raise ValueError(f"--t must be positive (got {self.horizon})")
-        if self.warmup < 0.0:
-            raise ValueError(f"--warmup must be >= 0 (got {self.warmup})")
+        if not 0.0 <= self.warmup < math.inf:
+            raise ValueError(f"--warmup must be >= 0 and finite (got {self.warmup})")
         if self.kind not in PROCESS_KINDS:
             raise ValueError(f"--kind must be one of {', '.join(PROCESS_KINDS)} (got {self.kind})")
         if self.level != RunConfig.level and self.command != "integrate":
@@ -100,7 +109,8 @@ def _build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--hurst", type=float, default=0.75)
         sp.add_argument("--t", type=float, default=1.0, dest="horizon")
         sp.add_argument("--steps", type=int, default=4096)
-        sp.add_argument("--warmup", type=float, default=8.0)
+        sp.add_argument("--warmup", type=float, default=1e14,
+                        help="how far back the history reaches")
         sp.add_argument("--reps", type=int, default=1000)
         sp.add_argument("--seed", type=int, default=1)
         sp.add_argument("--out", required=True)
@@ -186,12 +196,33 @@ def _config_from_manifest(stored) -> RunConfig:
     return RunConfig(**{**config, "hurst": tuple(config["hurst"]), "levels": tuple(config["levels"])})
 
 
+def _lattice(grid: SimulationGrid) -> dict:
+    """The history lattice of a grid, as a manifest records it: its output bytes depend on all of it."""
+    return {"near_window": -grid.uniform_start, "far_ratio": FAR_RATIO, "reach": grid.warmup_length,
+            "far_cells": grid.far_cells, "near_cells": grid.origin_index - grid.far_cells,
+            "main_cells": grid.main_steps}
+
+
+def _check_lattice(stored: dict, cfg: RunConfig) -> None:
+    """Refuse a manifest whose history lattice is not the one this build makes of its config."""
+    want = _lattice(_desk(cfg).grid())
+    if stored.get("lattice") != want:
+        raise ValueError(f"manifest history lattice {stored.get('lattice')} is not this build's {want}; "
+                         "rerun the command to write a new manifest")
+
+
+def _desk(cfg: RunConfig) -> DeskConfig:
+    return DeskConfig(horizon=cfg.horizon, steps=cfg.steps, warmup=cfg.warmup)
+
+
 def _run(cfg: RunConfig) -> list[str]:
     """Execute one validated config; returns the list of files written."""
-    desk = DeskConfig(horizon=cfg.horizon, steps=cfg.steps, warmup=cfg.warmup)
+    desk = _desk(cfg)
     grid, hp = desk.grid(), hurst_constant(cfg.hurst[0])
     outputs = [cfg.out]
-    record = {"tool": "fbmdelay", "config": asdict(cfg), "outputs": outputs}
+    record = {"tool": "fbmdelay", "config": asdict(cfg), "outputs": outputs, "lattice": _lattice(grid),
+              "versions": {"fbmdelay": __version__, "python": platform.python_version(),
+                           "numpy": numpy.__version__, "scipy": scipy.__version__}}
     if cfg.command == "simulate":
         # one replication, stream 0: the path `integrate` draws for the same seed
         times, values = _replicate(cfg.seed, grid, 1,
@@ -232,13 +263,16 @@ def parse_and_dispatch(argv=None) -> int:
     try:
         if args.manifest:
             with open(args.manifest) as fh:
-                cfg = _config_from_manifest(json.load(fh))
+                stored = json.load(fh)
+            cfg = _config_from_manifest(stored)
+            cfg.validate()
+            _check_lattice(stored, cfg)
         elif args.command is None:
             parser.print_usage(sys.stderr)
             return 2
         else:
             cfg = _config_from_args(args)
-        cfg.validate()
+            cfg.validate()
         outputs = _run(cfg)
     except (ValueError, OSError) as exc:
         print(f"fbmdelay: error: {exc}", file=sys.stderr)

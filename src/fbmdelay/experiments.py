@@ -45,6 +45,7 @@ from .integrator import (
     _dot,
     _segment_lattice_indices,
     delayed_parts_for_cells,
+    fbm_increments,
     noise_transforms,
 )
 from .noise import (
@@ -86,11 +87,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DeskConfig:
-    """Desk-scale defaults: fine grid 2^12 on [0, 1], warmup length 8."""
+    """Desk-scale defaults: fine grid 2^12 on [0, 1], history reaching 1e14 back (see noise.make_grid)."""
 
     horizon: float = 1.0
     steps: int = 4096
-    warmup: float = 8.0
+    warmup: float = 1e14
 
     def grid(self) -> SimulationGrid:
         return make_grid(self.horizon, self.steps, self.warmup)
@@ -101,8 +102,9 @@ DESK = DeskConfig()
 #: CPUs this process may run on: _replicate runs up to this many chunks at once
 WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else (os.cpu_count() or 1)
 
-#: the most noise, in bytes, in flight across all chunk threads: 128 replications of the 36,864-cell desk grid
-_CHUNK_BYTES = 128 * 36_864 * 8
+#: the most noise, in bytes, in flight across all chunk threads: 128 replications of the 8,724-cell
+#: desk grid.  A chunk's fields and transforms outweigh its noise, so more rows would raise peak memory.
+_CHUNK_BYTES = 128 * 8_724 * 8
 
 
 @dataclass(frozen=True)
@@ -128,27 +130,32 @@ def _replicate(seed: int, grid: SimulationGrid, reps: int, per_chunk) -> tuple:
     Replication r is noise stream r of seed.  per_chunk maps a NoiseBatch to
     a tuple of arrays with one entry per replication along the first axis;
     the runner returns each array concatenated in stream order, so the
-    result does not depend on the chunk size or the thread count.  A chunk
-    holds _CHUNK_BYTES / WORKERS of noise (at least one row), and no more
-    than reps / WORKERS rows, so a short run still keeps every CPU busy.  A
-    chunk draws its noise in its own task, and no more chunks run at once
-    than fit in _CHUNK_BYTES (one, if a row is larger).  One thread runs
-    inline.  If a chunk raises, the chunks that have not started are
-    cancelled and the exception reaches the caller.
+    result does not depend on the chunk size or the thread count.  The
+    replications split into near-equal chunks, as many as a multiple of
+    WORKERS, of at most _CHUNK_BYTES / WORKERS of noise each (at least one
+    row), so every round of WORKERS chunks is as full as the next and a
+    short run still keeps every CPU busy.  A chunk draws its noise in its
+    own task, and no more chunks run at once than fit in _CHUNK_BYTES (one,
+    if a row is larger).  One thread runs inline.  If a chunk raises, the
+    chunks that have not started are cancelled and the exception reaches
+    the caller.
     """
-    rows = max(1, _CHUNK_BYTES // (8 * grid.cell_count))
-    chunk = max(1, min(rows // WORKERS, -(-reps // WORKERS)))
-    starts = range(0, reps, chunk)
+    rows = max(1, _CHUNK_BYTES // (8 * grid.cell_count))  # rows in flight
+    rounds = -(-reps // (max(1, rows // WORKERS) * WORKERS))
+    n_chunks = min(reps, rounds * WORKERS)
+    starts = [reps * k // n_chunks for k in range(n_chunks + 1)]  # sizes differ by at most one
 
-    def run(lo):
-        return per_chunk(generate_noise_batch(seed, grid, min(chunk, reps - lo), first_stream=lo))
+    def run(k):
+        lo = starts[k]
+        return per_chunk(generate_noise_batch(seed, grid, starts[k + 1] - lo, first_stream=lo))
 
-    threads = min(WORKERS, len(starts), rows // chunk)
+    # the largest chunk has ceil(reps / n_chunks) rows
+    threads = min(WORKERS, n_chunks, rows // -(-reps // n_chunks))
     if threads <= 1:
-        parts = [run(lo) for lo in starts]
+        parts = [run(k) for k in range(n_chunks)]
     else:
         with ThreadPoolExecutor(threads) as pool:
-            parts = list(pool.map(run, starts))  # map cancels the unstarted chunks when one raises
+            parts = list(pool.map(run, range(n_chunks)))  # map cancels the unstarted chunks when one raises
     return tuple(np.concatenate(col) for col in zip(*parts))
 
 
@@ -435,7 +442,7 @@ def continuity_study(gamma: Integrand | str, hursts, reps: int, seed: int,
         cells = integrand.values_on_cells(grid, nb.increments)
         base, _, _, _ = delayed_parts_for_cells(cells, seg, nb, half)
         # every h reads one transform of the noise; its value is sum gamma dB_H, as in the assembly
-        _, d_bh = noise_transforms(grid, nb.increments, hps, end)
+        d_bh = fbm_increments(grid, nb.increments, hps, end)
         cells = cells[..., :end - grid.origin_index]
         gaps = [np.abs(_dot(cells, field) - base) for field in d_bh]
         return (*gaps, _stream_crcs(nb))

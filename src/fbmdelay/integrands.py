@@ -171,10 +171,9 @@ class _PowerKernelIntegrand(Integrand):
                 raise ValueError("empty warmup window with h1 > 1/2: truncation error uncontrolled")
             x = past_conv(incs, grid, kernel, n, (m0, n))[0]
             return x - x[..., :1]
-        x = history_conv(incs, None if kernel is None else kernel.table[0], (self._first_cell(grid), n), (j0, n))
-        if self.include_history:
-            return x - x[..., m0 - j0:m0 - j0 + 1]
-        return x
+        # B(t) - B(0) of the unit kernel with history sums the cells from the origin
+        first = m0 if self.include_history else self._first_cell(grid)
+        return history_conv(incs, None if kernel is None else kernel.table[0], (first, n), (j0, n))
 
     def values_on_cells(self, grid, incs):
         return self._values_from(grid, incs, grid.origin_index)

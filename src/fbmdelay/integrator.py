@@ -45,6 +45,7 @@ __all__ = [
     "delayed_integral_batch",
     "delayed_parts_for_cells",
     "noise_transforms",
+    "fbm_increments",
     "result_record",
 ]
 
@@ -70,18 +71,29 @@ def noise_transforms(grid: SimulationGrid, incs: np.ndarray, hps, end: int):
     warmup window and one the main window, so each window is transformed
     forward once for all h; field q is byte for byte that of hps[q] alone.
     The fields vanish at h = 1/2: (None, None) when every h is 1/2, and a
-    list mixing h = 1/2 with h > 1/2 is refused (see noise.synthesis_tables).
+    list mixing h = 1/2 with h > 1/2 is refused (see noise.history_kernel).
     """
     kernel = history_kernel(grid, hps)
     if kernel is None:
         return None, None
     m0 = grid.origin_index
     tail = past_conv(incs, grid, kernel, m0, (m0, end + 1))
-    bh = history_conv(incs, kernel.table, (m0, end), (m0, end + 1))
-    bh += tail
-    d_bh = np.diff(bh, axis=-1)
-    del bh  # the fields are as large as the paths; hold at most three at once
-    return np.diff(tail, axis=-1), d_bh
+    d_tail = np.diff(tail, axis=-1)
+    return d_tail, _bh_increments(grid, incs, kernel, tail, end)
+
+
+def fbm_increments(grid: SimulationGrid, incs: np.ndarray, hps, end: int) -> np.ndarray:
+    """The d_bh field of noise_transforms alone, for a driver that reads only the value part; hps are h > 1/2."""
+    kernel = history_kernel(grid, hps)
+    m0 = grid.origin_index
+    return _bh_increments(grid, incs, kernel, past_conv(incs, grid, kernel, m0, (m0, end + 1)), end)
+
+
+def _bh_increments(grid, incs, kernel, tail, end):
+    """The increments of the warmup path tail plus the main window's synthesis; tail is overwritten."""
+    m0 = grid.origin_index
+    tail += history_conv(incs, kernel.table, (m0, end), (m0, end + 1))
+    return np.diff(tail, axis=-1)
 
 
 def _dot(gamma_cells: np.ndarray, field: np.ndarray) -> np.ndarray:

@@ -1,17 +1,29 @@
 """Seeded Brownian driver and moving-average synthesis of the derived processes.
 
 A NoiseBatch holds the increments of independent standard Brownian paths,
-one row per replication, on a uniform lattice covering [-L, T]; a single
-path is a batch of one.  The rows are the only source of randomness, and
-every process here (B, B_H, W_H, R_H, DR_H) is a deterministic functional of
+one row per replication, on a lattice covering [-L, T]; a single path is a
+batch of one.  The rows are the only source of randomness, and every
+process here (B, B_H, W_H, R_H, DR_H) is a deterministic functional of
 them, computed for all rows at once.  Wiener integrals are discretized with
 cell-averaged kernel weights: the exact integral of the power kernel over
-each noise cell, divided by the step, applied to the increment.  On the
-uniform lattice those weights are a function of the index lag only, so whole
-paths come out of one causal convolution (FFT), `history_conv`; `block_conv`
-restarts one at every block start, for the delayed integral's segments and
-forecast runs.  The B_H and DR_H weights, differences of powers, are taken
-through expm1/log1p so that they keep their relative precision as h -> 1/2.
+each noise cell, divided by its width, applied to the increment, whose
+variance is that width.  The B_H and DR_H weights, differences of powers,
+are taken through expm1/log1p so that they keep their relative precision
+as h -> 1/2.
+
+The history is graded (make_grid), after the near/far split of the hybrid
+scheme (Bennedsen, Lunde & Pakkanen, Finance Stoch. 2017).  Cells of one
+step cover [0, T] and a near window of NEAR_WINDOW * T before the origin;
+beyond it the far cells widen by FAR_RATIO each out to the reach, L =
+--warmup, about 530 cells for L = 1e14 at desk scale.  On the cells of one
+step the weights are a function of the index lag only, so whole paths come
+out of one causal convolution (FFT), `history_conv`; `block_conv` restarts
+one at every block start, for the delayed integral's segments and forecast
+runs.  A far cell's weight is a smooth function of t on [0, T]: it is
+interpolated at FAR_NODES Chebyshev nodes, so the far history at every main
+lattice point costs two small products per row (`past_conv`, the one reader
+of the cells before the origin).  The kernels are built once per grid and
+list of h (`history_kernel`) and shared by every chunk thread.
 
 `history_conv` also takes a stack of kernels that read the same window of
 driving cells (one per Hurst value, say): each row of the window is
@@ -24,8 +36,9 @@ Hurst values this way.
 Everything here runs on the calling thread: the drivers run whole chunks
 of replications on threads instead (`experiments._replicate`), and each
 chunk's draw and transforms are serial.  Each row is drawn from its own
-stream and transformed as one 1-D FFT, so the output bytes do not depend
-on the row blocks or the number of kernels.
+stream and transformed as one 1-D FFT, and the far products sum each row in
+one fixed order, so the output bytes do not depend on the row blocks, the
+batch or the number of kernels.
 
 Measurability is structural: any quantity conditioned on time tau is
 computed from increments in cells ending at or before tau, enforced by
@@ -72,15 +85,29 @@ _FFT_BLOCK_POINTS = 2 ** 20
 #: block_conv takes a Toeplitz product up to this block length, an FFT beyond
 _TOEPLITZ_MAX = 256
 
+#: the history is cells of one step for this many horizons before the origin (D = T) ...
+NEAR_WINDOW = 1
+#: ... and beyond them cells that widen by this ratio, one to the next, out to the reach
+FAR_RATIO = 1.0 + 1.0 / 16.0
+#: the far cells' weights are interpolated in t over [0, T] at this many Chebyshev nodes
+FAR_NODES = 20
+#: Gauss-Legendre rule for a far cell's average of the B_H kernel
+_FAR_GAUSS = np.polynomial.legendre.leggauss(8)
+
 
 @dataclass(frozen=True)
 class SimulationGrid:
-    """Uniform lattice over [warmup_start, horizon] with the origin at 0."""
+    """Lattice over [warmup_start, horizon] with the origin at 0.
+
+    Cells of one step cover [uniform_start, horizon].  Before them, far_cells
+    cells widen by FAR_RATIO each, out to warmup_start: the far history.
+    """
 
     warmup_start: float
     horizon: float
     step: float
     cell_count: int
+    far_cells: int = 0
 
     #: not a field: lattice times, integrand kernels and forecasts all count from t = 0
     origin: ClassVar[float] = 0.0
@@ -90,13 +117,27 @@ class SimulationGrid:
             raise ValueError("need warmup_start <= 0 < horizon")
         if self.step <= 0.0:
             raise ValueError("step must be positive")
+        if not 0 <= self.far_cells < self.cell_count:
+            raise ValueError("need 0 <= far_cells < cell_count")
+        if self.far_cells:
+            start = self.uniform_start * FAR_RATIO ** self.far_cells
+            if not self.uniform_start < 0.0 or abs(self.warmup_start - start) > _LATTICE_RTOL * -start:
+                raise ValueError("far cells must widen by FAR_RATIO from uniform_start to warmup_start")
+            return
         span = self.horizon - self.warmup_start
         if abs(self.step * self.cell_count - span) > _LATTICE_RTOL * span:
             raise ValueError("step * cell_count must equal horizon - warmup_start")
 
     @property
     def origin_index(self) -> int:
+        if self.far_cells:
+            return self.cell_count - int(round(self.horizon / self.step))
         return int(round((self.origin - self.warmup_start) / self.step))
+
+    @property
+    def uniform_start(self) -> float:
+        """Where the cells of one step begin: warmup_start, or the far cells' end."""
+        return -(self.origin_index - self.far_cells) * self.step if self.far_cells else self.warmup_start
 
     @property
     def main_steps(self) -> int:
@@ -107,33 +148,55 @@ class SimulationGrid:
     def warmup_length(self) -> float:
         return self.origin - self.warmup_start
 
+    def far_edges(self) -> np.ndarray:
+        """The far cells' edges, from warmup_start to uniform_start."""
+        return self.uniform_start * FAR_RATIO ** np.arange(self.far_cells, -1, -1)
+
     def edges(self) -> np.ndarray:
-        return self.warmup_start + self.step * np.arange(self.cell_count + 1)
+        uniform = self.uniform_start + self.step * np.arange(self.cell_count - self.far_cells + 1)
+        return np.concatenate([self.far_edges()[:-1], uniform])
+
+    def far_widths(self) -> np.ndarray:
+        """The far cells' widths, which are the variances of their increments."""
+        return np.diff(self.far_edges())
 
     def index_of(self, t):
-        """Lattice index of a grid point, or an array of them for an array of times; rejects off-lattice times."""
-        pos = (np.asarray(t, dtype=float) - self.warmup_start) / self.step
+        """Lattice index of a point of the uniform lattice, or an array of them for an array of times.
+
+        Rejects off-lattice times, and times before uniform_start.
+        """
+        pos = (np.asarray(t, dtype=float) - self.uniform_start) / self.step
         idx = np.rint(pos).astype(int)  # half to even, as round()
-        bad = (idx < 0) | (idx > self.cell_count) | (np.abs(pos - idx) > 1e-6)
+        bad = (idx < 0) | (idx > self.cell_count - self.far_cells) | (np.abs(pos - idx) > 1e-6)
         if np.any(bad):
-            raise ValueError(f"t={float(np.asarray(t)[bad][0])!r} is not on the simulation lattice")
+            where = f" (only its cells of one step, from {self.uniform_start!r}, have indices)"
+            raise ValueError(f"t={float(np.asarray(t)[bad][0])!r} is not on the simulation lattice"
+                             + (where if self.far_cells else ""))
+        idx = idx + self.far_cells
         return int(idx) if idx.ndim == 0 else idx
 
 
 def make_grid(horizon: float, steps: int, warmup: float = 0.0) -> SimulationGrid:
-    """Grid with `steps` cells on [0, horizon] and >= warmup of history before 0."""
+    """Grid with `steps` cells on [0, horizon] and >= warmup of history before 0.
+
+    The history is cells of one step out to NEAR_WINDOW horizons before the
+    origin, or to warmup if that is shorter; beyond them, cells that widen
+    by FAR_RATIO each, out to warmup or just past it.
+    """
     if horizon <= 0.0 or steps < 1:
         raise ValueError("need horizon > 0 and steps >= 1")
-    if warmup < 0.0:
-        raise ValueError("warmup must be >= 0")
+    if not 0.0 <= warmup < math.inf:
+        raise ValueError("warmup must be >= 0 and finite")
     step = horizon / steps
     warmup_cells = int(math.ceil(warmup / step - 1e-12))
-    return SimulationGrid(
-        warmup_start=-warmup_cells * step,
-        horizon=horizon,
-        step=step,
-        cell_count=steps + warmup_cells,
-    )
+    near_cells = NEAR_WINDOW * steps
+    if warmup_cells <= near_cells:
+        return SimulationGrid(warmup_start=-warmup_cells * step, horizon=horizon, step=step,
+                              cell_count=steps + warmup_cells)
+    near = near_cells * step
+    far = int(math.ceil(math.log(warmup / near) / math.log(FAR_RATIO) - 1e-12))
+    return SimulationGrid(warmup_start=-near * FAR_RATIO ** far, horizon=horizon, step=step,
+                          cell_count=steps + near_cells + far, far_cells=far)
 
 
 @dataclass(frozen=True)
@@ -162,16 +225,18 @@ def _rng(seed: int, stream: int) -> np.random.Generator:
 
 
 def generate_noise_batch(seed: int, grid: SimulationGrid, reps: int, first_stream: int = 0) -> NoiseBatch:
-    """Independent replications: row r holds stream first_stream + r of seed, variance step per cell.
+    """Independent replications: row r holds stream first_stream + r of seed, variance width per cell.
 
     Bit-for-bit reproducible, and a row does not depend on the batch it is
     drawn in: every row is drawn in place from its own stream.
     """
     out = np.empty((reps, grid.cell_count))
-    root = math.sqrt(grid.step)
+    far, root = grid.far_cells, math.sqrt(grid.step)
+    far_roots = np.sqrt(grid.far_widths())
     for r in range(reps):
         _rng(seed, first_stream + r).standard_normal(out=out[r])
-        out[r] *= root
+        out[r, :far] *= far_roots
+        out[r, far:] *= root
     return NoiseBatch(grid=grid, increments=out, seed=seed, first_stream=first_stream)
 
 
@@ -291,30 +356,27 @@ def block_conv(x: np.ndarray, table: np.ndarray, bounds) -> np.ndarray:
     return y.reshape(x.shape)
 
 
-def synthesis_tables(hps, n: int, step: float) -> np.ndarray | None:
-    """c_h * A to lag n for every h in hps, stacked as (len(hps), n + 1).
-
-    None (the unit kernel, an exact running sum) when every h is 1/2; a
-    list that mixes h = 1/2 with h > 1/2 has no one stacked kernel and is
-    refused.
-    """
-    brownian = [hp.is_brownian for hp in hps]
-    if all(brownian):
-        return None
-    if any(brownian):
-        raise ValueError("h = 1/2 is an exact running sum; do not stack it with h > 1/2")
-    return np.stack([hp.c_h * avg_kernel_table(hp, n, step) for hp in hps])
-
-
 @dataclass(frozen=True)
 class HistoryKernel:
     """One kernel for a list of Hurst values on one grid, one row per h, read-only.
 
-    table[q, m] is kernel q's cell-average weight at lag m on the lattice
-    (table[q, 0] is never read).
+    table[q, m] is kernel q's cell-average weight at lag m on the cells of
+    one step (table[q, 0] is never read).  The far cells' weights at the
+    main lattice point j are sum_m basis[m, j - origin] far[q, m]: far holds
+    them at the FAR_NODES Chebyshev nodes of [0, T], and basis interpolates
+    (B_H's over t, and basis times t; both None without far cells).
     """
 
     table: np.ndarray
+    far: np.ndarray | None = None
+    basis: np.ndarray | None = None
+
+    def far_weights(self, grid: SimulationGrid, j) -> np.ndarray:
+        """(len(hps), ..., far_cells): the far cells' weights at main lattice point(s) j."""
+        if np.any(np.asarray(j) < grid.origin_index):
+            raise ValueError("far weights are taken at main lattice points, from the origin on")
+        cols = self.basis[:, np.asarray(j) - grid.origin_index]
+        return np.einsum("qmf,m...->q...f", self.far, cols)
 
 
 _KERNEL_LOCK = threading.Lock()
@@ -324,25 +386,89 @@ def history_kernel(grid: SimulationGrid, hps, kind: str = "B_H") -> HistoryKerne
     """The kernel of B_H (c_h * A) or of DR_H (c_h * D) for every h in hps, stacked.
 
     Built once per (grid, hps, kind) and shared by every chunk thread.  For
-    B_H, None is the unit kernel of h = 1/2 (see synthesis_tables).
+    B_H, None is the unit kernel, an exact running sum, when every h is 1/2;
+    a list that mixes h = 1/2 with h > 1/2 has no one stacked kernel and is
+    refused.
     """
     with _KERNEL_LOCK:  # one build, however many chunk threads ask at once
         return _build_kernel(grid, tuple(hps), kind)
 
 
-@functools.lru_cache(maxsize=16)
+@functools.lru_cache(maxsize=8)
 def _build_kernel(grid: SimulationGrid, hps: tuple, kind: str) -> HistoryKernel | None:
-    n = grid.cell_count
+    n = grid.cell_count - grid.far_cells
     if kind == "DR_H":
         table = np.stack([hp.c_h * dr_kernel_table(hp, n, grid.step) for hp in hps])
     elif kind == "B_H":
-        table = synthesis_tables(hps, n, grid.step)
-        if table is None:
+        brownian = [hp.is_brownian for hp in hps]
+        if all(brownian):
             return None
+        if any(brownian):
+            raise ValueError("h = 1/2 is an exact running sum; do not stack it with h > 1/2")
+        table = np.stack([hp.c_h * avg_kernel_table(hp, n, grid.step) for hp in hps])
     else:
         raise ValueError(f"no history kernel of kind {kind!r}")
     table.setflags(write=False)
-    return HistoryKernel(table=table)
+    if not grid.far_cells:
+        return HistoryKernel(table=table)
+    far = _far_at_nodes(grid, hps, kind)
+    far.setflags(write=False)
+    return HistoryKernel(table=table, far=far, basis=_far_basis(grid, kind))
+
+
+def _chebyshev_nodes() -> np.ndarray:
+    """The FAR_NODES Chebyshev nodes of the first kind on [-1, 1]."""
+    return np.cos(np.pi * (np.arange(FAR_NODES) + 0.5) / FAR_NODES)
+
+
+def _far_at_nodes(grid: SimulationGrid, hps, kind: str) -> np.ndarray:
+    """HistoryKernel.far: the far cells' weights at the Chebyshev nodes of [0, T], per h.
+
+    A far cell covers distances [d, d + w] before the origin.  Its DR_H
+    weight at t is c_h ((t + d + w)^p - (t + d)^p) / w, p = h - 1/2, one
+    difference of powers in the expm1/log1p form.  Its B_H weight, taken
+    from the origin, is the cell average over u of c_h ((t + u)^p - u^p),
+    whose integrand is u^p expm1(p log1p(t / u)): a Gauss-Legendre rule
+    averages it, and no difference of two large powers is ever formed.
+    That weight is t times a smooth function of t, which is the one
+    interpolated, so it keeps its relative precision down to t = step.
+    Both weights are analytic in t on [0, T] and singular only at t = -d
+    <= -NEAR_WINDOW T, so FAR_NODES nodes reach float64 precision.
+    """
+    edges = grid.far_edges()
+    d, w = -edges[1:], np.diff(edges)  # each cell's distance before the origin, and its width
+    t = 0.5 * grid.horizon * (1.0 + _chebyshev_nodes())
+    far = np.empty((len(hps), FAR_NODES, grid.far_cells))
+    for q, hp in enumerate(hps):
+        p = hp.h - HALF
+        if kind == "DR_H":
+            u = t[:, None] + d
+            far[q] = hp.c_h * u ** p * np.expm1(p * np.log1p(w / u)) / w
+        else:
+            gx, gw = _FAR_GAUSS
+            u = d[:, None] + 0.5 * w[:, None] * (1.0 + gx)  # (far cells, nodes of the rule)
+            f = u ** p * np.expm1(p * np.log1p(t[:, None, None] / u))
+            far[q] = hp.c_h * 0.5 * np.sum(f * gw, axis=-1) / t[:, None]
+    return far
+
+
+@functools.lru_cache(maxsize=4)
+def _far_basis(grid: SimulationGrid, kind: str) -> np.ndarray:
+    """HistoryKernel.basis, shared by every h: the Lagrange basis of the nodes at the main lattice points.
+
+    Barycentric form at x_j = 2 j / N - 1, times t_j for B_H.  The x_j are
+    rational and, with FAR_NODES even, no node is (cos of a rational
+    multiple of pi is rational only at 0, +-1/2 and +-1), so no x_j sits on
+    a node.
+    """
+    k, n = np.arange(FAR_NODES)[:, None], grid.main_steps
+    basis = (-1.0) ** k * np.sin(np.pi * (k + 0.5) / FAR_NODES) / (2.0 * np.arange(n + 1) / n - 1.0
+                                                                   - _chebyshev_nodes()[:, None])
+    basis /= basis.sum(axis=0)
+    if kind == "B_H":
+        basis *= grid.step * np.arange(n + 1)
+    basis.setflags(write=False)
+    return basis
 
 
 def past_conv(incs: np.ndarray, grid: SimulationGrid, kernel: HistoryKernel, cells_end: int,
@@ -353,11 +479,22 @@ def past_conv(incs: np.ndarray, grid: SimulationGrid, kernel: HistoryKernel, cel
     of the delayed integral, R_H, DR_H and the fbm integrands take their
     history from here.  outputs = (j0, j1) are main lattice points (j0 at or
     after the origin) and cells_end is at or after the origin; the result
-    is (len(hps), ..., j1 - j0).
+    is (len(hps), ..., j1 - j0).  The cells of one step go through
+    history_conv; the far cells through their interpolated weights, in two
+    einsum products.  einsum sums each output element in one fixed order
+    whatever the number of rows (a BLAS product does not), so a row's bytes
+    do not depend on its batch.  A B_H kernel's far part is taken from the
+    origin, where it is 0: the far history enters B_H, R_H and the fields
+    only through differences in t.
     """
-    if outputs[0] < grid.origin_index or cells_end < grid.origin_index:
+    m0, far = grid.origin_index, grid.far_cells
+    if outputs[0] < m0 or cells_end < m0:
         raise ValueError("the history is evaluated from the origin on")
-    return history_conv(incs, kernel.table, (0, cells_end), outputs)
+    y = history_conv(incs, kernel.table, (far, cells_end), outputs)
+    if far:
+        z = np.einsum("qmf,...f->q...m", kernel.far, incs[..., :far])
+        y += np.einsum("q...m,mj->q...j", z, kernel.basis[:, outputs[0] - m0:outputs[1] - m0])
+    return y
 
 
 def fbm_values(incs: np.ndarray, grid: SimulationGrid, hps) -> np.ndarray:
@@ -365,7 +502,7 @@ def fbm_values(incs: np.ndarray, grid: SimulationGrid, hps) -> np.ndarray:
 
     Stacked as (len(hps), ..., main_steps + 1) and batched over the leading
     axes of incs.  hps are all h > 1/2, which share one forward transform of
-    the noise, or all h = 1/2 (see synthesis_tables).
+    the noise, or all h = 1/2 (see history_kernel).
     """
     m0, n = grid.origin_index, grid.cell_count
     kernel = history_kernel(grid, hps)
@@ -455,20 +592,24 @@ def dr_energy_closed_form(hp: HurstParameter, span: float) -> float:
 # ---------------------------------------------------------------------------
 
 def fbm_weight_vector(grid: SimulationGrid, hp: HurstParameter, t_idx: int) -> np.ndarray:
-    """Per-cell synthesis weights w with B_H(t_idx) = sum_i w_i dB_i."""
-    table = avg_kernel_table(hp, grid.cell_count, grid.step)
-    m0 = grid.origin_index
-    i = np.arange(grid.cell_count)
+    """Per-cell synthesis weights w with B_H(t_idx) = sum_i w_i dB_i, for a main lattice point t_idx."""
+    far, m0 = grid.far_cells, grid.origin_index
+    table = avg_kernel_table(hp, grid.cell_count - far, grid.step)
+    i = np.arange(far, grid.cell_count)
     lag_t = np.clip(t_idx - i, 0, None)
     lag_0 = np.clip(m0 - i, 0, None)
-    return hp.c_h * (table[lag_t] - table[lag_0])
+    uniform = hp.c_h * (table[lag_t] - table[lag_0])
+    if not far:
+        return uniform
+    return np.concatenate([history_kernel(grid, (hp,)).far_weights(grid, t_idx)[0], uniform])
 
 
 def discrete_fbm_cov(grid: SimulationGrid, hp: HurstParameter, t1: float, t2: float) -> float:
-    """Exact E[B_H(t1) B_H(t2)] of the synthesized (truncated, discretized) process."""
+    """Exact E[B_H(t1) B_H(t2)] of the synthesized (truncated, discretized) process: sum width * w1 * w2."""
     w1 = fbm_weight_vector(grid, hp, grid.index_of(t1))
     w2 = fbm_weight_vector(grid, hp, grid.index_of(t2))
-    return float(grid.step * np.dot(w1, w2))
+    far = grid.far_cells
+    return float(grid.step * np.dot(w1[far:], w2[far:]) + np.dot(grid.far_widths() * w1[:far], w2[:far]))
 
 
 def discrete_dr_energy(grid: SimulationGrid, hp: HurstParameter, seg_idx: int,
@@ -480,14 +621,23 @@ def discrete_dr_energy(grid: SimulationGrid, hp: HurstParameter, seg_idx: int,
     if hp.is_brownian:
         return 0.0
     eval_idx = np.asarray(eval_idx)
-    if eval_idx.min() < seg_idx:
-        raise ValueError("DR_H is evaluated at lattice points from seg_idx on")
-    # DR_H(t_j) weighs cell i < seg_idx with c_h D[j - i], so its second moment is step c_h^2
-    # times the sum of D^2 over lags j - seg_idx + 1 .. j: a difference of tail sums, added
-    # from the far lags in, so the large near lags do not swamp the small far ones
-    sq = dr_kernel_table(hp, grid.cell_count, grid.step)[1:] ** 2
+    if eval_idx.min() < seg_idx or seg_idx < grid.origin_index:
+        raise ValueError("DR_H is evaluated at lattice points from seg_idx on, and seg_idx is at or after "
+                         "the origin")
+    # DR_H(t_j) weighs cell i < seg_idx of one step with c_h D[j - i], so that part of its second
+    # moment is step c_h^2 times the sum of D^2 over lags j - seg_idx + 1 .. j - far_cells: a
+    # difference of tail sums, added from the far lags in, so the large near lags do not swamp
+    # the small far ones.  The far cells add sum width * w^2, with w = basis^T far at each
+    # point: a quadratic form in the basis with the nodes' Gram matrix, far * width @ far^T.
+    far = grid.far_cells
+    sq = dr_kernel_table(hp, grid.cell_count - far, grid.step)[1:] ** 2
     tail = np.append(np.cumsum(sq[::-1])[::-1], 0.0)  # tail[l] = sum of D[m]^2 over m > l
-    moments = hp.c_h ** 2 * grid.step * (tail[eval_idx - seg_idx] - tail[eval_idx])
+    moments = hp.c_h ** 2 * grid.step * (tail[eval_idx - seg_idx] - tail[eval_idx - far])
+    if far:
+        kernel = history_kernel(grid, (hp,), "DR_H")
+        gram = (kernel.far[0] * grid.far_widths()) @ kernel.far[0].T
+        basis = kernel.basis[:, eval_idx - grid.origin_index]
+        moments += np.einsum("mj,mn,nj->j", basis, gram, basis)
     return float(np.dot(quad_weights, moments))
 
 

@@ -39,23 +39,57 @@ from fbmdelay.noise import (
     discrete_fbm_cov,
     fbm_values,
     history_conv,
+    history_kernel,
     write_path_csv,
 )
 
 
+def cell_widths(grid: SimulationGrid) -> np.ndarray:
+    """The width of every cell of the grid, which is the variance of its increment."""
+    return np.concatenate([grid.far_widths(), np.full(grid.cell_count - grid.far_cells, grid.step)])
+
+
 def reference_draw(seed: int, grid: SimulationGrid, stream: int) -> np.ndarray:
-    """Stream `stream` of seed drawn on its own: Philox keyed by (seed, stream), variance step per cell."""
+    """Stream `stream` of seed drawn on its own: Philox keyed by (seed, stream), variance width per cell."""
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(stream,))
-    return np.random.Generator(np.random.Philox(ss)).standard_normal(grid.cell_count) * math.sqrt(grid.step)
+    normals = np.random.Generator(np.random.Philox(ss)).standard_normal(grid.cell_count)
+    return normals * np.sqrt(cell_widths(grid))
 
 
-def _clipped_avg_weights(edges: np.ndarray, t: float, lo: float, p1: float, step: float) -> np.ndarray:
-    """Cell averages of u^(p1-1), u = t - q, with q clipped to [lo, t] per cell."""
+def _clipped_avg_weights(edges: np.ndarray, t: float, lo: float, p1: float) -> np.ndarray:
+    """Cell averages of u^(p1-1), u = t - q, with q clipped to [lo, t] per cell, each over its cell's width."""
     a = np.clip(edges[:-1], lo, t)
     b = np.clip(edges[1:], lo, t)
     ua = t - a
     ub = t - b
-    return (ua ** p1 - ub ** p1) / (p1 * step)
+    return (ua ** p1 - ub ** p1) / (p1 * np.diff(edges))
+
+
+def kernel_cell_averages(grid: SimulationGrid, t: float, p1: float, cells_end: int) -> np.ndarray:
+    """Cell averages of (t - q)^(p1 - 1) over the cells i < cells_end, which end by t, each over its width."""
+    edges = grid.edges()[:cells_end + 1]
+    return ((t - edges[:-1]) ** p1 - (t - edges[1:]) ** p1) / (p1 * np.diff(edges))
+
+
+def history_path(grid: SimulationGrid, incs: np.ndarray, hp: HurstParameter, cells_end: int,
+                 outputs: tuple[int, int]) -> np.ndarray:
+    """The B_H history of the cells i < cells_end at the main lattice points outputs = (j0, j1), up to a constant.
+
+    The cells of one step go through history_conv with the avg_kernel_table
+    weights; a far cell enters with its cell average of c_h ((t - q)^p -
+    (-q)^p), from the closed-form differences of powers, so the far part is
+    taken from the origin as the package takes it, and is 0 there.
+    """
+    far, m0 = grid.far_cells, grid.origin_index
+    c_table = hp.c_h * avg_kernel_table(hp, grid.cell_count - far, grid.step)
+    y = history_conv(incs, c_table, (far, cells_end), outputs)
+    if far:
+        edges = grid.far_edges()
+        a, b, p1 = -edges[:-1], -edges[1:], hp.h + HALF  # each far cell's distances before the origin
+        t = grid.step * (np.arange(*outputs) - m0)[:, None]
+        w = (((t + a) ** p1 - (t + b) ** p1) - (a ** p1 - b ** p1)) / (p1 * (a - b))
+        y = y + hp.c_h * (incs[..., :far] @ w.T)
+    return y
 
 
 def synthesize_w(g: SimulationGrid, incs: np.ndarray, hp: HurstParameter, seg_start: float, t: float) -> float:
@@ -64,7 +98,7 @@ def synthesize_w(g: SimulationGrid, incs: np.ndarray, hp: HurstParameter, seg_st
         raise ValueError("need t >= seg_start")
     if t == seg_start:
         return 0.0
-    w = _clipped_avg_weights(g.edges(), t, seg_start, hp.h + HALF, g.step)
+    w = _clipped_avg_weights(g.edges(), t, seg_start, hp.h + HALF)
     return float(hp.c_h * np.dot(w, incs))
 
 
@@ -78,7 +112,7 @@ def synthesize_dr(g: SimulationGrid, incs: np.ndarray, hp: HurstParameter, seg_s
     a = np.minimum(edges[:-1], seg_start)
     b = np.minimum(edges[1:], seg_start)
     p = hp.h - HALF
-    w = ((t - a) ** p - (t - b) ** p) / g.step
+    w = ((t - a) ** p - (t - b) ** p) / np.diff(edges)
     return float(hp.c_h * np.dot(w, incs))
 
 
@@ -99,18 +133,19 @@ def _power_kernel_weights(gamma: _PowerKernelIntegrand, grid: SimulationGrid, t:
                           tau: float | None) -> np.ndarray:
     """Cell-averaged kernel weights for E_tau gamma(t) (tau=None: pathwise)."""
     edges = grid.edges()
+    widths = np.diff(edges)
     hi = t if tau is None else min(t, tau)
     lo = grid.warmup_start if gamma.include_history else max(gamma.start, grid.warmup_start)
     p1 = gamma.hp1.h + HALF
     a = np.clip(edges[:-1], lo, hi)
     b = np.clip(edges[1:], lo, hi)
-    w = ((t - a) ** p1 - (t - b) ** p1) / (p1 * grid.step)
+    w = ((t - a) ** p1 - (t - b) ** p1) / (p1 * widths)
     if gamma.include_history:
         # subtract E_tau of the history value at the origin, not its pathwise value
         hi0 = 0.0 if tau is None else min(0.0, tau)
         a0 = np.clip(edges[:-1], grid.warmup_start, hi0)
         b0 = np.clip(edges[1:], grid.warmup_start, hi0)
-        w = w - ((0.0 - a0) ** p1 - (0.0 - b0) ** p1) / (p1 * grid.step)
+        w = w - ((0.0 - a0) ** p1 - (0.0 - b0) ** p1) / (p1 * widths)
     return gamma.hp1.c_h * w
 
 
@@ -279,7 +314,7 @@ def per_segment_parts(gamma_cells: np.ndarray, seg_idx: np.ndarray, grid: Simula
 
     if not hp.is_brownian:
         # the warmup history's primitive and the global post-origin convolution
-        tp = history_conv(incs, c_table, (0, m0), (m0, end + 1))
+        tp = history_path(grid, incs, hp, m0, (m0, end + 1))
         cg = history_conv(incs, c_table, (m0, end), (m0, end + 1))
         tail = np.sum(gamma_cells[..., :n_cells] * np.diff(tp, axis=-1), axis=-1)
 
@@ -315,7 +350,7 @@ def one_segment_delayed(gamma: Integrand, seg_start: float, seg_end: float, batc
         return np.sum(gseg * incs[..., a:b], axis=-1)
     c_table = hp.c_h * avg_kernel_table(hp, int(b), grid.step)
     ito = np.sum(gseg * block_conv(incs[..., a:b], np.diff(c_table), (0, b - a)), axis=-1)
-    prim = history_conv(incs, c_table, (0, a), (a, b + 1))
+    prim = history_path(grid, incs, hp, a, (a, b + 1))
     return ito + np.sum(gseg * np.diff(prim, axis=-1), axis=-1)
 
 
@@ -324,12 +359,16 @@ def riemann_gap_expectation(grid: SimulationGrid, hp: HurstParameter) -> float:
 
     The left-point sum of B_H dB_H is 0.5 (B_H(T)^2 - sum_k dB_H,k^2), and
     the Ito sum of B dB it is compared with has mean 0.  The k-th increment
-    weighs cell i with c_h (A[m + 1] - A[m]) at lag m = m0 + k - i, so its
-    variance is step c_h^2 cumsum(diff(A)^2)[m0 + k].
+    weighs a cell of one step with c_h (A[m + 1] - A[m]) at lag m = m0 + k - i,
+    so that part of its variance is step c_h^2 cumsum(diff(A)^2)[m0 - far + k];
+    a far cell adds its width times the square of its weight's increment.
     """
-    m0 = grid.origin_index
-    a = avg_kernel_table(hp, grid.cell_count, grid.step)
-    inc_var = grid.step * hp.c_h ** 2 * np.cumsum(np.diff(a) ** 2)[m0:m0 + grid.main_steps]
+    m0, far, n = grid.origin_index, grid.far_cells, grid.main_steps
+    a = avg_kernel_table(hp, grid.cell_count - far, grid.step)
+    inc_var = grid.step * hp.c_h ** 2 * np.cumsum(np.diff(a) ** 2)[m0 - far:m0 - far + n]
+    if far:
+        w = history_kernel(grid, (hp,)).far_weights(grid, np.arange(m0, m0 + n + 1))[0]
+        inc_var = inc_var + np.sum(np.diff(w, axis=0) ** 2 * np.diff(grid.far_edges()), axis=-1)
     return 0.5 * (discrete_fbm_cov(grid, hp, grid.horizon, grid.horizon) - float(np.sum(inc_var)))
 
 

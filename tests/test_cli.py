@@ -7,7 +7,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy
 import pytest
+import scipy
 
 from fbmdelay.cli import RunConfig, parse_and_dispatch
 from fbmdelay.experiments import DeskConfig, continuity_study, nonconvergence_demo
@@ -138,6 +140,7 @@ def test_continuity_and_decay_commands(tmp_path, capsys):
     (["integrate", "--integrand", "fbm:0.75", "--steps", "256", "--out", "x.json"], "lower --level or"),
     (["continuity", "--integrand", "fbm:0.75", "--steps", "256", "--out", "x.csv"], "cells; raise --steps\n"),
     (["decay", "--steps", "256", "--out", "x.csv"], "; lower --levels or raise --steps"),
+    (["simulate", "--warmup", "inf", "--out", "x.csv"], "--warmup must be >= 0 and finite"),
 ])
 def test_validation_failures_are_one_line_and_nonzero(tmp_path, capsys, argv, fragment):
     os.chdir(tmp_path)
@@ -220,6 +223,41 @@ def test_manifest_replay_refuses_a_config_that_is_not_a_run_config(tmp_path, cap
     assert code == 2 and stdout == "" and not out.exists()
     assert err.count("\n") == 1
     assert err.startswith("fbmdelay: error: manifest config does not match RunConfig") and fragment in err
+
+
+def test_manifests_record_the_versions_and_the_history_lattice(tmp_path, capsys):
+    """The package, Python, numpy and scipy versions, and the lattice: near window, ratio, reach, cell counts."""
+    out = tmp_path / "path.csv"
+    assert _run(["simulate", "--seed", "3", "--steps", "128", "--out", str(out)], capsys)[0] == 0
+    record = json.loads((tmp_path / "path.csv.manifest.json").read_text())
+    assert record["config"]["warmup"] == 1e14
+    assert set(record["versions"]) == {"fbmdelay", "python", "numpy", "scipy"}
+    assert (record["versions"]["numpy"], record["versions"]["scipy"]) == (numpy.__version__, scipy.__version__)
+    reach = DeskConfig(steps=128).grid().warmup_length
+    assert reach >= 1e14
+    assert record["lattice"] == {"near_window": 1.0, "far_ratio": 1.0625, "reach": reach,
+                                 "far_cells": 532, "near_cells": 128, "main_cells": 128}
+
+
+@pytest.mark.parametrize("edit,fragment", [
+    (lambda m: m.pop("lattice"), "history lattice None is not this build's"),  # every earlier manifest
+    (lambda m: m["lattice"].update(far_cells=600), "history lattice {"),
+    (lambda m: m["lattice"].update(near_window=2.0), "rerun the command to write a new manifest"),
+])
+def test_manifest_replay_refuses_another_history_lattice(tmp_path, capsys, edit, fragment):
+    """A manifest whose lattice is not the one this build makes of its config is refused: one line, exit 2."""
+    out = tmp_path / "path.csv"
+    argv = ["simulate", "--seed", "3", "--steps", "128", "--warmup", "4.0", "--out", str(out)]
+    assert _run(argv, capsys)[0] == 0
+    manifest = tmp_path / "path.csv.manifest.json"
+    record = json.loads(manifest.read_text())
+    edit(record)
+    manifest.write_text(json.dumps(record))
+    out.unlink()
+    code, stdout, err = _run(["--manifest", str(manifest)], capsys)
+    assert code == 2 and stdout == "" and not out.exists()
+    assert err.count("\n") == 1
+    assert err.startswith("fbmdelay: error: manifest history lattice") and fragment in err
 
 
 def test_manifest_replay_refuses_a_level_for_any_command_but_integrate(tmp_path, capsys):

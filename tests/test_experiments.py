@@ -85,12 +85,13 @@ def test_verify_dr_moments_runs_on_the_config_horizon():
 
 
 def test_replicate_sizes_chunks_from_the_grid(monkeypatch):
-    """_CHUNK_BYTES split over WORKERS, no more than reps / WORKERS rows, and never fewer than one.
+    """Near-equal chunks, a multiple of WORKERS of them, of at most _CHUNK_BYTES / WORKERS and never empty.
 
-    64 rows at desk scale on 2 workers, 128 on one, 4 at 2^16 steps; every
-    stream is drawn once.  At 2^24 steps one row is more than _CHUNK_BYTES,
-    so the chunks run one at a time on the calling thread.  Nothing is
-    allocated.
+    64 rows at desk scale on 2 workers, 128 on one, 4 at 2^16 steps; 300
+    replications on 2 workers are six chunks of 50, three full rounds, not
+    four of 64 and one of 44; every stream is drawn once.  At 2^24 steps one
+    row is more than _CHUNK_BYTES, so the chunks run one at a time on the
+    calling thread.  Nothing is allocated.
     """
     drawn = []
 
@@ -102,8 +103,9 @@ def test_replicate_sizes_chunks_from_the_grid(monkeypatch):
     for workers, config, reps, want, inline in ((2, DeskConfig(), 512, [64] * 8, False),
                                                 (1, DeskConfig(), 512, [128] * 4, True),
                                                 (2, DeskConfig(steps=65536), 40, [4] * 10, False),
+                                                (2, DeskConfig(), 300, [50] * 6, False),
                                                 (2, DeskConfig(), 10, [5, 5], False),
-                                                (3, DeskConfig(), 10, [4, 4, 2], False),
+                                                (3, DeskConfig(), 10, [3, 3, 4], False),
                                                 (2, DeskConfig(steps=2 ** 24), 2, [1, 1], True)):
         monkeypatch.setattr(fbmdelay.experiments, "WORKERS", workers)
         drawn.clear()
@@ -352,7 +354,7 @@ def test_every_hurst_value_sees_the_same_noise_in_any_list(hursts):
 
 @pytest.mark.parametrize("spec", ["det:const:1.0", "pp:bm:8"])
 def test_continuity_transforms_each_noise_window_once_for_every_h(monkeypatch, spec):
-    """Three chunks on three threads, 4 h: every row of the warmup and of the main window is transformed forward once.
+    """Three chunks on three threads, 4 h: every row of the near warmup and the main window is transformed once.
 
     The values come straight off the B_H increment field, so no h makes a
     segment block convolution either.
@@ -363,8 +365,9 @@ def test_continuity_transforms_each_noise_window_once_for_every_h(monkeypatch, s
     calls = spy_convolutions(monkeypatch)
     reps = 6  # chunks of 2
     continuity_study(spec, [0.7, 0.6, 0.55, 0.51], reps, 5, config=SMALL)
-    for window in (grid.origin_index, grid.main_steps):
-        assert sum(rows for rows, width, _ in ffts if width == window) == reps
+    windows = [grid.origin_index - grid.far_cells, grid.main_steps]  # the near warmup and the main window
+    for window in set(windows):  # one horizon each on this grid: two transforms of that width per row
+        assert sum(rows for rows, width, _ in ffts if width == window) == reps * windows.count(window)
     assert calls["integrator.block_conv"] == []
 
 
@@ -373,7 +376,7 @@ def test_decay_study_equals_per_level_reference(monkeypatch, spec, h):
     """One path and one assembly per level pair give the bytes of the per-level evaluation."""
     monkeypatch.setattr(fbmdelay.experiments, "WORKERS", 1)
     monkeypatch.setattr(fbmdelay.experiments, "_CHUNK_BYTES", _chunk_bytes(128))
-    hp, levels, reps = hurst_constant(h), [3, 4, 5], 150  # chunks of 128 and 22
+    hp, levels, reps = hurst_constant(h), [3, 4, 5], 150  # two chunks of 75
     study = cauchy_decay_study(spec, hp, levels, reps, 9, config=SMALL)
     gamma = parse_integrand(spec)
     gaps = _replicate(9, SMALL.grid(), reps, lambda nb: decay_gaps_per_level(gamma, hp, levels, nb))

@@ -21,8 +21,8 @@ from fbmdelay.integrands import (
     x_norm,
     y_norm,
 )
-from fbmdelay.noise import avg_kernel_table, generate_noise_batch, make_grid
-from oracles import cond_exp, value
+from fbmdelay.noise import generate_noise_batch, make_grid
+from oracles import cond_exp, kernel_cell_averages, value
 
 GRID = make_grid(1.0, 512, warmup=2.0)
 NOISE = generate_noise_batch(8, GRID, 1)
@@ -100,14 +100,17 @@ def test_wiener_kernel_cond_exp_is_truncated_integral():
 
 
 def _fbm_forecast_oracle(h1, a, j, incs):
-    """E_a X(t_j) as a weight sum: c (sum_{i < min(a, j)} A[j - i] dB_i - sum_{i < min(a, m0)} A[m0 - i] dB_i)."""
+    """E_a X(t_j) as a weight sum over the kernel's cell averages avg_i, each over its cell's own width:
+
+    c (sum_{i < min(a, j)} avg_i (t_j - q)^p dB_i - sum_{i < min(a, m0)} avg_i (-q)^p dB_i).
+    """
     hp1 = hurst_constant(h1)
-    table = avg_kernel_table(hp1, GRID.cell_count, GRID.step)
-    i = np.arange(GRID.cell_count)
     m0 = GRID.origin_index
-    w = np.where(i < min(a, j), table[np.clip(j - i, 0, None)], 0.0) \
-        - np.where(i < min(a, m0), table[np.clip(m0 - i, 0, None)], 0.0)
-    return hp1.c_h * (incs @ w)
+    p1 = hp1.h + 0.5
+    t = (j - m0) * GRID.step
+    now, origin = min(a, j), min(a, m0)
+    return hp1.c_h * (incs[..., :now] @ kernel_cell_averages(GRID, t, p1, now)
+                      - incs[..., :origin] @ kernel_cell_averages(GRID, 0.0, p1, origin))
 
 
 @pytest.mark.parametrize("h1", [0.5, 0.6, 0.75])

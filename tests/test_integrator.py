@@ -251,6 +251,24 @@ def test_delayed_segment_refuses_bad_segments():
         delayed_segment(ONE, 0.5, 0.5 + GRID.step, ONE_PATH, H75)
 
 
+def test_value_gap_over_h_minus_half_stays_flat():
+    """gap / (h - 1/2) of the value part of det:const:1.0 is flat for h = 1/2 + 10^-k, k = 2..14.
+
+    Common noise, history reaching 1e14 back: every ratio is within 0.5% of
+    the one at k = 6 (1.7495; the spread is 0.13%), so the value part keeps
+    its relative precision down to h - 1/2 = 1e-14.
+    """
+    grid = make_grid(1.0, 512, warmup=1e14)
+    batch = generate_noise_batch(3, grid, 200)
+    cells, seg = np.ones((200, grid.main_steps)), SegmentGrid.dyadic(1.0, 0)
+    base = delayed_parts_for_cells(cells, seg, batch, H5)[0]
+    ratios = []
+    for k in range(2, 15):
+        value = delayed_parts_for_cells(cells, seg, batch, hurst_constant(0.5 + 10.0 ** -k))[0]
+        ratios.append(float(np.mean(np.abs(value - base))) * 10.0 ** k)
+    np.testing.assert_allclose(ratios, ratios[4], rtol=5e-3)
+
+
 def test_history_fields_vanish_at_the_brownian_value():
     """Only h = 1/2 gives no fields; a list mixing it with h > 1/2 is refused."""
     end = GRID.cell_count

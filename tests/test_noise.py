@@ -13,6 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy import fft
 
 import fbmdelay.experiments
+import fbmdelay.integrator
 import fbmdelay.noise
 from fbmdelay.cli import parse_and_dispatch
 from fbmdelay.kernels import hurst_constant
@@ -34,7 +35,7 @@ from fbmdelay.noise import (
     r_values,
     w_values,
 )
-from oracles import path_csv_string, reference_draw, spy_noise_ffts, synthesize_dr, synthesize_w
+from oracles import cell_widths, path_csv_string, reference_draw, spy_noise_ffts, synthesize_dr, synthesize_w
 
 KINDS = ("B", "B_H", "W_H", "R_H", "DR_H")
 
@@ -63,20 +64,31 @@ def incs(noise):
 # ---------------------------------------------------------------------------
 
 def test_grid_construction_and_indexing(grid):
+    """Warmup 4 on [0, 1]: cells of one step back to -1 (one horizon), then 23 cells widening by 17/16 to -4.03."""
     assert grid.origin == 0.0
-    assert grid.warmup_start == -4.0
-    assert grid.cell_count == 512 * 5
-    assert grid.origin_index == 2048
+    assert grid.far_cells == 23 and grid.uniform_start == -1.0
+    assert grid.warmup_start == -(17 / 16) ** 23 and grid.warmup_start <= -4.0
+    assert grid.cell_count == 512 * 2 + 23
+    assert grid.origin_index == 23 + 512
     assert grid.index_of(0.0) == grid.origin_index
     assert grid.index_of(1.0) == grid.cell_count
-    with pytest.raises(ValueError):
-        grid.index_of(0.12345)  # off-lattice
+    assert grid.index_of(-1.0) == grid.far_cells
+    widths = cell_widths(grid)
+    np.testing.assert_allclose(widths[:22] / widths[1:23], 17 / 16, rtol=1e-13)  # oldest cell widest
+    assert widths[22] == pytest.approx(1.0 / 16, rel=1e-13) and np.all(widths[23:] == grid.step)
+    assert np.sum(widths) == pytest.approx(1.0 - grid.warmup_start, rel=1e-14)
+    assert np.array_equal(np.diff(grid.edges()), widths)
+    for t in (0.12345, grid.warmup_start, -3.0):  # off-lattice, or a time of the far cells
+        with pytest.raises(ValueError):
+            grid.index_of(t)
+    uniform = make_grid(1.0, 512, warmup=1.0)  # a warmup within one horizon has no far cells
+    assert uniform.far_cells == 0 and uniform.warmup_start == -1.0 and uniform.cell_count == 512 * 2
 
 
 def test_index_of_takes_an_array_as_the_scalar_loop(grid):
     """An array of times gives the indices of one call per time, rounded alike; one bad time refuses all."""
     step = grid.step
-    times = np.concatenate([grid.edges()[::97], [0.0, 1.0, 0.25 + 1e-9 * step, -4.0 + 0.4e-6 * step]])
+    times = np.concatenate([grid.edges()[grid.far_cells::97], [0.0, 1.0, 0.25 + 1e-9 * step, -1.0 + 0.4e-6 * step]])
     got = grid.index_of(times)
     assert got.dtype.kind == "i" and got.tolist() == [grid.index_of(float(t)) for t in times]
     assert type(grid.index_of(0.25)) is int
@@ -190,8 +202,8 @@ def test_r_matches_direct_f_kernel_synthesis(incs, grid):
     w = np.zeros(grid.cell_count)
     for i in range(idx):
         a, b = edges[i], edges[i + 1]
-        w[i] = ((t - a) ** p1 - (t - b) ** p1) / (p1 * grid.step)
-        w[i] -= ((0.0 - a) ** p1 - (0.0 - b) ** p1) / (p1 * grid.step)
+        w[i] = ((t - a) ** p1 - (t - b) ** p1) / (p1 * (b - a))
+        w[i] -= ((0.0 - a) ** p1 - (0.0 - b) ** p1) / (p1 * (b - a))
     direct = hp.c_h * float(np.dot(w, incs))
     via_primitive = r_values(incs, grid, hp, idx)[grid.index_of(t) - idx]
     assert direct == pytest.approx(via_primitive, abs=1e-12)
@@ -272,18 +284,95 @@ def test_avg_kernel_table_matches_exact_arithmetic(h):
         assert abs(table[m] - want) <= 1e-14 * want, (m, table[m], want)
 
 
+def _exact_far_dr_weight(hp, a, b, t):
+    """c_h ((t - a)^p - (t - b)^p) / (b - a), p = h - 1/2: the DR_H weight of the cell [a, b] at t, 50 digits."""
+    p = mpmath.mpf(hp.h) - mpmath.mpf(0.5)
+    a, b, t = mpmath.mpf(a), mpmath.mpf(b), mpmath.mpf(t)
+    return hp.c_h * ((t - a) ** p - (t - b) ** p) / (b - a)
+
+
 @pytest.mark.parametrize("h", [0.5 + 1e-12, 0.55, 0.75, 0.9])
 def test_dr_budget_matches_exact_arithmetic(grid, h):
-    """E DR_H(t)^2 from discrete_dr_energy agrees with the 50-digit weight sum to 1e-13 relative."""
-    hp, m0, n = hurst_constant(h), grid.origin_index, grid.cell_count
+    """E DR_H(t)^2 from discrete_dr_energy agrees with the 50-digit weight sum to 1e-13 relative.
+
+    A cell of one step weighs in with c_h D[j - i], a far cell with its own width and weight.
+    """
+    hp, m0, n, far = hurst_constant(h), grid.origin_index, grid.cell_count, grid.far_cells
+    edges = grid.edges()
     for j in (m0 + 1, m0 + 7, n):
-        with mpmath.workdps(50):  # DR_H(t_j) weighs cell i < m0 with c_h D[j - i]
+        t = (j - m0) * grid.step
+        with mpmath.workdps(50):  # DR_H(t_j) weighs cell far <= i < m0 with c_h D[j - i]
             want = hp.c_h ** 2 * grid.step * mpmath.fsum(_exact_dr_table(hp, j - i, grid.step) ** 2
-                                                        for i in range(m0))
+                                                        for i in range(far, m0))
+            want += mpmath.fsum((mpmath.mpf(edges[i + 1]) - mpmath.mpf(edges[i]))
+                                * _exact_far_dr_weight(hp, edges[i], edges[i + 1], t) ** 2 for i in range(far))
         got = discrete_dr_energy(grid, hp, m0, [j], [1.0])
         assert abs(got - want) <= 1e-13 * want, (j, got, want)
     with pytest.raises(ValueError, match="seg_idx"):
         discrete_dr_energy(grid, hp, m0, [m0 - 1, n], [1.0, 1.0])
+
+
+DESK_GRID = make_grid(1.0, 4096, warmup=1e14)
+
+
+def _exact_far_bh_weight(hp, a, b, t):
+    """The B_H weight of the cell [a, b] at t, from the origin: the cell average of c_h ((t - q)^p - (-q)^p)."""
+    p1 = mpmath.mpf(hp.h) + mpmath.mpf(0.5)
+    a, b, t = mpmath.mpf(a), mpmath.mpf(b), mpmath.mpf(t)
+    return hp.c_h * (((t - a) ** p1 - (-a) ** p1) - ((t - b) ** p1 - (-b) ** p1)) / (p1 * (b - a))
+
+
+@pytest.mark.parametrize("h", [0.5 + 1e-6, 0.55, 0.75, 0.9, 0.95])
+def test_far_weights_match_exact_arithmetic(h):
+    """The far cells' B_H and DR_H weights, as the synthesis applies them, are within 1e-13 relative of 60 digits.
+
+    Desk grid, history to 1e14: 532 far cells, from one horizon before the origin out.
+    """
+    hp, grid = hurst_constant(h), DESK_GRID
+    m0, far, edges = grid.origin_index, grid.far_cells, grid.far_edges()
+    assert far == 532 and edges[-1] == -1.0 and edges[0] <= -1e14
+    cells = (0, 1, far // 2, far - 2, far - 1)
+    for kind, exact in (("B_H", _exact_far_bh_weight), ("DR_H", _exact_far_dr_weight)):
+        kernel = fbmdelay.noise.history_kernel(grid, (hp,), kind)
+        for j in (m0 + 1, m0 + 7, m0 + 2048, grid.cell_count):
+            got = kernel.far_weights(grid, j)[0]
+            for f in cells:
+                with mpmath.workdps(60):
+                    want = exact(hp, edges[f], edges[f + 1], (j - m0) * grid.step)
+                assert abs(got[f] - want) <= 1e-13 * abs(want), (kind, j, f, got[f], want)
+    assert not np.any(fbmdelay.noise.history_kernel(grid, (hp,)).far_weights(grid, m0))  # B_H is 0 at the origin
+
+
+def test_graded_history_recovers_the_variance():
+    """Exact discrete Var B_H(1) over the closed form 1: the graded desk lattice against a uniform warmup of 8.
+
+    The 8,724-cell lattice keeps 0.99998 at h = 0.75 and 0.9991 at h = 0.9; the
+    36,864 uniform cells of the old desk grid kept 0.951 and 0.657.
+    """
+    uniform = SimulationGrid(warmup_start=-8.0, horizon=1.0, step=2.0 ** -12, cell_count=36864)
+    for h, least, old in ((0.75, 0.999, 0.96), (0.9, 0.99, 0.66)):
+        hp = hurst_constant(h)
+        assert discrete_fbm_cov(DESK_GRID, hp, 1.0, 1.0) >= least
+        assert discrete_fbm_cov(uniform, hp, 1.0, 1.0) < old
+    assert DESK_GRID.cell_count == 8724
+
+
+@pytest.mark.parametrize("rows", [1, 2, 5])
+def test_far_history_rows_do_not_depend_on_the_batch(rows):
+    """Every reader of the far cells gives a row the bytes it gets inside a larger batch, at any offset."""
+    grid = make_grid(1.0, 256, warmup=1e14)
+    incs = generate_noise_batch(17, grid, 9).increments
+    m0, n = grid.origin_index, grid.cell_count
+    hps = (H75, hurst_constant(0.9))
+    readers = (lambda x: fbm_values(x, grid, hps),
+               lambda x: dr_values(x, grid, H75, m0 + 16),
+               lambda x: r_values(x, grid, H75, m0 + 16),
+               lambda x: np.stack(fbmdelay.integrator.noise_transforms(grid, x, hps, n - 64)))
+    for read in readers:
+        whole = read(incs)
+        for lo in (0, 3):
+            part = read(incs[lo:lo + rows])
+            assert part.tobytes() == np.ascontiguousarray(whole[..., lo:lo + rows, :]).tobytes()
 
 
 def test_dr_closed_forms_frozen_oracle_values():
@@ -325,9 +414,9 @@ def test_dr_pointwise_mc_matches_discrete_expectation(mc_batch, grid):
     target = discrete_dr_energy(grid, H75, m0, [grid.cell_count], [1.0])
     assert abs(est - target) <= 3 * se
     # the distance to the continuum closed form is the declared budget; at this
-    # unit-test warmup (L = 4) the truncated tail carries (1+L)^(2h-2) = 44.7%
+    # unit-test history (L = 4.14) the truncated tail carries (1+L)^(2h-2) = 44.1%
     closed = dr_pointwise_closed_form(H75, 1.0)
-    assert abs(target - closed) == pytest.approx(closed * 5.0 ** (2 * H75.h - 2), rel=0.02)
+    assert abs(target - closed) == pytest.approx(closed * (1.0 + grid.warmup_length) ** (2 * H75.h - 2), rel=0.02)
 
 
 def test_fbm_moments_mc(mc_batch, grid):
