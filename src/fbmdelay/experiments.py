@@ -42,10 +42,8 @@ from .integrands import (
 )
 from .integrator import (
     MIN_CELLS_PER_SEGMENT,
-    _dot,
     _segment_lattice_indices,
     delayed_parts_for_cells,
-    fbm_increments,
     noise_transforms,
 )
 from .noise import (
@@ -57,9 +55,12 @@ from .noise import (
     dr_pointwise_closed_form,
     dr_values,
     fbm_values,
+    fbm_weight_vector,
     generate_noise_batch,
     history_conv,
+    history_kernel,
     make_grid,
+    past_dot,
 )
 
 __all__ = [
@@ -248,11 +249,14 @@ def verify_dr_moments(hp: HurstParameter, span: float, reps: int, seed: int,
 def fbm_law_check(hp: HurstParameter, reps: int, seed: int, config: DeskConfig = DESK):
     """MC Var B_H(1) and Cov(B_H(1), B_H(1/2)) with exact discrete-expectation budgets."""
     grid = config.grid()
-    n = grid.main_steps
+    m0, n = grid.origin_index, grid.main_steps
+    # B_H(t) = sum_i w_i dB_i: two row-wise sums, not a path (einsum, not BLAS, whose rounding
+    # depends on the row count)
+    weights = np.stack([fbm_weight_vector(grid, hp, m0 + n), fbm_weight_vector(grid, hp, m0 + n // 2)])
 
     def per_chunk(nb):
-        bh = fbm_values(nb.increments, grid, (hp,))[0]
-        return bh[:, n] ** 2, bh[:, n] * bh[:, n // 2]
+        end, mid = np.einsum("ri,ki->kr", nb.increments, weights)
+        return end ** 2, end * mid
 
     var_s, cov_s = _replicate(seed, grid, reps, per_chunk)
     t, s = grid.horizon, grid.horizon / 2
@@ -436,16 +440,17 @@ def continuity_study(gamma: Integrand | str, hursts, reps: int, seed: int,
             raise ValueError("the baseline h = 1/2 is implicit; pass only h > 1/2 values")
     half = hurst_constant(HALF)
     # refuse a grid the lattice cannot carry before any draw
-    end = int(_segment_lattice_indices(grid, seg)[-1])
+    m0, end = grid.origin_index, int(_segment_lattice_indices(grid, seg)[-1])
+    kernel = history_kernel(grid, hps)
 
     def per_chunk(nb):
         cells = integrand.values_on_cells(grid, nb.increments)
         base, _, _, _ = delayed_parts_for_cells(cells, seg, nb, half)
-        # every h reads one transform of the noise; its value is sum gamma dB_H, as in the assembly
-        d_bh = fbm_increments(grid, nb.increments, hps, end)
-        cells = cells[..., :end - grid.origin_index]
-        gaps = [np.abs(_dot(cells, field) - base) for field in d_bh]
-        return (*gaps, _stream_crcs(nb))
+        # the value sum_l gamma_l (B_H(t_l+1) - B_H(t_l)) is sum_j a_j B_H(t_j), a_j = gamma_j-1 - gamma_j
+        # with gamma_-1 = gamma_N = 0: one inner product per h, taken without forming the path
+        weights = np.diff(-cells[..., :end - m0], prepend=0.0, append=0.0)
+        values = past_dot(nb.increments, grid, kernel, end, (m0, end + 1), weights)
+        return (*np.abs(values - base), _stream_crcs(nb))
 
     *gaps, crcs = _replicate(seed, grid, reps, per_chunk)
     results = [_mc(g, seed, 0.0) for g in gaps]

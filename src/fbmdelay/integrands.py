@@ -16,6 +16,7 @@ the segment's left endpoint.
 
 from __future__ import annotations
 
+import bisect
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
@@ -363,8 +364,7 @@ class PiecewisePredictableIntegrand(Integrand):
 
     def freeze_time(self, t: float) -> float:
         bps = self.grid.breakpoints
-        k = int(np.searchsorted(bps, t, side="right")) - 1
-        k = min(max(k, 0), len(bps) - 2)
+        k = min(max(bisect.bisect_right(bps, t) - 1, 0), len(bps) - 2)
         return bps[k]
 
     def cond_var(self, tau, t):
@@ -440,10 +440,14 @@ def closed_form_x_norm(gamma: Integrand, grid: SimulationGrid) -> float | None:
 
     None when gamma has no closed-form second moment.
     """
-    if gamma.second_moment(grid.horizon / 2) is None:
+    times = fine_cell_times(grid)
+    if isinstance(gamma, DeterministicIntegrand):  # its function takes every time at once
+        moments = (gamma.fn(times) ** 2).tolist()
+    elif gamma.second_moment(grid.horizon / 2) is None:
         return None
-    total = sum(gamma.second_moment(t) for t in fine_cell_times(grid))
-    return math.sqrt(max(float(total * grid.step), 0.0))
+    else:
+        moments = map(gamma.second_moment, times.tolist())
+    return math.sqrt(max(float(sum(moments) * grid.step), 0.0))
 
 
 @dataclass(frozen=True)

@@ -45,7 +45,6 @@ __all__ = [
     "delayed_integral_batch",
     "delayed_parts_for_cells",
     "noise_transforms",
-    "fbm_increments",
     "result_record",
 ]
 
@@ -79,21 +78,8 @@ def noise_transforms(grid: SimulationGrid, incs: np.ndarray, hps, end: int):
     m0 = grid.origin_index
     tail = past_conv(incs, grid, kernel, m0, (m0, end + 1))
     d_tail = np.diff(tail, axis=-1)
-    return d_tail, _bh_increments(grid, incs, kernel, tail, end)
-
-
-def fbm_increments(grid: SimulationGrid, incs: np.ndarray, hps, end: int) -> np.ndarray:
-    """The d_bh field of noise_transforms alone, for a driver that reads only the value part; hps are h > 1/2."""
-    kernel = history_kernel(grid, hps)
-    m0 = grid.origin_index
-    return _bh_increments(grid, incs, kernel, past_conv(incs, grid, kernel, m0, (m0, end + 1)), end)
-
-
-def _bh_increments(grid, incs, kernel, tail, end):
-    """The increments of the warmup path tail plus the main window's synthesis; tail is overwritten."""
-    m0 = grid.origin_index
-    tail += history_conv(incs, kernel.table, (m0, end), (m0, end + 1))
-    return np.diff(tail, axis=-1)
+    tail += history_conv(incs, kernel.table, (m0, end), (m0, end + 1))  # the whole synthesis B_H
+    return d_tail, np.diff(tail, axis=-1)
 
 
 def _dot(gamma_cells: np.ndarray, field: np.ndarray) -> np.ndarray:

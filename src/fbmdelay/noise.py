@@ -22,8 +22,9 @@ one at every block start, for the delayed integral's segments and forecast
 runs.  A far cell's weight is a smooth function of t on [0, T]: it is
 interpolated at FAR_NODES Chebyshev nodes, so the far history at every main
 lattice point costs two small products per row (`past_conv`, the one reader
-of the cells before the origin).  The kernels are built once per grid and
-list of h (`history_kernel`) and shared by every chunk thread.
+of the cells before the origin; `past_dot` takes an inner product with it
+in the frequency domain, without forming it).  The kernels are built once
+per grid and list of h (`history_kernel`) and shared by every chunk thread.
 
 `history_conv` also takes a stack of kernels that read the same window of
 driving cells (one per Hurst value, say): each row of the window is
@@ -50,7 +51,7 @@ from __future__ import annotations
 import functools
 import math
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import ClassVar
 
 import numpy as np
@@ -67,6 +68,7 @@ __all__ = [
     "block_conv",
     "history_kernel",
     "past_conv",
+    "past_dot",
     "process_values",
     "dr_pointwise_closed_form",
     "dr_energy_closed_form",
@@ -365,11 +367,37 @@ class HistoryKernel:
     main lattice point j are sum_m basis[m, j - origin] far[q, m]: far holds
     them at the FAR_NODES Chebyshev nodes of [0, T], and basis interpolates
     (B_H's over t, and basis times t; both None without far cells).
+    spectra caches the half spectra of past_dot, per window.
     """
 
     table: np.ndarray
     far: np.ndarray | None = None
     basis: np.ndarray | None = None
+    spectra: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+
+    def spectrum(self, k0: int, k1: int, n: int) -> np.ndarray:
+        """past_dot's weighted half spectrum of every kernel, for output lags k0..k1 - 1 at FFT length n.
+
+        The kernel at lags 1..k1 - 1 is rolled so that lag k0 sits at index
+        0: its circular correlation with the weights, which start at lag k0,
+        is then the inner product with the convolution.  Row q holds
+        c_k T_k / n as (Re, -Im) pairs, T the rfft of table[q] so rolled and
+        c_k the count of bin k in the full spectrum: 1 at 0 and n/2, else 2.
+        Built once per window under the kernel lock, shared by every chunk
+        thread.
+        """
+        with _KERNEL_LOCK:
+            if (k0, k1, n) not in self.spectra:
+                rolled = np.zeros((len(self.table), n))
+                rolled[:, :k1 - k0] = self.table[:, k0:k1]
+                rolled[:, n - k0 + 1:] = self.table[:, 1:k0]
+                t = _fft.rfft(rolled, n, axis=-1)
+                t[:, 1:(n + 1) // 2] *= 2.0
+                t /= n
+                spectrum = np.stack([t.real, -t.imag], axis=-1).reshape(len(t), -1)
+                spectrum.setflags(write=False)
+                self.spectra[k0, k1, n] = spectrum
+            return self.spectra[k0, k1, n]
 
     def far_weights(self, grid: SimulationGrid, j) -> np.ndarray:
         """(len(hps), ..., far_cells): the far cells' weights at main lattice point(s) j."""
@@ -477,7 +505,7 @@ def past_conv(incs: np.ndarray, grid: SimulationGrid, kernel: HistoryKernel, cel
 
     The one reader of the cells before the origin: B_H, the history fields
     of the delayed integral, R_H, DR_H and the fbm integrands take their
-    history from here.  outputs = (j0, j1) are main lattice points (j0 at or
+    history from here, and past_dot its inner products.  outputs = (j0, j1) are main lattice points (j0 at or
     after the origin) and cells_end is at or after the origin; the result
     is (len(hps), ..., j1 - j0).  The cells of one step go through
     history_conv; the far cells through their interpolated weights, in two
@@ -495,6 +523,51 @@ def past_conv(incs: np.ndarray, grid: SimulationGrid, kernel: HistoryKernel, cel
         z = np.einsum("qmf,...f->q...m", kernel.far, incs[..., :far])
         y += np.einsum("q...m,mj->q...j", z, kernel.basis[:, outputs[0] - m0:outputs[1] - m0])
     return y
+
+
+def past_dot(incs: np.ndarray, grid: SimulationGrid, kernel: HistoryKernel, cells_end: int,
+             outputs: tuple[int, int], weights: np.ndarray) -> np.ndarray:
+    """sum_j weights[..., j] * past_conv(incs, grid, kernel, cells_end, outputs)[q, ..., j], per kernel q.
+
+    weights has the leading axes of incs and one entry per output j0 <= j
+    < j1; the result is (len(hps), ...).  By Parseval the inner product
+    needs no inverse transform and no field: each row's cells of one step
+    (one window, from the far cells to cells_end) and its weights are
+    transformed forward once, and per kernel the product is Re sum_k c_k
+    X_k conj(A_k) T_k / n over the half spectrum, at history_conv's FFT
+    length (see HistoryKernel.spectrum).  The far cells enter through the
+    basis applied to the weights, FAR_NODES numbers a row.  Rows go through
+    in blocks of at most _FFT_BLOCK_POINTS FFT points, and every sum is an
+    einsum over one row, so a row's bytes do not depend on its batch or on
+    the kernels stacked with it.
+    """
+    m0, far = grid.origin_index, grid.far_cells
+    j0, j1 = outputs
+    if j0 < m0 or cells_end < m0:
+        raise ValueError("the history is evaluated from the origin on")
+    if weights.shape != incs.shape[:-1] + (j1 - j0,):
+        raise ValueError(f"weights must be {incs.shape[:-1] + (j1 - j0,)}: one per row and output")
+    x = incs[..., far:min(cells_end, j1 - 1)]  # cells from j1 - 1 on reach no output
+    m = x.shape[-1]
+    k0, k1 = max(j0 - far, 1), j1 - far  # output lags from the first cell; lag <= 0 sees no cell
+    out = np.zeros((len(kernel.table),) + incs.shape[:-1])
+    if m and k1 > k0:
+        n = _fft.next_fast_len(max(k1 - 1, m + k1 - 1 - k0))
+        spectrum = kernel.spectrum(k0, k1, n)
+        rows = x.reshape(-1, m)
+        a = weights[..., k0 + far - j0:].reshape(len(rows), -1)
+        dest = out.reshape(len(spectrum), len(rows))
+        block = max(_FFT_BLOCK_POINTS // n, 1)
+        for r in range(0, len(rows), block):
+            fx = _fft.rfft(rows[r:r + block], n, axis=-1)
+            fa = _fft.rfft(a[r:r + block], n, axis=-1)
+            np.multiply(fx, np.conjugate(fa, out=fa), out=fx)
+            dest[:, r:r + block] = np.einsum("rk,qk->qr", fx.view(float), spectrum)
+    if far:
+        z = np.einsum("qmf,...f->q...m", kernel.far, incs[..., :far])
+        b = np.einsum("mj,...j->...m", kernel.basis[:, j0 - m0:j1 - m0], weights)
+        out += np.einsum("q...m,...m->q...", z, b)
+    return out
 
 
 def fbm_values(incs: np.ndarray, grid: SimulationGrid, hps) -> np.ndarray:

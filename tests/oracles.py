@@ -392,14 +392,17 @@ def spy_convolutions(monkeypatch) -> dict:
     return calls
 
 
-def spy_noise_ffts(monkeypatch) -> list:
-    """Record the forward FFTs that history_conv makes of rows of its input.
+def spy_noise_ffts(monkeypatch, inverse: list | None = None) -> list:
+    """Record the forward FFTs that history_conv and past_dot make of rows of their inputs.
 
     Returns a list with one (rows, width, FFT length) entry per call, rows
     counting every leading index, from any thread.  The kernel tables are
     transformed too; they are told apart by their memory, which the spy
     learns from the table argument of every history_conv call, and are not
-    recorded.
+    recorded.  past_dot's kernel spectra are transformed from a rolled copy
+    of the table, once per kernel and window: they are recorded, as
+    (kernels, n, n).  inverse, if given, gets one (rows, FFT length) entry
+    per inverse FFT.
     """
     calls, tables = [], []
 
@@ -408,6 +411,11 @@ def spy_noise_ffts(monkeypatch) -> list:
             calls.append((math.prod(a.shape[:-1]), a.shape[-1], n))
         return _fft.rfft(a, n, axis=axis)
 
+    def irfft(a, n, axis=-1):
+        if inverse is not None:
+            inverse.append((math.prod(a.shape[:-1]), n))
+        return _fft.irfft(a, n, axis=axis)
+
     for module in (fbmdelay.noise, fbmdelay.integrator, fbmdelay.integrands):
         def history_conv(incs, table, *windows, _real=module.history_conv):
             if table is not None:
@@ -415,5 +423,5 @@ def spy_noise_ffts(monkeypatch) -> list:
             return _real(incs, table, *windows)
         monkeypatch.setattr(module, "history_conv", history_conv)
     monkeypatch.setattr(fbmdelay.noise, "_fft", SimpleNamespace(
-        rfft=rfft, irfft=_fft.irfft, next_fast_len=_fft.next_fast_len))
+        rfft=rfft, irfft=irfft, next_fast_len=_fft.next_fast_len))
     return calls

@@ -354,20 +354,29 @@ def test_every_hurst_value_sees_the_same_noise_in_any_list(hursts):
 
 @pytest.mark.parametrize("spec", ["det:const:1.0", "pp:bm:8"])
 def test_continuity_transforms_each_noise_window_once_for_every_h(monkeypatch, spec):
-    """Three chunks on three threads, 4 h: every row of the near warmup and the main window is transformed once.
+    """Three chunks on three threads, 1 or 4 h: every row's cells of one step and its weights are transformed once.
 
-    The values come straight off the B_H increment field, so no h makes a
-    segment block convolution either.
+    The values are inner products with the B_H path taken in the frequency
+    domain (noise.past_dot): one forward transform of each row's window
+    from the far cells to the end of the main window, one of its weights,
+    and no inverse transform; no h makes a segment block convolution either.
     """
     grid = SMALL.grid()
     monkeypatch.setattr(fbmdelay.experiments, "WORKERS", 3)
-    ffts = spy_noise_ffts(monkeypatch)
+    inverse = []
+    ffts = spy_noise_ffts(monkeypatch, inverse)
     calls = spy_convolutions(monkeypatch)
     reps = 6  # chunks of 2
-    continuity_study(spec, [0.7, 0.6, 0.55, 0.51], reps, 5, config=SMALL)
-    windows = [grid.origin_index - grid.far_cells, grid.main_steps]  # the near warmup and the main window
-    for window in set(windows):  # one horizon each on this grid: two transforms of that width per row
-        assert sum(rows for rows, width, _ in ffts if width == window) == reps * windows.count(window)
+    window = grid.origin_index - grid.far_cells + grid.main_steps  # the near warmup and the main window, in one
+    weights = grid.main_steps + 1  # one per main lattice point
+    for hursts in ([0.6], [0.7, 0.6, 0.55, 0.51]):
+        ffts.clear()
+        continuity_study(spec, hursts, reps, 5, config=SMALL)
+        assert sum(rows for rows, width, _ in ffts if width == window) == reps
+        assert sum(rows for rows, width, _ in ffts if width == weights) == reps
+        for rows, width, n in ffts:  # nothing else but a kernel spectrum, cached per h list and window
+            assert width in (window, weights) or (rows, width) == (len(hursts), n)
+    assert inverse == []
     assert calls["integrator.block_conv"] == []
 
 

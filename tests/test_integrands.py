@@ -17,6 +17,7 @@ from fbmdelay.integrands import (
     QuadraticBrownianIntegrand,
     RlFbmIntegrand,
     SegmentGrid,
+    closed_form_x_norm,
     dyadic_projection,
     x_norm,
     y_norm,
@@ -338,6 +339,20 @@ def test_x_norm_trivial_cases():
 def test_x_norm_brownian():
     est, se = x_norm(BrownianIntegrand(), BATCH)
     assert abs(est - math.sqrt(0.5)) <= 3 * se + 0.01
+
+
+@pytest.mark.parametrize("gamma", FAMILY + [DeterministicIntegrand.constant(1.0)], ids=lambda g: g.spec_string())
+def test_closed_form_x_norm_is_the_sum_of_second_moments(gamma):
+    """(step * sum_l E gamma(t_l)^2)^(1/2) from one scalar call per cell time, to the last bit."""
+    total = sum(gamma.second_moment(float(t)) for t in GRID.step * np.arange(GRID.main_steps))
+    assert closed_form_x_norm(gamma, GRID) == math.sqrt(total * GRID.step)
+
+
+def test_freeze_time_is_the_last_breakpoint_at_or_before_t():
+    """On [T_k, T_k+1) the freeze is T_k; before T_0 it is T_0, and from T_n on T_n-1."""
+    gamma = PiecewisePredictableIntegrand(BrownianIntegrand(), PRE_ORIGIN)
+    for t, want in ((-1.0, -0.25), (-0.25, -0.25), (0.0, -0.25), (0.5, 0.5), (0.75, 0.5), (1.0, 0.5), (2.0, 0.5)):
+        assert gamma.freeze_time(t) == want
 
 
 def test_y_norm_deterministic_is_x_part():

@@ -31,6 +31,8 @@ from fbmdelay.noise import (
     generate_noise_batch,
     history_conv,
     make_grid,
+    past_conv,
+    past_dot,
     process_values,
     r_values,
     w_values,
@@ -373,6 +375,40 @@ def test_far_history_rows_do_not_depend_on_the_batch(rows):
         for lo in (0, 3):
             part = read(incs[lo:lo + rows])
             assert part.tobytes() == np.ascontiguousarray(whole[..., lo:lo + rows, :]).tobytes()
+
+
+@pytest.mark.parametrize("warmup", [0.5, 1e14])
+def test_past_dot_is_the_inner_product_with_past_conv(monkeypatch, warmup):
+    """past_dot is sum_j weights * past_conv to 1e-12 of the summed |terms|, and a row's bytes stand alone.
+
+    On a uniform warmup grid and a graded one, three windows of cells and
+    outputs, h = 1/2 + 1e-6, 0.75 and 0.95: a row gets the bytes it gets in
+    batches of 1, 7 and all rows, each h alone those of the stacked kernel,
+    and a block budget of one row those of the default blocks.
+    """
+    grid = make_grid(1.0, 256, warmup=warmup)
+    assert (grid.far_cells > 0) == (warmup > 1.0)
+    reps, m0, n = 33, grid.origin_index, grid.cell_count
+    incs = generate_noise_batch(23, grid, reps).increments
+    hps = [hurst_constant(h) for h in (0.5 + 1e-6, 0.75, 0.95)]
+    kernel = fbmdelay.noise.history_kernel(grid, hps)
+    for cells_end, outputs in ((n, (m0, n + 1)), (m0, (m0, n + 1)), (m0 + 40, (m0 + 5, n - 3))):
+        weights = np.random.default_rng(cells_end).standard_normal((reps, outputs[1] - outputs[0]))
+        terms = weights * past_conv(incs, grid, kernel, cells_end, outputs)
+        got = past_dot(incs, grid, kernel, cells_end, outputs, weights)
+        assert got.shape == (len(hps), reps)
+        assert np.all(np.abs(got - np.sum(terms, axis=-1)) <= 1e-12 * np.sum(np.abs(terms), axis=-1))
+        for rows in (slice(5, 6), slice(0, 7)):
+            part = past_dot(incs[rows], grid, kernel, cells_end, outputs, weights[rows])
+            assert part.tobytes() == np.ascontiguousarray(got[:, rows]).tobytes()
+        for q, hp in enumerate(hps):
+            alone = past_dot(incs, grid, fbmdelay.noise.history_kernel(grid, (hp,)), cells_end, outputs, weights)
+            assert alone[0].tobytes() == got[q].tobytes()
+        with monkeypatch.context() as mp:
+            mp.setattr(fbmdelay.noise, "_FFT_BLOCK_POINTS", 1)
+            assert past_dot(incs, grid, kernel, cells_end, outputs, weights).tobytes() == got.tobytes()
+    with pytest.raises(ValueError, match="one per row and output"):
+        past_dot(incs, grid, kernel, n, (m0, n + 1), np.ones((reps, n - m0)))
 
 
 def test_dr_closed_forms_frozen_oracle_values():
