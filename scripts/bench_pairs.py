@@ -21,6 +21,13 @@ in BENCHMARK.json.  `clear_gain` holds when the change won at least 9 pairs
 in 10 and its median beats the parent's by more than the parent's
 interquartile range.
 
+`machine` records the Python, numpy and scipy versions, the CPU count,
+numpy's BLAS (name, version and OpenBLAS configuration, as numpy was
+built) and the environment variables that set BLAS or OpenMP threads
+(OMP_*, OPENBLAS_*, MKL_* and any other *THREAD*): both sides run under
+that environment, and a BLAS product may run threaded inside a chunk
+thread.
+
 `src_tree` records the git tree hash of src/ on each side.  A revision
 benchmarked before it was committed (say, a `git commit-tree` snapshot of
 the index) is linked to the commit that lands it by that hash:
@@ -117,6 +124,19 @@ def _cpu_model() -> str:
     return platform.processor() or "unknown"
 
 
+def _blas() -> dict:
+    """numpy's BLAS as built: name, version and OpenBLAS configuration line, from numpy.__config__.CONFIG."""
+    import numpy
+    blas = numpy.__config__.CONFIG.get("Build Dependencies", {}).get("blas", {})
+    return {key: blas.get(key) for key in ("name", "version", "openblas configuration")}
+
+
+def _thread_env() -> dict:
+    """The environment variables that set BLAS and OpenMP threading: OMP_*, OPENBLAS_*, MKL_* and any *THREAD*."""
+    return {k: v for k, v in sorted(os.environ.items())
+            if k.startswith(("OMP_", "OPENBLAS_", "MKL_")) or "THREAD" in k}
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("parent", help="git revision of the parent side")
@@ -172,7 +192,8 @@ def main(argv=None) -> int:
         "commits": commits,
         "machine": {"python": platform.python_version(), "numpy": numpy.__version__,
                     "scipy": scipy.__version__, "cpu_count": os.cpu_count(),
-                    "cpus_usable": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else None},
+                    "cpus_usable": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else None,
+                    "blas": _blas(), "thread_env": _thread_env()},
         "cpu_model": _cpu_model(),
         "src_sha256": src,
         "src_tree": trees,

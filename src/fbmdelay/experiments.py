@@ -38,6 +38,7 @@ from .integrands import (
     SegmentGrid,
     closed_form_x_norm,
     dyadic_projection,
+    second_halves,
     x_norm,
 )
 from .integrator import (
@@ -45,6 +46,7 @@ from .integrator import (
     _segment_lattice_indices,
     delayed_parts_for_cells,
     noise_transforms,
+    second_half_ito,
 )
 from .noise import (
     NoiseBatch,
@@ -186,16 +188,22 @@ def _energy_quadrature(grid: SimulationGrid, hp: HurstParameter):
     """Lattice evaluation points and profile-matched weights for int_0^T DR^2.
 
     The weights integrate the known second-moment profile t^(2h-2) exactly,
-    so the singular first cell carries its true mass.
+    so the singular first cell carries its true mass.  With q = 2h - 1 the
+    weight of cell k is (t_k^q - t_(k-1)^q) / (q t_k^(q-1)) = t_k (1 -
+    (1 - 1/k)^q) / q; as in noise.dr_kernel_table the difference of powers
+    is taken as -expm1(q log1p(-1/k)), which keeps its relative precision as
+    h -> 1/2.  The first cell's is t_1 / q.
     """
     n = grid.main_steps
     h = grid.step
     eval_idx = grid.origin_index + np.arange(1, n + 1)
     if hp.is_brownian:
         return eval_idx, np.full(n, h)
-    t = h * np.arange(n + 1)
-    e = 2 * hp.h - 2.0
-    w = (t[1:] ** (e + 1) - t[:-1] ** (e + 1)) / ((e + 1) * t[1:] ** e)
+    q = 2 * hp.h - 1.0
+    k = np.arange(1, n + 1, dtype=float)
+    w = np.empty(n)
+    w[0] = h / q
+    w[1:] = -h * k[1:] * np.expm1(q * np.log1p(-1.0 / k[1:])) / q
     return eval_idx, w
 
 
@@ -492,7 +500,10 @@ def cauchy_decay_study(gamma: Integrand | str, hp: HurstParameter, levels, reps:
     For each consecutive pair (m, m+1) both projections are integrated on the
     level-(m+1) grid (the total is grid-invariant; the split into parts is
     not), so the inter-segment component matches the quantity whose geometric
-    decay drives the extension.
+    decay drives the extension.  Both parts are linear in gamma, so a gap is
+    one inner product of the level step gamma_(m+1) - gamma_m
+    (Integrand.level_steps) with a field of the noise: no path, no
+    projection and no assembly is formed.
     """
     grid = config.grid()
     if isinstance(gamma, str):
@@ -511,19 +522,25 @@ def cauchy_decay_study(gamma: Integrand | str, hp: HurstParameter, levels, reps:
         raise ValueError("the decay study needs an integrand with a known variance exponent")
 
     pair_levels = levels[:-1]
-    end = grid.origin_index + grid.main_steps
+    m0, end = grid.origin_index, grid.origin_index + grid.main_steps
 
     def per_chunk(nb):
-        pre = noise_transforms(grid, nb.increments, (hp,), end)
-        cells = np.empty((len(levels), nb.replications, grid.main_steps))
-        for i, level_cells in enumerate(gamma.dyadic_cells(grid, nb.increments, levels)):
-            cells[i] = level_cells
+        incs = nb.increments
+        if hp.is_brownian:  # value is the Ito sum and cross is 0
+            d_bh, d_main = incs[..., m0:end], None
+        else:
+            d_tail, d_bh = (field[0] for field in noise_transforms(grid, incs, (hp,), end))
+            d_main = d_bh - d_tail
         gaps = []
-        for i, m in enumerate(pair_levels):
-            # both levels of the pair in one assembly: the history parts are shared
-            seg = SegmentGrid.dyadic(grid.horizon, m + 1)
-            v, _, _, c = delayed_parts_for_cells(cells[i:i + 2], seg, nb, hp, pre)
-            gaps += [np.abs(v[1] - v[0]), np.abs(c[1] - c[0])]
+        for m, step in zip(pair_levels, gamma.level_steps(grid, incs, levels)):
+            # the parts are linear in gamma: each gap is one inner product with the level step,
+            # which lives on the second halves of the level-m segments, the odd level-(m+1) ones
+            gaps.append(np.abs(np.einsum("...kh,...kh->...", step, second_halves(d_bh, m))))
+            if d_main is None:
+                gaps.append(np.zeros(nb.replications))
+            else:  # cross = value - tail - ito on the level-(m+1) grid
+                cross = second_halves(d_main, m) - second_half_ito(grid, incs, hp, m)
+                gaps.append(np.abs(np.einsum("...kh,...kh->...", step, cross)))
         return tuple(gaps)
 
     gaps = _replicate(seed, grid, reps, per_chunk)

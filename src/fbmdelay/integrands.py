@@ -26,6 +26,7 @@ import numpy as np
 
 from .kernels import HALF, HurstParameter, hurst_constant
 from .noise import (
+    _TOEPLITZ_MAX,
     NoiseBatch,
     SimulationGrid,
     block_conv,
@@ -44,6 +45,7 @@ __all__ = [
     "PiecewisePredictableIntegrand",
     "SegmentGrid",
     "dyadic_projection",
+    "second_halves",
     "x_norm",
     "closed_form_x_norm",
     "y_norm",
@@ -84,10 +86,20 @@ class Integrand(ABC):
         """E at lattice time freeze_idx[l] of gamma at cell l's left edge."""
         raise IntegrandCapabilityError(f"{type(self).__name__} has no conditional-expectation rule")
 
-    def dyadic_cells(self, grid: SimulationGrid, incs: np.ndarray, levels: Sequence[int]):
-        """Yield the cell values of the level-n dyadic projection for each n in levels, in turn."""
+    def level_steps(self, grid: SimulationGrid, incs: np.ndarray, levels: Sequence[int]):
+        """Yield gamma_(m+1) - gamma_m for each pair (m, m + 1) of levels, consecutive integers, in turn.
+
+        gamma_n is the level-n dyadic projection.  The step is 0 on the first
+        half of every level-m segment, where both levels freeze at its start,
+        so only the second halves are yielded, as (..., 2^m, h), h = L_m / 2.
+        This default differences the consecutive projections.
+        """
+        prev = None
         for n in levels:
-            yield dyadic_projection(self, n, grid).values_on_cells(grid, incs)
+            cells = dyadic_projection(self, n, grid).values_on_cells(grid, incs)
+            if prev is not None:
+                yield second_halves(cells, n - 1) - second_halves(prev, n - 1)
+            prev = cells
 
     def segment_predictable_on(self, breakpoints: Sequence[float]) -> bool:
         """Whether gamma(t) is measurable at the active left endpoint of this grid."""
@@ -186,13 +198,25 @@ class _PowerKernelIntegrand(Integrand):
             j0 = int(freeze_idx.min(initial=j0))
         return self._forecast(grid, incs, freeze_idx, self._values_from(grid, incs, j0), j0)
 
-    def dyadic_cells(self, grid, incs, levels):
-        # one path for every level: dyadic freezes never precede the origin
+    def level_steps(self, grid, incs, levels):
+        # on the second half of a level-m segment [a, a + 2h), E_(a+h) - E_a of gamma(t_j)
+        # is the kernel mass of the first half's cells, sum_(a <= i < a+h) k[j - i] x_i:
+        # one full h x h Toeplitz product per segment, with entries k[h + j - i]
         m0 = grid.origin_index
-        path = self._values_from(grid, incs, m0)
-        for n in levels:
-            freeze_idx = dyadic_projection(self, n, grid).freeze_index_per_cell(grid)
-            yield self._forecast(grid, incs, freeze_idx, path, m0)
+        if self._first_cell(grid) > m0:  # a start after the origin: not every first-half cell counts
+            yield from super().level_steps(grid, incs, levels)
+            return
+        x = incs[..., m0:m0 + grid.main_steps]
+        table = None if self.hp1.is_brownian else history_kernel(grid, (self.hp1,)).table[0]
+        for m in levels[:-1]:
+            h = grid.main_steps >> (m + 1)
+            blocks = x.reshape(x.shape[:-1] + (2 ** m, 2 * h))
+            if table is None:  # the unit kernel: the first half's sum, at every cell of the second
+                yield np.repeat(np.sum(blocks[..., :h], axis=-1, keepdims=True), h, axis=-1)
+            elif h > _TOEPLITZ_MAX:
+                yield history_conv(blocks, table, (0, h), (h, 2 * h))
+            else:
+                yield blocks[..., :h] @ table[h - np.subtract.outer(np.arange(h), np.arange(h))]
 
     def _forecast(self, grid, incs, freeze_idx, vals, j0):
         """E at freeze_idx[l] of gamma at cell l's left edge, from vals = _values_from(grid, incs, j0).
@@ -399,6 +423,11 @@ class PiecewisePredictableIntegrand(Integrand):
 
     def spec_string(self):
         return f"pp:{self.inner.spec_string()}:{self.grid.n_segments}"
+
+
+def second_halves(cells: np.ndarray, level: int) -> np.ndarray:
+    """The second half of every level-`level` dyadic segment of the main cells (last axis), a (..., 2^level, h) view."""
+    return cells.reshape(cells.shape[:-1] + (2 ** level, 2, -1))[..., 1, :]
 
 
 def dyadic_projection(gamma: Integrand, n: int, grid: SimulationGrid | None) -> Integrand:

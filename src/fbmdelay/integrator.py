@@ -18,6 +18,10 @@ dot product of gamma with an increment field of the noise, h and the grid:
   before the origin), and cross = value - ito - tail, the history
   accumulated since the origin before each segment starts.
 
+The parts are linear in gamma.  The decay study therefore reads a pair of
+dyadic levels from the level step alone, which lives on the odd segments
+of the finer grid: `second_half_ito` is the ito field there only.
+
 At h = 1/2 the transform is the identity and both history parts vanish,
 so value is the left-point Ito sum.  Since value does not depend on the
 segment grid, one segment [a, b] (`delayed_segment`) is the value part on
@@ -29,7 +33,7 @@ from __future__ import annotations
 import numpy as np
 
 from .kernels import HurstParameter
-from .integrands import Integrand, SegmentGrid
+from .integrands import Integrand, SegmentGrid, second_halves
 from .noise import (
     NoiseBatch,
     SimulationGrid,
@@ -45,6 +49,7 @@ __all__ = [
     "delayed_integral_batch",
     "delayed_parts_for_cells",
     "noise_transforms",
+    "second_half_ito",
     "result_record",
 ]
 
@@ -82,6 +87,25 @@ def noise_transforms(grid: SimulationGrid, incs: np.ndarray, hps, end: int):
     return d_tail, np.diff(tail, axis=-1)
 
 
+def _ito_table(grid: SimulationGrid, hp: HurstParameter, lags: int) -> np.ndarray:
+    """d_table[m] = c_h * (A[m+1] - A[m]), m < lags: the G_H transform's weights, restarted per segment."""
+    return np.diff(history_kernel(grid, (hp,)).table[0, :lags + 1])
+
+
+def second_half_ito(grid: SimulationGrid, incs: np.ndarray, hp: HurstParameter, level: int) -> np.ndarray:
+    """dW of the level-(level + 1) dyadic grid on the second half of every level segment, (..., 2^level, h).
+
+    Those halves are the odd segments of the finer grid, each convolved from
+    its own start with the weights of delayed_parts_for_cells; the even ones
+    are not computed.  hp is above 1/2.
+    """
+    m0 = grid.origin_index
+    halves = second_halves(incs[..., m0:m0 + grid.main_steps], level)
+    h = halves.shape[-1]
+    x = halves.reshape(incs.shape[:-1] + (-1,))  # the odd segments, end to end
+    return block_conv(x, _ito_table(grid, hp, h), range(0, x.shape[-1] + 1, h)).reshape(halves.shape)
+
+
 def _dot(gamma_cells: np.ndarray, field: np.ndarray) -> np.ndarray:
     # a row-wise sum, not a BLAS dot: its rounding must not depend on strides or batch size
     return np.sum(gamma_cells * field, axis=-1)
@@ -107,9 +131,7 @@ def delayed_parts_for_cells(gamma_cells: np.ndarray, seg: SegmentGrid, batch: No
     if hp.is_brownian:  # the transform is the identity: the left-point sum against dB itself
         ito = _dot(gamma_cells, incs[..., m0:end])
         return ito, ito.copy(), np.zeros(ito.shape), np.zeros(ito.shape)
-    # d_table[m] = c_h * (A[m+1] - A[m]): the G_H transform's weights, restarted per segment
-    d_table = np.diff(history_kernel(grid, (hp,)).table[0, :end - m0 + 1])
-    ito = _dot(gamma_cells, block_conv(incs[..., m0:end], d_table, seg_idx - m0))
+    ito = _dot(gamma_cells, block_conv(incs[..., m0:end], _ito_table(grid, hp, end - m0), seg_idx - m0))
     if transforms is None:
         transforms = noise_transforms(grid, incs, (hp,), end)
     d_tail, d_bh = (field[0] for field in transforms)

@@ -228,23 +228,49 @@ def truncation_horizon(tol: float, span: float, hp: HurstParameter) -> float:
     return float(base ** (1.0 / (2 - 2 * h)))
 
 
+def dyadic_cells(gamma: Integrand, grid: SimulationGrid, incs: np.ndarray, levels):
+    """Yield the cell values of the level-n dyadic projection for each n in levels, in turn.
+
+    The power-kernel integrands compute their path once and subtract each
+    level's forecast corrections (dyadic freezes never precede the origin);
+    any other integrand is projected level by level.
+    """
+    if not isinstance(gamma, _PowerKernelIntegrand):
+        for n in levels:
+            yield dyadic_projection(gamma, n, grid).values_on_cells(grid, incs)
+        return
+    m0 = grid.origin_index
+    path = gamma._values_from(grid, incs, m0)
+    for n in levels:
+        freeze_idx = dyadic_projection(gamma, n, grid).freeze_index_per_cell(grid)
+        yield gamma._forecast(grid, incs, freeze_idx, path, m0)
+
+
 def decay_gaps_per_level(gamma: Integrand, hp: HurstParameter, levels, nb: NoiseBatch) -> tuple:
-    """cauchy_decay_study's per-chunk gaps, from one projection and one assembly per level.
+    """cauchy_decay_study's per-chunk gaps, from one projection and one assembly per level, with their scales.
 
     Returns (|v1 - v0|, |c1 - c0|) per replication for each level pair
-    (m, m + 1), both levels integrated on the level-(m + 1) grid.
+    (m, m + 1), both levels integrated on the level-(m + 1) grid, followed
+    by the same number of scales: per gap and replication, the sum of
+    |terms| of the two row sums it differences (|gamma| times |d_bh| for
+    v, times |d_bh| + |d_tail| + |dW| for c; h > 1/2).
     """
-    grid = nb.grid
-    pre = noise_transforms(grid, nb.increments, (hp,), grid.origin_index + grid.main_steps)
-    cells = {n: dyadic_projection(gamma, n, grid).values_on_cells(grid, nb.increments)
-             for n in levels}
-    gaps = []
+    grid, incs = nb.grid, nb.increments
+    m0, end = grid.origin_index, grid.origin_index + grid.main_steps
+    pre = noise_transforms(grid, incs, (hp,), end)
+    d_tail, d_bh = (np.abs(field[0]) for field in pre)
+    d_table = np.diff(history_kernel(grid, (hp,)).table[0, :grid.main_steps + 1])
+    cells = {n: dyadic_projection(gamma, n, grid).values_on_cells(grid, incs) for n in levels}
+    gaps, scales = [], []
     for m in levels[:-1]:
         seg = SegmentGrid.dyadic(grid.horizon, m + 1)
         v0, _, _, c0 = delayed_parts_for_cells(cells[m], seg, nb, hp, pre)
         v1, _, _, c1 = delayed_parts_for_cells(cells[m + 1], seg, nb, hp, pre)
         gaps += [np.abs(v1 - v0), np.abs(c1 - c0)]
-    return tuple(gaps)
+        d_w = np.abs(block_conv(incs[..., m0:end], d_table, grid.index_of(seg.breakpoints) - m0))
+        both = np.abs(cells[m]) + np.abs(cells[m + 1])
+        scales += [np.sum(both * d_bh, axis=-1), np.sum(both * (d_bh + d_tail + d_w), axis=-1)]
+    return (*gaps, *scales)
 
 
 def extension(gamma: Integrand, hp: HurstParameter, batch: NoiseBatch, levels, tol: float):
@@ -255,7 +281,7 @@ def extension(gamma: Integrand, hp: HurstParameter, batch: NoiseBatch, levels, t
     grid, incs = batch.grid, batch.increments
     transforms = fbmdelay.integrator.noise_transforms(grid, incs, (hp,), grid.cell_count)
     samples, gaps = [], []
-    for n, cells in zip(levels, gamma.dyadic_cells(grid, incs, levels)):
+    for n, cells in zip(levels, dyadic_cells(gamma, grid, incs, levels)):
         samples.append(delayed_parts_for_cells(cells, SegmentGrid.dyadic(grid.horizon, n), batch, hp,
                                                transforms)[0])
         if len(samples) > 1:

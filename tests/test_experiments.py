@@ -11,16 +11,19 @@ from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import fbmdelay.experiments
+import fbmdelay.integrands
 from fbmdelay.kernels import hurst_constant
 from fbmdelay.noise import dr_pointwise_closed_form
 from fbmdelay.experiments import (
     ContinuityNotApplicableError,
     DeskConfig,
+    _energy_quadrature,
     _mc,
     _replicate,
     cauchy_decay_study,
@@ -82,6 +85,24 @@ def test_verify_dr_moments_runs_on_the_config_horizon():
         verify_dr_moments(H75, 1.0, 100, 1, short)
     rep = verify_dr_moments(H75, 0.7, 100, 1, short)
     assert rep.span == 0.7 and rep.pointwise_closed == dr_pointwise_closed_form(H75, 0.7)
+
+
+@pytest.mark.parametrize("h", [0.5 + 1e-14, 0.5 + 1e-12, 0.5 + 1e-10, 0.5 + 1e-6, 0.5 + 1e-2, 0.75, 0.95])
+def test_energy_quadrature_weights_keep_precision_as_h_nears_half(h):
+    """On a 512-step grid every weight is within 1e-14 relative of 50-digit arithmetic.
+
+    The weights are (t_k^q - t_(k-1)^q) / (q t_k^(q-1)), q = 2h - 1; the plain
+    difference of powers lost 1.8 of the weight at h = 1/2 + 1e-14.
+    """
+    hp = hurst_constant(h)
+    grid = SMALL.grid()
+    eval_idx, weights = _energy_quadrature(grid, hp)
+    assert eval_idx.tolist() == list(range(grid.origin_index + 1, grid.cell_count + 1))
+    with mpmath.workdps(50):
+        q, step = 2 * mpmath.mpf(hp.h) - 1, mpmath.mpf(grid.step)  # exact: 2h - 1 has no rounding
+        for k, w in enumerate(weights.tolist(), start=1):
+            want = ((k * step) ** q - ((k - 1) * step) ** q) / (q * (k * step) ** (q - 1))
+            assert abs(w - want) <= 1e-14 * want, (k, w, want)
 
 
 def test_replicate_sizes_chunks_from_the_grid(monkeypatch):
@@ -382,13 +403,25 @@ def test_continuity_transforms_each_noise_window_once_for_every_h(monkeypatch, s
 
 @pytest.mark.parametrize("spec,h", [("bm", 0.75), ("fbm:0.75", 0.6), ("rl:0.7", 0.7), ("bm2", 0.6)])
 def test_decay_study_equals_per_level_reference(monkeypatch, spec, h):
-    """One path and one assembly per level pair give the bytes of the per-level evaluation."""
+    """Per replication, every gap is within 1e-12 of the summed |terms| of one projection and one assembly per level.
+
+    The study reads each gap as one inner product with the level step, so it
+    rounds differently from the difference of two assemblies; the bound is
+    declared, not fitted (the largest ratio seen is below 1e-15).
+    """
     monkeypatch.setattr(fbmdelay.experiments, "WORKERS", 1)
     monkeypatch.setattr(fbmdelay.experiments, "_CHUNK_BYTES", _chunk_bytes(128))
+    runs = []
+    monkeypatch.setattr(fbmdelay.experiments, "_replicate", lambda *args: runs.append(_replicate(*args)) or runs[-1])
     hp, levels, reps = hurst_constant(h), [3, 4, 5], 150  # two chunks of 75
     study = cauchy_decay_study(spec, hp, levels, reps, 9, config=SMALL)
+    (gaps,) = runs
     gamma = parse_integrand(spec)
-    gaps = _replicate(9, SMALL.grid(), reps, lambda nb: decay_gaps_per_level(gamma, hp, levels, nb))
+    ref = _replicate(9, SMALL.grid(), reps, lambda nb: decay_gaps_per_level(gamma, hp, levels, nb))
+    assert len(ref) == 2 * len(gaps)
+    for got, want, scale in zip(gaps, ref, ref[len(gaps):]):
+        assert got.shape == (reps,)
+        assert np.all(np.abs(got - want) <= 1e-12 * scale)
     tot = [_mc(g, 9, 0.0) for g in gaps[::2]]
     cross = [_mc(g, 9, 0.0) for g in gaps[1::2]]
     assert study.gaps == tuple(r.estimate for r in tot)
@@ -398,29 +431,39 @@ def test_decay_study_equals_per_level_reference(monkeypatch, spec, h):
 
 
 def test_decay_study_shares_the_path_and_the_cross_convolutions(monkeypatch):
-    """Per chunk: one full-lattice fbm path, two history fields, one block convolution per level grid.
+    """Per chunk: no path, one pair of history fields; per level pair, one cross product and one block convolution.
 
-    No segment and no freeze run has a convolution of its own: the cross
-    parts come from the shared fields, and each level's forecasts and each
-    pair's Ito field are one block convolution.  The two chunks run on two
-    threads, so the calls are counted, not ordered.
+    A pair's level step is one product of every segment's first half with
+    the kernel; with _TOEPLITZ_MAX at 0 it is an FFT and is counted here.
+    Its Ito field is one block convolution of the second halves only.  No
+    level has cells, forecasts or an assembly of its own.  The two chunks
+    run on two threads, so the calls are counted, not ordered.
     """
     grid = SMALL.grid()
     m0, n = grid.origin_index, grid.cell_count
     monkeypatch.setattr(fbmdelay.experiments, "WORKERS", 2)
+    monkeypatch.setattr(fbmdelay.integrands, "_TOEPLITZ_MAX", 0)
     calls = spy_convolutions(monkeypatch)
+    fields, assemblies = [], []
+    real_fields = fbmdelay.experiments.noise_transforms
+    monkeypatch.setattr(fbmdelay.experiments, "noise_transforms",
+                        lambda *args: fields.append(args[3]) or real_fields(*args))
+    monkeypatch.setattr(fbmdelay.experiments, "delayed_parts_for_cells", lambda *args: assemblies.append(args))
     cauchy_decay_study("fbm:0.75", hurst_constant(0.6), range(3, 6), 150, 5, config=SMALL)
     chunks = 2  # 75 + 75 replications
 
     def count(key, entry=lambda c: c):
         return Counter(entry(c) for c in calls[key])
 
-    assert count("integrands.history_conv") == {}
-    assert count("integrands.past_conv") == {(n, (m0, n)): chunks}
-    assert count("integrands.block_conv", len) == {2 ** m + 1: chunks for m in (3, 4, 5)}
+    assert fields == [n] * chunks and assemblies == []
+    assert count("integrands.past_conv") == {}
+    assert count("integrands.block_conv") == {}
+    halves = [SMALL.steps >> (m + 1) for m in (3, 4)]
+    assert count("integrands.history_conv") == {((0, h), (h, 2 * h)): chunks for h in halves}
     assert count("integrator.history_conv") == {((m0, n), (m0, n + 1)): chunks}
     assert count("integrator.past_conv") == {(m0, (m0, n + 1)): chunks}
-    assert count("integrator.block_conv", len) == {2 ** (m + 1) + 1: chunks for m in (3, 4)}
+    assert count("integrator.block_conv", len) == {2 ** m + 1: chunks for m in (3, 4)}
+    assert count("integrator.block_conv", lambda c: c[1]) == {h: chunks for h in halves}
 
 
 def test_decay_study_deterministic_integrand_skips_fit():

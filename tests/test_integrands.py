@@ -1,12 +1,15 @@
 """Integrand family: forecasts, projections, tower property, and the norms."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import fbmdelay.integrands
 from fbmdelay.kernels import hurst_constant
+from fbmdelay.experiments import DESK, cauchy_decay_study
 from fbmdelay.integrands import (
     BrownianIntegrand,
     DeterministicIntegrand,
@@ -23,7 +26,7 @@ from fbmdelay.integrands import (
     y_norm,
 )
 from fbmdelay.noise import generate_noise_batch, make_grid
-from oracles import cond_exp, kernel_cell_averages, value
+from oracles import cond_exp, dyadic_cells, kernel_cell_averages, value
 
 GRID = make_grid(1.0, 512, warmup=2.0)
 NOISE = generate_noise_batch(8, GRID, 1)
@@ -238,12 +241,76 @@ def test_dyadic_cells_equal_per_level_projections(gamma):
     """The levels computed from one path are byte-equal to one projection per level."""
     incs = BATCH.increments[:16]
     levels = (3, 0, 6, 2)
-    got = list(gamma.dyadic_cells(GRID, incs, levels))  # every level held at once: no aliasing
+    got = list(dyadic_cells(gamma, GRID, incs, levels))  # every level held at once: no aliasing
     assert len(got) == len(levels)
     for n, cells in zip(levels, got):
         want = dyadic_projection(gamma, n, GRID).values_on_cells(GRID, incs)
         assert cells.shape == want.shape
         assert cells.tobytes() == want.tobytes()
+
+
+STEPPED = [BrownianIntegrand(), FbmIntegrand(0.75), RlFbmIntegrand(0.7), QuadraticBrownianIntegrand(),
+           RlFbmIntegrand(0.7, 0.3125), RlFbmIntegrand(0.7, -0.5)]
+LEVELS = range(0, 7)  # segments of 512 down to 8 cells: Toeplitz blocks of 256 down to 4
+
+
+def _level_step_rows(steps: np.ndarray) -> np.ndarray:
+    """Per row, one flat vector of every segment's second half."""
+    return steps.reshape(steps.shape[:-2] + (-1,))
+
+
+@pytest.mark.parametrize("gamma", STEPPED, ids=lambda g: g.spec_string())
+def test_level_steps_are_differences_of_projections(gamma):
+    """gamma_(m+1) - gamma_m on the second halves, within 1e-12 of the summed |terms|; 0 on the first halves."""
+    incs = BATCH.increments[:16]
+    cells = list(dyadic_cells(gamma, GRID, incs, LEVELS))
+    steps = list(gamma.level_steps(GRID, incs, LEVELS))
+    assert len(steps) == len(LEVELS) - 1
+    for m, step in zip(LEVELS, steps):
+        h = GRID.main_steps >> (m + 1)
+        assert step.shape == (16, 2 ** m, h)
+        coarse, fine = cells[m], cells[m + 1]
+        halves = (fine - coarse).reshape(16, 2 ** m, 2, h)
+        scale = 1e-12 * np.sum(np.abs(fine) + np.abs(coarse), axis=-1)
+        assert np.all(_level_step_rows(np.abs(halves[..., 0, :])).sum(axis=-1) <= scale), m
+        assert np.all(_level_step_rows(np.abs(step - halves[..., 1, :])).sum(axis=-1) <= scale), m
+
+
+@pytest.mark.parametrize("gamma", STEPPED, ids=lambda g: g.spec_string())
+def test_level_steps_bytes_do_not_depend_on_the_batch(gamma):
+    """A row's level steps are the same bytes in batches of 1, 7 and 33 rows."""
+    incs = BATCH.increments[:33]
+    whole = list(gamma.level_steps(GRID, incs, LEVELS))
+    for rows in (1, 7):
+        for part, full in zip(gamma.level_steps(GRID, incs[:rows], LEVELS), whole):
+            assert part.tobytes() == full[:rows].tobytes()
+
+
+@pytest.mark.parametrize("gamma", [FbmIntegrand(0.75), RlFbmIntegrand(0.7)], ids=lambda g: g.spec_string())
+def test_level_steps_fft_branch_agrees_with_the_toeplitz_branch(gamma, monkeypatch):
+    """With no Toeplitz block allowed every level step is one FFT, within 1e-12 of the summed |terms|.
+
+    The kernel is positive, so the step of |incs| is the sum of |terms| of each cell's product.
+    """
+    incs = BATCH.increments[:8]
+    toeplitz = list(gamma.level_steps(GRID, incs, LEVELS))
+    terms = list(gamma.level_steps(GRID, np.abs(incs), LEVELS))
+    monkeypatch.setattr(fbmdelay.integrands, "_TOEPLITZ_MAX", 0)
+    for fft, want, scale in zip(gamma.level_steps(GRID, incs, LEVELS), toeplitz, terms):
+        assert fft.shape == want.shape
+        assert np.all(_level_step_rows(np.abs(fft - want)).sum(axis=-1) <= 1e-12 * _level_step_rows(scale).sum(axis=-1))
+
+
+def test_coarse_levels_at_desk_scale_build_no_half_grid_matrix():
+    """Levels 0..2 on the desk grid (2,048-cell halves at level 0) stay far below one (N/2)^2 matrix."""
+    matrix = (DESK.steps // 2) ** 2 * 8
+    tracemalloc.start()
+    try:
+        cauchy_decay_study("fbm:0.75", hurst_constant(0.6), range(0, 3), 2, 5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < matrix / 2
 
 
 @pytest.mark.parametrize("gamma", FAMILY, ids=lambda g: g.spec_string())
@@ -258,7 +325,7 @@ def test_cell_values_are_c_ordered(gamma):
                for grid in (PRE_ORIGIN, SegmentGrid.dyadic(1.0, 2))]
     arrays = [gamma.values_on_cells(GRID, incs),
               *(gamma.frozen_values_on_cells(GRID, incs, f) for f in freezes),
-              *gamma.dyadic_cells(GRID, incs, (0, 3))]
+              *dyadic_cells(gamma, GRID, incs, (0, 3))]
     for cells in arrays:
         assert cells.shape == (8, GRID.main_steps) and cells.flags.c_contiguous
 
