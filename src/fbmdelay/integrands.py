@@ -92,7 +92,7 @@ class Integrand(ABC):
         gamma_n is the level-n dyadic projection.  The step is 0 on the first
         half of every level-m segment, where both levels freeze at its start,
         so only the second halves are yielded, as (..., 2^m, h), h = L_m / 2.
-        This default differences the consecutive projections.
+        This default, which bm2 takes, differences the consecutive projections.
         """
         prev = None
         for n in levels:
@@ -203,10 +203,11 @@ class _PowerKernelIntegrand(Integrand):
         # is the kernel mass of the first half's cells, sum_(a <= i < a+h) k[j - i] x_i:
         # one full h x h Toeplitz product per segment, with entries k[h + j - i]
         m0 = grid.origin_index
-        if self._first_cell(grid) > m0:  # a start after the origin: not every first-half cell counts
-            yield from super().level_steps(grid, incs, levels)
-            return
         x = incs[..., m0:m0 + grid.main_steps]
+        first = self._first_cell(grid) - m0
+        if first > 0:  # the cells before a start after the origin carry no kernel mass
+            x = x.copy()
+            x[..., :first] = 0.0
         table = None if self.hp1.is_brownian else history_kernel(grid, (self.hp1,)).table[0]
         for m in levels[:-1]:
             h = grid.main_steps >> (m + 1)
