@@ -66,6 +66,7 @@ __all__ = [
     "generate_noise_batch",
     "history_conv",
     "block_conv",
+    "half_cross_conv",
     "history_kernel",
     "past_conv",
     "past_dot",
@@ -84,7 +85,7 @@ _LATTICE_RTOL = 1e-9
 #: thread, since every chunk thread of a driver runs its own convolutions
 _FFT_BLOCK_POINTS = 2 ** 20
 
-#: block_conv takes a Toeplitz product up to this block length, an FFT beyond
+#: block_conv and half_cross_conv take a Toeplitz product up to this block length, an FFT beyond
 _TOEPLITZ_MAX = 256
 
 #: the history is cells of one step for this many horizons before the origin (D = T) ...
@@ -356,6 +357,20 @@ def block_conv(x: np.ndarray, table: np.ndarray, bounds) -> np.ndarray:
         lag = np.subtract.outer(np.arange(size), np.arange(size))  # lag[i, j] = i - j
         y = blocks @ np.where(lag <= 0, table[np.abs(lag)], 0.0)
     return y.reshape(x.shape)
+
+
+def half_cross_conv(blocks: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """y[..., j] = sum_{i < h} table[h + j - i] * blocks[..., i] for 0 <= j < h, blocks of 2h cells on the last axis.
+
+    What each block's first half carries onto its second through the kernel:
+    one full h x h Toeplitz product (entries table[h + j - i]), or one
+    batched FFT (history_conv) beyond _TOEPLITZ_MAX cells.  table must reach
+    lag 2h - 1; table[0] is not read.
+    """
+    h = blocks.shape[-1] // 2
+    if h > _TOEPLITZ_MAX:
+        return history_conv(blocks, table, (0, h), (h, 2 * h))
+    return blocks[..., :h] @ table[h - np.subtract.outer(np.arange(h), np.arange(h))]
 
 
 @dataclass(frozen=True)

@@ -401,7 +401,8 @@ def test_continuity_transforms_each_noise_window_once_for_every_h(monkeypatch, s
     assert calls["integrator.block_conv"] == []
 
 
-@pytest.mark.parametrize("spec,h", [("bm", 0.75), ("fbm:0.75", 0.6), ("rl:0.7", 0.7), ("bm2", 0.6)])
+@pytest.mark.parametrize("spec,h", [("bm", 0.75), ("fbm:0.75", 0.6), ("rl:0.7", 0.7), ("bm2", 0.6),
+                                    ("bm", 0.5), ("fbm:0.75", 0.5)])
 def test_decay_study_equals_per_level_reference(monkeypatch, spec, h):
     """Per replication, every gap is within 1e-12 of the summed |terms| of one projection and one assembly per level.
 
@@ -433,22 +434,24 @@ def test_decay_study_equals_per_level_reference(monkeypatch, spec, h):
 def test_decay_study_shares_the_path_and_the_cross_convolutions(monkeypatch):
     """Per chunk: no path, one pair of history fields; per level pair, one cross product and one block convolution.
 
-    A pair's level step is one product of every segment's first half with
-    the kernel; with _TOEPLITZ_MAX at 0 it is an FFT and is counted here.
-    Its Ito field is one block convolution of the second halves only.  No
-    level has cells, forecasts or an assembly of its own.  The two chunks
-    run on two threads, so the calls are counted, not ordered.
+    A pair's level step is one noise.half_cross_conv of every level-m
+    segment, its first half onto its second.  Its Ito field is one block
+    convolution of the second halves only.  No level has cells, forecasts
+    or an assembly of its own.  The two chunks run on two threads, so the
+    calls are counted, not ordered.
     """
     grid = SMALL.grid()
     m0, n = grid.origin_index, grid.cell_count
     monkeypatch.setattr(fbmdelay.experiments, "WORKERS", 2)
-    monkeypatch.setattr(fbmdelay.integrands, "_TOEPLITZ_MAX", 0)
     calls = spy_convolutions(monkeypatch)
-    fields, assemblies = [], []
+    fields, assemblies, products = [], [], []
     real_fields = fbmdelay.experiments.noise_transforms
     monkeypatch.setattr(fbmdelay.experiments, "noise_transforms",
                         lambda *args: fields.append(args[3]) or real_fields(*args))
     monkeypatch.setattr(fbmdelay.experiments, "delayed_parts_for_cells", lambda *args: assemblies.append(args))
+    real_product = fbmdelay.integrands.half_cross_conv
+    monkeypatch.setattr(fbmdelay.integrands, "half_cross_conv",
+                        lambda blocks, table: products.append(blocks.shape[-2:]) or real_product(blocks, table))
     cauchy_decay_study("fbm:0.75", hurst_constant(0.6), range(3, 6), 150, 5, config=SMALL)
     chunks = 2  # 75 + 75 replications
 
@@ -458,8 +461,9 @@ def test_decay_study_shares_the_path_and_the_cross_convolutions(monkeypatch):
     assert fields == [n] * chunks and assemblies == []
     assert count("integrands.past_conv") == {}
     assert count("integrands.block_conv") == {}
+    assert count("integrands.history_conv") == {}
     halves = [SMALL.steps >> (m + 1) for m in (3, 4)]
-    assert count("integrands.history_conv") == {((0, h), (h, 2 * h)): chunks for h in halves}
+    assert Counter(products) == {(2 ** m, 2 * h): chunks for m, h in zip((3, 4), halves)}
     assert count("integrator.history_conv") == {((m0, n), (m0, n + 1)): chunks}
     assert count("integrator.past_conv") == {(m0, (m0, n + 1)): chunks}
     assert count("integrator.block_conv", len) == {2 ** m + 1: chunks for m in (3, 4)}

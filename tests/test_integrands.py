@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import fbmdelay.integrands
+import fbmdelay.noise
 from fbmdelay.kernels import hurst_constant
 from fbmdelay.experiments import DESK, cauchy_decay_study
 from fbmdelay.integrands import (
@@ -295,7 +295,7 @@ def test_level_steps_fft_branch_agrees_with_the_toeplitz_branch(gamma, monkeypat
     incs = BATCH.increments[:8]
     toeplitz = list(gamma.level_steps(GRID, incs, LEVELS))
     terms = list(gamma.level_steps(GRID, np.abs(incs), LEVELS))
-    monkeypatch.setattr(fbmdelay.integrands, "_TOEPLITZ_MAX", 0)
+    monkeypatch.setattr(fbmdelay.noise, "_TOEPLITZ_MAX", 0)
     for fft, want, scale in zip(gamma.level_steps(GRID, incs, LEVELS), toeplitz, terms):
         assert fft.shape == want.shape
         assert np.all(_level_step_rows(np.abs(fft - want)).sum(axis=-1) <= 1e-12 * _level_step_rows(scale).sum(axis=-1))

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import fbmdelay.integrands
 import fbmdelay.integrator
-from fbmdelay.experiments import DeskConfig, _integration_plan, cauchy_decay_study, parse_integrand
+from fbmdelay.experiments import DeskConfig, _integration_plan, _mc, cauchy_decay_study, parse_integrand
 from fbmdelay.kernels import hurst_constant
 from fbmdelay.integrands import (
     BrownianIntegrand,
@@ -353,20 +353,24 @@ def ensemble():
 
 @pytest.mark.parametrize("spec,hp", [("bm", H75), ("fbm:0.75", H6)], ids=["bm", "fbm0.75"])
 def test_extension_gaps_are_the_decay_study_gaps(spec, hp):
-    """One dyadic extension: on the same streams, the level-to-level L1 gaps are the study's.
+    """One dyadic extension: on the same streams, the extension's L1 gaps are the per-level reference's to the bit.
 
-    The study takes each gap as one inner product with the level step, the
-    extension as the difference of two levels' values, so the two round
-    differently: each mean gap is within 1e-12 of the mean summed |terms|.
+    Both take each level's value from delayed_parts_for_cells on the same
+    cells.  The study takes each gap as one inner product with the level
+    step, so it rounds differently: each of its mean gaps is within 1e-12
+    of the mean summed |terms|.
     """
-    study = cauchy_decay_study(spec, hp, range(3, 7), 64, 9, SMALL)
+    levels = range(3, 7)
+    study = cauchy_decay_study(spec, hp, levels, 64, 9, SMALL)
     batch = generate_noise_batch(9, GRID, 64)
     gamma = parse_integrand(spec)
-    trace = extension(gamma, hp, batch, range(3, 7), tol=0.0)
+    trace = extension(gamma, hp, batch, levels, tol=0.0)
     pairs = len(study.gaps)
-    scales = decay_gaps_per_level(gamma, hp, range(3, 7), batch)[2 * pairs::2]  # those of the value gaps
+    ref = decay_gaps_per_level(gamma, hp, levels, batch)
+    value_gaps, scales = ref[:2 * pairs:2], ref[2 * pairs::2]
+    assert tuple(trace.gaps) == tuple(_mc(g, 9, 0.0).estimate for g in value_gaps)
     assert len(trace.gaps) == len(scales) == pairs
-    for got, want, scale in zip(trace.gaps, study.gaps, scales):
+    for got, want, scale in zip(study.gaps, trace.gaps, scales):
         assert abs(got - want) <= 1e-12 * float(np.mean(scale))
 
 

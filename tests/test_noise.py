@@ -29,6 +29,7 @@ from fbmdelay.noise import (
     dr_values,
     fbm_values,
     generate_noise_batch,
+    half_cross_conv,
     history_conv,
     make_grid,
     past_conv,
@@ -661,6 +662,24 @@ def test_block_conv_rejects_bad_edges():
     for edges in ([0, 5, 9], [1, 10], [0, 5, 5, 10]):
         with pytest.raises(ValueError, match="edges"):
             block_conv(np.ones(10), np.ones(10), edges)
+
+
+@pytest.mark.parametrize("fft_branch", [False, True], ids=["toeplitz", "fft"])
+@pytest.mark.parametrize("h", [1, 3, 257])
+def test_half_cross_conv_matches_direct_sum(h, fft_branch, monkeypatch):
+    """Each block's first half onto its second, with leading batch axes; 257 cells take the FFT anyway."""
+    rng = np.random.default_rng(h)
+    blocks = rng.standard_normal((2, 3, 4, 2 * h))
+    table = rng.standard_normal(2 * h)
+    if fft_branch:
+        monkeypatch.setattr(fbmdelay.noise, "_TOEPLITZ_MAX", 0)
+    got = half_cross_conv(blocks, table)
+    i = np.arange(h)
+    weights = table[h + i[None, :] - i[:, None]]  # weights[i, j] = table[h + j - i]
+    want = np.einsum("...i,ij->...j", blocks[..., :h], weights)
+    scale = np.einsum("...i,ij->...j", np.abs(blocks[..., :h]), np.abs(weights))
+    assert got.shape == blocks.shape[:-1] + (h,)
+    assert np.all(np.abs(got - want) <= 1e-12 * scale)
 
 
 # ---------------------------------------------------------------------------
