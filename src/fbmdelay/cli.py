@@ -16,6 +16,7 @@ Relative output paths resolve against $FBMDELAY_OUT when it is set.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -76,10 +77,16 @@ class RunConfig:
                 raise ValueError(f"--hurst values must lie in [0.5, 1) (got {h})")
         if self.reps < 2:
             raise ValueError(f"--reps must be >= 2 (got {self.reps})")
-        if self.horizon <= 0.0:
-            raise ValueError(f"--t must be positive (got {self.horizon})")
+        if not 0.0 < self.horizon < math.inf:
+            raise ValueError(f"--t must be positive and finite (got {self.horizon})")
+        if self.horizon / self.steps == 0.0:
+            raise ValueError(f"--t {self.horizon!r} in {self.steps} steps underflows to a step of 0; raise --t")
         if not 0.0 <= self.warmup < math.inf:
             raise ValueError(f"--warmup must be >= 0 and finite (got {self.warmup})")
+        try:
+            _desk(self).grid()
+        except ValueError as exc:
+            raise ValueError(f"--warmup is too far back: {exc}") from None
         if self.kind not in PROCESS_KINDS:
             raise ValueError(f"--kind must be one of {', '.join(PROCESS_KINDS)} (got {self.kind})")
         if self.level != RunConfig.level and self.command != "integrate":
@@ -94,7 +101,9 @@ def _resolve_out(path: str) -> str:
     return path
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: parse_args keeps no state in it between calls."""
     p = argparse.ArgumentParser(prog="fbmdelay",
                                 description="Fractional Brownian motion, delayed stochastic "
                                             "integration, and its Monte Carlo verification suite")

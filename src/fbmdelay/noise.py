@@ -186,11 +186,16 @@ def make_grid(horizon: float, steps: int, warmup: float = 0.0) -> SimulationGrid
     origin, or to warmup if that is shorter; beyond them, cells that widen
     by FAR_RATIO each, out to warmup or just past it.
     """
-    if horizon <= 0.0 or steps < 1:
-        raise ValueError("need horizon > 0 and steps >= 1")
+    if not 0.0 < horizon < math.inf or steps < 1:
+        raise ValueError(f"need a finite horizon > 0 and steps >= 1 (got {horizon!r} and {steps})")
     if not 0.0 <= warmup < math.inf:
         raise ValueError("warmup must be >= 0 and finite")
     step = horizon / steps
+    if step == 0.0:
+        raise ValueError(f"a horizon of {horizon!r} in {steps} steps underflows to a step of 0")
+    overflow = ValueError(f"a history reaching {warmup!r} back overflows the lattice of step {step!r}")
+    if warmup / step == math.inf:
+        raise overflow
     warmup_cells = int(math.ceil(warmup / step - 1e-12))
     near_cells = NEAR_WINDOW * steps
     if warmup_cells <= near_cells:
@@ -198,7 +203,13 @@ def make_grid(horizon: float, steps: int, warmup: float = 0.0) -> SimulationGrid
                               cell_count=steps + warmup_cells)
     near = near_cells * step
     far = int(math.ceil(math.log(warmup / near) / math.log(FAR_RATIO) - 1e-12))
-    return SimulationGrid(warmup_start=-near * FAR_RATIO ** far, horizon=horizon, step=step,
+    try:
+        start = -near * FAR_RATIO ** far
+    except OverflowError:
+        raise overflow from None
+    if start == -math.inf:
+        raise overflow
+    return SimulationGrid(warmup_start=start, horizon=horizon, step=step,
                           cell_count=steps + near_cells + far, far_cells=far)
 
 
@@ -734,10 +745,18 @@ def declared_truncation_budget(grid: SimulationGrid, hp: HurstParameter) -> floa
     return truncation_tail_bound(hp, grid.horizon, grid.warmup_length) if not hp.is_brownian else 0.0
 
 
+@functools.lru_cache(maxsize=4)
+def _time_column(times: bytes) -> tuple[str, ...]:
+    """The CSV cells "t," of the float64 times whose bytes are given: every path on a grid shares them."""
+    return tuple(f"{t!r}," for t in np.frombuffer(times).tolist())
+
+
 def write_path_csv(kind: str, h: float, seed: int, times: np.ndarray, values: np.ndarray, path) -> None:
-    """CSV with (time, value) rows of one path; the header row names kind, h and seed."""
+    """CSV with (time, value) rows of one path; the header row names kind, h and seed.
+
+    Floats are written as their shortest round-trip repr, so parsing a row back gives its values exactly.
+    """
+    column = _time_column(np.ascontiguousarray(times, dtype=float).tobytes())
+    rows = [f"{t}{v!r}\n" for t, v in zip(column, np.asarray(values, dtype=float).tolist())]
     with open(path, "w", newline="") as fh:
-        fh.write(f"# kind={kind} h={h!r} seed={seed}\n")
-        fh.write("time,value\n")
-        for t, v in zip(times, values):
-            fh.write(f"{float(t)!r},{float(v)!r}\n")
+        fh.write(f"# kind={kind} h={h!r} seed={seed}\ntime,value\n" + "".join(rows))

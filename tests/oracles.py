@@ -5,7 +5,8 @@ on a grid, from explicit per-cell weights, so the batched lattice paths of
 the package can be checked against an independent formula.  The per-segment
 and one-segment assemblies are the package's earlier delayed-integral
 assemblies, kept as independent references for the one built on increment
-fields, and so are the extension's level loop and the left-point baselines.
+fields, and so are the extension's level loop, the left-point baselines and
+the per-row path CSV writer.
 """
 
 import math
@@ -114,6 +115,16 @@ def synthesize_dr(g: SimulationGrid, incs: np.ndarray, hp: HurstParameter, seg_s
     p = hp.h - HALF
     w = ((t - a) ** p - (t - b) ** p) / np.diff(edges)
     return float(hp.c_h * np.dot(w, incs))
+
+
+def reference_write_path_csv(kind: str, h: float, seed: int, times: np.ndarray, values: np.ndarray,
+                             path) -> None:
+    """The package's earlier path writer: one write per row, each float through float() and repr."""
+    with open(path, "w", newline="") as fh:
+        fh.write(f"# kind={kind} h={h!r} seed={seed}\n")
+        fh.write("time,value\n")
+        for t, v in zip(times, values):
+            fh.write(f"{float(t)!r},{float(v)!r}\n")
 
 
 def path_csv_string(kind: str, h: float, seed: int, times: np.ndarray, values: np.ndarray) -> str:

@@ -11,6 +11,7 @@ import numpy
 import pytest
 import scipy
 
+import fbmdelay.cli
 from fbmdelay.cli import RunConfig, parse_and_dispatch
 from fbmdelay.experiments import DeskConfig, continuity_study, nonconvergence_demo
 from oracles import spy_convolutions
@@ -141,6 +142,11 @@ def test_continuity_and_decay_commands(tmp_path, capsys):
     (["continuity", "--integrand", "fbm:0.75", "--steps", "256", "--out", "x.csv"], "cells; raise --steps\n"),
     (["decay", "--steps", "256", "--out", "x.csv"], "; lower --levels or raise --steps"),
     (["simulate", "--warmup", "inf", "--out", "x.csv"], "--warmup must be >= 0 and finite"),
+    # a grid whose step or reach floats cannot hold
+    (["simulate", "--warmup", "1.7e308", "--out", "x.csv"], "--warmup is too far back"),
+    (["simulate", "--t", "1e-320", "--out", "x.csv"], "underflows to a step of 0; raise --t"),
+    (["simulate", "--t", "nan", "--out", "x.csv"], "--t must be positive and finite (got nan)"),
+    (["simulate", "--t", "inf", "--out", "x.csv"], "--t must be positive and finite (got inf)"),
 ])
 def test_validation_failures_are_one_line_and_nonzero(tmp_path, capsys, argv, fragment):
     os.chdir(tmp_path)
@@ -157,6 +163,51 @@ def test_python_dash_m_runs_the_cli(tmp_path):
                            "--out", "x.csv"], cwd=tmp_path, env=env, capture_output=True, text=True)
     assert proc.returncode == 2
     assert "power of two" in proc.stderr
+
+
+def _files(directory: Path) -> dict:
+    return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+
+def test_the_cached_parser_runs_each_call_as_a_fresh_process(tmp_path, capsys, monkeypatch):
+    """One process's calls, in turn, against the same argv in a fresh `python -m fbmdelay.cli`:
+    the same exit code, stdout, stderr and files after every call."""
+    ours, fresh = tmp_path / "ours", tmp_path / "fresh"
+    ours.mkdir(), fresh.mkdir()
+    monkeypatch.delenv("FBMDELAY_OUT", raising=False)
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage at the terminal width
+    monkeypatch.chdir(ours)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argvs = [["simulate", "--hurst", "1.2", "--out", "bad.csv"],
+             [],
+             ["integrate", "--level", "5", *FAST, "--out", "five.json"],
+             ["integrate", *FAST, "--out", "eight.json"],
+             ["simulate", "--seed", "4", *FAST, "--out", "path.csv"],
+             ["--manifest", "path.csv.manifest.json"]]
+    codes = []
+    for argv in argvs:
+        got = _run(argv, capsys)
+        proc = subprocess.run([sys.executable, "-m", "fbmdelay.cli", *argv], cwd=fresh, env=env,
+                              capture_output=True, text=True)
+        assert got == (proc.returncode, proc.stdout, proc.stderr), argv
+        assert _files(ours) == _files(fresh), argv
+        codes.append(got[0])
+    assert codes == [2, 2, 0, 0, 0, 0]
+    assert json.loads((ours / "eight.json.manifest.json").read_text())["config"]["level"] == 8
+    assert json.loads((ours / "five.json.manifest.json").read_text())["config"]["level"] == 5
+
+
+def test_each_simulate_and_replay_writes_through_cli_write_path_csv(tmp_path, capsys, monkeypatch):
+    """The writer is looked up as cli.write_path_csv on every call, so a wrapper put there sees it."""
+    calls = []
+    writer = fbmdelay.cli.write_path_csv
+    monkeypatch.setattr(fbmdelay.cli, "write_path_csv", lambda *a: calls.append(a[-1]) or writer(*a))
+    out = str(tmp_path / "path.csv")
+    assert _run(["simulate", "--seed", "2", *FAST, "--out", out], capsys)[0] == 0
+    assert calls == [out]
+    assert _run(["--manifest", out + ".manifest.json"], capsys)[0] == 0
+    assert calls == [out, out]
 
 
 def test_output_dir_env_var(tmp_path, capsys, monkeypatch):

@@ -38,7 +38,8 @@ from fbmdelay.noise import (
     r_values,
     w_values,
 )
-from oracles import cell_widths, path_csv_string, reference_draw, spy_noise_ffts, synthesize_dr, synthesize_w
+from oracles import (cell_widths, path_csv_string, reference_draw, reference_write_path_csv, spy_noise_ffts,
+                     synthesize_dr, synthesize_w)
 
 KINDS = ("B", "B_H", "W_H", "R_H", "DR_H")
 
@@ -107,6 +108,23 @@ def test_grid_validation():
         SimulationGrid(warmup_start=1.0, horizon=2.0, step=0.1, cell_count=10)
     with pytest.raises(ValueError):
         SimulationGrid(warmup_start=0.0, horizon=1.0, step=0.1, cell_count=7)
+
+
+@pytest.mark.parametrize("horizon,warmup,fragment", [
+    (1.0, 1.7e308, "overflows the lattice"),  # warmup / step overflows
+    (4096.0, 1.75e308, "overflows the lattice"),  # the far cells' reach overflows
+    (1e-320, 1e14, "underflows to a step of 0"),
+    (math.nan, 1e14, "finite horizon > 0"),
+    (math.inf, 1e14, "finite horizon > 0"),
+])
+def test_make_grid_refuses_a_lattice_that_floats_cannot_hold(horizon, warmup, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        make_grid(horizon, 4096, warmup)
+
+
+def test_make_grid_reaches_1e300_back():
+    g = make_grid(1.0, 256, 1e300)
+    assert g.far_cells == 11_395 and -g.warmup_start >= 1e300 and math.isfinite(g.warmup_start)
 
 
 def test_generation_is_deterministic(grid):
@@ -730,6 +748,22 @@ def test_process_path_kinds_and_csv(noise, incs, grid, tmp_path, capsys):
         assert "\n".join(lines) + "\n" == path_csv_string(kind, 0.5 if kind == "B" else 0.75,
                                                           noise.seed, times, values)
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("kind", fbmdelay.noise.PROCESS_KINDS)
+def test_path_csv_bytes_are_the_reference_writers(tmp_path, kind):
+    """Byte for byte the per-row writer's file, on a dyadic step and on the step 0.3 / 256.
+
+    The two grids' time arrays have one length and different values, and they are written
+    one after the other, so a time column cached under anything but the times themselves
+    would put one grid's times on the other's path."""
+    for horizon in (1.0, 0.3, 1.0):
+        g = make_grid(horizon, 256, warmup=4.0)
+        times, values = process_values(generate_noise_batch(7, g, 1).increments, g, H75, kind)
+        args = (kind, 0.75, 7, times[0], values[0])
+        fbmdelay.noise.write_path_csv(*args, tmp_path / "got.csv")
+        reference_write_path_csv(*args, tmp_path / "want.csv")
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
 @given(seed=st.integers(0, 2 ** 31), kind=st.sampled_from(KINDS))
