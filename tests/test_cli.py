@@ -156,11 +156,16 @@ def test_validation_failures_are_one_line_and_nonzero(tmp_path, capsys, argv, fr
     assert fragment in err
 
 
-def test_python_dash_m_runs_the_cli(tmp_path):
+def _run_module(argv, cwd):
+    """`python -m fbmdelay.cli argv` in a fresh process that imports this checkout's src/."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-m", "fbmdelay.cli", "simulate", "--steps", "100",
-                           "--out", "x.csv"], cwd=tmp_path, env=env, capture_output=True, text=True)
+    return subprocess.run([sys.executable, "-m", "fbmdelay.cli", *argv], cwd=cwd, env=env,
+                          capture_output=True, text=True)
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    proc = _run_module(["simulate", "--steps", "100", "--out", "x.csv"], tmp_path)
     assert proc.returncode == 2
     assert "power of two" in proc.stderr
 
@@ -173,12 +178,11 @@ def test_the_cached_parser_runs_each_call_as_a_fresh_process(tmp_path, capsys, m
     """One process's calls, in turn, against the same argv in a fresh `python -m fbmdelay.cli`:
     the same exit code, stdout, stderr and files after every call."""
     ours, fresh = tmp_path / "ours", tmp_path / "fresh"
-    ours.mkdir(), fresh.mkdir()
+    ours.mkdir()
+    fresh.mkdir()
     monkeypatch.delenv("FBMDELAY_OUT", raising=False)
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage at the terminal width
     monkeypatch.chdir(ours)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     argvs = [["simulate", "--hurst", "1.2", "--out", "bad.csv"],
              [],
              ["integrate", "--level", "5", *FAST, "--out", "five.json"],
@@ -188,8 +192,7 @@ def test_the_cached_parser_runs_each_call_as_a_fresh_process(tmp_path, capsys, m
     codes = []
     for argv in argvs:
         got = _run(argv, capsys)
-        proc = subprocess.run([sys.executable, "-m", "fbmdelay.cli", *argv], cwd=fresh, env=env,
-                              capture_output=True, text=True)
+        proc = _run_module(argv, fresh)
         assert got == (proc.returncode, proc.stdout, proc.stderr), argv
         assert _files(ours) == _files(fresh), argv
         codes.append(got[0])
@@ -200,9 +203,13 @@ def test_the_cached_parser_runs_each_call_as_a_fresh_process(tmp_path, capsys, m
 
 def test_each_simulate_and_replay_writes_through_cli_write_path_csv(tmp_path, capsys, monkeypatch):
     """The writer is looked up as cli.write_path_csv on every call, so a wrapper put there sees it."""
-    calls = []
-    writer = fbmdelay.cli.write_path_csv
-    monkeypatch.setattr(fbmdelay.cli, "write_path_csv", lambda *a: calls.append(a[-1]) or writer(*a))
+    calls, writer = [], fbmdelay.cli.write_path_csv
+
+    def spy(*args):
+        calls.append(args[-1])
+        writer(*args)
+
+    monkeypatch.setattr(fbmdelay.cli, "write_path_csv", spy)
     out = str(tmp_path / "path.csv")
     assert _run(["simulate", "--seed", "2", *FAST, "--out", out], capsys)[0] == 0
     assert calls == [out]
