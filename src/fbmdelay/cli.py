@@ -72,6 +72,8 @@ class RunConfig:
             raise ValueError(f"unknown command {self.command!r}; pick one of {', '.join(COMMANDS)}")
         if self.steps < MIN_STEPS or self.steps & (self.steps - 1) != 0:
             raise ValueError(f"--steps must be a power of two >= {MIN_STEPS} (got {self.steps})")
+        if self.steps > sys.float_info.max:  # an exact comparison: the int is never converted
+            raise ValueError(f"--steps must be below 2**1024, the float range (got 2**{self.steps.bit_length() - 1})")
         for h in self.hurst:
             if not (0.5 <= h < 1.0):
                 raise ValueError(f"--hurst values must lie in [0.5, 1) (got {h})")
@@ -233,9 +235,11 @@ def _run(cfg: RunConfig) -> list[str]:
               "versions": {"fbmdelay": __version__, "python": platform.python_version(),
                            "numpy": numpy.__version__, "scipy": scipy.__version__}}
     if cfg.command == "simulate":
-        # one replication, stream 0: the path `integrate` draws for the same seed
+        # one replication, stream 0: the path `integrate` draws for the same seed; R_H and DR_H read
+        # only the history, so only it is drawn (one cell at least)
+        cells = max(grid.origin_index, 1) if cfg.kind in ("R_H", "DR_H") else None
         times, values = _replicate(cfg.seed, grid, 1,
-                                   lambda nb: process_values(nb.increments, grid, hp, cfg.kind))
+                                   lambda nb: process_values(nb.increments, grid, hp, cfg.kind), cells=cells)
         h = HALF if cfg.kind == "B" else hp.h  # the driving path is the h = 1/2 process
         write_path_csv(cfg.kind, h, cfg.seed, times[0], values[0], cfg.out)
     elif cfg.command == "integrate":

@@ -127,7 +127,7 @@ def _mc(values: np.ndarray, seed: int, budget: float) -> MCResult:
                     replications=n, seed=seed, truncation_budget=budget)
 
 
-def _replicate(seed: int, grid: SimulationGrid, reps: int, per_chunk) -> tuple:
+def _replicate(seed: int, grid: SimulationGrid, reps: int, per_chunk, cells: int | None = None) -> tuple:
     """Run per_chunk over replications 0..reps-1 in chunks, up to WORKERS chunks at once.
 
     Replication r is noise stream r of seed.  per_chunk maps a NoiseBatch to
@@ -141,7 +141,9 @@ def _replicate(seed: int, grid: SimulationGrid, reps: int, per_chunk) -> tuple:
     own task, and no more chunks run at once than fit in _CHUNK_BYTES (one,
     if a row is larger).  One thread runs inline.  If a chunk raises, the
     chunks that have not started are cancelled and the exception reaches
-    the caller.
+    the caller.  cells draws only each row's first cells, where per_chunk
+    reads no further (see generate_noise_batch): the chunks are still sized
+    from full rows, so they and the memory they hold stay as they are.
     """
     rows = max(1, _CHUNK_BYTES // (8 * grid.cell_count))  # rows in flight
     rounds = -(-reps // (max(1, rows // WORKERS) * WORKERS))
@@ -150,7 +152,7 @@ def _replicate(seed: int, grid: SimulationGrid, reps: int, per_chunk) -> tuple:
 
     def run(k):
         lo = starts[k]
-        return per_chunk(generate_noise_batch(seed, grid, starts[k + 1] - lo, first_stream=lo))
+        return per_chunk(generate_noise_batch(seed, grid, starts[k + 1] - lo, first_stream=lo, cells=cells))
 
     # the largest chunk has ceil(reps / n_chunks) rows
     threads = min(WORKERS, n_chunks, rows // -(-reps // n_chunks))
@@ -240,7 +242,8 @@ def verify_dr_moments(hp: HurstParameter, span: float, reps: int, seed: int,
         # a row-wise sum, not a matrix product: BLAS rounding depends on the row count
         return drv[:, -1] ** 2, np.sum(drv ** 2 * quad_w, axis=-1)
 
-    point, energy = _replicate(seed, grid, reps, per_chunk)
+    # DR_H reads no cell from the origin on: draw the history only (one cell at least)
+    point, energy = _replicate(seed, grid, reps, per_chunk, cells=max(m0, 1))
 
     p_closed = dr_pointwise_closed_form(hp, span)
     e_closed = dr_energy_closed_form(hp, span) if not hp.is_brownian else 0.0

@@ -1,8 +1,8 @@
 """Seeded Brownian driver and moving-average synthesis of the derived processes.
 
 A NoiseBatch holds the increments of independent standard Brownian paths,
-one row per replication, on a lattice covering [-L, T]; a single path is a
-batch of one.  The rows are the only source of randomness, and every
+one row per replication, on a lattice covering [-L, T] (or its first cells,
+where its readers stop before the rest); a single path is a batch of one.  The rows are the only source of randomness, and every
 process here (B, B_H, W_H, R_H, DR_H) is a deterministic functional of
 them, computed for all rows at once.  Wiener integrals are discretized with
 cell-averaged kernel weights: the exact integral of the power kernel over
@@ -215,16 +215,20 @@ def make_grid(horizon: float, steps: int, warmup: float = 0.0) -> SimulationGrid
 
 @dataclass(frozen=True)
 class NoiseBatch:
-    """Independent Brownian increments sharing one grid, one row per replication."""
+    """Independent Brownian increments sharing one grid, one row per replication.
+
+    A row holds the grid's first k cells, 1 <= k <= cell_count: all of them,
+    or the prefix that its readers reach (see generate_noise_batch).
+    """
 
     grid: SimulationGrid
-    increments: np.ndarray  # shape (replications, cell_count)
+    increments: np.ndarray  # shape (replications, k)
     seed: int
     first_stream: int = 0
 
     def __post_init__(self):
-        if self.increments.ndim != 2 or self.increments.shape[1] != self.grid.cell_count:
-            raise ValueError("increments must be (replications, cell_count)")
+        if self.increments.ndim != 2 or not 1 <= self.increments.shape[1] <= self.grid.cell_count:
+            raise ValueError("increments must be (replications, k) with 1 <= k <= cell_count")
         self.increments.setflags(write=False)
 
     @property
@@ -238,19 +242,25 @@ def _rng(seed: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def generate_noise_batch(seed: int, grid: SimulationGrid, reps: int, first_stream: int = 0) -> NoiseBatch:
+def generate_noise_batch(seed: int, grid: SimulationGrid, reps: int, first_stream: int = 0,
+                         cells: int | None = None) -> NoiseBatch:
     """Independent replications: row r holds stream first_stream + r of seed, variance width per cell.
 
     Bit-for-bit reproducible, and a row does not depend on the batch it is
-    drawn in: every row is drawn in place from its own stream.
+    drawn in: every row is drawn in place from its own stream.  cells draws
+    only the first cells of each row (default: all of them).  A stream's
+    normals come in order, so these are the bytes of the full row's first
+    cells, and a reader that stops before them need not pay for the rest.
     """
-    out = np.empty((reps, grid.cell_count))
-    far, root = grid.far_cells, math.sqrt(grid.step)
-    far_roots = np.sqrt(grid.far_widths())
+    cells = grid.cell_count if cells is None else cells
+    if not 1 <= cells <= grid.cell_count:
+        raise ValueError(f"need 1 <= cells <= {grid.cell_count} (got {cells})")
+    out = np.empty((reps, cells))
     for r in range(reps):
         _rng(seed, first_stream + r).standard_normal(out=out[r])
-        out[r, :far] *= far_roots
-        out[r, far:] *= root
+    far = grid.far_cells
+    out[:, :far] *= np.sqrt(grid.far_widths()[:cells])
+    out[:, far:] *= math.sqrt(grid.step)
     return NoiseBatch(grid=grid, increments=out, seed=seed, first_stream=first_stream)
 
 
@@ -292,16 +302,26 @@ def dr_kernel_table(hp: HurstParameter, n: int, step: float) -> np.ndarray:
     return out
 
 
+def _window_end(incs: np.ndarray, lo: int, hi: int) -> int:
+    """The end of the window of driving cells lo..hi - 1 (empty if hi <= lo); refused past the cells of incs."""
+    if hi > max(lo, incs.shape[-1]):
+        raise ValueError(f"the window of driving cells reaches cell {hi - 1}, but only "
+                         f"{incs.shape[-1]} cells a row are drawn")
+    return max(lo, hi)
+
+
 def history_conv(incs: np.ndarray, table: np.ndarray | None,
                  cells: tuple[int, int], outputs: tuple[int, int]) -> np.ndarray:
     """y[..., j - j0] = sum_{lo <= i < min(hi, j)} table[j - i] * incs[..., i] for j0 <= j < j1.
 
     cells = (lo, hi) is the window of driving cells and outputs = (j0, j1)
     the lattice points wanted; incs has the cells along the last axis.  The
-    cells are sliced, never masked, and the circular FFT length is the
-    shortest that keeps the requested outputs alias-free.  table=None is the
-    unit kernel, an exact running sum (h = 1/2); otherwise table[0] is never
-    read and table must reach lag j1 - 1 - lo.
+    cells are sliced, never masked, and a window that reaches past the last
+    cell of incs (a batch drawn short, say) is refused, never cut.  The
+    circular FFT length is the shortest that keeps the requested outputs
+    alias-free.  table=None is the unit kernel, an exact running sum (h =
+    1/2); otherwise table[0] is never read and table must reach lag j1 - 1 -
+    lo.
 
     A (k, lags) table is k kernels on the same cells: the result is
     (k, ..., j1 - j0), and each row of the window is transformed forward
@@ -314,7 +334,7 @@ def history_conv(incs: np.ndarray, table: np.ndarray | None,
     """
     j0, j1 = outputs
     lo = max(cells[0], 0)
-    x = incs[..., lo:max(lo, min(cells[1], j1 - 1))]  # cells from j1 - 1 on reach no output
+    x = incs[..., lo:_window_end(incs, lo, min(cells[1], j1 - 1))]  # cells from j1 - 1 on reach no output
     m = x.shape[-1]
     k0, k1 = max(j0 - lo, 1), j1 - lo  # output lags from lo; lag <= 0 sees no cell
     kernels = () if table is None else table.shape[:-1]
@@ -535,7 +555,8 @@ def past_conv(incs: np.ndarray, grid: SimulationGrid, kernel: HistoryKernel, cel
     after the origin) and cells_end is at or after the origin; the result
     is (len(hps), ..., j1 - j0).  The cells of one step go through
     history_conv; the far cells through their interpolated weights, in two
-    einsum products.  einsum sums each output element in one fixed order
+    einsum products; a window past the cells of incs is refused, as in
+    history_conv.  einsum sums each output element in one fixed order
     whatever the number of rows (a BLAS product does not), so a row's bytes
     do not depend on its batch.  A B_H kernel's far part is taken from the
     origin, where it is 0: the far history enters B_H, R_H and the fields
@@ -565,7 +586,8 @@ def past_dot(incs: np.ndarray, grid: SimulationGrid, kernel: HistoryKernel, cell
     basis applied to the weights, FAR_NODES numbers a row.  Rows go through
     in blocks of at most _FFT_BLOCK_POINTS FFT points, and every sum is an
     einsum over one row, so a row's bytes do not depend on its batch or on
-    the kernels stacked with it.
+    the kernels stacked with it.  A window past the cells of incs is
+    refused, as in history_conv.
     """
     m0, far = grid.origin_index, grid.far_cells
     j0, j1 = outputs
@@ -573,7 +595,7 @@ def past_dot(incs: np.ndarray, grid: SimulationGrid, kernel: HistoryKernel, cell
         raise ValueError("the history is evaluated from the origin on")
     if weights.shape != incs.shape[:-1] + (j1 - j0,):
         raise ValueError(f"weights must be {incs.shape[:-1] + (j1 - j0,)}: one per row and output")
-    x = incs[..., far:min(cells_end, j1 - 1)]  # cells from j1 - 1 on reach no output
+    x = incs[..., far:_window_end(incs, far, min(cells_end, j1 - 1))]  # cells from j1 - 1 on reach no output
     m = x.shape[-1]
     k0, k1 = max(j0 - far, 1), j1 - far  # output lags from the first cell; lag <= 0 sees no cell
     out = np.zeros((len(kernel.table),) + incs.shape[:-1])

@@ -12,6 +12,7 @@ import pytest
 import scipy
 
 import fbmdelay.cli
+import fbmdelay.experiments
 from fbmdelay.cli import RunConfig, parse_and_dispatch
 from fbmdelay.experiments import DeskConfig, continuity_study, nonconvergence_demo
 from oracles import spy_convolutions
@@ -147,6 +148,8 @@ def test_continuity_and_decay_commands(tmp_path, capsys):
     (["simulate", "--t", "1e-320", "--out", "x.csv"], "underflows to a step of 0; raise --t"),
     (["simulate", "--t", "nan", "--out", "x.csv"], "--t must be positive and finite (got nan)"),
     (["simulate", "--t", "inf", "--out", "x.csv"], "--t must be positive and finite (got inf)"),
+    # a power of two of steps too large for a float: --t / --steps cannot be taken
+    (["simulate", "--steps", str(2 ** 1100), "--out", "x.csv"], "--steps must be below 2**1024"),
 ])
 def test_validation_failures_are_one_line_and_nonzero(tmp_path, capsys, argv, fragment):
     os.chdir(tmp_path)
@@ -215,6 +218,32 @@ def test_each_simulate_and_replay_writes_through_cli_write_path_csv(tmp_path, ca
     assert calls == [out]
     assert _run(["--manifest", out + ".manifest.json"], capsys)[0] == 0
     assert calls == [out, out]
+
+
+@pytest.mark.parametrize("kind", ["R_H", "DR_H"])
+def test_history_kinds_draw_to_the_origin_with_the_full_row_bytes(tmp_path, capsys, monkeypatch, kind):
+    """simulate --kind R_H or DR_H draws its row only up to the origin; the CSV, its manifest and the
+    replay are byte for byte those of a run that draws the full row."""
+    real, asked, prefix = fbmdelay.experiments.generate_noise_batch, [], [True]
+
+    def draw(seed, grid, reps, first_stream=0, cells=None):
+        asked.append((cells, grid.origin_index))
+        return real(seed, grid, reps, first_stream=first_stream, cells=cells if prefix[0] else None)
+
+    monkeypatch.setattr(fbmdelay.experiments, "generate_noise_batch", draw)
+    monkeypatch.delenv("FBMDELAY_OUT", raising=False)
+    runs = {}
+    for name in ("prefix", "full"):
+        prefix[0] = name == "prefix"
+        (tmp_path / name).mkdir()
+        monkeypatch.chdir(tmp_path / name)
+        assert _run(["simulate", "--kind", kind, "--seed", "6", *FAST, "--out", "path.csv"], capsys)[0] == 0
+        runs[name] = _files(tmp_path / name)
+        os.remove("path.csv")
+        assert _run(["--manifest", "path.csv.manifest.json"], capsys)[0] == 0
+        assert _files(tmp_path / name) == runs[name]
+    assert runs["prefix"] == runs["full"] and len(runs["full"]) == 2
+    assert len(asked) == 4 and all(cells == origin for cells, origin in asked)
 
 
 def test_output_dir_env_var(tmp_path, capsys, monkeypatch):

@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 import fbmdelay.experiments
 import fbmdelay.integrands
 from fbmdelay.kernels import hurst_constant
-from fbmdelay.noise import dr_pointwise_closed_form
+from fbmdelay.noise import dr_pointwise_closed_form, dr_values, generate_noise_batch
 from fbmdelay.experiments import (
     ContinuityNotApplicableError,
     DeskConfig,
@@ -78,6 +78,20 @@ def test_verify_dr_moments_rejects_tiny_ensembles():
         verify_dr_moments(H75, 1.0, 99, 12, SMALL)
 
 
+@pytest.mark.parametrize("chunk, workers", [(7, 1), (50, 2)])
+def test_verify_dr_moments_is_its_reference_on_full_rows(monkeypatch, chunk, workers):
+    """Drawn up to the origin in chunks, verify_dr_moments is bit for bit dr_values on one batch of full rows."""
+    monkeypatch.setattr(fbmdelay.experiments, "WORKERS", workers)
+    monkeypatch.setattr(fbmdelay.experiments, "_CHUNK_BYTES", _chunk_bytes(chunk * workers))
+    grid, reps, seed = SMALL.grid(), 150, 8
+    for hp in (H75, hurst_constant(0.55)):
+        drv = dr_values(generate_noise_batch(seed, grid, reps).increments, grid, hp, grid.origin_index)
+        _, quad_w = _energy_quadrature(grid, hp)
+        rep = verify_dr_moments(hp, 1.0, reps, seed, SMALL)
+        assert rep.pointwise == _mc(drv[:, -1] ** 2, seed, rep.pointwise.truncation_budget)
+        assert rep.energy == _mc(np.sum(drv ** 2 * quad_w, axis=-1), seed, rep.energy.truncation_budget)
+
+
 def test_verify_dr_moments_runs_on_the_config_horizon():
     """span must be the config's horizon: a second horizon is refused, naming both."""
     short = DeskConfig(horizon=0.7, steps=512, warmup=2.0)
@@ -112,12 +126,13 @@ def test_replicate_sizes_chunks_from_the_grid(monkeypatch):
     replications on 2 workers are six chunks of 50, three full rounds, not
     four of 64 and one of 44; every stream is drawn once.  At 2^24 steps one
     row is more than _CHUNK_BYTES, so the chunks run one at a time on the
-    calling thread.  Nothing is allocated.
+    calling thread.  Rows drawn only up to the origin are chunked as full
+    rows, and every chunk is asked for those cells.  Nothing is allocated.
     """
     drawn = []
 
-    def stub(seed, grid, reps, first_stream=0):
-        drawn.append((first_stream, reps, threading.get_ident()))
+    def stub(seed, grid, reps, first_stream=0, cells=None):
+        drawn.append((first_stream, reps, threading.get_ident(), cells))
         return SimpleNamespace(replications=reps)
 
     monkeypatch.setattr(fbmdelay.experiments, "generate_noise_batch", stub)
@@ -129,11 +144,13 @@ def test_replicate_sizes_chunks_from_the_grid(monkeypatch):
                                                 (3, DeskConfig(), 10, [3, 3, 4], False),
                                                 (2, DeskConfig(steps=2 ** 24), 2, [1, 1], True)):
         monkeypatch.setattr(fbmdelay.experiments, "WORKERS", workers)
-        drawn.clear()
-        out, = _replicate(1, config.grid(), reps, lambda nb: (np.zeros(nb.replications),))
-        starts = np.cumsum([0] + want[:-1])
-        assert sorted(d[:2] for d in drawn) == list(zip(starts, want)) and out.shape == (reps,)
-        assert inline == all(d[2] == threading.get_ident() for d in drawn)
+        for cells in (None, config.grid().origin_index):
+            drawn.clear()
+            out, = _replicate(1, config.grid(), reps, lambda nb: (np.zeros(nb.replications),), cells=cells)
+            starts = np.cumsum([0] + want[:-1])
+            assert sorted(d[:2] for d in drawn) == list(zip(starts, want)) and out.shape == (reps,)
+            assert inline == all(d[2] == threading.get_ident() for d in drawn)
+            assert all(d[3] == cells for d in drawn)
 
 
 @pytest.mark.parametrize("budget_rows, chunk_rows", [(6, 2), (2, 1)])
@@ -153,11 +170,11 @@ def test_replicate_keeps_at_most_the_budget_alive(monkeypatch, budget_rows, chun
     barrier = threading.Barrier(budget_rows // chunk_rows, timeout=30)
     real_draw = fbmdelay.experiments.generate_noise_batch
 
-    def draw(seed, grid, reps, first_stream=0):
+    def draw(seed, grid, reps, first_stream=0, cells=None):
         with lock:
             alive[0] += reps
             peak[0] = max(peak[0], alive[0])
-        return real_draw(seed, grid, reps, first_stream=first_stream)
+        return real_draw(seed, grid, reps, first_stream=first_stream, cells=cells)
 
     def per_chunk(nb):
         assert nb.replications == chunk_rows

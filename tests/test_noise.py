@@ -18,6 +18,7 @@ import fbmdelay.noise
 from fbmdelay.cli import parse_and_dispatch
 from fbmdelay.kernels import hurst_constant
 from fbmdelay.noise import (
+    NoiseBatch,
     SimulationGrid,
     avg_kernel_table,
     block_conv,
@@ -31,6 +32,7 @@ from fbmdelay.noise import (
     generate_noise_batch,
     half_cross_conv,
     history_conv,
+    history_kernel,
     make_grid,
     past_conv,
     past_dot,
@@ -157,6 +159,61 @@ def test_batch_draw_is_identical_for_any_worker_count(grid, monkeypatch, reps):
         assert other.tobytes() == batches[0].tobytes()
     for r in range(reps):
         assert np.array_equal(batches[-1][r], reference_draw(7, grid, r))
+
+
+#: a graded grid of 356 cells: 228 far cells, then 64 near and 64 main cells of one step
+GRADED = make_grid(1.0, 64, warmup=1e6)
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), first_stream=st.integers(0, 2 ** 20), reps=st.integers(1, 4),
+       cells=st.integers(1, GRADED.cell_count))
+@example(seed=0, first_stream=0, reps=1, cells=1)
+@example(seed=1, first_stream=5, reps=3, cells=GRADED.far_cells)  # the far cells only
+@example(seed=2, first_stream=0, reps=2, cells=GRADED.far_cells + 1)  # and one cell of one step
+@example(seed=3, first_stream=9, reps=2, cells=GRADED.origin_index)  # the history, as DR_H reads it
+@example(seed=4, first_stream=1, reps=4, cells=GRADED.cell_count)
+@settings(max_examples=40, deadline=None)
+def test_a_prefix_draw_is_the_first_cells_of_the_full_draw(seed, first_stream, reps, cells):
+    """cells=k draws the first k columns of the full draw byte for byte, far-cell scaling included."""
+    full = generate_noise_batch(seed, GRADED, reps, first_stream).increments
+    part = generate_noise_batch(seed, GRADED, reps, first_stream, cells=cells)
+    assert part.increments.shape == (reps, cells) and part.first_stream == first_stream
+    assert part.increments.tobytes() == np.ascontiguousarray(full[:, :cells]).tobytes()
+
+
+def test_a_batch_holds_one_to_cell_count_cells_a_row(grid):
+    for cells in (0, -1, grid.cell_count + 1):
+        with pytest.raises(ValueError, match=f"need 1 <= cells <= {grid.cell_count}"):
+            generate_noise_batch(1, grid, 2, cells=cells)
+    for shape in ((2, 0), (2, grid.cell_count + 1), (grid.cell_count,), (1, 2, 3)):
+        with pytest.raises(ValueError, match="1 <= k <= cell_count"):
+            NoiseBatch(grid=grid, increments=np.zeros(shape), seed=1)
+
+
+def _history_readers(grid):
+    """Each reader of a window of driving cells, as (incs, cells_end) -> array, read up to cells_end."""
+    m0, n = grid.origin_index, grid.cell_count
+    weights = np.linspace(-1.0, 1.0, n - m0)
+    table = history_kernel(grid, (H75,)).table[0]
+    return {
+        "history_conv": lambda x, end: history_conv(x, table, (grid.far_cells, end), (m0, n + 1)),
+        "history_conv unit kernel": lambda x, end: history_conv(x, None, (m0 - 5, end), (m0, n + 1)),
+        "past_conv": lambda x, end: past_conv(x, grid, history_kernel(grid, (H75,), "DR_H"), end, (m0 + 1, n + 1)),
+        "past_dot": lambda x, end: past_dot(x, grid, history_kernel(grid, (H75,)), end, (m0 + 1, n + 1),
+                                            np.broadcast_to(weights, x.shape[:-1] + weights.shape)),
+    }
+
+
+@pytest.mark.parametrize("reader", list(_history_readers(GRADED)))
+def test_a_reader_refuses_a_window_past_the_drawn_cells(reader):
+    """A batch drawn up to the origin reads as the full rows up to there, and one cell more is refused, not cut."""
+    read, m0 = _history_readers(GRADED)[reader], GRADED.origin_index
+    prefix = generate_noise_batch(5, GRADED, 3, cells=m0).increments
+    full = generate_noise_batch(5, GRADED, 3).increments
+    assert read(prefix, m0).tobytes() == read(full, m0).tobytes()
+    assert read(prefix[0], m0).tobytes() == read(full[0], m0).tobytes()
+    with pytest.raises(ValueError, match=f"reaches cell {m0}, but only {m0} cells a row are drawn"):
+        read(prefix, m0 + 1)
 
 
 def test_increment_variance_matches_step():
