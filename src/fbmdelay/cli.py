@@ -235,11 +235,9 @@ def _run(cfg: RunConfig) -> list[str]:
               "versions": {"fbmdelay": __version__, "python": platform.python_version(),
                            "numpy": numpy.__version__, "scipy": scipy.__version__}}
     if cfg.command == "simulate":
-        # one replication, stream 0: the path `integrate` draws for the same seed; R_H and DR_H read
-        # only the history, so only it is drawn (one cell at least)
-        cells = max(grid.origin_index, 1) if cfg.kind in ("R_H", "DR_H") else None
+        # one replication, stream 0: the path `integrate` draws for the same seed
         times, values = _replicate(cfg.seed, grid, 1,
-                                   lambda nb: process_values(nb.increments, grid, hp, cfg.kind), cells=cells)
+                                   lambda nb: process_values(nb.increments, grid, hp, cfg.kind))
         h = HALF if cfg.kind == "B" else hp.h  # the driving path is the h = 1/2 process
         write_path_csv(cfg.kind, h, cfg.seed, times[0], values[0], cfg.out)
     elif cfg.command == "integrate":

@@ -242,8 +242,8 @@ def verify_dr_moments(hp: HurstParameter, span: float, reps: int, seed: int,
         # a row-wise sum, not a matrix product: BLAS rounding depends on the row count
         return drv[:, -1] ** 2, np.sum(drv ** 2 * quad_w, axis=-1)
 
-    # DR_H reads no cell from the origin on: draw the history only (one cell at least)
-    point, energy = _replicate(seed, grid, reps, per_chunk, cells=max(m0, 1))
+    # DR_H reads no cell from the origin on: draw the history only
+    point, energy = _replicate(seed, grid, reps, per_chunk, cells=m0)
 
     p_closed = dr_pointwise_closed_form(hp, span)
     e_closed = dr_energy_closed_form(hp, span) if not hp.is_brownian else 0.0

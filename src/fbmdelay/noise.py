@@ -2,9 +2,10 @@
 
 A NoiseBatch holds the increments of independent standard Brownian paths,
 one row per replication, on a lattice covering [-L, T] (or its first cells,
-where its readers stop before the rest); a single path is a batch of one.  The rows are the only source of randomness, and every
-process here (B, B_H, W_H, R_H, DR_H) is a deterministic functional of
-them, computed for all rows at once.  Wiener integrals are discretized with
+where its readers stop before the rest); a single path is a batch of one.
+The rows are the only source of randomness, and every process here (B,
+B_H, W_H, R_H, DR_H) is a deterministic functional of them, computed for
+all rows at once.  Wiener integrals are discretized with
 cell-averaged kernel weights: the exact integral of the power kernel over
 each noise cell, divided by its width, applied to the increment, whose
 variance is that width.  The B_H and DR_H weights, differences of powers,
@@ -217,7 +218,7 @@ def make_grid(horizon: float, steps: int, warmup: float = 0.0) -> SimulationGrid
 class NoiseBatch:
     """Independent Brownian increments sharing one grid, one row per replication.
 
-    A row holds the grid's first k cells, 1 <= k <= cell_count: all of them,
+    A row holds the grid's first k cells, 0 <= k <= cell_count: all of them,
     or the prefix that its readers reach (see generate_noise_batch).
     """
 
@@ -227,8 +228,8 @@ class NoiseBatch:
     first_stream: int = 0
 
     def __post_init__(self):
-        if self.increments.ndim != 2 or not 1 <= self.increments.shape[1] <= self.grid.cell_count:
-            raise ValueError("increments must be (replications, k) with 1 <= k <= cell_count")
+        if self.increments.ndim != 2 or not 0 <= self.increments.shape[1] <= self.grid.cell_count:
+            raise ValueError("increments must be (replications, k) with 0 <= k <= cell_count")
         self.increments.setflags(write=False)
 
     @property
@@ -253,8 +254,8 @@ def generate_noise_batch(seed: int, grid: SimulationGrid, reps: int, first_strea
     cells, and a reader that stops before them need not pay for the rest.
     """
     cells = grid.cell_count if cells is None else cells
-    if not 1 <= cells <= grid.cell_count:
-        raise ValueError(f"need 1 <= cells <= {grid.cell_count} (got {cells})")
+    if not 0 <= cells <= grid.cell_count:
+        raise ValueError(f"need 0 <= cells <= {grid.cell_count} (got {cells})")
     out = np.empty((reps, cells))
     for r in range(reps):
         _rng(seed, first_stream + r).standard_normal(out=out[r])

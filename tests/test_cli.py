@@ -12,7 +12,6 @@ import pytest
 import scipy
 
 import fbmdelay.cli
-import fbmdelay.experiments
 from fbmdelay.cli import RunConfig, parse_and_dispatch
 from fbmdelay.experiments import DeskConfig, continuity_study, nonconvergence_demo
 from oracles import spy_convolutions
@@ -218,32 +217,6 @@ def test_each_simulate_and_replay_writes_through_cli_write_path_csv(tmp_path, ca
     assert calls == [out]
     assert _run(["--manifest", out + ".manifest.json"], capsys)[0] == 0
     assert calls == [out, out]
-
-
-@pytest.mark.parametrize("kind", ["R_H", "DR_H"])
-def test_history_kinds_draw_to_the_origin_with_the_full_row_bytes(tmp_path, capsys, monkeypatch, kind):
-    """simulate --kind R_H or DR_H draws its row only up to the origin; the CSV, its manifest and the
-    replay are byte for byte those of a run that draws the full row."""
-    real, asked, prefix = fbmdelay.experiments.generate_noise_batch, [], [True]
-
-    def draw(seed, grid, reps, first_stream=0, cells=None):
-        asked.append((cells, grid.origin_index))
-        return real(seed, grid, reps, first_stream=first_stream, cells=cells if prefix[0] else None)
-
-    monkeypatch.setattr(fbmdelay.experiments, "generate_noise_batch", draw)
-    monkeypatch.delenv("FBMDELAY_OUT", raising=False)
-    runs = {}
-    for name in ("prefix", "full"):
-        prefix[0] = name == "prefix"
-        (tmp_path / name).mkdir()
-        monkeypatch.chdir(tmp_path / name)
-        assert _run(["simulate", "--kind", kind, "--seed", "6", *FAST, "--out", "path.csv"], capsys)[0] == 0
-        runs[name] = _files(tmp_path / name)
-        os.remove("path.csv")
-        assert _run(["--manifest", "path.csv.manifest.json"], capsys)[0] == 0
-        assert _files(tmp_path / name) == runs[name]
-    assert runs["prefix"] == runs["full"] and len(runs["full"]) == 2
-    assert len(asked) == 4 and all(cells == origin for cells, origin in asked)
 
 
 def test_output_dir_env_var(tmp_path, capsys, monkeypatch):

@@ -80,14 +80,16 @@ def test_verify_dr_moments_rejects_tiny_ensembles():
 
 @pytest.mark.parametrize("chunk, workers", [(7, 1), (50, 2)])
 def test_verify_dr_moments_is_its_reference_on_full_rows(monkeypatch, chunk, workers):
-    """Drawn up to the origin in chunks, verify_dr_moments is bit for bit dr_values on one batch of full rows."""
+    """Drawn up to the origin in chunks, verify_dr_moments is bit for bit dr_values on one batch of full rows;
+    without a history, no cell is drawn."""
     monkeypatch.setattr(fbmdelay.experiments, "WORKERS", workers)
-    monkeypatch.setattr(fbmdelay.experiments, "_CHUNK_BYTES", _chunk_bytes(chunk * workers))
-    grid, reps, seed = SMALL.grid(), 150, 8
-    for hp in (H75, hurst_constant(0.55)):
+    reps, seed = 150, 8
+    for config, hp in ((SMALL, H75), (SMALL, hurst_constant(0.55)), (DeskConfig(steps=512, warmup=0.0), H75)):
+        monkeypatch.setattr(fbmdelay.experiments, "_CHUNK_BYTES", _chunk_bytes(chunk * workers, config))
+        grid = config.grid()
         drv = dr_values(generate_noise_batch(seed, grid, reps).increments, grid, hp, grid.origin_index)
         _, quad_w = _energy_quadrature(grid, hp)
-        rep = verify_dr_moments(hp, 1.0, reps, seed, SMALL)
+        rep = verify_dr_moments(hp, 1.0, reps, seed, config)
         assert rep.pointwise == _mc(drv[:, -1] ** 2, seed, rep.pointwise.truncation_budget)
         assert rep.energy == _mc(np.sum(drv ** 2 * quad_w, axis=-1), seed, rep.energy.truncation_budget)
 

@@ -166,7 +166,8 @@ GRADED = make_grid(1.0, 64, warmup=1e6)
 
 
 @given(seed=st.integers(0, 2 ** 32 - 1), first_stream=st.integers(0, 2 ** 20), reps=st.integers(1, 4),
-       cells=st.integers(1, GRADED.cell_count))
+       cells=st.integers(0, GRADED.cell_count))
+@example(seed=0, first_stream=0, reps=1, cells=0)  # nothing drawn
 @example(seed=0, first_stream=0, reps=1, cells=1)
 @example(seed=1, first_stream=5, reps=3, cells=GRADED.far_cells)  # the far cells only
 @example(seed=2, first_stream=0, reps=2, cells=GRADED.far_cells + 1)  # and one cell of one step
@@ -181,12 +182,13 @@ def test_a_prefix_draw_is_the_first_cells_of_the_full_draw(seed, first_stream, r
     assert part.increments.tobytes() == np.ascontiguousarray(full[:, :cells]).tobytes()
 
 
-def test_a_batch_holds_one_to_cell_count_cells_a_row(grid):
-    for cells in (0, -1, grid.cell_count + 1):
-        with pytest.raises(ValueError, match=f"need 1 <= cells <= {grid.cell_count}"):
+def test_a_batch_holds_zero_to_cell_count_cells_a_row(grid):
+    assert generate_noise_batch(1, grid, 2, cells=0).increments.shape == (2, 0)
+    for cells in (-1, grid.cell_count + 1):
+        with pytest.raises(ValueError, match=f"need 0 <= cells <= {grid.cell_count}"):
             generate_noise_batch(1, grid, 2, cells=cells)
-    for shape in ((2, 0), (2, grid.cell_count + 1), (grid.cell_count,), (1, 2, 3)):
-        with pytest.raises(ValueError, match="1 <= k <= cell_count"):
+    for shape in ((2, grid.cell_count + 1), (grid.cell_count,), (1, 2, 3)):
+        with pytest.raises(ValueError, match="0 <= k <= cell_count"):
             NoiseBatch(grid=grid, increments=np.zeros(shape), seed=1)
 
 
