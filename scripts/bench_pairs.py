@@ -13,13 +13,15 @@ working tree.  Pair i of a workload runs both sides on one seed, one after
 the other; the parent goes first on even pair indices.  Workload k of the
 --pairs list uses seeds seed + 100 k + i.
 
-The output records every pair (seed, which side went first, the end-to-end
-metrics, attempted and failed ops) and, per workload and metric, the median
-and quartiles of each side, how many pairs the change won, and whether the
-change's median is worse than the parent's by more than the metric's bound
-in BENCHMARK.json.  `clear_gain` holds when the change won at least 9 pairs
+The output records every pair: its seed, which side went first, the
+end-to-end metrics, attempted and failed ops, and each op kind's median
+latency (`op_kind_p50_s`, from perfbench's details line).  Per workload
+and metric it records the median and quartiles of each side, how many
+pairs the change won, and whether the change's median is worse than the
+parent's by more than the metric's bound in BENCHMARK.json.  `clear_gain` holds when the change won at least 9 pairs
 in 10 and its median beats the parent's by more than the parent's
-interquartile range.
+interquartile range.  Per workload, `op_kind_p50_s` holds each op kind's
+median over the pairs of each side's p50, which shows where a gain sits.
 
 `machine` records the Python, numpy and scipy versions, the CPU count,
 numpy's BLAS (name, version and OpenBLAS configuration, as numpy was
@@ -78,12 +80,13 @@ def _run(root: str, workload: str, seed: int, seconds: float) -> dict:
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True, timeout=600)
     lines = proc.stdout.strip().splitlines()
     try:
-        result = json.loads(lines[-1])
-    except (IndexError, ValueError):
+        details, result = json.loads(lines[-2])["details"], json.loads(lines[-1])
+    except (IndexError, KeyError, ValueError):
         return {"returncode": proc.returncode, "error": proc.stderr.strip()[-500:]}
     return {"returncode": proc.returncode, "correct": result["correct"],
             "attempted": result["attempted"], "failed": result["failed"],
-            "metrics": {k: v["value"] for k, v in result["metrics"].items()}}
+            "metrics": {k: v["value"] for k, v in result["metrics"].items()},
+            "op_kind_p50_s": details.get("op_kind_p50_s", {})}
 
 
 def _quartiles(values):
@@ -111,6 +114,22 @@ def _summary(pairs, metric: dict) -> dict:
         "worse_beyond_bound": worse > metric["bound"],
         "clear_gain": wins >= 0.9 * len(done) and gain > p_q[1] - p_q[0],
     }
+
+
+def _op_kinds(pairs) -> dict:
+    """Per op kind, the median over pairs of each side's op_kind_p50_s and how many pairs the change was faster."""
+    done = [p for p in pairs if "op_kind_p50_s" in p["parent"] and "op_kind_p50_s" in p["change"]]
+    kinds = sorted({k for p in done for side in ("parent", "change") for k in p[side]["op_kind_p50_s"]})
+    out = {}
+    for kind in kinds:
+        both = [(p["parent"]["op_kind_p50_s"][kind], p["change"]["op_kind_p50_s"][kind]) for p in done
+                if kind in p["parent"]["op_kind_p50_s"] and kind in p["change"]["op_kind_p50_s"]]
+        if both:
+            parent, change = statistics.median(p for p, _ in both), statistics.median(c for _, c in both)
+            out[kind] = {"parent_median_s": parent, "change_median_s": change,
+                         "change_over_parent": change / parent if parent else None,
+                         "change_faster": sum(c < p for p, c in both), "pairs": len(both)}
+    return out
 
 
 def _cpu_model() -> str:
@@ -175,7 +194,8 @@ def main(argv=None) -> int:
                 print(f"{workload} pair {i} seed {seed}: "
                       + ", ".join(f"{s} {pair[s].get('metrics', pair[s])}" for s in ("parent", "change")),
                       file=sys.stderr, flush=True)
-            workloads[workload] = {"pairs": pairs, "summary": {m["name"]: _summary(pairs, m) for m in e2e}}
+            workloads[workload] = {"pairs": pairs, "summary": {m["name"]: _summary(pairs, m) for m in e2e},
+                                   "op_kind_p50_s": _op_kinds(pairs)}
         src = {side: _src_sha256(roots[side]) for side in roots}
     trees = {side: subprocess.run(["git", "rev-parse", f"{commit}:src"], cwd=ROOT, check=True,
                                   capture_output=True, text=True).stdout.strip()

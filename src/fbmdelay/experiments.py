@@ -408,6 +408,7 @@ def _integration_plan(gamma: Integrand, grid: SimulationGrid, level: int, flag: 
     if isinstance(gamma, DeterministicIntegrand):
         return gamma, SegmentGrid.dyadic(grid.horizon, 0)
     if isinstance(gamma, PiecewisePredictableIntegrand):
+        _check_segments(grid, gamma)
         return gamma, gamma.grid
     _check_dyadic_level(grid, level, flag)
     return dyadic_projection(gamma, level, grid), SegmentGrid.dyadic(grid.horizon, level)
@@ -424,6 +425,17 @@ def _check_dyadic_level(grid: SimulationGrid, level: int, flag: str | None) -> N
         raise ValueError(
             f"projection level {level} does not split {grid.main_steps} steps into 2^{level} "
             f"segments of at least {MIN_CELLS_PER_SEGMENT} fine cells; {remedy}")
+
+
+def _check_segments(grid: SimulationGrid, gamma: PiecewisePredictableIntegrand) -> None:
+    """Refuse breakpoints that are not lattice points MIN_CELLS_PER_SEGMENT or more cells apart."""
+    try:
+        _segment_lattice_indices(grid, gamma.grid)
+    except ValueError:
+        raise ValueError(
+            f"integrand {gamma.spec_string()!r} does not split --steps {grid.main_steps} into segments of at "
+            f"least {MIN_CELLS_PER_SEGMENT} fine cells between lattice points; take a segment count that "
+            f"divides {grid.main_steps // MIN_CELLS_PER_SEGMENT}") from None
 
 
 def _reference_x_norm(gamma: Integrand, grid: SimulationGrid, seed: int, reps: int = 256) -> float:

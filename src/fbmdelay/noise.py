@@ -23,9 +23,11 @@ one at every block start, for the delayed integral's segments and forecast
 runs.  A far cell's weight is a smooth function of t on [0, T]: it is
 interpolated at FAR_NODES Chebyshev nodes, so the far history at every main
 lattice point costs two small products per row (`past_conv`, the one reader
-of the cells before the origin; `past_dot` takes an inner product with it
-in the frequency domain, without forming it).  The kernels are built once
-per grid and list of h (`history_kernel`) and shared by every chunk thread.
+of the cells before the origin).  `past_dot` takes an inner product with
+it without forming it: a row with few nonzero weights (a step integrand's
+breakpoints) by one dot product of its cells with the kernel at each, any
+other in the frequency domain.  The kernels are built once per grid and
+list of h (`history_kernel`) and shared by every chunk thread.
 
 `history_conv` also takes a stack of kernels that read the same window of
 driving cells (one per Hurst value, say): each row of the window is
@@ -578,17 +580,25 @@ def past_dot(incs: np.ndarray, grid: SimulationGrid, kernel: HistoryKernel, cell
     """sum_j weights[..., j] * past_conv(incs, grid, kernel, cells_end, outputs)[q, ..., j], per kernel q.
 
     weights has the leading axes of incs and one entry per output j0 <= j
-    < j1; the result is (len(hps), ...).  By Parseval the inner product
-    needs no inverse transform and no field: each row's cells of one step
-    (one window, from the far cells to cells_end) and its weights are
-    transformed forward once, and per kernel the product is Re sum_k c_k
-    X_k conj(A_k) T_k / n over the half spectrum, at history_conv's FFT
-    length (see HistoryKernel.spectrum).  The far cells enter through the
-    basis applied to the weights, FAR_NODES numbers a row.  Rows go through
-    in blocks of at most _FFT_BLOCK_POINTS FFT points, and every sum is an
-    einsum over one row, so a row's bytes do not depend on its batch or on
-    the kernels stacked with it.  A window past the cells of incs is
-    refused, as in history_conv.
+    < j1; the result is (len(hps), ...).  Each row takes the cheaper of two
+    paths for one kernel, chosen from its own nonzero weights and the sizes
+    of the call, never from the batch or the kernels stacked.
+    - Direct: a row whose weights are nonzero at a few outputs (a step
+      integrand's breakpoints) takes, at each such j, one inner product of
+      its cells with kernel q's weights at t_j, the far ones through the
+      basis at that j and those of one step the table reversed from lag j,
+      and sums them against its weights in column order.
+    - Parseval: any other row needs no inverse transform and no field: its
+      cells of one step (one window, from the far cells to cells_end) and
+      its weights are transformed forward once, and per kernel the product
+      is Re sum_k c_k X_k conj(A_k) T_k / n over the half spectrum, at
+      history_conv's FFT length (see HistoryKernel.spectrum).  The far
+      cells enter through the basis applied to the weights, FAR_NODES
+      numbers a row.  Rows go through in blocks of at most
+      _FFT_BLOCK_POINTS FFT points.
+    Every sum is an einsum over one row, so a row's bytes do not depend on
+    its batch or on the kernels stacked with it.  A window past the cells of
+    incs is refused, as in history_conv.
     """
     m0, far = grid.origin_index, grid.far_cells
     j0, j1 = outputs
@@ -596,27 +606,53 @@ def past_dot(incs: np.ndarray, grid: SimulationGrid, kernel: HistoryKernel, cell
         raise ValueError("the history is evaluated from the origin on")
     if weights.shape != incs.shape[:-1] + (j1 - j0,):
         raise ValueError(f"weights must be {incs.shape[:-1] + (j1 - j0,)}: one per row and output")
-    x = incs[..., far:_window_end(incs, far, min(cells_end, j1 - 1))]  # cells from j1 - 1 on reach no output
-    m = x.shape[-1]
+    end = _window_end(incs, far, min(cells_end, j1 - 1))  # cells from j1 - 1 on reach no output
+    m = end - far
     k0, k1 = max(j0 - far, 1), j1 - far  # output lags from the first cell; lag <= 0 sees no cell
-    out = np.zeros((len(kernel.table),) + incs.shape[:-1])
-    if m and k1 > k0:
-        n = _fft.next_fast_len(max(k1 - 1, m + k1 - 1 - k0))
+    kernels = len(kernel.table)
+    rows, a = incs.reshape(-1, incs.shape[-1]), weights.reshape(-1, j1 - j0)
+    out = np.zeros((kernels, len(rows)))
+    n = _fft.next_fast_len(max(k1 - 1, m + k1 - 1 - k0)) if m and k1 > k0 else 0
+    # the cells that reach output j: the far ones and those of one step before min(cells_end, j)
+    reach = far + np.clip(np.arange(j0, j1) - far, 0, m)
+    # flops a row with one kernel: two real FFTs of n points (2.5 n log2 n each), their product (3 n)
+    # and one with the kernel's spectrum (2 n), against a multiply-add per cell reaching a nonzero weight;
+    # priced for one kernel, so that the path, and so the bytes, do not depend on the kernels stacked
+    transforms = n * (5.0 * math.log2(n) + 5.0) if n else 0.0
+    nonzero = a != 0.0
+    direct = 2.0 * np.where(nonzero, reach, 0).sum(axis=-1) < transforms
+    groups: dict[bytes, list[int]] = {}  # the direct rows, by where their weights are nonzero
+    for r in np.flatnonzero(direct):
+        groups.setdefault(nonzero[r].tobytes(), []).append(r)
+    for g in groups.values():
+        cols = np.flatnonzero(nonzero[g[0]])
+        x = rows[g] if len(g) < len(rows) else rows  # a copy of the group's rows, or a view of all
+        far_weights = kernel.far_weights(grid, j0 + cols) if far else None
+        dots = np.empty((kernels, len(g), len(cols)))
+        for s, col in enumerate(cols):  # kernel q's weights at t_j on the cells reaching it, table reversed
+            k, cells = j0 + col - far, reach[col]
+            w = np.empty((kernels, cells))
+            if far:
+                w[:, :far] = far_weights[:, s]
+            w[:, far:] = kernel.table[:, k:k - cells + far:-1]
+            dots[..., s] = np.einsum("qi,ri->qr", w, x[:, :cells])
+        out[:, g] = np.einsum("qrs,rs->qr", dots, a[np.ix_(g, cols)])
+    dense = ~direct if direct.any() else slice(None)  # every row as a view, or the dense ones as a copy
+    x, ax, y = rows[dense], a[dense], out[:, dense]
+    if n and len(x):
         spectrum = kernel.spectrum(k0, k1, n)
-        rows = x.reshape(-1, m)
-        a = weights[..., k0 + far - j0:].reshape(len(rows), -1)
-        dest = out.reshape(len(spectrum), len(rows))
         block = max(_FFT_BLOCK_POINTS // n, 1)
-        for r in range(0, len(rows), block):
-            fx = _fft.rfft(rows[r:r + block], n, axis=-1)
-            fa = _fft.rfft(a[r:r + block], n, axis=-1)
+        for r in range(0, len(x), block):
+            fx = _fft.rfft(x[r:r + block, far:end], n, axis=-1)
+            fa = _fft.rfft(ax[r:r + block, k0 + far - j0:], n, axis=-1)
             np.multiply(fx, np.conjugate(fa, out=fa), out=fx)
-            dest[:, r:r + block] = np.einsum("rk,qk->qr", fx.view(float), spectrum)
+            y[:, r:r + block] = np.einsum("rk,qk->qr", fx.view(float), spectrum)
     if far:
-        z = np.einsum("qmf,...f->q...m", kernel.far, incs[..., :far])
-        b = np.einsum("mj,...j->...m", kernel.basis[:, j0 - m0:j1 - m0], weights)
-        out += np.einsum("q...m,...m->q...", z, b)
-    return out
+        z = np.einsum("qmf,rf->qrm", kernel.far, x[:, :far])
+        b = np.einsum("mj,rj->rm", kernel.basis[:, j0 - m0:j1 - m0], ax)
+        y += np.einsum("qrm,rm->qr", z, b)
+    out[:, dense] = y
+    return out.reshape((kernels,) + incs.shape[:-1])
 
 
 def fbm_values(incs: np.ndarray, grid: SimulationGrid, hps) -> np.ndarray:

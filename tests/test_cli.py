@@ -12,6 +12,7 @@ import pytest
 import scipy
 
 import fbmdelay.cli
+import fbmdelay.experiments
 from fbmdelay.cli import RunConfig, parse_and_dispatch
 from fbmdelay.experiments import DeskConfig, continuity_study, nonconvergence_demo
 from oracles import spy_convolutions
@@ -149,6 +150,10 @@ def test_continuity_and_decay_commands(tmp_path, capsys):
     (["simulate", "--t", "inf", "--out", "x.csv"], "--t must be positive and finite (got inf)"),
     # a power of two of steps too large for a float: --t / --steps cannot be taken
     (["simulate", "--steps", str(2 ** 1100), "--out", "x.csv"], "--steps must be below 2**1024"),
+    # a step integrand whose breakpoints miss the lattice, or fall closer than 2 cells
+    *([[cmd, "--integrand", spec, "--steps", "64", "--out", "x.out"],
+       f"integrand '{spec}' does not split --steps 64 into segments of at least 2 fine cells"]
+      for cmd in ("integrate", "continuity") for spec in ("pp:bm:3", "pp:bm:128", "pp:bm:64")),
 ])
 def test_validation_failures_are_one_line_and_nonzero(tmp_path, capsys, argv, fragment):
     os.chdir(tmp_path)
@@ -156,6 +161,14 @@ def test_validation_failures_are_one_line_and_nonzero(tmp_path, capsys, argv, fr
     assert code == 2
     assert err.count("\n") == 1
     assert fragment in err
+
+
+@pytest.mark.parametrize("command", ["integrate", "continuity"])
+def test_a_step_integrand_off_the_lattice_is_refused_before_any_draw(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.setattr(fbmdelay.experiments, "generate_noise_batch", None)  # a draw would raise TypeError
+    code, _, err = _run([command, "--integrand", "pp:bm:3", "--steps", "64", "--out", str(tmp_path / "x")], capsys)
+    assert code == 2 and "take a segment count that divides 32" in err
+    assert not list(tmp_path.iterdir())
 
 
 def _run_module(argv, cwd):

@@ -392,14 +392,21 @@ def test_every_hurst_value_sees_the_same_noise_in_any_list(hursts):
         assert row == _alone(h)[1]
 
 
-@pytest.mark.parametrize("spec", ["det:const:1.0", "pp:bm:8"])
+@pytest.mark.parametrize("spec", ["det:const:1.0", "pp:bm:8", "fbm:0.75"])
 def test_continuity_transforms_each_noise_window_once_for_every_h(monkeypatch, spec):
-    """Three chunks on three threads, 1 or 4 h: every row's cells of one step and its weights are transformed once.
+    """Three chunks on three threads, 1 or 4 h: a step integrand's values need no transform, any other's one a row.
 
-    The values are inner products with the B_H path taken in the frequency
-    domain (noise.past_dot): one forward transform of each row's window
-    from the far cells to the end of the main window, one of its weights,
-    and no inverse transform; no h makes a segment block convolution either.
+    The values are inner products with the B_H path (noise.past_dot).
+    det:const:1.0 and pp:bm:8 have 2 and 8 nonzero weights a row, which
+    past_dot takes directly: no forward transform of a noise row or of its
+    weights, and no inverse.  fbm:0.75, projected on 256 segments, has a
+    nonzero weight at nearly every breakpoint: past_dot transforms each
+    row's one window (from the far cells to the end of the main window)
+    and its weights forward once, and inverts nothing.  The only other
+    transforms are a kernel spectrum, cached per h list and window, and
+    the integrand's own path (FbmIntegrand.values_on_cells through
+    past_conv), one forward and one inverse a row.  No h makes a segment
+    block convolution.
     """
     grid = SMALL.grid()
     monkeypatch.setattr(fbmdelay.experiments, "WORKERS", 3)
@@ -411,12 +418,15 @@ def test_continuity_transforms_each_noise_window_once_for_every_h(monkeypatch, s
     weights = grid.main_steps + 1  # one per main lattice point
     for hursts in ([0.6], [0.7, 0.6, 0.55, 0.51]):
         ffts.clear()
+        inverse.clear()
         continuity_study(spec, hursts, reps, 5, config=SMALL)
+        if spec != "fbm:0.75":
+            assert ffts == [] and inverse == []
+            continue
         assert sum(rows for rows, width, _ in ffts if width == window) == reps
         assert sum(rows for rows, width, _ in ffts if width == weights) == reps
-        for rows, width, n in ffts:  # nothing else but a kernel spectrum, cached per h list and window
-            assert width in (window, weights) or (rows, width) == (len(hursts), n)
-    assert inverse == []
+        path = [rows for rows, width, n in ffts if width not in (window, weights) and (rows, width) != (len(hursts), n)]
+        assert sum(path) == sum(rows for rows, _ in inverse) == reps
     assert calls["integrator.block_conv"] == []
 
 

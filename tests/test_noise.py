@@ -196,6 +196,8 @@ def _history_readers(grid):
     """Each reader of a window of driving cells, as (incs, cells_end) -> array, read up to cells_end."""
     m0, n = grid.origin_index, grid.cell_count
     weights = np.linspace(-1.0, 1.0, n - m0)
+    steps = np.zeros(n - m0)
+    steps[[0, -1]] = -1.0, 1.0  # a step integrand's two breakpoints
     table = history_kernel(grid, (H75,)).table[0]
     return {
         "history_conv": lambda x, end: history_conv(x, table, (grid.far_cells, end), (m0, n + 1)),
@@ -203,6 +205,8 @@ def _history_readers(grid):
         "past_conv": lambda x, end: past_conv(x, grid, history_kernel(grid, (H75,), "DR_H"), end, (m0 + 1, n + 1)),
         "past_dot": lambda x, end: past_dot(x, grid, history_kernel(grid, (H75,)), end, (m0 + 1, n + 1),
                                             np.broadcast_to(weights, x.shape[:-1] + weights.shape)),
+        "past_dot sparse weights": lambda x, end: past_dot(x, grid, history_kernel(grid, (H75,)), end, (m0 + 1, n + 1),
+                                                           np.broadcast_to(steps, x.shape[:-1] + steps.shape)),
     }
 
 
@@ -455,14 +459,37 @@ def test_far_history_rows_do_not_depend_on_the_batch(rows):
             assert part.tobytes() == np.ascontiguousarray(whole[..., lo:lo + rows, :]).tobytes()
 
 
+def _step_weights(rng, reps: int, outputs: tuple[int, int], cells_end: int) -> np.ndarray:
+    """Weights a row: dense, 2 nonzeros (first and last output), 9 (those, 7 more, one past cells_end if any) or none."""
+    j0, j1 = outputs
+    weights = rng.standard_normal((reps, j1 - j0))
+    past = min(max(cells_end + 1 - j0, 1), j1 - j0 - 2)  # the first output past cells_end, if one is
+    for r in range(reps):
+        if r % 4 == 0:
+            cols = [0, j1 - j0 - 1]
+        elif r % 4 == 1:
+            cols = [0, j1 - j0 - 1, past, *rng.choice(np.setdiff1d(np.arange(1, j1 - j0 - 1), past), 6, replace=False)]
+        elif r % 4 == 2:
+            cols = []
+        else:
+            continue
+        keep = weights[r, cols].copy()
+        weights[r] = 0.0
+        weights[r, cols] = keep
+    return weights
+
+
 @pytest.mark.parametrize("warmup", [0.5, 1e14])
 def test_past_dot_is_the_inner_product_with_past_conv(monkeypatch, warmup):
     """past_dot is sum_j weights * past_conv to 1e-12 of the summed |terms|, and a row's bytes stand alone.
 
     On a uniform warmup grid and a graded one, three windows of cells and
-    outputs, h = 1/2 + 1e-6, 0.75 and 0.95: a row gets the bytes it gets in
-    batches of 1, 7 and all rows, each h alone those of the stacked kernel,
-    and a block budget of one row those of the default blocks.
+    outputs, h = 1/2 + 1e-6, 0.75 and 0.95, in a batch that mixes dense
+    rows, rows with 2 and 9 nonzero weights (the first and last output
+    among them, and an output past cells_end) and all-zero rows: a row
+    gets the bytes it gets alone and in batches of 1, 7 and all rows, each
+    h alone those of the stacked kernel, and a block budget of one row
+    those of the default blocks.  The sparse rows make no transform.
     """
     grid = make_grid(1.0, 256, warmup=warmup)
     assert (grid.far_cells > 0) == (warmup > 1.0)
@@ -471,20 +498,30 @@ def test_past_dot_is_the_inner_product_with_past_conv(monkeypatch, warmup):
     hps = [hurst_constant(h) for h in (0.5 + 1e-6, 0.75, 0.95)]
     kernel = fbmdelay.noise.history_kernel(grid, hps)
     for cells_end, outputs in ((n, (m0, n + 1)), (m0, (m0, n + 1)), (m0 + 40, (m0 + 5, n - 3))):
-        weights = np.random.default_rng(cells_end).standard_normal((reps, outputs[1] - outputs[0]))
+        weights = _step_weights(np.random.default_rng(cells_end), reps, outputs, cells_end)
+        assert np.count_nonzero(weights, axis=-1)[:3].tolist() == [2, 9, 0]
+        assert cells_end >= outputs[1] - 1 or np.any(weights[1, cells_end + 1 - outputs[0]:-1])
         terms = weights * past_conv(incs, grid, kernel, cells_end, outputs)
         got = past_dot(incs, grid, kernel, cells_end, outputs, weights)
         assert got.shape == (len(hps), reps)
         assert np.all(np.abs(got - np.sum(terms, axis=-1)) <= 1e-12 * np.sum(np.abs(terms), axis=-1))
-        for rows in (slice(5, 6), slice(0, 7)):
+        assert not np.any(got[:, 2::4])
+        for rows in [slice(5, 6), slice(0, 7)] + [slice(r, r + 1) for r in range(8)]:
             part = past_dot(incs[rows], grid, kernel, cells_end, outputs, weights[rows])
             assert part.tobytes() == np.ascontiguousarray(got[:, rows]).tobytes()
+        for r in range(4):
+            assert past_dot(incs[r], grid, kernel, cells_end, outputs, weights[r]).tobytes() == got[:, r].tobytes()
         for q, hp in enumerate(hps):
             alone = past_dot(incs, grid, fbmdelay.noise.history_kernel(grid, (hp,)), cells_end, outputs, weights)
             assert alone[0].tobytes() == got[q].tobytes()
         with monkeypatch.context() as mp:
             mp.setattr(fbmdelay.noise, "_FFT_BLOCK_POINTS", 1)
             assert past_dot(incs, grid, kernel, cells_end, outputs, weights).tobytes() == got.tobytes()
+        sparse = [r for r in range(reps) if r % 4 < 3]
+        with monkeypatch.context() as mp:
+            mp.setattr(fbmdelay.noise, "_fft", SimpleNamespace(next_fast_len=fft.next_fast_len))  # no transform
+            part = past_dot(incs[sparse], grid, kernel, cells_end, outputs, weights[sparse])
+        assert part.tobytes() == np.ascontiguousarray(got[:, sparse]).tobytes()
     with pytest.raises(ValueError, match="one per row and output"):
         past_dot(incs, grid, kernel, n, (m0, n + 1), np.ones((reps, n - m0)))
 
