@@ -23,6 +23,12 @@ in 10 and its median beats the parent's by more than the parent's
 interquartile range.  Per workload, `op_kind_p50_s` holds each op kind's
 median over the pairs of each side's p50, which shows where a gain sits.
 
+Each run also records `rusage`: the user and sys CPU seconds and the minor
+page faults of the perfbench process and its workers, as the change in
+getrusage(RUSAGE_CHILDREN) across the run.  Per workload, `rusage` holds
+each side's median of each over the pairs.  Faults and sys seconds show the
+memory the allocator hands back and takes again, which wall time hides.
+
 `machine` records the Python, numpy and scipy versions, the CPU count,
 numpy's BLAS (name, version and OpenBLAS configuration, as numpy was
 built) and the environment variables that set BLAS or OpenMP threads
@@ -44,6 +50,7 @@ import io
 import json
 import os
 import platform
+import resource
 import statistics
 import subprocess
 import sys
@@ -77,16 +84,20 @@ def _src_sha256(root: str) -> str:
 def _run(root: str, workload: str, seed: int, seconds: float) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", repr(seconds), "--trace", "0"]
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True, timeout=600)
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    usage = {"user_s": after.ru_utime - before.ru_utime, "sys_s": after.ru_stime - before.ru_stime,
+             "minor_faults": after.ru_minflt - before.ru_minflt}
     lines = proc.stdout.strip().splitlines()
     try:
         details, result = json.loads(lines[-2])["details"], json.loads(lines[-1])
     except (IndexError, KeyError, ValueError):
-        return {"returncode": proc.returncode, "error": proc.stderr.strip()[-500:]}
+        return {"returncode": proc.returncode, "error": proc.stderr.strip()[-500:], "rusage": usage}
     return {"returncode": proc.returncode, "correct": result["correct"],
             "attempted": result["attempted"], "failed": result["failed"],
             "metrics": {k: v["value"] for k, v in result["metrics"].items()},
-            "op_kind_p50_s": details.get("op_kind_p50_s", {})}
+            "op_kind_p50_s": details.get("op_kind_p50_s", {}), "rusage": usage}
 
 
 def _quartiles(values):
@@ -130,6 +141,13 @@ def _op_kinds(pairs) -> dict:
                          "change_over_parent": change / parent if parent else None,
                          "change_faster": sum(c < p for p, c in both), "pairs": len(both)}
     return out
+
+
+def _rusage(pairs) -> dict:
+    """Per side, the median over pairs of each run's child CPU seconds and minor faults."""
+    return {side: {key: statistics.median(p[side]["rusage"][key] for p in pairs)
+                   for key in ("user_s", "sys_s", "minor_faults")}
+            for side in ("parent", "change")}
 
 
 def _cpu_model() -> str:
@@ -195,7 +213,7 @@ def main(argv=None) -> int:
                       + ", ".join(f"{s} {pair[s].get('metrics', pair[s])}" for s in ("parent", "change")),
                       file=sys.stderr, flush=True)
             workloads[workload] = {"pairs": pairs, "summary": {m["name"]: _summary(pairs, m) for m in e2e},
-                                   "op_kind_p50_s": _op_kinds(pairs)}
+                                   "op_kind_p50_s": _op_kinds(pairs), "rusage": _rusage(pairs)}
         src = {side: _src_sha256(roots[side]) for side in roots}
     trees = {side: subprocess.run(["git", "rev-parse", f"{commit}:src"], cwd=ROOT, check=True,
                                   capture_output=True, text=True).stdout.strip()

@@ -79,6 +79,8 @@ class RunConfig:
                 raise ValueError(f"--hurst values must lie in [0.5, 1) (got {h})")
         if self.reps < 2:
             raise ValueError(f"--reps must be >= 2 (got {self.reps})")
+        if self.seed < 0:
+            raise ValueError(f"--seed must be >= 0 (got {self.seed})")
         if not 0.0 < self.horizon < math.inf:
             raise ValueError(f"--t must be positive and finite (got {self.horizon})")
         if self.horizon / self.steps == 0.0:

@@ -17,6 +17,7 @@ Every driver follows the same discipline:
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -106,7 +107,8 @@ DESK = DeskConfig()
 WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else (os.cpu_count() or 1)
 
 #: the most noise, in bytes, in flight across all chunk threads: 128 replications of the 8,724-cell
-#: desk grid.  A chunk's fields and transforms outweigh its noise, so more rows would raise peak memory.
+#: desk grid.  A chunk's fields outweigh its noise, and its transforms add a few blocks of
+#: noise._FFT_BLOCK_POINTS a thread whatever its rows, so more rows would raise peak memory by their fields.
 _CHUNK_BYTES = 128 * 8_724 * 8
 
 
@@ -438,8 +440,16 @@ def _check_segments(grid: SimulationGrid, gamma: PiecewisePredictableIntegrand) 
             f"divides {grid.main_steps // MIN_CELLS_PER_SEGMENT}") from None
 
 
-def _reference_x_norm(gamma: Integrand, grid: SimulationGrid, seed: int, reps: int = 256) -> float:
-    closed = closed_form_x_norm(gamma, grid)
+@functools.lru_cache(maxsize=16)
+def _closed_x_norm(spec: str, grid: SimulationGrid) -> float | None:
+    """closed_form_x_norm of the integrand that spec parses to on grid: one sum per spec and grid."""
+    return closed_form_x_norm(parse_integrand(spec, horizon=grid.horizon), grid)
+
+
+def _reference_x_norm(gamma: Integrand, spec: str | None, grid: SimulationGrid, seed: int,
+                      reps: int = 256) -> float:
+    """||gamma||_X in closed form (cached by spec where gamma was given as one), else by Monte Carlo."""
+    closed = closed_form_x_norm(gamma, grid) if spec is None else _closed_x_norm(spec, grid)
     if closed is not None:
         return closed
     return x_norm(gamma, generate_noise_batch(seed + 101, grid, reps))[0]
@@ -449,8 +459,9 @@ def continuity_study(gamma: Integrand | str, hursts, reps: int, seed: int,
                      config: DeskConfig = DESK, proj_level: int = 8) -> ContinuityCurve:
     """Pathwise L1 gaps E|I_H(gamma) - I_(1/2)(gamma)| under common noise, per Hurst value."""
     grid = config.grid()
-    if isinstance(gamma, str):
-        gamma = parse_integrand(gamma, horizon=grid.horizon)
+    spec = gamma if isinstance(gamma, str) else None
+    if spec is not None:
+        gamma = parse_integrand(spec, horizon=grid.horizon)
     if not isinstance(gamma, PiecewisePredictableIntegrand) and not (gamma.nu_exponent or 0.0) > 0.0:
         raise ContinuityNotApplicableError(
             f"integrand {gamma.spec_string()!r} has forecast-variance exponent nu = 0 and is not "
@@ -477,7 +488,7 @@ def continuity_study(gamma: Integrand | str, hursts, reps: int, seed: int,
 
     *gaps, crcs = _replicate(seed, grid, reps, per_chunk)
     results = [_mc(g, seed, 0.0) for g in gaps]
-    x_ref = _reference_x_norm(gamma, grid, seed)
+    x_ref = _reference_x_norm(gamma, spec, grid, seed)
     return ContinuityCurve(
         hurst_values=tuple(hp.h for hp in hps),
         gaps=tuple(r.estimate for r in results),

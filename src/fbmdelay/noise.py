@@ -32,8 +32,10 @@ list of h (`history_kernel`) and shared by every chunk thread.
 `history_conv` also takes a stack of kernels that read the same window of
 driving cells (one per Hurst value, say): each row of the window is
 transformed forward once, and its spectrum serves every kernel.  Rows go
-through the transforms in blocks of at most `_FFT_BLOCK_POINTS` FFT points,
-so the spectrum held across the kernels stays small whatever the batch.
+through the transforms, and through past_conv's far product, in blocks of
+at most `_FFT_BLOCK_POINTS` points, 0.5 MiB of float64: a block's padded
+rows, spectrum and inverse stay in L2, and a stage holds its result and a
+few blocks whatever the batch or the number of kernels.
 `fbm_values` and the delayed integral's history fields take a list of
 Hurst values this way.
 
@@ -83,10 +85,11 @@ PROCESS_KINDS = ("B", "B_H", "W_H", "R_H", "DR_H")
 
 _LATTICE_RTOL = 1e-9
 
-#: a history convolution transforms its rows in blocks of at most this many FFT points,
-#: which bounds the spectra and inverse transforms it holds at once; the budget is per
-#: thread, since every chunk thread of a driver runs its own convolutions
-_FFT_BLOCK_POINTS = 2 ** 20
+#: the transforms and far products take their rows in blocks of at most this many points:
+#: 0.5 MiB of float64, so a block's padded rows, spectrum and inverse stay in a 2 MiB L2
+#: and a stage holds its result and a few blocks, never its whole batch's scratch; the
+#: budget is per thread, since every chunk thread of a driver runs its own transforms
+_FFT_BLOCK_POINTS = 2 ** 16
 
 #: block_conv and half_cross_conv take a Toeplitz product up to this block length, an FFT beyond
 _TOEPLITZ_MAX = 256
@@ -313,6 +316,12 @@ def _window_end(incs: np.ndarray, lo: int, hi: int) -> int:
     return max(lo, hi)
 
 
+def _row_blocks(rows: int, points: int):
+    """Slices over rows rows of points points each, at most _FFT_BLOCK_POINTS points a slice (or one row)."""
+    size = max(_FFT_BLOCK_POINTS // max(points, 1), 1)
+    return (slice(r, r + size) for r in range(0, rows, size))
+
+
 def history_conv(incs: np.ndarray, table: np.ndarray | None,
                  cells: tuple[int, int], outputs: tuple[int, int]) -> np.ndarray:
     """y[..., j - j0] = sum_{lo <= i < min(hi, j)} table[j - i] * incs[..., i] for j0 <= j < j1.
@@ -354,13 +363,12 @@ def history_conv(incs: np.ndarray, table: np.ndarray | None,
     spectra = _fft.rfft(table[..., 1:k1], n, axis=-1).reshape(-1, n // 2 + 1)
     rows = x.reshape(-1, m)
     dest = out.reshape(len(spectra), rows.shape[0], out.shape[-1])[..., k0 + lo - j0:]
-    block = max(_FFT_BLOCK_POINTS // n, 1)
-    for r in range(0, rows.shape[0], block):
-        fx = _fft.rfft(rows[r:r + block], n, axis=-1)
+    for blk in _row_blocks(len(rows), n):
+        fx = _fft.rfft(rows[blk], n, axis=-1)
         prod = fx if len(spectra) == 1 else np.empty_like(fx)
         for q, spectrum in enumerate(spectra):
             np.multiply(fx, spectrum, out=prod)
-            dest[q, r:r + block] = _fft.irfft(prod, n, axis=-1)[:, k0 - 1:k1 - 1]
+            dest[q, blk] = _fft.irfft(prod, n, axis=-1)[:, k0 - 1:k1 - 1]
     return out
 
 
@@ -558,7 +566,8 @@ def past_conv(incs: np.ndarray, grid: SimulationGrid, kernel: HistoryKernel, cel
     after the origin) and cells_end is at or after the origin; the result
     is (len(hps), ..., j1 - j0).  The cells of one step go through
     history_conv; the far cells through their interpolated weights, in two
-    einsum products; a window past the cells of incs is refused, as in
+    einsum products per block of rows (_row_blocks, the blocks of the
+    transforms); a window past the cells of incs is refused, as in
     history_conv.  einsum sums each output element in one fixed order
     whatever the number of rows (a BLAS product does not), so a row's bytes
     do not depend on its batch.  A B_H kernel's far part is taken from the
@@ -570,8 +579,12 @@ def past_conv(incs: np.ndarray, grid: SimulationGrid, kernel: HistoryKernel, cel
         raise ValueError("the history is evaluated from the origin on")
     y = history_conv(incs, kernel.table, (far, cells_end), outputs)
     if far:
-        z = np.einsum("qmf,...f->q...m", kernel.far, incs[..., :far])
-        y += np.einsum("q...m,mj->q...j", z, kernel.basis[:, outputs[0] - m0:outputs[1] - m0])
+        basis = kernel.basis[:, outputs[0] - m0:outputs[1] - m0]
+        rows = incs[..., :far].reshape(-1, far)
+        dest = y.reshape(len(y), len(rows), y.shape[-1])
+        for blk in _row_blocks(len(rows), len(y) * y.shape[-1]):
+            z = np.einsum("qmf,rf->qrm", kernel.far, rows[blk])
+            dest[:, blk] += np.einsum("qrm,mj->qrj", z, basis)
     return y
 
 
@@ -620,7 +633,7 @@ def past_dot(incs: np.ndarray, grid: SimulationGrid, kernel: HistoryKernel, cell
     # priced for one kernel, so that the path, and so the bytes, do not depend on the kernels stacked
     transforms = n * (5.0 * math.log2(n) + 5.0) if n else 0.0
     nonzero = a != 0.0
-    direct = 2.0 * np.where(nonzero, reach, 0).sum(axis=-1) < transforms
+    direct = 2.0 * np.einsum("rj,j->r", nonzero, reach) < transforms  # buffered: no (rows, outputs) scratch
     groups: dict[bytes, list[int]] = {}  # the direct rows, by where their weights are nonzero
     for r in np.flatnonzero(direct):
         groups.setdefault(nonzero[r].tobytes(), []).append(r)
@@ -641,12 +654,11 @@ def past_dot(incs: np.ndarray, grid: SimulationGrid, kernel: HistoryKernel, cell
     x, ax, y = rows[dense], a[dense], out[:, dense]
     if n and len(x):
         spectrum = kernel.spectrum(k0, k1, n)
-        block = max(_FFT_BLOCK_POINTS // n, 1)
-        for r in range(0, len(x), block):
-            fx = _fft.rfft(x[r:r + block, far:end], n, axis=-1)
-            fa = _fft.rfft(ax[r:r + block, k0 + far - j0:], n, axis=-1)
+        for blk in _row_blocks(len(x), n):
+            fx = _fft.rfft(x[blk, far:end], n, axis=-1)
+            fa = _fft.rfft(ax[blk, k0 + far - j0:], n, axis=-1)
             np.multiply(fx, np.conjugate(fa, out=fa), out=fx)
-            y[:, r:r + block] = np.einsum("rk,qk->qr", fx.view(float), spectrum)
+            y[:, blk] = np.einsum("rk,qk->qr", fx.view(float), spectrum)
     if far:
         z = np.einsum("qmf,rf->qrm", kernel.far, x[:, :far])
         b = np.einsum("mj,rj->rm", kernel.basis[:, j0 - m0:j1 - m0], ax)

@@ -13,6 +13,7 @@ import scipy
 
 import fbmdelay.cli
 import fbmdelay.experiments
+import fbmdelay.noise
 from fbmdelay.cli import RunConfig, parse_and_dispatch
 from fbmdelay.experiments import DeskConfig, continuity_study, nonconvergence_demo
 from oracles import spy_convolutions
@@ -150,6 +151,9 @@ def test_continuity_and_decay_commands(tmp_path, capsys):
     (["simulate", "--t", "inf", "--out", "x.csv"], "--t must be positive and finite (got inf)"),
     # a power of two of steps too large for a float: --t / --steps cannot be taken
     (["simulate", "--steps", str(2 ** 1100), "--out", "x.csv"], "--steps must be below 2**1024"),
+    # a negative seed, refused before any kernel build or draw
+    (["simulate", "--seed", "-1", "--out", "x.csv"], "--seed must be >= 0 (got -1)"),
+    (["continuity", "--seed", "-3", "--out", "x.csv"], "--seed must be >= 0 (got -3)"),
     # a step integrand whose breakpoints miss the lattice, or fall closer than 2 cells
     *([[cmd, "--integrand", spec, "--steps", "64", "--out", "x.out"],
        f"integrand '{spec}' does not split --steps 64 into segments of at least 2 fine cells"]
@@ -161,6 +165,23 @@ def test_validation_failures_are_one_line_and_nonzero(tmp_path, capsys, argv, fr
     assert code == 2
     assert err.count("\n") == 1
     assert fragment in err
+
+
+def test_a_negative_seed_is_refused_before_any_kernel_or_draw(tmp_path, capsys, monkeypatch):
+    """--seed -1, given or replayed from a manifest: one line naming --seed, and no kernel built or row drawn."""
+    out = tmp_path / "path.csv"
+    assert _run(["simulate", "--seed", "3", *FAST, "--out", str(out)], capsys)[0] == 0
+    manifest = tmp_path / "path.csv.manifest.json"
+    record = json.loads(manifest.read_text())
+    record["config"]["seed"] = -1
+    manifest.write_text(json.dumps(record))
+    out.unlink()
+    monkeypatch.setattr(fbmdelay.experiments, "generate_noise_batch", None)  # a draw would raise TypeError
+    monkeypatch.setattr(fbmdelay.noise, "_build_kernel", None)  # and so would a kernel build
+    for argv in (["simulate", "--seed", "-1", *FAST, "--out", str(out)], ["--manifest", str(manifest)]):
+        code, stdout, err = _run(argv, capsys)
+        assert code == 2 and stdout == "" and err == "fbmdelay: error: --seed must be >= 0 (got -1)\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["integrate", "continuity"])

@@ -48,6 +48,7 @@ from fbmdelay.integrands import (
     PiecewisePredictableIntegrand,
     QuadraticBrownianIntegrand,
     SegmentGrid,
+    closed_form_x_norm,
 )
 from oracles import decay_gaps_per_level, spy_convolutions, spy_noise_ffts
 
@@ -255,6 +256,25 @@ def test_continuity_accepts_instances_and_piecewise():
     curve = continuity_study(frozen, [0.6, 0.51], 200, 7, config=SMALL)
     assert curve.integrand_spec == "pp:bm:8"
     assert curve.gaps[1] < curve.gaps[0]
+
+
+def test_continuity_reference_norm_is_summed_once_per_spec_and_grid(monkeypatch):
+    """A second study of one spec on one grid makes no second_moment call, and its x_norm_ref keeps its bytes."""
+    calls = Counter()
+    second_moment = PiecewisePredictableIntegrand.second_moment
+
+    def counted(self, t):
+        calls[self.spec_string()] += 1
+        return second_moment(self, t)
+
+    monkeypatch.setattr(PiecewisePredictableIntegrand, "second_moment", counted)
+    fbmdelay.experiments._closed_x_norm.cache_clear()
+    first = continuity_study("pp:bm:8", [0.6, 0.51], 20, 7, config=SMALL)
+    assert calls["pp:bm:8"] == SMALL.steps + 1  # one per cell, and one to see that a closed form exists
+    again = continuity_study("pp:bm:8", [0.6, 0.51], 20, 8, config=SMALL)
+    assert calls["pp:bm:8"] == SMALL.steps + 1
+    frozen = PiecewisePredictableIntegrand(BrownianIntegrand(), SegmentGrid.uniform(1.0, 8))
+    assert again.x_norm_ref == first.x_norm_ref == closed_form_x_norm(frozen, SMALL.grid())
 
 
 def test_continuity_rejects_nu_zero_non_predictable():

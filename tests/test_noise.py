@@ -2,6 +2,7 @@
 
 import math
 import tempfile
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from types import SimpleNamespace
@@ -731,6 +732,55 @@ def test_fbm_values_stacks_a_list_of_hurst_values(incs, grid):
     assert brownian[0].tobytes() == brownian[1].tobytes() == b.tobytes()
     with pytest.raises(ValueError, match="running sum"):
         fbm_values(incs, grid, (H75, H5))
+
+
+#: one block of the transform budget, 2^16 float64 (0.5 MiB), and the blocks a stage may hold beside its result
+L2_BLOCK_BYTES, STAGE_BLOCKS = 8 * 2 ** 16, 6
+
+
+def _traced(stage):
+    """(result, traced peak in bytes) of one call of stage."""
+    tracemalloc.start()
+    try:
+        result = stage()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def test_transform_stages_hold_their_result_and_a_few_blocks():
+    """On a 64-row desk chunk a stage's traced peak is its result plus STAGE_BLOCKS blocks of 2^16 points.
+
+    noise_transforms may also hold one field of its results' size: the
+    history field, which it adds the main window to.  The stages are
+    past_conv (B_H at h = 0.75), past_dot's Parseval path (4 h, weights
+    nonzero everywhere), noise_transforms (h = 0.6) and dr_values (h =
+    0.75).  At the old budget of 2^20 points every stage passes the bound,
+    and at both budgets every result has the same bytes.
+    """
+    grid = DESK_GRID
+    m0, n = grid.origin_index, grid.cell_count
+    incs = generate_noise_batch(19, grid, 64).increments
+    h4 = [hurst_constant(h) for h in (0.7, 0.6, 0.55, 0.51)]
+    weights = np.random.default_rng(5).standard_normal((64, n + 1 - m0))
+    stages = {
+        "past_conv": (lambda: past_conv(incs, grid, history_kernel(grid, (H75,)), n, (m0, n)), 0),
+        "past_dot": (lambda: past_dot(incs, grid, history_kernel(grid, h4), n, (m0, n + 1), weights), 0),
+        "noise_transforms": (lambda: fbmdelay.integrator.noise_transforms(grid, incs, (hurst_constant(0.6),), n),
+                             8 * 64 * (n + 1 - m0)),
+        "dr_values": (lambda: dr_values(incs, grid, H75, m0), 0),
+    }
+    for name, (stage, field) in stages.items():
+        stage()  # builds the kernels and caches
+        result, peak = _traced(stage)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fbmdelay.noise, "_FFT_BLOCK_POINTS", 2 ** 20)
+            old, old_peak = _traced(stage)
+        arrays, old_arrays = (r if isinstance(r, tuple) else (r,) for r in (result, old))
+        bound = sum(a.nbytes for a in arrays) + field + STAGE_BLOCKS * L2_BLOCK_BYTES
+        assert peak <= bound < old_peak, (name, peak, bound, old_peak)
+        assert [a.tobytes() for a in arrays] == [a.tobytes() for a in old_arrays], name
 
 
 def test_history_conv_rejects_short_tables():
