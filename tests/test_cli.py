@@ -151,13 +151,13 @@ def test_continuity_and_decay_commands(tmp_path, capsys):
     (["simulate", "--t", "inf", "--out", "x.csv"], "--t must be positive and finite (got inf)"),
     # a power of two of steps too large for a float: --t / --steps cannot be taken
     (["simulate", "--steps", str(2 ** 1100), "--out", "x.csv"], "--steps must be below 2**1024"),
-    # a negative seed, refused before any kernel build or draw
-    (["simulate", "--seed", "-1", "--out", "x.csv"], "--seed must be >= 0 (got -1)"),
-    (["continuity", "--seed", "-3", "--out", "x.csv"], "--seed must be >= 0 (got -3)"),
     # a step integrand whose breakpoints miss the lattice, or fall closer than 2 cells
     *([[cmd, "--integrand", spec, "--steps", "64", "--out", "x.out"],
        f"integrand '{spec}' does not split --steps 64 into segments of at least 2 fine cells"]
       for cmd in ("integrate", "continuity") for spec in ("pp:bm:3", "pp:bm:128", "pp:bm:64")),
+    # a negative seed, which numpy's SeedSequence would refuse only inside the draw
+    (["simulate", "--seed", "-1", "--out", "x.csv"], "--seed must be >= 0 (got -1)"),
+    (["continuity", "--seed", "-3", "--out", "x.csv"], "--seed must be >= 0 (got -3)"),
 ])
 def test_validation_failures_are_one_line_and_nonzero(tmp_path, capsys, argv, fragment):
     os.chdir(tmp_path)

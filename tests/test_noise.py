@@ -756,8 +756,8 @@ def test_transform_stages_hold_their_result_and_a_few_blocks():
     history field, which it adds the main window to.  The stages are
     past_conv (B_H at h = 0.75), past_dot's Parseval path (4 h, weights
     nonzero everywhere), noise_transforms (h = 0.6) and dr_values (h =
-    0.75).  At the old budget of 2^20 points every stage passes the bound,
-    and at both budgets every result has the same bytes.
+    0.75).  At the old budget of 2^20 points every stage goes past the
+    bound, and at both budgets every result has the same bytes.
     """
     grid = DESK_GRID
     m0, n = grid.origin_index, grid.cell_count
