@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import HALF, HurstParameter, hurst_constant
+from .kernels import HALF, HurstParameter, hurst_constant, power_diff
 from .integrands import (
     BrownianIntegrand,
     DeterministicIntegrand,
@@ -194,9 +194,7 @@ def _energy_quadrature(grid: SimulationGrid, hp: HurstParameter):
     The weights integrate the known second-moment profile t^(2h-2) exactly,
     so the singular first cell carries its true mass.  With q = 2h - 1 the
     weight of cell k is (t_k^q - t_(k-1)^q) / (q t_k^(q-1)) = t_k (1 -
-    (1 - 1/k)^q) / q; as in noise.dr_kernel_table the difference of powers
-    is taken as -expm1(q log1p(-1/k)), which keeps its relative precision as
-    h -> 1/2.  The first cell's is t_1 / q.
+    (1 - 1/k)^q) / q, a kernels.power_diff.  The first cell's is t_1 / q.
     """
     n = grid.main_steps
     h = grid.step
@@ -207,7 +205,7 @@ def _energy_quadrature(grid: SimulationGrid, hp: HurstParameter):
     k = np.arange(1, n + 1, dtype=float)
     w = np.empty(n)
     w[0] = h / q
-    w[1:] = -h * k[1:] * np.expm1(q * np.log1p(-1.0 / k[1:])) / q
+    w[1:] = -h * k[1:] * power_diff(1.0, -1.0 / k[1:], q) / q
     return eval_idx, w
 
 
@@ -421,6 +419,8 @@ def _check_dyadic_level(grid: SimulationGrid, level: int, flag: str | None) -> N
 
     flag names the option that set the level; None when no option sets it.
     """
+    if level < 0:
+        raise ValueError(f"{flag or 'the projection level'} must be >= 0 (got {level})")
     n_seg = 2 ** level
     if grid.main_steps % n_seg or grid.main_steps < MIN_CELLS_PER_SEGMENT * n_seg:
         remedy = f"lower {flag} or raise --steps" if flag else "raise --steps"
@@ -537,7 +537,8 @@ def cauchy_decay_study(gamma: Integrand | str, hp: HurstParameter, levels, reps:
     levels = sorted(int(n) for n in levels)
     if len(levels) < 2 or any(b - a != 1 for a, b in zip(levels[:-1], levels[1:])):
         raise ValueError("levels must be consecutive integers")
-    _check_dyadic_level(grid, levels[-1], "--levels")
+    for level in (levels[0], levels[-1]):
+        _check_dyadic_level(grid, level, "--levels")
     if isinstance(gamma, DeterministicIntegrand):
         # projection is vacuous; gaps sit at the quadrature-noise floor
         zeros = (0.0,) * (len(levels) - 1)
@@ -593,7 +594,7 @@ def cauchy_decay_study(gamma: Integrand | str, hp: HurstParameter, levels, reps:
 # ---------------------------------------------------------------------------
 
 _SPEC_HELP = ("accepted integrand specs: det:const:<v> | det:poly:a0,a1,... | bm | "
-              "fbm:<H> | bm2 | pp:<inner>:<n-segments>")
+              "fbm:<H> | rl:<H>[:<start>] | bm2 | pp:<inner>:<n-segments>")
 
 
 def parse_integrand(spec: str, horizon: float = 1.0) -> Integrand:

@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .kernels import HALF, HurstParameter, hurst_constant
+from .kernels import HALF, HurstParameter, hurst_constant, power_diff
 from .noise import (
     NoiseBatch,
     SimulationGrid,
@@ -166,7 +166,7 @@ class _PowerKernelIntegrand(Integrand):
             # scipy.integrate is imported here, its import alone costs ~25 MB of RSS
             from scipy.integrate import quad
             p = h1 - HALF
-            near, _ = quad(lambda r: ((t - r) ** p - (-r) ** p) ** 2, tau, min(t, 0.0))
+            near, _ = quad(lambda r: power_diff(-r, t / -r, p) ** 2, tau, min(t, 0.0))
             return c2 * (abs(t) ** (2 * h1) / (2 * h1) + near)
         lo = max(tau, self.start) if not self.include_history else tau
         span = max(t - lo, 0.0)
@@ -183,7 +183,8 @@ class _PowerKernelIntegrand(Integrand):
             if m0 == 0:
                 raise ValueError("empty warmup window with h1 > 1/2: truncation error uncontrolled")
             x = past_conv(incs, grid, kernel, n, (m0, n))[0]
-            return x - x[..., :1]
+            x -= x[..., :1].copy()  # in place, as in noise.fbm_values
+            return x
         # B(t) - B(0) of the unit kernel with history sums the cells from the origin
         first = m0 if self.include_history else self._first_cell(grid)
         return history_conv(incs, None if kernel is None else kernel.table[0], (first, n), (j0, n))

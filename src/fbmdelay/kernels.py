@@ -30,6 +30,7 @@ __all__ = [
     "hurst_constant",
     "mvn_kernel",
     "gh_transform",
+    "power_diff",
     "truncation_tail_bound",
 ]
 
@@ -73,6 +74,14 @@ def hurst_constant(h: float) -> HurstParameter:
     return HurstParameter(h=h, c_h=c)
 
 
+def power_diff(y, r, p):
+    """(y (1 + r))^p - y^p for y > 0, r > -1: the one difference of powers of every kernel weight.
+
+    Taken as y^p expm1(p log1p(r)), which keeps its relative precision as p -> 0 or r -> 0.
+    """
+    return y ** p * np.expm1(p * np.log1p(r))
+
+
 def mvn_kernel(t: float, s: float, r: float, hp: HurstParameter) -> float:
     """Moving-average kernel of the fBm increment over [s, t], evaluated at r.
 
@@ -84,9 +93,9 @@ def mvn_kernel(t: float, s: float, r: float, hp: HurstParameter) -> float:
     if s > t:
         raise ValueError(f"need s <= t (s={s}, t={t})")
     p = hp.h - HALF
-    if r > s:
-        return float((t - r) ** p)
-    return float((t - r) ** p - (s - r) ** p)
+    if r < s:
+        return float(power_diff(s - r, (t - s) / (s - r), p))
+    return float((t - r) ** p) if r > s or p else 0.0  # at r = s: (t - s)^p - 0^p, and 0 at h = 1/2
 
 
 def _cell_edges(s: float, t_end: float, n_cells: int) -> np.ndarray:
@@ -113,13 +122,12 @@ def gh_transform(tau: float, s: float, t_end: float, g: np.ndarray, hp: HurstPar
         idx = min(int((tau - s) / (t_end - s) * n), n - 1)
         return float(g[idx])
     edges = _cell_edges(s, t_end, n)
-    lo = np.maximum(edges[:-1], tau)
-    hi = edges[1:]
-    live = hi > tau
+    j = int(np.count_nonzero(edges[1:] <= tau))  # the cell that holds tau; n at tau = t_end
+    lo = edges[j + 1:-1] - tau  # the later cells' distances from tau
     p = hp.h - HALF
-    # int_a^b (t-tau)^(h-3/2) dt = [ (b-tau)^(h-1/2) - (a-tau)^(h-1/2) ] / (h-1/2)
-    pieces = (hi[live] - tau) ** p - (lo[live] - tau) ** p
-    return float(hp.c_h * np.dot(g[live], pieces))
+    # int_a^b (t-tau)^(h-3/2) dt = [ (b-tau)^(h-1/2) - (a-tau)^(h-1/2) ] / (h-1/2), where a = tau in tau's cell
+    pieces = np.concatenate([(edges[j + 1:j + 2] - tau) ** p, power_diff(lo, np.diff(edges[j + 1:]) / lo, p)])
+    return float(hp.c_h * np.dot(g[j:], pieces))
 
 
 def truncation_tail_bound(hp: HurstParameter, span: float, horizon: float) -> float:

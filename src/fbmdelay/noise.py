@@ -9,8 +9,8 @@ all rows at once.  Wiener integrals are discretized with
 cell-averaged kernel weights: the exact integral of the power kernel over
 each noise cell, divided by its width, applied to the increment, whose
 variance is that width.  The B_H and DR_H weights, differences of powers,
-are taken through expm1/log1p so that they keep their relative precision
-as h -> 1/2.
+go through kernels.power_diff, the one place such a difference is taken, so
+that they keep their relative precision as h -> 1/2.
 
 The history is graded (make_grid), after the near/far split of the hybrid
 scheme (Bennedsen, Lunde & Pakkanen, Finance Stoch. 2017).  Cells of one
@@ -62,7 +62,7 @@ from typing import ClassVar
 import numpy as np
 from scipy import fft as _fft
 
-from .kernels import HALF, HurstParameter, truncation_tail_bound
+from .kernels import HALF, HurstParameter, power_diff, truncation_tail_bound
 
 __all__ = [
     "SimulationGrid",
@@ -278,15 +278,14 @@ def avg_kernel_table(hp: HurstParameter, n: int, step: float) -> np.ndarray:
     """A[m] = cell average of u^(h-1/2) over [(m-1)*step, m*step]; A[0] = 0.
 
     These are the fbm synthesis weights: at lag m the increment of cell
-    [t_{j-m}, t_{j-m+1}] enters B_H(t_j) with weight c_h * A[m].  As D in
-    dr_kernel_table, the difference of powers in A[m] = ((m step)^p1 -
-    ((m-1) step)^p1) / (p1 step), p1 = h + 1/2, goes through expm1/log1p.
+    [t_{j-m}, t_{j-m+1}] enters B_H(t_j) with weight c_h * A[m] = c_h
+    ((m step)^p1 - ((m-1) step)^p1) / (p1 step), p1 = h + 1/2 (power_diff).
     """
     p1 = hp.h + HALF
     k = np.arange(1, n, dtype=float)  # k = m - 1 for the lags m = 2..n
     out = np.zeros(n + 1)
     out[1:2] = step ** p1 / (p1 * step)
-    out[2:] = (k * step) ** p1 * np.expm1(p1 * np.log1p(1.0 / k)) / (p1 * step)
+    out[2:] = power_diff(k * step, 1.0 / k, p1) / (p1 * step)
     return out
 
 
@@ -294,9 +293,7 @@ def dr_kernel_table(hp: HurstParameter, n: int, step: float) -> np.ndarray:
     """D[m] = cell average of f'_t = (h-1/2) u^(h-3/2) at lag m; D[0] = 0.
 
     D[m] = ((m step)^p - ((m-1) step)^p) / step with p = h - 1/2.  Lag 1 is
-    step^p / step; from lag 2 on the difference is taken as
-    ((m-1) step)^p expm1(p log1p(1/(m-1))) / step, which keeps full relative
-    precision as p -> 0, where the plain difference of powers cancels.
+    step^p / step; from lag 2 on the difference goes through power_diff.
     """
     if hp.is_brownian:
         return np.zeros(n + 1)
@@ -304,7 +301,7 @@ def dr_kernel_table(hp: HurstParameter, n: int, step: float) -> np.ndarray:
     k = np.arange(1, n, dtype=float)  # k = m - 1 for the lags m = 2..n
     out = np.zeros(n + 1)
     out[1:2] = step ** p / step
-    out[2:] = (k * step) ** p * np.expm1(p * np.log1p(1.0 / k)) / step
+    out[2:] = power_diff(k * step, 1.0 / k, p) / step
     return out
 
 
@@ -511,10 +508,9 @@ def _far_at_nodes(grid: SimulationGrid, hps, kind: str) -> np.ndarray:
 
     A far cell covers distances [d, d + w] before the origin.  Its DR_H
     weight at t is c_h ((t + d + w)^p - (t + d)^p) / w, p = h - 1/2, one
-    difference of powers in the expm1/log1p form.  Its B_H weight, taken
-    from the origin, is the cell average over u of c_h ((t + u)^p - u^p),
-    whose integrand is u^p expm1(p log1p(t / u)): a Gauss-Legendre rule
-    averages it, and no difference of two large powers is ever formed.
+    power_diff.  Its B_H weight, taken from the origin, is the cell average
+    over u of c_h ((t + u)^p - u^p), a power_diff in u that a Gauss-Legendre
+    rule averages: no difference of two large powers is ever formed.
     That weight is t times a smooth function of t, which is the one
     interpolated, so it keeps its relative precision down to t = step.
     Both weights are analytic in t on [0, T] and singular only at t = -d
@@ -528,11 +524,11 @@ def _far_at_nodes(grid: SimulationGrid, hps, kind: str) -> np.ndarray:
         p = hp.h - HALF
         if kind == "DR_H":
             u = t[:, None] + d
-            far[q] = hp.c_h * u ** p * np.expm1(p * np.log1p(w / u)) / w
+            far[q] = hp.c_h * power_diff(u, w / u, p) / w
         else:
             gx, gw = _FAR_GAUSS
             u = d[:, None] + 0.5 * w[:, None] * (1.0 + gx)  # (far cells, nodes of the rule)
-            f = u ** p * np.expm1(p * np.log1p(t[:, None, None] / u))
+            f = power_diff(u, t[:, None, None] / u, p)
             far[q] = hp.c_h * 0.5 * np.sum(f * gw, axis=-1) / t[:, None]
     return far
 
@@ -681,7 +677,7 @@ def fbm_values(incs: np.ndarray, grid: SimulationGrid, hps) -> np.ndarray:
     if m0 == 0:
         raise ValueError("empty warmup window with h > 1/2: truncation error uncontrolled")
     x = past_conv(incs, grid, kernel, n, (m0, n + 1))
-    x -= x[..., :1]
+    x -= x[..., :1].copy()  # the column copied alone: an overlapping operand would copy all of x
     return x
 
 
@@ -702,7 +698,8 @@ def r_values(incs: np.ndarray, grid: SimulationGrid, hp: HurstParameter, seg_idx
     if kernel is None:  # the unit kernel: the history is a constant, R_H = 0
         return np.zeros(incs.shape[:-1] + (grid.cell_count + 1 - seg_idx,))
     y = past_conv(incs, grid, kernel, seg_idx, (seg_idx, grid.cell_count + 1))[0]
-    return y - y[..., :1]
+    y -= y[..., :1].copy()  # in place, as in fbm_values
+    return y
 
 
 def dr_values(incs: np.ndarray, grid: SimulationGrid, hp: HurstParameter, seg_idx: int) -> np.ndarray:

@@ -125,6 +125,15 @@ def test_continuity_and_decay_commands(tmp_path, capsys):
     assert dout.read_text().splitlines()[0].startswith("level,gap,se,fitted_slope")
 
 
+NEGATIVE_LEVELS = [
+    (["decay", "--levels=-1:3", "--steps", "64", "--warmup", "1", "--reps", "4", "--out", "d.csv"],
+     "--levels must be >= 0 (got -1)"),
+    (["decay", "--levels=-2:1", "--out", "x.csv"], "--levels must be >= 0 (got -2)"),
+    (["integrate", "--integrand", "bm2", "--level", "-1", "--out", "x.json"], "--level must be >= 0 (got -1)"),
+    (["integrate", "--integrand", "bm", "--level", "-1", "--out", "x.json"], "--level must be >= 0 (got -1)"),
+]
+
+
 @pytest.mark.parametrize("argv,fragment", [
     (["integrate", "--integrand", "gauss", "--out", "x.json"], "integrand spec"),
     (["simulate", "--hurst", "1.2", "--out", "x.csv"], "hurst"),
@@ -158,6 +167,8 @@ def test_continuity_and_decay_commands(tmp_path, capsys):
     # a negative seed, which numpy's SeedSequence would refuse only inside the draw
     (["simulate", "--seed", "-1", "--out", "x.csv"], "--seed must be >= 0 (got -1)"),
     (["continuity", "--seed", "-3", "--out", "x.csv"], "--seed must be >= 0 (got -3)"),
+    # a negative dyadic level, coarsest or only (argparse reads a bare -1:3 as an option)
+    *NEGATIVE_LEVELS,
 ])
 def test_validation_failures_are_one_line_and_nonzero(tmp_path, capsys, argv, fragment):
     os.chdir(tmp_path)
@@ -189,6 +200,15 @@ def test_a_step_integrand_off_the_lattice_is_refused_before_any_draw(tmp_path, c
     monkeypatch.setattr(fbmdelay.experiments, "generate_noise_batch", None)  # a draw would raise TypeError
     code, _, err = _run([command, "--integrand", "pp:bm:3", "--steps", "64", "--out", str(tmp_path / "x")], capsys)
     assert code == 2 and "take a segment count that divides 32" in err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv,fragment", NEGATIVE_LEVELS)
+def test_a_negative_level_is_refused_before_any_draw(tmp_path, capsys, monkeypatch, argv, fragment):
+    os.chdir(tmp_path)
+    monkeypatch.setattr(fbmdelay.experiments, "generate_noise_batch", None)  # a draw would raise TypeError
+    code, _, err = _run(argv, capsys)
+    assert code == 2 and err == f"fbmdelay: error: {fragment}\n"
     assert not list(tmp_path.iterdir())
 
 

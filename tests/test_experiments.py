@@ -3,6 +3,7 @@
 import functools
 import json
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -47,6 +48,7 @@ from fbmdelay.integrands import (
     FbmIntegrand,
     PiecewisePredictableIntegrand,
     QuadraticBrownianIntegrand,
+    RlFbmIntegrand,
     SegmentGrid,
     closed_form_x_norm,
 )
@@ -543,15 +545,20 @@ def test_decay_study_validates_levels(monkeypatch):
 # integrand spec strings
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("spec,cls", [
+KNOWN_SPECS = [
     ("det:const:1.0", DeterministicIntegrand),
     ("det:poly:0.0,1.0,2.0", DeterministicIntegrand),
     ("bm", BrownianIntegrand),
     ("fbm:0.75", FbmIntegrand),
+    ("rl:0.7", RlFbmIntegrand),
+    ("rl:0.7:0.25", RlFbmIntegrand),
     ("bm2", QuadraticBrownianIntegrand),
     ("pp:bm:8", PiecewisePredictableIntegrand),
     ("pp:fbm:0.6:4", PiecewisePredictableIntegrand),
-])
+]
+
+
+@pytest.mark.parametrize("spec,cls", KNOWN_SPECS)
 def test_parse_integrand_accepts_known_specs(spec, cls):
     gamma = parse_integrand(spec)
     assert isinstance(gamma, cls)
@@ -559,8 +566,12 @@ def test_parse_integrand_accepts_known_specs(spec, cls):
 
 @pytest.mark.parametrize("spec", ["", "gauss", "fbm", "fbm:abc", "det:exp:1", "pp:bm", "fbm:0.3"])
 def test_parse_integrand_rejects_unknown_specs(spec):
-    with pytest.raises(ValueError, match="integrand spec"):
+    with pytest.raises(ValueError, match="integrand spec") as info:
         parse_integrand(spec)
+    # the message names every accepted family: det:const and det:poly, and the head of each other spec
+    families = {":".join(s.split(":")[:2 if s.startswith("det:") else 1]) for s, _ in KNOWN_SPECS}
+    for family in families:
+        assert re.search(rf"(?<![\w:]){family}(?!\w)", str(info.value)), family
 
 
 # ---------------------------------------------------------------------------

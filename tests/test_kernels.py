@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -88,6 +89,23 @@ def test_mvn_kernel_rejects_bad_times():
 def test_mvn_kernel_vanishes_at_segment_start(r, h):
     hp = hurst_constant(h)
     assert mvn_kernel(1.0, 1.0, r, hp) == 0.0
+
+
+@pytest.mark.parametrize("k", range(2, 15))
+def test_mvn_kernel_keeps_precision_as_h_nears_half(k):
+    """At h = 1/2 + 10^-k, f(t, r) for r <= s is within 1e-14 relative of 50-digit arithmetic.
+
+    The plain difference of powers was 1.2e-2 off at (1, 0.5, -3.7) and k = 14,
+    and lost every digit a million units back.
+    """
+    hp = hurst_constant(0.5 + 10.0 ** -k)
+    for t, s, r in [(2.0, 1.0, 0.0), (1.0, 0.5, 0.3), (1.0, 0.5, 0.5), (1.0, 0.5, -3.7),
+                    (1.0, 1.0 - 2.0 ** -12, 0.5), (1.0, 0.999, -1e6), (5.0, 1e-9, 0.0)]:
+        with mpmath.workdps(50):
+            p = mpmath.mpf(hp.h) - mpmath.mpf(0.5)  # exact: h - 1/2 has no rounding for h in [1/2, 1)
+            want = (mpmath.mpf(t) - r) ** p - (mpmath.mpf(s) - r) ** p
+        got = mvn_kernel(t, s, r, hp)
+        assert abs(got - want) <= 1e-14 * abs(want), (t, s, r, got, want)
 
 
 def test_mvn_kernel_continuous_in_t_for_fixed_history_point():

@@ -31,3 +31,24 @@ def test_every_public_name_is_used_outside_the_tests():
     assert unused == [], "a name only the tests use belongs in tests/oracles.py"
     sentence = (ROOT / "README.md").read_text().split(" stay public")[0].rsplit("\n\n", 1)[-1]
     assert set(re.findall(r"`(\w+)`", sentence)) == PAPER_OBJECTS
+
+
+#: the functions whose kernel weights are a difference of powers, per module
+POWER_DIFF_SITES = {("noise", "avg_kernel_table"), ("noise", "dr_kernel_table"), ("noise", "_far_at_nodes"),
+                    ("experiments", "_energy_quadrature"), ("kernels", "mvn_kernel"), ("kernels", "gh_transform"),
+                    ("integrands", "cond_var")}
+
+
+def test_every_difference_of_powers_goes_through_power_diff():
+    """expm1 is written in src/ only inside kernels.power_diff, and every kernel weight's function calls it."""
+    callers = set()
+    for path in sorted((ROOT / "src" / "fbmdelay").glob("*.py")):
+        text = path.read_text()
+        functions = [node for node in ast.walk(ast.parse(text)) if isinstance(node, ast.FunctionDef)]
+        callers |= {(path.stem, f.name) for f in functions
+                    if any(getattr(sub, "id", None) == "power_diff" for sub in ast.walk(f))}
+        if path.name == "kernels.py":
+            primitive = next(f for f in functions if f.name == "power_diff")
+            text = text.replace(ast.get_source_segment(text, primitive), "")
+        assert "expm1" not in text, f"{path.name} takes a difference of powers outside kernels.power_diff"
+    assert POWER_DIFF_SITES <= callers, POWER_DIFF_SITES - callers
