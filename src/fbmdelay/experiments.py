@@ -6,7 +6,8 @@ Every driver follows the same discipline:
   identical driving noise (one Philox stream per replication, checksummed);
 * one runner, `_replicate`, draws the replications chunk by chunk and
   concatenates the per-replication results in stream order; they are
-  aggregated once, so output is independent of chunking and scheduling;
+  aggregated once, so output is independent of chunking and scheduling
+  (save where einsum sums a row alone in its block in another order);
 * that runner is the package's one level of parallelism: it runs the chunks
   on up to `WORKERS` threads (numpy, scipy's FFTs and the Philox draws
   release the GIL), each drawing its own noise and doing its own transforms
@@ -106,10 +107,11 @@ DESK = DeskConfig()
 #: CPUs this process may run on: _replicate runs up to this many chunks at once
 WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else (os.cpu_count() or 1)
 
-#: the most noise, in bytes, in flight across all chunk threads: 128 replications of the 8,724-cell
-#: desk grid.  A chunk's fields outweigh its noise, and its transforms add a few blocks of
-#: noise._FFT_BLOCK_POINTS a thread whatever its rows, so more rows would raise peak memory by their fields.
+#: the most noise, in bytes, in flight across all chunk threads (128 replications of the 8,724-cell desk
+#: grid) and in one chunk (32, 2.1 MiB).  A desk chunk's fields take 1.9-2.7 times its noise again, so 64-row
+#: chunks held ~15 MB more at peak; grids with rows past the cap still run on WORKERS threads.
 _CHUNK_BYTES = 128 * 8_724 * 8
+_CHUNK_CAP_BYTES = 32 * 8_724 * 8
 
 
 @dataclass(frozen=True)
@@ -132,23 +134,24 @@ def _mc(values: np.ndarray, seed: int, budget: float) -> MCResult:
 def _replicate(seed: int, grid: SimulationGrid, reps: int, per_chunk, cells: int | None = None) -> tuple:
     """Run per_chunk over replications 0..reps-1 in chunks, up to WORKERS chunks at once.
 
-    Replication r is noise stream r of seed.  per_chunk maps a NoiseBatch to
-    a tuple of arrays with one entry per replication along the first axis;
-    the runner returns each array concatenated in stream order, so the
-    result does not depend on the chunk size or the thread count.  The
-    replications split into near-equal chunks, as many as a multiple of
-    WORKERS, of at most _CHUNK_BYTES / WORKERS of noise each (at least one
-    row), so every round of WORKERS chunks is as full as the next and a
-    short run still keeps every CPU busy.  A chunk draws its noise in its
-    own task, and no more chunks run at once than fit in _CHUNK_BYTES (one,
-    if a row is larger).  One thread runs inline.  If a chunk raises, the
-    chunks that have not started are cancelled and the exception reaches
-    the caller.  cells draws only each row's first cells, where per_chunk
-    reads no further (see generate_noise_batch): the chunks are still sized
-    from full rows, so they and the memory they hold stay as they are.
+    Replication r is noise stream r of seed.  per_chunk maps a NoiseBatch to a
+    tuple of arrays with one entry per replication along the first axis; the
+    runner returns each array concatenated in stream order, so the result does
+    not depend on the chunk size or the thread count.  The replications split
+    into near-equal chunks, as many as a multiple of WORKERS, of at most
+    _CHUNK_BYTES / WORKERS and _CHUNK_CAP_BYTES of noise each (at least one
+    row), so every round of WORKERS chunks is as full as the next and a short
+    run still keeps every CPU busy.  A chunk draws its noise in its own task,
+    and no more chunks run at once than fit in _CHUNK_BYTES (one, if a row is
+    larger).  One thread runs inline.  If a chunk raises, the chunks that have
+    not started are cancelled and the exception reaches the caller.  cells
+    draws only each row's first cells, where per_chunk reads no further (see
+    generate_noise_batch): the chunks are still sized from full rows, so they
+    and the memory they hold stay as they are.
     """
     rows = max(1, _CHUNK_BYTES // (8 * grid.cell_count))  # rows in flight
-    rounds = -(-reps // (max(1, rows // WORKERS) * WORKERS))
+    chunk = max(1, min(rows // WORKERS, _CHUNK_CAP_BYTES // (8 * grid.cell_count)))
+    rounds = -(-reps // (chunk * WORKERS))
     n_chunks = min(reps, rounds * WORKERS)
     starts = [reps * k // n_chunks for k in range(n_chunks + 1)]  # sizes differ by at most one
 
@@ -536,7 +539,7 @@ def cauchy_decay_study(gamma: Integrand | str, hp: HurstParameter, levels, reps:
         gamma = parse_integrand(gamma, horizon=grid.horizon)
     levels = sorted(int(n) for n in levels)
     if len(levels) < 2 or any(b - a != 1 for a, b in zip(levels[:-1], levels[1:])):
-        raise ValueError("levels must be consecutive integers")
+        raise ValueError(f"--levels needs two or more levels, as coarse:fine with coarse < fine (got {levels})")
     for level in (levels[0], levels[-1]):
         _check_dyadic_level(grid, level, "--levels")
     if isinstance(gamma, DeterministicIntegrand):

@@ -134,6 +134,15 @@ NEGATIVE_LEVELS = [
 ]
 
 
+# a reversed pair is no level at all, and an equal pair is one
+FEWER_THAN_TWO_LEVELS = [
+    (["decay", "--levels=3:1", "--out", "x.csv"], "--levels needs two or more levels, as coarse:fine with "
+                                                  "coarse < fine (got [])"),
+    (["decay", "--levels=4:4", "--out", "x.csv"], "--levels needs two or more levels, as coarse:fine with "
+                                                  "coarse < fine (got [4])"),
+]
+
+
 @pytest.mark.parametrize("argv,fragment", [
     (["integrate", "--integrand", "gauss", "--out", "x.json"], "integrand spec"),
     (["simulate", "--hurst", "1.2", "--out", "x.csv"], "hurst"),
@@ -169,6 +178,7 @@ NEGATIVE_LEVELS = [
     (["continuity", "--seed", "-3", "--out", "x.csv"], "--seed must be >= 0 (got -3)"),
     # a negative dyadic level, coarsest or only (argparse reads a bare -1:3 as an option)
     *NEGATIVE_LEVELS,
+    *FEWER_THAN_TWO_LEVELS,
 ])
 def test_validation_failures_are_one_line_and_nonzero(tmp_path, capsys, argv, fragment):
     os.chdir(tmp_path)
@@ -205,6 +215,16 @@ def test_a_step_integrand_off_the_lattice_is_refused_before_any_draw(tmp_path, c
 
 @pytest.mark.parametrize("argv,fragment", NEGATIVE_LEVELS)
 def test_a_negative_level_is_refused_before_any_draw(tmp_path, capsys, monkeypatch, argv, fragment):
+    os.chdir(tmp_path)
+    monkeypatch.setattr(fbmdelay.experiments, "generate_noise_batch", None)  # a draw would raise TypeError
+    code, _, err = _run(argv, capsys)
+    assert code == 2 and err == f"fbmdelay: error: {fragment}\n"
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv,fragment", FEWER_THAN_TWO_LEVELS)
+def test_fewer_than_two_levels_are_refused_naming_levels_before_any_draw(tmp_path, capsys, monkeypatch, argv,
+                                                                         fragment):
     os.chdir(tmp_path)
     monkeypatch.setattr(fbmdelay.experiments, "generate_noise_batch", None)  # a draw would raise TypeError
     code, _, err = _run(argv, capsys)

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
@@ -125,14 +126,17 @@ def test_energy_quadrature_weights_keep_precision_as_h_nears_half(h):
 
 
 def test_replicate_sizes_chunks_from_the_grid(monkeypatch):
-    """Near-equal chunks, a multiple of WORKERS of them, of at most _CHUNK_BYTES / WORKERS and never empty.
+    """Near-equal chunks, a multiple of WORKERS of them, of at most _CHUNK_BYTES / WORKERS and
+    _CHUNK_CAP_BYTES of noise, and never empty.
 
-    64 rows at desk scale on 2 workers, 128 on one, 4 at 2^16 steps; 300
-    replications on 2 workers are six chunks of 50, three full rounds, not
-    four of 64 and one of 44; every stream is drawn once.  At 2^24 steps one
-    row is more than _CHUNK_BYTES, so the chunks run one at a time on the
-    calling thread.  Rows drawn only up to the origin are chunked as full
-    rows, and every chunk is asked for those cells.  Nothing is allocated.
+    32 rows at desk scale on 2 workers and on one (run inline), 2 at 2^16
+    steps; 300 replications on 2 workers are ten chunks of 30, five full
+    rounds, not nine of 32 and one of 12; every stream is drawn once.  At
+    2^18 steps a row is more than _CHUNK_CAP_BYTES, so each chunk is one row,
+    and two of them still fit in _CHUNK_BYTES and run on the pool.  At 2^24
+    steps one row is more than _CHUNK_BYTES, so the chunks run one at a time
+    on the calling thread.  Rows drawn only up to the origin are chunked as
+    full rows, and every chunk is asked for those cells.  Nothing is allocated.
     """
     drawn = []
 
@@ -141,10 +145,11 @@ def test_replicate_sizes_chunks_from_the_grid(monkeypatch):
         return SimpleNamespace(replications=reps)
 
     monkeypatch.setattr(fbmdelay.experiments, "generate_noise_batch", stub)
-    for workers, config, reps, want, inline in ((2, DeskConfig(), 512, [64] * 8, False),
-                                                (1, DeskConfig(), 512, [128] * 4, True),
-                                                (2, DeskConfig(steps=65536), 40, [4] * 10, False),
-                                                (2, DeskConfig(), 300, [50] * 6, False),
+    for workers, config, reps, want, inline in ((2, DeskConfig(), 512, [32] * 16, False),
+                                                (1, DeskConfig(), 512, [32] * 16, True),
+                                                (2, DeskConfig(steps=65536), 40, [2] * 20, False),
+                                                (2, DeskConfig(), 300, [30] * 10, False),
+                                                (2, DeskConfig(steps=2 ** 18), 8, [1] * 8, False),
                                                 (2, DeskConfig(), 10, [5, 5], False),
                                                 (3, DeskConfig(), 10, [3, 3, 4], False),
                                                 (2, DeskConfig(steps=2 ** 24), 2, [1, 1], True)):
@@ -326,6 +331,7 @@ def test_drivers_are_identical_for_any_blas_thread_count():
         "import fbmdelay.experiments\n"
         "cfg = DeskConfig(steps=4096, warmup=1.0)\n"
         "fbmdelay.experiments._CHUNK_BYTES = 25 * 8 * cfg.grid().cell_count\n"
+        "assert fbmdelay.experiments._CHUNK_BYTES <= fbmdelay.experiments._CHUNK_CAP_BYTES\n"
         "print(repr(cauchy_decay_study('fbm:0.75', hurst_constant(0.6), range(3, 6), 40, 3, config=cfg)))\n"
         "print(repr(continuity_study('fbm:0.75', [0.75, 0.51], 40, 3, config=cfg, proj_level=4)))\n")
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -340,7 +346,11 @@ def test_drivers_are_identical_for_any_blas_thread_count():
 
 
 def _chunk_bytes(rows, config=SMALL):
-    """The _CHUNK_BYTES that makes _replicate draw chunks of rows replications on config's grid, at WORKERS = 1."""
+    """The _CHUNK_BYTES that makes _replicate draw chunks of rows replications on config's grid, at WORKERS = 1.
+
+    rows must be within _CHUNK_CAP_BYTES, which would otherwise shrink the chunks unseen.
+    """
+    assert rows * 8 * config.grid().cell_count <= fbmdelay.experiments._CHUNK_CAP_BYTES, (rows, config)
     return rows * 8 * config.grid().cell_count
 
 
@@ -378,6 +388,76 @@ def test_drivers_are_identical_for_a_random_chunk_size(chunk):
     """Any chunk size in [1, reps] gives the one-chunk result of every driver, checksums included."""
     for got, want in zip(_every_driver(chunk, CHUNK_REPS), _every_driver_in_one_chunk()):
         assert got == want
+
+
+DESK_REPS = 512  # the benchmark's replications per op
+
+# the benchmark's Monte Carlo op shapes at desk scale (perfbench/workloads.py)
+DESK_OPS = {
+    **{f"continuity {spec}": functools.partial(continuity_study, spec, (0.7, 0.6, 0.55, 0.51), DESK_REPS, 21)
+       for spec in ("det:const:1.0", "fbm:0.75", "pp:bm:8")},
+    "decay bm h=0.75": functools.partial(cauchy_decay_study, "bm", H75, range(4, 11), DESK_REPS, 22),
+    "decay fbm:0.75 h=0.6": functools.partial(cauchy_decay_study, "fbm:0.75", hurst_constant(0.6), range(4, 11),
+                                              DESK_REPS, 22),
+    **{f"dr_moments h={h}": functools.partial(verify_dr_moments, hurst_constant(h), 1.0, DESK_REPS, 23)
+       for h in (0.55, 0.75, 0.9)},
+    "fbm_law h=0.75": functools.partial(fbm_law_check, H75, DESK_REPS, 24),
+}
+
+
+def _desk_chunks(rows, workers):
+    """Every desk op's result (repr) with chunks of rows replications on workers threads."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fbmdelay.experiments, "WORKERS", workers)
+        mp.setattr(fbmdelay.experiments, "_CHUNK_CAP_BYTES", rows * 8 * DeskConfig().grid().cell_count)
+        return {name: repr(op()) for name, op in DESK_OPS.items()}
+
+
+def test_desk_ops_are_identical_for_32_and_64_row_chunks_and_1_or_2_workers():
+    """The benchmark's op shapes give the same bytes at 32- and 64-row desk chunks, on 1 or 2 threads."""
+    want = _desk_chunks(64, 2)  # the chunks of 2 CPUs before chunks were capped at 32 rows
+    for rows, workers in ((64, 1), (32, 1), (32, 2)):
+        got = _desk_chunks(rows, workers)
+        assert [name for name in want if got[name] != want[name]] == [], (rows, workers)
+
+
+@pytest.mark.parametrize("name, op, reps", [
+    ("decay", functools.partial(cauchy_decay_study, "fbm:0.75", hurst_constant(0.6), range(4, 11)), 64),
+    ("continuity", functools.partial(continuity_study, "fbm:0.75", (0.7, 0.6, 0.55, 0.51)), 64),
+    ("dr_moments", functools.partial(verify_dr_moments, hurst_constant(0.55), 1.0), 128),
+])
+def test_a_desk_chunk_allocates_at_most_three_times_its_noise(monkeypatch, name, op, reps):
+    """From its draw to its return, a default desk chunk's traced peak beyond its noise is at most 3x the noise.
+
+    Each chunk runs inline (WORKERS = 1), so its peak is read from its draw to
+    the next draw, or to the end of the run.  A first run fills the caches.
+    At 32 rows the factors are 2.4 (decay), 1.9 (continuity, 4 h) and 2.7
+    (DR_H moments, which draw only up to the origin).
+    """
+    monkeypatch.setattr(fbmdelay.experiments, "WORKERS", 1)
+    real_draw, marks = fbmdelay.experiments.generate_noise_batch, []
+
+    def draw(*args, **kwargs):
+        current, peak = tracemalloc.get_traced_memory()
+        if marks:
+            marks[-1][1] = peak
+        tracemalloc.reset_peak()
+        nb = real_draw(*args, **kwargs)
+        marks.append([current, None, nb.increments.nbytes, nb.replications])
+        return nb
+
+    monkeypatch.setattr(fbmdelay.experiments, "generate_noise_batch", draw)
+    op(reps, 3)
+    marks.clear()
+    tracemalloc.start()
+    try:
+        op(reps, 3)
+        marks[-1][1] = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [rows for *_, rows in marks] == [32] * (reps // 32)
+    factors = [(peak - current - noise) / noise for current, peak, noise, _ in marks]
+    assert max(factors) <= 3.0, (name, factors)
 
 
 def test_common_random_numbers_across_hurst_lists():
