@@ -135,11 +135,10 @@ NEGATIVE_LEVELS = [
 
 
 # a reversed pair is no level at all, and an equal pair is one
+_TWO_LEVELS = "--levels needs two or more levels, as coarse:fine with coarse < fine"
 FEWER_THAN_TWO_LEVELS = [
-    (["decay", "--levels=3:1", "--out", "x.csv"], "--levels needs two or more levels, as coarse:fine with "
-                                                  "coarse < fine (got [])"),
-    (["decay", "--levels=4:4", "--out", "x.csv"], "--levels needs two or more levels, as coarse:fine with "
-                                                  "coarse < fine (got [4])"),
+    (["decay", "--levels=3:1", "--out", "x.csv"], f"{_TWO_LEVELS} (got [])"),
+    (["decay", "--levels=4:4", "--out", "x.csv"], f"{_TWO_LEVELS} (got [4])"),
 ]
 
 
