@@ -112,6 +112,9 @@ WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 
 #: chunks held ~15 MB more at peak; grids with rows past the cap still run on WORKERS threads.
 _CHUNK_BYTES = 128 * 8_724 * 8
 _CHUNK_CAP_BYTES = 32 * 8_724 * 8
+#: what a chunk allocates beyond its noise, at most, in multiples of it: a desk chunk takes 1.9-2.7
+#: (test_a_desk_chunk_allocates_at_most_three_times_its_noise)
+_FIELD_FACTOR = 3
 
 
 @dataclass(frozen=True)
@@ -131,6 +134,33 @@ def _mc(values: np.ndarray, seed: int, budget: float) -> MCResult:
                     replications=n, seed=seed, truncation_budget=budget)
 
 
+def _memory_available() -> int | None:
+    """Bytes this process may still take: MemAvailable, capped by the cgroup v2 memory.max; None if neither reads."""
+    free = []
+    try:
+        with open("/proc/meminfo") as fh:
+            free += [int(line.split()[1]) * 1024 for line in fh if line.startswith("MemAvailable:")]
+    except (OSError, ValueError, IndexError):
+        pass
+    try:
+        with open("/sys/fs/cgroup/memory.max") as fh:
+            free.append(int(fh.read()))  # "max" where the cgroup sets no limit
+    except (OSError, ValueError):
+        pass
+    return min(free, default=None)
+
+
+def _check_memory(grid: SimulationGrid) -> None:
+    """Refuse a grid whose rows in flight in _replicate, with their fields, exceed the memory available."""
+    rows = max(1, _CHUNK_BYTES // (8 * grid.cell_count))
+    need, free = rows * 8 * grid.cell_count * (1 + _FIELD_FACTOR), _memory_available()
+    if free is not None and need > free:
+        raise ValueError(
+            f"--steps {grid.main_steps} with --warmup {grid.warmup_length:.4g} needs {need / 2 ** 30:,.2f} GiB "
+            f"for {rows} row(s) of noise and their fields, but {free / 2 ** 30:,.2f} GiB are available; "
+            "lower --steps or --warmup")
+
+
 def _replicate(seed: int, grid: SimulationGrid, reps: int, per_chunk, cells: int | None = None) -> tuple:
     """Run per_chunk over replications 0..reps-1 in chunks, up to WORKERS chunks at once.
 
@@ -147,8 +177,10 @@ def _replicate(seed: int, grid: SimulationGrid, reps: int, per_chunk, cells: int
     not started are cancelled and the exception reaches the caller.  cells
     draws only each row's first cells, where per_chunk reads no further (see
     generate_noise_batch): the chunks are still sized from full rows, so they
-    and the memory they hold stay as they are.
+    and the memory they hold stay as they are.  A grid too large for the
+    memory available is refused before any draw (_check_memory).
     """
+    _check_memory(grid)
     rows = max(1, _CHUNK_BYTES // (8 * grid.cell_count))  # rows in flight
     chunk = max(1, min(rows // WORKERS, _CHUNK_CAP_BYTES // (8 * grid.cell_count)))
     rounds = -(-reps // (chunk * WORKERS))
@@ -237,6 +269,7 @@ def verify_dr_moments(hp: HurstParameter, span: float, reps: int, seed: int,
     if span != config.horizon:
         raise ValueError(f"span {span} is not the config horizon {config.horizon}")
     grid = config.grid()
+    _check_memory(grid)  # before the quadrature's arrays of the grid's size
     m0 = grid.origin_index
     eval_idx, quad_w = _energy_quadrature(grid, hp)
 
@@ -408,6 +441,7 @@ def _integration_plan(gamma: Integrand, grid: SimulationGrid, level: int, flag: 
     bring their own grid; any other integrand is projected on the dyadic
     grid of the given level, which the option flag set (None: no option).
     """
+    _check_start(grid, gamma)
     if isinstance(gamma, DeterministicIntegrand):
         return gamma, SegmentGrid.dyadic(grid.horizon, 0)
     if isinstance(gamma, PiecewisePredictableIntegrand):
@@ -443,6 +477,21 @@ def _check_segments(grid: SimulationGrid, gamma: PiecewisePredictableIntegrand) 
             f"divides {grid.main_steps // MIN_CELLS_PER_SEGMENT}") from None
 
 
+def _check_start(grid: SimulationGrid, gamma: Integrand) -> None:
+    """Refuse an rl integrand, alone or frozen on segments, whose start is not a lattice point."""
+    inner = gamma
+    while isinstance(inner, PiecewisePredictableIntegrand):
+        inner = inner.inner
+    if isinstance(inner, RlFbmIntegrand):
+        try:
+            grid.index_of(inner.start)
+        except ValueError:
+            raise ValueError(
+                f"--integrand {gamma.spec_string()!r} starts at t={inner.start!r}, off the lattice of --steps "
+                f"{grid.main_steps}; take a start that is a multiple of {grid.step!r} from "
+                f"{grid.uniform_start!r} to {grid.horizon!r}") from None
+
+
 @functools.lru_cache(maxsize=16)
 def _closed_x_norm(spec: str, grid: SimulationGrid) -> float | None:
     """closed_form_x_norm of the integrand that spec parses to on grid: one sum per spec and grid."""
@@ -476,7 +525,8 @@ def continuity_study(gamma: Integrand | str, hursts, reps: int, seed: int,
         if hp.is_brownian:
             raise ValueError("the baseline h = 1/2 is implicit; pass only h > 1/2 values")
     half = hurst_constant(HALF)
-    # refuse a grid the lattice cannot carry before any draw
+    # refuse a grid the lattice or the memory cannot carry before any draw
+    _check_memory(grid)
     m0, end = grid.origin_index, int(_segment_lattice_indices(grid, seg)[-1])
     kernel = history_kernel(grid, hps)
 
@@ -537,6 +587,7 @@ def cauchy_decay_study(gamma: Integrand | str, hp: HurstParameter, levels, reps:
     grid = config.grid()
     if isinstance(gamma, str):
         gamma = parse_integrand(gamma, horizon=grid.horizon)
+    _check_start(grid, gamma)
     levels = sorted(int(n) for n in levels)
     if len(levels) < 2 or any(b - a != 1 for a, b in zip(levels[:-1], levels[1:])):
         raise ValueError(f"--levels needs two or more levels, as coarse:fine with coarse < fine (got {levels})")
@@ -556,21 +607,18 @@ def cauchy_decay_study(gamma: Integrand | str, hp: HurstParameter, levels, reps:
 
     def per_chunk(nb):
         incs = nb.increments
-        if hp.is_brownian:  # value is the Ito sum and cross is 0
-            d_bh, d_main = incs[..., m0:end], None
-        else:
-            d_tail, d_bh = (field[0] for field in noise_transforms(grid, incs, (hp,), end))
-            d_main = d_bh - d_tail
+        # dB at h = 1/2, where value is the Ito sum and cross is 0; else d_tail and d_main
+        fields = [incs[..., m0:end]] if hp.is_brownian else [f[0] for f in noise_transforms(grid, incs, (hp,), end)]
         gaps = []
         for m, step in zip(pair_levels, gamma.level_steps(grid, incs, levels)):
             # the parts are linear in gamma: each gap is one inner product with the level step,
             # which lives on the second halves of the level-m segments, the odd level-(m+1) ones
-            gaps.append(np.abs(np.einsum("...kh,...kh->...", step, second_halves(d_bh, m))))
-            if d_main is None:
-                gaps.append(np.zeros(nb.replications))
-            else:  # cross = value - tail - ito on the level-(m+1) grid
-                cross = second_halves(d_main, m) - second_half_ito(grid, incs, hp, m)
-                gaps.append(np.abs(np.einsum("...kh,...kh->...", step, cross)))
+            sums = [np.einsum("...kh,...kh->...", step, second_halves(f, m)) for f in fields]
+            if hp.is_brownian:
+                gaps += [np.abs(sums[0]), np.zeros(nb.replications)]
+            else:  # value = tail + main and cross = main - ito on the level-(m+1) grid
+                ito = np.einsum("...kh,...kh->...", step, second_half_ito(grid, incs, hp, m))
+                gaps += [np.abs(sums[0] + sums[1]), np.abs(sums[1] - ito)]
         return tuple(gaps)
 
     gaps = _replicate(seed, grid, reps, per_chunk)

@@ -15,8 +15,9 @@ dot product of gamma with an increment field of the noise, h and the grid:
   the cell-averaged G_H weights, restarted at every segment start
   (`block_conv`): a left-point scheme, measurable at the segment start;
 * tail = sum gamma d_tail, the increments of the warmup history (cells
-  before the origin), and cross = value - ito - tail, the history
-  accumulated since the origin before each segment starts.
+  before the origin), and main = sum gamma d_main, those of the synthesis
+  on the cells from the origin on: value = tail + main, and cross = main -
+  ito, the history accumulated since the origin before each segment starts.
 
 The parts are linear in gamma.  The decay study therefore reads a pair of
 dyadic levels from the level step alone, which lives on the odd segments
@@ -66,14 +67,14 @@ def _segment_lattice_indices(grid: SimulationGrid, seg: SegmentGrid) -> np.ndarr
 
 
 def noise_transforms(grid: SimulationGrid, incs: np.ndarray, hps, end: int):
-    """(d_tail, d_bh): the history increment fields of every assembly on this noise, per h.
+    """(d_tail, d_main): the history increment fields of every assembly on this noise, per h.
 
     For each h in hps, on the fine cells origin..end - 1, the lattice
     increments of the warmup history (cells before the origin) and of the
-    whole synthesis B_H, stacked as (len(hps), ..., end - origin).  Both
-    depend only on (noise, h, end).  One stacked convolution covers the
-    warmup window and one the main window, so each window is transformed
-    forward once for all h; field q is byte for byte that of hps[q] alone.
+    synthesis on the main window, stacked as (len(hps), ..., end - origin);
+    their sum is dB_H.  One stacked convolution covers each window, so each
+    is transformed forward once for all h; field q is byte for byte that of
+    hps[q] alone, and depends only on (noise, h, end).
     The fields vanish at h = 1/2: (None, None) when every h is 1/2, and a
     list mixing h = 1/2 with h > 1/2 is refused (see noise.history_kernel).
     """
@@ -81,10 +82,8 @@ def noise_transforms(grid: SimulationGrid, incs: np.ndarray, hps, end: int):
     if kernel is None:
         return None, None
     m0 = grid.origin_index
-    tail = past_conv(incs, grid, kernel, m0, (m0, end + 1))
-    d_tail = np.diff(tail, axis=-1)
-    tail += history_conv(incs, kernel.table, (m0, end), (m0, end + 1))  # the whole synthesis B_H
-    return d_tail, np.diff(tail, axis=-1)
+    d_tail = np.diff(past_conv(incs, grid, kernel, m0, (m0, end + 1)), axis=-1)
+    return d_tail, np.diff(history_conv(incs, kernel.table, (m0, end), (m0, end + 1)), axis=-1)
 
 
 def _ito_table(grid: SimulationGrid, hp: HurstParameter, lags: int) -> np.ndarray:
@@ -134,10 +133,8 @@ def delayed_parts_for_cells(gamma_cells: np.ndarray, seg: SegmentGrid, batch: No
     ito = _dot(gamma_cells, block_conv(incs[..., m0:end], _ito_table(grid, hp, end - m0), seg_idx - m0))
     if transforms is None:
         transforms = noise_transforms(grid, incs, (hp,), end)
-    d_tail, d_bh = (field[0] for field in transforms)
-    value = _dot(gamma_cells, d_bh)
-    tail = _dot(gamma_cells, d_tail)
-    return value, ito, tail, value - ito - tail
+    tail, main = (_dot(gamma_cells, field[0]) for field in transforms)
+    return tail + main, ito, tail, main - ito
 
 
 def delayed_integral_batch(gamma: Integrand, seg: SegmentGrid, batch: NoiseBatch,

@@ -263,17 +263,18 @@ def decay_gaps_per_level(gamma: Integrand, hp: HurstParameter, levels, nb: Noise
     Returns (|v1 - v0|, |c1 - c0|) per replication for each level pair
     (m, m + 1), both levels integrated on the level-(m + 1) grid, followed
     by the same number of scales: per gap and replication, the sum of
-    |terms| of the two row sums it differences (|gamma| times |d_bh| for
-    v, times |d_bh| + |d_tail| + |dW| for c).  At h = 1/2 d_bh is dB and
-    cross is 0, with scale 0.
+    |terms| of the two row sums it differences (|gamma| times |d_tail| +
+    |d_main| for v, times |d_main| + |dW| for c).  At h = 1/2 v's field is
+    dB and cross is 0, with scale 0.
     """
     grid, incs = nb.grid, nb.increments
     m0, end = grid.origin_index, grid.origin_index + grid.main_steps
     pre = noise_transforms(grid, incs, (hp,), end)
     if hp.is_brownian:
-        d_bh = np.abs(incs[..., m0:end])
+        d_value = np.abs(incs[..., m0:end])
     else:
-        d_tail, d_bh = (np.abs(field[0]) for field in pre)
+        d_tail, d_main = (np.abs(field[0]) for field in pre)
+        d_value = d_tail + d_main
         d_table = np.diff(history_kernel(grid, (hp,)).table[0, :grid.main_steps + 1])
     cells = {n: dyadic_projection(gamma, n, grid).values_on_cells(grid, incs) for n in levels}
     gaps, scales = [], []
@@ -284,10 +285,10 @@ def decay_gaps_per_level(gamma: Integrand, hp: HurstParameter, levels, nb: Noise
         gaps += [np.abs(v1 - v0), np.abs(c1 - c0)]
         both = np.abs(cells[m]) + np.abs(cells[m + 1])
         if hp.is_brownian:
-            scales += [np.sum(both * d_bh, axis=-1), np.zeros(both.shape[:-1])]
+            scales += [np.sum(both * d_value, axis=-1), np.zeros(both.shape[:-1])]
             continue
         d_w = np.abs(block_conv(incs[..., m0:end], d_table, grid.index_of(seg.breakpoints) - m0))
-        scales += [np.sum(both * d_bh, axis=-1), np.sum(both * (d_bh + d_tail + d_w), axis=-1)]
+        scales += [np.sum(both * d_value, axis=-1), np.sum(both * (d_main + d_w), axis=-1)]
     return (*gaps, *scales)
 
 

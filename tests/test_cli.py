@@ -1,6 +1,7 @@
 """CLI: dispatch, validation messages, manifests, and replay determinism."""
 
 import dataclasses
+import io
 import json
 import os
 import subprocess
@@ -141,6 +142,19 @@ FEWER_THAN_TWO_LEVELS = [
     (["decay", "--levels=4:4", "--out", "x.csv"], f"{_TWO_LEVELS} (got [4])"),
 ]
 
+# an rl start off the lattice, alone or inside a step integrand
+_OFF_START = "starts at t=0.3, off the lattice of --steps"
+OFF_LATTICE_STARTS = [
+    (["integrate", "--integrand", "rl:0.7:0.3", "--steps", "256", "--level", "2", "--out", "x.json"],
+     f"--integrand 'rl:0.7:0.3' {_OFF_START} 256"),
+    (["integrate", "--integrand", "pp:rl:0.7:0.3:8", "--steps", "256", "--out", "x.json"],
+     f"--integrand 'pp:rl:0.7:0.3:8' {_OFF_START} 256"),
+    (["continuity", "--integrand", "rl:0.7:0.3", "--steps", "1024", "--out", "x.csv"],
+     f"--integrand 'rl:0.7:0.3' {_OFF_START} 1024"),
+    (["decay", "--integrand", "rl:0.7:0.3", "--steps", "256", "--levels", "2:3", "--out", "x.csv"],
+     f"--integrand 'rl:0.7:0.3' {_OFF_START} 256"),
+]
+
 
 @pytest.mark.parametrize("argv,fragment", [
     (["integrate", "--integrand", "gauss", "--out", "x.json"], "integrand spec"),
@@ -178,6 +192,7 @@ FEWER_THAN_TWO_LEVELS = [
     # a negative dyadic level, coarsest or only (argparse reads a bare -1:3 as an option)
     *NEGATIVE_LEVELS,
     *FEWER_THAN_TWO_LEVELS,
+    *OFF_LATTICE_STARTS,
 ])
 def test_validation_failures_are_one_line_and_nonzero(tmp_path, capsys, argv, fragment):
     os.chdir(tmp_path)
@@ -229,6 +244,76 @@ def test_fewer_than_two_levels_are_refused_naming_levels_before_any_draw(tmp_pat
     code, _, err = _run(argv, capsys)
     assert code == 2 and err == f"fbmdelay: error: {fragment}\n"
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv,fragment", OFF_LATTICE_STARTS)
+def test_an_rl_start_off_the_lattice_is_refused_before_any_draw(tmp_path, capsys, monkeypatch, argv, fragment):
+    os.chdir(tmp_path)
+    draws = []
+    monkeypatch.setattr(fbmdelay.experiments, "generate_noise_batch", lambda *args, **kwargs: draws.append(args))
+    code, _, err = _run(argv, capsys)
+    assert code == 2 and err.startswith(f"fbmdelay: error: {fragment}; take a start") and err.count("\n") == 1
+    assert draws == [] and not list(tmp_path.iterdir())
+
+
+def test_an_rl_start_on_the_lattice_runs(tmp_path, capsys):
+    for argv in (["integrate", "--integrand", "rl:0.7:0.25", "--steps", "256", "--level", "2"],
+                 ["decay", "--integrand", "rl:0.7:0.25", "--steps", "256", "--levels", "2:3", "--reps", "8"]):
+        assert _run([*argv, "--out", str(tmp_path / "x")], capsys)[0] == 0
+
+
+COMMAND_ARGVS = {  # each command on the 128-step grid, with what it needs to run
+    "simulate": [], "integrate": [], "verify-moments": ["--reps", "100"], "continuity": ["--integrand", "pp:bm:8"],
+    "nonconv": [], "decay": ["--levels", "2:3"],
+}
+
+
+@pytest.mark.parametrize("command", COMMAND_ARGVS)
+def test_a_grid_too_large_for_the_memory_available_is_refused_before_any_draw(tmp_path, capsys, monkeypatch,
+                                                                              command):
+    """With 1 MiB available, the 128 desk rows in flight and their fields are refused: one line, no draw, no kernel."""
+    os.chdir(tmp_path)
+    draws = []
+    monkeypatch.setattr(fbmdelay.experiments, "_memory_available", lambda: 2 ** 20)
+    monkeypatch.setattr(fbmdelay.experiments, "generate_noise_batch", lambda *args, **kwargs: draws.append(args))
+    monkeypatch.setattr(fbmdelay.noise, "_build_kernel", None)  # a kernel build would raise TypeError
+    code, _, err = _run([command, *FAST, *COMMAND_ARGVS[command], "--out", "x.out"], capsys)
+    assert code == 2 and err.count("\n") == 1, err
+    assert err.startswith("fbmdelay: error: --steps 128 with --warmup 1 needs ") and "lower --steps or --warmup" in err
+    assert draws == [] and not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", COMMAND_ARGVS)
+def test_a_grid_of_2_to_the_40_steps_is_refused_from_the_memory_this_machine_has(tmp_path, capsys, command):
+    """Each command refuses --steps 2^40 (64 TiB of noise and fields) in one line: no numpy MemoryError traceback."""
+    if fbmdelay.experiments._memory_available() is None:
+        pytest.skip("neither /proc/meminfo nor the cgroup's memory.max can be read here")
+    os.chdir(tmp_path)
+    code, _, err = _run([command, "--steps", str(2 ** 40), *COMMAND_ARGVS[command], "--out", "x.out"], capsys)
+    assert code == 2 and err.count("\n") == 1 and "lower --steps or --warmup" in err, err
+    assert not list(tmp_path.iterdir())
+
+
+def test_memory_available_reads_meminfo_and_the_cgroup_limit(monkeypatch):
+    """The smaller of MemAvailable and a numeric memory.max; "max" and a missing file set no limit."""
+    files = {}
+
+    def fake_open(path, *args, **kwargs):
+        if path not in files:
+            raise FileNotFoundError(path)
+        return io.StringIO(files[path])
+
+    monkeypatch.setattr(fbmdelay.experiments, "open", fake_open, raising=False)
+    read = fbmdelay.experiments._memory_available
+    assert read() is None
+    files["/proc/meminfo"] = "MemTotal:       8000000 kB\nMemAvailable:    2048 kB\nSwapTotal: 0 kB\n"
+    assert read() == 2048 * 1024
+    files["/sys/fs/cgroup/memory.max"] = "max\n"
+    assert read() == 2048 * 1024
+    files["/sys/fs/cgroup/memory.max"] = "1048576\n"
+    assert read() == 2 ** 20
+    del files["/proc/meminfo"]
+    assert read() == 2 ** 20
 
 
 def _run_module(argv, cwd):

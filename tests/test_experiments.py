@@ -460,6 +460,34 @@ def test_a_desk_chunk_allocates_at_most_three_times_its_noise(monkeypatch, name,
     assert max(factors) <= 3.0, (name, factors)
 
 
+@pytest.mark.parametrize("spec, h", [("bm", 0.75), ("fbm:0.75", 0.6)])
+def test_a_desk_decay_chunk_holds_no_difference_field(monkeypatch, spec, h):
+    """One 32-row desk decay chunk peaks at 4.5 fields of its main window or less, beyond its noise.
+
+    The study reads each gap from row sums against d_tail, d_main and the
+    pair's ito field, so it forms neither d_bh - d_tail nor a cross field
+    per pair: its traced peak reads 3.8 fields, where one more full-size
+    difference field read 5.1.  A first call fills the caches.
+    """
+    grid, peaks = DeskConfig().grid(), []
+
+    def one_chunk(seed, grid, reps, per_chunk, cells=None):
+        nb = generate_noise_batch(seed, grid, 32)
+        per_chunk(nb)
+        tracemalloc.start()
+        try:
+            current = tracemalloc.get_traced_memory()[0]
+            result = per_chunk(nb)
+            peaks.append(tracemalloc.get_traced_memory()[1] - current)
+        finally:
+            tracemalloc.stop()
+        return result
+
+    monkeypatch.setattr(fbmdelay.experiments, "_replicate", one_chunk)
+    cauchy_decay_study(spec, hurst_constant(h), range(4, 11), 32, 3)
+    assert len(peaks) == 1 and peaks[0] <= 4.5 * 8 * 32 * grid.main_steps, peaks[0] / (8 * 32 * grid.main_steps)
+
+
 def test_common_random_numbers_across_hurst_lists():
     """h = 0.51 gives bit-identical results alone and after another h in the list."""
     alone = continuity_study("fbm:0.75", [0.51], 150, 5, config=SMALL)

@@ -32,7 +32,10 @@ from fbmdelay.noise import (
     block_conv,
     fbm_values,
     generate_noise_batch,
+    history_conv,
+    history_kernel,
     make_grid,
+    past_conv,
 )
 import oracles
 from oracles import (decay_gaps_per_level, extension, ito_sum, one_segment_delayed, per_segment_parts,
@@ -276,6 +279,28 @@ def test_history_fields_vanish_at_the_brownian_value():
     assert noise_transforms(GRID, INCS, (H5, H5), end) == (None, None)
     with pytest.raises(ValueError, match="running sum"):
         noise_transforms(GRID, INCS, (H75, H5), end)
+
+
+@pytest.mark.parametrize("grid", [GRID, make_grid(1.0, 256, warmup=1e14)], ids=["uniform", "far"])
+def test_history_fields_sum_to_the_fbm_increments(grid):
+    """d_tail + d_main is np.diff of B_H on the same rows, to rounding of the convolutions they difference.
+
+    Per row the error stays within 1e-13 of the largest |past_conv| +
+    |history_conv| value that the fields are differences of (about 15 eps
+    is seen), for four h at once and for a window that ends before the
+    last cell.
+    """
+    incs = generate_noise_batch(8, grid, 6).increments
+    hps = [hurst_constant(h) for h in (0.51, 0.6, 0.75, 0.95)]
+    kernel = history_kernel(grid, hps)
+    m0, n = grid.origin_index, grid.cell_count
+    for end in (n, n - 64):
+        d_tail, d_main = noise_transforms(grid, incs, hps, end)
+        want = np.diff(fbm_values(incs, grid, hps), axis=-1)[..., :end - m0]
+        size = (np.abs(past_conv(incs, grid, kernel, m0, (m0, end + 1)))
+                + np.abs(history_conv(incs, kernel.table, (m0, end), (m0, end + 1)))).max(axis=-1)
+        assert d_tail.shape == d_main.shape == want.shape
+        assert np.all(np.abs(d_tail + d_main - want).max(axis=-1) <= 1e-13 * size), end
 
 
 @pytest.mark.parametrize("spec", ["det:const:1.0", "pp:bm:8", "fbm:0.75"])

@@ -445,7 +445,10 @@ def test_graded_history_recovers_the_variance():
 
 @pytest.mark.parametrize("rows", [1, 2, 5])
 def test_far_history_rows_do_not_depend_on_the_batch(rows):
-    """Every reader of the far cells gives a row the bytes it gets inside a larger batch, at any offset."""
+    """Every reader of the far cells gives a row the bytes it gets inside a larger batch, at any offset.
+
+    noise_transforms is read as its two fields stacked, d_tail and d_main.
+    """
     grid = make_grid(1.0, 256, warmup=1e14)
     incs = generate_noise_batch(17, grid, 9).increments
     m0, n = grid.origin_index, grid.cell_count
@@ -754,7 +757,7 @@ def test_transform_stages_hold_their_result_and_a_few_blocks():
     """On a 64-row desk chunk a stage's traced peak is its result plus STAGE_BLOCKS blocks of 2^16 points.
 
     noise_transforms may also hold one field of its results' size: the
-    history field, which it adds the main window to.  The stages are
+    undifferenced convolution whose np.diff it is making.  The stages are
     past_conv (B_H at h = 0.75), past_dot's Parseval path (4 h, weights
     nonzero everywhere), noise_transforms (h = 0.6) and dr_values (h =
     0.75).  At the old budget of 2^20 points every stage goes past the
