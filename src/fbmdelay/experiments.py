@@ -150,8 +150,8 @@ def _memory_available() -> int | None:
     return min(free, default=None)
 
 
-def _check_memory(grid: SimulationGrid) -> None:
-    """Refuse a grid whose rows in flight in _replicate, with their fields, exceed the memory available."""
+def _check_memory(grid: SimulationGrid) -> int:
+    """The rows of noise in flight in _replicate, refused where they and their fields exceed the memory available."""
     rows = max(1, _CHUNK_BYTES // (8 * grid.cell_count))
     need, free = rows * 8 * grid.cell_count * (1 + _FIELD_FACTOR), _memory_available()
     if free is not None and need > free:
@@ -159,6 +159,7 @@ def _check_memory(grid: SimulationGrid) -> None:
             f"--steps {grid.main_steps} with --warmup {grid.warmup_length:.4g} needs {need / 2 ** 30:,.2f} GiB "
             f"for {rows} row(s) of noise and their fields, but {free / 2 ** 30:,.2f} GiB are available; "
             "lower --steps or --warmup")
+    return rows
 
 
 def _replicate(seed: int, grid: SimulationGrid, reps: int, per_chunk, cells: int | None = None) -> tuple:
@@ -180,8 +181,7 @@ def _replicate(seed: int, grid: SimulationGrid, reps: int, per_chunk, cells: int
     and the memory they hold stay as they are.  A grid too large for the
     memory available is refused before any draw (_check_memory).
     """
-    _check_memory(grid)
-    rows = max(1, _CHUNK_BYTES // (8 * grid.cell_count))  # rows in flight
+    rows = _check_memory(grid)
     chunk = max(1, min(rows // WORKERS, _CHUNK_CAP_BYTES // (8 * grid.cell_count)))
     rounds = -(-reps // (chunk * WORKERS))
     n_chunks = min(reps, rounds * WORKERS)

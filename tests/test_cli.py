@@ -257,7 +257,9 @@ def test_an_rl_start_off_the_lattice_is_refused_before_any_draw(tmp_path, capsys
 
 
 def test_an_rl_start_on_the_lattice_runs(tmp_path, capsys):
+    """A start on the lattice, after the origin or before it, is not refused."""
     for argv in (["integrate", "--integrand", "rl:0.7:0.25", "--steps", "256", "--level", "2"],
+                 ["integrate", "--integrand", "rl:0.7:-0.25", "--steps", "256", "--level", "2"],
                  ["decay", "--integrand", "rl:0.7:0.25", "--steps", "256", "--levels", "2:3", "--reps", "8"]):
         assert _run([*argv, "--out", str(tmp_path / "x")], capsys)[0] == 0
 
@@ -271,7 +273,7 @@ COMMAND_ARGVS = {  # each command on the 128-step grid, with what it needs to ru
 @pytest.mark.parametrize("command", COMMAND_ARGVS)
 def test_a_grid_too_large_for_the_memory_available_is_refused_before_any_draw(tmp_path, capsys, monkeypatch,
                                                                               command):
-    """With 1 MiB available, the 128 desk rows in flight and their fields are refused: one line, no draw, no kernel."""
+    """With 1 MiB available, the rows in flight (8.9 MB of noise) and their fields are refused: one line, no draw."""
     os.chdir(tmp_path)
     draws = []
     monkeypatch.setattr(fbmdelay.experiments, "_memory_available", lambda: 2 ** 20)
