@@ -36,6 +36,9 @@ built) and the environment variables that set BLAS or OpenMP threads
 that environment, and a BLAS product may run threaded inside a chunk
 thread.
 
+`src_lines` records the line count of src/fbmdelay/*.py on each side, as
+`wc -l` counts it: the package's size, tracked in ROADMAP.md.
+
 `src_tree` records the git tree hash of src/ on each side.  A revision
 benchmarked before it was committed (say, a `git commit-tree` snapshot of
 the index) is linked to the commit that lands it by that hash:
@@ -79,6 +82,17 @@ def _src_sha256(root: str) -> str:
             with open(os.path.join(pkg, name), "rb") as fh:
                 h.update(name.encode() + b"\0" + fh.read())
     return h.hexdigest()
+
+
+def _src_lines(root: str) -> int:
+    """Lines of src/fbmdelay/*.py under root, as `wc -l` counts them (newlines)."""
+    pkg = os.path.join(root, "src", "fbmdelay")
+    total = 0
+    for name in os.listdir(pkg):
+        if name.endswith(".py"):
+            with open(os.path.join(pkg, name), "rb") as fh:
+                total += fh.read().count(b"\n")
+    return total
 
 
 def _run(root: str, workload: str, seed: int, seconds: float) -> dict:
@@ -215,6 +229,7 @@ def main(argv=None) -> int:
             workloads[workload] = {"pairs": pairs, "summary": {m["name"]: _summary(pairs, m) for m in e2e},
                                    "op_kind_p50_s": _op_kinds(pairs), "rusage": _rusage(pairs)}
         src = {side: _src_sha256(roots[side]) for side in roots}
+        lines = {side: _src_lines(roots[side]) for side in roots}
     trees = {side: subprocess.run(["git", "rev-parse", f"{commit}:src"], cwd=ROOT, check=True,
                                   capture_output=True, text=True).stdout.strip()
              for side, commit in commits.items()}
@@ -235,6 +250,7 @@ def main(argv=None) -> int:
         "cpu_model": _cpu_model(),
         "src_sha256": src,
         "src_tree": trees,
+        "src_lines": lines,
         "workloads": workloads,
         "note": ("quartiles are statistics.quantiles(method='inclusive'); clear_gain: the change won at "
                  "least 9 pairs in 10 and its median beats the parent's by more than the parent's IQR; "

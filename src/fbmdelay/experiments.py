@@ -6,8 +6,7 @@ Every driver follows the same discipline:
   identical driving noise (one Philox stream per replication, checksummed);
 * one runner, `_replicate`, draws the replications chunk by chunk and
   concatenates the per-replication results in stream order; they are
-  aggregated once, so output is independent of chunking and scheduling
-  (save where einsum sums a row alone in its block in another order);
+  aggregated once, so output is independent of chunking and scheduling;
 * that runner is the package's one level of parallelism: it runs the chunks
   on up to `WORKERS` threads (numpy, scipy's FFTs and the Philox draws
   release the GIL), each drawing its own noise and doing its own transforms
@@ -65,6 +64,7 @@ from .noise import (
     history_kernel,
     make_grid,
     past_dot,
+    row_dot,
 )
 
 __all__ = [
@@ -135,25 +135,31 @@ def _mc(values: np.ndarray, seed: int, budget: float) -> MCResult:
 
 
 def _memory_available() -> int | None:
-    """Bytes this process may still take: MemAvailable, capped by the cgroup v2 memory.max; None if neither reads."""
-    free = []
-    try:
-        with open("/proc/meminfo") as fh:
-            free += [int(line.split()[1]) * 1024 for line in fh if line.startswith("MemAvailable:")]
-    except (OSError, ValueError, IndexError):
-        pass
-    try:
-        with open("/sys/fs/cgroup/memory.max") as fh:
-            free.append(int(fh.read()))  # "max" where the cgroup sets no limit
-    except (OSError, ValueError):
-        pass
-    return min(free, default=None)
+    """Bytes this process may still take: the least of MemAvailable, the cgroup's memory limit (v2 memory.max
+    or v1 memory.limit_in_bytes) and the soft RLIMIT_AS less VmSize, each where it reads as a number; None if
+    none does.
+    """
+    def read(path, key="", field=0, scale=1):  # the field of the first line that starts with key, as an int
+        try:
+            with open(path) as fh:
+                return next(int(line.split()[field]) * scale for line in fh if line.startswith(key))
+        except (OSError, ValueError, IndexError, StopIteration):
+            return None
+
+    limit, size = read("/proc/self/limits", "Max address space", 3), read("/proc/self/status", "VmSize:", 1, 1024)
+    free = [read("/proc/meminfo", "MemAvailable:", 1, 1024), read("/sys/fs/cgroup/memory.max"),
+            read("/sys/fs/cgroup/memory/memory.limit_in_bytes"), None if None in (limit, size) else limit - size]
+    return min((f for f in free if f is not None), default=None)
 
 
-def _check_memory(grid: SimulationGrid) -> int:
-    """The rows of noise in flight in _replicate, refused where they and their fields exceed the memory available."""
+def _check_memory(grid: SimulationGrid, cells: int | None = None) -> int:
+    """The rows of noise in flight in _replicate, refused where they and their fields exceed the memory available.
+
+    A row holds its first cells cells (default: all of them), as _replicate draws it.
+    """
     rows = max(1, _CHUNK_BYTES // (8 * grid.cell_count))
-    need, free = rows * 8 * grid.cell_count * (1 + _FIELD_FACTOR), _memory_available()
+    need = rows * 8 * (grid.cell_count if cells is None else cells) * (1 + _FIELD_FACTOR)
+    free = _memory_available()
     if free is not None and need > free:
         raise ValueError(
             f"--steps {grid.main_steps} with --warmup {grid.warmup_length:.4g} needs {need / 2 ** 30:,.2f} GiB "
@@ -178,10 +184,10 @@ def _replicate(seed: int, grid: SimulationGrid, reps: int, per_chunk, cells: int
     not started are cancelled and the exception reaches the caller.  cells
     draws only each row's first cells, where per_chunk reads no further (see
     generate_noise_batch): the chunks are still sized from full rows, so they
-    and the memory they hold stay as they are.  A grid too large for the
-    memory available is refused before any draw (_check_memory).
+    stay as they are.  A grid whose rows in flight, as drawn, are too large
+    for the memory available is refused before any draw (_check_memory).
     """
-    rows = _check_memory(grid)
+    rows = _check_memory(grid, cells)
     chunk = max(1, min(rows // WORKERS, _CHUNK_CAP_BYTES // (8 * grid.cell_count)))
     rounds = -(-reps // (chunk * WORKERS))
     n_chunks = min(reps, rounds * WORKERS)
@@ -269,13 +275,12 @@ def verify_dr_moments(hp: HurstParameter, span: float, reps: int, seed: int,
     if span != config.horizon:
         raise ValueError(f"span {span} is not the config horizon {config.horizon}")
     grid = config.grid()
-    _check_memory(grid)  # before the quadrature's arrays of the grid's size
+    _check_memory(grid, grid.origin_index)  # before the quadrature's arrays of the grid's size
     m0 = grid.origin_index
     eval_idx, quad_w = _energy_quadrature(grid, hp)
 
     def per_chunk(nb):
         drv = dr_values(nb.increments, grid, hp, m0)  # lattice j = m0+1 .. cell_count = eval_idx
-        # a row-wise sum, not a matrix product: BLAS rounding depends on the row count
         return drv[:, -1] ** 2, np.sum(drv ** 2 * quad_w, axis=-1)
 
     # DR_H reads no cell from the origin on: draw the history only
@@ -297,12 +302,10 @@ def fbm_law_check(hp: HurstParameter, reps: int, seed: int, config: DeskConfig =
     """MC Var B_H(1) and Cov(B_H(1), B_H(1/2)) with exact discrete-expectation budgets."""
     grid = config.grid()
     m0, n = grid.origin_index, grid.main_steps
-    # B_H(t) = sum_i w_i dB_i: two row-wise sums, not a path (einsum, not BLAS, whose rounding
-    # depends on the row count)
     weights = np.stack([fbm_weight_vector(grid, hp, m0 + n), fbm_weight_vector(grid, hp, m0 + n // 2)])
 
     def per_chunk(nb):
-        end, mid = np.einsum("ri,ki->kr", nb.increments, weights)
+        end, mid = row_dot("ri,ki->kr", nb.increments, weights)
         return end ** 2, end * mid
 
     var_s, cov_s = _replicate(seed, grid, reps, per_chunk)
@@ -613,11 +616,11 @@ def cauchy_decay_study(gamma: Integrand | str, hp: HurstParameter, levels, reps:
         for m, step in zip(pair_levels, gamma.level_steps(grid, incs, levels)):
             # the parts are linear in gamma: each gap is one inner product with the level step,
             # which lives on the second halves of the level-m segments, the odd level-(m+1) ones
-            sums = [np.einsum("...kh,...kh->...", step, second_halves(f, m)) for f in fields]
+            sums = [row_dot("...kh,...kh->...", step, second_halves(f, m)) for f in fields]
             if hp.is_brownian:
                 gaps += [np.abs(sums[0]), np.zeros(nb.replications)]
             else:  # value = tail + main and cross = main - ito on the level-(m+1) grid
-                ito = np.einsum("...kh,...kh->...", step, second_half_ito(grid, incs, hp, m))
+                ito = row_dot("...kh,...kh->...", step, second_half_ito(grid, incs, hp, m))
                 gaps += [np.abs(sums[0] + sums[1]), np.abs(sums[1] - ito)]
         return tuple(gaps)
 

@@ -42,9 +42,9 @@ Hurst values this way.
 Everything here runs on the calling thread: the drivers run whole chunks
 of replications on threads instead (`experiments._replicate`), and each
 chunk's draw and transforms are serial.  Each row is drawn from its own
-stream and transformed as one 1-D FFT, and the far products sum each row in
-one fixed order, so the output bytes do not depend on the row blocks, the
-batch or the number of kernels.
+stream and transformed as one 1-D FFT, and every sum over a row is a
+`row_dot`, so the output bytes do not depend on the row blocks, the batch
+or the number of kernels.
 
 Measurability is structural: any quantity conditioned on time tau is
 computed from increments in cells ending at or before tau, enforced by
@@ -75,6 +75,7 @@ __all__ = [
     "history_kernel",
     "past_conv",
     "past_dot",
+    "row_dot",
     "process_values",
     "dr_pointwise_closed_form",
     "dr_energy_closed_form",
@@ -93,6 +94,7 @@ _FFT_BLOCK_POINTS = 2 ** 16
 
 #: block_conv and half_cross_conv take a Toeplitz product up to this block length, an FFT beyond
 _TOEPLITZ_MAX = 256
+_DOT_TILE = 4096  # row_dot's tile: within one 8,192-element einsum buffer
 
 #: the history is cells of one step for this many horizons before the origin (D = T) ...
 NEAR_WINDOW = 1
@@ -129,6 +131,8 @@ class SimulationGrid:
         if not 0 <= self.far_cells < self.cell_count:
             raise ValueError("need 0 <= far_cells < cell_count")
         if self.far_cells:
+            if abs(self.horizon - self.step * round(self.horizon / self.step)) > _LATTICE_RTOL * self.horizon:
+                raise ValueError("the horizon must be a whole number of steps from the origin")
             start = self.uniform_start * FAR_RATIO ** self.far_cells
             if not self.uniform_start < 0.0 or abs(self.warmup_start - start) > _LATTICE_RTOL * -start:
                 raise ValueError("far cells must widen by FAR_RATIO from uniform_start to warmup_start")
@@ -319,6 +323,26 @@ def _row_blocks(rows: int, points: int):
     return (slice(r, r + size) for r in range(0, rows, size))
 
 
+def row_dot(spec: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.einsum(spec, a, b), each output summed in tiles of at most _DOT_TILE terms, added in tile order.
+
+    The one reduction over a row.  einsum sums a tile in one inner loop, never in BLAS, so an output's bytes
+    depend neither on the rows, blocks or kernels beside it nor on the CPU count.  The first summed index is
+    tiled, the others taken whole (entry by entry where they exceed a tile); each is in both operands.
+    """
+    sa, sb, out = spec.replace("->", ",").split(",")
+    axis = lambda sub, op, d: sub.index(d) - (len(sub) - op.ndim) * ("..." in sub[:sub.index(d)])  # noqa: E731
+    c, *others = [d for d in sa if d.isalpha() and d not in out]
+    ax, bx, rest = axis(sa, a, c), axis(sb, b, c), math.prod(a.shape[axis(sa, a, d)] for d in others)
+    n, tile = a.shape[ax], max(_DOT_TILE // rest, 1)
+    if n <= tile:
+        return np.einsum(spec, a, b)
+    cut = lambda k: (a[(slice(None),) * ax + (k,)], b[(slice(None),) * bx + (k,)])  # noqa: E731
+    parts = ((row_dot(spec.replace(c, ""), *cut(i)) for i in range(n)) if rest > _DOT_TILE else
+             (np.einsum(spec, *cut(slice(lo, lo + tile))) for lo in range(0, n, tile)))
+    return functools.reduce(np.add, parts)
+
+
 def history_conv(incs: np.ndarray, table: np.ndarray | None,
                  cells: tuple[int, int], outputs: tuple[int, int]) -> np.ndarray:
     """y[..., j - j0] = sum_{lo <= i < min(hi, j)} table[j - i] * incs[..., i] for j0 <= j < j1.
@@ -458,7 +482,7 @@ class HistoryKernel:
         if np.any(np.asarray(j) < grid.origin_index):
             raise ValueError("far weights are taken at main lattice points, from the origin on")
         cols = self.basis[:, np.asarray(j) - grid.origin_index]
-        return np.einsum("qmf,m...->q...f", self.far, cols)
+        return row_dot("qmf,m...->q...f", self.far, cols)
 
 
 _KERNEL_LOCK = threading.Lock()
@@ -561,14 +585,11 @@ def past_conv(incs: np.ndarray, grid: SimulationGrid, kernel: HistoryKernel, cel
     history from here, and past_dot its inner products.  outputs = (j0, j1) are main lattice points (j0 at or
     after the origin) and cells_end is at or after the origin; the result
     is (len(hps), ..., j1 - j0).  The cells of one step go through
-    history_conv; the far cells through their interpolated weights, in two
-    einsum products per block of rows (_row_blocks, the blocks of the
-    transforms); a window past the cells of incs is refused, as in
-    history_conv.  einsum sums each output element in one fixed order
-    whatever the number of rows (a BLAS product does not), so a row's bytes
-    do not depend on its batch.  A B_H kernel's far part is taken from the
-    origin, where it is 0: the far history enters B_H, R_H and the fields
-    only through differences in t.
+    history_conv; the far cells through their interpolated weights, two
+    row_dots per block of rows (_row_blocks); a window past the cells of
+    incs is refused, as in history_conv.  A B_H kernel's far part is taken
+    from the origin, where it is 0: the far history enters B_H, R_H and the
+    fields only through differences in t.
     """
     m0, far = grid.origin_index, grid.far_cells
     if outputs[0] < m0 or cells_end < m0:
@@ -579,8 +600,8 @@ def past_conv(incs: np.ndarray, grid: SimulationGrid, kernel: HistoryKernel, cel
         rows = incs[..., :far].reshape(-1, far)
         dest = y.reshape(len(y), len(rows), y.shape[-1])
         for blk in _row_blocks(len(rows), len(y) * y.shape[-1]):
-            z = np.einsum("qmf,rf->qrm", kernel.far, rows[blk])
-            dest[:, blk] += np.einsum("qrm,mj->qrj", z, basis)
+            z = row_dot("qmf,rf->qrm", kernel.far, rows[blk])
+            dest[:, blk] += row_dot("qrm,mj->qrj", z, basis)
     return y
 
 
@@ -596,7 +617,7 @@ def past_dot(incs: np.ndarray, grid: SimulationGrid, kernel: HistoryKernel, cell
       integrand's breakpoints) takes, at each such j, one inner product of
       its cells with kernel q's weights at t_j, the far ones through the
       basis at that j and those of one step the table reversed from lag j,
-      and sums them against its weights in column order.
+      and sums them against its weights.
     - Parseval: any other row needs no inverse transform and no field: its
       cells of one step (one window, from the far cells to cells_end) and
       its weights are transformed forward once, and per kernel the product
@@ -605,9 +626,8 @@ def past_dot(incs: np.ndarray, grid: SimulationGrid, kernel: HistoryKernel, cell
       cells enter through the basis applied to the weights, FAR_NODES
       numbers a row.  Rows go through in blocks of at most
       _FFT_BLOCK_POINTS FFT points.
-    Every sum is an einsum over one row, so a row's bytes do not depend on
-    its batch or on the kernels stacked with it.  A window past the cells of
-    incs is refused, as in history_conv.
+    Every sum over a row is a row_dot.  A window past the cells of incs is
+    refused, as in history_conv.
     """
     m0, far = grid.origin_index, grid.far_cells
     j0, j1 = outputs
@@ -644,8 +664,8 @@ def past_dot(incs: np.ndarray, grid: SimulationGrid, kernel: HistoryKernel, cell
             if far:
                 w[:, :far] = far_weights[:, s]
             w[:, far:] = kernel.table[:, k:k - cells + far:-1]
-            dots[..., s] = np.einsum("qi,ri->qr", w, x[:, :cells])
-        out[:, g] = np.einsum("qrs,rs->qr", dots, a[np.ix_(g, cols)])
+            dots[..., s] = row_dot("qi,ri->qr", w, x[:, :cells])
+        out[:, g] = row_dot("qrs,rs->qr", dots, a[np.ix_(g, cols)])
     dense = ~direct if direct.any() else slice(None)  # every row as a view, or the dense ones as a copy
     x, ax, y = rows[dense], a[dense], out[:, dense]
     if n and len(x):
@@ -654,11 +674,11 @@ def past_dot(incs: np.ndarray, grid: SimulationGrid, kernel: HistoryKernel, cell
             fx = _fft.rfft(x[blk, far:end], n, axis=-1)
             fa = _fft.rfft(ax[blk, k0 + far - j0:], n, axis=-1)
             np.multiply(fx, np.conjugate(fa, out=fa), out=fx)
-            y[:, blk] = np.einsum("rk,qk->qr", fx.view(float), spectrum)
+            y[:, blk] = row_dot("rk,qk->qr", fx.view(float), spectrum)
     if far:
-        z = np.einsum("qmf,rf->qrm", kernel.far, x[:, :far])
-        b = np.einsum("mj,rj->rm", kernel.basis[:, j0 - m0:j1 - m0], ax)
-        y += np.einsum("qrm,rm->qr", z, b)
+        z = row_dot("qmf,rf->qrm", kernel.far, x[:, :far])
+        b = row_dot("mj,rj->rm", kernel.basis[:, j0 - m0:j1 - m0], ax)
+        y += row_dot("qrm,rm->qr", z, b)
     out[:, dense] = y
     return out.reshape((kernels,) + incs.shape[:-1])
 

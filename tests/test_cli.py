@@ -318,6 +318,53 @@ def test_memory_available_reads_meminfo_and_the_cgroup_limit(monkeypatch):
     assert read() == 2 ** 20
 
 
+def test_memory_available_reads_a_cgroup_v1_limit_and_the_address_space_limit(monkeypatch):
+    """A numeric v1 memory.limit_in_bytes caps it, and so does the soft RLIMIT_AS less VmSize, where both read."""
+    files = {"/proc/meminfo": "MemAvailable:    8192 kB\n"}
+
+    def fake_open(path, *args, **kwargs):
+        if path not in files:
+            raise FileNotFoundError(path)
+        return io.StringIO(files[path])
+
+    monkeypatch.setattr(fbmdelay.experiments, "open", fake_open, raising=False)
+    read = fbmdelay.experiments._memory_available
+    files["/sys/fs/cgroup/memory/memory.limit_in_bytes"] = "4194304\n"
+    assert read() == 4 * 2 ** 20
+    files["/proc/self/limits"] = ("Limit                     Soft Limit           Hard Limit           Units\n"
+                                  "Max address space         unlimited            unlimited            bytes\n")
+    files["/proc/self/status"] = "Name:\tpython\nVmPeak:\t   9000 kB\nVmSize:\t   3072 kB\n"
+    assert read() == 4 * 2 ** 20
+    files["/proc/self/limits"] = files["/proc/self/limits"].replace("unlimited            unlimited",
+                                                                    "5242880              unlimited")
+    assert read() == 5 * 2 ** 20 - 3072 * 1024
+    del files["/proc/self/status"]  # a limit whose use cannot be read sets none
+    assert read() == 4 * 2 ** 20
+
+
+def test_an_address_space_limit_refuses_a_grid_before_any_draw(tmp_path):
+    """Under a 1e9-byte RLIMIT_AS (set in the child only), integrate --steps 2^24 (1 GiB of noise and fields) exits
+    2 in one line, where it ran out of memory in numpy."""
+    resource = pytest.importorskip("resource")
+    grid = fbmdelay.noise.make_grid(1.0, 2 ** 24, 1e14)
+    free = fbmdelay.experiments._memory_available()
+    if free is None or free < 2 * 8 * grid.cell_count * 4:
+        pytest.skip("too little memory here for the address-space limit to be the one that refuses")
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (10 ** 9, resource.getrlimit(resource.RLIMIT_AS)[1]))
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "fbmdelay.cli", "integrate", "--steps", str(2 ** 24),
+                           "--out", "x.json"], cwd=tmp_path, env=env, capture_output=True, text=True,
+                          preexec_fn=limit)
+    assert proc.returncode == 2 and proc.stderr.count("\n") == 1, proc.stderr
+    assert proc.stderr.startswith(f"fbmdelay: error: --steps {2 ** 24} with --warmup ") and "lower --steps" in proc.stderr
+    assert not list(tmp_path.iterdir())
+
+
 def _run_module(argv, cwd):
     """`python -m fbmdelay.cli argv` in a fresh process that imports this checkout's src/."""
     src = str(Path(__file__).resolve().parents[1] / "src")

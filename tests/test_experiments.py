@@ -77,6 +77,20 @@ def test_verify_dr_moments_brownian_is_exactly_zero():
     assert rep.pointwise_closed == 0.0 and rep.energy_closed == 0.0
 
 
+def test_verify_dr_moments_is_checked_for_the_cells_it_draws(monkeypatch):
+    """The desk DR_H check draws 4,628 of 8,724 cells a row: memory for its prefix rows, short of full rows, runs it."""
+    grid, e = DeskConfig().grid(), fbmdelay.experiments
+    rows = e._CHUNK_BYTES // (8 * grid.cell_count)
+    prefix, full = (rows * 8 * cells * (1 + e._FIELD_FACTOR) for cells in (grid.origin_index, grid.cell_count))
+    monkeypatch.setattr(fbmdelay.experiments, "_memory_available", lambda: (prefix + full) // 2)
+    with pytest.raises(ValueError, match="lower --steps or --warmup"):
+        fbmdelay.experiments._check_memory(grid)
+    assert verify_dr_moments(H75, 1.0, 100, 12).pointwise.replications == 100
+    monkeypatch.setattr(fbmdelay.experiments, "_memory_available", lambda: prefix - 1)
+    with pytest.raises(ValueError, match="lower --steps or --warmup"):
+        verify_dr_moments(H75, 1.0, 100, 12)
+
+
 def test_verify_dr_moments_rejects_tiny_ensembles():
     with pytest.raises(ValueError):
         verify_dr_moments(H75, 1.0, 99, 12, SMALL)
@@ -419,6 +433,22 @@ def test_desk_ops_are_identical_for_32_and_64_row_chunks_and_1_or_2_workers():
     for rows, workers in ((64, 1), (32, 1), (32, 2)):
         got = _desk_chunks(rows, workers)
         assert [name for name in want if got[name] != want[name]] == [], (rows, workers)
+
+
+def _desk_continuity(spec, reps, seed, rows, workers):
+    """repr of a desk continuity_study at one h, in chunks of at most rows replications on workers threads."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fbmdelay.experiments, "WORKERS", workers)
+        mp.setattr(fbmdelay.experiments, "_CHUNK_CAP_BYTES", rows * 8 * DeskConfig().grid().cell_count)
+        return repr(continuity_study(spec, (0.6,), reps, seed))
+
+
+@pytest.mark.parametrize("spec", ["det:const:1.0", "fbm:0.75"])
+def test_desk_continuity_at_one_h_is_identical_for_any_chunk_and_cpu_count(spec):
+    """With one kernel, every sum over a desk row is longer than one einsum buffer: 12 replications in chunks
+    of 12, 6 and 1 give the same bytes, and so do 112 on one thread (one chunk) and on two (two of 56)."""
+    assert len({_desk_continuity(spec, 12, 5, rows, 1) for rows in (12, 6, 1)}) == 1
+    assert _desk_continuity(spec, 112, 4, 128, 1) == _desk_continuity(spec, 112, 4, 128, 2)
 
 
 @pytest.mark.parametrize("name, op, reps", [

@@ -1,6 +1,9 @@
 """Noise generation contracts and the moving-average synthesis identities."""
 
 import math
+import os
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -40,6 +43,7 @@ from fbmdelay.noise import (
     past_dot,
     process_values,
     r_values,
+    row_dot,
     w_values,
 )
 from oracles import (cell_widths, path_csv_string, reference_draw, reference_write_path_csv, spy_noise_ffts,
@@ -112,6 +116,16 @@ def test_grid_validation():
         SimulationGrid(warmup_start=1.0, horizon=2.0, step=0.1, cell_count=10)
     with pytest.raises(ValueError):
         SimulationGrid(warmup_start=0.0, horizon=1.0, step=0.1, cell_count=7)
+
+
+def test_a_graded_grid_refuses_a_horizon_off_its_lattice():
+    """Far cells or none, the horizon is a whole number of steps: 1.05 on steps of 0.125 is refused, as uniform."""
+    g = make_grid(1.0, 8, 100.0)
+    assert SimulationGrid(warmup_start=g.warmup_start, horizon=1.0, step=0.125, cell_count=92, far_cells=76) == g
+    with pytest.raises(ValueError, match="whole number of steps"):
+        SimulationGrid(warmup_start=g.warmup_start, horizon=1.05, step=0.125, cell_count=92, far_cells=76)
+    with pytest.raises(ValueError, match="step \\* cell_count must equal"):
+        SimulationGrid(warmup_start=-1.0, horizon=1.05, step=0.125, cell_count=16)
 
 
 @pytest.mark.parametrize("horizon,warmup,fragment", [
@@ -529,6 +543,86 @@ def test_past_dot_is_the_inner_product_with_past_conv(monkeypatch, warmup):
         assert part.tobytes() == np.ascontiguousarray(got[:, sparse]).tobytes()
     with pytest.raises(ValueError, match="one per row and output"):
         past_dot(incs, grid, kernel, n, (m0, n + 1), np.ones((reps, n - m0)))
+
+
+@pytest.mark.parametrize("every", [1, 512])
+def test_a_desk_row_alone_gets_its_past_dot_bytes_in_the_batch(every):
+    """With one kernel, each of 33 desk rows alone gets the bytes it gets in the batch.
+
+    Weights at every output (the Parseval path, 12,290 floats a row) and at
+    every 512th (the direct path, up to 8,724 cells a dot).  These are
+    reductions longer than one einsum buffer, which a one-row operand summed
+    in another order.
+    """
+    grid, reps = DESK_GRID, 33
+    m0, end = grid.origin_index, grid.cell_count
+    incs = generate_noise_batch(5, grid, reps).increments
+    kernel = history_kernel(grid, (hurst_constant(0.6),))
+    weights = np.zeros((reps, end + 1 - m0))
+    weights[:, ::every] = np.random.default_rng(every).standard_normal((reps, len(range(0, end + 1 - m0, every))))
+    got = past_dot(incs, grid, kernel, end, (m0, end + 1), weights)
+    alone = [past_dot(incs[r:r + 1], grid, kernel, end, (m0, end + 1), weights[r:r + 1])[0, 0] for r in range(reps)]
+    assert [r for r in range(reps) if alone[r].tobytes() != got[0, r].tobytes()] == []
+
+
+def _row_dot_cases(n, rows, kernels, offset, seed):
+    """The per-row reductions of the package's shapes: kernels x n weights against rows x n cells, rows offset."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((rows, n + offset))[:, offset:]
+    w = rng.standard_normal((kernels, n))
+    return x, w
+
+
+@given(n=st.integers(1, 40_000), rows=st.integers(1, 64), kernels=st.integers(1, 4), offset=st.integers(0, 3),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(n=8724, rows=33, kernels=1, offset=0, seed=0).via("the desk row")
+@example(n=12_290, rows=5, kernels=1, offset=0, seed=1).via("a desk Parseval block")
+@settings(max_examples=25, deadline=None)
+def test_row_dot_gives_a_row_the_bytes_it_gets_in_any_batch(n, rows, kernels, offset, seed):
+    """Each row alone (a view or a copy), and each kernel alone, gets its bytes in the batch, either operand first;
+    the value is einsum's to rounding."""
+    x, w = _row_dot_cases(n, rows, kernels, offset, seed)
+    got = row_dot("qi,ri->qr", w, x)
+    assert got.tobytes() == row_dot("ri,qi->qr", x, w).tobytes()
+    np.testing.assert_allclose(got, np.einsum("qi,ri->qr", w, x), rtol=1e-10, atol=1e-12 * math.sqrt(n))
+    for r in {0, rows // 2, rows - 1}:
+        for row in (x[r:r + 1], x[r:r + 1].copy(), x[r]):
+            assert row_dot("qi,...i->q...", w, row).reshape(kernels).tobytes() == got[:, r].tobytes()
+    for q in range(kernels):
+        assert row_dot("qi,ri->qr", w[q:q + 1], x).tobytes() == got[q:q + 1].tobytes()
+
+
+def test_row_dot_tiles_every_summed_index_and_keeps_a_short_sum_as_einsum():
+    """At most _DOT_TILE terms a tile: a short sum is einsum's bytes, two summed indices are tiled over the
+    first (entry by entry where the second exceeds a tile), and an empty sum is 0."""
+    rng = np.random.default_rng(8)
+    for shape in ((3, 4096), (3, 2, 2048), (3, 2048, 2)):
+        a, b = rng.standard_normal(shape), rng.standard_normal(shape)
+        spec = "r" + "ijk"[:len(shape) - 1] * 1 + "," + "r" + "ijk"[:len(shape) - 1] + "->r"
+        assert row_dot(spec, a, b).tobytes() == np.einsum(spec, a, b).tobytes()
+    for shape in ((5, 3, 9000), (5, 30, 900), (5, 9000, 1)):
+        a, b = rng.standard_normal(shape), rng.standard_normal(shape)
+        got = row_dot("...kh,...kh->...", a, b)
+        np.testing.assert_allclose(got, np.einsum("rkh,rkh->r", a, b), rtol=1e-12)
+        assert [row_dot("...kh,...kh->...", a[r], b[r]).tobytes() for r in range(5)] == [v.tobytes() for v in got]
+    assert row_dot("qi,ri->qr", np.ones((2, 0)), np.ones((3, 0))).tolist() == [[0.0] * 3] * 2
+
+
+def test_row_dot_bytes_do_not_depend_on_the_blas_threads():
+    """One or two OpenBLAS threads give the same bytes for rows of 12,290 and 40,000 terms."""
+    script = ("import numpy as np\nfrom fbmdelay.noise import row_dot\n"
+              "for n in (12290, 40000):\n"
+              "    rng = np.random.default_rng(n)\n"
+              "    print(row_dot('qi,ri->qr', rng.standard_normal((2, n)), rng.standard_normal((64, n))).tobytes().hex())\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1] and outs[0].count("\n") == 2
 
 
 def test_dr_closed_forms_frozen_oracle_values():

@@ -52,3 +52,21 @@ def test_every_difference_of_powers_goes_through_power_diff():
             text = text.replace(ast.get_source_segment(text, primitive), "")
         assert "expm1" not in text, f"{path.name} takes a difference of powers outside kernels.power_diff"
     assert POWER_DIFF_SITES <= callers, POWER_DIFF_SITES - callers
+
+
+#: the einsums that are no sum over a row: past_dot's pricing sums exact integers, and discrete_dr_energy's
+#: quadratic form reads no row of noise
+EINSUM_EXCEPTIONS = {("noise", "past_dot"): 1, ("noise", "discrete_dr_energy"): 1}
+
+
+def test_every_sum_over_a_row_goes_through_row_dot():
+    """einsum is named in src/ only inside noise.row_dot, save once in each of the two exceptions."""
+    found = {}
+    for path in sorted((ROOT / "src" / "fbmdelay").glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            for f in node.body if isinstance(node, ast.ClassDef) else [node]:
+                count = sum(getattr(sub, "attr", getattr(sub, "id", None)) == "einsum" for sub in ast.walk(f))
+                if count:
+                    found[path.stem, getattr(f, "name", None)] = count
+    assert found.pop(("noise", "row_dot"), 0) > 0
+    assert found == EINSUM_EXCEPTIONS, "a sum over a row outside noise.row_dot"

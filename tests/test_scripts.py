@@ -1,5 +1,6 @@
 """The scripts under scripts/ run end to end: exit 0 and every table they name."""
 
+import importlib.util
 import os
 import re
 import subprocess
@@ -40,3 +41,48 @@ def test_the_pilot_thresholds_script_prints_every_section(tmp_path):
                         "quadratic-identity defect"], proc.stdout
     assert proc.stdout.count("final/xnorm") == 3 and proc.stdout.count("cross slope") == 2
     assert not list(tmp_path.iterdir())
+
+
+def _bench_pairs():
+    """scripts/bench_pairs.py as a module, without running it."""
+    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _pairs(parent, change, name="reps_per_s"):
+    """Synthetic pairs: each side's end-to-end metric name, pair by pair."""
+    return [{"parent": {"metrics": {name: p}}, "change": {"metrics": {name: c}}} for p, c in zip(parent, change)]
+
+
+def test_bench_pairs_summary_counts_wins_ties_and_the_bound():
+    """clear_gain takes 9 wins in 10 and a median gain beyond the parent's IQR; a tie is a win for neither side;
+    worse_beyond_bound reads the bound on the side the metric gets worse."""
+    summary = _bench_pairs()._summary
+    rate = {"name": "reps_per_s", "better": "higher", "bound": 0.25}
+    parent = [100.0 + i for i in range(10)]  # quartiles 102.25 and 106.75: an IQR of 4.5
+    got = summary(_pairs(parent, [p + 10.0 for p in parent[:9]] + [50.0]), rate)
+    assert (got["change_wins"], got["pairs"], got["clear_gain"], got["worse_beyond_bound"]) == (9, 10, True, False)
+    assert got["parent_quartiles"] == [102.25, 106.75] and got["change_median"] == 113.5
+    assert not summary(_pairs(parent, [p + 3.0 for p in parent[:9]] + [50.0]), rate)["clear_gain"]  # within the IQR
+    assert not summary(_pairs(parent, [p + 10.0 for p in parent[:8]] + [50.0] * 2), rate)["clear_gain"]  # 8 of 10
+    tied = [p + 10.0 for p in parent[:9]] + [parent[9]]
+    assert summary(_pairs(parent, tied), rate)["change_wins"] == 9
+    assert summary(_pairs(tied, parent), rate)["change_wins"] == 0
+    assert summary(_pairs(parent, parent), rate)["change_wins"] == 0
+    assert summary(_pairs(parent, [0.7 * p for p in parent]), rate)["worse_beyond_bound"]
+    assert not summary(_pairs(parent, [0.8 * p for p in parent]), rate)["worse_beyond_bound"]
+    latency = {"name": "latency_p50_s", "better": "lower", "bound": 0.25}
+    assert summary(_pairs(parent, [1.3 * p for p in parent], "latency_p50_s"), latency)["worse_beyond_bound"]
+    assert not summary(_pairs(parent, [0.7 * p for p in parent], "latency_p50_s"), latency)["worse_beyond_bound"]
+    assert summary([], rate) == {"pairs": 0}
+
+
+def test_bench_pairs_counts_the_package_lines_as_wc_does(tmp_path):
+    pkg = tmp_path / "src" / "fbmdelay"
+    pkg.mkdir(parents=True)
+    (pkg / "a.py").write_text("x = 1\n\ny = 2\n")
+    (pkg / "b.py").write_text("z = 3")  # no newline at the end: wc -l counts 0
+    (pkg / "notes.txt").write_text("not\ncounted\n")
+    assert _bench_pairs()._src_lines(str(tmp_path)) == 3
