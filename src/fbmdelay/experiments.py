@@ -158,8 +158,7 @@ def _check_memory(grid: SimulationGrid, cells: int | None = None) -> int:
     A row holds its first cells cells (default: all of them), as _replicate draws it.
     """
     rows = max(1, _CHUNK_BYTES // (8 * grid.cell_count))
-    need = rows * 8 * (grid.cell_count if cells is None else cells) * (1 + _FIELD_FACTOR)
-    free = _memory_available()
+    need, free = rows * 8 * (grid.cell_count if cells is None else cells) * (1 + _FIELD_FACTOR), _memory_available()
     if free is not None and need > free:
         raise ValueError(
             f"--steps {grid.main_steps} with --warmup {grid.warmup_length:.4g} needs {need / 2 ** 30:,.2f} GiB "
@@ -275,8 +274,8 @@ def verify_dr_moments(hp: HurstParameter, span: float, reps: int, seed: int,
     if span != config.horizon:
         raise ValueError(f"span {span} is not the config horizon {config.horizon}")
     grid = config.grid()
-    _check_memory(grid, grid.origin_index)  # before the quadrature's arrays of the grid's size
     m0 = grid.origin_index
+    _check_memory(grid, m0)  # before the quadrature's arrays of the grid's size
     eval_idx, quad_w = _energy_quadrature(grid, hp)
 
     def per_chunk(nb):

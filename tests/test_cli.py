@@ -361,7 +361,8 @@ def test_an_address_space_limit_refuses_a_grid_before_any_draw(tmp_path):
                            "--out", "x.json"], cwd=tmp_path, env=env, capture_output=True, text=True,
                           preexec_fn=limit)
     assert proc.returncode == 2 and proc.stderr.count("\n") == 1, proc.stderr
-    assert proc.stderr.startswith(f"fbmdelay: error: --steps {2 ** 24} with --warmup ") and "lower --steps" in proc.stderr
+    assert proc.stderr.startswith(f"fbmdelay: error: --steps {2 ** 24} with --warmup ")
+    assert "lower --steps or --warmup" in proc.stderr
     assert not list(tmp_path.iterdir())
 
 

@@ -596,9 +596,8 @@ def test_row_dot_tiles_every_summed_index_and_keeps_a_short_sum_as_einsum():
     """At most _DOT_TILE terms a tile: a short sum is einsum's bytes, two summed indices are tiled over the
     first (entry by entry where the second exceeds a tile), and an empty sum is 0."""
     rng = np.random.default_rng(8)
-    for shape in ((3, 4096), (3, 2, 2048), (3, 2048, 2)):
+    for spec, shape in (("ri,ri->r", (3, 4096)), ("rij,rij->r", (3, 2, 2048)), ("rij,rij->r", (3, 2048, 2))):
         a, b = rng.standard_normal(shape), rng.standard_normal(shape)
-        spec = "r" + "ijk"[:len(shape) - 1] * 1 + "," + "r" + "ijk"[:len(shape) - 1] + "->r"
         assert row_dot(spec, a, b).tobytes() == np.einsum(spec, a, b).tobytes()
     for shape in ((5, 3, 9000), (5, 30, 900), (5, 9000, 1)):
         a, b = rng.standard_normal(shape), rng.standard_normal(shape)
@@ -613,7 +612,8 @@ def test_row_dot_bytes_do_not_depend_on_the_blas_threads():
     script = ("import numpy as np\nfrom fbmdelay.noise import row_dot\n"
               "for n in (12290, 40000):\n"
               "    rng = np.random.default_rng(n)\n"
-              "    print(row_dot('qi,ri->qr', rng.standard_normal((2, n)), rng.standard_normal((64, n))).tobytes().hex())\n")
+              "    got = row_dot('qi,ri->qr', rng.standard_normal((2, n)), rng.standard_normal((64, n)))\n"
+              "    print(got.tobytes().hex())\n")
     src = str(Path(__file__).resolve().parents[1] / "src")
     outs = []
     for threads in ("1", "2"):
