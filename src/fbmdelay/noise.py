@@ -111,7 +111,7 @@ class SimulationGrid:
     """Lattice over [warmup_start, horizon] with the origin at 0.
 
     Cells of one step cover [uniform_start, horizon].  Before them, far_cells
-    cells widen by FAR_RATIO each, out to warmup_start: the far history.
+    cells (or none) widen by FAR_RATIO each, out to warmup_start: the far history.
     """
 
     warmup_start: float
@@ -130,27 +130,20 @@ class SimulationGrid:
             raise ValueError("step must be positive")
         if not 0 <= self.far_cells < self.cell_count:
             raise ValueError("need 0 <= far_cells < cell_count")
-        if self.far_cells:
-            if abs(self.horizon - self.step * round(self.horizon / self.step)) > _LATTICE_RTOL * self.horizon:
-                raise ValueError("the horizon must be a whole number of steps from the origin")
-            start = self.uniform_start * FAR_RATIO ** self.far_cells
-            if not self.uniform_start < 0.0 or abs(self.warmup_start - start) > _LATTICE_RTOL * -start:
-                raise ValueError("far cells must widen by FAR_RATIO from uniform_start to warmup_start")
-            return
-        span = self.horizon - self.warmup_start
-        if abs(self.step * self.cell_count - span) > _LATTICE_RTOL * span:
-            raise ValueError("step * cell_count must equal horizon - warmup_start")
+        if abs(self.horizon - self.step * round(self.horizon / self.step)) > _LATTICE_RTOL * self.horizon:
+            raise ValueError("the horizon must be a whole number of steps from the origin")
+        start = self.uniform_start * FAR_RATIO ** self.far_cells
+        if (self.far_cells and not start < 0.0) or abs(self.warmup_start - start) > _LATTICE_RTOL * -start:
+            raise ValueError("warmup_start must be uniform_start * FAR_RATIO ** far_cells, and < 0 with far cells")
 
     @property
     def origin_index(self) -> int:
-        if self.far_cells:
-            return self.cell_count - int(round(self.horizon / self.step))
-        return int(round((self.origin - self.warmup_start) / self.step))
+        return self.cell_count - int(round(self.horizon / self.step))
 
     @property
     def uniform_start(self) -> float:
-        """Where the cells of one step begin: warmup_start, or the far cells' end."""
-        return -(self.origin_index - self.far_cells) * self.step if self.far_cells else self.warmup_start
+        """Where the cells of one step begin: the far cells' end, warmup_start where there are none."""
+        return -(self.origin_index - self.far_cells) * self.step
 
     @property
     def main_steps(self) -> int:
@@ -182,9 +175,8 @@ class SimulationGrid:
         idx = np.rint(pos).astype(int)  # half to even, as round()
         bad = (idx < 0) | (idx > self.cell_count - self.far_cells) | (np.abs(pos - idx) > 1e-6)
         if np.any(bad):
-            where = f" (only its cells of one step, from {self.uniform_start!r}, have indices)"
-            raise ValueError(f"t={float(np.asarray(t)[bad][0])!r} is not on the simulation lattice"
-                             + (where if self.far_cells else ""))
+            raise ValueError(f"t={float(np.asarray(t)[bad][0])!r} is not on the simulation lattice (only its "
+                             f"cells of one step, from {self.uniform_start!r}, have indices)")
         idx = idx + self.far_cells
         return int(idx) if idx.ndim == 0 else idx
 
@@ -193,8 +185,8 @@ def make_grid(horizon: float, steps: int, warmup: float = 0.0) -> SimulationGrid
     """Grid with `steps` cells on [0, horizon] and >= warmup of history before 0.
 
     The history is cells of one step out to NEAR_WINDOW horizons before the
-    origin, or to warmup if that is shorter; beyond them, cells that widen
-    by FAR_RATIO each, out to warmup or just past it.
+    origin, or to warmup if that is shorter; beyond them, far cells that
+    widen by FAR_RATIO each, out to warmup or just past it (none if shorter).
     """
     if not 0.0 < horizon < math.inf or steps < 1:
         raise ValueError(f"need a finite horizon > 0 and steps >= 1 (got {horizon!r} and {steps})")
@@ -207,14 +199,12 @@ def make_grid(horizon: float, steps: int, warmup: float = 0.0) -> SimulationGrid
     if warmup / step == math.inf:
         raise overflow
     warmup_cells = int(math.ceil(warmup / step - 1e-12))
-    near_cells = NEAR_WINDOW * steps
-    if warmup_cells <= near_cells:
-        return SimulationGrid(warmup_start=-warmup_cells * step, horizon=horizon, step=step,
-                              cell_count=steps + warmup_cells)
-    near = near_cells * step
-    far = int(math.ceil(math.log(warmup / near) / math.log(FAR_RATIO) - 1e-12))
+    near_cells = min(warmup_cells, NEAR_WINDOW * steps)
+    far = 0
+    if warmup_cells > near_cells:
+        far = int(math.ceil(math.log(warmup / (near_cells * step)) / math.log(FAR_RATIO) - 1e-12))
     try:
-        start = -near * FAR_RATIO ** far
+        start = -near_cells * step * FAR_RATIO ** far  # an int negated: no warmup starts at 0.0, not -0.0
     except OverflowError:
         raise overflow from None
     if start == -math.inf:
@@ -309,12 +299,17 @@ def dr_kernel_table(hp: HurstParameter, n: int, step: float) -> np.ndarray:
     return out
 
 
-def _window_end(incs: np.ndarray, lo: int, hi: int) -> int:
-    """The end of the window of driving cells lo..hi - 1 (empty if hi <= lo); refused past the cells of incs."""
-    if hi > max(lo, incs.shape[-1]):
-        raise ValueError(f"the window of driving cells reaches cell {hi - 1}, but only "
+def _window(incs: np.ndarray, lo: int, hi: int, outputs: tuple[int, int]) -> tuple[int, int, int, int]:
+    """(end, k0, k1, n): the cells lo..end - 1 of lo..hi - 1 that outputs = (j0, j1) read, lags and FFT length."""
+    j0, j1 = outputs
+    end = max(lo, min(hi, j1 - 1))  # cells from j1 - 1 on reach no output
+    if end > max(lo, incs.shape[-1]):  # refused, never cut
+        raise ValueError(f"the window of driving cells reaches cell {end - 1}, but only "
                          f"{incs.shape[-1]} cells a row are drawn")
-    return max(lo, hi)
+    k0, k1 = max(j0 - lo, 1), j1 - lo  # the output lags from lo; a lag <= 0 sees no cell
+    # the shortest circular FFT length that keeps the outputs alias-free; 0 where no output sees a cell
+    n = _fft.next_fast_len(max(k1 - 1, end - lo + k1 - 1 - k0)) if end > lo and k1 > k0 else 0
+    return end, k0, k1, n
 
 
 def _row_blocks(rows: int, points: int):
@@ -350,11 +345,9 @@ def history_conv(incs: np.ndarray, table: np.ndarray | None,
     cells = (lo, hi) is the window of driving cells and outputs = (j0, j1)
     the lattice points wanted; incs has the cells along the last axis.  The
     cells are sliced, never masked, and a window that reaches past the last
-    cell of incs (a batch drawn short, say) is refused, never cut.  The
-    circular FFT length is the shortest that keeps the requested outputs
-    alias-free.  table=None is the unit kernel, an exact running sum (h =
-    1/2); otherwise table[0] is never read and table must reach lag j1 - 1 -
-    lo.
+    cell of incs (a batch drawn short, say) is refused, never cut (_window).
+    table=None is the unit kernel, an exact running sum (h = 1/2); otherwise
+    table[0] is never read and table must reach lag j1 - 1 - lo.
 
     A (k, lags) table is k kernels on the same cells: the result is
     (k, ..., j1 - j0), and each row of the window is transformed forward
@@ -367,12 +360,12 @@ def history_conv(incs: np.ndarray, table: np.ndarray | None,
     """
     j0, j1 = outputs
     lo = max(cells[0], 0)
-    x = incs[..., lo:_window_end(incs, lo, min(cells[1], j1 - 1))]  # cells from j1 - 1 on reach no output
-    m = x.shape[-1]
-    k0, k1 = max(j0 - lo, 1), j1 - lo  # output lags from lo; lag <= 0 sees no cell
+    end, k0, k1, n = _window(incs, lo, cells[1], outputs)
+    x = incs[..., lo:end]
+    m = end - lo
     kernels = () if table is None else table.shape[:-1]
     out = np.zeros(kernels + incs.shape[:-1] + (max(j1 - j0, 0),))
-    if m == 0 or k1 <= k0:
+    if not n:
         return out
     if table is None:
         out[..., k0 + lo - j0:] = np.cumsum(x, axis=-1)[..., np.minimum(np.arange(k0, k1), m) - 1]
@@ -380,7 +373,6 @@ def history_conv(incs: np.ndarray, table: np.ndarray | None,
     if table.shape[-1] < k1:
         raise ValueError(f"kernel table reaches lag {table.shape[-1] - 1}, need {k1 - 1}")
     # z = x * table[1:] linearly; y[k] = z[k - 1], kept alias-free for k0 <= k < k1
-    n = _fft.next_fast_len(max(k1 - 1, m + k1 - 1 - k0))
     spectra = _fft.rfft(table[..., 1:k1], n, axis=-1).reshape(-1, n // 2 + 1)
     rows = x.reshape(-1, m)
     dest = out.reshape(len(spectra), rows.shape[0], out.shape[-1])[..., k0 + lo - j0:]
@@ -444,13 +436,13 @@ class HistoryKernel:
     one step (table[q, 0] is never read).  The far cells' weights at the
     main lattice point j are sum_m basis[m, j - origin] far[q, m]: far holds
     them at the FAR_NODES Chebyshev nodes of [0, T], and basis interpolates
-    (B_H's over t, and basis times t; both None without far cells).
-    spectra caches the half spectra of past_dot, per window.
+    (B_H's over t, and basis times t; far is (k, FAR_NODES, 0) on a grid
+    with no far cells).  spectra caches the half spectra of past_dot, per window.
     """
 
     table: np.ndarray
-    far: np.ndarray | None = None
-    basis: np.ndarray | None = None
+    far: np.ndarray
+    basis: np.ndarray
     spectra: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def spectrum(self, k0: int, k1: int, n: int) -> np.ndarray:
@@ -515,8 +507,6 @@ def _build_kernel(grid: SimulationGrid, hps: tuple, kind: str) -> HistoryKernel 
     else:
         raise ValueError(f"no history kernel of kind {kind!r}")
     table.setflags(write=False)
-    if not grid.far_cells:
-        return HistoryKernel(table=table)
     far = _far_at_nodes(grid, hps, kind)
     far.setflags(write=False)
     return HistoryKernel(table=table, far=far, basis=_far_basis(grid, kind))
@@ -635,13 +625,11 @@ def past_dot(incs: np.ndarray, grid: SimulationGrid, kernel: HistoryKernel, cell
         raise ValueError("the history is evaluated from the origin on")
     if weights.shape != incs.shape[:-1] + (j1 - j0,):
         raise ValueError(f"weights must be {incs.shape[:-1] + (j1 - j0,)}: one per row and output")
-    end = _window_end(incs, far, min(cells_end, j1 - 1))  # cells from j1 - 1 on reach no output
+    end, k0, k1, n = _window(incs, far, cells_end, outputs)  # the window of history_conv, from the far cells
     m = end - far
-    k0, k1 = max(j0 - far, 1), j1 - far  # output lags from the first cell; lag <= 0 sees no cell
     kernels = len(kernel.table)
     rows, a = incs.reshape(-1, incs.shape[-1]), weights.reshape(-1, j1 - j0)
     out = np.zeros((kernels, len(rows)))
-    n = _fft.next_fast_len(max(k1 - 1, m + k1 - 1 - k0)) if m and k1 > k0 else 0
     # the cells that reach output j: the far ones and those of one step before min(cells_end, j)
     reach = far + np.clip(np.arange(j0, j1) - far, 0, m)
     # flops a row with one kernel: two real FFTs of n points (2.5 n log2 n each), their product (3 n)
@@ -656,13 +644,12 @@ def past_dot(incs: np.ndarray, grid: SimulationGrid, kernel: HistoryKernel, cell
     for g in groups.values():
         cols = np.flatnonzero(nonzero[g[0]])
         x = rows[g] if len(g) < len(rows) else rows  # a copy of the group's rows, or a view of all
-        far_weights = kernel.far_weights(grid, j0 + cols) if far else None
+        far_weights = kernel.far_weights(grid, j0 + cols)
         dots = np.empty((kernels, len(g), len(cols)))
         for s, col in enumerate(cols):  # kernel q's weights at t_j on the cells reaching it, table reversed
             k, cells = j0 + col - far, reach[col]
             w = np.empty((kernels, cells))
-            if far:
-                w[:, :far] = far_weights[:, s]
+            w[:, :far] = far_weights[:, s]
             w[:, far:] = kernel.table[:, k:k - cells + far:-1]
             dots[..., s] = row_dot("qi,ri->qr", w, x[:, :cells])
         out[:, g] = row_dot("qrs,rs->qr", dots, a[np.ix_(g, cols)])
@@ -786,9 +773,8 @@ def fbm_weight_vector(grid: SimulationGrid, hp: HurstParameter, t_idx: int) -> n
     lag_t = np.clip(t_idx - i, 0, None)
     lag_0 = np.clip(m0 - i, 0, None)
     uniform = hp.c_h * (table[lag_t] - table[lag_0])
-    if not far:
-        return uniform
-    return np.concatenate([history_kernel(grid, (hp,)).far_weights(grid, t_idx)[0], uniform])
+    kernel = history_kernel(grid, (hp,))  # None at h = 1/2, whose far weights are 0
+    return np.concatenate([np.zeros(far) if kernel is None else kernel.far_weights(grid, t_idx)[0], uniform])
 
 
 def discrete_fbm_cov(grid: SimulationGrid, hp: HurstParameter, t1: float, t2: float) -> float:

@@ -116,6 +116,11 @@ def test_grid_validation():
         SimulationGrid(warmup_start=1.0, horizon=2.0, step=0.1, cell_count=10)
     with pytest.raises(ValueError):
         SimulationGrid(warmup_start=0.0, horizon=1.0, step=0.1, cell_count=7)
+    # no far cells, and the origin off the lattice: cell 0 would start at -0.05, or the origin sit at -0.05
+    with pytest.raises(ValueError):
+        SimulationGrid(warmup_start=-0.05, horizon=1.05, step=0.1, cell_count=11)
+    with pytest.raises(ValueError):
+        SimulationGrid(warmup_start=-0.25, horizon=1.05, step=0.1, cell_count=13)
 
 
 def test_a_graded_grid_refuses_a_horizon_off_its_lattice():
@@ -124,7 +129,7 @@ def test_a_graded_grid_refuses_a_horizon_off_its_lattice():
     assert SimulationGrid(warmup_start=g.warmup_start, horizon=1.0, step=0.125, cell_count=92, far_cells=76) == g
     with pytest.raises(ValueError, match="whole number of steps"):
         SimulationGrid(warmup_start=g.warmup_start, horizon=1.05, step=0.125, cell_count=92, far_cells=76)
-    with pytest.raises(ValueError, match="step \\* cell_count must equal"):
+    with pytest.raises(ValueError, match="whole number of steps"):
         SimulationGrid(warmup_start=-1.0, horizon=1.05, step=0.125, cell_count=16)
 
 
@@ -179,6 +184,8 @@ def test_batch_draw_is_identical_for_any_worker_count(grid, monkeypatch, reps):
 
 #: a graded grid of 356 cells: 228 far cells, then 64 near and 64 main cells of one step
 GRADED = make_grid(1.0, 64, warmup=1e6)
+#: the same lattice with no far cells: 64 near and 64 main cells
+NO_FAR = make_grid(1.0, 64, warmup=1.0)
 
 
 @given(seed=st.integers(0, 2 ** 32 - 1), first_stream=st.integers(0, 2 ** 20), reps=st.integers(1, 4),
@@ -226,16 +233,37 @@ def _history_readers(grid):
     }
 
 
-@pytest.mark.parametrize("reader", list(_history_readers(GRADED)))
-def test_a_reader_refuses_a_window_past_the_drawn_cells(reader):
+@pytest.mark.parametrize("grid,reader", [pytest.param(GRADED, r, id=r) for r in _history_readers(GRADED)]
+                         + [pytest.param(NO_FAR, r, id=f"{r}, no far cells") for r in _history_readers(NO_FAR)])
+def test_a_reader_refuses_a_window_past_the_drawn_cells(grid, reader):
     """A batch drawn up to the origin reads as the full rows up to there, and one cell more is refused, not cut."""
-    read, m0 = _history_readers(GRADED)[reader], GRADED.origin_index
-    prefix = generate_noise_batch(5, GRADED, 3, cells=m0).increments
-    full = generate_noise_batch(5, GRADED, 3).increments
+    read, m0 = _history_readers(grid)[reader], grid.origin_index
+    prefix = generate_noise_batch(5, grid, 3, cells=m0).increments
+    full = generate_noise_batch(5, grid, 3).increments
     assert read(prefix, m0).tobytes() == read(full, m0).tobytes()
     assert read(prefix[0], m0).tobytes() == read(full[0], m0).tobytes()
     with pytest.raises(ValueError, match=f"reaches cell {m0}, but only {m0} cells a row are drawn"):
         read(prefix, m0 + 1)
+
+
+def test_a_grid_without_far_cells_carries_empty_far_arrays():
+    """No far cells is the one lattice with none: the kernel's far arrays are empty, never None."""
+    kernel = history_kernel(NO_FAR, (H75,))
+    m0 = NO_FAR.origin_index
+    assert NO_FAR.far_cells == 0 and kernel.far.shape == (1, fbmdelay.noise.FAR_NODES, 0)
+    assert kernel.basis.shape == (fbmdelay.noise.FAR_NODES, NO_FAR.main_steps + 1)
+    assert kernel.far_weights(NO_FAR, m0).shape == (1, 0)
+    assert fbmdelay.noise.fbm_weight_vector(NO_FAR, H75, m0 + 32).shape == (NO_FAR.cell_count,)
+
+
+@pytest.mark.parametrize("grid", [GRADED, NO_FAR], ids=["graded", "no far cells"])
+def test_the_brownian_weight_vector_has_no_far_weight(grid):
+    """At h = 1/2 every cell of [0, t] weighs 1 and the history none, far cells or not: Var B(1) is 1."""
+    w = fbmdelay.noise.fbm_weight_vector(grid, H5, grid.cell_count)
+    assert not np.any(w[:grid.far_cells])
+    np.testing.assert_allclose(w[grid.far_cells:], [0.0] * (grid.origin_index - grid.far_cells)
+                               + [1.0] * grid.main_steps, rtol=0.0, atol=1e-15)
+    assert discrete_fbm_cov(grid, H5, 1.0, 1.0) == pytest.approx(1.0, rel=1e-14)
 
 
 def test_increment_variance_matches_step():
