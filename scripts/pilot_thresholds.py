@@ -22,7 +22,7 @@ from fbmdelay.noise import discrete_dr_energy, discrete_fbm_cov, dr_energy_close
 
 
 def main() -> int:
-    grid = DESK.grid()
+    grid = DESK
     m0 = grid.origin_index
     print(f"== desk synthesis over the closed form (exact discrete expectations), {grid.cell_count} cells, "
           f"{grid.far_cells} far, history to {grid.warmup_start:.4g} ==")

@@ -34,7 +34,6 @@ from .integrands import (
 )
 from .integrator import delayed_integral_batch, delayed_segment
 from .experiments import (
-    DeskConfig,
     MCResult,
     cauchy_decay_study,
     continuity_study,

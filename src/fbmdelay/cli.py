@@ -29,10 +29,9 @@ import scipy
 
 from . import __version__
 from .kernels import HALF, hurst_constant
-from .noise import FAR_RATIO, SimulationGrid, process_values, write_path_csv, PROCESS_KINDS
+from .noise import FAR_RATIO, SimulationGrid, make_grid, process_values, write_path_csv, PROCESS_KINDS
 from .integrator import delayed_integral_batch, result_record
 from .experiments import (
-    DeskConfig,
     _integration_plan,
     _replicate,
     cauchy_decay_study,
@@ -88,7 +87,7 @@ class RunConfig:
         if not 0.0 <= self.warmup < math.inf:
             raise ValueError(f"--warmup must be >= 0 and finite (got {self.warmup})")
         try:
-            _desk(self).grid()
+            make_grid(self.horizon, self.steps, self.warmup)
         except ValueError as exc:
             raise ValueError(f"--warmup is too far back: {exc}") from None
         if self.kind not in PROCESS_KINDS:
@@ -212,26 +211,21 @@ def _config_from_manifest(stored) -> RunConfig:
 def _lattice(grid: SimulationGrid) -> dict:
     """The history lattice of a grid, as a manifest records it: its output bytes depend on all of it."""
     return {"near_window": -grid.uniform_start, "far_ratio": FAR_RATIO, "reach": grid.warmup_length,
-            "far_cells": grid.far_cells, "near_cells": grid.origin_index - grid.far_cells,
+            "far_cells": grid.far_cells, "near_cells": grid.near_cells,
             "main_cells": grid.main_steps}
 
 
 def _check_lattice(stored: dict, cfg: RunConfig) -> None:
     """Refuse a manifest whose history lattice is not the one this build makes of its config."""
-    want = _lattice(_desk(cfg).grid())
+    want = _lattice(make_grid(cfg.horizon, cfg.steps, cfg.warmup))
     if stored.get("lattice") != want:
         raise ValueError(f"manifest history lattice {stored.get('lattice')} is not this build's {want}; "
                          "rerun the command to write a new manifest")
 
 
-def _desk(cfg: RunConfig) -> DeskConfig:
-    return DeskConfig(horizon=cfg.horizon, steps=cfg.steps, warmup=cfg.warmup)
-
-
 def _run(cfg: RunConfig) -> list[str]:
     """Execute one validated config; returns the list of files written."""
-    desk = _desk(cfg)
-    grid, hp = desk.grid(), hurst_constant(cfg.hurst[0])
+    grid, hp = make_grid(cfg.horizon, cfg.steps, cfg.warmup), hurst_constant(cfg.hurst[0])
     outputs = [cfg.out]
     record = {"tool": "fbmdelay", "config": asdict(cfg), "outputs": outputs, "lattice": _lattice(grid),
               "versions": {"fbmdelay": __version__, "python": platform.python_version(),
@@ -245,24 +239,26 @@ def _run(cfg: RunConfig) -> list[str]:
     elif cfg.command == "integrate":
         gamma, seg = _integration_plan(parse_integrand(cfg.integrand, cfg.horizon), grid, cfg.level,
                                        "--level")
+        if grid.warmup_length == 0.0 and not hp.is_brownian:  # no history to bound the truncation of
+            raise ValueError(f"--warmup {cfg.warmup!r} leaves no history, which integrate needs at h > 1/2")
         # one replication, stream 0: the path `simulate` draws for the same seed
         parts = _replicate(cfg.seed, grid, 1, lambda nb: delayed_integral_batch(gamma, seg, nb, hp))
         with open(cfg.out, "w") as fh:
             json.dump(result_record(parts, seg, grid, hp, cfg.seed), fh, indent=2, sort_keys=True)
             fh.write("\n")
     elif cfg.command == "verify-moments":
-        report = verify_dr_moments(hp, cfg.horizon, cfg.reps, cfg.seed, desk)
+        report = verify_dr_moments(hp, cfg.horizon, cfg.reps, cfg.seed, grid)
         write_moments_csv(cfg.out, [report])
     elif cfg.command == "continuity":
-        curve = continuity_study(cfg.integrand, cfg.hurst, cfg.reps, cfg.seed, desk, cfg.level)
+        curve = continuity_study(cfg.integrand, cfg.hurst, cfg.reps, cfg.seed, grid, cfg.level)
         write_continuity_csv(cfg.out, curve)
         record["noise_checksum"] = curve.noise_checksum
     elif cfg.command == "nonconv":
-        rows = nonconvergence_demo(cfg.hurst, cfg.reps, cfg.seed, desk)
+        rows = nonconvergence_demo(cfg.hurst, cfg.reps, cfg.seed, grid)
         write_nonconv_csv(cfg.out, rows)
         record["noise_checksum"] = rows[0].noise_checksum
     elif cfg.command == "decay":
-        study = cauchy_decay_study(cfg.integrand, hp, cfg.levels, cfg.reps, cfg.seed, desk)
+        study = cauchy_decay_study(cfg.integrand, hp, cfg.levels, cfg.reps, cfg.seed, grid)
         write_decay_csv(cfg.out, study)
     manifest_path = cfg.out + ".manifest.json"
     write_manifest(manifest_path, record)

@@ -1,6 +1,7 @@
 """Monte Carlo experiment drivers and their CSV/JSON interfaces.
 
-Every driver follows the same discipline:
+Every driver takes the grid it runs on, a noise.SimulationGrid (default
+DESK, the desk-scale grid), and follows the same discipline:
 
 * common random numbers: within a replication, every Hurst value consumes the
   identical driving noise (one Philox stream per replication, checksummed);
@@ -68,7 +69,6 @@ from .noise import (
 )
 
 __all__ = [
-    "DeskConfig",
     "MCResult",
     "DrMomentReport",
     "ContinuityCurve",
@@ -90,19 +90,8 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DeskConfig:
-    """Desk-scale defaults: fine grid 2^12 on [0, 1], history reaching 1e14 back (see noise.make_grid)."""
-
-    horizon: float = 1.0
-    steps: int = 4096
-    warmup: float = 1e14
-
-    def grid(self) -> SimulationGrid:
-        return make_grid(self.horizon, self.steps, self.warmup)
-
-
-DESK = DeskConfig()
+#: the drivers' default grid, desk scale: 2^12 steps on [0, 1], history reaching 1e14 back (see noise.make_grid)
+DESK = make_grid(1.0, 4096, 1e14)
 
 #: CPUs this process may run on: _replicate runs up to this many chunks at once
 WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else (os.cpu_count() or 1)
@@ -267,13 +256,12 @@ class DrMomentReport:
 
 
 def verify_dr_moments(hp: HurstParameter, span: float, reps: int, seed: int,
-                      config: DeskConfig = DESK) -> DrMomentReport:
-    """MC check of E DR_H(span)^2 and E int_0^span DR_H^2 against the closed forms; span is config.horizon."""
+                      grid: SimulationGrid = DESK) -> DrMomentReport:
+    """MC check of E DR_H(span)^2 and E int_0^span DR_H^2 against the closed forms; span is grid.horizon."""
     if reps < 100:
         raise ValueError("need at least 100 replications")
-    if span != config.horizon:
-        raise ValueError(f"span {span} is not the config horizon {config.horizon}")
-    grid = config.grid()
+    if span != grid.horizon:
+        raise ValueError(f"span {span} is not the grid horizon {grid.horizon}")
     m0 = grid.origin_index
     _check_memory(grid, m0)  # before the quadrature's arrays of the grid's size
     eval_idx, quad_w = _energy_quadrature(grid, hp)
@@ -297,9 +285,8 @@ def verify_dr_moments(hp: HurstParameter, span: float, reps: int, seed: int,
     )
 
 
-def fbm_law_check(hp: HurstParameter, reps: int, seed: int, config: DeskConfig = DESK):
+def fbm_law_check(hp: HurstParameter, reps: int, seed: int, grid: SimulationGrid = DESK):
     """MC Var B_H(1) and Cov(B_H(1), B_H(1/2)) with exact discrete-expectation budgets."""
-    grid = config.grid()
     m0, n = grid.origin_index, grid.main_steps
     weights = np.stack([fbm_weight_vector(grid, hp, m0 + n), fbm_weight_vector(grid, hp, m0 + n // 2)])
 
@@ -326,7 +313,7 @@ def _left_point_sum(path: np.ndarray) -> np.ndarray:
 
 
 def shiryaev_identity_check(hp: HurstParameter, n_steps_seq, reps: int, seed: int,
-                            config: DeskConfig = DESK):
+                            grid: SimulationGrid = DESK):
     """Defect E|2 sum B_H(T_k) dB_H - B_H(T)^2| along a refinement sequence.
 
     The pathwise quadratic identity holds in the n -> infinity limit for
@@ -335,7 +322,6 @@ def shiryaev_identity_check(hp: HurstParameter, n_steps_seq, reps: int, seed: in
     """
     if hp.h <= HALF:
         raise ValueError("the quadratic identity check needs h > 1/2")
-    grid = config.grid()
     n_fine = grid.main_steps
     seq = [int(n) for n in n_steps_seq]
     for n in seq:
@@ -365,7 +351,7 @@ class NonConvergenceRow:
 
 
 def nonconvergence_demo(hursts, reps: int, seed: int,
-                        config: DeskConfig = DESK) -> list[NonConvergenceRow]:
+                        grid: SimulationGrid = DESK) -> list[NonConvergenceRow]:
     """Gap E int B_H dB_H - E int B dB per Hurst value; it does not vanish as h drops to 1/2.
 
     Reported twice per h: from the left-point Riemann sum at the fine
@@ -373,7 +359,6 @@ def nonconvergence_demo(hursts, reps: int, seed: int,
     the refinement tolerance) and from the quadratic-identity limit object
     0.5 B_H(T)^2, which is the n -> infinity value of the sums.
     """
-    grid = config.grid()
     horizon, n, m0 = grid.horizon, grid.main_steps, grid.origin_index
     hps = [hurst_constant(h) for h in hursts]
     rough = [hp for hp in hps if not hp.is_brownian]
@@ -510,9 +495,8 @@ def _reference_x_norm(gamma: Integrand, spec: str | None, grid: SimulationGrid, 
 
 
 def continuity_study(gamma: Integrand | str, hursts, reps: int, seed: int,
-                     config: DeskConfig = DESK, proj_level: int = 8) -> ContinuityCurve:
+                     grid: SimulationGrid = DESK, proj_level: int = 8) -> ContinuityCurve:
     """Pathwise L1 gaps E|I_H(gamma) - I_(1/2)(gamma)| under common noise, per Hurst value."""
-    grid = config.grid()
     spec = gamma if isinstance(gamma, str) else None
     if spec is not None:
         gamma = parse_integrand(spec, horizon=grid.horizon)
@@ -575,7 +559,7 @@ class DecayStudy:
 
 
 def cauchy_decay_study(gamma: Integrand | str, hp: HurstParameter, levels, reps: int,
-                       seed: int, config: DeskConfig = DESK) -> DecayStudy:
+                       seed: int, grid: SimulationGrid = DESK) -> DecayStudy:
     """Level-to-level L1 gaps of the dyadic extension, with log2 slope fits.
 
     For each consecutive pair (m, m+1) both projections are integrated on the
@@ -586,7 +570,6 @@ def cauchy_decay_study(gamma: Integrand | str, hp: HurstParameter, levels, reps:
     (Integrand.level_steps) with a field of the noise: no path, no
     projection and no assembly is formed.
     """
-    grid = config.grid()
     if isinstance(gamma, str):
         gamma = parse_integrand(gamma, horizon=grid.horizon)
     _check_start(grid, gamma)

@@ -111,8 +111,8 @@ def _dot(gamma_cells: np.ndarray, field: np.ndarray) -> np.ndarray:
 
 
 def delayed_parts_for_cells(gamma_cells: np.ndarray, seg: SegmentGrid, batch: NoiseBatch,
-                            hp: HurstParameter, transforms=None):
-    """(value, ito, tail, cross) per replication, for drivers that manage cells and transforms.
+                            hp: HurstParameter):
+    """(value, ito, tail, cross) per replication, for drivers that manage the integrand's cells.
 
     gamma_cells holds the integrand's predictable values on the fine cells
     of [0, seg.end).  Extra leading axes, in front of the replication axis,
@@ -131,8 +131,7 @@ def delayed_parts_for_cells(gamma_cells: np.ndarray, seg: SegmentGrid, batch: No
         ito = _dot(gamma_cells, incs[..., m0:end])
         return ito, ito.copy(), np.zeros(ito.shape), np.zeros(ito.shape)
     ito = _dot(gamma_cells, block_conv(incs[..., m0:end], _ito_table(grid, hp, end - m0), seg_idx - m0))
-    if transforms is None:
-        transforms = noise_transforms(grid, incs, (hp,), end)
+    transforms = noise_transforms(grid, incs, (hp,), end)
     tail, main = (_dot(gamma_cells, field[0]) for field in transforms)
     return tail + main, ito, tail, main - ito
 

@@ -57,6 +57,7 @@ import functools
 import math
 import threading
 from dataclasses import dataclass, field
+from numbers import Integral
 from typing import ClassVar
 
 import numpy as np
@@ -84,8 +85,6 @@ __all__ = [
 
 PROCESS_KINDS = ("B", "B_H", "W_H", "R_H", "DR_H")
 
-_LATTICE_RTOL = 1e-9
-
 #: the transforms and far products take their rows in blocks of at most this many points:
 #: 0.5 MiB of float64, so a block's padded rows, spectrum and inverse stay in a 2 MiB L2
 #: and a stage holds its result and a few blocks, never its whole batch's scratch; the
@@ -108,47 +107,49 @@ _FAR_GAUSS = np.polynomial.legendre.leggauss(8)
 
 @dataclass(frozen=True)
 class SimulationGrid:
-    """Lattice over [warmup_start, horizon] with the origin at 0.
+    """Lattice over [warmup_start, horizon] with the origin at 0, held as its counts: every time is derived.
 
-    Cells of one step cover [uniform_start, horizon].  Before them, far_cells
-    cells (or none) widen by FAR_RATIO each, out to warmup_start: the far history.
+    main_steps cells of one step cover [0, horizon], and near_cells more the near window before the origin,
+    from uniform_start.  Before them, far_cells cells (or none) widen by FAR_RATIO each, out to warmup_start.
     """
 
-    warmup_start: float
     horizon: float
-    step: float
-    cell_count: int
+    main_steps: int
+    near_cells: int = 0
     far_cells: int = 0
 
     #: not a field: lattice times, integrand kernels and forecasts all count from t = 0
     origin: ClassVar[float] = 0.0
 
     def __post_init__(self):
-        if not (self.warmup_start <= self.origin < self.horizon):
-            raise ValueError("need warmup_start <= 0 < horizon")
-        if self.step <= 0.0:
-            raise ValueError("step must be positive")
-        if not 0 <= self.far_cells < self.cell_count:
-            raise ValueError("need 0 <= far_cells < cell_count")
-        if abs(self.horizon - self.step * round(self.horizon / self.step)) > _LATTICE_RTOL * self.horizon:
-            raise ValueError("the horizon must be a whole number of steps from the origin")
-        start = self.uniform_start * FAR_RATIO ** self.far_cells
-        if (self.far_cells and not start < 0.0) or abs(self.warmup_start - start) > _LATTICE_RTOL * -start:
-            raise ValueError("warmup_start must be uniform_start * FAR_RATIO ** far_cells, and < 0 with far cells")
+        if not 0.0 < self.horizon < math.inf or self.main_steps < 1:
+            raise ValueError(f"need a finite horizon > 0 and steps >= 1 (got {self.horizon!r} and {self.main_steps})")
+        if self.step == 0.0:
+            raise ValueError(f"a horizon of {self.horizon!r} in {self.main_steps} steps underflows to a step of 0")
+        counts = (self.main_steps, self.near_cells, self.far_cells)
+        if not all(isinstance(n, Integral) and n >= 0 for n in counts) or (self.far_cells and not self.near_cells):
+            raise ValueError(f"need whole counts >= 0, and near cells before any far cells (got {counts})")
+
+    @property
+    def step(self) -> float:
+        return self.horizon / self.main_steps
+
+    @property
+    def cell_count(self) -> int:
+        return self.far_cells + self.near_cells + self.main_steps
 
     @property
     def origin_index(self) -> int:
-        return self.cell_count - int(round(self.horizon / self.step))
+        return self.far_cells + self.near_cells
 
     @property
     def uniform_start(self) -> float:
         """Where the cells of one step begin: the far cells' end, warmup_start where there are none."""
-        return -(self.origin_index - self.far_cells) * self.step
+        return -self.near_cells * self.step  # an int negated: no warmup starts at 0.0, not -0.0
 
     @property
-    def main_steps(self) -> int:
-        """Number of cells on [origin, horizon]."""
-        return self.cell_count - self.origin_index
+    def warmup_start(self) -> float:
+        return self.uniform_start * FAR_RATIO ** self.far_cells
 
     @property
     def warmup_length(self) -> float:
@@ -159,7 +160,7 @@ class SimulationGrid:
         return self.uniform_start * FAR_RATIO ** np.arange(self.far_cells, -1, -1)
 
     def edges(self) -> np.ndarray:
-        uniform = self.uniform_start + self.step * np.arange(self.cell_count - self.far_cells + 1)
+        uniform = self.uniform_start + self.step * np.arange(self.near_cells + self.main_steps + 1)
         return np.concatenate([self.far_edges()[:-1], uniform])
 
     def far_widths(self) -> np.ndarray:
@@ -173,7 +174,7 @@ class SimulationGrid:
         """
         pos = (np.asarray(t, dtype=float) - self.uniform_start) / self.step
         idx = np.rint(pos).astype(int)  # half to even, as round()
-        bad = (idx < 0) | (idx > self.cell_count - self.far_cells) | (np.abs(pos - idx) > 1e-6)
+        bad = (idx < 0) | (idx > self.near_cells + self.main_steps) | (np.abs(pos - idx) > 1e-6)
         if np.any(bad):
             raise ValueError(f"t={float(np.asarray(t)[bad][0])!r} is not on the simulation lattice (only its "
                              f"cells of one step, from {self.uniform_start!r}, have indices)")
@@ -182,19 +183,15 @@ class SimulationGrid:
 
 
 def make_grid(horizon: float, steps: int, warmup: float = 0.0) -> SimulationGrid:
-    """Grid with `steps` cells on [0, horizon] and >= warmup of history before 0.
+    """Grid with `steps` cells on [0, horizon] and >= warmup of history before 0: the counts that reach it.
 
     The history is cells of one step out to NEAR_WINDOW horizons before the
     origin, or to warmup if that is shorter; beyond them, far cells that
     widen by FAR_RATIO each, out to warmup or just past it (none if shorter).
     """
-    if not 0.0 < horizon < math.inf or steps < 1:
-        raise ValueError(f"need a finite horizon > 0 and steps >= 1 (got {horizon!r} and {steps})")
+    step = SimulationGrid(horizon, steps).step  # the grid checks the horizon and the steps
     if not 0.0 <= warmup < math.inf:
         raise ValueError("warmup must be >= 0 and finite")
-    step = horizon / steps
-    if step == 0.0:
-        raise ValueError(f"a horizon of {horizon!r} in {steps} steps underflows to a step of 0")
     overflow = ValueError(f"a history reaching {warmup!r} back overflows the lattice of step {step!r}")
     if warmup / step == math.inf:
         raise overflow
@@ -203,14 +200,14 @@ def make_grid(horizon: float, steps: int, warmup: float = 0.0) -> SimulationGrid
     far = 0
     if warmup_cells > near_cells:
         far = int(math.ceil(math.log(warmup / (near_cells * step)) / math.log(FAR_RATIO) - 1e-12))
+    grid = SimulationGrid(horizon, steps, near_cells, far)
     try:
-        start = -near_cells * step * FAR_RATIO ** far  # an int negated: no warmup starts at 0.0, not -0.0
+        start = grid.warmup_start
     except OverflowError:
         raise overflow from None
     if start == -math.inf:
         raise overflow
-    return SimulationGrid(warmup_start=start, horizon=horizon, step=step,
-                          cell_count=steps + near_cells + far, far_cells=far)
+    return grid
 
 
 @dataclass(frozen=True)

@@ -280,8 +280,8 @@ def decay_gaps_per_level(gamma: Integrand, hp: HurstParameter, levels, nb: Noise
     gaps, scales = [], []
     for m in levels[:-1]:
         seg = SegmentGrid.dyadic(grid.horizon, m + 1)
-        v0, _, _, c0 = delayed_parts_for_cells(cells[m], seg, nb, hp, pre)
-        v1, _, _, c1 = delayed_parts_for_cells(cells[m + 1], seg, nb, hp, pre)
+        v0, _, _, c0 = delayed_parts_for_cells(cells[m], seg, nb, hp)
+        v1, _, _, c1 = delayed_parts_for_cells(cells[m + 1], seg, nb, hp)
         gaps += [np.abs(v1 - v0), np.abs(c1 - c0)]
         both = np.abs(cells[m]) + np.abs(cells[m + 1])
         if hp.is_brownian:
@@ -298,11 +298,13 @@ def extension(gamma: Integrand, hp: HurstParameter, batch: NoiseBatch, levels, t
     Stops once the L1 gap mean |I_H(gamma_n) - I_H(gamma_(n-1))| falls below tol: later levels are not computed.
     """
     grid, incs = batch.grid, batch.increments
-    transforms = fbmdelay.integrator.noise_transforms(grid, incs, (hp,), grid.cell_count)
+    # the value part of delayed_parts_for_cells, as its row sums, on fields transformed once for every level
+    fields = ([incs[..., grid.origin_index:]] if hp.is_brownian else
+              [f[0] for f in fbmdelay.integrator.noise_transforms(grid, incs, (hp,), grid.cell_count)])
     samples, gaps = [], []
     for n, cells in zip(levels, dyadic_cells(gamma, grid, incs, levels)):
-        samples.append(delayed_parts_for_cells(cells, SegmentGrid.dyadic(grid.horizon, n), batch, hp,
-                                               transforms)[0])
+        sums = [np.sum(cells * f, axis=-1) for f in fields]  # ito, or tail and main
+        samples.append(sums[0] if hp.is_brownian else sums[0] + sums[1])
         if len(samples) > 1:
             gaps.append(float(np.mean(np.abs(samples[-1] - samples[-2]))))
             if gaps[-1] < tol:

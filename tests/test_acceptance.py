@@ -33,7 +33,7 @@ from fbmdelay.experiments import (
 from fbmdelay.cli import parse_and_dispatch
 from oracles import riemann_gap_expectation
 
-GRID = DESK.grid()
+GRID = DESK
 
 
 def _report(criterion: str, ok: bool, detail: str, margins) -> bool:

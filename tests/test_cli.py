@@ -16,7 +16,8 @@ import fbmdelay.cli
 import fbmdelay.experiments
 import fbmdelay.noise
 from fbmdelay.cli import RunConfig, parse_and_dispatch
-from fbmdelay.experiments import DeskConfig, continuity_study, nonconvergence_demo
+from fbmdelay.experiments import continuity_study, nonconvergence_demo
+from fbmdelay.noise import make_grid
 from oracles import spy_convolutions
 
 FAST = ["--steps", "128", "--warmup", "1.0"]
@@ -193,6 +194,8 @@ OFF_LATTICE_STARTS = [
     *NEGATIVE_LEVELS,
     *FEWER_THAN_TWO_LEVELS,
     *OFF_LATTICE_STARTS,
+    # no history at h > 1/2: integrate's record declares a bound on a truncation with nothing before it
+    (["integrate", "--steps", "256", "--warmup", "0", "--out", "x.json"], "--warmup 0.0 leaves no history"),
 ])
 def test_validation_failures_are_one_line_and_nonzero(tmp_path, capsys, argv, fragment):
     os.chdir(tmp_path)
@@ -254,6 +257,22 @@ def test_an_rl_start_off_the_lattice_is_refused_before_any_draw(tmp_path, capsys
     code, _, err = _run(argv, capsys)
     assert code == 2 and err.startswith(f"fbmdelay: error: {fragment}; take a start") and err.count("\n") == 1
     assert draws == [] and not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("integrand", ["det:const:1.0", "pp:bm:8"])
+def test_integrate_without_history_is_refused_above_one_half_before_any_draw(tmp_path, capsys, monkeypatch,
+                                                                            integrand):
+    """--warmup 0 at h = 0.75: one line naming --warmup and no draw; at h = 1/2 the record is written, budget 0."""
+    os.chdir(tmp_path)
+    draws = []
+    monkeypatch.setattr(fbmdelay.experiments, "generate_noise_batch", lambda *args, **kwargs: draws.append(args))
+    argv = ["integrate", "--integrand", integrand, "--steps", "256", "--warmup", "0", "--out", "x.json"]
+    code, _, err = _run(argv, capsys)
+    assert code == 2 and err == "fbmdelay: error: --warmup 0.0 leaves no history, which integrate needs at h > 1/2\n"
+    assert draws == [] and not list(tmp_path.iterdir())
+    monkeypatch.undo()
+    assert _run([*argv, "--hurst", "0.5"], capsys)[0] == 0
+    assert json.loads((tmp_path / "x.json").read_text())["truncation_budget"] == 0.0
 
 
 def test_an_rl_start_on_the_lattice_runs(tmp_path, capsys):
@@ -459,11 +478,11 @@ def test_study_manifests_record_the_noise_checksum(tmp_path, capsys, command):
     assert _run(argv, capsys)[0] == 0
     manifest = out.with_suffix(".csv.manifest.json")
     first = manifest.read_bytes()
-    desk = DeskConfig(steps=128, warmup=1.0)
+    grid = make_grid(1.0, 128, 1.0)
     if command == "continuity":
-        want = continuity_study("pp:bm:4", [0.7, 0.51], 40, 3, config=desk).noise_checksum
+        want = continuity_study("pp:bm:4", [0.7, 0.51], 40, 3, grid=grid).noise_checksum
     else:
-        want = nonconvergence_demo([0.7, 0.51], 40, 3, config=desk)[0].noise_checksum
+        want = nonconvergence_demo([0.7, 0.51], 40, 3, grid=grid)[0].noise_checksum
     assert json.loads(first)["noise_checksum"] == want
     out.unlink()
     assert _run(["--manifest", str(manifest)], capsys)[0] == 0
@@ -501,7 +520,7 @@ def test_manifests_record_the_versions_and_the_history_lattice(tmp_path, capsys)
     assert record["config"]["warmup"] == 1e14
     assert set(record["versions"]) == {"fbmdelay", "python", "numpy", "scipy"}
     assert (record["versions"]["numpy"], record["versions"]["scipy"]) == (numpy.__version__, scipy.__version__)
-    reach = DeskConfig(steps=128).grid().warmup_length
+    reach = make_grid(1.0, 128, 1e14).warmup_length
     assert reach >= 1e14
     assert record["lattice"] == {"near_window": 1.0, "far_ratio": 1.0625, "reach": reach,
                                  "far_cells": 532, "near_cells": 128, "main_cells": 128}

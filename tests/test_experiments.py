@@ -21,10 +21,10 @@ from hypothesis import given, settings, strategies as st
 import fbmdelay.experiments
 import fbmdelay.integrands
 from fbmdelay.kernels import hurst_constant
-from fbmdelay.noise import dr_pointwise_closed_form, dr_values, generate_noise_batch
+from fbmdelay.noise import dr_pointwise_closed_form, dr_values, generate_noise_batch, make_grid
 from fbmdelay.experiments import (
+    DESK,
     ContinuityNotApplicableError,
-    DeskConfig,
     _energy_quadrature,
     _mc,
     _replicate,
@@ -55,7 +55,7 @@ from fbmdelay.integrands import (
 )
 from oracles import decay_gaps_per_level, spy_convolutions, spy_noise_ffts
 
-SMALL = DeskConfig(steps=512, warmup=2.0)
+SMALL = make_grid(1.0, 512, 2.0)
 H75 = hurst_constant(0.75)
 H5 = hurst_constant(0.5)
 
@@ -79,7 +79,7 @@ def test_verify_dr_moments_brownian_is_exactly_zero():
 
 def test_verify_dr_moments_is_checked_for_the_cells_it_draws(monkeypatch):
     """The desk DR_H check draws 4,628 of 8,724 cells a row: memory for its prefix rows, short of full rows, runs it."""
-    grid, e = DeskConfig().grid(), fbmdelay.experiments
+    grid, e = DESK, fbmdelay.experiments
     rows = e._CHUNK_BYTES // (8 * grid.cell_count)
     prefix, full = (rows * 8 * cells * (1 + e._FIELD_FACTOR) for cells in (grid.origin_index, grid.cell_count))
     monkeypatch.setattr(fbmdelay.experiments, "_memory_available", lambda: (prefix + full) // 2)
@@ -102,19 +102,18 @@ def test_verify_dr_moments_is_its_reference_on_full_rows(monkeypatch, chunk, wor
     without a history, no cell is drawn."""
     monkeypatch.setattr(fbmdelay.experiments, "WORKERS", workers)
     reps, seed = 150, 8
-    for config, hp in ((SMALL, H75), (SMALL, hurst_constant(0.55)), (DeskConfig(steps=512, warmup=0.0), H75)):
-        monkeypatch.setattr(fbmdelay.experiments, "_CHUNK_BYTES", _chunk_bytes(chunk * workers, config))
-        grid = config.grid()
+    for grid, hp in ((SMALL, H75), (SMALL, hurst_constant(0.55)), (make_grid(1.0, 512, 0.0), H75)):
+        monkeypatch.setattr(fbmdelay.experiments, "_CHUNK_BYTES", _chunk_bytes(chunk * workers, grid))
         drv = dr_values(generate_noise_batch(seed, grid, reps).increments, grid, hp, grid.origin_index)
         _, quad_w = _energy_quadrature(grid, hp)
-        rep = verify_dr_moments(hp, 1.0, reps, seed, config)
+        rep = verify_dr_moments(hp, 1.0, reps, seed, grid)
         assert rep.pointwise == _mc(drv[:, -1] ** 2, seed, rep.pointwise.truncation_budget)
         assert rep.energy == _mc(np.sum(drv ** 2 * quad_w, axis=-1), seed, rep.energy.truncation_budget)
 
 
 def test_verify_dr_moments_runs_on_the_config_horizon():
-    """span must be the config's horizon: a second horizon is refused, naming both."""
-    short = DeskConfig(horizon=0.7, steps=512, warmup=2.0)
+    """span must be the grid's horizon: a second horizon is refused, naming both."""
+    short = make_grid(0.7, 512, 2.0)
     with pytest.raises(ValueError, match="span 1.0 .* horizon 0.7"):
         verify_dr_moments(H75, 1.0, 100, 1, short)
     rep = verify_dr_moments(H75, 0.7, 100, 1, short)
@@ -129,7 +128,7 @@ def test_energy_quadrature_weights_keep_precision_as_h_nears_half(h):
     difference of powers lost 1.8 of the weight at h = 1/2 + 1e-14.
     """
     hp = hurst_constant(h)
-    grid = SMALL.grid()
+    grid = SMALL
     eval_idx, weights = _energy_quadrature(grid, hp)
     assert eval_idx.tolist() == list(range(grid.origin_index + 1, grid.cell_count + 1))
     with mpmath.workdps(50):
@@ -159,18 +158,18 @@ def test_replicate_sizes_chunks_from_the_grid(monkeypatch):
         return SimpleNamespace(replications=reps)
 
     monkeypatch.setattr(fbmdelay.experiments, "generate_noise_batch", stub)
-    for workers, config, reps, want, inline in ((2, DeskConfig(), 512, [32] * 16, False),
-                                                (1, DeskConfig(), 512, [32] * 16, True),
-                                                (2, DeskConfig(steps=65536), 40, [2] * 20, False),
-                                                (2, DeskConfig(), 300, [30] * 10, False),
-                                                (2, DeskConfig(steps=2 ** 18), 8, [1] * 8, False),
-                                                (2, DeskConfig(), 10, [5, 5], False),
-                                                (3, DeskConfig(), 10, [3, 3, 4], False),
-                                                (2, DeskConfig(steps=2 ** 24), 2, [1, 1], True)):
+    for workers, grid, reps, want, inline in ((2, DESK, 512, [32] * 16, False),
+                                              (1, DESK, 512, [32] * 16, True),
+                                              (2, make_grid(1.0, 65536, 1e14), 40, [2] * 20, False),
+                                              (2, DESK, 300, [30] * 10, False),
+                                              (2, make_grid(1.0, 2 ** 18, 1e14), 8, [1] * 8, False),
+                                              (2, DESK, 10, [5, 5], False),
+                                              (3, DESK, 10, [3, 3, 4], False),
+                                              (2, make_grid(1.0, 2 ** 24, 1e14), 2, [1, 1], True)):
         monkeypatch.setattr(fbmdelay.experiments, "WORKERS", workers)
-        for cells in (None, config.grid().origin_index):
+        for cells in (None, grid.origin_index):
             drawn.clear()
-            out, = _replicate(1, config.grid(), reps, lambda nb: (np.zeros(nb.replications),), cells=cells)
+            out, = _replicate(1, grid, reps, lambda nb: (np.zeros(nb.replications),), cells=cells)
             starts = np.cumsum([0] + want[:-1])
             assert sorted(d[:2] for d in drawn) == list(zip(starts, want)) and out.shape == (reps,)
             assert inline == all(d[2] == threading.get_ident() for d in drawn)
@@ -187,7 +186,7 @@ def test_replicate_keeps_at_most_the_budget_alive(monkeypatch, budget_rows, chun
     only that many chunks alive together can pass.  The rows come back in
     stream order, and a single chunk runs on the calling thread.
     """
-    workers, grid = 3, SMALL.grid()
+    workers, grid = 3, SMALL
     monkeypatch.setattr(fbmdelay.experiments, "WORKERS", workers)
     monkeypatch.setattr(fbmdelay.experiments, "_CHUNK_BYTES", _chunk_bytes(budget_rows))
     lock, alive, peak = threading.Lock(), [0], [0]
@@ -229,7 +228,7 @@ def test_replicate_passes_a_chunk_exception_to_the_caller(monkeypatch):
         return (nb.increments[:, 0],)
 
     with pytest.raises(RuntimeError, match="chunk at stream 0 failed"):
-        _replicate(3, SMALL.grid(), 40, per_chunk)  # 20 chunks
+        _replicate(3, SMALL, 40, per_chunk)  # 20 chunks
     assert 0 in started and len(started) < 20
 
 
@@ -252,7 +251,7 @@ def test_shiryaev_defect_decreases_and_validates():
 
 
 def test_nonconvergence_rows_and_crn():
-    rows = nonconvergence_demo([0.51, 0.75], 400, 9, config=SMALL)
+    rows = nonconvergence_demo([0.51, 0.75], 400, 9, grid=SMALL)
     by_h = {r.h: r for r in rows}
     # the limit-form gap sits near 1/2 at every h; the finite-n gap needs its
     # declared refinement tolerance as h drops to 1/2
@@ -265,7 +264,7 @@ def test_nonconvergence_rows_and_crn():
 
 
 def test_continuity_gaps_shrink_toward_half():
-    curve = continuity_study("det:const:1.0", [0.7, 0.55, 0.51], 300, 2024, config=SMALL)
+    curve = continuity_study("det:const:1.0", [0.7, 0.55, 0.51], 300, 2024, grid=SMALL)
     assert curve.hurst_values == (0.7, 0.55, 0.51)
     assert curve.decreasing_within_1se()
     assert curve.final_gap < curve.gaps[0]
@@ -274,7 +273,7 @@ def test_continuity_gaps_shrink_toward_half():
 
 def test_continuity_accepts_instances_and_piecewise():
     frozen = PiecewisePredictableIntegrand(BrownianIntegrand(), SegmentGrid.uniform(1.0, 8))
-    curve = continuity_study(frozen, [0.6, 0.51], 200, 7, config=SMALL)
+    curve = continuity_study(frozen, [0.6, 0.51], 200, 7, grid=SMALL)
     assert curve.integrand_spec == "pp:bm:8"
     assert curve.gaps[1] < curve.gaps[0]
 
@@ -290,24 +289,24 @@ def test_continuity_reference_norm_is_summed_once_per_spec_and_grid(monkeypatch)
 
     monkeypatch.setattr(PiecewisePredictableIntegrand, "second_moment", counted)
     fbmdelay.experiments._closed_x_norm.cache_clear()
-    first = continuity_study("pp:bm:8", [0.6, 0.51], 20, 7, config=SMALL)
-    assert calls["pp:bm:8"] == SMALL.steps + 1  # one per cell, and one to see that a closed form exists
-    again = continuity_study("pp:bm:8", [0.6, 0.51], 20, 8, config=SMALL)
-    assert calls["pp:bm:8"] == SMALL.steps + 1
+    first = continuity_study("pp:bm:8", [0.6, 0.51], 20, 7, grid=SMALL)
+    assert calls["pp:bm:8"] == SMALL.main_steps + 1  # one per cell, and one to see that a closed form exists
+    again = continuity_study("pp:bm:8", [0.6, 0.51], 20, 8, grid=SMALL)
+    assert calls["pp:bm:8"] == SMALL.main_steps + 1
     frozen = PiecewisePredictableIntegrand(BrownianIntegrand(), SegmentGrid.uniform(1.0, 8))
-    assert again.x_norm_ref == first.x_norm_ref == closed_form_x_norm(frozen, SMALL.grid())
+    assert again.x_norm_ref == first.x_norm_ref == closed_form_x_norm(frozen, SMALL)
 
 
 def test_continuity_rejects_nu_zero_non_predictable():
     for gamma in (BrownianIntegrand(), QuadraticBrownianIntegrand()):
         with pytest.raises(ContinuityNotApplicableError, match="not applicable"):
-            continuity_study(gamma, [0.6, 0.51], 100, 7, config=SMALL)
+            continuity_study(gamma, [0.6, 0.51], 100, 7, grid=SMALL)
     with pytest.raises(ValueError, match="baseline"):
-        continuity_study("det:const:1.0", [0.6, 0.5], 100, 7, config=SMALL)
+        continuity_study("det:const:1.0", [0.6, 0.5], 100, 7, grid=SMALL)
 
 
 def test_decay_study_runs_and_reports_both_slopes():
-    study = cauchy_decay_study("bm", H75, range(3, 7), 100, 77, config=SMALL)
+    study = cauchy_decay_study("bm", H75, range(3, 7), 100, 77, grid=SMALL)
     assert study.levels == (3, 4, 5)
     assert len(study.gaps) == len(study.cross_gaps) == 3
     assert study.fitted_slope is not None and study.fitted_slope < 0
@@ -340,14 +339,15 @@ def test_drivers_are_identical_for_any_blas_thread_count():
     convolutions (16 blocks of 256 cells, 32 of 128) are big enough to thread.
     """
     script = (
-        "from fbmdelay.experiments import DeskConfig, cauchy_decay_study, continuity_study\n"
+        "from fbmdelay.experiments import cauchy_decay_study, continuity_study\n"
         "from fbmdelay.kernels import hurst_constant\n"
+        "from fbmdelay.noise import make_grid\n"
         "import fbmdelay.experiments\n"
-        "cfg = DeskConfig(steps=4096, warmup=1.0)\n"
-        "fbmdelay.experiments._CHUNK_BYTES = 25 * 8 * cfg.grid().cell_count\n"
+        "grid = make_grid(1.0, 4096, 1.0)\n"
+        "fbmdelay.experiments._CHUNK_BYTES = 25 * 8 * grid.cell_count\n"
         "assert fbmdelay.experiments._CHUNK_BYTES <= fbmdelay.experiments._CHUNK_CAP_BYTES\n"
-        "print(repr(cauchy_decay_study('fbm:0.75', hurst_constant(0.6), range(3, 6), 40, 3, config=cfg)))\n"
-        "print(repr(continuity_study('fbm:0.75', [0.75, 0.51], 40, 3, config=cfg, proj_level=4)))\n")
+        "print(repr(cauchy_decay_study('fbm:0.75', hurst_constant(0.6), range(3, 6), 40, 3, grid=grid)))\n"
+        "print(repr(continuity_study('fbm:0.75', [0.75, 0.51], 40, 3, grid=grid, proj_level=4)))\n")
     src = str(Path(__file__).resolve().parents[1] / "src")
     outs = []
     for threads in ("1", "2"):
@@ -359,13 +359,13 @@ def test_drivers_are_identical_for_any_blas_thread_count():
     assert outs[0] == outs[1] and outs[0].count("\n") == 2
 
 
-def _chunk_bytes(rows, config=SMALL):
-    """The _CHUNK_BYTES that makes _replicate draw chunks of rows replications on config's grid, at WORKERS = 1.
+def _chunk_bytes(rows, grid=SMALL):
+    """The _CHUNK_BYTES that makes _replicate draw chunks of rows replications on grid, at WORKERS = 1.
 
     rows must be within _CHUNK_CAP_BYTES, which would otherwise shrink the chunks unseen.
     """
-    assert rows * 8 * config.grid().cell_count <= fbmdelay.experiments._CHUNK_CAP_BYTES, (rows, config)
-    return rows * 8 * config.grid().cell_count
+    assert rows * 8 * grid.cell_count <= fbmdelay.experiments._CHUNK_CAP_BYTES, (rows, grid)
+    return rows * 8 * grid.cell_count
 
 
 def _every_driver(chunk, reps, workers=1):
@@ -376,9 +376,9 @@ def _every_driver(chunk, reps, workers=1):
         return (verify_dr_moments(H75, 1.0, reps, 3, SMALL),
                 fbm_law_check(H75, reps, 3, SMALL),
                 shiryaev_identity_check(H75, [64, 512], reps, 3, SMALL),
-                nonconvergence_demo([0.75, 0.51], reps, 3, config=SMALL),
-                continuity_study("fbm:0.75", [0.7, 0.51], reps, 3, config=SMALL),
-                cauchy_decay_study("fbm:0.75", hurst_constant(0.6), range(3, 6), reps, 3, config=SMALL))
+                nonconvergence_demo([0.75, 0.51], reps, 3, grid=SMALL),
+                continuity_study("fbm:0.75", [0.7, 0.51], reps, 3, grid=SMALL),
+                cauchy_decay_study("fbm:0.75", hurst_constant(0.6), range(3, 6), reps, 3, grid=SMALL))
 
 
 CHUNK_REPS = 150
@@ -423,7 +423,7 @@ def _desk_chunks(rows, workers):
     """Every desk op's result (repr) with chunks of rows replications on workers threads."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(fbmdelay.experiments, "WORKERS", workers)
-        mp.setattr(fbmdelay.experiments, "_CHUNK_CAP_BYTES", rows * 8 * DeskConfig().grid().cell_count)
+        mp.setattr(fbmdelay.experiments, "_CHUNK_CAP_BYTES", rows * 8 * DESK.cell_count)
         return {name: repr(op()) for name, op in DESK_OPS.items()}
 
 
@@ -439,7 +439,7 @@ def _desk_continuity(spec, reps, seed, rows, workers):
     """repr of a desk continuity_study at one h, in chunks of at most rows replications on workers threads."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(fbmdelay.experiments, "WORKERS", workers)
-        mp.setattr(fbmdelay.experiments, "_CHUNK_CAP_BYTES", rows * 8 * DeskConfig().grid().cell_count)
+        mp.setattr(fbmdelay.experiments, "_CHUNK_CAP_BYTES", rows * 8 * DESK.cell_count)
         return repr(continuity_study(spec, (0.6,), reps, seed))
 
 
@@ -499,7 +499,7 @@ def test_a_desk_decay_chunk_holds_no_difference_field(monkeypatch, spec, h):
     per pair: its traced peak reads 3.8 fields, where one more full-size
     difference field read 5.1.  A first call fills the caches.
     """
-    grid, peaks = DeskConfig().grid(), []
+    grid, peaks = DESK, []
 
     def one_chunk(seed, grid, reps, per_chunk, cells=None):
         nb = generate_noise_batch(seed, grid, 32)
@@ -520,12 +520,12 @@ def test_a_desk_decay_chunk_holds_no_difference_field(monkeypatch, spec, h):
 
 def test_common_random_numbers_across_hurst_lists():
     """h = 0.51 gives bit-identical results alone and after another h in the list."""
-    alone = continuity_study("fbm:0.75", [0.51], 150, 5, config=SMALL)
-    inside = continuity_study("fbm:0.75", [0.75, 0.51], 150, 5, config=SMALL)
+    alone = continuity_study("fbm:0.75", [0.51], 150, 5, grid=SMALL)
+    inside = continuity_study("fbm:0.75", [0.75, 0.51], 150, 5, grid=SMALL)
     assert (alone.gaps[0], alone.std_errors[0], alone.noise_checksum) == \
         (inside.gaps[1], inside.std_errors[1], inside.noise_checksum)
-    assert nonconvergence_demo([0.51], 150, 5, config=SMALL)[0] == \
-        nonconvergence_demo([0.75, 0.51], 150, 5, config=SMALL)[1]
+    assert nonconvergence_demo([0.51], 150, 5, grid=SMALL)[0] == \
+        nonconvergence_demo([0.75, 0.51], 150, 5, grid=SMALL)[1]
 
 
 CRN_POOL = (0.5, 0.51, 0.55, 0.6, 0.75, 0.9)
@@ -534,9 +534,9 @@ CRN_POOL = (0.5, 0.51, 0.55, 0.6, 0.75, 0.9)
 @functools.cache
 def _alone(h):
     """(continuity gap, se, checksum) and the nonconv row of h, each from a list of h alone."""
-    curve = None if h == 0.5 else continuity_study("pp:bm:8", [h], 40, 5, config=SMALL)
+    curve = None if h == 0.5 else continuity_study("pp:bm:8", [h], 40, 5, grid=SMALL)
     cont = None if curve is None else (curve.gaps[0], curve.std_errors[0], curve.noise_checksum)
-    return cont, nonconvergence_demo([h], 40, 5, config=SMALL)[0]
+    return cont, nonconvergence_demo([h], 40, 5, grid=SMALL)[0]
 
 
 @given(hursts=st.lists(st.sampled_from(CRN_POOL), min_size=1, max_size=5, unique=True))
@@ -545,10 +545,10 @@ def test_every_hurst_value_sees_the_same_noise_in_any_list(hursts):
     """Each h's results are bit-identical alone and inside any list and order of h."""
     rough = [h for h in hursts if h != 0.5]
     if rough:
-        curve = continuity_study("pp:bm:8", rough, 40, 5, config=SMALL)
+        curve = continuity_study("pp:bm:8", rough, 40, 5, grid=SMALL)
         for h, gap, se in zip(rough, curve.gaps, curve.std_errors):
             assert (gap, se, curve.noise_checksum) == _alone(h)[0]
-    for h, row in zip(hursts, nonconvergence_demo(hursts, 40, 5, config=SMALL)):
+    for h, row in zip(hursts, nonconvergence_demo(hursts, 40, 5, grid=SMALL)):
         assert row == _alone(h)[1]
 
 
@@ -568,7 +568,7 @@ def test_continuity_transforms_each_noise_window_once_for_every_h(monkeypatch, s
     past_conv), one forward and one inverse a row.  No h makes a segment
     block convolution.
     """
-    grid = SMALL.grid()
+    grid = SMALL
     monkeypatch.setattr(fbmdelay.experiments, "WORKERS", 3)
     inverse = []
     ffts = spy_noise_ffts(monkeypatch, inverse)
@@ -579,7 +579,7 @@ def test_continuity_transforms_each_noise_window_once_for_every_h(monkeypatch, s
     for hursts in ([0.6], [0.7, 0.6, 0.55, 0.51]):
         ffts.clear()
         inverse.clear()
-        continuity_study(spec, hursts, reps, 5, config=SMALL)
+        continuity_study(spec, hursts, reps, 5, grid=SMALL)
         if spec != "fbm:0.75":
             assert ffts == [] and inverse == []
             continue
@@ -604,10 +604,10 @@ def test_decay_study_equals_per_level_reference(monkeypatch, spec, h):
     runs = []
     monkeypatch.setattr(fbmdelay.experiments, "_replicate", lambda *args: runs.append(_replicate(*args)) or runs[-1])
     hp, levels, reps = hurst_constant(h), [3, 4, 5], 150  # two chunks of 75
-    study = cauchy_decay_study(spec, hp, levels, reps, 9, config=SMALL)
+    study = cauchy_decay_study(spec, hp, levels, reps, 9, grid=SMALL)
     (gaps,) = runs
     gamma = parse_integrand(spec)
-    ref = _replicate(9, SMALL.grid(), reps, lambda nb: decay_gaps_per_level(gamma, hp, levels, nb))
+    ref = _replicate(9, SMALL, reps, lambda nb: decay_gaps_per_level(gamma, hp, levels, nb))
     assert len(ref) == 2 * len(gaps)
     for got, want, scale in zip(gaps, ref, ref[len(gaps):]):
         assert got.shape == (reps,)
@@ -629,7 +629,7 @@ def test_decay_study_shares_the_path_and_the_cross_convolutions(monkeypatch):
     or an assembly of its own.  The two chunks run on two threads, so the
     calls are counted, not ordered.
     """
-    grid = SMALL.grid()
+    grid = SMALL
     m0, n = grid.origin_index, grid.cell_count
     monkeypatch.setattr(fbmdelay.experiments, "WORKERS", 2)
     calls = spy_convolutions(monkeypatch)
@@ -641,7 +641,7 @@ def test_decay_study_shares_the_path_and_the_cross_convolutions(monkeypatch):
     real_product = fbmdelay.integrands.half_cross_conv
     monkeypatch.setattr(fbmdelay.integrands, "half_cross_conv",
                         lambda blocks, table: products.append(blocks.shape[-2:]) or real_product(blocks, table))
-    cauchy_decay_study("fbm:0.75", hurst_constant(0.6), range(3, 6), 150, 5, config=SMALL)
+    cauchy_decay_study("fbm:0.75", hurst_constant(0.6), range(3, 6), 150, 5, grid=SMALL)
     chunks = 2  # 75 + 75 replications
 
     def count(key, entry=lambda c: c):
@@ -651,7 +651,7 @@ def test_decay_study_shares_the_path_and_the_cross_convolutions(monkeypatch):
     assert count("integrands.past_conv") == {}
     assert count("integrands.block_conv") == {}
     assert count("integrands.history_conv") == {}
-    halves = [SMALL.steps >> (m + 1) for m in (3, 4)]
+    halves = [SMALL.main_steps >> (m + 1) for m in (3, 4)]
     assert Counter(products) == {(2 ** m, 2 * h): chunks for m, h in zip((3, 4), halves)}
     assert count("integrator.history_conv") == {((m0, n), (m0, n + 1)): chunks}
     assert count("integrator.past_conv") == {(m0, (m0, n + 1)): chunks}
@@ -660,23 +660,23 @@ def test_decay_study_shares_the_path_and_the_cross_convolutions(monkeypatch):
 
 
 def test_decay_study_deterministic_integrand_skips_fit():
-    study = cauchy_decay_study("det:poly:0.0,1.0", H75, range(3, 6), 50, 77, config=SMALL)
+    study = cauchy_decay_study("det:poly:0.0,1.0", H75, range(3, 6), 50, 77, grid=SMALL)
     assert study.fitted_slope is None
     assert all(g == 0.0 for g in study.gaps)
 
 
 def test_decay_study_validates_levels(monkeypatch):
     with pytest.raises(ValueError):
-        cauchy_decay_study("bm", H75, [3, 5], 50, 77, config=SMALL)
+        cauchy_decay_study("bm", H75, [3, 5], 50, 77, grid=SMALL)
     with pytest.raises(ValueError):
-        cauchy_decay_study("bm2", H75, [3], 50, 77, config=SMALL)
+        cauchy_decay_study("bm2", H75, [3], 50, 77, grid=SMALL)
 
     def no_draw(*args, **kwargs):
         raise AssertionError("noise drawn for a level list the grid cannot carry")
     monkeypatch.setattr(fbmdelay.experiments, "generate_noise_batch", no_draw)
     for levels in (range(8, 11), range(7, 10)):  # 2^10 segments do not align; 2^9 get 1 cell each
         with pytest.raises(ValueError, match="split 512 steps .* lower --levels or raise --steps"):
-            cauchy_decay_study("fbm:0.75", H75, levels, 50, 7, config=SMALL)
+            cauchy_decay_study("fbm:0.75", H75, levels, 50, 7, grid=SMALL)
 
 
 # ---------------------------------------------------------------------------
@@ -731,16 +731,16 @@ def test_csv_outputs_are_deterministic(tmp_path):
 
 
 def test_remaining_writers_produce_declared_headers(tmp_path):
-    curve = continuity_study("det:const:1.0", [0.7, 0.51], 120, 2, config=SMALL)
+    curve = continuity_study("det:const:1.0", [0.7, 0.51], 120, 2, grid=SMALL)
     write_continuity_csv(tmp_path / "c.csv", curve)
     assert (tmp_path / "c.csv").read_text().splitlines()[0] == "h,gap,se"
 
-    study = cauchy_decay_study("bm", H75, range(3, 6), 60, 7, config=SMALL)
+    study = cauchy_decay_study("bm", H75, range(3, 6), 60, 7, grid=SMALL)
     write_decay_csv(tmp_path / "d.csv", study)
     assert (tmp_path / "d.csv").read_text().splitlines()[0] == \
         "level,gap,se,fitted_slope,cross_gap,cross_se,cross_fitted_slope"
 
-    rows = nonconvergence_demo([0.6], 120, 3, config=SMALL)
+    rows = nonconvergence_demo([0.6], 120, 3, grid=SMALL)
     write_nonconv_csv(tmp_path / "n.csv", rows)
     assert (tmp_path / "n.csv").read_text().splitlines()[0] == \
         "h,gap,se,gap_limit,se_limit,refinement_tol"

@@ -303,7 +303,7 @@ def test_level_steps_fft_branch_agrees_with_the_toeplitz_branch(gamma, monkeypat
 
 def test_coarse_levels_at_desk_scale_build_no_half_grid_matrix():
     """Levels 0..2 on the desk grid (2,048-cell halves at level 0) stay far below one (N/2)^2 matrix."""
-    matrix = (DESK.steps // 2) ** 2 * 8
+    matrix = (DESK.main_steps // 2) ** 2 * 8
     tracemalloc.start()
     try:
         cauchy_decay_study("fbm:0.75", hurst_constant(0.6), range(0, 3), 2, 5)

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import fbmdelay.integrands
 import fbmdelay.integrator
-from fbmdelay.experiments import DeskConfig, _integration_plan, _mc, cauchy_decay_study, parse_integrand
+from fbmdelay.experiments import _integration_plan, _mc, cauchy_decay_study, parse_integrand
 from fbmdelay.kernels import hurst_constant
 from fbmdelay.integrands import (
     BrownianIntegrand,
@@ -42,8 +42,7 @@ from oracles import (decay_gaps_per_level, extension, ito_sum, one_segment_delay
                      riemann_fbm_sum, value as path_value)
 from test_integrands import FAMILY
 
-SMALL = DeskConfig(steps=512, warmup=2.0)
-GRID = SMALL.grid()
+GRID = make_grid(1.0, 512, 2.0)
 ONE_PATH = generate_noise_batch(40, GRID, 1)  # a batch of one
 INCS = ONE_PATH.increments[0]  # its path
 H6 = hurst_constant(0.6)
@@ -386,7 +385,7 @@ def test_extension_gaps_are_the_decay_study_gaps(spec, hp):
     of the mean summed |terms|.
     """
     levels = range(3, 7)
-    study = cauchy_decay_study(spec, hp, levels, 64, 9, SMALL)
+    study = cauchy_decay_study(spec, hp, levels, 64, 9, GRID)
     batch = generate_noise_batch(9, GRID, 64)
     gamma = parse_integrand(spec)
     trace = extension(gamma, hp, batch, levels, tol=0.0)
@@ -404,7 +403,7 @@ def test_extension_trace_for_brownian(ensemble):
     assert not trace.converged  # nu = 0: slow geometric decay cannot hit 1e-9
     assert trace.stopping_level == 8
     assert trace.samples.shape == (7, 200)
-    study = cauchy_decay_study("bm", H6, range(2, 9), 200, ensemble.seed, SMALL)  # the same streams
+    study = cauchy_decay_study("bm", H6, range(2, 9), 200, ensemble.seed, GRID)  # the same streams
     assert np.all(np.array(study.gaps) >= 0.0)
     assert study.target_slope == pytest.approx(-0.1)
     assert 0.0 < -study.fitted_slope < 0.6

@@ -112,25 +112,36 @@ def test_index_of_takes_an_array_as_the_scalar_loop(grid):
 
 
 def test_grid_validation():
-    with pytest.raises(ValueError):
-        SimulationGrid(warmup_start=1.0, horizon=2.0, step=0.1, cell_count=10)
-    with pytest.raises(ValueError):
-        SimulationGrid(warmup_start=0.0, horizon=1.0, step=0.1, cell_count=7)
-    # no far cells, and the origin off the lattice: cell 0 would start at -0.05, or the origin sit at -0.05
-    with pytest.raises(ValueError):
-        SimulationGrid(warmup_start=-0.05, horizon=1.05, step=0.1, cell_count=11)
-    with pytest.raises(ValueError):
-        SimulationGrid(warmup_start=-0.25, horizon=1.05, step=0.1, cell_count=13)
+    """A grid is its counts: what can still be written wrong is refused, one ValueError each."""
+    for args, fragment in (((1.0, 8, -1), "counts >= 0"), ((1.0, 8, 4, -1), "counts >= 0"),
+                           ((1.0, 8.5), "whole counts"), ((1.0, 8, 2.5), "whole counts"),
+                           ((1.0, 8, 4, 1.0), "whole counts"),
+                           ((1.0, 8, 0, 3), "near cells before any far cells"),
+                           ((math.nan, 8), "finite horizon > 0"), ((math.inf, 8), "finite horizon > 0"),
+                           ((0.0, 8), "finite horizon > 0"), ((-1.0, 8), "finite horizon > 0"),
+                           ((1.0, 0), "steps >= 1"), ((1.0, -4), "steps >= 1"),
+                           ((1e-320, 4096), "underflows to a step of 0")):
+        with pytest.raises(ValueError, match=fragment):
+            SimulationGrid(*args)
 
 
-def test_a_graded_grid_refuses_a_horizon_off_its_lattice():
-    """Far cells or none, the horizon is a whole number of steps: 1.05 on steps of 0.125 is refused, as uniform."""
-    g = make_grid(1.0, 8, 100.0)
-    assert SimulationGrid(warmup_start=g.warmup_start, horizon=1.0, step=0.125, cell_count=92, far_cells=76) == g
-    with pytest.raises(ValueError, match="whole number of steps"):
-        SimulationGrid(warmup_start=g.warmup_start, horizon=1.05, step=0.125, cell_count=92, far_cells=76)
-    with pytest.raises(ValueError, match="whole number of steps"):
-        SimulationGrid(warmup_start=-1.0, horizon=1.05, step=0.125, cell_count=16)
+@example(horizon=1.0, steps=8, warmup=100.0)  # 76 far cells
+@example(horizon=1.0, steps=512, warmup=0.0)
+@example(horizon=1.0, steps=4096, warmup=1e14)  # the desk grid
+@example(horizon=1.0, steps=256, warmup=1e300)
+@settings(max_examples=200, deadline=None)
+@given(horizon=st.floats(1e-3, 1e3), steps=st.integers(1, 2048),
+       warmup=st.one_of(st.just(0.0), st.floats(1e-3, 1e14)))
+def test_make_grid_gives_a_grid_of_its_counts(horizon, steps, warmup):
+    """make_grid's counts cover the reach, every time they derive agrees, and they alone give the grid back."""
+    g = make_grid(horizon, steps, warmup)
+    edges = g.edges()
+    assert edges[g.origin_index] == 0.0 and g.index_of(0.0) == g.origin_index
+    assert g.warmup_start <= -warmup * (1 - 1e-12)
+    # numpy's power and Python's differ in the last bit on some grids
+    assert edges[0] == pytest.approx(g.warmup_start, rel=1e-15, abs=0.0)
+    assert np.all(np.diff(edges) > 0.0) and edges.size == g.cell_count + 1
+    assert SimulationGrid(g.horizon, g.main_steps, g.near_cells, g.far_cells) == g
 
 
 @pytest.mark.parametrize("horizon,warmup,fragment", [
@@ -477,7 +488,7 @@ def test_graded_history_recovers_the_variance():
     The 8,724-cell lattice keeps 0.99998 at h = 0.75 and 0.9991 at h = 0.9; the
     36,864 uniform cells of the old desk grid kept 0.951 and 0.657.
     """
-    uniform = SimulationGrid(warmup_start=-8.0, horizon=1.0, step=2.0 ** -12, cell_count=36864)
+    uniform = SimulationGrid(1.0, 4096, near_cells=8 * 4096)
     for h, least, old in ((0.75, 0.999, 0.96), (0.9, 0.99, 0.66)):
         hp = hurst_constant(h)
         assert discrete_fbm_cov(DESK_GRID, hp, 1.0, 1.0) >= least

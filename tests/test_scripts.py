@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -86,3 +88,27 @@ def test_bench_pairs_counts_the_package_lines_as_wc_does(tmp_path):
     (pkg / "b.py").write_text("z = 3")  # no newline at the end: wc -l counts 0
     (pkg / "notes.txt").write_text("not\ncounted\n")
     assert _bench_pairs()._src_lines(str(tmp_path)) == 3
+
+
+def test_compare_outputs_finds_no_difference_of_head_with_itself_and_reports_a_planted_byte(tmp_path):
+    """HEAD against HEAD at 64 steps: every run, replay and cross replay keeps its bytes; one flipped byte of
+    one output is then one line."""
+    if subprocess.run(["git", "rev-parse", "--verify", "HEAD"], cwd=ROOT, capture_output=True).returncode:
+        pytest.skip("not a git checkout with a commit")
+    work = tmp_path / "work"
+    proc = _run_script("compare_outputs.py", "HEAD", "HEAD", "--steps", "64", "--keep", str(work), cwd=tmp_path)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout == "216 runs and 432 files compared: 0 difference(s)\n"
+    spec = importlib.util.spec_from_file_location("compare_outputs", ROOT / "scripts" / "compare_outputs.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.path.insert(0, str(ROOT / "scripts"))  # it imports bench_pairs, as a script does from its directory
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(str(ROOT / "scripts"))
+    planted = work / "change" / "out" / "run" / "run007" / "out.json"
+    data = bytearray(planted.read_bytes())
+    data[data.index(b'"value": ') + len(b'"value": ')] ^= 1  # the first byte of the integral's value
+    planted.write_bytes(bytes(data))
+    lines, runs, files = module.differences(str(work / "parent" / "out"), str(work / "change" / "out"))
+    assert lines == ["run run007/out.json: differs"] and (runs, files) == (216, 432)
