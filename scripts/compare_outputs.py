@@ -8,9 +8,10 @@ Usage (from the root of the repository):
 Each revision is exported with `git archive` (bench_pairs._export) into its
 own directory, a temporary one unless --keep names where to work and leave
 everything.  In one child process per side, that side's package runs the
-matrix below through fbmdelay.cli.parse_and_dispatch, at --warmup 0.5, 4
-and 1e14 on --steps steps, with relative --out paths, so that both sides
-write the same manifests:
+matrix below through fbmdelay.cli.parse_and_dispatch, at --warmup 0, 0.5,
+4 and 1e14 on --steps steps, with relative --out paths, so that both sides
+write the same manifests.  At --warmup 0 the runs that read a history at
+h > 1/2 are refused, so the refusals are compared too:
 
 * simulate: every process kind;
 * integrate: det:const:1.0, bm, fbm:0.75, rl:0.7:0.25, bm2, pp:bm:8 and
@@ -40,7 +41,7 @@ import tempfile
 
 from bench_pairs import _export
 
-WARMUPS = ("0.5", "4", "1e14")
+WARMUPS = ("0", "0.5", "4", "1e14")
 INTEGRANDS = ("det:const:1.0", "bm", "fbm:0.75", "rl:0.7:0.25", "bm2", "pp:bm:8", "pp:fbm:0.75:4")
 #: each phase's runs, and the phase of the parent's they must match
 PHASES = {"run": "run", "replay": "replay", "cross": "run"}

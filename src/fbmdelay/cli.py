@@ -33,6 +33,7 @@ from .noise import FAR_RATIO, SimulationGrid, make_grid, process_values, write_p
 from .integrator import delayed_integral_batch, result_record
 from .experiments import (
     _integration_plan,
+    _plan,
     _replicate,
     cauchy_decay_study,
     continuity_study,
@@ -231,18 +232,15 @@ def _run(cfg: RunConfig) -> list[str]:
               "versions": {"fbmdelay": __version__, "python": platform.python_version(),
                            "numpy": numpy.__version__, "scipy": scipy.__version__}}
     if cfg.command == "simulate":
-        # one replication, stream 0: the path `integrate` draws for the same seed
-        times, values = _replicate(cfg.seed, grid, 1,
-                                   lambda nb: process_values(nb.increments, grid, hp, cfg.kind))
+        # one replication, stream 0: the path `integrate` draws for the same seed; B and W_H read no history
+        plan = _plan(grid, () if cfg.kind in ("B", "W_H") else (hp,))
+        times, values = _replicate(cfg.seed, plan, 1, lambda nb: process_values(nb.increments, grid, hp, cfg.kind))
         h = HALF if cfg.kind == "B" else hp.h  # the driving path is the h = 1/2 process
         write_path_csv(cfg.kind, h, cfg.seed, times[0], values[0], cfg.out)
     elif cfg.command == "integrate":
-        gamma, seg = _integration_plan(parse_integrand(cfg.integrand, cfg.horizon), grid, cfg.level,
-                                       "--level")
-        if grid.warmup_length == 0.0 and not hp.is_brownian:  # no history to bound the truncation of
-            raise ValueError(f"--warmup {cfg.warmup!r} leaves no history, which integrate needs at h > 1/2")
+        gamma, seg = _integration_plan(parse_integrand(cfg.integrand, cfg.horizon), grid, cfg.level, "--level")
         # one replication, stream 0: the path `simulate` draws for the same seed
-        parts = _replicate(cfg.seed, grid, 1, lambda nb: delayed_integral_batch(gamma, seg, nb, hp))
+        parts = _replicate(cfg.seed, _plan(grid, (hp,)), 1, lambda nb: delayed_integral_batch(gamma, seg, nb, hp))
         with open(cfg.out, "w") as fh:
             json.dump(result_record(parts, seg, grid, hp, cfg.seed), fh, indent=2, sort_keys=True)
             fh.write("\n")

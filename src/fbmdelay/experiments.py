@@ -5,9 +5,11 @@ DESK, the desk-scale grid), and follows the same discipline:
 
 * common random numbers: within a replication, every Hurst value consumes the
   identical driving noise (one Philox stream per replication, checksummed);
-* one runner, `_replicate`, draws the replications chunk by chunk and
-  concatenates the per-replication results in stream order; they are
-  aggregated once, so output is independent of chunking and scheduling;
+* one plan per run, `_plan`, made before any kernel, weight or draw, refuses an
+  h > 1/2 with no history and more rows in flight than memory holds; the one
+  runner, `_replicate`, takes only that plan, draws the replications chunk by
+  chunk and concatenates the per-replication results in stream order; they
+  are aggregated once, so output is independent of chunking and scheduling;
 * that runner is the package's one level of parallelism: it runs the chunks
   on up to `WORKERS` threads (numpy, scipy's FFTs and the Philox draws
   release the GIL), each drawing its own noise and doing its own transforms
@@ -141,11 +143,23 @@ def _memory_available() -> int | None:
     return min((f for f in free if f is not None), default=None)
 
 
-def _check_memory(grid: SimulationGrid, cells: int | None = None) -> int:
-    """The rows of noise in flight in _replicate, refused where they and their fields exceed the memory available.
+@dataclass(frozen=True)
+class _Plan:
+    """A checked run for _replicate: its grid, the cells drawn of each row (None: all) and the rows in flight."""
+    grid: SimulationGrid
+    cells: int | None
+    rows: int
 
-    A row holds its first cells cells (default: all of them), as _replicate draws it.
+
+def _plan(grid: SimulationGrid, hps=(), cells: int | None = None) -> _Plan:
+    """The run _replicate makes on grid, drawing each row's first cells cells (None: all), checked before any draw.
+
+    Refused first: any h > 1/2 in hps on a grid with no history, whose integral against the whole past of the
+    noise would be cut at the origin with no budget for the rest; then rows in flight that, with their fields,
+    exceed the memory available.
     """
+    if grid.origin_index == 0 and any(not hp.is_brownian for hp in hps):
+        raise ValueError(f"--warmup {grid.warmup_length!r} leaves no history, which a run at h > 1/2 needs")
     rows = max(1, _CHUNK_BYTES // (8 * grid.cell_count))
     need, free = rows * 8 * (grid.cell_count if cells is None else cells) * (1 + _FIELD_FACTOR), _memory_available()
     if free is not None and need > free:
@@ -153,11 +167,11 @@ def _check_memory(grid: SimulationGrid, cells: int | None = None) -> int:
             f"--steps {grid.main_steps} with --warmup {grid.warmup_length:.4g} needs {need / 2 ** 30:,.2f} GiB "
             f"for {rows} row(s) of noise and their fields, but {free / 2 ** 30:,.2f} GiB are available; "
             "lower --steps or --warmup")
-    return rows
+    return _Plan(grid, cells, rows)
 
 
-def _replicate(seed: int, grid: SimulationGrid, reps: int, per_chunk, cells: int | None = None) -> tuple:
-    """Run per_chunk over replications 0..reps-1 in chunks, up to WORKERS chunks at once.
+def _replicate(seed: int, plan: _Plan, reps: int, per_chunk) -> tuple:
+    """Run per_chunk over replications 0..reps-1 in chunks, up to WORKERS chunks at once, as plan checked.
 
     Replication r is noise stream r of seed.  per_chunk maps a NoiseBatch to a
     tuple of arrays with one entry per replication along the first axis; the
@@ -169,13 +183,12 @@ def _replicate(seed: int, grid: SimulationGrid, reps: int, per_chunk, cells: int
     run still keeps every CPU busy.  A chunk draws its noise in its own task,
     and no more chunks run at once than fit in _CHUNK_BYTES (one, if a row is
     larger).  One thread runs inline.  If a chunk raises, the chunks that have
-    not started are cancelled and the exception reaches the caller.  cells
-    draws only each row's first cells, where per_chunk reads no further (see
-    generate_noise_batch): the chunks are still sized from full rows, so they
-    stay as they are.  A grid whose rows in flight, as drawn, are too large
-    for the memory available is refused before any draw (_check_memory).
+    not started are cancelled and the exception reaches the caller.  A chunk
+    draws only each row's first plan.cells cells, where per_chunk reads no
+    further (see generate_noise_batch): the chunks are still sized from full
+    rows, so they stay as they are.  Every refusal of _plan comes before any draw.
     """
-    rows = _check_memory(grid, cells)
+    grid, cells, rows = plan.grid, plan.cells, plan.rows
     chunk = max(1, min(rows // WORKERS, _CHUNK_CAP_BYTES // (8 * grid.cell_count)))
     rounds = -(-reps // (chunk * WORKERS))
     n_chunks = min(reps, rounds * WORKERS)
@@ -263,15 +276,14 @@ def verify_dr_moments(hp: HurstParameter, span: float, reps: int, seed: int,
     if span != grid.horizon:
         raise ValueError(f"span {span} is not the grid horizon {grid.horizon}")
     m0 = grid.origin_index
-    _check_memory(grid, m0)  # before the quadrature's arrays of the grid's size
+    plan = _plan(grid, (hp,), cells=m0)  # DR_H reads no cell from the origin on: draw the history only
     eval_idx, quad_w = _energy_quadrature(grid, hp)
 
     def per_chunk(nb):
         drv = dr_values(nb.increments, grid, hp, m0)  # lattice j = m0+1 .. cell_count = eval_idx
         return drv[:, -1] ** 2, np.sum(drv ** 2 * quad_w, axis=-1)
 
-    # DR_H reads no cell from the origin on: draw the history only
-    point, energy = _replicate(seed, grid, reps, per_chunk, cells=m0)
+    point, energy = _replicate(seed, plan, reps, per_chunk)
 
     p_closed = dr_pointwise_closed_form(hp, span)
     e_closed = dr_energy_closed_form(hp, span) if not hp.is_brownian else 0.0
@@ -287,14 +299,14 @@ def verify_dr_moments(hp: HurstParameter, span: float, reps: int, seed: int,
 
 def fbm_law_check(hp: HurstParameter, reps: int, seed: int, grid: SimulationGrid = DESK):
     """MC Var B_H(1) and Cov(B_H(1), B_H(1/2)) with exact discrete-expectation budgets."""
-    m0, n = grid.origin_index, grid.main_steps
+    m0, n, plan = grid.origin_index, grid.main_steps, _plan(grid, (hp,))
     weights = np.stack([fbm_weight_vector(grid, hp, m0 + n), fbm_weight_vector(grid, hp, m0 + n // 2)])
 
     def per_chunk(nb):
         end, mid = row_dot("ri,ki->kr", nb.increments, weights)
         return end ** 2, end * mid
 
-    var_s, cov_s = _replicate(seed, grid, reps, per_chunk)
+    var_s, cov_s = _replicate(seed, plan, reps, per_chunk)
     t, s = grid.horizon, grid.horizon / 2
     var_closed = t ** (2 * hp.h)
     cov_closed = 0.5 * (t ** (2 * hp.h) + s ** (2 * hp.h) - (t - s) ** (2 * hp.h))
@@ -322,7 +334,7 @@ def shiryaev_identity_check(hp: HurstParameter, n_steps_seq, reps: int, seed: in
     """
     if hp.h <= HALF:
         raise ValueError("the quadratic identity check needs h > 1/2")
-    n_fine = grid.main_steps
+    n_fine, plan = grid.main_steps, _plan(grid, (hp,))
     seq = [int(n) for n in n_steps_seq]
     for n in seq:
         if n < 1 or n_fine % n != 0:
@@ -336,7 +348,7 @@ def shiryaev_identity_check(hp: HurstParameter, n_steps_seq, reps: int, seed: in
             defects.append(np.abs(2.0 * _left_point_sum(bh[:, ::n_fine // n]) - final_sq))
         return tuple(defects)
 
-    defects = _replicate(seed, grid, reps, per_chunk)
+    defects = _replicate(seed, plan, reps, per_chunk)
     budget = 0.0  # identity is pathwise in the synthesized process; no closed-form target
     return [(n, _mc(d, seed, budget)) for n, d in zip(seq, defects)]
 
@@ -361,7 +373,7 @@ def nonconvergence_demo(hursts, reps: int, seed: int,
     """
     horizon, n, m0 = grid.horizon, grid.main_steps, grid.origin_index
     hps = [hurst_constant(h) for h in hursts]
-    rough = [hp for hp in hps if not hp.is_brownian]
+    rough, plan = [hp for hp in hps if not hp.is_brownian], _plan(grid, hps)
 
     def per_chunk(nb):
         b = history_conv(nb.increments, None, (m0, grid.cell_count), (m0, grid.cell_count + 1))
@@ -374,7 +386,7 @@ def nonconvergence_demo(hursts, reps: int, seed: int,
             gaps += [_left_point_sum(bh) - ito_b, 0.5 * bh[:, -1] ** 2 - ito_b]
         return (*gaps, _stream_crcs(nb))
 
-    *gaps, crcs = _replicate(seed, grid, reps, per_chunk)
+    *gaps, crcs = _replicate(seed, plan, reps, per_chunk)
     checksum = _fold_crcs(crcs)
     rows = []
     for hp, d_riem, d_lim in zip(hps, gaps[::2], gaps[1::2]):
@@ -507,12 +519,9 @@ def continuity_study(gamma: Integrand | str, hursts, reps: int, seed: int,
             "convergence (it is the non-convergent Riemann-sum regime)")
     integrand, seg = _integration_plan(gamma, grid, proj_level, None)
     hps = [hurst_constant(h) for h in hursts]
-    for hp in hps:
-        if hp.is_brownian:
-            raise ValueError("the baseline h = 1/2 is implicit; pass only h > 1/2 values")
-    half = hurst_constant(HALF)
-    # refuse a grid the lattice or the memory cannot carry before any draw
-    _check_memory(grid)
+    if any(hp.is_brownian for hp in hps):
+        raise ValueError("the baseline h = 1/2 is implicit; pass only h > 1/2 values")
+    half, plan = hurst_constant(HALF), _plan(grid, hps)
     m0, end = grid.origin_index, int(_segment_lattice_indices(grid, seg)[-1])
     kernel = history_kernel(grid, hps)
 
@@ -525,7 +534,7 @@ def continuity_study(gamma: Integrand | str, hursts, reps: int, seed: int,
         values = past_dot(nb.increments, grid, kernel, end, (m0, end + 1), weights)
         return (*np.abs(values - base), _stream_crcs(nb))
 
-    *gaps, crcs = _replicate(seed, grid, reps, per_chunk)
+    *gaps, crcs = _replicate(seed, plan, reps, per_chunk)
     results = [_mc(g, seed, 0.0) for g in gaps]
     x_ref = _reference_x_norm(gamma, spec, grid, seed)
     return ContinuityCurve(
@@ -587,7 +596,7 @@ def cauchy_decay_study(gamma: Integrand | str, hp: HurstParameter, levels, reps:
     if gamma.nu_exponent is None:
         raise ValueError("the decay study needs an integrand with a known variance exponent")
 
-    pair_levels = levels[:-1]
+    pair_levels, plan = levels[:-1], _plan(grid, (hp,))
     m0, end = grid.origin_index, grid.origin_index + grid.main_steps
 
     def per_chunk(nb):
@@ -606,7 +615,7 @@ def cauchy_decay_study(gamma: Integrand | str, hp: HurstParameter, levels, reps:
                 gaps += [np.abs(sums[0] + sums[1]), np.abs(sums[1] - ito)]
         return tuple(gaps)
 
-    gaps = _replicate(seed, grid, reps, per_chunk)
+    gaps = _replicate(seed, plan, reps, per_chunk)
     tot = [_mc(g, seed, 0.0) for g in gaps[::2]]
     cross = [_mc(g, seed, 0.0) for g in gaps[1::2]]
     target = None
@@ -634,21 +643,26 @@ _SPEC_HELP = ("accepted integrand specs: det:const:<v> | det:poly:a0,a1,... | bm
 
 
 def parse_integrand(spec: str, horizon: float = 1.0) -> Integrand:
-    """Build an integrand from its CLI spec string."""
+    """Build an integrand from its CLI spec string; every number in it is finite."""
+    def number(text: str) -> float:  # float() also reads nan and inf, which no integrand takes
+        if not math.isfinite(x := float(text)):
+            raise ValueError(f"{text} is not finite")
+        return x
+
     parts = spec.split(":")
     try:
         if parts[0] == "det":
             if parts[1] == "const":
-                return DeterministicIntegrand.constant(float(parts[2]))
+                return DeterministicIntegrand.constant(number(parts[2]))
             if parts[1] == "poly":
-                return DeterministicIntegrand.polynomial([float(a) for a in parts[2].split(",")])
+                return DeterministicIntegrand.polynomial([number(a) for a in parts[2].split(",")])
             raise ValueError
         if spec == "bm":
             return BrownianIntegrand()
         if parts[0] == "fbm":
-            return FbmIntegrand(float(parts[1]))
+            return FbmIntegrand(number(parts[1]))
         if parts[0] == "rl":
-            return RlFbmIntegrand(float(parts[1]), float(parts[2]) if len(parts) > 2 else 0.0)
+            return RlFbmIntegrand(number(parts[1]), number(parts[2]) if len(parts) > 2 else 0.0)
         if spec == "bm2":
             return QuadraticBrownianIntegrand()
         if parts[0] == "pp":

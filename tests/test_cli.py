@@ -145,16 +145,29 @@ FEWER_THAN_TWO_LEVELS = [
 
 # an rl start off the lattice, alone or inside a step integrand
 _OFF_START = "starts at t=0.3, off the lattice of --steps"
+_TAKE_A_START = "; take a start that is a multiple of {!r} from -1.0 to 1.0".format
 OFF_LATTICE_STARTS = [
     (["integrate", "--integrand", "rl:0.7:0.3", "--steps", "256", "--level", "2", "--out", "x.json"],
-     f"--integrand 'rl:0.7:0.3' {_OFF_START} 256"),
+     f"--integrand 'rl:0.7:0.3' {_OFF_START} 256{_TAKE_A_START(1 / 256)}"),
     (["integrate", "--integrand", "pp:rl:0.7:0.3:8", "--steps", "256", "--out", "x.json"],
-     f"--integrand 'pp:rl:0.7:0.3:8' {_OFF_START} 256"),
+     f"--integrand 'pp:rl:0.7:0.3:8' {_OFF_START} 256{_TAKE_A_START(1 / 256)}"),
     (["continuity", "--integrand", "rl:0.7:0.3", "--steps", "1024", "--out", "x.csv"],
-     f"--integrand 'rl:0.7:0.3' {_OFF_START} 1024"),
+     f"--integrand 'rl:0.7:0.3' {_OFF_START} 1024{_TAKE_A_START(1 / 1024)}"),
     (["decay", "--integrand", "rl:0.7:0.3", "--steps", "256", "--levels", "2:3", "--out", "x.csv"],
-     f"--integrand 'rl:0.7:0.3' {_OFF_START} 256"),
+     f"--integrand 'rl:0.7:0.3' {_OFF_START} 256{_TAKE_A_START(1 / 256)}"),
 ]
+
+# no history at h > 1/2: every command that reads it would cut the integral at the origin, with no budget
+NO_HISTORY = [([*argv, "--steps", "256", "--warmup", "0", "--out", "x.out"],
+               "--warmup 0.0 leaves no history, which a run at h > 1/2 needs")
+              for argv in (["integrate", "--integrand", "det:const:1.0"], ["integrate", "--integrand", "pp:bm:8"],
+                           *(["simulate", "--kind", kind] for kind in ("B_H", "R_H", "DR_H")), ["verify-moments"],
+                           *(["continuity", "--hurst-list", "0.75", "--integrand", spec]
+                             for spec in ("det:const:1.0", "pp:bm:8")),
+                           ["nonconv", "--hurst-list", "0.75"], ["decay", "--integrand", "bm", "--levels", "3:5"])]
+
+# rows whose whole line is compared, not only a fragment of it
+WHOLE_LINE = [*NEGATIVE_LEVELS, *FEWER_THAN_TWO_LEVELS, *OFF_LATTICE_STARTS, *NO_HISTORY]
 
 
 @pytest.mark.parametrize("argv,fragment", [
@@ -185,7 +198,8 @@ OFF_LATTICE_STARTS = [
     (["simulate", "--steps", str(2 ** 1100), "--out", "x.csv"], "--steps must be below 2**1024"),
     # a step integrand whose breakpoints miss the lattice, or fall closer than 2 cells
     *([[cmd, "--integrand", spec, "--steps", "64", "--out", "x.out"],
-       f"integrand '{spec}' does not split --steps 64 into segments of at least 2 fine cells"]
+       f"integrand '{spec}' does not split --steps 64 into segments of at least 2 fine cells between lattice points; "
+       "take a segment count that divides 32"]
       for cmd in ("integrate", "continuity") for spec in ("pp:bm:3", "pp:bm:128", "pp:bm:64")),
     # a negative seed, which numpy's SeedSequence would refuse only inside the draw
     (["simulate", "--seed", "-1", "--out", "x.csv"], "--seed must be >= 0 (got -1)"),
@@ -194,15 +208,28 @@ OFF_LATTICE_STARTS = [
     *NEGATIVE_LEVELS,
     *FEWER_THAN_TWO_LEVELS,
     *OFF_LATTICE_STARTS,
-    # no history at h > 1/2: integrate's record declares a bound on a truncation with nothing before it
     (["integrate", "--steps", "256", "--warmup", "0", "--out", "x.json"], "--warmup 0.0 leaves no history"),
+    *NO_HISTORY,
+    # a number in an integrand spec that is not finite
+    *(([cmd, "--integrand", spec, "--steps", "256", "--out", "x.out"], f"unknown integrand spec '{spec}'")
+      for cmd, spec in (("integrate", "det:const:nan"), ("integrate", "det:const:inf"),
+                        ("integrate", "det:poly:1,nan"), ("integrate", "pp:det:const:inf:4"),
+                        ("continuity", "det:const:nan"), ("integrate", "rl:0.7:nan"),
+                        ("integrate", "rl:0.7:inf"), ("integrate", "pp:rl:0.7:nan:4"))),
 ])
-def test_validation_failures_are_one_line_and_nonzero(tmp_path, capsys, argv, fragment):
+def test_validation_failures_are_one_line_and_nonzero(tmp_path, capsys, monkeypatch, argv, fragment):
+    """Exit 2 and one line that holds the row's fragment, or is it for a WHOLE_LINE row: before any kernel
+    is built or row drawn, and with no file written."""
     os.chdir(tmp_path)
+    draws = []
+    monkeypatch.setattr(fbmdelay.experiments, "generate_noise_batch", lambda *args, **kwargs: draws.append(args))
+    monkeypatch.setattr(fbmdelay.noise, "_build_kernel", None)  # a kernel build would raise TypeError
     code, _, err = _run(argv, capsys)
     assert code == 2
     assert err.count("\n") == 1
     assert fragment in err
+    assert (argv, fragment) not in WHOLE_LINE or err == f"fbmdelay: error: {fragment}\n"
+    assert draws == [] and not list(tmp_path.iterdir())
 
 
 def test_a_negative_seed_is_refused_before_any_kernel_or_draw(tmp_path, capsys, monkeypatch):
@@ -222,57 +249,18 @@ def test_a_negative_seed_is_refused_before_any_kernel_or_draw(tmp_path, capsys, 
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["integrate", "continuity"])
-def test_a_step_integrand_off_the_lattice_is_refused_before_any_draw(tmp_path, capsys, monkeypatch, command):
-    monkeypatch.setattr(fbmdelay.experiments, "generate_noise_batch", None)  # a draw would raise TypeError
-    code, _, err = _run([command, "--integrand", "pp:bm:3", "--steps", "64", "--out", str(tmp_path / "x")], capsys)
-    assert code == 2 and "take a segment count that divides 32" in err
-    assert not list(tmp_path.iterdir())
-
-
-@pytest.mark.parametrize("argv,fragment", NEGATIVE_LEVELS)
-def test_a_negative_level_is_refused_before_any_draw(tmp_path, capsys, monkeypatch, argv, fragment):
+def test_what_reads_no_history_runs_without_one(tmp_path, capsys):
+    """At --warmup 0, simulate --kind B and W_H run at h = 0.75, and every command but continuity (which takes
+    h = 1/2 as its baseline) at h = 1/2; integrate's record then declares a budget of 0."""
     os.chdir(tmp_path)
-    monkeypatch.setattr(fbmdelay.experiments, "generate_noise_batch", None)  # a draw would raise TypeError
-    code, _, err = _run(argv, capsys)
-    assert code == 2 and err == f"fbmdelay: error: {fragment}\n"
-    assert not list(tmp_path.iterdir())
-
-
-@pytest.mark.parametrize("argv,fragment", FEWER_THAN_TWO_LEVELS)
-def test_fewer_than_two_levels_are_refused_naming_levels_before_any_draw(tmp_path, capsys, monkeypatch, argv,
-                                                                         fragment):
-    os.chdir(tmp_path)
-    monkeypatch.setattr(fbmdelay.experiments, "generate_noise_batch", None)  # a draw would raise TypeError
-    code, _, err = _run(argv, capsys)
-    assert code == 2 and err == f"fbmdelay: error: {fragment}\n"
-    assert not list(tmp_path.iterdir())
-
-
-@pytest.mark.parametrize("argv,fragment", OFF_LATTICE_STARTS)
-def test_an_rl_start_off_the_lattice_is_refused_before_any_draw(tmp_path, capsys, monkeypatch, argv, fragment):
-    os.chdir(tmp_path)
-    draws = []
-    monkeypatch.setattr(fbmdelay.experiments, "generate_noise_batch", lambda *args, **kwargs: draws.append(args))
-    code, _, err = _run(argv, capsys)
-    assert code == 2 and err.startswith(f"fbmdelay: error: {fragment}; take a start") and err.count("\n") == 1
-    assert draws == [] and not list(tmp_path.iterdir())
-
-
-@pytest.mark.parametrize("integrand", ["det:const:1.0", "pp:bm:8"])
-def test_integrate_without_history_is_refused_above_one_half_before_any_draw(tmp_path, capsys, monkeypatch,
-                                                                            integrand):
-    """--warmup 0 at h = 0.75: one line naming --warmup and no draw; at h = 1/2 the record is written, budget 0."""
-    os.chdir(tmp_path)
-    draws = []
-    monkeypatch.setattr(fbmdelay.experiments, "generate_noise_batch", lambda *args, **kwargs: draws.append(args))
-    argv = ["integrate", "--integrand", integrand, "--steps", "256", "--warmup", "0", "--out", "x.json"]
-    code, _, err = _run(argv, capsys)
-    assert code == 2 and err == "fbmdelay: error: --warmup 0.0 leaves no history, which integrate needs at h > 1/2\n"
-    assert draws == [] and not list(tmp_path.iterdir())
-    monkeypatch.undo()
-    assert _run([*argv, "--hurst", "0.5"], capsys)[0] == 0
-    assert json.loads((tmp_path / "x.json").read_text())["truncation_budget"] == 0.0
+    for argv in (["simulate", "--kind", "B"], ["simulate", "--kind", "W_H"],
+                 *(["simulate", "--kind", kind, "--hurst", "0.5"] for kind in ("B_H", "R_H", "DR_H")),
+                 *(["integrate", "--integrand", spec, "--hurst", "0.5"] for spec in ("det:const:1.0", "pp:bm:8")),
+                 ["verify-moments", "--hurst", "0.5"], ["nonconv", "--hurst-list", "0.5"],
+                 ["decay", "--hurst", "0.5", "--levels", "2:3"]):
+        assert _run([*argv, "--steps", "256", "--warmup", "0", "--reps", "100", "--out", "x.out"], capsys)[0] == 0
+        if argv[0] == "integrate":
+            assert json.loads((tmp_path / "x.out").read_text())["truncation_budget"] == 0.0
 
 
 def test_an_rl_start_on_the_lattice_runs(tmp_path, capsys):

@@ -27,6 +27,7 @@ from fbmdelay.experiments import (
     ContinuityNotApplicableError,
     _energy_quadrature,
     _mc,
+    _plan,
     _replicate,
     cauchy_decay_study,
     continuity_study,
@@ -84,11 +85,26 @@ def test_verify_dr_moments_is_checked_for_the_cells_it_draws(monkeypatch):
     prefix, full = (rows * 8 * cells * (1 + e._FIELD_FACTOR) for cells in (grid.origin_index, grid.cell_count))
     monkeypatch.setattr(fbmdelay.experiments, "_memory_available", lambda: (prefix + full) // 2)
     with pytest.raises(ValueError, match="lower --steps or --warmup"):
-        fbmdelay.experiments._check_memory(grid)
+        _plan(grid)
     assert verify_dr_moments(H75, 1.0, 100, 12).pointwise.replications == 100
     monkeypatch.setattr(fbmdelay.experiments, "_memory_available", lambda: prefix - 1)
     with pytest.raises(ValueError, match="lower --steps or --warmup"):
         verify_dr_moments(H75, 1.0, 100, 12)
+
+
+def test_every_driver_refuses_a_grid_without_history_above_one_half_before_any_draw(monkeypatch):
+    """On a grid with no history, each driver at h = 0.75 raises naming --warmup: no kernel built, no row drawn."""
+    grid, draws = make_grid(1.0, 256, 0.0), []
+    monkeypatch.setattr(fbmdelay.experiments, "generate_noise_batch", lambda *args, **kwargs: draws.append(args))
+    monkeypatch.setattr(fbmdelay.noise, "_build_kernel", None)  # a kernel build would raise TypeError
+    for run in (lambda: verify_dr_moments(H75, 1.0, 100, 3, grid), lambda: fbm_law_check(H75, 100, 3, grid),
+                lambda: shiryaev_identity_check(H75, [64, 256], 100, 3, grid),
+                lambda: nonconvergence_demo([0.5, 0.75], 100, 3, grid),
+                lambda: continuity_study("pp:bm:8", [0.75], 100, 3, grid),
+                lambda: cauchy_decay_study("bm", H75, [3, 4, 5], 100, 3, grid)):
+        with pytest.raises(ValueError, match=r"^--warmup 0\.0 leaves no history, which a run at h > 1/2 needs$"):
+            run()
+    assert draws == []
 
 
 def test_verify_dr_moments_rejects_tiny_ensembles():
@@ -99,10 +115,10 @@ def test_verify_dr_moments_rejects_tiny_ensembles():
 @pytest.mark.parametrize("chunk, workers", [(7, 1), (50, 2)])
 def test_verify_dr_moments_is_its_reference_on_full_rows(monkeypatch, chunk, workers):
     """Drawn up to the origin in chunks, verify_dr_moments is bit for bit dr_values on one batch of full rows;
-    without a history, no cell is drawn."""
+    without a history, at h = 1/2, no cell is drawn."""
     monkeypatch.setattr(fbmdelay.experiments, "WORKERS", workers)
     reps, seed = 150, 8
-    for grid, hp in ((SMALL, H75), (SMALL, hurst_constant(0.55)), (make_grid(1.0, 512, 0.0), H75)):
+    for grid, hp in ((SMALL, H75), (SMALL, hurst_constant(0.55)), (make_grid(1.0, 512, 0.0), H5)):
         monkeypatch.setattr(fbmdelay.experiments, "_CHUNK_BYTES", _chunk_bytes(chunk * workers, grid))
         drv = dr_values(generate_noise_batch(seed, grid, reps).increments, grid, hp, grid.origin_index)
         _, quad_w = _energy_quadrature(grid, hp)
@@ -169,7 +185,7 @@ def test_replicate_sizes_chunks_from_the_grid(monkeypatch):
         monkeypatch.setattr(fbmdelay.experiments, "WORKERS", workers)
         for cells in (None, grid.origin_index):
             drawn.clear()
-            out, = _replicate(1, grid, reps, lambda nb: (np.zeros(nb.replications),), cells=cells)
+            out, = _replicate(1, _plan(grid, cells=cells), reps, lambda nb: (np.zeros(nb.replications),))
             starts = np.cumsum([0] + want[:-1])
             assert sorted(d[:2] for d in drawn) == list(zip(starts, want)) and out.shape == (reps,)
             assert inline == all(d[2] == threading.get_ident() for d in drawn)
@@ -207,10 +223,10 @@ def test_replicate_keeps_at_most_the_budget_alive(monkeypatch, budget_rows, chun
         return (nb.increments[:, :3],)
 
     monkeypatch.setattr(fbmdelay.experiments, "generate_noise_batch", draw)
-    rows, = _replicate(3, grid, 36, per_chunk)  # 36 / chunk_rows chunks, several rounds of the barrier
+    rows, = _replicate(3, _plan(grid), 36, per_chunk)  # 36 / chunk_rows chunks, several rounds of the barrier
     assert peak[0] == budget_rows and alive[0] == 0
     assert rows.tobytes() == real_draw(3, grid, 36).increments[:, :3].tobytes()
-    caller, = _replicate(3, grid, 1, lambda nb: (np.array([threading.get_ident()]),))
+    caller, = _replicate(3, _plan(grid), 1, lambda nb: (np.array([threading.get_ident()]),))
     assert caller[0] == threading.get_ident()
 
 
@@ -228,7 +244,7 @@ def test_replicate_passes_a_chunk_exception_to_the_caller(monkeypatch):
         return (nb.increments[:, 0],)
 
     with pytest.raises(RuntimeError, match="chunk at stream 0 failed"):
-        _replicate(3, SMALL, 40, per_chunk)  # 20 chunks
+        _replicate(3, _plan(SMALL), 40, per_chunk)  # 20 chunks
     assert 0 in started and len(started) < 20
 
 
@@ -501,8 +517,8 @@ def test_a_desk_decay_chunk_holds_no_difference_field(monkeypatch, spec, h):
     """
     grid, peaks = DESK, []
 
-    def one_chunk(seed, grid, reps, per_chunk, cells=None):
-        nb = generate_noise_batch(seed, grid, 32)
+    def one_chunk(seed, plan, reps, per_chunk):
+        nb = generate_noise_batch(seed, plan.grid, 32)
         per_chunk(nb)
         tracemalloc.start()
         try:
@@ -607,7 +623,7 @@ def test_decay_study_equals_per_level_reference(monkeypatch, spec, h):
     study = cauchy_decay_study(spec, hp, levels, reps, 9, grid=SMALL)
     (gaps,) = runs
     gamma = parse_integrand(spec)
-    ref = _replicate(9, SMALL, reps, lambda nb: decay_gaps_per_level(gamma, hp, levels, nb))
+    ref = _replicate(9, _plan(SMALL), reps, lambda nb: decay_gaps_per_level(gamma, hp, levels, nb))
     assert len(ref) == 2 * len(gaps)
     for got, want, scale in zip(gaps, ref, ref[len(gaps):]):
         assert got.shape == (reps,)

@@ -482,6 +482,7 @@ PARTS_BATCH = generate_noise_batch(5, GRID, 6)
        level=st.integers(0, 8), gaps=st.lists(st.integers(2, 120), min_size=1, max_size=8),
        uniform=st.booleans())
 @example(gamma=FAMILY[-3], h=0.75, level=0, gaps=[100, 3, 250], uniform=False)  # pp:fbm, pre-origin
+@example(gamma=FAMILY[5], h=0.51, level=0, gaps=[2, 2, 2, 2, 9, 120, 120], uniform=False)  # pp:bm, far weights
 @settings(max_examples=120, deadline=None)
 def test_parts_match_the_per_segment_assembly(gamma, h, level, gaps, uniform):
     """(value, ito, tail, cross) from the increment fields equal the per-segment assembly.

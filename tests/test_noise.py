@@ -185,7 +185,7 @@ def test_batch_draw_is_identical_for_any_worker_count(grid, monkeypatch, reps):
     for workers in (1, 2, 3):
         monkeypatch.setattr(fbmdelay.experiments, "WORKERS", workers)
         monkeypatch.setattr(fbmdelay.experiments, "_CHUNK_BYTES", 2 * workers * 8 * grid.cell_count)
-        rows, = fbmdelay.experiments._replicate(7, grid, reps, lambda nb: (nb.increments,))
+        rows, = fbmdelay.experiments._replicate(7, fbmdelay.experiments._plan(grid), reps, lambda nb: (nb.increments,))
         batches.append(rows)
     for other in batches[1:]:
         assert other.tobytes() == batches[0].tobytes()
