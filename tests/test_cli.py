@@ -220,6 +220,14 @@ WHOLE_LINE = [*NEGATIVE_LEVELS, *FEWER_THAN_TWO_LEVELS, *OFF_LATTICE_STARTS, *NO
 def test_validation_failures_are_one_line_and_nonzero(tmp_path, capsys, monkeypatch, argv, fragment):
     """Exit 2 and one line that holds the row's fragment, or is it for a WHOLE_LINE row: before any kernel
     is built or row drawn, and with no file written."""
+    err = _refused_before_any_draw(argv, tmp_path, capsys, monkeypatch)
+    assert fragment in err
+    assert (argv, fragment) not in WHOLE_LINE or err == f"fbmdelay: error: {fragment}\n"
+
+
+def _refused_before_any_draw(argv, tmp_path, capsys, monkeypatch):
+    """Run argv in tmp_path with spies on the draw and the kernel build; check exit 2, one line, no draw and
+    no file, and return that line."""
     os.chdir(tmp_path)
     draws = []
     monkeypatch.setattr(fbmdelay.experiments, "generate_noise_batch", lambda *args, **kwargs: draws.append(args))
@@ -227,9 +235,31 @@ def test_validation_failures_are_one_line_and_nonzero(tmp_path, capsys, monkeypa
     code, _, err = _run(argv, capsys)
     assert code == 2
     assert err.count("\n") == 1
-    assert fragment in err
-    assert (argv, fragment) not in WHOLE_LINE or err == f"fbmdelay: error: {fragment}\n"
     assert draws == [] and not list(tmp_path.iterdir())
+    return err
+
+
+@pytest.mark.parametrize("command", ["integrate", "continuity"])
+def test_a_step_integrand_off_the_lattice_is_refused_before_any_draw(tmp_path, capsys, monkeypatch, command):
+    err = _refused_before_any_draw([command, "--integrand", "pp:bm:3", "--steps", "64", "--out", "x.out"],
+                                   tmp_path, capsys, monkeypatch)
+    assert "take a segment count that divides 32" in err
+
+
+@pytest.mark.parametrize("argv,fragment", NEGATIVE_LEVELS)
+def test_a_negative_level_is_refused_before_any_draw(tmp_path, capsys, monkeypatch, argv, fragment):
+    assert _refused_before_any_draw(argv, tmp_path, capsys, monkeypatch) == f"fbmdelay: error: {fragment}\n"
+
+
+@pytest.mark.parametrize("argv,fragment", FEWER_THAN_TWO_LEVELS)
+def test_fewer_than_two_levels_are_refused_naming_levels_before_any_draw(tmp_path, capsys, monkeypatch, argv,
+                                                                         fragment):
+    assert _refused_before_any_draw(argv, tmp_path, capsys, monkeypatch) == f"fbmdelay: error: {fragment}\n"
+
+
+@pytest.mark.parametrize("argv,fragment", OFF_LATTICE_STARTS)
+def test_an_rl_start_off_the_lattice_is_refused_before_any_draw(tmp_path, capsys, monkeypatch, argv, fragment):
+    assert _refused_before_any_draw(argv, tmp_path, capsys, monkeypatch) == f"fbmdelay: error: {fragment}\n"
 
 
 def test_a_negative_seed_is_refused_before_any_kernel_or_draw(tmp_path, capsys, monkeypatch):
