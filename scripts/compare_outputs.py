@@ -16,8 +16,9 @@ h > 1/2 are refused, so the refusals are compared too:
 * simulate: every process kind;
 * integrate: det:const:1.0, bm, fbm:0.75, rl:0.7:0.25, bm2, pp:bm:8 and
   pp:fbm:0.75:4 at level 3, each at h 0.5 and 0.75;
-* verify-moments, continuity (det:const:1.0 and pp:bm:8), nonconv, and
-  decay at levels 3:5.
+* verify-moments, continuity (det:const:1.0, pp:bm:8 and pp:fbm:0.75:4),
+  nonconv, and decay at levels 3:5 (bm at h 0.75, and fbm:0.75 at h 0.5,
+  whose integrand reads no history: it runs at --warmup 0 too).
 
 Each run's manifest is then replayed with --manifest (the replay phase),
 and the change side also replays every manifest the parent wrote (the
@@ -55,9 +56,11 @@ def matrix(steps: int) -> list[list[str]]:
         runs += [["simulate", "--kind", kind, *grid] for kind in ("B", "B_H", "W_H", "R_H", "DR_H")]
         runs += [["integrate", "--integrand", spec, "--hurst", h, "--level", "3", *grid]
                  for spec in INTEGRANDS for h in ("0.5", "0.75")]
-        runs += [["continuity", "--integrand", spec, "--reps", "16", *grid] for spec in ("det:const:1.0", "pp:bm:8")]
+        runs += [["continuity", "--integrand", spec, "--reps", "16", *grid]
+                 for spec in ("det:const:1.0", "pp:bm:8", "pp:fbm:0.75:4")]
         runs += [["verify-moments", "--reps", "100", *grid], ["nonconv", "--reps", "16", *grid],
-                 ["decay", "--levels", "3:5", "--reps", "16", *grid]]
+                 ["decay", "--levels", "3:5", "--reps", "16", *grid],
+                 ["decay", "--integrand", "fbm:0.75", "--hurst", "0.5", "--levels", "3:5", "--reps", "16", *grid]]
     return runs
 
 

@@ -43,7 +43,6 @@ from .integrands import (
     closed_form_x_norm,
     dyadic_projection,
     second_halves,
-    x_norm,
 )
 from .integrator import (
     MIN_CELLS_PER_SEGMENT,
@@ -67,6 +66,7 @@ from .noise import (
     history_kernel,
     make_grid,
     past_dot,
+    refuse_no_history,
     row_dot,
 )
 
@@ -154,12 +154,12 @@ class _Plan:
 def _plan(grid: SimulationGrid, hps=(), cells: int | None = None) -> _Plan:
     """The run _replicate makes on grid, drawing each row's first cells cells (None: all), checked before any draw.
 
-    Refused first: any h > 1/2 in hps on a grid with no history, whose integral against the whole past of the
-    noise would be cut at the origin with no budget for the rest; then rows in flight that, with their fields,
-    exceed the memory available.
+    Refused first, by noise.refuse_no_history as its readers of the history refuse it: any h > 1/2 in hps on a
+    grid with no history, whose integral against the whole past of the noise would be cut at the origin with no
+    budget for the rest; then rows in flight that, with their fields, exceed the memory available.
     """
-    if grid.origin_index == 0 and any(not hp.is_brownian for hp in hps):
-        raise ValueError(f"--warmup {grid.warmup_length!r} leaves no history, which a run at h > 1/2 needs")
+    if any(not hp.is_brownian for hp in hps):
+        refuse_no_history(grid)
     rows = max(1, _CHUNK_BYTES // (8 * grid.cell_count))
     need, free = rows * 8 * (grid.cell_count if cells is None else cells) * (1 + _FIELD_FACTOR), _memory_available()
     if free is not None and need > free:
@@ -440,7 +440,9 @@ def _integration_plan(gamma: Integrand, grid: SimulationGrid, level: int, flag: 
     bring their own grid; any other integrand is projected on the dyadic
     grid of the given level, which the option flag set (None: no option).
     """
-    _check_start(grid, gamma)
+    inner = _check_start(grid, gamma)
+    if isinstance(inner, FbmIntegrand) and not inner.hp1.is_brownian:  # it reads the history before the origin
+        refuse_no_history(grid)
     if isinstance(gamma, DeterministicIntegrand):
         return gamma, SegmentGrid.dyadic(grid.horizon, 0)
     if isinstance(gamma, PiecewisePredictableIntegrand):
@@ -476,8 +478,8 @@ def _check_segments(grid: SimulationGrid, gamma: PiecewisePredictableIntegrand) 
             f"divides {grid.main_steps // MIN_CELLS_PER_SEGMENT}") from None
 
 
-def _check_start(grid: SimulationGrid, gamma: Integrand) -> None:
-    """Refuse an rl integrand, alone or frozen on segments, whose start is not a lattice point."""
+def _check_start(grid: SimulationGrid, gamma: Integrand) -> Integrand:
+    """Refuse an rl integrand, alone or frozen on segments, whose start is off the lattice; return the inner one."""
     inner = gamma
     while isinstance(inner, PiecewisePredictableIntegrand):
         inner = inner.inner
@@ -489,6 +491,7 @@ def _check_start(grid: SimulationGrid, gamma: Integrand) -> None:
                 f"--integrand {gamma.spec_string()!r} starts at t={inner.start!r}, off the lattice of --steps "
                 f"{grid.main_steps}; take a start that is a multiple of {grid.step!r} from "
                 f"{grid.uniform_start!r} to {grid.horizon!r}") from None
+    return inner
 
 
 @functools.lru_cache(maxsize=16)
@@ -497,18 +500,10 @@ def _closed_x_norm(spec: str, grid: SimulationGrid) -> float | None:
     return closed_form_x_norm(parse_integrand(spec, horizon=grid.horizon), grid)
 
 
-def _reference_x_norm(gamma: Integrand, spec: str | None, grid: SimulationGrid, seed: int,
-                      reps: int = 256) -> float:
-    """||gamma||_X in closed form (cached by spec where gamma was given as one), else by Monte Carlo."""
-    closed = closed_form_x_norm(gamma, grid) if spec is None else _closed_x_norm(spec, grid)
-    if closed is not None:
-        return closed
-    return x_norm(gamma, generate_noise_batch(seed + 101, grid, reps))[0]
-
-
 def continuity_study(gamma: Integrand | str, hursts, reps: int, seed: int,
                      grid: SimulationGrid = DESK, proj_level: int = 8) -> ContinuityCurve:
-    """Pathwise L1 gaps E|I_H(gamma) - I_(1/2)(gamma)| under common noise, per Hurst value."""
+    """Pathwise L1 gaps E|I_H(gamma) - I_(1/2)(gamma)| under common noise, per Hurst value; right after _plan,
+    before any kernel or draw, an integrand with no closed-form ||gamma||_X (x_norm_ref) is refused."""
     spec = gamma if isinstance(gamma, str) else None
     if spec is not None:
         gamma = parse_integrand(spec, horizon=grid.horizon)
@@ -522,6 +517,9 @@ def continuity_study(gamma: Integrand | str, hursts, reps: int, seed: int,
     if any(hp.is_brownian for hp in hps):
         raise ValueError("the baseline h = 1/2 is implicit; pass only h > 1/2 values")
     half, plan = hurst_constant(HALF), _plan(grid, hps)
+    x_ref = closed_form_x_norm(gamma, grid) if spec is None else _closed_x_norm(spec, grid)
+    if x_ref is None:
+        raise ValueError(f"integrand {gamma.spec_string()!r} has no closed-form ||gamma||_X for the study to report")
     m0, end = grid.origin_index, int(_segment_lattice_indices(grid, seg)[-1])
     kernel = history_kernel(grid, hps)
 
@@ -536,7 +534,6 @@ def continuity_study(gamma: Integrand | str, hursts, reps: int, seed: int,
 
     *gaps, crcs = _replicate(seed, plan, reps, per_chunk)
     results = [_mc(g, seed, 0.0) for g in gaps]
-    x_ref = _reference_x_norm(gamma, spec, grid, seed)
     return ContinuityCurve(
         hurst_values=tuple(hp.h for hp in hps),
         gaps=tuple(r.estimate for r in results),
@@ -644,35 +641,39 @@ _SPEC_HELP = ("accepted integrand specs: det:const:<v> | det:poly:a0,a1,... | bm
 
 def parse_integrand(spec: str, horizon: float = 1.0) -> Integrand:
     """Build an integrand from its CLI spec string; every number in it is finite."""
+    try:
+        return _parse_integrand(spec, horizon)
+    except (IndexError, ValueError) as exc:
+        detail = f" ({exc})" if str(exc) else ""
+        raise ValueError(f"unknown integrand spec {spec!r}; {_SPEC_HELP}{detail}") from None
+
+
+def _parse_integrand(spec: str, horizon: float) -> Integrand:
+    """parse_integrand with no message of its own: a bad inner spec of pp: is refused once, as the whole spec."""
     def number(text: str) -> float:  # float() also reads nan and inf, which no integrand takes
         if not math.isfinite(x := float(text)):
             raise ValueError(f"{text} is not finite")
         return x
 
     parts = spec.split(":")
-    try:
-        if parts[0] == "det":
-            if parts[1] == "const":
-                return DeterministicIntegrand.constant(number(parts[2]))
-            if parts[1] == "poly":
-                return DeterministicIntegrand.polynomial([number(a) for a in parts[2].split(",")])
-            raise ValueError
-        if spec == "bm":
-            return BrownianIntegrand()
-        if parts[0] == "fbm":
-            return FbmIntegrand(number(parts[1]))
-        if parts[0] == "rl":
-            return RlFbmIntegrand(number(parts[1]), number(parts[2]) if len(parts) > 2 else 0.0)
-        if spec == "bm2":
-            return QuadraticBrownianIntegrand()
-        if parts[0] == "pp":
-            inner = parse_integrand(":".join(parts[1:-1]), horizon)
-            n_seg = int(parts[-1])
-            return PiecewisePredictableIntegrand(inner, SegmentGrid.uniform(horizon, n_seg))
+    if parts[0] == "det":
+        if parts[1] == "const":
+            return DeterministicIntegrand.constant(number(parts[2]))
+        if parts[1] == "poly":
+            return DeterministicIntegrand.polynomial([number(a) for a in parts[2].split(",")])
         raise ValueError
-    except (IndexError, ValueError) as exc:
-        detail = f" ({exc})" if str(exc) else ""
-        raise ValueError(f"unknown integrand spec {spec!r}; {_SPEC_HELP}{detail}") from None
+    if spec == "bm":
+        return BrownianIntegrand()
+    if parts[0] == "fbm":
+        return FbmIntegrand(number(parts[1]))
+    if parts[0] == "rl":
+        return RlFbmIntegrand(number(parts[1]), number(parts[2]) if len(parts) > 2 else 0.0)
+    if spec == "bm2":
+        return QuadraticBrownianIntegrand()
+    if parts[0] == "pp":
+        inner = _parse_integrand(":".join(parts[1:-1]), horizon)
+        return PiecewisePredictableIntegrand(inner, SegmentGrid.uniform(horizon, int(parts[-1])))
+    raise ValueError
 
 
 # ---------------------------------------------------------------------------

@@ -180,8 +180,6 @@ class _PowerKernelIntegrand(Integrand):
         n, m0 = grid.cell_count, grid.origin_index
         kernel = history_kernel(grid, (self.hp1,))
         if self.include_history and kernel is not None:
-            if m0 == 0:
-                raise ValueError("empty warmup window with h1 > 1/2: truncation error uncontrolled")
             x = past_conv(incs, grid, kernel, n, (m0, n))[0]
             x -= x[..., :1].copy()  # in place, as in noise.fbm_values
             return x

@@ -26,8 +26,10 @@ lattice point costs two small products per row (`past_conv`, the one reader
 of the cells before the origin).  `past_dot` takes an inner product with
 it without forming it: a row with few nonzero weights (a step integrand's
 breakpoints) by one dot product of its cells with the kernel at each, any
-other in the frequency domain.  The kernels are built once per grid and
-list of h (`history_kernel`) and shared by every chunk thread.
+other in the frequency domain.  Both refuse a grid with no cells before the
+origin (`refuse_no_history`), where the history would be cut with no budget.
+The kernels are built once per grid and list of h (`history_kernel`) and
+shared by every chunk thread.
 
 `history_conv` also takes a stack of kernels that read the same window of
 driving cells (one per Hurst value, say): each row of the window is
@@ -563,21 +565,25 @@ def _far_basis(grid: SimulationGrid, kind: str) -> np.ndarray:
     return basis
 
 
+def refuse_no_history(grid: SimulationGrid) -> None:
+    """Refuse a grid with no cells before the origin: its readers, and a plan at h > 1/2, would cut the history."""
+    if grid.origin_index == 0:
+        raise ValueError(f"--warmup {grid.warmup_length!r} leaves no history, which a run at h > 1/2 needs")
+
+
 def past_conv(incs: np.ndarray, grid: SimulationGrid, kernel: HistoryKernel, cells_end: int,
               outputs: tuple[int, int]) -> np.ndarray:
     """sum over the cells i < cells_end of kernel q's weight at t_j times incs[..., i], per kernel q.
 
-    The one reader of the cells before the origin: B_H, the history fields
-    of the delayed integral, R_H, DR_H and the fbm integrands take their
-    history from here, and past_dot its inner products.  outputs = (j0, j1) are main lattice points (j0 at or
-    after the origin) and cells_end is at or after the origin; the result
-    is (len(hps), ..., j1 - j0).  The cells of one step go through
-    history_conv; the far cells through their interpolated weights, two
-    row_dots per block of rows (_row_blocks); a window past the cells of
-    incs is refused, as in history_conv.  A B_H kernel's far part is taken
-    from the origin, where it is 0: the far history enters B_H, R_H and the
-    fields only through differences in t.
+    The one reader of the cells before the origin, refusing a grid with none: B_H, the history fields of the
+    delayed integral, R_H, DR_H and the fbm integrands take their history from here, and past_dot its inner
+    products.  outputs = (j0, j1) are main lattice points (j0 at or after the origin) and cells_end is at or
+    after the origin; the result is (len(hps), ..., j1 - j0).  The cells of one step go through history_conv;
+    the far cells through their interpolated weights, two row_dots per block of rows (_row_blocks); a window
+    past the cells of incs is refused, as in history_conv.  A B_H kernel's far part is taken from the origin,
+    where it is 0: the far history enters B_H, R_H and the fields only through differences in t.
     """
+    refuse_no_history(grid)
     m0, far = grid.origin_index, grid.far_cells
     if outputs[0] < m0 or cells_end < m0:
         raise ValueError("the history is evaluated from the origin on")
@@ -616,6 +622,7 @@ def past_dot(incs: np.ndarray, grid: SimulationGrid, kernel: HistoryKernel, cell
     Every sum over a row is a row_dot.  A window past the cells of incs is
     refused, as in history_conv.
     """
+    refuse_no_history(grid)
     m0, far = grid.origin_index, grid.far_cells
     j0, j1 = outputs
     if j0 < m0 or cells_end < m0:
@@ -678,8 +685,6 @@ def fbm_values(incs: np.ndarray, grid: SimulationGrid, hps) -> np.ndarray:
     kernel = history_kernel(grid, hps)
     if kernel is None:  # at h = 1/2 the history cancels exactly: only post-origin cells enter, B(0) = 0
         return np.repeat(history_conv(incs, None, (m0, n), (m0, n + 1))[None], len(hps), axis=0)
-    if m0 == 0:
-        raise ValueError("empty warmup window with h > 1/2: truncation error uncontrolled")
     x = past_conv(incs, grid, kernel, n, (m0, n + 1))
     x -= x[..., :1].copy()  # the column copied alone: an overlapping operand would copy all of x
     return x

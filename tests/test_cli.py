@@ -161,13 +161,25 @@ OFF_LATTICE_STARTS = [
 NO_HISTORY = [([*argv, "--steps", "256", "--warmup", "0", "--out", "x.out"],
                "--warmup 0.0 leaves no history, which a run at h > 1/2 needs")
               for argv in (["integrate", "--integrand", "det:const:1.0"], ["integrate", "--integrand", "pp:bm:8"],
+                           # at h = 1/2 the integrand's own h > 1/2 reads the history
+                           ["integrate", "--hurst", "0.5", "--integrand", "fbm:0.75", "--level", "2"],
+                           ["integrate", "--hurst", "0.5", "--integrand", "pp:fbm:0.75:4"],
                            *(["simulate", "--kind", kind] for kind in ("B_H", "R_H", "DR_H")), ["verify-moments"],
                            *(["continuity", "--hurst-list", "0.75", "--integrand", spec]
                              for spec in ("det:const:1.0", "pp:bm:8")),
                            ["nonconv", "--hurst-list", "0.75"], ["decay", "--integrand", "bm", "--levels", "3:5"])]
 
+# a bad inner spec of pp: names the whole spec and gives the accepted specs once
+_SPECS = ("accepted integrand specs: det:const:<v> | det:poly:a0,a1,... | bm | fbm:<H> | rl:<H>[:<start>] | bm2 | "
+          "pp:<inner>:<n-segments>")
+BAD_INNER_SPECS = [
+    (["integrate", "--integrand", "pp:det:const:inf:4", "--out", "x.json"],
+     f"unknown integrand spec 'pp:det:const:inf:4'; {_SPECS} (inf is not finite)"),
+    (["integrate", "--integrand", "pp:gauss:4", "--out", "x.json"], f"unknown integrand spec 'pp:gauss:4'; {_SPECS}"),
+]
+
 # rows whose whole line is compared, not only a fragment of it
-WHOLE_LINE = [*NEGATIVE_LEVELS, *FEWER_THAN_TWO_LEVELS, *OFF_LATTICE_STARTS, *NO_HISTORY]
+WHOLE_LINE = [*NEGATIVE_LEVELS, *FEWER_THAN_TWO_LEVELS, *OFF_LATTICE_STARTS, *NO_HISTORY, *BAD_INNER_SPECS]
 
 
 @pytest.mark.parametrize("argv,fragment", [
@@ -210,6 +222,7 @@ WHOLE_LINE = [*NEGATIVE_LEVELS, *FEWER_THAN_TWO_LEVELS, *OFF_LATTICE_STARTS, *NO
     *OFF_LATTICE_STARTS,
     (["integrate", "--steps", "256", "--warmup", "0", "--out", "x.json"], "--warmup 0.0 leaves no history"),
     *NO_HISTORY,
+    *BAD_INNER_SPECS,
     # a number in an integrand spec that is not finite
     *(([cmd, "--integrand", spec, "--steps", "256", "--out", "x.out"], f"unknown integrand spec '{spec}'")
       for cmd, spec in (("integrate", "det:const:nan"), ("integrate", "det:const:inf"),
@@ -281,16 +294,23 @@ def test_a_negative_seed_is_refused_before_any_kernel_or_draw(tmp_path, capsys, 
 
 def test_what_reads_no_history_runs_without_one(tmp_path, capsys):
     """At --warmup 0, simulate --kind B and W_H run at h = 0.75, and every command but continuity (which takes
-    h = 1/2 as its baseline) at h = 1/2; integrate's record then declares a budget of 0."""
+    h = 1/2 as its baseline) at h = 1/2; integrate's record then declares a budget of 0.  decay reads its
+    integrand only from the origin on (Integrand.level_steps), so fbm:0.75 runs at h = 1/2, and a
+    deterministic integrand, whose gaps are exact zeros, reads no noise at h = 0.75."""
     os.chdir(tmp_path)
     for argv in (["simulate", "--kind", "B"], ["simulate", "--kind", "W_H"],
                  *(["simulate", "--kind", kind, "--hurst", "0.5"] for kind in ("B_H", "R_H", "DR_H")),
                  *(["integrate", "--integrand", spec, "--hurst", "0.5"] for spec in ("det:const:1.0", "pp:bm:8")),
                  ["verify-moments", "--hurst", "0.5"], ["nonconv", "--hurst-list", "0.5"],
-                 ["decay", "--hurst", "0.5", "--levels", "2:3"]):
+                 ["decay", "--hurst", "0.5", "--levels", "2:3"],
+                 ["decay", "--hurst", "0.5", "--integrand", "fbm:0.75", "--levels", "3:5"],
+                 ["decay", "--integrand", "det:const:1.0", "--hurst", "0.75", "--levels", "3:5"]):
         assert _run([*argv, "--steps", "256", "--warmup", "0", "--reps", "100", "--out", "x.out"], capsys)[0] == 0
         if argv[0] == "integrate":
             assert json.loads((tmp_path / "x.out").read_text())["truncation_budget"] == 0.0
+        if "det:const:1.0" in argv and argv[0] == "decay":
+            zeros = [f"{m},0.0,0.0,None,0.0,0.0,None" for m in (3, 4)]
+            assert (tmp_path / "x.out").read_text().splitlines()[1:] == zeros
 
 
 def test_an_rl_start_on_the_lattice_runs(tmp_path, capsys):

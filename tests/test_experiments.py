@@ -313,6 +313,28 @@ def test_continuity_reference_norm_is_summed_once_per_spec_and_grid(monkeypatch)
     assert again.x_norm_ref == first.x_norm_ref == closed_form_x_norm(frozen, SMALL)
 
 
+class _NoSecondMoment(BrownianIntegrand):
+    """bm with no closed-form E gamma(t)^2, as an integrand written outside the package may have."""
+
+    def second_moment(self, t):
+        return None
+
+    def spec_string(self):
+        return "nomoment"
+
+
+def test_continuity_refuses_an_integrand_without_a_closed_form_norm_before_any_draw(monkeypatch):
+    """A step integrand whose inner one has no second moment has no ||gamma||_X: one line, no kernel, no draw."""
+    draws = []
+    monkeypatch.setattr(fbmdelay.experiments, "generate_noise_batch", lambda *args, **kwargs: draws.append(args))
+    monkeypatch.setattr(fbmdelay.noise, "_build_kernel", None)  # a kernel build would raise TypeError
+    gamma = PiecewisePredictableIntegrand(_NoSecondMoment(), SegmentGrid.uniform(1.0, 8))
+    with pytest.raises(ValueError, match=r"^integrand 'pp:nomoment:8' has no closed-form \|\|gamma\|\|_X for the "
+                                         r"study to report$"):
+        continuity_study(gamma, [0.75, 0.6], 100, 3, SMALL)
+    assert draws == []
+
+
 def test_continuity_rejects_nu_zero_non_predictable():
     for gamma in (BrownianIntegrand(), QuadraticBrownianIntegrand()):
         with pytest.raises(ContinuityNotApplicableError, match="not applicable"):

@@ -310,13 +310,24 @@ def test_brownian_case_reduces_to_driving_path(incs, grid):
 
 
 def test_fbm_starts_at_zero_and_rejects_empty_warmup(incs, grid):
+    """B_H(0) = 0.  On a grid with no cells before the origin each reader of them at h = 0.75 raises the run
+    plan's one line, noise.refuse_no_history's; B and W_H at h = 0.75, and every kind at h = 1/2, read none and
+    run."""
     _, bh = process_values(incs, grid, H75, "B_H")
     assert bh[0] == 0.0
-    no_warm = make_grid(1.0, 64)
-    bare = generate_noise_batch(1, no_warm, 1).increments
-    with pytest.raises(ValueError):
-        process_values(bare, no_warm, H75, "B_H")
-    process_values(bare, no_warm, H5, "B_H")  # brownian case needs no history
+    bare = make_grid(1.0, 64)
+    incs = generate_noise_batch(1, bare, 2).increments
+    kernel, n = history_kernel(bare, (H75,)), bare.cell_count
+    for read in (*(lambda kind=kind: process_values(incs, bare, H75, kind) for kind in ("B_H", "R_H", "DR_H")),
+                 lambda: fbmdelay.integrator.noise_transforms(bare, incs, (H75,), n),
+                 lambda: past_conv(incs, bare, kernel, n, (0, n + 1)),
+                 lambda: past_dot(incs, bare, kernel, n, (0, n + 1), np.ones((2, n + 1))),
+                 lambda: FbmIntegrand(0.75).values_on_cells(bare, incs)):
+        with pytest.raises(ValueError, match=r"^--warmup 0\.0 leaves no history, which a run at h > 1/2 needs$"):
+            read()
+    for hp, kinds in ((H75, ("B", "W_H")), (H5, KINDS)):
+        for kind in kinds:
+            assert np.all(np.isfinite(process_values(incs, bare, hp, kind)[1]))
 
 
 def test_increment_decomposition_pathwise(incs, grid):
