@@ -158,16 +158,20 @@ OFF_LATTICE_STARTS = [
 ]
 
 # no history at h > 1/2: every command that reads it would cut the integral at the origin, with no budget
-NO_HISTORY = [([*argv, "--steps", "256", "--warmup", "0", "--out", "x.out"],
-               "--warmup 0.0 leaves no history, which a run at h > 1/2 needs")
+def _no_history(argv):
+    return ([*argv, "--steps", "256", "--warmup", "0", "--out", "x.out"],
+            "--warmup 0.0 leaves no history, which a run at h > 1/2 needs")
+
+
+NO_HISTORY = [_no_history(argv)
               for argv in (["integrate", "--integrand", "det:const:1.0"], ["integrate", "--integrand", "pp:bm:8"],
-                           # at h = 1/2 the integrand's own h > 1/2 reads the history
-                           ["integrate", "--hurst", "0.5", "--integrand", "fbm:0.75", "--level", "2"],
-                           ["integrate", "--hurst", "0.5", "--integrand", "pp:fbm:0.75:4"],
                            *(["simulate", "--kind", kind] for kind in ("B_H", "R_H", "DR_H")), ["verify-moments"],
                            *(["continuity", "--hurst-list", "0.75", "--integrand", spec]
                              for spec in ("det:const:1.0", "pp:bm:8")),
                            ["nonconv", "--hurst-list", "0.75"], ["decay", "--integrand", "bm", "--levels", "3:5"])]
+# at h = 1/2 the integrand's own h > 1/2 reads the history
+NO_HISTORY_AT_HALF = [_no_history(["integrate", "--hurst", "0.5", "--integrand", spec, *level])
+                      for spec, level in (("fbm:0.75", ["--level", "2"]), ("pp:fbm:0.75:4", []))]
 
 # a bad inner spec of pp: names the whole spec and gives the accepted specs once
 _SPECS = ("accepted integrand specs: det:const:<v> | det:poly:a0,a1,... | bm | fbm:<H> | rl:<H>[:<start>] | bm2 | "
@@ -179,7 +183,8 @@ BAD_INNER_SPECS = [
 ]
 
 # rows whose whole line is compared, not only a fragment of it
-WHOLE_LINE = [*NEGATIVE_LEVELS, *FEWER_THAN_TWO_LEVELS, *OFF_LATTICE_STARTS, *NO_HISTORY, *BAD_INNER_SPECS]
+WHOLE_LINE = [*NEGATIVE_LEVELS, *FEWER_THAN_TWO_LEVELS, *OFF_LATTICE_STARTS, *NO_HISTORY, *NO_HISTORY_AT_HALF,
+              *BAD_INNER_SPECS]
 
 
 @pytest.mark.parametrize("argv,fragment", [
@@ -222,13 +227,15 @@ WHOLE_LINE = [*NEGATIVE_LEVELS, *FEWER_THAN_TWO_LEVELS, *OFF_LATTICE_STARTS, *NO
     *OFF_LATTICE_STARTS,
     (["integrate", "--steps", "256", "--warmup", "0", "--out", "x.json"], "--warmup 0.0 leaves no history"),
     *NO_HISTORY,
-    *BAD_INNER_SPECS,
     # a number in an integrand spec that is not finite
     *(([cmd, "--integrand", spec, "--steps", "256", "--out", "x.out"], f"unknown integrand spec '{spec}'")
       for cmd, spec in (("integrate", "det:const:nan"), ("integrate", "det:const:inf"),
                         ("integrate", "det:poly:1,nan"), ("integrate", "pp:det:const:inf:4"),
                         ("continuity", "det:const:nan"), ("integrate", "rl:0.7:nan"),
                         ("integrate", "rl:0.7:inf"), ("integrate", "pp:rl:0.7:nan:4"))),
+    # rows added later go last, so the ids of the rows above stay as they were
+    *NO_HISTORY_AT_HALF,
+    *BAD_INNER_SPECS,
 ])
 def test_validation_failures_are_one_line_and_nonzero(tmp_path, capsys, monkeypatch, argv, fragment):
     """Exit 2 and one line that holds the row's fragment, or is it for a WHOLE_LINE row: before any kernel
