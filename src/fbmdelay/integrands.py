@@ -29,7 +29,7 @@ from .noise import (
     NoiseBatch,
     SimulationGrid,
     block_conv,
-    half_cross_conv,
+    blockwise_conv,
     history_conv,
     history_kernel,
     past_conv,
@@ -200,7 +200,7 @@ class _PowerKernelIntegrand(Integrand):
     def level_steps(self, grid, incs, levels):
         # on the second half of a level-m segment [a, a + 2h), E_(a+h) - E_a of gamma(t_j)
         # is the kernel mass of the first half's cells, sum_(a <= i < a+h) k[j - i] x_i,
-        # which noise.half_cross_conv forms for every level-m segment at once
+        # which noise.blockwise_conv forms for every level-m segment at once
         m0 = grid.origin_index
         x = incs[..., m0:m0 + grid.main_steps]
         first = self._first_cell(grid) - m0
@@ -214,7 +214,7 @@ class _PowerKernelIntegrand(Integrand):
             if table is None:  # the unit kernel: the first half's sum, at every cell of the second
                 yield np.repeat(np.sum(blocks[..., :h], axis=-1, keepdims=True), h, axis=-1)
             else:
-                yield half_cross_conv(blocks, table)
+                yield blockwise_conv(blocks, table, (0, h), (h, 2 * h))
 
     def _forecast(self, grid, incs, freeze_idx, vals, j0):
         """E at freeze_idx[l] of gamma at cell l's left edge, from vals = _values_from(grid, incs, j0).

@@ -73,8 +73,8 @@ __all__ = [
     "make_grid",
     "generate_noise_batch",
     "history_conv",
+    "blockwise_conv",
     "block_conv",
-    "half_cross_conv",
     "history_kernel",
     "past_conv",
     "past_dot",
@@ -93,7 +93,7 @@ PROCESS_KINDS = ("B", "B_H", "W_H", "R_H", "DR_H")
 #: budget is per thread, since every chunk thread of a driver runs its own transforms
 _FFT_BLOCK_POINTS = 2 ** 16
 
-#: block_conv and half_cross_conv take a Toeplitz product up to this block length, an FFT beyond
+#: blockwise_conv takes a Toeplitz product where its window and outputs are this many cells or fewer, an FFT beyond
 _TOEPLITZ_MAX = 256
 _DOT_TILE = 4096  # row_dot's tile: within one 8,192-element einsum buffer
 
@@ -384,15 +384,27 @@ def history_conv(incs: np.ndarray, table: np.ndarray | None,
     return out
 
 
+def blockwise_conv(blocks: np.ndarray, table: np.ndarray,
+                   cells: tuple[int, int], outputs: tuple[int, int]) -> np.ndarray:
+    """history_conv(blocks, table, cells, outputs) within every block along the last axis, for one kernel.
+
+    A window and outputs of at most _TOEPLITZ_MAX cells each are one product blocks[..., lo:hi] @ M, M[i, j] =
+    table[j - i] where i < j, else 0, C-ordered, so that matmul runs one per leading index and no block's
+    rounding sees the batch; longer ones take history_conv's batched FFT.
+    """
+    (lo, hi), (j0, j1) = cells, outputs
+    if hi - lo > _TOEPLITZ_MAX or j1 - j0 > _TOEPLITZ_MAX:
+        return history_conv(blocks, table, cells, outputs)
+    lag = np.arange(j0, j1) - np.arange(lo, hi)[:, None]  # lag[i - lo, j - j0] = j - i
+    return blocks[..., lo:hi] @ np.where(lag > 0, table[np.maximum(lag, 0)], 0.0)
+
+
 def block_conv(x: np.ndarray, table: np.ndarray, bounds) -> np.ndarray:
     """y[..., j] = sum_{a <= i <= j} table[j - i] * x[..., i], a the start of j's block.
 
-    bounds are the block edges along the last axis of x: 0, every later
-    block start, x.shape[-1]; table[0] is read.  Equal blocks of L cells go
-    at once as (..., n_blocks, L): a product with the L x L triangular
-    Toeplitz matrix of table (matmul runs one per leading index, so no
-    block's rounding sees the batch size), or one batched FFT beyond
-    _TOEPLITZ_MAX cells.  Unequal blocks go one by one.
+    bounds are the block edges along the last axis of x: 0, every later block start, x.shape[-1]; table[0]
+    is read.  Equal blocks of L cells go at once as (..., n_blocks, L) through blockwise_conv, unequal ones
+    one by one.
     """
     edges = np.asarray(bounds)
     lengths = np.diff(edges)
@@ -405,26 +417,8 @@ def block_conv(x: np.ndarray, table: np.ndarray, bounds) -> np.ndarray:
         return out
     size = int(lengths[0])
     blocks = x.reshape(x.shape[:-1] + (lengths.size, size))
-    if size > _TOEPLITZ_MAX:
-        y = history_conv(blocks, np.concatenate(([0.0], table[:size])), (0, size), (1, size + 1))
-    else:
-        lag = np.subtract.outer(np.arange(size), np.arange(size))  # lag[i, j] = i - j
-        y = blocks @ np.where(lag <= 0, table[np.abs(lag)], 0.0)
+    y = blockwise_conv(blocks, np.concatenate(([0.0], table[:size])), (0, size), (1, size + 1))
     return y.reshape(x.shape)
-
-
-def half_cross_conv(blocks: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """y[..., j] = sum_{i < h} table[h + j - i] * blocks[..., i] for 0 <= j < h, blocks of 2h cells on the last axis.
-
-    What each block's first half carries onto its second through the kernel:
-    one full h x h Toeplitz product (entries table[h + j - i]), or one
-    batched FFT (history_conv) beyond _TOEPLITZ_MAX cells.  table must reach
-    lag 2h - 1; table[0] is not read.
-    """
-    h = blocks.shape[-1] // 2
-    if h > _TOEPLITZ_MAX:
-        return history_conv(blocks, table, (0, h), (h, 2 * h))
-    return blocks[..., :h] @ table[h - np.subtract.outer(np.arange(h), np.arange(h))]
 
 
 @dataclass(frozen=True)

@@ -425,6 +425,21 @@ def riemann_gap_expectation(grid: SimulationGrid, hp: HurstParameter) -> float:
     return 0.5 * (discrete_fbm_cov(grid, hp, grid.horizon, grid.horizon) - float(np.sum(inc_var)))
 
 
+def toeplitz_block_product(blocks: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """y[..., j] = sum_{i <= j} table[j - i] blocks[..., i] in every block of the last axis, as block_conv took
+    it on equal blocks before noise.blockwise_conv: the expression verbatim, its matrix C-ordered."""
+    size = blocks.shape[-1]
+    lag = np.subtract.outer(np.arange(size), np.arange(size))  # lag[i, j] = i - j
+    return blocks @ np.where(lag <= 0, table[np.abs(lag)], 0.0)
+
+
+def toeplitz_half_product(blocks: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """y[..., j] = sum_{i < h} table[h + j - i] blocks[..., i] for blocks of 2h cells, as the level step took it
+    before noise.blockwise_conv: the expression verbatim, its matrix C-ordered."""
+    h = blocks.shape[-1] // 2
+    return blocks[..., :h] @ table[h - np.subtract.outer(np.arange(h), np.arange(h))]
+
+
 def spy_convolutions(monkeypatch) -> dict:
     """Record the history_conv, block_conv and past_conv calls that integrator and integrands make.
 

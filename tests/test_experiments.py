@@ -661,7 +661,7 @@ def test_decay_study_equals_per_level_reference(monkeypatch, spec, h):
 def test_decay_study_shares_the_path_and_the_cross_convolutions(monkeypatch):
     """Per chunk: no path, one pair of history fields; per level pair, one cross product and one block convolution.
 
-    A pair's level step is one noise.half_cross_conv of every level-m
+    A pair's level step is one noise.blockwise_conv of every level-m
     segment, its first half onto its second.  Its Ito field is one block
     convolution of the second halves only.  No level has cells, forecasts
     or an assembly of its own.  The two chunks run on two threads, so the
@@ -676,9 +676,9 @@ def test_decay_study_shares_the_path_and_the_cross_convolutions(monkeypatch):
     monkeypatch.setattr(fbmdelay.experiments, "noise_transforms",
                         lambda *args: fields.append(args[3]) or real_fields(*args))
     monkeypatch.setattr(fbmdelay.experiments, "delayed_parts_for_cells", lambda *args: assemblies.append(args))
-    real_product = fbmdelay.integrands.half_cross_conv
-    monkeypatch.setattr(fbmdelay.integrands, "half_cross_conv",
-                        lambda blocks, table: products.append(blocks.shape[-2:]) or real_product(blocks, table))
+    real_product = fbmdelay.integrands.blockwise_conv
+    monkeypatch.setattr(fbmdelay.integrands, "blockwise_conv",
+                        lambda blocks, *args: products.append(blocks.shape[-2:]) or real_product(blocks, *args))
     cauchy_decay_study("fbm:0.75", hurst_constant(0.6), range(3, 6), 150, 5, grid=SMALL)
     chunks = 2  # 75 + 75 replications
 

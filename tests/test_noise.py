@@ -27,6 +27,7 @@ from fbmdelay.noise import (
     SimulationGrid,
     avg_kernel_table,
     block_conv,
+    blockwise_conv,
     discrete_dr_energy,
     discrete_fbm_cov,
     dr_energy_closed_form,
@@ -35,7 +36,6 @@ from fbmdelay.noise import (
     dr_values,
     fbm_values,
     generate_noise_batch,
-    half_cross_conv,
     history_conv,
     history_kernel,
     make_grid,
@@ -47,7 +47,7 @@ from fbmdelay.noise import (
     w_values,
 )
 from oracles import (cell_widths, path_csv_string, reference_draw, reference_write_path_csv, spy_noise_ffts,
-                     synthesize_dr, synthesize_w)
+                     synthesize_dr, synthesize_w, toeplitz_block_product, toeplitz_half_product)
 
 KINDS = ("B", "B_H", "W_H", "R_H", "DR_H")
 
@@ -1002,19 +1002,35 @@ def test_block_conv_rejects_bad_edges():
 @pytest.mark.parametrize("fft_branch", [False, True], ids=["toeplitz", "fft"])
 @pytest.mark.parametrize("h", [1, 3, 257])
 def test_half_cross_conv_matches_direct_sum(h, fft_branch, monkeypatch):
-    """Each block's first half onto its second, with leading batch axes; 257 cells take the FFT anyway."""
+    """blockwise_conv of each block's first half onto its second, with leading batch axes; 257 cells take the FFT
+    anyway."""
     rng = np.random.default_rng(h)
     blocks = rng.standard_normal((2, 3, 4, 2 * h))
     table = rng.standard_normal(2 * h)
     if fft_branch:
         monkeypatch.setattr(fbmdelay.noise, "_TOEPLITZ_MAX", 0)
-    got = half_cross_conv(blocks, table)
+    got = blockwise_conv(blocks, table, (0, h), (h, 2 * h))
     i = np.arange(h)
     weights = table[h + i[None, :] - i[:, None]]  # weights[i, j] = table[h + j - i]
     want = np.einsum("...i,ij->...j", blocks[..., :h], weights)
     scale = np.einsum("...i,ij->...j", np.abs(blocks[..., :h]), np.abs(weights))
     assert got.shape == blocks.shape[:-1] + (h,)
     assert np.all(np.abs(got - want) <= 1e-12 * scale)
+
+
+@pytest.mark.parametrize("n", [1, 3, 128, 256])
+def test_blockwise_conv_keeps_the_bytes_of_both_earlier_toeplitz_products(n):
+    """On the Toeplitz branch, block_conv's equal blocks of n cells and the level step's halves of n cells are
+    byte for byte the products each took before the one primitive (oracles), on a (2, 3, n_blocks, .) batch."""
+    rng = np.random.default_rng(n)
+    blocks = rng.standard_normal((2, 3, 5, 2 * n))
+    table = rng.standard_normal(2 * n + 3)
+    whole = blocks[..., :n].copy()
+    got = blockwise_conv(whole, np.concatenate(([0.0], table[:n])), (0, n), (1, n + 1))
+    assert got.tobytes() == toeplitz_block_product(whole, table).tobytes()
+    assert block_conv(whole.reshape(2, 3, -1), table, range(0, 5 * n + 1, n)).tobytes() == got.tobytes()
+    got = blockwise_conv(blocks, table, (0, n), (n, 2 * n))
+    assert got.tobytes() == toeplitz_half_product(blocks, table).tobytes()
 
 
 # ---------------------------------------------------------------------------
