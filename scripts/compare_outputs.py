@@ -17,8 +17,10 @@ h > 1/2 are refused, so the refusals are compared too:
 * integrate: det:const:1.0, bm, fbm:0.75, rl:0.7:0.25, bm2, pp:bm:8 and
   pp:fbm:0.75:4 at level 3, each at h 0.5 and 0.75;
 * verify-moments, continuity (det:const:1.0, pp:bm:8 and pp:fbm:0.75:4),
-  nonconv, and decay at levels 3:5 (bm at h 0.75, and fbm:0.75 at h 0.5,
-  whose integrand reads no history: it runs at --warmup 0 too).
+  nonconv, and decay at levels 3:5 (bm at h 0.75; fbm:0.75 at h 0.5,
+  whose integrand reads no history: it runs at --warmup 0 too; and
+  det:const:1.0 at h 0.75, whose gaps are zeros, so that no slope is
+  fitted and the CSV writes one unfitted).
 
 Each run's manifest is then replayed with --manifest (the replay phase),
 and the change side also replays every manifest the parent wrote (the
@@ -60,7 +62,8 @@ def matrix(steps: int) -> list[list[str]]:
                  for spec in ("det:const:1.0", "pp:bm:8", "pp:fbm:0.75:4")]
         runs += [["verify-moments", "--reps", "100", *grid], ["nonconv", "--reps", "16", *grid],
                  ["decay", "--levels", "3:5", "--reps", "16", *grid],
-                 ["decay", "--integrand", "fbm:0.75", "--hurst", "0.5", "--levels", "3:5", "--reps", "16", *grid]]
+                 ["decay", "--integrand", "fbm:0.75", "--hurst", "0.5", "--levels", "3:5", "--reps", "16", *grid],
+                 ["decay", "--integrand", "det:const:1.0", "--hurst", "0.75", "--levels", "3:5", "--reps", "16", *grid]]
     return runs
 
 

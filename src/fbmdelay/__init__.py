@@ -29,7 +29,6 @@ from .integrands import (
     RlFbmIntegrand,
     SegmentGrid,
     dyadic_projection,
-    x_norm,
     y_norm,
 )
 from .integrator import delayed_integral_batch, delayed_segment

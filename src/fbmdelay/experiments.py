@@ -715,9 +715,9 @@ def write_continuity_csv(path, curve: ContinuityCurve) -> None:
 
 
 def write_decay_csv(path, study: DecayStudy) -> None:
-    rows = [[m, g, s, study.fitted_slope, cg, cs, study.cross_fitted_slope]
-            for m, g, s, cg, cs in zip(study.levels, study.gaps, study.std_errors,
-                                       study.cross_gaps, study.cross_std_errors)]
+    slope, cross = (math.nan if a is None else a for a in (study.fitted_slope, study.cross_fitted_slope))
+    rows = [[m, g, s, slope, cg, cs, cross] for m, g, s, cg, cs in
+            zip(study.levels, study.gaps, study.std_errors, study.cross_gaps, study.cross_std_errors)]
     _write_csv(path, ["level", "gap", "se", "fitted_slope",
                       "cross_gap", "cross_se", "cross_fitted_slope"], rows)
 

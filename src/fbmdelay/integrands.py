@@ -26,7 +26,6 @@ import numpy as np
 
 from .kernels import HALF, HurstParameter, hurst_constant, power_diff
 from .noise import (
-    NoiseBatch,
     SimulationGrid,
     block_conv,
     blockwise_conv,
@@ -46,7 +45,6 @@ __all__ = [
     "SegmentGrid",
     "dyadic_projection",
     "second_halves",
-    "x_norm",
     "closed_form_x_norm",
     "y_norm",
     "YNormResult",
@@ -248,11 +246,7 @@ class _PowerKernelIntegrand(Integrand):
         return out
 
     def spec_string(self):
-        if self.include_history:
-            return f"fbm:{self.hp1.h!r}"
-        if self.hp1.is_brownian:
-            return "bm"
-        return f"rl:{self.hp1.h!r}:{self.start!r}"
+        return f"fbm:{self.hp1.h!r}" if self.include_history else f"rl:{self.hp1.h!r}:{self.start!r}"
 
 
 def _runs_of(freeze_idx: np.ndarray) -> list[tuple[int, int, int]]:
@@ -274,6 +268,9 @@ class BrownianIntegrand(_PowerKernelIntegrand):
 
     def second_moment(self, t):
         return float(t)
+
+    def spec_string(self):
+        return "bm"
 
 
 class FbmIntegrand(_PowerKernelIntegrand):
@@ -449,19 +446,6 @@ def dyadic_projection(gamma: Integrand, n: int, grid: SimulationGrid | None) -> 
 # norms
 # ---------------------------------------------------------------------------
 
-def x_norm(gamma: Integrand, ensemble: NoiseBatch) -> tuple[float, float]:
-    """MC estimate of (E int_0^T gamma^2 dt)^(1/2) with its standard error."""
-    if ensemble.replications < 2:
-        raise ValueError("need an ensemble of at least 2 noise paths")
-    vals = gamma.values_on_cells(ensemble.grid, ensemble.increments)
-    per_rep = np.sum(vals ** 2, axis=-1) * ensemble.grid.step
-    mean = float(np.mean(per_rep))
-    se_mean = float(np.std(per_rep, ddof=1) / math.sqrt(per_rep.shape[0]))
-    if mean <= 0.0:
-        return 0.0, se_mean
-    return math.sqrt(mean), se_mean / (2.0 * math.sqrt(mean))
-
-
 def closed_form_x_norm(gamma: Integrand, grid: SimulationGrid) -> float | None:
     """(step * sum_l E gamma(t_l)^2)^(1/2) over the left cell edges t_l of [0, horizon).
 
@@ -487,9 +471,10 @@ class YNormResult:
 
 
 def y_norm(gamma: Integrand, nu: float, eps: float, grid: SimulationGrid,
-           resolution: int = 48, ensemble=None) -> YNormResult:
+           resolution: int = 48) -> YNormResult:
     """Forecast-variance norm: ||gamma||_X + sup (E Var_tau gamma(t))^1/2 / (t-tau)^((1+nu)/2).
 
+    ||gamma||_X is closed_form_x_norm; an integrand without one is refused.
     Suprema are taken over the evaluation grid only (resolution tau points,
     log-spaced offsets down to the fine step).  A negative fitted slope of
     the ratio in the offset flags that the ratio grows without bound as
@@ -498,11 +483,8 @@ def y_norm(gamma: Integrand, nu: float, eps: float, grid: SimulationGrid,
     if nu < 0.0 or eps <= 0.0:
         raise ValueError("need nu >= 0 and eps > 0")
     t_end = grid.horizon
-    x_part = closed_form_x_norm(gamma, grid)
-    if x_part is None:
-        if ensemble is None:
-            raise ValueError("no closed-form second moment: an ensemble is required for the X part")
-        x_part, _ = x_norm(gamma, ensemble)
+    if (x_part := closed_form_x_norm(gamma, grid)) is None:
+        raise ValueError(f"integrand {gamma.spec_string()!r} has no closed-form ||gamma||_X for the Y norm")
 
     taus = np.linspace(0.0, t_end, resolution, endpoint=False)
     n_off = max(resolution // 2, 8)

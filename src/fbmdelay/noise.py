@@ -18,9 +18,10 @@ step cover [0, T] and a near window of NEAR_WINDOW * T before the origin;
 beyond it the far cells widen by FAR_RATIO each out to the reach, L =
 --warmup, about 530 cells for L = 1e14 at desk scale.  On the cells of one
 step the weights are a function of the index lag only, so whole paths come
-out of one causal convolution (FFT), `history_conv`; `block_conv` restarts
-one at every block start, for the delayed integral's segments and forecast
-runs.  A far cell's weight is a smooth function of t on [0, T]: it is
+out of one causal convolution (FFT), `history_conv`.  `blockwise_conv`
+takes its sum within every block: a Toeplitz product for short blocks.
+`block_conv` restarts one at every block start through it, for the delayed
+integral's segments and forecast runs.  A far cell's weight is a smooth function of t on [0, T]: it is
 interpolated at FAR_NODES Chebyshev nodes, so the far history at every main
 lattice point costs two small products per row (`past_conv`, the one reader
 of the cells before the origin).  `past_dot` takes an inner product with
@@ -44,9 +45,10 @@ Hurst values this way.
 Everything here runs on the calling thread: the drivers run whole chunks
 of replications on threads instead (`experiments._replicate`), and each
 chunk's draw and transforms are serial.  Each row is drawn from its own
-stream and transformed as one 1-D FFT, and every sum over a row is a
-`row_dot`, so the output bytes do not depend on the row blocks, the batch
-or the number of kernels.
+stream and transformed as one 1-D FFT, and a sum over a row is a
+`row_dot` or an `np.sum` along the last axis, each in an order fixed by
+the row alone, so the output bytes do not depend on the row blocks, the
+batch or the number of kernels.
 
 Measurability is structural: any quantity conditioned on time tau is
 computed from increments in cells ending at or before tau, enforced by

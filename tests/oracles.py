@@ -425,6 +425,20 @@ def riemann_gap_expectation(grid: SimulationGrid, hp: HurstParameter) -> float:
     return 0.5 * (discrete_fbm_cov(grid, hp, grid.horizon, grid.horizon) - float(np.sum(inc_var)))
 
 
+def x_norm(gamma: Integrand, ensemble: NoiseBatch) -> tuple[float, float]:
+    """MC estimate of (E int_0^T gamma^2 dt)^(1/2) with its standard error: the Monte Carlo check of
+    integrands.closed_form_x_norm."""
+    if ensemble.replications < 2:
+        raise ValueError("need an ensemble of at least 2 noise paths")
+    vals = gamma.values_on_cells(ensemble.grid, ensemble.increments)
+    per_rep = np.sum(vals ** 2, axis=-1) * ensemble.grid.step
+    mean = float(np.mean(per_rep))
+    se_mean = float(np.std(per_rep, ddof=1) / math.sqrt(per_rep.shape[0]))
+    if mean <= 0.0:
+        return 0.0, se_mean
+    return math.sqrt(mean), se_mean / (2.0 * math.sqrt(mean))
+
+
 def toeplitz_block_product(blocks: np.ndarray, table: np.ndarray) -> np.ndarray:
     """y[..., j] = sum_{i <= j} table[j - i] blocks[..., i] in every block of the last axis, as block_conv took
     it on equal blocks before noise.blockwise_conv: the expression verbatim, its matrix C-ordered."""

@@ -182,9 +182,18 @@ BAD_INNER_SPECS = [
     (["integrate", "--integrand", "pp:gauss:4", "--out", "x.json"], f"unknown integrand spec 'pp:gauss:4'; {_SPECS}"),
 ]
 
+# an rl integrand at h = 1/2 names itself rl, with its start, alone or inside a step integrand
+RL_AT_HALF = [
+    (["integrate", "--integrand", "rl:0.5:0.3", "--steps", "64", "--out", "x.json"],
+     f"--integrand 'rl:0.5:0.3' {_OFF_START} 64{_TAKE_A_START(1 / 64)}"),
+    (["integrate", "--integrand", "pp:rl:0.5:0.25:3", "--steps", "64", "--out", "x.json"],
+     "integrand 'pp:rl:0.5:0.25:3' does not split --steps 64 into segments of at least 2 fine cells between "
+     "lattice points; take a segment count that divides 32"),
+]
+
 # rows whose whole line is compared, not only a fragment of it
 WHOLE_LINE = [*NEGATIVE_LEVELS, *FEWER_THAN_TWO_LEVELS, *OFF_LATTICE_STARTS, *NO_HISTORY, *NO_HISTORY_AT_HALF,
-              *BAD_INNER_SPECS]
+              *BAD_INNER_SPECS, *RL_AT_HALF]
 
 
 @pytest.mark.parametrize("argv,fragment", [
@@ -236,6 +245,7 @@ WHOLE_LINE = [*NEGATIVE_LEVELS, *FEWER_THAN_TWO_LEVELS, *OFF_LATTICE_STARTS, *NO
     # rows added later go last, so the ids of the rows above stay as they were
     *NO_HISTORY_AT_HALF,
     *BAD_INNER_SPECS,
+    *RL_AT_HALF,
 ])
 def test_validation_failures_are_one_line_and_nonzero(tmp_path, capsys, monkeypatch, argv, fragment):
     """Exit 2 and one line that holds the row's fragment, or is it for a WHOLE_LINE row: before any kernel
@@ -303,7 +313,7 @@ def test_what_reads_no_history_runs_without_one(tmp_path, capsys):
     """At --warmup 0, simulate --kind B and W_H run at h = 0.75, and every command but continuity (which takes
     h = 1/2 as its baseline) at h = 1/2; integrate's record then declares a budget of 0.  decay reads its
     integrand only from the origin on (Integrand.level_steps), so fbm:0.75 runs at h = 1/2, and a
-    deterministic integrand, whose gaps are exact zeros, reads no noise at h = 0.75."""
+    deterministic integrand, whose gaps are exact zeros, reads no noise at h = 0.75; its unfitted slopes are nan."""
     os.chdir(tmp_path)
     for argv in (["simulate", "--kind", "B"], ["simulate", "--kind", "W_H"],
                  *(["simulate", "--kind", kind, "--hurst", "0.5"] for kind in ("B_H", "R_H", "DR_H")),
@@ -316,8 +326,10 @@ def test_what_reads_no_history_runs_without_one(tmp_path, capsys):
         if argv[0] == "integrate":
             assert json.loads((tmp_path / "x.out").read_text())["truncation_budget"] == 0.0
         if "det:const:1.0" in argv and argv[0] == "decay":
-            zeros = [f"{m},0.0,0.0,None,0.0,0.0,None" for m in (3, 4)]
+            zeros = [f"{m},0.0,0.0,nan,0.0,0.0,nan" for m in (3, 4)]
             assert (tmp_path / "x.out").read_text().splitlines()[1:] == zeros
+            table = numpy.loadtxt(tmp_path / "x.out", delimiter=",", skiprows=1)  # an unfitted slope reads as nan
+            assert table.shape == (2, 7) and numpy.isnan(table[:, [3, 6]]).all()
 
 
 def test_an_rl_start_on_the_lattice_runs(tmp_path, capsys):

@@ -53,6 +53,7 @@ from fbmdelay.integrands import (
     RlFbmIntegrand,
     SegmentGrid,
     closed_form_x_norm,
+    y_norm,
 )
 from oracles import decay_gaps_per_level, spy_convolutions, spy_noise_ffts
 
@@ -333,6 +334,14 @@ def test_continuity_refuses_an_integrand_without_a_closed_form_norm_before_any_d
                                          r"study to report$"):
         continuity_study(gamma, [0.75, 0.6], 100, 3, SMALL)
     assert draws == []
+
+
+def test_y_norm_refuses_an_integrand_without_a_closed_form_norm():
+    """The Y norm's X part is closed_form_x_norm: an integrand without one is refused in one line, as by continuity."""
+    gamma = PiecewisePredictableIntegrand(_NoSecondMoment(), SegmentGrid.uniform(1.0, 8))
+    with pytest.raises(ValueError, match=r"^integrand 'pp:nomoment:8' has no closed-form \|\|gamma\|\|_X for the Y "
+                                         r"norm$"):
+        y_norm(gamma, 0.0, 0.25, SMALL)
 
 
 def test_continuity_rejects_nu_zero_non_predictable():
@@ -748,6 +757,35 @@ def test_parse_integrand_rejects_unknown_specs(spec):
     families = {":".join(s.split(":")[:2 if s.startswith("det:") else 1]) for s, _ in KNOWN_SPECS}
     for family in families:
         assert re.search(rf"(?<![\w:]){family}(?!\w)", str(info.value)), family
+
+
+def _written(numbers):
+    """A number as a spec may write it: its repr, %g or %.17e."""
+    return numbers.flatmap(lambda x: st.sampled_from([repr(x), f"{x:g}", f"{x:.17e}"]))
+
+
+_HURST = _written(st.one_of(st.just(0.5), st.floats(0.5, 1.0, exclude_max=True)))
+_COEFF = _written(st.floats(-4.0, 4.0))
+_ACCEPTED_SPECS = st.recursive(
+    st.one_of(st.builds("det:const:{}".format, _COEFF), st.lists(_COEFF, min_size=1, max_size=3).map(
+        lambda cs: "det:poly:" + ",".join(cs)), st.sampled_from(["bm", "bm2"]), st.builds("fbm:{}".format, _HURST),
+        st.builds("rl:{}".format, _HURST),
+        st.builds("rl:{}:{!r}".format, _HURST, st.integers(-64, 63).map(lambda k: k / 64))),  # starts on the lattice
+    lambda inner: st.builds("pp:{}:{}".format, inner, st.sampled_from([1, 2, 4, 32])), max_leaves=3)
+_SPEC_GRID = make_grid(1.0, 64, 1.0)
+_SPEC_INCS = generate_noise_batch(2, _SPEC_GRID, 2).increments
+
+
+@given(spec=_ACCEPTED_SPECS)
+@settings(max_examples=80, deadline=None)
+def test_a_printed_spec_parses_back_to_the_same_integrand(spec):
+    """The spec an integrand prints parses to one of its type that prints the same spec and takes byte-identical
+    values_on_cells, pp: nested included; an rl integrand at h = 1/2 keeps its name and its start."""
+    gamma = parse_integrand(spec)
+    again = parse_integrand(gamma.spec_string())
+    assert type(again) is type(gamma) and again.spec_string() == gamma.spec_string()
+    want = gamma.values_on_cells(_SPEC_GRID, _SPEC_INCS)
+    assert again.values_on_cells(_SPEC_GRID, _SPEC_INCS).tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -22,11 +22,10 @@ from fbmdelay.integrands import (
     SegmentGrid,
     closed_form_x_norm,
     dyadic_projection,
-    x_norm,
     y_norm,
 )
 from fbmdelay.noise import generate_noise_batch, make_grid
-from oracles import cond_exp, dyadic_cells, kernel_cell_averages, value
+from oracles import cond_exp, dyadic_cells, kernel_cell_averages, value, x_norm
 
 GRID = make_grid(1.0, 512, warmup=2.0)
 NOISE = generate_noise_batch(8, GRID, 1)
