@@ -19,15 +19,15 @@ beyond it the far cells widen by FAR_RATIO each out to the reach, L =
 --warmup, about 530 cells for L = 1e14 at desk scale.  On the cells of one
 step the weights are a function of the index lag only, so whole paths come
 out of one causal convolution (FFT), `history_conv`.  `blockwise_conv`
-takes its sum within every block: a Toeplitz product for short blocks.
+takes its sum within every block, a Toeplitz product for short blocks;
 `block_conv` restarts one at every block start through it, for the delayed
-integral's segments and forecast runs.  A far cell's weight is a smooth function of t on [0, T]: it is
-interpolated at FAR_NODES Chebyshev nodes, so the far history at every main
-lattice point costs two small products per row (`past_conv`, the one reader
-of the cells before the origin).  `past_dot` takes an inner product with
-it without forming it: a row with few nonzero weights (a step integrand's
-breakpoints) by one dot product of its cells with the kernel at each, any
-other in the frequency domain.  Both refuse a grid with no cells before the
+integral's segments and forecast runs.  A far cell's weight is a smooth
+function of t on [0, T]: it is interpolated at FAR_NODES Chebyshev nodes,
+so the far history at every main lattice point costs two small products
+per row (`past_conv`, the one reader of the cells before the origin).
+`past_dot` takes an inner product with it without forming it: a row with
+few nonzero weights (a step integrand's breakpoints) by one dot product of
+its cells with the kernel at each, any other in the frequency domain.  Both refuse a grid with no cells before the
 origin (`refuse_no_history`), where the history would be cut with no budget.
 The kernels are built once per grid and list of h (`history_kernel`) and
 shared by every chunk thread.
