@@ -395,10 +395,13 @@ def blockwise_conv(blocks: np.ndarray, table: np.ndarray,
     rounding sees the batch; longer ones take history_conv's batched FFT.
     """
     (lo, hi), (j0, j1) = cells, outputs
-    if hi - lo > _TOEPLITZ_MAX or j1 - j0 > _TOEPLITZ_MAX:
+    # longer ones, and a table too short for the lags (which history_conv refuses), take the FFT
+    if hi - lo > _TOEPLITZ_MAX or j1 - j0 > _TOEPLITZ_MAX or table.shape[-1] < j1 - lo:
         return history_conv(blocks, table, cells, outputs)
     lag = np.arange(j0, j1) - np.arange(lo, hi)[:, None]  # lag[i - lo, j - j0] = j - i
-    return blocks[..., lo:hi] @ np.where(lag > 0, table[np.maximum(lag, 0)], 0.0)
+    # M is one gather: lag 0 reads the leading zero, and a lag < 0 one of the trailing zeros from the end
+    padded = np.concatenate(([0.0], table[1:j1 - lo], np.zeros(max(hi - 1 - j0, 0))))
+    return blocks[..., lo:hi] @ padded[lag]
 
 
 def block_conv(x: np.ndarray, table: np.ndarray, bounds) -> np.ndarray:

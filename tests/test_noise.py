@@ -1021,7 +1021,8 @@ def test_half_cross_conv_matches_direct_sum(h, fft_branch, monkeypatch):
 @pytest.mark.parametrize("n", [1, 3, 128, 256])
 def test_blockwise_conv_keeps_the_bytes_of_both_earlier_toeplitz_products(n):
     """On the Toeplitz branch, block_conv's equal blocks of n cells and the level step's halves of n cells are
-    byte for byte the products each took before the one primitive (oracles), on a (2, 3, n_blocks, .) batch."""
+    byte for byte the products each took before the one primitive (oracles), on a (2, 3, n_blocks, .) batch;
+    a table too short for the lags is refused."""
     rng = np.random.default_rng(n)
     blocks = rng.standard_normal((2, 3, 5, 2 * n))
     table = rng.standard_normal(2 * n + 3)
@@ -1031,6 +1032,8 @@ def test_blockwise_conv_keeps_the_bytes_of_both_earlier_toeplitz_products(n):
     assert block_conv(whole.reshape(2, 3, -1), table, range(0, 5 * n + 1, n)).tobytes() == got.tobytes()
     got = blockwise_conv(blocks, table, (0, n), (n, 2 * n))
     assert got.tobytes() == toeplitz_half_product(blocks, table).tobytes()
+    with pytest.raises(ValueError, match=f"kernel table reaches lag {2 * n - 2}, need {2 * n - 1}"):
+        blockwise_conv(blocks, table[:2 * n - 1], (0, n), (n, 2 * n))  # refused, as by history_conv
 
 
 # ---------------------------------------------------------------------------
