@@ -767,10 +767,11 @@ def _written(numbers):
 _HURST = _written(st.one_of(st.just(0.5), st.floats(0.5, 1.0, exclude_max=True)))
 _COEFF = _written(st.floats(-4.0, 4.0))
 _ACCEPTED_SPECS = st.recursive(
-    st.one_of(st.builds("det:const:{}".format, _COEFF), st.lists(_COEFF, min_size=1, max_size=3).map(
-        lambda cs: "det:poly:" + ",".join(cs)), st.sampled_from(["bm", "bm2"]), st.builds("fbm:{}".format, _HURST),
-        st.builds("rl:{}".format, _HURST),
-        st.builds("rl:{}:{!r}".format, _HURST, st.integers(-64, 63).map(lambda k: k / 64))),  # starts on the lattice
+    st.one_of(st.builds("det:const:{}".format, _COEFF),
+              st.lists(_COEFF, min_size=1, max_size=3).map(lambda cs: "det:poly:" + ",".join(cs)),
+              st.sampled_from(["bm", "bm2"]), st.builds("fbm:{}".format, _HURST), st.builds("rl:{}".format, _HURST),
+              # an rl start on the lattice of _SPEC_GRID, whose cells then have values
+              st.builds("rl:{}:{!r}".format, _HURST, st.integers(-64, 63).map(lambda k: k / 64))),
     lambda inner: st.builds("pp:{}:{}".format, inner, st.sampled_from([1, 2, 4, 32])), max_leaves=3)
 _SPEC_GRID = make_grid(1.0, 64, 1.0)
 _SPEC_INCS = generate_noise_batch(2, _SPEC_GRID, 2).increments
