@@ -11,7 +11,6 @@ from .kernels import (
     mvn_kernel,
 )
 from .noise import (
-    NoiseBatch,
     SimulationGrid,
     dr_energy_closed_form,
     dr_pointwise_closed_form,

@@ -234,13 +234,14 @@ def _run(cfg: RunConfig) -> list[str]:
     if cfg.command == "simulate":
         # one replication, stream 0: the path `integrate` draws for the same seed; B and W_H read no history
         plan = _plan(grid, () if cfg.kind in ("B", "W_H") else (hp,))
-        times, values = _replicate(cfg.seed, plan, 1, lambda nb: process_values(nb.increments, grid, hp, cfg.kind))
+        times, values = _replicate(cfg.seed, plan, 1, lambda incs: process_values(incs, grid, hp, cfg.kind))
         h = HALF if cfg.kind == "B" else hp.h  # the driving path is the h = 1/2 process
         write_path_csv(cfg.kind, h, cfg.seed, times[0], values[0], cfg.out)
     elif cfg.command == "integrate":
         gamma, seg = _integration_plan(parse_integrand(cfg.integrand, cfg.horizon), grid, cfg.level, "--level")
         # one replication, stream 0: the path `simulate` draws for the same seed
-        parts = _replicate(cfg.seed, _plan(grid, (hp,)), 1, lambda nb: delayed_integral_batch(gamma, seg, nb, hp))
+        parts = _replicate(cfg.seed, _plan(grid, (hp,)), 1,
+                           lambda incs: delayed_integral_batch(gamma, seg, grid, incs, hp))
         with open(cfg.out, "w") as fh:
             json.dump(result_record(parts, seg, grid, hp, cfg.seed), fh, indent=2, sort_keys=True)
             fh.write("\n")

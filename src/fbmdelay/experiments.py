@@ -52,7 +52,6 @@ from .integrator import (
     second_half_ito,
 )
 from .noise import (
-    NoiseBatch,
     SimulationGrid,
     discrete_dr_energy,
     discrete_fbm_cov,
@@ -173,8 +172,9 @@ def _plan(grid: SimulationGrid, hps=(), cells: int | None = None) -> _Plan:
 def _replicate(seed: int, plan: _Plan, reps: int, per_chunk) -> tuple:
     """Run per_chunk over replications 0..reps-1 in chunks, up to WORKERS chunks at once, as plan checked.
 
-    Replication r is noise stream r of seed.  per_chunk maps a NoiseBatch to a
-    tuple of arrays with one entry per replication along the first axis; the
+    Replication r is noise stream r of seed.  per_chunk maps a chunk's rows,
+    the read-only array of generate_noise_batch on plan.grid, to a tuple of
+    arrays with one entry per replication along the first axis; the
     runner returns each array concatenated in stream order, so the result does
     not depend on the chunk size or the thread count.  The replications split
     into near-equal chunks, as many as a multiple of WORKERS, of at most
@@ -216,9 +216,9 @@ def _fit_slope(levels, gaps) -> float | None:
     return float(np.polyfit(np.asarray(levels, dtype=float), np.log2(g), 1)[0])
 
 
-def _stream_crcs(batch: NoiseBatch) -> np.ndarray:
+def _stream_crcs(incs: np.ndarray) -> np.ndarray:
     """CRC-32 of each replication's increments."""
-    return np.array([zlib.crc32(row) for row in batch.increments], dtype=np.uint32)
+    return np.array([zlib.crc32(row) for row in incs], dtype=np.uint32)
 
 
 def _fold_crcs(crcs: np.ndarray) -> int:
@@ -279,14 +279,14 @@ def verify_dr_moments(hp: HurstParameter, span: float, reps: int, seed: int,
     plan = _plan(grid, (hp,), cells=m0)  # DR_H reads no cell from the origin on: draw the history only
     eval_idx, quad_w = _energy_quadrature(grid, hp)
 
-    def per_chunk(nb):
-        drv = dr_values(nb.increments, grid, hp, m0)  # lattice j = m0+1 .. cell_count = eval_idx
+    def per_chunk(incs):
+        drv = dr_values(incs, grid, hp, m0)  # lattice j = m0+1 .. cell_count = eval_idx
         return drv[:, -1] ** 2, np.sum(drv ** 2 * quad_w, axis=-1)
 
     point, energy = _replicate(seed, plan, reps, per_chunk)
 
     p_closed = dr_pointwise_closed_form(hp, span)
-    e_closed = dr_energy_closed_form(hp, span) if not hp.is_brownian else 0.0
+    e_closed = dr_energy_closed_form(hp, span)
     p_budget = abs(p_closed - discrete_dr_energy(grid, hp, m0, eval_idx[-1:], np.ones(1)))
     e_budget = abs(e_closed - discrete_dr_energy(grid, hp, m0, eval_idx, quad_w))
     return DrMomentReport(
@@ -302,8 +302,8 @@ def fbm_law_check(hp: HurstParameter, reps: int, seed: int, grid: SimulationGrid
     m0, n, plan = grid.origin_index, grid.main_steps, _plan(grid, (hp,))
     weights = np.stack([fbm_weight_vector(grid, hp, m0 + n), fbm_weight_vector(grid, hp, m0 + n // 2)])
 
-    def per_chunk(nb):
-        end, mid = row_dot("ri,ki->kr", nb.increments, weights)
+    def per_chunk(incs):
+        end, mid = row_dot("ri,ki->kr", incs, weights)
         return end ** 2, end * mid
 
     var_s, cov_s = _replicate(seed, plan, reps, per_chunk)
@@ -340,8 +340,8 @@ def shiryaev_identity_check(hp: HurstParameter, n_steps_seq, reps: int, seed: in
         if n < 1 or n_fine % n != 0:
             raise ValueError(f"refinement level {n} does not divide the fine grid {n_fine}")
 
-    def per_chunk(nb):
-        bh = fbm_values(nb.increments, grid, (hp,))[0]
+    def per_chunk(incs):
+        bh = fbm_values(incs, grid, (hp,))[0]
         final_sq = bh[:, -1] ** 2
         defects = []
         for n in seq:
@@ -375,16 +375,16 @@ def nonconvergence_demo(hursts, reps: int, seed: int,
     hps = [hurst_constant(h) for h in hursts]
     rough, plan = [hp for hp in hps if not hp.is_brownian], _plan(grid, hps)
 
-    def per_chunk(nb):
-        b = history_conv(nb.increments, None, (m0, grid.cell_count), (m0, grid.cell_count + 1))
+    def per_chunk(incs):
+        b = history_conv(incs, None, (m0, grid.cell_count), (m0, grid.cell_count + 1))
         ito_b = _left_point_sum(b)
         # every h reads the same batch, and the h > 1/2 paths one transform of it
-        paths = iter(fbm_values(nb.increments, grid, rough) if rough else ())
+        paths = iter(fbm_values(incs, grid, rough) if rough else ())
         gaps = []
         for hp in hps:
             bh = b if hp.is_brownian else next(paths)
             gaps += [_left_point_sum(bh) - ito_b, 0.5 * bh[:, -1] ** 2 - ito_b]
-        return (*gaps, _stream_crcs(nb))
+        return (*gaps, _stream_crcs(incs))
 
     *gaps, crcs = _replicate(seed, plan, reps, per_chunk)
     checksum = _fold_crcs(crcs)
@@ -423,10 +423,6 @@ class ContinuityCurve:
     base_seed: int
     x_norm_ref: float
     noise_checksum: int
-
-    def decreasing_within_1se(self) -> bool:
-        g, s = self.gaps, self.std_errors
-        return all(g[i + 1] <= g[i] + math.hypot(s[i], s[i + 1]) for i in range(len(g) - 1))
 
     @property
     def final_gap(self) -> float:
@@ -523,14 +519,14 @@ def continuity_study(gamma: Integrand | str, hursts, reps: int, seed: int,
     m0, end = grid.origin_index, int(_segment_lattice_indices(grid, seg)[-1])
     kernel = history_kernel(grid, hps)
 
-    def per_chunk(nb):
-        cells = integrand.values_on_cells(grid, nb.increments)
-        base, _, _, _ = delayed_parts_for_cells(cells, seg, nb, half)
+    def per_chunk(incs):
+        cells = integrand.values_on_cells(grid, incs)
+        base, _, _, _ = delayed_parts_for_cells(cells, seg, grid, incs, half)
         # the value sum_l gamma_l (B_H(t_l+1) - B_H(t_l)) is sum_j a_j B_H(t_j), a_j = gamma_j-1 - gamma_j
         # with gamma_-1 = gamma_N = 0: one inner product per h, taken without forming the path
         weights = np.diff(-cells[..., :end - m0], prepend=0.0, append=0.0)
-        values = past_dot(nb.increments, grid, kernel, end, (m0, end + 1), weights)
-        return (*np.abs(values - base), _stream_crcs(nb))
+        values = past_dot(incs, grid, kernel, end, (m0, end + 1), weights)
+        return (*np.abs(values - base), _stream_crcs(incs))
 
     *gaps, crcs = _replicate(seed, plan, reps, per_chunk)
     results = [_mc(g, seed, 0.0) for g in gaps]
@@ -596,8 +592,7 @@ def cauchy_decay_study(gamma: Integrand | str, hp: HurstParameter, levels, reps:
     pair_levels, plan = levels[:-1], _plan(grid, (hp,))
     m0, end = grid.origin_index, grid.origin_index + grid.main_steps
 
-    def per_chunk(nb):
-        incs = nb.increments
+    def per_chunk(incs):
         # dB at h = 1/2, where value is the Ito sum and cross is 0; else d_tail and d_main
         fields = [incs[..., m0:end]] if hp.is_brownian else [f[0] for f in noise_transforms(grid, incs, (hp,), end)]
         gaps = []
@@ -606,7 +601,7 @@ def cauchy_decay_study(gamma: Integrand | str, hp: HurstParameter, levels, reps:
             # which lives on the second halves of the level-m segments, the odd level-(m+1) ones
             sums = [row_dot("...kh,...kh->...", step, second_halves(f, m)) for f in fields]
             if hp.is_brownian:
-                gaps += [np.abs(sums[0]), np.zeros(nb.replications)]
+                gaps += [np.abs(sums[0]), np.zeros(len(incs))]
             else:  # value = tail + main and cross = main - ito on the level-(m+1) grid
                 ito = row_dot("...kh,...kh->...", step, second_half_ito(grid, incs, hp, m))
                 gaps += [np.abs(sums[0] + sums[1]), np.abs(sums[1] - ito)]

@@ -1,4 +1,4 @@
-"""The delayed stochastic integral of segment-predictable integrands on a noise batch.
+"""The delayed stochastic integral of segment-predictable integrands on rows of noise beside their grid.
 
 Per segment [T_{k-1}, T_k] the delayed integral of a segment-predictable
 integrand is an Ito integral of the kernel-transformed integrand plus a
@@ -36,7 +36,6 @@ import numpy as np
 from .kernels import HurstParameter
 from .integrands import Integrand, SegmentGrid, second_halves
 from .noise import (
-    NoiseBatch,
     SimulationGrid,
     block_conv,
     declared_truncation_budget,
@@ -110,8 +109,8 @@ def _dot(gamma_cells: np.ndarray, field: np.ndarray) -> np.ndarray:
     return np.sum(gamma_cells * field, axis=-1)
 
 
-def delayed_parts_for_cells(gamma_cells: np.ndarray, seg: SegmentGrid, batch: NoiseBatch,
-                            hp: HurstParameter):
+def delayed_parts_for_cells(gamma_cells: np.ndarray, seg: SegmentGrid, grid: SimulationGrid,
+                            incs: np.ndarray, hp: HurstParameter):
     """(value, ito, tail, cross) per replication, for drivers that manage the integrand's cells.
 
     gamma_cells holds the integrand's predictable values on the fine cells
@@ -120,7 +119,6 @@ def delayed_parts_for_cells(gamma_cells: np.ndarray, seg: SegmentGrid, batch: No
     (n_integrands, reps) parts, and the fields that depend only on the
     noise are computed once for all of them.
     """
-    grid, incs = batch.grid, batch.increments
     m0 = grid.origin_index
     seg_idx = _segment_lattice_indices(grid, seg)
     end = int(seg_idx[-1])
@@ -136,34 +134,32 @@ def delayed_parts_for_cells(gamma_cells: np.ndarray, seg: SegmentGrid, batch: No
     return tail + main, ito, tail, main - ito
 
 
-def delayed_integral_batch(gamma: Integrand, seg: SegmentGrid, batch: NoiseBatch,
+def delayed_integral_batch(gamma: Integrand, seg: SegmentGrid, grid: SimulationGrid, incs: np.ndarray,
                            hp: HurstParameter):
     """Per-replication delayed integral; returns (value, ito, tail, cross) arrays."""
     if not gamma.segment_predictable_on(seg.breakpoints):
         raise ValueError(
             "integrand is not measurable at the segment left endpoints; "
             "the delayed integral is undefined on this class (freeze it or refine its grid)")
-    cells = gamma.values_on_cells(batch.grid, batch.increments)
-    return delayed_parts_for_cells(cells, seg, batch, hp)
+    return delayed_parts_for_cells(gamma.values_on_cells(grid, incs), seg, grid, incs, hp)
 
 
 def delayed_segment(gamma: Integrand, seg_start: float, seg_end: float,
-                    batch: NoiseBatch, hp: HurstParameter) -> np.ndarray:
+                    grid: SimulationGrid, incs: np.ndarray, hp: HurstParameter) -> np.ndarray:
     """Single-segment delayed integral per replication; gamma is frozen at seg_start via its forecast rule.
 
     The delayed integral is the value part sum gamma dB_H of the common
     assembly, which does not depend on the segment grid: it is read off the
     grid (0, seg_end), with the frozen cells before seg_start set to zero.
     """
-    grid = batch.grid
     if seg_start < grid.origin:
         raise ValueError(f"seg_start={seg_start} lies before the origin; segments start at 0 or later")
     a, b = grid.index_of(seg_start), grid.index_of(seg_end)
     if b - a < MIN_CELLS_PER_SEGMENT:
         raise ValueError(f"degenerate segment: fewer than {MIN_CELLS_PER_SEGMENT} fine cells")
-    cells = gamma.frozen_values_on_cells(grid, batch.increments, np.full(grid.main_steps, a))
+    cells = gamma.frozen_values_on_cells(grid, incs, np.full(grid.main_steps, a))
     cells[..., :a - grid.origin_index] = 0.0
-    value, _, _, _ = delayed_parts_for_cells(cells, SegmentGrid((grid.origin, seg_end)), batch, hp)
+    value, _, _, _ = delayed_parts_for_cells(cells, SegmentGrid((grid.origin, seg_end)), grid, incs, hp)
     return value
 
 

@@ -1,16 +1,17 @@
 """Seeded Brownian driver and moving-average synthesis of the derived processes.
 
-A NoiseBatch holds the increments of independent standard Brownian paths,
-one row per replication, on a lattice covering [-L, T] (or its first cells,
-where its readers stop before the rest); a single path is a batch of one.
-The rows are the only source of randomness, and every process here (B,
-B_H, W_H, R_H, DR_H) is a deterministic functional of them, computed for
-all rows at once.  Wiener integrals are discretized with
-cell-averaged kernel weights: the exact integral of the power kernel over
-each noise cell, divided by its width, applied to the increment, whose
-variance is that width.  The B_H and DR_H weights, differences of powers,
-go through kernels.power_diff, the one place such a difference is taken, so
-that they keep their relative precision as h -> 1/2.
+generate_noise_batch draws the increments of independent standard Brownian
+paths as a read-only array, one row per replication, on a lattice covering
+[-L, T] (or its first cells, where its readers stop before the rest); a
+single path is a batch of one.  The rows are the only source of randomness,
+and every process here (B, B_H, W_H, R_H, DR_H) is a deterministic
+functional of them and their grid, computed for all rows at once.  Wiener
+integrals are discretized with cell-averaged kernel weights: the exact
+integral of the power kernel over each noise cell, divided by its width,
+applied to the increment, whose variance is that width.  The B_H and DR_H
+weights, differences of powers, go through kernels.power_diff, the one place
+such a difference is taken, so that they keep their relative precision as
+h -> 1/2.
 
 The history is graded (make_grid), after the near/far split of the hybrid
 scheme (Bennedsen, Lunde & Pakkanen, Finance Stoch. 2017).  Cells of one
@@ -71,7 +72,6 @@ from .kernels import HALF, HurstParameter, power_diff, truncation_tail_bound
 
 __all__ = [
     "SimulationGrid",
-    "NoiseBatch",
     "make_grid",
     "generate_noise_batch",
     "history_conv",
@@ -163,10 +163,6 @@ class SimulationGrid:
         """The far cells' edges, from warmup_start to uniform_start."""
         return self.uniform_start * FAR_RATIO ** np.arange(self.far_cells, -1, -1)
 
-    def edges(self) -> np.ndarray:
-        uniform = self.uniform_start + self.step * np.arange(self.near_cells + self.main_steps + 1)
-        return np.concatenate([self.far_edges()[:-1], uniform])
-
     def far_widths(self) -> np.ndarray:
         """The far cells' widths, which are the variances of their increments."""
         return np.diff(self.far_edges())
@@ -214,29 +210,6 @@ def make_grid(horizon: float, steps: int, warmup: float = 0.0) -> SimulationGrid
     return grid
 
 
-@dataclass(frozen=True)
-class NoiseBatch:
-    """Independent Brownian increments sharing one grid, one row per replication.
-
-    A row holds the grid's first k cells, 0 <= k <= cell_count: all of them,
-    or the prefix that its readers reach (see generate_noise_batch).
-    """
-
-    grid: SimulationGrid
-    increments: np.ndarray  # shape (replications, k)
-    seed: int
-    first_stream: int = 0
-
-    def __post_init__(self):
-        if self.increments.ndim != 2 or not 0 <= self.increments.shape[1] <= self.grid.cell_count:
-            raise ValueError("increments must be (replications, k) with 0 <= k <= cell_count")
-        self.increments.setflags(write=False)
-
-    @property
-    def replications(self) -> int:
-        return self.increments.shape[0]
-
-
 def _rng(seed: int, stream: int) -> np.random.Generator:
     # Philox is counter-based: draw i of stream s is a pure function of (seed, s, i).
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(stream,))
@@ -244,14 +217,15 @@ def _rng(seed: int, stream: int) -> np.random.Generator:
 
 
 def generate_noise_batch(seed: int, grid: SimulationGrid, reps: int, first_stream: int = 0,
-                         cells: int | None = None) -> NoiseBatch:
-    """Independent replications: row r holds stream first_stream + r of seed, variance width per cell.
+                         cells: int | None = None) -> np.ndarray:
+    """Independent replications, a read-only (reps, cells) array: row r is stream first_stream + r of seed.
 
-    Bit-for-bit reproducible, and a row does not depend on the batch it is
-    drawn in: every row is drawn in place from its own stream.  cells draws
-    only the first cells of each row (default: all of them).  A stream's
-    normals come in order, so these are the bytes of the full row's first
-    cells, and a reader that stops before them need not pay for the rest.
+    A cell's increment has its width as variance.  Bit-for-bit reproducible,
+    and a row does not depend on the batch it is drawn in: every row is
+    drawn in place from its own stream.  cells draws only the first cells of
+    each row (default: all of them).  A stream's normals come in order, so
+    these are the bytes of the full row's first cells, and a reader that
+    stops before them need not pay for the rest.
     """
     cells = grid.cell_count if cells is None else cells
     if not 0 <= cells <= grid.cell_count:
@@ -262,7 +236,8 @@ def generate_noise_batch(seed: int, grid: SimulationGrid, reps: int, first_strea
     far = grid.far_cells
     out[:, :far] *= np.sqrt(grid.far_widths()[:cells])
     out[:, far:] *= math.sqrt(grid.step)
-    return NoiseBatch(grid=grid, increments=out, seed=seed, first_stream=first_stream)
+    out.setflags(write=False)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -756,8 +731,6 @@ def dr_energy_closed_form(hp: HurstParameter, span: float) -> float:
     """E int_s^(s+span) DR_H^2 = c_h^2 (h-1/2) / (2(2-2h)) * span^(2h-1)."""
     if span <= 0.0:
         raise ValueError("span must be positive")
-    if hp.is_brownian:
-        return 0.0
     h = hp.h
     return hp.c_h ** 2 * (h - HALF) / (2 * (2 - 2 * h)) * span ** (2 * h - 1)
 
@@ -817,7 +790,7 @@ def discrete_dr_energy(grid: SimulationGrid, hp: HurstParameter, seg_idx: int,
 
 def declared_truncation_budget(grid: SimulationGrid, hp: HurstParameter) -> float:
     """Variance bound for the history lost beyond the grid's warmup window."""
-    return truncation_tail_bound(hp, grid.horizon, grid.warmup_length) if not hp.is_brownian else 0.0
+    return truncation_tail_bound(hp, grid.horizon, grid.warmup_length)
 
 
 @functools.lru_cache(maxsize=4)

@@ -33,7 +33,6 @@ from fbmdelay.integrands import (
 )
 from fbmdelay.integrator import delayed_parts_for_cells, noise_transforms
 from fbmdelay.noise import (
-    NoiseBatch,
     SimulationGrid,
     avg_kernel_table,
     block_conv,
@@ -43,6 +42,12 @@ from fbmdelay.noise import (
     history_kernel,
     write_path_csv,
 )
+
+
+def grid_edges(grid: SimulationGrid) -> np.ndarray:
+    """Every cell edge of the grid, from warmup_start to the horizon."""
+    uniform = grid.uniform_start + grid.step * np.arange(grid.near_cells + grid.main_steps + 1)
+    return np.concatenate([grid.far_edges()[:-1], uniform])
 
 
 def cell_widths(grid: SimulationGrid) -> np.ndarray:
@@ -68,7 +73,7 @@ def _clipped_avg_weights(edges: np.ndarray, t: float, lo: float, p1: float) -> n
 
 def kernel_cell_averages(grid: SimulationGrid, t: float, p1: float, cells_end: int) -> np.ndarray:
     """Cell averages of (t - q)^(p1 - 1) over the cells i < cells_end, which end by t, each over its width."""
-    edges = grid.edges()[:cells_end + 1]
+    edges = grid_edges(grid)[:cells_end + 1]
     return ((t - edges[:-1]) ** p1 - (t - edges[1:]) ** p1) / (p1 * np.diff(edges))
 
 
@@ -105,7 +110,7 @@ def synthesize_w(g: SimulationGrid, incs: np.ndarray, hp: HurstParameter, seg_st
         raise ValueError("need t >= seg_start")
     if t == seg_start:
         return 0.0
-    w = _clipped_avg_weights(g.edges(), t, seg_start, hp.h + HALF)
+    w = _clipped_avg_weights(grid_edges(g), t, seg_start, hp.h + HALF)
     return float(hp.c_h * np.dot(w, incs))
 
 
@@ -115,7 +120,7 @@ def synthesize_dr(g: SimulationGrid, incs: np.ndarray, hp: HurstParameter, seg_s
         raise ValueError("DR_H is defined for t strictly after the segment start")
     if hp.is_brownian:
         return 0.0
-    edges = g.edges()
+    edges = grid_edges(g)
     a = np.minimum(edges[:-1], seg_start)
     b = np.minimum(edges[1:], seg_start)
     p = hp.h - HALF
@@ -149,7 +154,7 @@ def path_csv_string(kind: str, h: float, seed: int, times: np.ndarray, values: n
 def _power_kernel_weights(gamma: _PowerKernelIntegrand, grid: SimulationGrid, t: float,
                           tau: float | None) -> np.ndarray:
     """Cell-averaged kernel weights for E_tau gamma(t) (tau=None: pathwise)."""
-    edges = grid.edges()
+    edges = grid_edges(grid)
     widths = np.diff(edges)
     hi = t if tau is None else min(t, tau)
     lo = grid.warmup_start if gamma.include_history else max(gamma.start, grid.warmup_start)
@@ -263,7 +268,8 @@ def dyadic_cells(gamma: Integrand, grid: SimulationGrid, incs: np.ndarray, level
         yield gamma._forecast(grid, incs, freeze_idx, path, m0)
 
 
-def decay_gaps_per_level(gamma: Integrand, hp: HurstParameter, levels, nb: NoiseBatch) -> tuple:
+def decay_gaps_per_level(gamma: Integrand, hp: HurstParameter, levels, grid: SimulationGrid,
+                         incs: np.ndarray) -> tuple:
     """cauchy_decay_study's per-chunk gaps, from one projection and one assembly per level, with their scales.
 
     Returns (|v1 - v0|, |c1 - c0|) per replication for each level pair
@@ -273,7 +279,6 @@ def decay_gaps_per_level(gamma: Integrand, hp: HurstParameter, levels, nb: Noise
     |d_main| for v, times |d_main| + |dW| for c).  At h = 1/2 v's field is
     dB and cross is 0, with scale 0.
     """
-    grid, incs = nb.grid, nb.increments
     m0, end = grid.origin_index, grid.origin_index + grid.main_steps
     pre = noise_transforms(grid, incs, (hp,), end)
     if hp.is_brownian:
@@ -286,8 +291,8 @@ def decay_gaps_per_level(gamma: Integrand, hp: HurstParameter, levels, nb: Noise
     gaps, scales = [], []
     for m in levels[:-1]:
         seg = SegmentGrid.dyadic(grid.horizon, m + 1)
-        v0, _, _, c0 = delayed_parts_for_cells(cells[m], seg, nb, hp)
-        v1, _, _, c1 = delayed_parts_for_cells(cells[m + 1], seg, nb, hp)
+        v0, _, _, c0 = delayed_parts_for_cells(cells[m], seg, grid, incs, hp)
+        v1, _, _, c1 = delayed_parts_for_cells(cells[m + 1], seg, grid, incs, hp)
         gaps += [np.abs(v1 - v0), np.abs(c1 - c0)]
         both = np.abs(cells[m]) + np.abs(cells[m + 1])
         if hp.is_brownian:
@@ -298,12 +303,11 @@ def decay_gaps_per_level(gamma: Integrand, hp: HurstParameter, levels, nb: Noise
     return (*gaps, *scales)
 
 
-def extension(gamma: Integrand, hp: HurstParameter, batch: NoiseBatch, levels, tol: float):
-    """The dyadic extension I_H(gamma) = lim I_H(gamma_n) on one batch, level by level in levels.
+def extension(gamma: Integrand, hp: HurstParameter, grid: SimulationGrid, incs: np.ndarray, levels, tol: float):
+    """The dyadic extension I_H(gamma) = lim I_H(gamma_n) on the rows incs, level by level in levels.
 
     Stops once the L1 gap mean |I_H(gamma_n) - I_H(gamma_(n-1))| falls below tol: later levels are not computed.
     """
-    grid, incs = batch.grid, batch.increments
     # the value part of delayed_parts_for_cells, as its row sums, on fields transformed once for every level
     fields = ([incs[..., grid.origin_index:]] if hp.is_brownian else
               [f[0] for f in fbmdelay.integrator.noise_transforms(grid, incs, (hp,), grid.cell_count)])
@@ -320,20 +324,19 @@ def extension(gamma: Integrand, hp: HurstParameter, batch: NoiseBatch, levels, t
                            converged=bool(gaps) and gaps[-1] < tol, stopping_level=computed[-1])
 
 
-def ito_sum(gamma: Integrand, batch: NoiseBatch) -> np.ndarray:
+def ito_sum(gamma: Integrand, grid: SimulationGrid, incs: np.ndarray) -> np.ndarray:
     """Left-point Ito sum of gamma against the driving noise on the fine grid, per replication."""
-    m0 = batch.grid.origin_index
-    return np.sum(gamma.values_on_cells(batch.grid, batch.increments) * batch.increments[..., m0:], axis=-1)
+    return np.sum(gamma.values_on_cells(grid, incs) * incs[..., grid.origin_index:], axis=-1)
 
 
-def riemann_fbm_sum(gamma: Integrand, n_steps: int, batch: NoiseBatch, hp: HurstParameter) -> np.ndarray:
+def riemann_fbm_sum(gamma: Integrand, n_steps: int, grid: SimulationGrid, incs: np.ndarray,
+                    hp: HurstParameter) -> np.ndarray:
     """Left-point sum of gamma against B_H increments on n_steps uniform cells of [0, T], per replication."""
-    grid = batch.grid
     if n_steps < 1 or grid.main_steps % n_steps != 0:
         raise ValueError(f"n_steps must divide the fine grid ({grid.main_steps})")
     stride = grid.main_steps // n_steps
-    coarse = fbm_values(batch.increments, grid, (hp,))[0, ..., ::stride]
-    left = gamma.values_on_cells(grid, batch.increments)[..., ::stride]
+    coarse = fbm_values(incs, grid, (hp,))[0, ..., ::stride]
+    left = gamma.values_on_cells(grid, incs)[..., ::stride]
     return np.sum(left * np.diff(coarse, axis=-1), axis=-1)
 
 
@@ -387,14 +390,13 @@ def per_segment_parts(gamma_cells: np.ndarray, seg_idx: np.ndarray, grid: Simula
     return ito + tail + cross, ito, tail, cross
 
 
-def one_segment_delayed(gamma: Integrand, seg_start: float, seg_end: float, batch: NoiseBatch,
-                        hp: HurstParameter) -> np.ndarray:
+def one_segment_delayed(gamma: Integrand, seg_start: float, seg_end: float, grid: SimulationGrid,
+                        incs: np.ndarray, hp: HurstParameter) -> np.ndarray:
     """Delayed integral over the one segment [seg_start, seg_end], gamma frozen at seg_start, per replication.
 
     The segment's own assembly: the G_H-transformed cells against the
     segment's increments, plus the primitive of the history before seg_start.
     """
-    grid, incs = batch.grid, batch.increments
     a, b = grid.index_of(seg_start), grid.index_of(seg_end)
     m0 = grid.origin_index
     cells = gamma.frozen_values_on_cells(grid, incs, np.full(grid.main_steps, a))
@@ -425,18 +427,24 @@ def riemann_gap_expectation(grid: SimulationGrid, hp: HurstParameter) -> float:
     return 0.5 * (discrete_fbm_cov(grid, hp, grid.horizon, grid.horizon) - float(np.sum(inc_var)))
 
 
-def x_norm(gamma: Integrand, ensemble: NoiseBatch) -> tuple[float, float]:
+def x_norm(gamma: Integrand, grid: SimulationGrid, incs: np.ndarray) -> tuple[float, float]:
     """MC estimate of (E int_0^T gamma^2 dt)^(1/2) with its standard error: the Monte Carlo check of
     integrands.closed_form_x_norm."""
-    if ensemble.replications < 2:
+    if len(incs) < 2:
         raise ValueError("need an ensemble of at least 2 noise paths")
-    vals = gamma.values_on_cells(ensemble.grid, ensemble.increments)
-    per_rep = np.sum(vals ** 2, axis=-1) * ensemble.grid.step
+    vals = gamma.values_on_cells(grid, incs)
+    per_rep = np.sum(vals ** 2, axis=-1) * grid.step
     mean = float(np.mean(per_rep))
     se_mean = float(np.std(per_rep, ddof=1) / math.sqrt(per_rep.shape[0]))
     if mean <= 0.0:
         return 0.0, se_mean
     return math.sqrt(mean), se_mean / (2.0 * math.sqrt(mean))
+
+
+def decreasing_within_1se(curve) -> bool:
+    """Each gap of a continuity_study curve is at most the one before plus their combined standard error."""
+    g, s = curve.gaps, curve.std_errors
+    return all(g[i + 1] <= g[i] + math.hypot(s[i], s[i + 1]) for i in range(len(g) - 1))
 
 
 def toeplitz_block_product(blocks: np.ndarray, table: np.ndarray) -> np.ndarray:

@@ -31,7 +31,7 @@ from fbmdelay.experiments import (
     verify_dr_moments,
 )
 from fbmdelay.cli import parse_and_dispatch
-from oracles import riemann_gap_expectation
+from oracles import decreasing_within_1se, riemann_gap_expectation
 
 GRID = DESK
 
@@ -113,15 +113,15 @@ def test_c04_fbm_law():
 
 def test_c05_telescoping_identity():
     """Delayed integral of 1 equals B_H(T) - B_H(0) per path, 1e-6 relative."""
-    nb = generate_noise_batch(505, GRID, 100)
+    incs = generate_noise_batch(505, GRID, 100)
     one = DeterministicIntegrand.constant(1.0)
     worst = 0.0
     for h in (0.6, 0.9):
         hp = hurst_constant(h)
-        bh = fbm_values(nb.increments, GRID, (hp,))[0]
+        bh = fbm_values(incs, GRID, (hp,))[0]
         want = bh[:, -1] - bh[:, 0]
         for level in (0, 3):
-            value, _, _, _ = delayed_integral_batch(one, SegmentGrid.dyadic(1.0, level), nb, hp)
+            value, _, _, _ = delayed_integral_batch(one, SegmentGrid.dyadic(1.0, level), GRID, incs, hp)
             rel = np.abs(value - want) / np.maximum(np.abs(want), 1e-3)
             worst = max(worst, float(rel.max()))
     ok = worst <= 1e-6
@@ -132,7 +132,7 @@ def test_c05_telescoping_identity():
 
 def test_c06_piecewise_constant_consistency():
     """Delayed integral == Riemann sum for piecewise-constant integrands, per path."""
-    nb = generate_noise_batch(606, GRID, 100)
+    incs = generate_noise_batch(606, GRID, 100)
     rng = np.random.default_rng(606)
     n_seg = 8
     vals = rng.standard_normal(n_seg)
@@ -142,8 +142,8 @@ def test_c06_piecewise_constant_consistency():
     worst = 0.0
     for h in (0.6, 0.75):
         hp = hurst_constant(h)
-        value, _, _, _ = delayed_integral_batch(gamma, SegmentGrid.dyadic(1.0, 3), nb, hp)
-        bh = fbm_values(nb.increments, GRID, (hp,))[0]
+        value, _, _, _ = delayed_integral_batch(gamma, SegmentGrid.dyadic(1.0, 3), GRID, incs, hp)
+        bh = fbm_values(incs, GRID, (hp,))[0]
         riem = np.sum(vals * np.diff(bh[:, :: GRID.main_steps // n_seg], axis=-1), axis=-1)
         rel = np.abs(value - riem) / np.maximum(np.abs(riem), 1e-3)
         worst = max(worst, float(rel.max()))
@@ -200,7 +200,7 @@ def test_c08_nonconvergence_gap():
 @pytest.mark.parametrize("spec", ["det:const:1.0", "fbm:0.75", "pp:bm:8"])
 def test_c09_hurst_continuity(spec):
     curve = continuity_study(spec, [0.7, 0.6, 0.55, 0.51], reps=1000, seed=2024)
-    decreasing = curve.decreasing_within_1se()
+    decreasing = decreasing_within_1se(curve)
     final_ok = curve.final_gap < 0.05 * curve.x_norm_ref
     ok = decreasing and final_ok
     assert _report(f"09 continuity {spec}", ok,

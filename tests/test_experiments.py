@@ -11,7 +11,6 @@ import time
 import tracemalloc
 from collections import Counter
 from pathlib import Path
-from types import SimpleNamespace
 
 import mpmath
 import numpy as np
@@ -55,7 +54,8 @@ from fbmdelay.integrands import (
     closed_form_x_norm,
     y_norm,
 )
-from oracles import decay_gaps_per_level, spy_convolutions, spy_noise_ffts
+from oracles import (decay_gaps_per_level, decreasing_within_1se, reference_draw, spy_convolutions,
+                     spy_noise_ffts)
 
 SMALL = make_grid(1.0, 512, 2.0)
 H75 = hurst_constant(0.75)
@@ -121,7 +121,7 @@ def test_verify_dr_moments_is_its_reference_on_full_rows(monkeypatch, chunk, wor
     reps, seed = 150, 8
     for grid, hp in ((SMALL, H75), (SMALL, hurst_constant(0.55)), (make_grid(1.0, 512, 0.0), H5)):
         monkeypatch.setattr(fbmdelay.experiments, "_CHUNK_BYTES", _chunk_bytes(chunk * workers, grid))
-        drv = dr_values(generate_noise_batch(seed, grid, reps).increments, grid, hp, grid.origin_index)
+        drv = dr_values(generate_noise_batch(seed, grid, reps), grid, hp, grid.origin_index)
         _, quad_w = _energy_quadrature(grid, hp)
         rep = verify_dr_moments(hp, 1.0, reps, seed, grid)
         assert rep.pointwise == _mc(drv[:, -1] ** 2, seed, rep.pointwise.truncation_budget)
@@ -172,7 +172,7 @@ def test_replicate_sizes_chunks_from_the_grid(monkeypatch):
 
     def stub(seed, grid, reps, first_stream=0, cells=None):
         drawn.append((first_stream, reps, threading.get_ident(), cells))
-        return SimpleNamespace(replications=reps)
+        return np.empty((reps, 0))
 
     monkeypatch.setattr(fbmdelay.experiments, "generate_noise_batch", stub)
     for workers, grid, reps, want, inline in ((2, DESK, 512, [32] * 16, False),
@@ -186,7 +186,7 @@ def test_replicate_sizes_chunks_from_the_grid(monkeypatch):
         monkeypatch.setattr(fbmdelay.experiments, "WORKERS", workers)
         for cells in (None, grid.origin_index):
             drawn.clear()
-            out, = _replicate(1, _plan(grid, cells=cells), reps, lambda nb: (np.zeros(nb.replications),))
+            out, = _replicate(1, _plan(grid, cells=cells), reps, lambda incs: (np.zeros(len(incs)),))
             starts = np.cumsum([0] + want[:-1])
             assert sorted(d[:2] for d in drawn) == list(zip(starts, want)) and out.shape == (reps,)
             assert inline == all(d[2] == threading.get_ident() for d in drawn)
@@ -216,18 +216,18 @@ def test_replicate_keeps_at_most_the_budget_alive(monkeypatch, budget_rows, chun
             peak[0] = max(peak[0], alive[0])
         return real_draw(seed, grid, reps, first_stream=first_stream, cells=cells)
 
-    def per_chunk(nb):
-        assert nb.replications == chunk_rows
+    def per_chunk(incs):
+        assert len(incs) == chunk_rows
         barrier.wait()
         with lock:
-            alive[0] -= nb.replications
-        return (nb.increments[:, :3],)
+            alive[0] -= len(incs)
+        return (incs[:, :3],)
 
     monkeypatch.setattr(fbmdelay.experiments, "generate_noise_batch", draw)
     rows, = _replicate(3, _plan(grid), 36, per_chunk)  # 36 / chunk_rows chunks, several rounds of the barrier
     assert peak[0] == budget_rows and alive[0] == 0
-    assert rows.tobytes() == real_draw(3, grid, 36).increments[:, :3].tobytes()
-    caller, = _replicate(3, _plan(grid), 1, lambda nb: (np.array([threading.get_ident()]),))
+    assert rows.tobytes() == real_draw(3, grid, 36)[:, :3].tobytes()
+    caller, = _replicate(3, _plan(grid), 1, lambda incs: (np.array([threading.get_ident()]),))
     assert caller[0] == threading.get_ident()
 
 
@@ -235,18 +235,18 @@ def test_replicate_passes_a_chunk_exception_to_the_caller(monkeypatch):
     """A chunk that raises stops the run: the caller gets its exception, and unstarted chunks never run."""
     monkeypatch.setattr(fbmdelay.experiments, "WORKERS", 2)
     monkeypatch.setattr(fbmdelay.experiments, "_CHUNK_BYTES", _chunk_bytes(2 * 2))  # 2 rows a chunk
-    started = []
+    started, stream_0 = [], reference_draw(3, SMALL, 0)
 
-    def per_chunk(nb):
-        started.append(nb.first_stream)
-        if nb.first_stream == 0:
+    def per_chunk(incs):
+        started.append(np.array_equal(incs[0], stream_0))  # whether the chunk starts at stream 0
+        if started[-1]:
             raise RuntimeError("chunk at stream 0 failed")
         time.sleep(0.02)
-        return (nb.increments[:, 0],)
+        return (incs[:, 0],)
 
     with pytest.raises(RuntimeError, match="chunk at stream 0 failed"):
         _replicate(3, _plan(SMALL), 40, per_chunk)  # 20 chunks
-    assert 0 in started and len(started) < 20
+    assert True in started and len(started) < 20
 
 
 def test_fbm_law_check_small_scale():
@@ -283,7 +283,7 @@ def test_nonconvergence_rows_and_crn():
 def test_continuity_gaps_shrink_toward_half():
     curve = continuity_study("det:const:1.0", [0.7, 0.55, 0.51], 300, 2024, grid=SMALL)
     assert curve.hurst_values == (0.7, 0.55, 0.51)
-    assert curve.decreasing_within_1se()
+    assert decreasing_within_1se(curve)
     assert curve.final_gap < curve.gaps[0]
     assert curve.x_norm_ref == pytest.approx(1.0, rel=1e-6)
 
@@ -519,9 +519,9 @@ def test_a_desk_chunk_allocates_at_most_three_times_its_noise(monkeypatch, name,
         if marks:
             marks[-1][1] = peak
         tracemalloc.reset_peak()
-        nb = real_draw(*args, **kwargs)
-        marks.append([current, None, nb.increments.nbytes, nb.replications])
-        return nb
+        incs = real_draw(*args, **kwargs)
+        marks.append([current, None, incs.nbytes, len(incs)])
+        return incs
 
     monkeypatch.setattr(fbmdelay.experiments, "generate_noise_batch", draw)
     op(reps, 3)
@@ -549,12 +549,12 @@ def test_a_desk_decay_chunk_holds_no_difference_field(monkeypatch, spec, h):
     grid, peaks = DESK, []
 
     def one_chunk(seed, plan, reps, per_chunk):
-        nb = generate_noise_batch(seed, plan.grid, 32)
-        per_chunk(nb)
+        incs = generate_noise_batch(seed, plan.grid, 32)
+        per_chunk(incs)
         tracemalloc.start()
         try:
             current = tracemalloc.get_traced_memory()[0]
-            result = per_chunk(nb)
+            result = per_chunk(incs)
             peaks.append(tracemalloc.get_traced_memory()[1] - current)
         finally:
             tracemalloc.stop()
@@ -654,7 +654,7 @@ def test_decay_study_equals_per_level_reference(monkeypatch, spec, h):
     study = cauchy_decay_study(spec, hp, levels, reps, 9, grid=SMALL)
     (gaps,) = runs
     gamma = parse_integrand(spec)
-    ref = _replicate(9, _plan(SMALL), reps, lambda nb: decay_gaps_per_level(gamma, hp, levels, nb))
+    ref = _replicate(9, _plan(SMALL), reps, lambda incs: decay_gaps_per_level(gamma, hp, levels, SMALL, incs))
     assert len(ref) == 2 * len(gaps)
     for got, want, scale in zip(gaps, ref, ref[len(gaps):]):
         assert got.shape == (reps,)
@@ -774,7 +774,7 @@ _ACCEPTED_SPECS = st.recursive(
               st.builds("rl:{}:{!r}".format, _HURST, st.integers(-64, 63).map(lambda k: k / 64))),
     lambda inner: st.builds("pp:{}:{}".format, inner, st.sampled_from([1, 2, 4, 32])), max_leaves=3)
 _SPEC_GRID = make_grid(1.0, 64, 1.0)
-_SPEC_INCS = generate_noise_batch(2, _SPEC_GRID, 2).increments
+_SPEC_INCS = generate_noise_batch(2, _SPEC_GRID, 2)
 
 
 @given(spec=_ACCEPTED_SPECS)

@@ -29,7 +29,7 @@ from oracles import cond_exp, dyadic_cells, kernel_cell_averages, value, x_norm
 
 GRID = make_grid(1.0, 512, warmup=2.0)
 NOISE = generate_noise_batch(8, GRID, 1)
-INCS = NOISE.increments[0]  # the one path of NOISE
+INCS = NOISE[0]  # the one path of NOISE
 BATCH = generate_noise_batch(123, GRID, 800)
 
 
@@ -69,7 +69,7 @@ def test_cond_exp_reads_only_past_increments(gamma):
 
 @pytest.mark.parametrize("gamma", FAMILY, ids=lambda g: g.spec_string())
 def test_cell_values_match_scalar_value(gamma):
-    cells = gamma.values_on_cells(GRID, NOISE.increments)[0]
+    cells = gamma.values_on_cells(GRID, NOISE)[0]
     for l in (0, 17, 255, 511):
         t = l * GRID.step
         assert cells[l] == pytest.approx(value(gamma, t, GRID, INCS), abs=1e-10)
@@ -90,10 +90,10 @@ def test_wiener_kernel_cond_exp_is_truncated_integral():
     tau, t = 0.5, 1.0
     # conditional forecast + independent remainder: E[(value - forecast)^2] = cond_var
     reps = 600
-    nb = generate_noise_batch(5150, GRID, reps)
+    incs = generate_noise_batch(5150, GRID, reps)
     # evaluate at t = 1.0 via scalar calls on every path for exactness of the contract
     diffs = []
-    for row in nb.increments:
+    for row in incs:
         diffs.append(value(f, t, GRID, row) - cond_exp(f, tau, t, GRID, row))
     diffs = np.asarray(diffs)
     est = float(np.mean(diffs ** 2))
@@ -125,7 +125,7 @@ def test_fbm_forecast_before_origin_matches_weight_sum(h1):
     """
     gamma = FbmIntegrand(h1)
     m0 = GRID.origin_index
-    incs = BATCH.increments[:3]
+    incs = BATCH[:3]
     for tau in (-1.0, -0.25, 0.0, 0.25):
         a = GRID.index_of(tau)
         cells = gamma.frozen_values_on_cells(GRID, incs, np.full(GRID.main_steps, a))
@@ -141,7 +141,7 @@ def test_fbm_cond_var_before_origin_mc():
     """Var_tau B_H1(t) at tau = -1/4 carries the cells of (tau, 0) through (t-r)^p - (-r)^p."""
     gamma = FbmIntegrand(0.75)
     tau, t = -0.25, 0.5
-    incs = BATCH.increments
+    incs = BATCH
     freeze = np.full(GRID.main_steps, GRID.index_of(tau))
     l = GRID.index_of(t) - GRID.origin_index
     sq = (gamma.values_on_cells(GRID, incs)[:, l]
@@ -200,7 +200,7 @@ def test_tower_property_exact(n, m):
     twice = PiecewisePredictableIntegrand(dyadic_projection(gamma, n, GRID),
                                           SegmentGrid.dyadic(1.0, m))
     once = dyadic_projection(gamma, m, GRID)
-    incs = BATCH.increments[:4]
+    incs = BATCH[:4]
     np.testing.assert_allclose(twice.values_on_cells(GRID, incs),
                                once.values_on_cells(GRID, incs), atol=1e-12)
 
@@ -210,7 +210,7 @@ def test_projection_error_second_moment_fbm():
     gamma = FbmIntegrand(0.75)
     n = 4
     proj = dyadic_projection(gamma, n, GRID)
-    incs = BATCH.increments
+    incs = BATCH
     diff = gamma.values_on_cells(GRID, incs) - proj.values_on_cells(GRID, incs)
     cells_per_seg = 512 // 2 ** n
     l = 7 * cells_per_seg + cells_per_seg // 2
@@ -226,10 +226,10 @@ def test_projection_error_decay_slopes():
     for gamma, nu in [(BrownianIntegrand(), 0.0), (FbmIntegrand(0.75), 0.5)]:
         rms = []
         levels = range(2, 7)
-        vals = gamma.values_on_cells(GRID, BATCH.increments)
+        vals = gamma.values_on_cells(GRID, BATCH)
         for n in levels:
             proj = dyadic_projection(gamma, n, GRID)
-            diff = vals - proj.values_on_cells(GRID, BATCH.increments)
+            diff = vals - proj.values_on_cells(GRID, BATCH)
             rms.append(math.sqrt(float(np.max(np.mean(diff ** 2, axis=0)))))
         slope = -np.polyfit(list(levels), np.log2(rms), 1)[0]
         assert slope == pytest.approx((1 + nu) / 2, rel=0.15)
@@ -238,7 +238,7 @@ def test_projection_error_decay_slopes():
 @pytest.mark.parametrize("gamma", FAMILY, ids=lambda g: g.spec_string())
 def test_dyadic_cells_equal_per_level_projections(gamma):
     """The levels computed from one path are byte-equal to one projection per level."""
-    incs = BATCH.increments[:16]
+    incs = BATCH[:16]
     levels = (3, 0, 6, 2)
     got = list(dyadic_cells(gamma, GRID, incs, levels))  # every level held at once: no aliasing
     assert len(got) == len(levels)
@@ -261,7 +261,7 @@ def _level_step_rows(steps: np.ndarray) -> np.ndarray:
 @pytest.mark.parametrize("gamma", STEPPED, ids=lambda g: g.spec_string())
 def test_level_steps_are_differences_of_projections(gamma):
     """gamma_(m+1) - gamma_m on the second halves, within 1e-12 of the summed |terms|; 0 on the first halves."""
-    incs = BATCH.increments[:16]
+    incs = BATCH[:16]
     cells = list(dyadic_cells(gamma, GRID, incs, LEVELS))
     steps = list(gamma.level_steps(GRID, incs, LEVELS))
     assert len(steps) == len(LEVELS) - 1
@@ -278,7 +278,7 @@ def test_level_steps_are_differences_of_projections(gamma):
 @pytest.mark.parametrize("gamma", STEPPED, ids=lambda g: g.spec_string())
 def test_level_steps_bytes_do_not_depend_on_the_batch(gamma):
     """A row's level steps are the same bytes in batches of 1, 7 and 33 rows."""
-    incs = BATCH.increments[:33]
+    incs = BATCH[:33]
     whole = list(gamma.level_steps(GRID, incs, LEVELS))
     for rows in (1, 7):
         for part, full in zip(gamma.level_steps(GRID, incs[:rows], LEVELS), whole):
@@ -287,14 +287,14 @@ def test_level_steps_bytes_do_not_depend_on_the_batch(gamma):
 
 @pytest.mark.parametrize("gamma", [BrownianIntegrand(), FbmIntegrand(0.75), RlFbmIntegrand(0.7, 0.3125),
                                    QuadraticBrownianIntegrand()], ids=lambda g: g.spec_string())
-@given(first=st.integers(4, BATCH.replications - 4))
+@given(first=st.integers(4, len(BATCH) - 4))
 @settings(max_examples=5, deadline=None)
 def test_level_steps_read_no_cell_before_the_origin(gamma, first):
     """Other normals in every cell before the origin leave each level step byte for byte: the decay study,
     which reads an integrand only through them, needs no history for it, fbm:0.75 included."""
-    incs, m0 = BATCH.increments[:4], GRID.origin_index
+    incs, m0 = BATCH[:4], GRID.origin_index
     other = incs.copy()
-    other[:, :m0] = BATCH.increments[first:first + 4, :m0]  # the history of four other rows
+    other[:, :m0] = BATCH[first:first + 4, :m0]  # the history of four other rows
     assert not np.any(other[:, :m0] == incs[:, :m0])
     for got, want in zip(gamma.level_steps(GRID, other, LEVELS), gamma.level_steps(GRID, incs, LEVELS)):
         assert got.tobytes() == want.tobytes()
@@ -306,7 +306,7 @@ def test_level_steps_fft_branch_agrees_with_the_toeplitz_branch(gamma, monkeypat
 
     The kernel is positive, so the step of |incs| is the sum of |terms| of each cell's product.
     """
-    incs = BATCH.increments[:8]
+    incs = BATCH[:8]
     toeplitz = list(gamma.level_steps(GRID, incs, LEVELS))
     terms = list(gamma.level_steps(GRID, np.abs(incs), LEVELS))
     monkeypatch.setattr(fbmdelay.noise, "_TOEPLITZ_MAX", 0)
@@ -334,7 +334,7 @@ def test_cell_values_are_c_ordered(gamma):
     Indexing the last axis with an index array gave bm, bm2 and pp:bm cells
     strides (8, 64).
     """
-    incs = BATCH.increments[:8]
+    incs = BATCH[:8]
     freezes = [PiecewisePredictableIntegrand(gamma, grid).freeze_index_per_cell(GRID)
                for grid in (PRE_ORIGIN, SegmentGrid.dyadic(1.0, 2))]
     arrays = [gamma.values_on_cells(GRID, incs),
@@ -349,7 +349,7 @@ def test_forecast_runs_match_weight_sum(h1):
     """Runs that freeze at their own start (one block convolution) match the weight sum in every run."""
     gamma = FbmIntegrand(h1)
     m0 = GRID.origin_index
-    incs = BATCH.increments[:3]
+    incs = BATCH[:3]
     bps = (0.0, 0.125, 0.3125, 0.5, 1.0)
     frozen = PiecewisePredictableIntegrand(gamma, SegmentGrid(bps))
     cells = frozen.values_on_cells(GRID, incs)
@@ -368,7 +368,7 @@ def test_projection_validation():
             return np.zeros(incs.shape[:-1] + (grid.main_steps,))
 
     with pytest.raises(IntegrandCapabilityError, match="NoRule has no conditional-expectation rule"):
-        dyadic_projection(NoRule(), 3, GRID).values_on_cells(GRID, NOISE.increments)
+        dyadic_projection(NoRule(), 3, GRID).values_on_cells(GRID, NOISE)
     with pytest.raises(ValueError):
         dyadic_projection(BrownianIntegrand(), 3, None)
     with pytest.raises(ValueError):
@@ -409,16 +409,16 @@ def test_segment_grid_accepts_sorted_rejects_else(pts):
 def test_x_norm_trivial_cases():
     zero = DeterministicIntegrand.constant(0.0)
     one = DeterministicIntegrand.constant(1.0)
-    v0, _ = x_norm(zero, BATCH)
-    v1, _ = x_norm(one, BATCH)
+    v0, _ = x_norm(zero, GRID, BATCH)
+    v1, _ = x_norm(one, GRID, BATCH)
     assert v0 == 0.0
     assert v1 == pytest.approx(1.0, rel=1e-9)
     with pytest.raises(ValueError):
-        x_norm(one, generate_noise_batch(8, GRID, 1))
+        x_norm(one, GRID, generate_noise_batch(8, GRID, 1))
 
 
 def test_x_norm_brownian():
-    est, se = x_norm(BrownianIntegrand(), BATCH)
+    est, se = x_norm(BrownianIntegrand(), GRID, BATCH)
     assert abs(est - math.sqrt(0.5)) <= 3 * se + 0.01
 
 

@@ -44,7 +44,7 @@ from test_integrands import FAMILY
 
 GRID = make_grid(1.0, 512, 2.0)
 ONE_PATH = generate_noise_batch(40, GRID, 1)  # a batch of one
-INCS = ONE_PATH.increments[0]  # its path
+INCS = ONE_PATH[0]  # its path
 H6 = hurst_constant(0.6)
 H75 = hurst_constant(0.75)
 H9 = hurst_constant(0.9)
@@ -59,7 +59,7 @@ def _bh(hp):
 
 def _integral(gamma, seg, hp):
     """(value, ito, tail, cross) of the delayed integral on INCS, as floats."""
-    return tuple(float(p[0]) for p in delayed_integral_batch(gamma, seg, ONE_PATH, hp))
+    return tuple(float(p[0]) for p in delayed_integral_batch(gamma, seg, GRID, ONE_PATH, hp))
 
 
 # ---------------------------------------------------------------------------
@@ -77,10 +77,10 @@ def test_telescoping_identity(hp, level):
 
 
 def test_decomposition_identity_every_path():
-    nb = generate_noise_batch(41, GRID, 32)
+    incs = generate_noise_batch(41, GRID, 32)
     seg = SegmentGrid.dyadic(1.0, 4)
     gamma = dyadic_projection(FbmIntegrand(0.75), 4, GRID)
-    value, ito, tail, cross = delayed_integral_batch(gamma, seg, nb, H6)
+    value, ito, tail, cross = delayed_integral_batch(gamma, seg, GRID, incs, H6)
     np.testing.assert_allclose(value, ito + tail + cross, atol=1e-13)
     assert np.all(np.abs(tail) > 0)  # history genuinely contributes at h > 1/2
 
@@ -136,7 +136,7 @@ def test_brownian_case_is_left_point_ito_sum():
     gamma = dyadic_projection(QuadraticBrownianIntegrand(), 3, GRID)
     value, _, tail, cross = _integral(gamma, SegmentGrid.dyadic(1.0, 3), H5)
     assert tail == 0.0 and cross == 0.0
-    cells = gamma.values_on_cells(GRID, ONE_PATH.increments)[0]
+    cells = gamma.values_on_cells(GRID, ONE_PATH)[0]
     ito = float(np.sum(cells * INCS[GRID.origin_index:]))
     assert value == pytest.approx(ito, abs=1e-12)
 
@@ -185,8 +185,8 @@ def test_degenerate_segments_rejected():
 
 def test_truncation_budget_reported():
     seg = SegmentGrid.dyadic(1.0, 0)
-    parts = delayed_integral_batch(ONE, seg, ONE_PATH, H75)
-    rec = result_record(parts, seg, GRID, H75, ONE_PATH.seed)
+    parts = delayed_integral_batch(ONE, seg, GRID, ONE_PATH, H75)
+    rec = result_record(parts, seg, GRID, H75, 40)
     assert rec["truncation_budget"] > 0.0
     assert rec["value"] == parts[0][0]
     assert rec["grid"]["breakpoints"] == [0.0, 1.0]
@@ -197,9 +197,9 @@ def test_truncation_budget_reported():
 # ---------------------------------------------------------------------------
 
 def test_delayed_segment_examples():
-    assert delayed_segment(DeterministicIntegrand.constant(0.0), 0.25, 0.75, ONE_PATH, H75)[0] == 0.0
+    assert delayed_segment(DeterministicIntegrand.constant(0.0), 0.25, 0.75, GRID, ONE_PATH, H75)[0] == 0.0
     bh = _bh(H9)
-    got = delayed_segment(ONE, 0.25, 0.75, ONE_PATH, H9)[0]
+    got = delayed_segment(ONE, 0.25, 0.75, GRID, ONE_PATH, H9)[0]
     want = bh[GRID.index_of(0.75) - GRID.origin_index] - bh[GRID.index_of(0.25) - GRID.origin_index]
     assert got == pytest.approx(want, abs=1e-10)
 
@@ -207,7 +207,7 @@ def test_delayed_segment_examples():
 def test_delayed_segment_freezes_the_integrand():
     """A non-predictable integrand is integrated through its forecast at the segment start."""
     gamma = BrownianIntegrand()
-    got = delayed_segment(gamma, 0.25, 0.75, ONE_PATH, H75)[0]
+    got = delayed_segment(gamma, 0.25, 0.75, GRID, ONE_PATH, H75)[0]
     frozen = PiecewisePredictableIntegrand(gamma, SegmentGrid([0.25, 1.0]))
     # reference: one-segment grid starting at 0.25 handled via the generic path on [0, T]
     b_at_start = path_value(gamma, 0.25, GRID, INCS)
@@ -217,7 +217,7 @@ def test_delayed_segment_freezes_the_integrand():
 
 
 def test_delayed_segment_brownian_case():
-    got = delayed_segment(BrownianIntegrand(), 0.25, 0.75, ONE_PATH, H5)[0]
+    got = delayed_segment(BrownianIntegrand(), 0.25, 0.75, GRID, ONE_PATH, H5)[0]
     b = np.concatenate([[0.0], np.cumsum(INCS[GRID.origin_index:])])
     i0, i1 = GRID.index_of(0.25) - GRID.origin_index, GRID.index_of(0.75) - GRID.origin_index
     want = b[i0] * (b[i1] - b[i0])
@@ -230,28 +230,28 @@ def test_delayed_segment_brownian_case():
                          ids=lambda g: g.spec_string())
 def test_delayed_segment_matches_the_one_segment_assembly(gamma, hp):
     """The value part on (0, seg_end) with zeros before seg_start equals the segment's own assembly."""
-    batch = generate_noise_batch(41, GRID, 3)
+    incs = generate_noise_batch(41, GRID, 3)
     for start, end in ((0.0, 0.5), (0.25, 0.75), (0.3125, 1.0)):
-        got = delayed_segment(gamma, start, end, batch, hp)
-        want = one_segment_delayed(gamma, start, end, batch, hp)
+        got = delayed_segment(gamma, start, end, GRID, incs, hp)
+        want = one_segment_delayed(gamma, start, end, GRID, incs, hp)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 def test_value_part_does_not_depend_on_the_segment_grid():
     """Two segment grids with the same end give the same value part, byte for byte."""
-    batch = generate_noise_batch(41, GRID, 3)
+    incs = generate_noise_batch(41, GRID, 3)
     cells = np.random.default_rng(5).standard_normal((3, GRID.main_steps))
     for hp in (H5, H75):
-        one = delayed_parts_for_cells(cells, SegmentGrid((0.0, 0.75)), batch, hp)[0]
-        three = delayed_parts_for_cells(cells, SegmentGrid((0.0, 0.25, 0.3125, 0.75)), batch, hp)[0]
+        one = delayed_parts_for_cells(cells, SegmentGrid((0.0, 0.75)), GRID, incs, hp)[0]
+        three = delayed_parts_for_cells(cells, SegmentGrid((0.0, 0.25, 0.3125, 0.75)), GRID, incs, hp)[0]
         assert one.tobytes() == three.tobytes()
 
 
 def test_delayed_segment_refuses_bad_segments():
     with pytest.raises(ValueError, match="seg_start=-0.25"):
-        delayed_segment(ONE, -0.25, 0.5, ONE_PATH, H75)
+        delayed_segment(ONE, -0.25, 0.5, GRID, ONE_PATH, H75)
     with pytest.raises(ValueError, match="degenerate"):
-        delayed_segment(ONE, 0.5, 0.5 + GRID.step, ONE_PATH, H75)
+        delayed_segment(ONE, 0.5, 0.5 + GRID.step, GRID, ONE_PATH, H75)
 
 
 def test_value_gap_over_h_minus_half_stays_flat():
@@ -262,12 +262,12 @@ def test_value_gap_over_h_minus_half_stays_flat():
     its relative precision down to h - 1/2 = 1e-14.
     """
     grid = make_grid(1.0, 512, warmup=1e14)
-    batch = generate_noise_batch(3, grid, 200)
+    incs = generate_noise_batch(3, grid, 200)
     cells, seg = np.ones((200, grid.main_steps)), SegmentGrid.dyadic(1.0, 0)
-    base = delayed_parts_for_cells(cells, seg, batch, H5)[0]
+    base = delayed_parts_for_cells(cells, seg, grid, incs, H5)[0]
     ratios = []
     for k in range(2, 15):
-        value = delayed_parts_for_cells(cells, seg, batch, hurst_constant(0.5 + 10.0 ** -k))[0]
+        value = delayed_parts_for_cells(cells, seg, grid, incs, hurst_constant(0.5 + 10.0 ** -k))[0]
         ratios.append(float(np.mean(np.abs(value - base))) * 10.0 ** k)
     np.testing.assert_allclose(ratios, ratios[4], rtol=5e-3)
 
@@ -289,7 +289,7 @@ def test_history_fields_sum_to_the_fbm_increments(grid):
     is seen), for four h at once and for a window that ends before the
     last cell.
     """
-    incs = generate_noise_batch(8, grid, 6).increments
+    incs = generate_noise_batch(8, grid, 6)
     hps = [hurst_constant(h) for h in (0.51, 0.6, 0.75, 0.95)]
     kernel = history_kernel(grid, hps)
     m0, n = grid.origin_index, grid.cell_count
@@ -308,9 +308,9 @@ def test_brownian_value_is_exactly_the_ito_sum(spec, horizon):
     """At h = 1/2 the value and the Ito part are sum gamma dB to the last bit, on any step."""
     grid = make_grid(horizon, 512, warmup=2.0)
     gamma, seg = _integration_plan(parse_integrand(spec, horizon), grid, 4, "--level")
-    batch = generate_noise_batch(3, grid, 16)
-    value, ito, tail, cross = delayed_integral_batch(gamma, seg, batch, H5)
-    want = ito_sum(gamma, batch)
+    incs = generate_noise_batch(3, grid, 16)
+    value, ito, tail, cross = delayed_integral_batch(gamma, seg, grid, incs, H5)
+    want = ito_sum(gamma, grid, incs)
     assert value.tobytes() == want.tobytes() and ito.tobytes() == want.tobytes()
     assert not np.any(tail) and not np.any(cross)
 
@@ -320,9 +320,9 @@ def test_brownian_value_is_exactly_the_ito_sum(spec, horizon):
 # ---------------------------------------------------------------------------
 
 def test_ito_integral_constant_and_zero():
-    assert ito_sum(DeterministicIntegrand.constant(0.0), ONE_PATH)[0] == 0.0
+    assert ito_sum(DeterministicIntegrand.constant(0.0), GRID, ONE_PATH)[0] == 0.0
     b_t = float(np.sum(INCS[GRID.origin_index:]))
-    assert ito_sum(DeterministicIntegrand.constant(2.0), ONE_PATH)[0] == pytest.approx(
+    assert ito_sum(DeterministicIntegrand.constant(2.0), GRID, ONE_PATH)[0] == pytest.approx(
         2 * b_t, abs=1e-12)
 
 
@@ -331,39 +331,39 @@ def test_ito_integral_brownian_discrete_identity_and_refinement():
     for steps in (256, 4096):
         g = make_grid(1.0, steps)
         noise = generate_noise_batch(11, g, 1)
-        got = ito_sum(BrownianIntegrand(), noise)[0]
-        b = np.concatenate([[0.0], np.cumsum(noise.increments[0])])
-        qv = float(np.sum(noise.increments[0] ** 2))
+        got = ito_sum(BrownianIntegrand(), g, noise)[0]
+        b = np.concatenate([[0.0], np.cumsum(noise[0])])
+        qv = float(np.sum(noise[0] ** 2))
         assert 2 * got == pytest.approx(b[-1] ** 2 - qv, abs=1e-10)
     # with the finer grid the quadratic variation concentrates at T
     gf = make_grid(1.0, 4096)
-    qv_f = float(np.sum(generate_noise_batch(11, gf, 1).increments ** 2))
+    qv_f = float(np.sum(generate_noise_batch(11, gf, 1) ** 2))
     assert abs(qv_f - 1.0) < 0.1
 
 
 def test_riemann_fbm_telescoping_and_identity():
     for n in (8, 64, 512):
-        got = riemann_fbm_sum(ONE, n, ONE_PATH, H75)[0]
+        got = riemann_fbm_sum(ONE, n, GRID, ONE_PATH, H75)[0]
         bh = _bh(H75)
         assert got == pytest.approx(bh[-1] - bh[0], abs=1e-10)
     # left-point sums of B_H against itself: 2 sum = B_H(T)^2 - sum dBH^2, exact per path
     gamma = FbmIntegrand(0.75)
     bh = _bh(H75)
     for n in (8, 64, 512):
-        got = riemann_fbm_sum(gamma, n, ONE_PATH, H75)[0]
+        got = riemann_fbm_sum(gamma, n, GRID, ONE_PATH, H75)[0]
         coarse = bh[:: 512 // n]
         qv = float(np.sum(np.diff(coarse) ** 2))
         assert 2 * got == pytest.approx(bh[-1] ** 2 - qv, abs=1e-10)
 
 
 def test_riemann_fbm_brownian_case_matches_ito():
-    got = riemann_fbm_sum(BrownianIntegrand(), 512, ONE_PATH, H5)[0]
-    assert got == pytest.approx(ito_sum(BrownianIntegrand(), ONE_PATH)[0], abs=1e-12)
+    got = riemann_fbm_sum(BrownianIntegrand(), 512, GRID, ONE_PATH, H5)[0]
+    assert got == pytest.approx(ito_sum(BrownianIntegrand(), GRID, ONE_PATH)[0], abs=1e-12)
 
 
 def test_riemann_fbm_validates_steps():
     with pytest.raises(ValueError):
-        riemann_fbm_sum(ONE, 500, ONE_PATH, H75)
+        riemann_fbm_sum(ONE, 500, GRID, ONE_PATH, H75)
 
 
 # ---------------------------------------------------------------------------
@@ -386,11 +386,11 @@ def test_extension_gaps_are_the_decay_study_gaps(spec, hp):
     """
     levels = range(3, 7)
     study = cauchy_decay_study(spec, hp, levels, 64, 9, GRID)
-    batch = generate_noise_batch(9, GRID, 64)
+    incs = generate_noise_batch(9, GRID, 64)
     gamma = parse_integrand(spec)
-    trace = extension(gamma, hp, batch, levels, tol=0.0)
+    trace = extension(gamma, hp, GRID, incs, levels, tol=0.0)
     pairs = len(study.gaps)
-    ref = decay_gaps_per_level(gamma, hp, levels, batch)
+    ref = decay_gaps_per_level(gamma, hp, levels, GRID, incs)
     value_gaps, scales = ref[:2 * pairs:2], ref[2 * pairs::2]
     assert tuple(trace.gaps) == tuple(_mc(g, 9, 0.0).estimate for g in value_gaps)
     assert len(trace.gaps) == len(scales) == pairs
@@ -399,18 +399,18 @@ def test_extension_gaps_are_the_decay_study_gaps(spec, hp):
 
 
 def test_extension_trace_for_brownian(ensemble):
-    trace = extension(BrownianIntegrand(), H6, ensemble, range(2, 9), tol=1e-9)
+    trace = extension(BrownianIntegrand(), H6, GRID, ensemble, range(2, 9), tol=1e-9)
     assert not trace.converged  # nu = 0: slow geometric decay cannot hit 1e-9
     assert trace.stopping_level == 8
     assert trace.samples.shape == (7, 200)
-    study = cauchy_decay_study("bm", H6, range(2, 9), 200, ensemble.seed, GRID)  # the same streams
+    study = cauchy_decay_study("bm", H6, range(2, 9), 200, 21024, GRID)  # the streams of ensemble
     assert np.all(np.array(study.gaps) >= 0.0)
     assert study.target_slope == pytest.approx(-0.1)
     assert 0.0 < -study.fitted_slope < 0.6
 
 
 def test_extension_converges_with_loose_tol(ensemble):
-    trace = extension(BrownianIntegrand(), H6, ensemble, range(1, 9), tol=0.5)
+    trace = extension(BrownianIntegrand(), H6, GRID, ensemble, range(1, 9), tol=0.5)
     assert trace.converged
     assert trace.gaps[-1] < 0.5
     assert trace.stopping_level < 8
@@ -423,12 +423,12 @@ def test_extension_computes_history_transforms_once(ensemble, monkeypatch):
     monkeypatch.setattr(fbmdelay.integrator, "noise_transforms",
                         lambda *args: calls.append(args) or real(*args))
     gamma = FbmIntegrand(0.75)
-    trace = extension(gamma, H6, ensemble, range(1, 7), tol=1e-9)
+    trace = extension(gamma, H6, GRID, ensemble, range(1, 7), tol=1e-9)
     assert len(calls) == 1
     assert trace.levels == (1, 2, 3, 4, 5, 6)
     for n, samples in zip(trace.levels, trace.samples):
         own, _, _, _ = delayed_integral_batch(dyadic_projection(gamma, n, GRID),
-                                              SegmentGrid.dyadic(1.0, n), ensemble, H6)
+                                              SegmentGrid.dyadic(1.0, n), GRID, ensemble, H6)
         assert np.array_equal(samples, own)
     assert len(calls) == 1 + len(trace.levels)  # level by level, each call pays for its own
 
@@ -452,7 +452,7 @@ def test_extension_computes_one_path_and_stops_the_levels(ensemble, monkeypatch)
 
     monkeypatch.setattr(fbmdelay.integrands, "past_conv", conv_spy)
     monkeypatch.setattr(oracles, "dyadic_cells", cells_spy)
-    trace = extension(FbmIntegrand(0.75), H6, ensemble, range(1, 9), tol=0.05)
+    trace = extension(FbmIntegrand(0.75), H6, GRID, ensemble, range(1, 9), tol=0.05)
     assert trace.converged and trace.stopping_level < 8
     assert computed == list(trace.levels)
     assert len(paths) == 1
@@ -464,18 +464,18 @@ def test_extension_computes_one_path_and_stops_the_levels(ensemble, monkeypatch)
                          ids=["dyadic4", "nonuniform"])
 def test_stacked_assembly_equals_single_calls(hp, seg):
     """Integrands stacked on a leading axis assemble to the bytes of one call each."""
-    batch = generate_noise_batch(77, GRID, 24)
-    cells = np.stack([PiecewisePredictableIntegrand(inner, seg).values_on_cells(GRID, batch.increments)
+    incs = generate_noise_batch(77, GRID, 24)
+    cells = np.stack([PiecewisePredictableIntegrand(inner, seg).values_on_cells(GRID, incs)
                       for inner in (FbmIntegrand(0.75), QuadraticBrownianIntegrand())])
-    stacked = delayed_parts_for_cells(cells, seg, batch, hp)
+    stacked = delayed_parts_for_cells(cells, seg, GRID, incs, hp)
     for k in range(2):
-        single = delayed_parts_for_cells(cells[k], seg, batch, hp)
+        single = delayed_parts_for_cells(cells[k], seg, GRID, incs, hp)
         for got, want in zip(stacked, single):
             assert got.shape == (2, 24) and want.shape == (24,)
             assert got[k].tobytes() == want.tobytes()
 
 
-PARTS_BATCH = generate_noise_batch(5, GRID, 6)
+PARTS_INCS = generate_noise_batch(5, GRID, 6)
 
 
 @given(gamma=st.sampled_from(FAMILY), h=st.sampled_from([0.5, 0.51, 0.75, 0.95]),
@@ -496,9 +496,9 @@ def test_parts_match_the_per_segment_assembly(gamma, h, level, gaps, uniform):
         cuts = np.cumsum(gaps)
         seg = SegmentGrid([0.0, *(cuts[cuts <= GRID.main_steps] / GRID.main_steps)])
     hp = hurst_constant(h)
-    incs = PARTS_BATCH.increments
+    incs = PARTS_INCS
     cells = PiecewisePredictableIntegrand(gamma, seg).values_on_cells(GRID, incs)
-    got = delayed_parts_for_cells(cells, seg, PARTS_BATCH, hp)
+    got = delayed_parts_for_cells(cells, seg, GRID, incs, hp)
     seg_idx = _segment_lattice_indices(GRID, seg)
     want = per_segment_parts(cells, seg_idx, GRID, incs, hp)
     m0, end = GRID.origin_index, int(seg_idx[-1])
@@ -512,13 +512,13 @@ def test_parts_match_the_per_segment_assembly(gamma, h, level, gaps, uniform):
 
 
 def test_extension_deterministic_collapses(ensemble):
-    trace = extension(ONE, H75, ensemble, range(1, 7), tol=1e-3)
+    trace = extension(ONE, H75, GRID, ensemble, range(1, 7), tol=1e-3)
     assert trace.converged
     assert trace.gaps[-1] <= 1e-12
     single = _integral(ONE, SegmentGrid.dyadic(1.0, 1), H75)[0]
     # limit equals the single-segment value on a common path
     own = delayed_integral_batch(ONE, SegmentGrid.dyadic(1.0, trace.stopping_level),
-                                 ensemble, H75)[0]
+                                 GRID, ensemble, H75)[0]
     assert float(np.mean(own - trace.samples[-1])) == pytest.approx(0.0, abs=1e-12)
     assert single == pytest.approx(_bh(H75)[-1], abs=1e-10)
 
@@ -532,14 +532,14 @@ def test_first_moment_bound_across_family(ensemble):
     for gamma in [DeterministicIntegrand.constant(1.0), BrownianIntegrand(),
                   QuadraticBrownianIntegrand(), FbmIntegrand(0.75)]:
         frozen = dyadic_projection(gamma, 6, GRID)
-        vals, _, _, _ = delayed_integral_batch(frozen, seg, ensemble, H75)
+        vals, _, _, _ = delayed_integral_batch(frozen, seg, GRID, ensemble, H75)
         norm = y_norm(gamma, 0.0, eps, GRID).value
         ratios[gamma.spec_string()] = float(np.mean(np.abs(vals))) / norm
     med = float(np.median(list(ratios.values())))
     assert max(ratios.values()) <= 3.0 * med
     for h in (0.51, 0.75, 0.9):
         frozen = dyadic_projection(BrownianIntegrand(), 6, GRID)
-        vals, _, _, _ = delayed_integral_batch(frozen, seg, ensemble, hurst_constant(h))
+        vals, _, _, _ = delayed_integral_batch(frozen, seg, GRID, ensemble, hurst_constant(h))
         print(f"nu=0 operator ratio at h={h}: "
               f"{float(np.mean(np.abs(vals))) / y_norm(BrownianIntegrand(), 0.0, eps, GRID).value:.4f}")
 
@@ -553,6 +553,6 @@ def test_operator_bound_uniform_in_h_for_positive_nu(ensemble):
     frozen = dyadic_projection(gamma, 6, GRID)
     ratios = []
     for h in (0.51, 0.6, 0.75, 0.9):
-        vals, _, _, _ = delayed_integral_batch(frozen, seg, ensemble, hurst_constant(h))
+        vals, _, _, _ = delayed_integral_batch(frozen, seg, GRID, ensemble, hurst_constant(h))
         ratios.append(float(np.mean(np.abs(vals))) / norm)
     assert max(ratios) < 3.0 * min(ratios)

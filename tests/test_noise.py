@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -23,7 +24,6 @@ from fbmdelay.cli import parse_and_dispatch
 from fbmdelay.integrands import FbmIntegrand
 from fbmdelay.kernels import hurst_constant
 from fbmdelay.noise import (
-    NoiseBatch,
     SimulationGrid,
     avg_kernel_table,
     block_conv,
@@ -46,13 +46,14 @@ from fbmdelay.noise import (
     row_dot,
     w_values,
 )
-from oracles import (cell_widths, path_csv_string, reference_draw, reference_write_path_csv, spy_noise_ffts,
+from oracles import (cell_widths, grid_edges, path_csv_string, reference_draw, reference_write_path_csv, spy_noise_ffts,
                      synthesize_dr, synthesize_w, toeplitz_block_product, toeplitz_half_product)
 
 KINDS = ("B", "B_H", "W_H", "R_H", "DR_H")
 
 H75 = hurst_constant(0.75)
 H5 = hurst_constant(0.5)
+NOISE_SEED = 20240517
 
 
 @pytest.fixture(scope="module")
@@ -62,13 +63,13 @@ def grid():
 
 @pytest.fixture(scope="module")
 def noise(grid):
-    return generate_noise_batch(20240517, grid, 1)
+    return generate_noise_batch(NOISE_SEED, grid, 1)
 
 
 @pytest.fixture(scope="module")
 def incs(noise):
     """The single path of the batch of one."""
-    return noise.increments[0]
+    return noise[0]
 
 
 # ---------------------------------------------------------------------------
@@ -89,7 +90,7 @@ def test_grid_construction_and_indexing(grid):
     np.testing.assert_allclose(widths[:22] / widths[1:23], 17 / 16, rtol=1e-13)  # oldest cell widest
     assert widths[22] == pytest.approx(1.0 / 16, rel=1e-13) and np.all(widths[23:] == grid.step)
     assert np.sum(widths) == pytest.approx(1.0 - grid.warmup_start, rel=1e-14)
-    assert np.array_equal(np.diff(grid.edges()), widths)
+    assert np.array_equal(np.diff(grid_edges(grid)), widths)
     for t in (0.12345, grid.warmup_start, -3.0):  # off-lattice, or a time of the far cells
         with pytest.raises(ValueError):
             grid.index_of(t)
@@ -100,7 +101,7 @@ def test_grid_construction_and_indexing(grid):
 def test_index_of_takes_an_array_as_the_scalar_loop(grid):
     """An array of times gives the indices of one call per time, rounded alike; one bad time refuses all."""
     step = grid.step
-    times = np.concatenate([grid.edges()[grid.far_cells::97], [0.0, 1.0, 0.25 + 1e-9 * step, -1.0 + 0.4e-6 * step]])
+    times = np.concatenate([grid_edges(grid)[grid.far_cells::97], [0.0, 1.0, 0.25 + 1e-9 * step, -1.0 + 0.4e-6 * step]])
     got = grid.index_of(times)
     assert got.dtype.kind == "i" and got.tolist() == [grid.index_of(float(t)) for t in times]
     assert type(grid.index_of(0.25)) is int
@@ -135,7 +136,7 @@ def test_grid_validation():
 def test_make_grid_gives_a_grid_of_its_counts(horizon, steps, warmup):
     """make_grid's counts cover the reach, every time they derive agrees, and they alone give the grid back."""
     g = make_grid(horizon, steps, warmup)
-    edges = g.edges()
+    edges = grid_edges(g)
     assert edges[g.origin_index] == 0.0 and g.index_of(0.0) == g.origin_index
     assert g.warmup_start <= -warmup * (1 - 1e-12)
     # numpy's power and Python's differ in the last bit on some grids
@@ -164,18 +165,18 @@ def test_make_grid_reaches_1e300_back():
 def test_generation_is_deterministic(grid):
     a = generate_noise_batch(99, grid, 1)
     b = generate_noise_batch(99, grid, 1)
-    assert np.array_equal(a.increments, b.increments)
+    assert np.array_equal(a, b)
     c = generate_noise_batch(100, grid, 1)
-    assert not np.array_equal(a.increments, c.increments)
+    assert not np.array_equal(a, c)
 
 
 def test_batch_rows_match_streams(grid):
-    nb = generate_noise_batch(7, grid, 6)
+    incs = generate_noise_batch(7, grid, 6)
     for r in (0, 3, 5):
-        assert np.array_equal(nb.increments[r], reference_draw(7, grid, r))
+        assert np.array_equal(incs[r], reference_draw(7, grid, r))
     # chunk-size independence: a later window reproduces the same rows
     tail = generate_noise_batch(7, grid, 2, first_stream=4)
-    assert np.array_equal(tail.increments[1], nb.increments[5])
+    assert np.array_equal(tail[1], incs[5])
 
 
 @pytest.mark.parametrize("reps", [1, 2, 5, 7])
@@ -185,7 +186,7 @@ def test_batch_draw_is_identical_for_any_worker_count(grid, monkeypatch, reps):
     for workers in (1, 2, 3):
         monkeypatch.setattr(fbmdelay.experiments, "WORKERS", workers)
         monkeypatch.setattr(fbmdelay.experiments, "_CHUNK_BYTES", 2 * workers * 8 * grid.cell_count)
-        rows, = fbmdelay.experiments._replicate(7, fbmdelay.experiments._plan(grid), reps, lambda nb: (nb.increments,))
+        rows, = fbmdelay.experiments._replicate(7, fbmdelay.experiments._plan(grid), reps, lambda incs: (incs,))
         batches.append(rows)
     for other in batches[1:]:
         assert other.tobytes() == batches[0].tobytes()
@@ -210,20 +211,17 @@ NO_FAR = make_grid(1.0, 64, warmup=1.0)
 @settings(max_examples=40, deadline=None)
 def test_a_prefix_draw_is_the_first_cells_of_the_full_draw(seed, first_stream, reps, cells):
     """cells=k draws the first k columns of the full draw byte for byte, far-cell scaling included."""
-    full = generate_noise_batch(seed, GRADED, reps, first_stream).increments
+    full = generate_noise_batch(seed, GRADED, reps, first_stream)
     part = generate_noise_batch(seed, GRADED, reps, first_stream, cells=cells)
-    assert part.increments.shape == (reps, cells) and part.first_stream == first_stream
-    assert part.increments.tobytes() == np.ascontiguousarray(full[:, :cells]).tobytes()
+    assert part.shape == (reps, cells)
+    assert part.tobytes() == np.ascontiguousarray(full[:, :cells]).tobytes()
 
 
 def test_a_batch_holds_zero_to_cell_count_cells_a_row(grid):
-    assert generate_noise_batch(1, grid, 2, cells=0).increments.shape == (2, 0)
+    assert generate_noise_batch(1, grid, 2, cells=0).shape == (2, 0)
     for cells in (-1, grid.cell_count + 1):
         with pytest.raises(ValueError, match=f"need 0 <= cells <= {grid.cell_count}"):
             generate_noise_batch(1, grid, 2, cells=cells)
-    for shape in ((2, grid.cell_count + 1), (grid.cell_count,), (1, 2, 3)):
-        with pytest.raises(ValueError, match="0 <= k <= cell_count"):
-            NoiseBatch(grid=grid, increments=np.zeros(shape), seed=1)
 
 
 def _history_readers(grid):
@@ -249,8 +247,8 @@ def _history_readers(grid):
 def test_a_reader_refuses_a_window_past_the_drawn_cells(grid, reader):
     """A batch drawn up to the origin reads as the full rows up to there, and one cell more is refused, not cut."""
     read, m0 = _history_readers(grid)[reader], grid.origin_index
-    prefix = generate_noise_batch(5, grid, 3, cells=m0).increments
-    full = generate_noise_batch(5, grid, 3).increments
+    prefix = generate_noise_batch(5, grid, 3, cells=m0)
+    full = generate_noise_batch(5, grid, 3)
     assert read(prefix, m0).tobytes() == read(full, m0).tobytes()
     assert read(prefix[0], m0).tobytes() == read(full[0], m0).tobytes()
     with pytest.raises(ValueError, match=f"reaches cell {m0}, but only {m0} cells a row are drawn"):
@@ -279,7 +277,7 @@ def test_the_brownian_weight_vector_has_no_far_weight(grid):
 
 def test_increment_variance_matches_step():
     big = make_grid(1.0, 2 ** 20)
-    incs = generate_noise_batch(3, big, 1).increments[0]
+    incs = generate_noise_batch(3, big, 1)[0]
     n = incs.size
     est = float(np.mean(incs ** 2))
     se = math.sqrt(2.0 / n) * big.step  # var of chi2 mean
@@ -288,15 +286,33 @@ def test_increment_variance_matches_step():
 
 def test_distinct_seeds_uncorrelated():
     big = make_grid(1.0, 2 ** 20)
-    a = generate_noise_batch(1, big, 1).increments[0]
-    b = generate_noise_batch(2, big, 1).increments[0]
+    a = generate_noise_batch(1, big, 1)[0]
+    b = generate_noise_batch(2, big, 1)[0]
     corr = float(np.corrcoef(a, b)[0, 1])
     assert abs(corr) <= 3.0 / math.sqrt(a.size)
 
 
-def test_increments_immutable(noise):
+def test_increments_immutable(noise, grid, monkeypatch):
+    """The rows are read-only however they come: a full draw, a prefix draw, and a chunk's rows in _replicate's
+    per_chunk, run inline and on the pool, full or drawn up to the origin."""
     with pytest.raises(ValueError):
-        noise.increments[0] = 1.0
+        noise[0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        generate_noise_batch(1, grid, 2, cells=grid.origin_index)[0] = 1.0
+    threads = set()
+
+    def per_chunk(incs):
+        threads.add(threading.get_ident())
+        with pytest.raises(ValueError, match="read-only"):
+            incs[0] = 1.0
+        return (np.zeros(len(incs)),)
+
+    for workers in (1, 2):
+        monkeypatch.setattr(fbmdelay.experiments, "WORKERS", workers)
+        monkeypatch.setattr(fbmdelay.experiments, "_CHUNK_BYTES", 2 * workers * 8 * grid.cell_count)
+        for cells in (None, grid.origin_index):
+            fbmdelay.experiments._replicate(7, fbmdelay.experiments._plan(grid, cells=cells), 4, per_chunk)
+    assert threading.get_ident() in threads and len(threads) > 1
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +332,7 @@ def test_fbm_starts_at_zero_and_rejects_empty_warmup(incs, grid):
     _, bh = process_values(incs, grid, H75, "B_H")
     assert bh[0] == 0.0
     bare = make_grid(1.0, 64)
-    incs = generate_noise_batch(1, bare, 2).increments
+    incs = generate_noise_batch(1, bare, 2)
     kernel, n = history_kernel(bare, (H75,)), bare.cell_count
     for read in (*(lambda kind=kind: process_values(incs, bare, H75, kind) for kind in ("B_H", "R_H", "DR_H")),
                  lambda: fbmdelay.integrator.noise_transforms(bare, incs, (H75,), n),
@@ -347,7 +363,7 @@ def test_r_matches_direct_f_kernel_synthesis(incs, grid):
     hp = H75
     idx = grid.origin_index
     t = 0.5
-    edges = grid.edges()
+    edges = grid_edges(grid)
     p1 = hp.h + 0.5
     w = np.zeros(grid.cell_count)
     for i in range(idx):
@@ -448,7 +464,7 @@ def test_dr_budget_matches_exact_arithmetic(grid, h):
     A cell of one step weighs in with c_h D[j - i], a far cell with its own width and weight.
     """
     hp, m0, n, far = hurst_constant(h), grid.origin_index, grid.cell_count, grid.far_cells
-    edges = grid.edges()
+    edges = grid_edges(grid)
     for j in (m0 + 1, m0 + 7, n):
         t = (j - m0) * grid.step
         with mpmath.workdps(50):  # DR_H(t_j) weighs cell far <= i < m0 with c_h D[j - i]
@@ -514,7 +530,7 @@ def test_far_history_rows_do_not_depend_on_the_batch(rows):
     noise_transforms is read as its two fields stacked, d_tail and d_main.
     """
     grid = make_grid(1.0, 256, warmup=1e14)
-    incs = generate_noise_batch(17, grid, 9).increments
+    incs = generate_noise_batch(17, grid, 9)
     m0, n = grid.origin_index, grid.cell_count
     hps = (H75, hurst_constant(0.9))
     readers = (lambda x: fbm_values(x, grid, hps),
@@ -563,7 +579,7 @@ def test_past_dot_is_the_inner_product_with_past_conv(monkeypatch, warmup):
     grid = make_grid(1.0, 256, warmup=warmup)
     assert (grid.far_cells > 0) == (warmup > 1.0)
     reps, m0, n = 33, grid.origin_index, grid.cell_count
-    incs = generate_noise_batch(23, grid, reps).increments
+    incs = generate_noise_batch(23, grid, reps)
     hps = [hurst_constant(h) for h in (0.5 + 1e-6, 0.75, 0.95)]
     kernel = fbmdelay.noise.history_kernel(grid, hps)
     for cells_end, outputs in ((n, (m0, n + 1)), (m0, (m0, n + 1)), (m0 + 40, (m0 + 5, n - 3))):
@@ -606,7 +622,7 @@ def test_a_desk_row_alone_gets_its_past_dot_bytes_in_the_batch(every):
     """
     grid, reps = DESK_GRID, 33
     m0, end = grid.origin_index, grid.cell_count
-    incs = generate_noise_batch(5, grid, reps).increments
+    incs = generate_noise_batch(5, grid, reps)
     kernel = history_kernel(grid, (hurst_constant(0.6),))
     weights = np.zeros((reps, end + 1 - m0))
     weights[:, ::every] = np.random.default_rng(every).standard_normal((reps, len(range(0, end + 1 - m0, every))))
@@ -694,7 +710,7 @@ def mc_batch(grid):
 
 def test_w_second_moment_mc(mc_batch, grid):
     """E W_H(1)^2 = c^2/(2H) (frozen oracle 0.762759763502 at h = 0.75)."""
-    w = w_values(mc_batch.increments, grid, H75, grid.origin_index)[:, -1]
+    w = w_values(mc_batch, grid, H75, grid.origin_index)[:, -1]
     sq = w ** 2
     est = float(np.mean(sq))
     se = float(np.std(sq, ddof=1) / math.sqrt(sq.size))
@@ -707,7 +723,7 @@ def test_w_second_moment_mc(mc_batch, grid):
 
 def test_dr_pointwise_mc_matches_discrete_expectation(mc_batch, grid):
     m0 = grid.origin_index
-    drv = dr_values(mc_batch.increments, grid, H75, m0)[:, grid.cell_count - m0 - 1]
+    drv = dr_values(mc_batch, grid, H75, m0)[:, grid.cell_count - m0 - 1]
     sq = drv ** 2
     est = float(np.mean(sq))
     se = float(np.std(sq, ddof=1) / math.sqrt(sq.size))
@@ -720,7 +736,7 @@ def test_dr_pointwise_mc_matches_discrete_expectation(mc_batch, grid):
 
 
 def test_fbm_moments_mc(mc_batch, grid):
-    bh = fbm_values(mc_batch.increments, grid, (H75,))[0]
+    bh = fbm_values(mc_batch, grid, (H75,))[0]
     v1 = bh[:, -1] ** 2
     est = float(np.mean(v1))
     se = float(np.std(v1, ddof=1) / math.sqrt(v1.size))
@@ -735,7 +751,7 @@ def test_fbm_moments_mc(mc_batch, grid):
 
 
 def test_fbm_terminal_value_gaussian(mc_batch, grid):
-    bh1 = fbm_values(mc_batch.increments, grid, (H75,))[0, :, -1]
+    bh1 = fbm_values(mc_batch, grid, (H75,))[0, :, -1]
     n = bh1.size
     z = (bh1 - bh1.mean()) / bh1.std()
     skew = float(np.mean(z ** 3))
@@ -746,7 +762,7 @@ def test_fbm_terminal_value_gaussian(mc_batch, grid):
 
 def test_dr_mc_energy_three_hurst_values(grid):
     """MC energy of DR over [0,1] against the closed form, budget-declared."""
-    nb = generate_noise_batch(2718, grid, 3000)
+    incs = generate_noise_batch(2718, grid, 3000)
     m0 = grid.origin_index
     n = grid.main_steps
     for h in (0.55, 0.75, 0.9):
@@ -754,7 +770,7 @@ def test_dr_mc_energy_three_hurst_values(grid):
         t = grid.step * np.arange(n + 1)
         e = 2 * hp.h - 2.0
         wq = (t[1:] ** (e + 1) - t[:-1] ** (e + 1)) / ((e + 1) * t[1:] ** e)
-        drv = dr_values(nb.increments, grid, hp, m0)[:, :n]
+        drv = dr_values(incs, grid, hp, m0)[:, :n]
         vals = drv ** 2 @ wq
         est = float(np.mean(vals))
         se = float(np.std(vals, ddof=1) / math.sqrt(vals.size))
@@ -909,7 +925,7 @@ def test_transform_stages_hold_their_result_and_a_few_blocks():
     """
     grid = DESK_GRID
     m0, n = grid.origin_index, grid.cell_count
-    incs = generate_noise_batch(19, grid, 64).increments
+    incs = generate_noise_batch(19, grid, 64)
     h4 = [hurst_constant(h) for h in (0.7, 0.6, 0.55, 0.51)]
     weights = np.random.default_rng(5).standard_normal((64, n + 1 - m0))
     stages = {
@@ -940,7 +956,7 @@ def test_origin_subtraction_copies_one_column_not_the_history():
     """
     grid = DESK_GRID
     m0, n = grid.origin_index, grid.cell_count
-    incs = generate_noise_batch(19, grid, 64).increments
+    incs = generate_noise_batch(19, grid, 64)
     kernel = history_kernel(grid, (H75,))
     calls = {  # each call, and the (cells_end, outputs) of its past_conv
         "fbm_values": (lambda: fbm_values(incs, grid, (H75,)), n, (m0, n + 1)),
@@ -1057,7 +1073,7 @@ def _check_csv_rows(lines, times, values):
 
 def test_process_path_kinds_and_csv(noise, incs, grid, tmp_path, capsys):
     for kind in KINDS:
-        times, values = process_values(noise.increments, grid, H75, kind)
+        times, values = process_values(noise, grid, H75, kind)
         assert times.shape == values.shape == (1, grid.main_steps + (kind != "DR_H"))
         assert np.array_equal(values[0], process_values(incs, grid, H75, kind)[1])  # a row is a path
     _, r5 = process_values(incs, grid, H5, "R_H")
@@ -1065,9 +1081,9 @@ def test_process_path_kinds_and_csv(noise, incs, grid, tmp_path, capsys):
     with pytest.raises(ValueError, match="kind"):
         process_values(incs, grid, H75, "X_H")
 
-    text = path_csv_string("B_H", H75.h, noise.seed, *process_values(incs, grid, H75, "B_H"))
+    text = path_csv_string("B_H", H75.h, NOISE_SEED, *process_values(incs, grid, H75, "B_H"))
     lines = text.splitlines()
-    assert lines[0] == f"# kind=B_H h=0.75 seed={noise.seed}"
+    assert lines[0] == f"# kind=B_H h=0.75 seed={NOISE_SEED}"
     assert lines[1] == "time,value"
     assert lines[2] == "0.0,0.0"
     # shortest-roundtrip floats: parsing back reproduces the values exactly
@@ -1077,12 +1093,12 @@ def test_process_path_kinds_and_csv(noise, incs, grid, tmp_path, capsys):
     # CLI simulate writes row 0 of the batch of one, for every kind; B is the h = 1/2 path
     grid_args = ["--steps", "512", "--warmup", "4.0"]
     for kind in KINDS:
-        lines = _simulate(tmp_path, grid_args, noise.seed, kind, 0.75)
-        assert lines[0] == f"# kind={kind} h={0.5 if kind == 'B' else 0.75} seed={noise.seed}"
+        lines = _simulate(tmp_path, grid_args, NOISE_SEED, kind, 0.75)
+        assert lines[0] == f"# kind={kind} h={0.5 if kind == 'B' else 0.75} seed={NOISE_SEED}"
         times, values = process_values(incs, grid, H75, kind)
         _check_csv_rows(lines, times, values)
         assert "\n".join(lines) + "\n" == path_csv_string(kind, 0.5 if kind == "B" else 0.75,
-                                                          noise.seed, times, values)
+                                                          NOISE_SEED, times, values)
     capsys.readouterr()
 
 
@@ -1095,7 +1111,7 @@ def test_path_csv_bytes_are_the_reference_writers(tmp_path, kind):
     would put one grid's times on the other's path."""
     for horizon in (1.0, 0.3, 1.0):
         g = make_grid(horizon, 256, warmup=4.0)
-        times, values = process_values(generate_noise_batch(7, g, 1).increments, g, H75, kind)
+        times, values = process_values(generate_noise_batch(7, g, 1), g, H75, kind)
         args = (kind, 0.75, 7, times[0], values[0])
         fbmdelay.noise.write_path_csv(*args, tmp_path / "got.csv")
         reference_write_path_csv(*args, tmp_path / "want.csv")
@@ -1106,7 +1122,7 @@ def test_path_csv_bytes_are_the_reference_writers(tmp_path, kind):
 @settings(max_examples=10, deadline=None)
 def test_csv_roundtrip_is_stable(seed, kind):
     g = make_grid(0.5, 64, warmup=1.0)
-    times, values = process_values(generate_noise_batch(seed, g, 1).increments, g, H75, kind)
+    times, values = process_values(generate_noise_batch(seed, g, 1), g, H75, kind)
     args = (kind, 0.75, seed, times[0], values[0])
     assert path_csv_string(*args) == path_csv_string(*args)
     with tempfile.TemporaryDirectory() as tmp:

@@ -2,6 +2,7 @@
 
 import ast
 import re
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -10,16 +11,23 @@ PAPER_OBJECTS = {"gh_transform", "mvn_kernel", "y_norm", "delayed_segment"}
 
 
 def test_every_public_name_is_used_outside_the_tests():
-    """A name in a module's __all__ is used in src/ outside its own definition, in scripts/ or in perfbench/."""
-    exported, used = {}, set()
+    """A name in a module's __all__ is used in src/ outside its own definition, in scripts/ or in perfbench/; so is
+    a public method or property of a class in __all__, read as an attribute in src/ outside its own definition."""
+    exported, used, methods, reads = {}, set(), [], Counter()
     for path in sorted((ROOT / "src" / "fbmdelay").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        reads.update(sub.attr for sub in ast.walk(tree) if isinstance(sub, ast.Attribute)
+                     and isinstance(sub.ctx, ast.Load))
         # the package __init__ only re-exports: its imports are not uses
-        for node in ast.parse(path.read_text()).body if path.name != "__init__.py" else ():
+        for node in tree.body if path.name != "__init__.py" else ():
             targets = getattr(node, "targets", ())
             own = {getattr(node, "name", None), *(t.id for t in targets if isinstance(t, ast.Name))}
             if "__all__" in own:
                 exported[path.stem] = ast.literal_eval(node.value)
                 continue
+            if isinstance(node, ast.ClassDef):
+                methods += [(path.stem, node.name, f) for f in node.body
+                            if isinstance(f, ast.FunctionDef) and not f.name.startswith("_")]
             for sub in ast.walk(node):
                 used |= {getattr(sub, "id", None), getattr(sub, "attr", None)} - own
                 if isinstance(sub, ast.ImportFrom):
@@ -28,6 +36,11 @@ def test_every_public_name_is_used_outside_the_tests():
                         for p in sorted((ROOT / d).glob("*.py")))
     unused = [f"{module}.{name}" for module, names in exported.items() for name in names
               if name not in used | PAPER_OBJECTS and not re.search(rf"\b{name}\b", outside)]
+    for module, cls, f in methods:
+        own = sum(isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load) and sub.attr == f.name
+                  for sub in ast.walk(f))
+        if cls in exported.get(module, ()) and reads[f.name] == own and not re.search(rf"\b{f.name}\b", outside):
+            unused.append(f"{module}.{cls}.{f.name}")
     assert unused == [], "a name only the tests use belongs in tests/oracles.py"
     sentence = (ROOT / "README.md").read_text().split(" stay public")[0].rsplit("\n\n", 1)[-1]
     assert set(re.findall(r"`(\w+)`", sentence)) == PAPER_OBJECTS
