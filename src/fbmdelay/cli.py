@@ -4,9 +4,10 @@ Flags over config files; every run writes its outputs plus a JSON manifest
 that replays the run byte-for-byte via --manifest.  The manifests of the
 multi-Hurst studies (continuity, nonconv) also record the checksum of the
 noise they consumed.  Every manifest records the package, Python, numpy and
-scipy versions and the history lattice of its grid (see noise.make_grid); a
-manifest replays only if its config has exactly RunConfig's fields, with
-their types, and its lattice is the one this build makes of that config.  A
+scipy versions, the bit generator of the noise (noise.BIT_GENERATOR) and the
+history lattice of its grid (see noise.make_grid); a manifest replays only if
+its config has exactly RunConfig's fields, with their types, its generator is
+this build's and its lattice is the one this build makes of that config.  A
 setting that a command's flags leave out (--kind, --level, --levels) takes
 its one default from RunConfig, and only integrate may set level to anything
 else.
@@ -29,7 +30,7 @@ import scipy
 
 from . import __version__
 from .kernels import HALF, hurst_constant
-from .noise import FAR_RATIO, SimulationGrid, make_grid, process_values, write_path_csv, PROCESS_KINDS
+from .noise import BIT_GENERATOR, FAR_RATIO, SimulationGrid, make_grid, process_values, write_path_csv, PROCESS_KINDS
 from .integrator import delayed_integral_batch, result_record
 from .experiments import (
     _integration_plan,
@@ -224,11 +225,23 @@ def _check_lattice(stored: dict, cfg: RunConfig) -> None:
                          "rerun the command to write a new manifest")
 
 
+#: the noise record of a manifest: a seed draws these bytes only with this bit generator
+_NOISE = {"bit_generator": BIT_GENERATOR}
+
+
+def _check_noise(stored: dict) -> None:
+    """Refuse a manifest whose noise was drawn by another bit generator, or that does not name one."""
+    if stored.get("noise") != _NOISE:
+        raise ValueError(f"manifest noise {stored.get('noise')} is not this build's {_NOISE}; "
+                         "rerun the command to write a new manifest")
+
+
 def _run(cfg: RunConfig) -> list[str]:
     """Execute one validated config; returns the list of files written."""
     grid, hp = make_grid(cfg.horizon, cfg.steps, cfg.warmup), hurst_constant(cfg.hurst[0])
     outputs = [cfg.out]
     record = {"tool": "fbmdelay", "config": asdict(cfg), "outputs": outputs, "lattice": _lattice(grid),
+              "noise": _NOISE,
               "versions": {"fbmdelay": __version__, "python": platform.python_version(),
                            "numpy": numpy.__version__, "scipy": scipy.__version__}}
     if cfg.command == "simulate":
@@ -274,6 +287,7 @@ def parse_and_dispatch(argv=None) -> int:
                 stored = json.load(fh)
             cfg = _config_from_manifest(stored)
             cfg.validate()
+            _check_noise(stored)
             _check_lattice(stored, cfg)
         elif args.command is None:
             parser.print_usage(sys.stderr)

@@ -4,15 +4,15 @@ Every driver takes the grid it runs on, a noise.SimulationGrid (default
 DESK, the desk-scale grid), and follows the same discipline:
 
 * common random numbers: within a replication, every Hurst value consumes the
-  identical driving noise (one Philox stream per replication, checksummed);
+  identical driving noise (one seeded stream per replication, checksummed);
 * one plan per run, `_plan`, made before any kernel, weight or draw, refuses an
   h > 1/2 with no history and more rows in flight than memory holds; the one
   runner, `_replicate`, takes only that plan, draws the replications chunk by
   chunk and concatenates the per-replication results in stream order; they
   are aggregated once, so output is independent of chunking and scheduling;
 * that runner is the package's one level of parallelism: it runs the chunks
-  on up to `WORKERS` threads (numpy, scipy's FFTs and the Philox draws
-  release the GIL), each drawing its own noise and doing its own transforms
+  on up to `WORKERS` threads (numpy, scipy's FFTs and the draws release
+  the GIL), each drawing its own noise and doing its own transforms
   serially, with at most `_CHUNK_BYTES` of noise in flight;
 * every tolerance is 3 standard errors plus a declared budget computed from
   exact expectations of the discrete estimators, never a fitted fudge.

@@ -107,6 +107,9 @@ FAR_RATIO = 1.0 + 1.0 / 16.0
 FAR_NODES = 20
 #: Gauss-Legendre rule for a far cell's average of the B_H kernel
 _FAR_GAUSS = np.polynomial.legendre.leggauss(8)
+#: the numpy bit generator behind every stream: a seed's bytes are those of this generator, and a
+#: manifest records it
+BIT_GENERATOR = "SFC64"
 
 
 @dataclass(frozen=True)
@@ -211,9 +214,10 @@ def make_grid(horizon: float, steps: int, warmup: float = 0.0) -> SimulationGrid
 
 
 def _rng(seed: int, stream: int) -> np.random.Generator:
-    # Philox is counter-based: draw i of stream s is a pure function of (seed, s, i).
+    # stream s of seed is a new generator on the spawn key (s,): its normals come in order, and the
+    # row does not depend on the other streams drawn, or on any draw before it
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(stream,))
-    return np.random.Generator(np.random.Philox(ss))
+    return np.random.Generator(getattr(np.random, BIT_GENERATOR)(ss))
 
 
 def generate_noise_batch(seed: int, grid: SimulationGrid, reps: int, first_stream: int = 0,

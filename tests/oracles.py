@@ -56,9 +56,11 @@ def cell_widths(grid: SimulationGrid) -> np.ndarray:
 
 
 def reference_draw(seed: int, grid: SimulationGrid, stream: int) -> np.ndarray:
-    """Stream `stream` of seed drawn on its own: Philox keyed by (seed, stream), variance width per cell."""
+    """Stream `stream` of seed drawn on its own: the package's bit generator (SFC64) keyed by (seed, stream),
+    variance width per cell."""
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(stream,))
-    normals = np.random.Generator(np.random.Philox(ss)).standard_normal(grid.cell_count)
+    bits = getattr(np.random, fbmdelay.noise.BIT_GENERATOR)(ss)
+    normals = np.random.Generator(bits).standard_normal(grid.cell_count)
     return normals * np.sqrt(cell_widths(grid))
 
 

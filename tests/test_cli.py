@@ -581,6 +581,7 @@ def test_manifests_record_the_versions_and_the_history_lattice(tmp_path, capsys)
     assert reach >= 1e14
     assert record["lattice"] == {"near_window": 1.0, "far_ratio": 1.0625, "reach": reach,
                                  "far_cells": 532, "near_cells": 128, "main_cells": 128}
+    assert record["noise"] == {"bit_generator": "SFC64"} and fbmdelay.noise.BIT_GENERATOR == "SFC64"
 
 
 @pytest.mark.parametrize("edit,fragment", [
@@ -602,6 +603,27 @@ def test_manifest_replay_refuses_another_history_lattice(tmp_path, capsys, edit,
     assert code == 2 and stdout == "" and not out.exists()
     assert err.count("\n") == 1
     assert err.startswith("fbmdelay: error: manifest history lattice") and fragment in err
+
+
+@pytest.mark.parametrize("edit,noise", [
+    (lambda m: m.pop("noise"), "None"),  # every manifest written before the noise record
+    (lambda m: m["noise"].update(bit_generator="Philox"), "{'bit_generator': 'Philox'}"),
+])
+def test_manifest_replay_refuses_another_bit_generator_before_any_draw(tmp_path, tmp_path_factory, capsys,
+                                                                       monkeypatch, edit, noise):
+    """A manifest that names no bit generator, or another one, is refused in one line before any kernel or draw:
+    its seed draws other bytes here."""
+    made = tmp_path_factory.mktemp("made")
+    argv = ["simulate", "--seed", "3", "--steps", "128", "--warmup", "4.0", "--out", str(made / "path.csv")]
+    assert _run(argv, capsys)[0] == 0
+    record = json.loads((made / "path.csv.manifest.json").read_text())
+    edit(record)
+    record["config"]["out"] = str(tmp_path / "path.csv")  # a replay would write where the spies look
+    manifest = made / "edited.manifest.json"
+    manifest.write_text(json.dumps(record))
+    err = _refused_before_any_draw(["--manifest", str(manifest)], tmp_path, capsys, monkeypatch)
+    assert err == (f"fbmdelay: error: manifest noise {noise} is not this build's {{'bit_generator': 'SFC64'}}; "
+                   "rerun the command to write a new manifest\n")
 
 
 def test_manifest_replay_refuses_a_level_for_any_command_but_integrate(tmp_path, capsys):

@@ -25,7 +25,7 @@ from fbmdelay.integrands import (
     y_norm,
 )
 from fbmdelay.noise import generate_noise_batch, make_grid
-from oracles import cond_exp, dyadic_cells, kernel_cell_averages, value, x_norm
+from oracles import cell_widths, cond_exp, dyadic_cells, kernel_cell_averages, value, x_norm
 
 GRID = make_grid(1.0, 512, warmup=2.0)
 NOISE = generate_noise_batch(8, GRID, 1)
@@ -86,20 +86,29 @@ def test_wiener_kernel_conditional_variances():
 
 
 def test_wiener_kernel_cond_exp_is_truncated_integral():
+    """value - forecast is the kernel's integral over the cells after tau: mean zero, and independent of the past.
+
+    The remainder is linear in the cells, with the weights w it takes on the unit rows, so its second moment is
+    sum width * w^2 exactly, and it is held to cond_var with no draw.  The cells that end by tau weigh 0, and
+    changing them does not move the remainder.
+    """
     f = FbmIntegrand(0.75)
     tau, t = 0.5, 1.0
-    # conditional forecast + independent remainder: E[(value - forecast)^2] = cond_var
+    remainder = lambda row: value(f, t, GRID, row) - cond_exp(f, tau, t, GRID, row)  # noqa: E731
     reps = 600
     incs = generate_noise_batch(5150, GRID, reps)
     # evaluate at t = 1.0 via scalar calls on every path for exactness of the contract
-    diffs = []
-    for row in incs:
-        diffs.append(value(f, t, GRID, row) - cond_exp(f, tau, t, GRID, row))
-    diffs = np.asarray(diffs)
-    est = float(np.mean(diffs ** 2))
-    se = float(np.std(diffs ** 2, ddof=1) / math.sqrt(reps))
+    diffs = np.array([remainder(row) for row in incs])
     assert abs(np.mean(diffs)) <= 3 * float(np.std(diffs, ddof=1) / math.sqrt(reps))
-    assert abs(est - f.cond_var(tau, t)) <= 3 * se + 0.01 * f.cond_var(tau, t)
+    w = np.array([remainder(unit) for unit in np.eye(GRID.cell_count)])
+    np.testing.assert_allclose(incs @ w, diffs, rtol=0, atol=1e-12)
+    exact = float(np.sum(cell_widths(GRID) * w ** 2))
+    assert abs(exact - f.cond_var(tau, t)) <= 0.01 * f.cond_var(tau, t)
+    known = GRID.index_of(tau)  # the cells before this index end by tau
+    assert not np.any(w[:known])
+    moved = incs[:3].copy()
+    moved[:, :known] = incs[3:6, :known]
+    np.testing.assert_allclose([remainder(row) for row in moved], diffs[:3], rtol=0, atol=1e-12)
 
 
 def _fbm_forecast_oracle(h1, a, j, incs):
