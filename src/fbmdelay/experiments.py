@@ -67,6 +67,7 @@ from .noise import (
     past_dot,
     refuse_no_history,
     row_dot,
+    weights_cov,
 )
 
 __all__ = [
@@ -251,6 +252,15 @@ def _energy_quadrature(grid: SimulationGrid, hp: HurstParameter):
     return eval_idx, w
 
 
+@functools.lru_cache(maxsize=8)
+def _discrete_dr_moments(grid: SimulationGrid, hp: HurstParameter) -> tuple[float, float]:
+    """Exact E DR_H(T)^2 and E of the energy quadrature on [0, T], of the discrete synthesis: once per (grid, h)."""
+    m0 = grid.origin_index
+    eval_idx, quad_w = _energy_quadrature(grid, hp)
+    return (discrete_dr_energy(grid, hp, m0, eval_idx[-1:], np.ones(1)),
+            discrete_dr_energy(grid, hp, m0, eval_idx, quad_w))
+
+
 @dataclass(frozen=True)
 class DrMomentReport:
     h: float
@@ -277,18 +287,21 @@ def verify_dr_moments(hp: HurstParameter, span: float, reps: int, seed: int,
         raise ValueError(f"span {span} is not the grid horizon {grid.horizon}")
     m0 = grid.origin_index
     plan = _plan(grid, (hp,), cells=m0)  # DR_H reads no cell from the origin on: draw the history only
-    eval_idx, quad_w = _energy_quadrature(grid, hp)
+    quad_w = _energy_quadrature(grid, hp)[1]
 
     def per_chunk(incs):
-        drv = dr_values(incs, grid, hp, m0)  # lattice j = m0+1 .. cell_count = eval_idx
-        return drv[:, -1] ** 2, np.sum(drv ** 2 * quad_w, axis=-1)
+        drv = dr_values(incs, grid, hp, m0)  # lattice j = m0+1 .. cell_count, the quadrature's points
+        sq = np.square(drv, out=drv)  # in place, as is the weighting: the chunk's own array, no temporaries
+        point = sq[:, -1].copy()
+        sq *= quad_w
+        return point, np.sum(sq, axis=-1)
 
     point, energy = _replicate(seed, plan, reps, per_chunk)
 
     p_closed = dr_pointwise_closed_form(hp, span)
     e_closed = dr_energy_closed_form(hp, span)
-    p_budget = abs(p_closed - discrete_dr_energy(grid, hp, m0, eval_idx[-1:], np.ones(1)))
-    e_budget = abs(e_closed - discrete_dr_energy(grid, hp, m0, eval_idx, quad_w))
+    p_discrete, e_discrete = _discrete_dr_moments(grid, hp)
+    p_budget, e_budget = abs(p_closed - p_discrete), abs(e_closed - e_discrete)
     return DrMomentReport(
         h=hp.h, span=span,
         pointwise=_mc(point, seed, p_budget),
@@ -297,10 +310,21 @@ def verify_dr_moments(hp: HurstParameter, span: float, reps: int, seed: int,
     )
 
 
+@functools.lru_cache(maxsize=8)
+def _law_weights(grid: SimulationGrid, hp: HurstParameter) -> tuple[np.ndarray, float, float]:
+    """The read-only (2, cells) weights of B_H(T) and B_H(T/2), with their exact discrete Var B_H(T) and
+    Cov(B_H(T), B_H(T/2)): discrete_fbm_cov's sum over the same two vectors, built once per (grid, h)."""
+    end = fbm_weight_vector(grid, hp, grid.index_of(grid.horizon))
+    mid = fbm_weight_vector(grid, hp, grid.index_of(grid.horizon / 2))
+    weights = np.stack([end, mid])
+    weights.setflags(write=False)
+    return weights, weights_cov(grid, end, end), weights_cov(grid, end, mid)
+
+
 def fbm_law_check(hp: HurstParameter, reps: int, seed: int, grid: SimulationGrid = DESK):
     """MC Var B_H(1) and Cov(B_H(1), B_H(1/2)) with exact discrete-expectation budgets."""
-    m0, n, plan = grid.origin_index, grid.main_steps, _plan(grid, (hp,))
-    weights = np.stack([fbm_weight_vector(grid, hp, m0 + n), fbm_weight_vector(grid, hp, m0 + n // 2)])
+    plan = _plan(grid, (hp,))
+    weights, var_discrete, cov_discrete = _law_weights(grid, hp)
 
     def per_chunk(incs):
         end, mid = row_dot("ri,ki->kr", incs, weights)
@@ -310,8 +334,7 @@ def fbm_law_check(hp: HurstParameter, reps: int, seed: int, grid: SimulationGrid
     t, s = grid.horizon, grid.horizon / 2
     var_closed = t ** (2 * hp.h)
     cov_closed = 0.5 * (t ** (2 * hp.h) + s ** (2 * hp.h) - (t - s) ** (2 * hp.h))
-    var_budget = abs(var_closed - discrete_fbm_cov(grid, hp, t, t))
-    cov_budget = abs(cov_closed - discrete_fbm_cov(grid, hp, t, s))
+    var_budget, cov_budget = abs(var_closed - var_discrete), abs(cov_closed - cov_discrete)
     return (_mc(var_s, seed, var_budget), var_closed), (_mc(cov_s, seed, cov_budget), cov_closed)
 
 

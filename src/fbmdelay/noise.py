@@ -344,7 +344,8 @@ def history_conv(incs: np.ndarray, table: np.ndarray | None,
     x = incs[..., lo:end]
     m = end - lo
     kernels = () if table is None else table.shape[:-1]
-    out = np.zeros(kernels + incs.shape[:-1] + (max(j1 - j0, 0),))
+    # the transform writes every output from k0 + lo on: where that is j0, none is left to zero
+    out = (np.empty if n and k0 + lo == j0 else np.zeros)(kernels + incs.shape[:-1] + (max(j1 - j0, 0),))
     if not n:
         return out
     if table is None:
@@ -725,8 +726,8 @@ def process_values(incs: np.ndarray, grid: SimulationGrid, hp: HurstParameter,
 
 def dr_pointwise_closed_form(hp: HurstParameter, span: float) -> float:
     """E DR_H(s + span)^2 = c_h^2 (h-1/2)^2 / (2-2h) * span^(2h-2)."""
-    if hp.is_brownian:
-        return 0.0
+    if span <= 0.0:
+        raise ValueError("span must be positive")
     h = hp.h
     return hp.c_h ** 2 * (h - HALF) ** 2 / (2 - 2 * h) * span ** (2 * h - 2)
 
@@ -757,8 +758,12 @@ def fbm_weight_vector(grid: SimulationGrid, hp: HurstParameter, t_idx: int) -> n
 
 def discrete_fbm_cov(grid: SimulationGrid, hp: HurstParameter, t1: float, t2: float) -> float:
     """Exact E[B_H(t1) B_H(t2)] of the synthesized (truncated, discretized) process: sum width * w1 * w2."""
-    w1 = fbm_weight_vector(grid, hp, grid.index_of(t1))
-    w2 = fbm_weight_vector(grid, hp, grid.index_of(t2))
+    return weights_cov(grid, fbm_weight_vector(grid, hp, grid.index_of(t1)),
+                       fbm_weight_vector(grid, hp, grid.index_of(t2)))
+
+
+def weights_cov(grid: SimulationGrid, w1: np.ndarray, w2: np.ndarray) -> float:
+    """E[(w1 . dB) (w2 . dB)] = sum width * w1 * w2 for per-cell weights w1, w2 on the grid's cells."""
     far = grid.far_cells
     return float(grid.step * np.dot(w1[far:], w2[far:]) + np.dot(grid.far_widths() * w1[:far], w2[:far]))
 

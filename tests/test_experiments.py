@@ -20,7 +20,8 @@ from hypothesis import given, settings, strategies as st
 import fbmdelay.experiments
 import fbmdelay.integrands
 from fbmdelay.kernels import hurst_constant
-from fbmdelay.noise import dr_pointwise_closed_form, dr_values, generate_noise_batch, make_grid
+from fbmdelay.noise import (discrete_dr_energy, discrete_fbm_cov, dr_energy_closed_form, dr_pointwise_closed_form,
+                           dr_values, generate_noise_batch, make_grid)
 from fbmdelay.experiments import (
     DESK,
     ContinuityNotApplicableError,
@@ -255,6 +256,40 @@ def test_fbm_law_check_small_scale():
     assert cov_closed == 0.5
     assert abs(var_res.estimate - var_closed) <= 3 * var_res.std_error + var_res.truncation_budget
     assert abs(cov_res.estimate - cov_closed) <= 3 * cov_res.std_error + cov_res.truncation_budget
+
+
+def test_each_grid_and_h_builds_its_moment_budgets_once(monkeypatch):
+    """Two verify_dr_moments calls at one (grid, h) take two discrete_dr_energy calls in all, and two
+    fbm_law_check calls build two weight vectors in all; the budgets are the fresh exact values, bit for bit."""
+    calls = Counter()
+
+    def spy(name):
+        real = getattr(fbmdelay.experiments, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(fbmdelay.experiments, name, counted)
+
+    spy("discrete_dr_energy")
+    spy("fbm_weight_vector")
+    fbmdelay.experiments._discrete_dr_moments.cache_clear()
+    fbmdelay.experiments._law_weights.cache_clear()
+    dr = [verify_dr_moments(H75, 1.0, 100, seed, SMALL) for seed in (3, 4)]
+    law = [fbm_law_check(H75, 100, seed, SMALL) for seed in (3, 4)]
+    assert calls == {"discrete_dr_energy": 2, "fbm_weight_vector": 2}
+    monkeypatch.undo()
+    m0 = SMALL.origin_index
+    eval_idx, quad_w = _energy_quadrature(SMALL, H75)
+    point = abs(dr_pointwise_closed_form(H75, 1.0) - discrete_dr_energy(SMALL, H75, m0, eval_idx[-1:], [1.0]))
+    energy = abs(dr_energy_closed_form(H75, 1.0) - discrete_dr_energy(SMALL, H75, m0, eval_idx, quad_w))
+    var = abs(1.0 - discrete_fbm_cov(SMALL, H75, 1.0, 1.0))
+    cov = abs(0.5 - discrete_fbm_cov(SMALL, H75, 1.0, 0.5))
+    for report in dr:
+        assert (report.pointwise.truncation_budget, report.energy.truncation_budget) == (point, energy)
+    for (var_res, _), (cov_res, _) in law:
+        assert (var_res.truncation_budget, cov_res.truncation_budget) == (var, cov)
+    assert dr[0].pointwise.estimate != dr[1].pointwise.estimate  # the seeds still draw their own rows
 
 
 def test_shiryaev_defect_decreases_and_validates():

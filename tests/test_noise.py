@@ -419,6 +419,22 @@ def test_dr_second_moment_scaling_in_span():
     assert dr_energy_closed_form(H5, 1.0) == 0.0
 
 
+@pytest.mark.parametrize("h", [0.5, 0.75])
+def test_the_closed_forms_refuse_a_span_that_is_not_positive(h):
+    """Both closed forms refuse span <= 0 with ValueError, at h = 1/2 too; the pointwise one is exactly 0.0 there.
+
+    At the parent the pointwise form at h = 0.75 returned a complex number for span -1 and raised
+    ZeroDivisionError at span 0.
+    """
+    hp = hurst_constant(h)
+    for closed_form in (dr_pointwise_closed_form, dr_energy_closed_form):
+        for span in (0.0, -1.0):
+            with pytest.raises(ValueError, match="span must be positive"):
+                closed_form(hp, span)
+    if h == 0.5:
+        assert [dr_pointwise_closed_form(hp, span) for span in (1e-300, 0.5, 1.0, 1e300)] == [0.0] * 4
+
+
 def _exact_dr_table(hp, m, step):
     """D[m] = ((m step)^p - ((m-1) step)^p) / step with p = h - 1/2, at mpmath's working precision."""
     p = mpmath.mpf(hp.h) - mpmath.mpf(0.5)  # exact: h - 1/2 has no rounding for h in [1/2, 1)
