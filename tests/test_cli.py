@@ -608,7 +608,7 @@ def test_manifest_replay_refuses_another_history_lattice(tmp_path, capsys, edit,
 @pytest.mark.parametrize("edit,noise", [
     (lambda m: m.pop("noise"), "None"),  # every manifest written before the noise record
     (lambda m: m["noise"].update(bit_generator="Philox"), "{'bit_generator': 'Philox'}"),
-])
+], ids=["missing", "Philox"])
 def test_manifest_replay_refuses_another_bit_generator_before_any_draw(tmp_path, tmp_path_factory, capsys,
                                                                        monkeypatch, edit, noise):
     """A manifest that names no bit generator, or another one, is refused in one line before any kernel or draw:
