@@ -252,15 +252,6 @@ def _energy_quadrature(grid: SimulationGrid, hp: HurstParameter):
     return eval_idx, w
 
 
-@functools.lru_cache(maxsize=8)
-def _discrete_dr_moments(grid: SimulationGrid, hp: HurstParameter) -> tuple[float, float]:
-    """Exact E DR_H(T)^2 and E of the energy quadrature on [0, T], of the discrete synthesis: once per (grid, h)."""
-    m0 = grid.origin_index
-    eval_idx, quad_w = _energy_quadrature(grid, hp)
-    return (discrete_dr_energy(grid, hp, m0, eval_idx[-1:], np.ones(1)),
-            discrete_dr_energy(grid, hp, m0, eval_idx, quad_w))
-
-
 @dataclass(frozen=True)
 class DrMomentReport:
     h: float
@@ -287,7 +278,7 @@ def verify_dr_moments(hp: HurstParameter, span: float, reps: int, seed: int,
         raise ValueError(f"span {span} is not the grid horizon {grid.horizon}")
     m0 = grid.origin_index
     plan = _plan(grid, (hp,), cells=m0)  # DR_H reads no cell from the origin on: draw the history only
-    quad_w = _energy_quadrature(grid, hp)[1]
+    eval_idx, quad_w = _energy_quadrature(grid, hp)
 
     def per_chunk(incs):
         drv = dr_values(incs, grid, hp, m0)  # lattice j = m0+1 .. cell_count, the quadrature's points
@@ -300,8 +291,8 @@ def verify_dr_moments(hp: HurstParameter, span: float, reps: int, seed: int,
 
     p_closed = dr_pointwise_closed_form(hp, span)
     e_closed = dr_energy_closed_form(hp, span)
-    p_discrete, e_discrete = _discrete_dr_moments(grid, hp)
-    p_budget, e_budget = abs(p_closed - p_discrete), abs(e_closed - e_discrete)
+    p_budget = abs(p_closed - discrete_dr_energy(grid, hp, m0, eval_idx[-1:], np.ones(1)))
+    e_budget = abs(e_closed - discrete_dr_energy(grid, hp, m0, eval_idx, quad_w))
     return DrMomentReport(
         h=hp.h, span=span,
         pointwise=_mc(point, seed, p_budget),
@@ -310,31 +301,23 @@ def verify_dr_moments(hp: HurstParameter, span: float, reps: int, seed: int,
     )
 
 
-@functools.lru_cache(maxsize=8)
-def _law_weights(grid: SimulationGrid, hp: HurstParameter) -> tuple[np.ndarray, float, float]:
-    """The read-only (2, cells) weights of B_H(T) and B_H(T/2), with their exact discrete Var B_H(T) and
-    Cov(B_H(T), B_H(T/2)): discrete_fbm_cov's sum over the same two vectors, built once per (grid, h)."""
-    end = fbm_weight_vector(grid, hp, grid.index_of(grid.horizon))
-    mid = fbm_weight_vector(grid, hp, grid.index_of(grid.horizon / 2))
-    weights = np.stack([end, mid])
-    weights.setflags(write=False)
-    return weights, weights_cov(grid, end, end), weights_cov(grid, end, mid)
-
-
 def fbm_law_check(hp: HurstParameter, reps: int, seed: int, grid: SimulationGrid = DESK):
-    """MC Var B_H(1) and Cov(B_H(1), B_H(1/2)) with exact discrete-expectation budgets."""
+    """MC Var B_H(1) and Cov(B_H(1), B_H(1/2)) with exact discrete-expectation budgets.
+
+    The budgets are discrete_fbm_cov's sum over the same two weight vectors the estimates read."""
     plan = _plan(grid, (hp,))
-    weights, var_discrete, cov_discrete = _law_weights(grid, hp)
+    t, s = grid.horizon, grid.horizon / 2
+    weights = np.stack([fbm_weight_vector(grid, hp, grid.index_of(t)), fbm_weight_vector(grid, hp, grid.index_of(s))])
 
     def per_chunk(incs):
         end, mid = row_dot("ri,ki->kr", incs, weights)
         return end ** 2, end * mid
 
     var_s, cov_s = _replicate(seed, plan, reps, per_chunk)
-    t, s = grid.horizon, grid.horizon / 2
     var_closed = t ** (2 * hp.h)
     cov_closed = 0.5 * (t ** (2 * hp.h) + s ** (2 * hp.h) - (t - s) ** (2 * hp.h))
-    var_budget, cov_budget = abs(var_closed - var_discrete), abs(cov_closed - cov_discrete)
+    var_budget = abs(var_closed - weights_cov(grid, weights[0], weights[0]))
+    cov_budget = abs(cov_closed - weights_cov(grid, weights[0], weights[1]))
     return (_mc(var_s, seed, var_budget), var_closed), (_mc(cov_s, seed, cov_budget), cov_closed)
 
 

@@ -344,8 +344,7 @@ def history_conv(incs: np.ndarray, table: np.ndarray | None,
     x = incs[..., lo:end]
     m = end - lo
     kernels = () if table is None else table.shape[:-1]
-    # the transform writes every output from k0 + lo on: where that is j0, none is left to zero
-    out = (np.empty if n and k0 + lo == j0 else np.zeros)(kernels + incs.shape[:-1] + (max(j1 - j0, 0),))
+    out = np.zeros(kernels + incs.shape[:-1] + (max(j1 - j0, 0),))
     if not n:
         return out
     if table is None:

@@ -19,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 import fbmdelay.experiments
 import fbmdelay.integrands
+import fbmdelay.noise
 from fbmdelay.kernels import hurst_constant
 from fbmdelay.noise import (discrete_dr_energy, discrete_fbm_cov, dr_energy_closed_form, dr_pointwise_closed_form,
                            dr_values, generate_noise_batch, make_grid)
@@ -258,38 +259,29 @@ def test_fbm_law_check_small_scale():
     assert abs(cov_res.estimate - cov_closed) <= 3 * cov_res.std_error + cov_res.truncation_budget
 
 
-def test_each_grid_and_h_builds_its_moment_budgets_once(monkeypatch):
-    """Two verify_dr_moments calls at one (grid, h) take two discrete_dr_energy calls in all, and two
-    fbm_law_check calls build two weight vectors in all; the budgets are the fresh exact values, bit for bit."""
+def test_a_law_op_builds_two_weight_vectors_and_its_budgets_are_the_exact_discrete_values(monkeypatch):
+    """One fbm_law_check call builds the two weight vectors its estimates read, and no more; its budgets,
+    and those of verify_dr_moments, are the fresh discrete_fbm_cov and discrete_dr_energy values bit for bit."""
     calls = Counter()
+    real = fbmdelay.experiments.fbm_weight_vector
 
-    def spy(name):
-        real = getattr(fbmdelay.experiments, name)
-
-        def counted(*args, **kwargs):
-            calls[name] += 1
-            return real(*args, **kwargs)
-        monkeypatch.setattr(fbmdelay.experiments, name, counted)
-
-    spy("discrete_dr_energy")
-    spy("fbm_weight_vector")
-    fbmdelay.experiments._discrete_dr_moments.cache_clear()
-    fbmdelay.experiments._law_weights.cache_clear()
-    dr = [verify_dr_moments(H75, 1.0, 100, seed, SMALL) for seed in (3, 4)]
-    law = [fbm_law_check(H75, 100, seed, SMALL) for seed in (3, 4)]
-    assert calls == {"discrete_dr_energy": 2, "fbm_weight_vector": 2}
+    def counted(*args, **kwargs):
+        calls["fbm_weight_vector"] += 1
+        return real(*args, **kwargs)
+    for module in (fbmdelay.experiments, fbmdelay.noise):  # the noise one is what discrete_fbm_cov calls
+        monkeypatch.setattr(module, "fbm_weight_vector", counted)
+    (var_res, _), (cov_res, _) = fbm_law_check(H75, 100, 3, SMALL)
+    assert calls == {"fbm_weight_vector": 2}
     monkeypatch.undo()
+    assert var_res.truncation_budget == abs(1.0 - discrete_fbm_cov(SMALL, H75, 1.0, 1.0))
+    assert cov_res.truncation_budget == abs(0.5 - discrete_fbm_cov(SMALL, H75, 1.0, 0.5))
     m0 = SMALL.origin_index
     eval_idx, quad_w = _energy_quadrature(SMALL, H75)
-    point = abs(dr_pointwise_closed_form(H75, 1.0) - discrete_dr_energy(SMALL, H75, m0, eval_idx[-1:], [1.0]))
-    energy = abs(dr_energy_closed_form(H75, 1.0) - discrete_dr_energy(SMALL, H75, m0, eval_idx, quad_w))
-    var = abs(1.0 - discrete_fbm_cov(SMALL, H75, 1.0, 1.0))
-    cov = abs(0.5 - discrete_fbm_cov(SMALL, H75, 1.0, 0.5))
-    for report in dr:
-        assert (report.pointwise.truncation_budget, report.energy.truncation_budget) == (point, energy)
-    for (var_res, _), (cov_res, _) in law:
-        assert (var_res.truncation_budget, cov_res.truncation_budget) == (var, cov)
-    assert dr[0].pointwise.estimate != dr[1].pointwise.estimate  # the seeds still draw their own rows
+    report = verify_dr_moments(H75, 1.0, 100, 3, SMALL)
+    assert report.pointwise.truncation_budget == abs(
+        dr_pointwise_closed_form(H75, 1.0) - discrete_dr_energy(SMALL, H75, m0, eval_idx[-1:], [1.0]))
+    assert report.energy.truncation_budget == abs(
+        dr_energy_closed_form(H75, 1.0) - discrete_dr_energy(SMALL, H75, m0, eval_idx, quad_w))
 
 
 def test_shiryaev_defect_decreases_and_validates():
