@@ -791,7 +791,7 @@ def discrete_dr_energy(grid: SimulationGrid, hp: HurstParameter, seg_idx: int,
     if far:
         kernel = history_kernel(grid, (hp,), "DR_H")
         gram = (kernel.far[0] * grid.far_widths()) @ kernel.far[0].T
-        basis = kernel.basis[:, eval_idx - grid.origin_index]
+        basis = kernel.basis.take(eval_idx - grid.origin_index, axis=1)  # C-ordered: the einsum's fast layout
         moments += np.einsum("mj,mn,nj->j", basis, gram, basis)
     return float(np.dot(quad_weights, moments))
 
