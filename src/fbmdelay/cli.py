@@ -106,6 +106,7 @@ def _resolve_out(path: str) -> str:
     return path
 
 
+# traffic: only repeated in-process parse_and_dispatch calls; it saves about 1.2 ms of a 4-8 ms desk command
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The one parser of the process: parse_args keeps no state in it between calls."""
@@ -217,23 +218,18 @@ def _lattice(grid: SimulationGrid) -> dict:
             "main_cells": grid.main_steps}
 
 
-def _check_lattice(stored: dict, cfg: RunConfig) -> None:
-    """Refuse a manifest whose history lattice is not the one this build makes of its config."""
-    want = _lattice(make_grid(cfg.horizon, cfg.steps, cfg.warmup))
-    if stored.get("lattice") != want:
-        raise ValueError(f"manifest history lattice {stored.get('lattice')} is not this build's {want}; "
-                         "rerun the command to write a new manifest")
-
-
 #: the noise record of a manifest: a seed draws these bytes only with this bit generator
 _NOISE = {"bit_generator": BIT_GENERATOR}
 
 
-def _check_noise(stored: dict) -> None:
-    """Refuse a manifest whose noise was drawn by another bit generator, or that does not name one."""
-    if stored.get("noise") != _NOISE:
-        raise ValueError(f"manifest noise {stored.get('noise')} is not this build's {_NOISE}; "
-                         "rerun the command to write a new manifest")
+def _check_record(stored: dict, cfg: RunConfig) -> None:
+    """Refuse a manifest whose noise (checked first) or history lattice is not the one this build makes of its
+    config, or that does not name it: a seed's output bytes depend on both."""
+    lattice = _lattice(make_grid(cfg.horizon, cfg.steps, cfg.warmup))
+    for key, name, want in (("noise", "noise", _NOISE), ("lattice", "history lattice", lattice)):
+        if stored.get(key) != want:
+            raise ValueError(f"manifest {name} {stored.get(key)} is not this build's {want}; "
+                             "rerun the command to write a new manifest")
 
 
 def _run(cfg: RunConfig) -> list[str]:
@@ -287,8 +283,7 @@ def parse_and_dispatch(argv=None) -> int:
                 stored = json.load(fh)
             cfg = _config_from_manifest(stored)
             cfg.validate()
-            _check_noise(stored)
-            _check_lattice(stored, cfg)
+            _check_record(stored, cfg)
         elif args.command is None:
             parser.print_usage(sys.stderr)
             return 2

@@ -20,7 +20,6 @@ DESK, the desk-scale grid), and follows the same discipline:
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import os
@@ -496,19 +495,12 @@ def _check_start(grid: SimulationGrid, gamma: Integrand) -> Integrand:
     return inner
 
 
-@functools.lru_cache(maxsize=16)
-def _closed_x_norm(spec: str, grid: SimulationGrid) -> float | None:
-    """closed_form_x_norm of the integrand that spec parses to on grid: one sum per spec and grid."""
-    return closed_form_x_norm(parse_integrand(spec, horizon=grid.horizon), grid)
-
-
 def continuity_study(gamma: Integrand | str, hursts, reps: int, seed: int,
                      grid: SimulationGrid = DESK, proj_level: int = 8) -> ContinuityCurve:
     """Pathwise L1 gaps E|I_H(gamma) - I_(1/2)(gamma)| under common noise, per Hurst value; right after _plan,
     before any kernel or draw, an integrand with no closed-form ||gamma||_X (x_norm_ref) is refused."""
-    spec = gamma if isinstance(gamma, str) else None
-    if spec is not None:
-        gamma = parse_integrand(spec, horizon=grid.horizon)
+    if isinstance(gamma, str):
+        gamma = parse_integrand(gamma, horizon=grid.horizon)
     if not isinstance(gamma, PiecewisePredictableIntegrand) and not (gamma.nu_exponent or 0.0) > 0.0:
         raise ContinuityNotApplicableError(
             f"integrand {gamma.spec_string()!r} has forecast-variance exponent nu = 0 and is not "
@@ -519,7 +511,7 @@ def continuity_study(gamma: Integrand | str, hursts, reps: int, seed: int,
     if any(hp.is_brownian for hp in hps):
         raise ValueError("the baseline h = 1/2 is implicit; pass only h > 1/2 values")
     half, plan = hurst_constant(HALF), _plan(grid, hps)
-    x_ref = closed_form_x_norm(gamma, grid) if spec is None else _closed_x_norm(spec, grid)
+    x_ref = closed_form_x_norm(gamma, grid)
     if x_ref is None:
         raise ValueError(f"integrand {gamma.spec_string()!r} has no closed-form ||gamma||_X for the study to report")
     m0, end = grid.origin_index, int(_segment_lattice_indices(grid, seg)[-1])
@@ -600,7 +592,7 @@ def cauchy_decay_study(gamma: Integrand | str, hp: HurstParameter, levels, reps:
 
     def per_chunk(incs):
         # dB at h = 1/2, where value is the Ito sum and cross is 0; else d_tail and d_main
-        fields = [incs[..., m0:end]] if hp.is_brownian else [f[0] for f in noise_transforms(grid, incs, (hp,), end)]
+        fields = [incs[..., m0:end]] if hp.is_brownian else noise_transforms(grid, incs, hp, end)
         gaps = []
         for m, step in zip(pair_levels, gamma.level_steps(grid, incs, levels)):
             # the parts are linear in gamma: each gap is one inner product with the level step,

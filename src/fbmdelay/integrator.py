@@ -65,24 +65,21 @@ def _segment_lattice_indices(grid: SimulationGrid, seg: SegmentGrid) -> np.ndarr
     return idx
 
 
-def noise_transforms(grid: SimulationGrid, incs: np.ndarray, hps, end: int):
-    """(d_tail, d_main): the history increment fields of every assembly on this noise, per h.
+def noise_transforms(grid: SimulationGrid, incs: np.ndarray, hp: HurstParameter, end: int):
+    """(d_tail, d_main): the history increment fields of every assembly on this noise, at one h > 1/2.
 
-    For each h in hps, on the fine cells origin..end - 1, the lattice
-    increments of the warmup history (cells before the origin) and of the
-    synthesis on the main window, stacked as (len(hps), ..., end - origin);
-    their sum is dB_H.  One stacked convolution covers each window, so each
-    is transformed forward once for all h; field q is byte for byte that of
-    hps[q] alone, and depends only on (noise, h, end).
-    The fields vanish at h = 1/2: (None, None) when every h is 1/2, and a
-    list mixing h = 1/2 with h > 1/2 is refused (see noise.history_kernel).
+    On the fine cells origin..end - 1, the lattice increments of the warmup
+    history (cells before the origin) and of the synthesis on the main
+    window, each (..., end - origin); their sum is dB_H.  They depend only
+    on (noise, h, end).  At h = 1/2 both fields vanish and the call is
+    refused: its callers read dB itself there.
     """
-    kernel = history_kernel(grid, hps)
-    if kernel is None:
-        return None, None
+    if hp.is_brownian:
+        raise ValueError("the history fields vanish at h = 1/2; read the increments themselves")
+    kernel = history_kernel(grid, (hp,))
     m0 = grid.origin_index
-    d_tail = np.diff(past_conv(incs, grid, kernel, m0, (m0, end + 1)), axis=-1)
-    return d_tail, np.diff(history_conv(incs, kernel.table, (m0, end), (m0, end + 1)), axis=-1)
+    d_tail = np.diff(past_conv(incs, grid, kernel, m0, (m0, end + 1))[0], axis=-1)
+    return d_tail, np.diff(history_conv(incs, kernel.table[0], (m0, end), (m0, end + 1)), axis=-1)
 
 
 def _ito_table(grid: SimulationGrid, hp: HurstParameter, lags: int) -> np.ndarray:
@@ -129,8 +126,7 @@ def delayed_parts_for_cells(gamma_cells: np.ndarray, seg: SegmentGrid, grid: Sim
         ito = _dot(gamma_cells, incs[..., m0:end])
         return ito, ito.copy(), np.zeros(ito.shape), np.zeros(ito.shape)
     ito = _dot(gamma_cells, block_conv(incs[..., m0:end], _ito_table(grid, hp, end - m0), seg_idx - m0))
-    transforms = noise_transforms(grid, incs, (hp,), end)
-    tail, main = (_dot(gamma_cells, field[0]) for field in transforms)
+    tail, main = (_dot(gamma_cells, field) for field in noise_transforms(grid, incs, hp, end))
     return tail + main, ito, tail, main - ito
 
 

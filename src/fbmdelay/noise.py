@@ -40,8 +40,8 @@ through the transforms, and through past_conv's far product, in blocks of
 at most `_FFT_BLOCK_POINTS` points, 0.5 MiB of float64: a block's padded
 rows, spectrum and inverse stay in L2, and a stage holds its result and a
 few blocks whatever the batch or the number of kernels.
-`fbm_values` and the delayed integral's history fields take a list of
-Hurst values this way.
+`fbm_values` and `past_dot` (the continuity study's values) take a list
+of Hurst values this way.
 
 Everything here runs on the calling thread: the drivers run whole chunks
 of replications on threads instead (`experiments._replicate`), and each
@@ -61,7 +61,7 @@ from __future__ import annotations
 import functools
 import math
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from numbers import Integral
 from typing import ClassVar
 
@@ -414,42 +414,18 @@ class HistoryKernel:
     main lattice point j are sum_m basis[m, j - origin] far[q, m]: far holds
     them at the FAR_NODES Chebyshev nodes of [0, T], and basis interpolates
     (B_H's over t, and basis times t; far is (k, FAR_NODES, 0) on a grid
-    with no far cells).  spectra caches the half spectra of past_dot, per window.
+    with no far cells).
     """
 
     table: np.ndarray
     far: np.ndarray
     basis: np.ndarray
-    spectra: dict = field(default_factory=dict, init=False, compare=False, repr=False)
-
-    def spectrum(self, k0: int, k1: int, n: int) -> np.ndarray:
-        """past_dot's weighted half spectrum of every kernel, for output lags k0..k1 - 1 at FFT length n.
-
-        The kernel at lags 1..k1 - 1 is rolled so that lag k0 sits at index
-        0: its circular correlation with the weights, which start at lag k0,
-        is then the inner product with the convolution.  Row q holds
-        c_k T_k / n as (Re, -Im) pairs, T the rfft of table[q] so rolled and
-        c_k the count of bin k in the full spectrum: 1 at 0 and n/2, else 2.
-        Built once per window under the kernel lock, shared by every chunk
-        thread.
-        """
-        with _KERNEL_LOCK:
-            if (k0, k1, n) not in self.spectra:
-                rolled = np.zeros((len(self.table), n))
-                rolled[:, :k1 - k0] = self.table[:, k0:k1]
-                rolled[:, n - k0 + 1:] = self.table[:, 1:k0]
-                t = _fft.rfft(rolled, n, axis=-1)
-                t[:, 1:(n + 1) // 2] *= 2.0
-                t /= n
-                spectrum = np.stack([t.real, -t.imag], axis=-1).reshape(len(t), -1)
-                spectrum.setflags(write=False)
-                self.spectra[k0, k1, n] = spectrum
-            return self.spectra[k0, k1, n]
 
     def far_weights(self, grid: SimulationGrid, j) -> np.ndarray:
         """(len(hps), ..., far_cells): the far cells' weights at main lattice point(s) j."""
         if np.any(np.asarray(j) < grid.origin_index):
             raise ValueError("far weights are taken at main lattice points, from the origin on")
+        _refuse_past_the_end(grid, j)
         cols = self.basis[:, np.asarray(j) - grid.origin_index]
         return row_dot("qmf,m...->q...f", self.far, cols)
 
@@ -469,6 +445,7 @@ def history_kernel(grid: SimulationGrid, hps, kind: str = "B_H") -> HistoryKerne
         return _build_kernel(grid, tuple(hps), kind)
 
 
+# traffic: every chunk thread and every reader (fields, integrands, budgets) of one run asks for the same kernel
 @functools.lru_cache(maxsize=8)
 def _build_kernel(grid: SimulationGrid, hps: tuple, kind: str) -> HistoryKernel | None:
     n = grid.cell_count - grid.far_cells
@@ -524,6 +501,7 @@ def _far_at_nodes(grid: SimulationGrid, hps, kind: str) -> np.ndarray:
     return far
 
 
+# traffic: one basis per grid and kind for every h list, e.g. continuity's 4-h kernel and its fbm:0.75 integrand's
 @functools.lru_cache(maxsize=4)
 def _far_basis(grid: SimulationGrid, kind: str) -> np.ndarray:
     """HistoryKernel.basis, shared by every h: the Lagrange basis of the nodes at the main lattice points.
@@ -547,6 +525,12 @@ def refuse_no_history(grid: SimulationGrid) -> None:
     """Refuse a grid with no cells before the origin: its readers, and a plan at h > 1/2, would cut the history."""
     if grid.origin_index == 0:
         raise ValueError(f"--warmup {grid.warmup_length!r} leaves no history, which a run at h > 1/2 needs")
+
+
+def _refuse_past_the_end(grid: SimulationGrid, j) -> None:
+    """Refuse a lattice index past the grid's last point, cell_count: a weight or moment there has no cells."""
+    if np.any(np.asarray(j) > grid.cell_count):
+        raise ValueError(f"lattice index {np.max(j)} is past the grid's last point, index {grid.cell_count}")
 
 
 def past_conv(incs: np.ndarray, grid: SimulationGrid, kernel: HistoryKernel, cells_end: int,
@@ -576,6 +560,24 @@ def past_conv(incs: np.ndarray, grid: SimulationGrid, kernel: HistoryKernel, cel
     return y
 
 
+def _parseval_spectrum(table: np.ndarray, k0: int, k1: int, n: int) -> np.ndarray:
+    """past_dot's weighted half spectrum of every kernel in table, for output lags k0..k1 - 1 at FFT length n.
+
+    The kernel at lags 1..k1 - 1 is rolled so that lag k0 sits at index
+    0: its circular correlation with the weights, which start at lag k0,
+    is then the inner product with the convolution.  Row q holds
+    c_k T_k / n as (Re, -Im) pairs, T the rfft of table[q] so rolled and
+    c_k the count of bin k in the full spectrum: 1 at 0 and n/2, else 2.
+    """
+    rolled = np.zeros((len(table), n))
+    rolled[:, :k1 - k0] = table[:, k0:k1]
+    rolled[:, n - k0 + 1:] = table[:, 1:k0]
+    t = _fft.rfft(rolled, n, axis=-1)
+    t[:, 1:(n + 1) // 2] *= 2.0
+    t /= n
+    return np.stack([t.real, -t.imag], axis=-1).reshape(len(t), -1)
+
+
 def past_dot(incs: np.ndarray, grid: SimulationGrid, kernel: HistoryKernel, cells_end: int,
              outputs: tuple[int, int], weights: np.ndarray) -> np.ndarray:
     """sum_j weights[..., j] * past_conv(incs, grid, kernel, cells_end, outputs)[q, ..., j], per kernel q.
@@ -593,7 +595,7 @@ def past_dot(incs: np.ndarray, grid: SimulationGrid, kernel: HistoryKernel, cell
       cells of one step (one window, from the far cells to cells_end) and
       its weights are transformed forward once, and per kernel the product
       is Re sum_k c_k X_k conj(A_k) T_k / n over the half spectrum, at
-      history_conv's FFT length (see HistoryKernel.spectrum).  The far
+      history_conv's FFT length (see _parseval_spectrum).  The far
       cells enter through the basis applied to the weights, FAR_NODES
       numbers a row.  Rows go through in blocks of at most
       _FFT_BLOCK_POINTS FFT points.
@@ -638,7 +640,7 @@ def past_dot(incs: np.ndarray, grid: SimulationGrid, kernel: HistoryKernel, cell
     dense = ~direct if direct.any() else slice(None)  # every row as a view, or the dense ones as a copy
     x, ax, y = rows[dense], a[dense], out[:, dense]
     if n and len(x):
-        spectrum = kernel.spectrum(k0, k1, n)
+        spectrum = _parseval_spectrum(kernel.table, k0, k1, n)
         for blk in _row_blocks(len(x), n):
             fx = _fft.rfft(x[blk, far:end], n, axis=-1)
             fa = _fft.rfft(ax[blk, k0 + far - j0:], n, axis=-1)
@@ -745,6 +747,7 @@ def dr_energy_closed_form(hp: HurstParameter, span: float) -> float:
 
 def fbm_weight_vector(grid: SimulationGrid, hp: HurstParameter, t_idx: int) -> np.ndarray:
     """Per-cell synthesis weights w with B_H(t_idx) = sum_i w_i dB_i, for a main lattice point t_idx."""
+    _refuse_past_the_end(grid, t_idx)
     far, m0 = grid.far_cells, grid.origin_index
     table = avg_kernel_table(hp, grid.cell_count - far, grid.step)
     i = np.arange(far, grid.cell_count)
@@ -773,9 +776,10 @@ def discrete_dr_energy(grid: SimulationGrid, hp: HurstParameter, seg_idx: int,
 
     One evaluation point with weight 1 is the pointwise second moment E DR_H(t)^2.
     """
+    eval_idx = np.asarray(eval_idx)
+    _refuse_past_the_end(grid, eval_idx)
     if hp.is_brownian:
         return 0.0
-    eval_idx = np.asarray(eval_idx)
     if eval_idx.min() < seg_idx or seg_idx < grid.origin_index:
         raise ValueError("DR_H is evaluated at lattice points from seg_idx on, and seg_idx is at or after "
                          "the origin")
@@ -801,6 +805,7 @@ def declared_truncation_budget(grid: SimulationGrid, hp: HurstParameter) -> floa
     return truncation_tail_bound(hp, grid.horizon, grid.warmup_length)
 
 
+# traffic: only repeated in-process CLI calls on one grid; it saves about 1.9 ms of a 4-8 ms desk simulate
 @functools.lru_cache(maxsize=4)
 def _time_column(times: bytes) -> tuple[str, ...]:
     """The CSV cells "t," of the float64 times whose bytes are given: every path on a grid shares them."""

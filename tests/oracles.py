@@ -282,11 +282,10 @@ def decay_gaps_per_level(gamma: Integrand, hp: HurstParameter, levels, grid: Sim
     dB and cross is 0, with scale 0.
     """
     m0, end = grid.origin_index, grid.origin_index + grid.main_steps
-    pre = noise_transforms(grid, incs, (hp,), end)
     if hp.is_brownian:
         d_value = np.abs(incs[..., m0:end])
     else:
-        d_tail, d_main = (np.abs(field[0]) for field in pre)
+        d_tail, d_main = (np.abs(field) for field in noise_transforms(grid, incs, hp, end))
         d_value = d_tail + d_main
         d_table = np.diff(history_kernel(grid, (hp,)).table[0, :grid.main_steps + 1])
     cells = {n: dyadic_projection(gamma, n, grid).values_on_cells(grid, incs) for n in levels}
@@ -312,7 +311,7 @@ def extension(gamma: Integrand, hp: HurstParameter, grid: SimulationGrid, incs: 
     """
     # the value part of delayed_parts_for_cells, as its row sums, on fields transformed once for every level
     fields = ([incs[..., grid.origin_index:]] if hp.is_brownian else
-              [f[0] for f in fbmdelay.integrator.noise_transforms(grid, incs, (hp,), grid.cell_count)])
+              fbmdelay.integrator.noise_transforms(grid, incs, hp, grid.cell_count))
     samples, gaps = [], []
     for n, cells in zip(levels, dyadic_cells(gamma, grid, incs, levels)):
         sums = [np.sum(cells * f, axis=-1) for f in fields]  # ito, or tail and main
@@ -492,8 +491,8 @@ def spy_noise_ffts(monkeypatch, inverse: list | None = None) -> list:
     transformed too; they are told apart by their memory, which the spy
     learns from the table argument of every history_conv call, and are not
     recorded.  past_dot's kernel spectra are transformed from a rolled copy
-    of the table, once per kernel and window: they are recorded, as
-    (kernels, n, n).  inverse, if given, gets one (rows, FFT length) entry
+    of the table, once per past_dot call that has a dense row: they are
+    recorded, as (kernels, n, n).  inverse, if given, gets one (rows, FFT length) entry
     per inverse FFT.
     """
     calls, tables = [], []

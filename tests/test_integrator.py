@@ -272,12 +272,10 @@ def test_value_gap_over_h_minus_half_stays_flat():
     np.testing.assert_allclose(ratios, ratios[4], rtol=5e-3)
 
 
-def test_history_fields_vanish_at_the_brownian_value():
-    """Only h = 1/2 gives no fields; a list mixing it with h > 1/2 is refused."""
-    end = GRID.cell_count
-    assert noise_transforms(GRID, INCS, (H5, H5), end) == (None, None)
-    with pytest.raises(ValueError, match="running sum"):
-        noise_transforms(GRID, INCS, (H75, H5), end)
+def test_history_fields_are_refused_at_the_brownian_value():
+    """The fields vanish at h = 1/2, where the callers read dB itself: the call is refused, not answered."""
+    with pytest.raises(ValueError, match="vanish at h = 1/2"):
+        noise_transforms(GRID, INCS, H5, GRID.cell_count)
 
 
 @pytest.mark.parametrize("grid", [GRID, make_grid(1.0, 256, warmup=1e14)], ids=["uniform", "far"])
@@ -286,7 +284,7 @@ def test_history_fields_sum_to_the_fbm_increments(grid):
 
     Per row the error stays within 1e-13 of the largest |past_conv| +
     |history_conv| value that the fields are differences of (about 15 eps
-    is seen), for four h at once and for a window that ends before the
+    is seen), for each of four h and for a window that ends before the
     last cell.
     """
     incs = generate_noise_batch(8, grid, 6)
@@ -294,7 +292,7 @@ def test_history_fields_sum_to_the_fbm_increments(grid):
     kernel = history_kernel(grid, hps)
     m0, n = grid.origin_index, grid.cell_count
     for end in (n, n - 64):
-        d_tail, d_main = noise_transforms(grid, incs, hps, end)
+        d_tail, d_main = np.stack([noise_transforms(grid, incs, hp, end) for hp in hps], axis=1)
         want = np.diff(fbm_values(incs, grid, hps), axis=-1)[..., :end - m0]
         size = (np.abs(past_conv(incs, grid, kernel, m0, (m0, end + 1)))
                 + np.abs(history_conv(incs, kernel.table, (m0, end), (m0, end + 1)))).max(axis=-1)
@@ -505,7 +503,7 @@ def test_parts_match_the_per_segment_assembly(gamma, h, level, gaps, uniform):
     d_table = np.diff(hp.c_h * avg_kernel_table(hp, end - m0, GRID.step))
     fields = np.abs(block_conv(incs[:, m0:end], d_table, seg_idx - m0))
     if not hp.is_brownian:
-        fields += sum(np.abs(f[0]) for f in noise_transforms(GRID, incs, (hp,), end))
+        fields += sum(np.abs(f) for f in noise_transforms(GRID, incs, hp, end))
     size = np.sum(np.abs(cells[:, :end - m0]) * fields, axis=-1)
     for g, w in zip(got, want):
         assert np.all(np.abs(g - w) <= 1e-12 * size)

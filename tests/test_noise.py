@@ -335,7 +335,7 @@ def test_fbm_starts_at_zero_and_rejects_empty_warmup(incs, grid):
     incs = generate_noise_batch(1, bare, 2)
     kernel, n = history_kernel(bare, (H75,)), bare.cell_count
     for read in (*(lambda kind=kind: process_values(incs, bare, H75, kind) for kind in ("B_H", "R_H", "DR_H")),
-                 lambda: fbmdelay.integrator.noise_transforms(bare, incs, (H75,), n),
+                 lambda: fbmdelay.integrator.noise_transforms(bare, incs, H75, n),
                  lambda: past_conv(incs, bare, kernel, n, (0, n + 1)),
                  lambda: past_dot(incs, bare, kernel, n, (0, n + 1), np.ones((2, n + 1))),
                  lambda: FbmIntegrand(0.75).values_on_cells(bare, incs)):
@@ -492,6 +492,14 @@ def test_dr_budget_matches_exact_arithmetic(grid, h):
         assert abs(got - want) <= 1e-13 * want, (j, got, want)
     with pytest.raises(ValueError, match="seg_idx"):
         discrete_dr_energy(grid, hp, m0, [m0 - 1, n], [1.0, 1.0])
+    with pytest.raises(ValueError, match="from the origin on"):
+        history_kernel(grid, (hp,)).far_weights(grid, m0 - 1)
+    # past the last lattice point, index n, each is refused in one line, not by an IndexError
+    for j, far_end in ((n + 1, lambda: discrete_dr_energy(grid, hp, m0, [n, n + 1], [1.0, 1.0])),
+                       (n + 1, lambda: fbmdelay.noise.fbm_weight_vector(grid, hp, n + 1)),
+                       (n + 5, lambda: history_kernel(grid, (hp,)).far_weights(grid, [m0, n + 5]))):
+        with pytest.raises(ValueError, match=rf"^lattice index {j} is past the grid's last point, index {n}$"):
+            far_end()
 
 
 DESK_GRID = make_grid(1.0, 4096, warmup=1e14)
@@ -543,7 +551,7 @@ def test_graded_history_recovers_the_variance():
 def test_far_history_rows_do_not_depend_on_the_batch(rows):
     """Every reader of the far cells gives a row the bytes it gets inside a larger batch, at any offset.
 
-    noise_transforms is read as its two fields stacked, d_tail and d_main.
+    noise_transforms is read as its two fields stacked, d_tail and d_main, for each h.
     """
     grid = make_grid(1.0, 256, warmup=1e14)
     incs = generate_noise_batch(17, grid, 9)
@@ -552,7 +560,7 @@ def test_far_history_rows_do_not_depend_on_the_batch(rows):
     readers = (lambda x: fbm_values(x, grid, hps),
                lambda x: dr_values(x, grid, H75, m0 + 16),
                lambda x: r_values(x, grid, H75, m0 + 16),
-               lambda x: np.stack(fbmdelay.integrator.noise_transforms(grid, x, hps, n - 64)))
+               lambda x: np.stack([fbmdelay.integrator.noise_transforms(grid, x, hp, n - 64) for hp in hps]))
     for read in readers:
         whole = read(incs)
         for lo in (0, 3):
@@ -947,7 +955,7 @@ def test_transform_stages_hold_their_result_and_a_few_blocks():
     stages = {
         "past_conv": (lambda: past_conv(incs, grid, history_kernel(grid, (H75,)), n, (m0, n)), 0),
         "past_dot": (lambda: past_dot(incs, grid, history_kernel(grid, h4), n, (m0, n + 1), weights), 0),
-        "noise_transforms": (lambda: fbmdelay.integrator.noise_transforms(grid, incs, (hurst_constant(0.6),), n),
+        "noise_transforms": (lambda: fbmdelay.integrator.noise_transforms(grid, incs, hurst_constant(0.6), n),
                              8 * 64 * (n + 1 - m0)),
         "dr_values": (lambda: dr_values(incs, grid, H75, m0), 0),
     }
