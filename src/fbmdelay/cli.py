@@ -223,8 +223,8 @@ _NOISE = {"bit_generator": BIT_GENERATOR}
 
 
 def _check_record(stored: dict, cfg: RunConfig) -> None:
-    """Refuse a manifest whose noise (checked first) or history lattice is not the one this build makes of its
-    config, or that does not name it: a seed's output bytes depend on both."""
+    """Refuse a manifest whose noise, then whose history lattice, is missing or not the one this build makes of
+    its config: a seed's output bytes depend on both."""
     lattice = _lattice(make_grid(cfg.horizon, cfg.steps, cfg.warmup))
     for key, name, want in (("noise", "noise", _NOISE), ("lattice", "history lattice", lattice)):
         if stored.get(key) != want:
