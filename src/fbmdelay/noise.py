@@ -423,9 +423,7 @@ class HistoryKernel:
 
     def far_weights(self, grid: SimulationGrid, j) -> np.ndarray:
         """(len(hps), ..., far_cells): the far cells' weights at main lattice point(s) j."""
-        if np.any(np.asarray(j) < grid.origin_index):
-            raise ValueError("far weights are taken at main lattice points, from the origin on")
-        _refuse_past_the_end(grid, j)
+        _refuse_off_the_main_lattice(grid, j)
         cols = self.basis[:, np.asarray(j) - grid.origin_index]
         return row_dot("qmf,m...->q...f", self.far, cols)
 
@@ -527,10 +525,13 @@ def refuse_no_history(grid: SimulationGrid) -> None:
         raise ValueError(f"--warmup {grid.warmup_length!r} leaves no history, which a run at h > 1/2 needs")
 
 
-def _refuse_past_the_end(grid: SimulationGrid, j) -> None:
-    """Refuse a lattice index past the grid's last point, cell_count: a weight or moment there has no cells."""
-    if np.any(np.asarray(j) > grid.cell_count):
-        raise ValueError(f"lattice index {np.max(j)} is past the grid's last point, index {grid.cell_count}")
+def _refuse_off_the_main_lattice(grid: SimulationGrid, j) -> None:
+    """Refuse a lattice index before the origin or past the last point: weights and moments are taken on [0, T]."""
+    j = np.asarray(j)
+    off = j[(j < grid.origin_index) | (j > grid.cell_count)]
+    if off.size:
+        raise ValueError(f"lattice index {off[0]} is off the main lattice, indices {grid.origin_index} to "
+                         f"{grid.cell_count}")
 
 
 def past_conv(incs: np.ndarray, grid: SimulationGrid, kernel: HistoryKernel, cells_end: int,
@@ -747,7 +748,7 @@ def dr_energy_closed_form(hp: HurstParameter, span: float) -> float:
 
 def fbm_weight_vector(grid: SimulationGrid, hp: HurstParameter, t_idx: int) -> np.ndarray:
     """Per-cell synthesis weights w with B_H(t_idx) = sum_i w_i dB_i, for a main lattice point t_idx."""
-    _refuse_past_the_end(grid, t_idx)
+    _refuse_off_the_main_lattice(grid, t_idx)
     far, m0 = grid.far_cells, grid.origin_index
     table = avg_kernel_table(hp, grid.cell_count - far, grid.step)
     i = np.arange(far, grid.cell_count)
@@ -777,12 +778,12 @@ def discrete_dr_energy(grid: SimulationGrid, hp: HurstParameter, seg_idx: int,
     One evaluation point with weight 1 is the pointwise second moment E DR_H(t)^2.
     """
     eval_idx = np.asarray(eval_idx)
-    _refuse_past_the_end(grid, eval_idx)
-    if hp.is_brownian:
-        return 0.0
     if eval_idx.min() < seg_idx or seg_idx < grid.origin_index:
         raise ValueError("DR_H is evaluated at lattice points from seg_idx on, and seg_idx is at or after "
                          "the origin")
+    _refuse_off_the_main_lattice(grid, eval_idx)
+    if hp.is_brownian:
+        return 0.0
     # DR_H(t_j) weighs cell i < seg_idx of one step with c_h D[j - i], so that part of its second
     # moment is step c_h^2 times the sum of D^2 over lags j - seg_idx + 1 .. j - far_cells: a
     # difference of tail sums, added from the far lags in, so the large near lags do not swamp

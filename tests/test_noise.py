@@ -492,14 +492,18 @@ def test_dr_budget_matches_exact_arithmetic(grid, h):
         assert abs(got - want) <= 1e-13 * want, (j, got, want)
     with pytest.raises(ValueError, match="seg_idx"):
         discrete_dr_energy(grid, hp, m0, [m0 - 1, n], [1.0, 1.0])
-    with pytest.raises(ValueError, match="from the origin on"):
-        history_kernel(grid, (hp,)).far_weights(grid, m0 - 1)
-    # past the last lattice point, index n, each is refused in one line, not by an IndexError
-    for j, far_end in ((n + 1, lambda: discrete_dr_energy(grid, hp, m0, [n, n + 1], [1.0, 1.0])),
-                       (n + 1, lambda: fbmdelay.noise.fbm_weight_vector(grid, hp, n + 1)),
-                       (n + 5, lambda: history_kernel(grid, (hp,)).far_weights(grid, [m0, n + 5]))):
-        with pytest.raises(ValueError, match=rf"^lattice index {j} is past the grid's last point, index {n}$"):
-            far_end()
+    # an index before the origin or past the last lattice point, index n, is refused in one line, at h = 1/2 too
+    weights = fbmdelay.noise.fbm_weight_vector
+    for j, off in ((n + 1, lambda: discrete_dr_energy(grid, hp, m0, [n, n + 1], [1.0, 1.0])),
+                   (n + 1, lambda: weights(grid, hp, n + 1)),
+                   (n + 5, lambda: history_kernel(grid, (hp,)).far_weights(grid, [m0, n + 5])),
+                   (m0 - 1, lambda: history_kernel(grid, (hp,)).far_weights(grid, m0 - 1)),
+                   (m0 - 3, lambda: weights(grid, H5, m0 - 3)),
+                   (n + 1, lambda: discrete_dr_energy(grid, H5, m0, [n + 1], [1.0]))):
+        with pytest.raises(ValueError, match=rf"^lattice index {j} is off the main lattice, indices {m0} to {n}$"):
+            off()
+    with pytest.raises(ValueError, match="seg_idx"):  # at h = 1/2 too, where every moment is 0
+        discrete_dr_energy(grid, H5, m0, [m0 - 1, n], [1.0, 1.0])
 
 
 DESK_GRID = make_grid(1.0, 4096, warmup=1e14)
