@@ -353,13 +353,13 @@ def history_conv(incs: np.ndarray, table: np.ndarray | None,
     if table.shape[-1] < k1:
         raise ValueError(f"kernel table reaches lag {table.shape[-1] - 1}, need {k1 - 1}")
     # z = x * table[1:] linearly; y[k] = z[k - 1], kept alias-free for k0 <= k < k1
-    spectra = _fft.rfft(table[..., 1:k1], n, axis=-1).reshape(-1, n // 2 + 1)
+    kernel_ffts = _fft.rfft(table[..., 1:k1], n, axis=-1).reshape(-1, n // 2 + 1)
     rows = x.reshape(-1, m)
-    dest = out.reshape(len(spectra), rows.shape[0], out.shape[-1])[..., k0 + lo - j0:]
+    dest = out.reshape(len(kernel_ffts), rows.shape[0], out.shape[-1])[..., k0 + lo - j0:]
     for blk in _row_blocks(len(rows), n):
         fx = _fft.rfft(rows[blk], n, axis=-1)
-        prod = fx if len(spectra) == 1 else np.empty_like(fx)
-        for q, spectrum in enumerate(spectra):
+        prod = fx if len(kernel_ffts) == 1 else np.empty_like(fx)
+        for q, spectrum in enumerate(kernel_ffts):
             np.multiply(fx, spectrum, out=prod)
             dest[q, blk] = _fft.irfft(prod, n, axis=-1)[:, k0 - 1:k1 - 1]
     return out

@@ -272,7 +272,7 @@ def test_value_gap_over_h_minus_half_stays_flat():
     np.testing.assert_allclose(ratios, ratios[4], rtol=5e-3)
 
 
-def test_history_fields_are_refused_at_the_brownian_value():
+def test_history_fields_vanish_at_the_brownian_value():
     """The fields vanish at h = 1/2, where the callers read dB itself: the call is refused, not answered."""
     with pytest.raises(ValueError, match="vanish at h = 1/2"):
         noise_transforms(GRID, INCS, H5, GRID.cell_count)
