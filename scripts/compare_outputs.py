@@ -13,14 +13,18 @@ matrix below through fbmdelay.cli.parse_and_dispatch, at --warmup 0, 0.5,
 write the same manifests.  At --warmup 0 the runs that read a history at
 h > 1/2 are refused, so the refusals are compared too:
 
-* simulate: every process kind;
-* integrate: det:const:1.0, bm, fbm:0.75, rl:0.7:0.25, bm2, pp:bm:8 and
-  pp:fbm:0.75:4 at level 3, each at h 0.5 and 0.75;
-* verify-moments, continuity (det:const:1.0, pp:bm:8 and pp:fbm:0.75:4),
-  nonconv, and decay at levels 3:5 (bm at h 0.75; fbm:0.75 at h 0.5,
-  whose integrand reads no history: it runs at --warmup 0 too; and
+* simulate: every process kind, and B_H, R_H and DR_H at h 0.5 too;
+* integrate: det:const:1.0, bm, fbm:0.75, rl:0.7:0.25, bm2, pp:bm:8,
+  pp:fbm:0.75:4, det:poly:0.5,-1.0,2.0, pp:det:const:1.0:4, pp:fbm:0.5:4
+  and pp:pp:fbm:0.75:2:4 at level 3, each at h 0.5 and 0.75;
+* verify-moments at h 0.75 and 0.5, continuity (det:const:1.0, pp:bm:8,
+  pp:fbm:0.75:4, pp:rl:0.7:0.25:4 and pp:bm2:4), nonconv (the default
+  h list, and 0.5,0.75), and decay at levels 3:5 (bm at h 0.75; fbm:0.75
+  at h 0.5, whose integrand reads no history: it runs at --warmup 0 too;
   det:const:1.0 at h 0.75, whose gaps are zeros, so that no slope is
-  fitted and the CSV writes one unfitted).
+  fitted and the CSV writes one unfitted; bm2 and rl:0.7:0.25 at h 0.75).
+
+Together they reach every computing branch of the CLI.
 
 Each run's manifest is then replayed with --manifest (the replay phase),
 and the change side also replays every manifest the parent wrote (the
@@ -45,7 +49,8 @@ import tempfile
 from bench_pairs import _export
 
 WARMUPS = ("0", "0.5", "4", "1e14")
-INTEGRANDS = ("det:const:1.0", "bm", "fbm:0.75", "rl:0.7:0.25", "bm2", "pp:bm:8", "pp:fbm:0.75:4")
+INTEGRANDS = ("det:const:1.0", "bm", "fbm:0.75", "rl:0.7:0.25", "bm2", "pp:bm:8", "pp:fbm:0.75:4",
+              "det:poly:0.5,-1.0,2.0", "pp:det:const:1.0:4", "pp:fbm:0.5:4", "pp:pp:fbm:0.75:2:4")
 #: each phase's runs, and the phase of the parent's they must match
 PHASES = {"run": "run", "replay": "replay", "cross": "run"}
 
@@ -64,6 +69,13 @@ def matrix(steps: int) -> list[list[str]]:
                  ["decay", "--levels", "3:5", "--reps", "16", *grid],
                  ["decay", "--integrand", "fbm:0.75", "--hurst", "0.5", "--levels", "3:5", "--reps", "16", *grid],
                  ["decay", "--integrand", "det:const:1.0", "--hurst", "0.75", "--levels", "3:5", "--reps", "16", *grid]]
+        # the branches the runs above leave out, appended so that the runs above keep their numbers
+        runs += [["simulate", "--kind", kind, "--hurst", "0.5", *grid] for kind in ("B_H", "R_H", "DR_H")]
+        runs += [["continuity", "--integrand", spec, "--reps", "16", *grid] for spec in ("pp:rl:0.7:0.25:4", "pp:bm2:4")]
+        runs += [["decay", "--integrand", spec, "--hurst", "0.75", "--levels", "3:5", "--reps", "16", *grid]
+                 for spec in ("bm2", "rl:0.7:0.25")]
+        runs += [["verify-moments", "--hurst", "0.5", "--reps", "100", *grid],
+                 ["nonconv", "--hurst-list", "0.5,0.75", "--reps", "16", *grid]]
     return runs
 
 

@@ -251,9 +251,7 @@ def _run(cfg: RunConfig) -> list[str]:
         # one replication, stream 0: the path `simulate` draws for the same seed
         parts = _replicate(cfg.seed, _plan(grid, (hp,)), 1,
                            lambda incs: delayed_integral_batch(gamma, seg, grid, incs, hp))
-        with open(cfg.out, "w") as fh:
-            json.dump(result_record(parts, seg, grid, hp, cfg.seed), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_manifest(cfg.out, result_record(parts, seg, grid, hp, cfg.seed))
     elif cfg.command == "verify-moments":
         report = verify_dr_moments(hp, cfg.horizon, cfg.reps, cfg.seed, grid)
         write_moments_csv(cfg.out, [report])
@@ -293,6 +291,9 @@ def parse_and_dispatch(argv=None) -> int:
         outputs = _run(cfg)
     except (ValueError, OSError) as exc:
         print(f"fbmdelay: error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("fbmdelay: error: out of memory; lower --steps or --warmup", file=sys.stderr)
         return 2
     for path in outputs:
         print(path)

@@ -260,13 +260,6 @@ class DrMomentReport:
     pointwise_closed: float
     energy_closed: float
 
-    def rows(self):
-        for name, res, closed in (("pointwise", self.pointwise, self.pointwise_closed),
-                                  ("energy", self.energy, self.energy_closed)):
-            yield {"h": self.h, "span": self.span, "quantity": name,
-                   "estimate": res.estimate, "closed_form": closed,
-                   "se": res.std_error, "budget": res.truncation_budget}
-
 
 def verify_dr_moments(hp: HurstParameter, span: float, reps: int, seed: int,
                       grid: SimulationGrid = DESK) -> DrMomentReport:
@@ -290,8 +283,8 @@ def verify_dr_moments(hp: HurstParameter, span: float, reps: int, seed: int,
 
     p_closed = dr_pointwise_closed_form(hp, span)
     e_closed = dr_energy_closed_form(hp, span)
-    p_budget = abs(p_closed - discrete_dr_energy(grid, hp, m0, eval_idx[-1:], np.ones(1)))
-    e_budget = abs(e_closed - discrete_dr_energy(grid, hp, m0, eval_idx, quad_w))
+    p_budget = abs(p_closed - discrete_dr_energy(grid, hp, eval_idx[-1:], np.ones(1)))
+    e_budget = abs(e_closed - discrete_dr_energy(grid, hp, eval_idx, quad_w))
     return DrMomentReport(
         h=hp.h, span=span,
         pointwise=_mc(point, seed, p_budget),
@@ -687,11 +680,10 @@ def _write_csv(path, header: list[str], rows: list[list]) -> None:
 
 
 def write_moments_csv(path, reports: list[DrMomentReport]) -> None:
-    rows = []
-    for rep in reports:
-        for r in rep.rows():
-            rows.append([r["h"], r["span"], r["quantity"], r["estimate"],
-                         r["closed_form"], r["se"], r["budget"]])
+    """Two rows per report: E DR_H(span)^2 (pointwise), then E int_0^span DR_H^2 (energy)."""
+    rows = [[r.h, r.span, name, res.estimate, closed, res.std_error, res.truncation_budget]
+            for r in reports for name, res, closed in (("pointwise", r.pointwise, r.pointwise_closed),
+                                                       ("energy", r.energy, r.energy_closed))]
     _write_csv(path, ["h", "span", "quantity", "estimate", "closed_form", "se", "budget"], rows)
 
 
@@ -728,6 +720,7 @@ def write_shiryaev_csv(path, rows) -> None:
 
 
 def write_manifest(path, record: dict) -> None:
+    """Any JSON record, a run's manifest or its result: indented by 2, keys sorted, a newline at the end."""
     with open(path, "w") as fh:
         json.dump(record, fh, indent=2, sort_keys=True)
         fh.write("\n")

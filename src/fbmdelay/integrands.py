@@ -260,19 +260,6 @@ def _runs_of(freeze_idx: np.ndarray) -> list[tuple[int, int, int]]:
     return [(int(freeze_idx[s]), int(s), int(e)) for s, e in zip(starts, ends)]
 
 
-class BrownianIntegrand(_PowerKernelIntegrand):
-    """The driving Brownian motion itself, gamma(t) = B(t), B(0) = 0."""
-
-    def __init__(self):
-        super().__init__(hurst_constant(HALF), include_history=False, start=0.0)
-
-    def second_moment(self, t):
-        return float(t)
-
-    def spec_string(self):
-        return "bm"
-
-
 class FbmIntegrand(_PowerKernelIntegrand):
     """gamma(t) = B_H1(t), the synthesized fBm over the shared driver."""
 
@@ -297,15 +284,20 @@ class RlFbmIntegrand(_PowerKernelIntegrand):
         return self.cond_var(-math.inf, t)
 
 
+class BrownianIntegrand(RlFbmIntegrand):
+    """The driving Brownian motion, gamma(t) = B(t): the h = 1/2 Riemann-Liouville integrand from 0, of kernel 1."""
+
+    def __init__(self):
+        super().__init__(HALF)
+
+    def spec_string(self):
+        return "bm"
+
+
 class QuadraticBrownianIntegrand(Integrand):
     """gamma(t) = B(t)^2: square-integrable, non-Gaussian, forecastable at rate nu = 0."""
 
     nu_exponent = 0.0
-
-    def _b_on_cells(self, grid, incs):
-        """B at the left edge of every cell of [0, horizon)."""
-        m0, n = grid.origin_index, grid.cell_count
-        return history_conv(incs, None, (m0, n), (m0, n))
 
     def cond_var(self, tau, t):
         tau = min(max(tau, 0.0), t)
@@ -315,12 +307,13 @@ class QuadraticBrownianIntegrand(Integrand):
         return 3.0 * float(t) ** 2
 
     def values_on_cells(self, grid, incs):
-        return self._b_on_cells(grid, incs) ** 2
+        return BrownianIntegrand().values_on_cells(grid, incs) ** 2
 
     def frozen_values_on_cells(self, grid, incs, freeze_idx):
         # B(0) = 0 is known from the start: a freeze before the origin acts at the origin
         k = np.maximum(np.asarray(freeze_idx), grid.origin_index) - grid.origin_index
-        return np.take(self._b_on_cells(grid, incs), k, axis=-1) ** 2 + (fine_cell_times(grid) - k * grid.step)
+        b = BrownianIntegrand().values_on_cells(grid, incs)
+        return np.take(b, k, axis=-1) ** 2 + (fine_cell_times(grid) - k * grid.step)
 
     def spec_string(self):
         return "bm2"

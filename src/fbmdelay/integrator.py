@@ -33,12 +33,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .kernels import HurstParameter
+from .kernels import HurstParameter, truncation_tail_bound
 from .integrands import Integrand, SegmentGrid, second_halves
 from .noise import (
     SimulationGrid,
     block_conv,
-    declared_truncation_budget,
     history_conv,
     history_kernel,
     past_conv,
@@ -172,6 +171,6 @@ def result_record(parts, seg: SegmentGrid, grid: SimulationGrid, hp: HurstParame
             "breakpoints": list(seg.breakpoints),
             "min_spacing": seg.min_spacing,
         },
-        "truncation_budget": declared_truncation_budget(grid, hp),
+        "truncation_budget": truncation_tail_bound(hp, grid.horizon, grid.warmup_length),
         "seed": seed,
     }

@@ -68,7 +68,7 @@ from typing import ClassVar
 import numpy as np
 from scipy import fft as _fft
 
-from .kernels import HALF, HurstParameter, power_diff, truncation_tail_bound
+from .kernels import HALF, HurstParameter, power_diff
 
 __all__ = [
     "SimulationGrid",
@@ -771,39 +771,33 @@ def weights_cov(grid: SimulationGrid, w1: np.ndarray, w2: np.ndarray) -> float:
     return float(grid.step * np.dot(w1[far:], w2[far:]) + np.dot(grid.far_widths() * w1[:far], w2[:far]))
 
 
-def discrete_dr_energy(grid: SimulationGrid, hp: HurstParameter, seg_idx: int,
-                       eval_idx: np.ndarray, quad_weights: np.ndarray) -> float:
+def discrete_dr_energy(grid: SimulationGrid, hp: HurstParameter, eval_idx: np.ndarray,
+                       quad_weights: np.ndarray) -> float:
     """Exact expectation of sum_l quad_weights[l] * DR_H(t_{eval_idx[l]})^2, history cut at the grid start.
 
-    One evaluation point with weight 1 is the pointwise second moment E DR_H(t)^2.
+    DR_H reads the cells before the origin, and eval_idx are main lattice
+    points, from the origin to the end.  One evaluation point with weight 1
+    is the pointwise second moment E DR_H(t)^2.
     """
     eval_idx = np.asarray(eval_idx)
-    if eval_idx.min() < seg_idx or seg_idx < grid.origin_index:
-        raise ValueError("DR_H is evaluated at lattice points from seg_idx on, and seg_idx is at or after "
-                         "the origin")
     _refuse_off_the_main_lattice(grid, eval_idx)
     if hp.is_brownian:
         return 0.0
-    # DR_H(t_j) weighs cell i < seg_idx of one step with c_h D[j - i], so that part of its second
-    # moment is step c_h^2 times the sum of D^2 over lags j - seg_idx + 1 .. j - far_cells: a
+    # DR_H(t_j) weighs cell i < m0 of one step with c_h D[j - i], so that part of its second
+    # moment is step c_h^2 times the sum of D^2 over lags j - m0 + 1 .. j - far_cells: a
     # difference of tail sums, added from the far lags in, so the large near lags do not swamp
     # the small far ones.  The far cells add sum width * w^2, with w = basis^T far at each
     # point: a quadratic form in the basis with the nodes' Gram matrix, far * width @ far^T.
-    far = grid.far_cells
+    far, m0 = grid.far_cells, grid.origin_index
     sq = dr_kernel_table(hp, grid.cell_count - far, grid.step)[1:] ** 2
     tail = np.append(np.cumsum(sq[::-1])[::-1], 0.0)  # tail[l] = sum of D[m]^2 over m > l
-    moments = hp.c_h ** 2 * grid.step * (tail[eval_idx - seg_idx] - tail[eval_idx - far])
+    moments = hp.c_h ** 2 * grid.step * (tail[eval_idx - m0] - tail[eval_idx - far])
     if far:
         kernel = history_kernel(grid, (hp,), "DR_H")
         gram = (kernel.far[0] * grid.far_widths()) @ kernel.far[0].T
-        basis = kernel.basis.take(eval_idx - grid.origin_index, axis=1)  # C-ordered: the einsum's fast layout
+        basis = kernel.basis.take(eval_idx - m0, axis=1)  # C-ordered: the einsum's fast layout
         moments += np.einsum("mj,mn,nj->j", basis, gram, basis)
     return float(np.dot(quad_weights, moments))
-
-
-def declared_truncation_budget(grid: SimulationGrid, hp: HurstParameter) -> float:
-    """Variance bound for the history lost beyond the grid's warmup window."""
-    return truncation_tail_bound(hp, grid.horizon, grid.warmup_length)
 
 
 # traffic: only repeated in-process CLI calls on one grid; it saves about 1.9 ms of a 4-8 ms desk simulate

@@ -442,6 +442,20 @@ def test_an_address_space_limit_refuses_a_grid_before_any_draw(tmp_path):
     assert not list(tmp_path.iterdir())
 
 
+def test_running_out_of_memory_past_the_plan_is_one_line(tmp_path, capsys, monkeypatch):
+    """A MemoryError that the plan's check did not foresee, here from the CSV writer, exits 2 in one line and writes
+    nothing, where it printed a traceback."""
+    monkeypatch.chdir(tmp_path)
+
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(fbmdelay.cli, "write_path_csv", out_of_memory)
+    code, stdout, err = _run(["simulate", *FAST, "--out", "x.csv"], capsys)
+    assert (code, stdout, err) == (2, "", "fbmdelay: error: out of memory; lower --steps or --warmup\n")
+    assert not list(tmp_path.iterdir())
+
+
 def _run_module(argv, cwd):
     """`python -m fbmdelay.cli argv` in a fresh process that imports this checkout's src/."""
     src = str(Path(__file__).resolve().parents[1] / "src")

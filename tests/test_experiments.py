@@ -64,14 +64,15 @@ H75 = hurst_constant(0.75)
 H5 = hurst_constant(0.5)
 
 
-def test_verify_dr_moments_small_scale():
+def test_verify_dr_moments_small_scale(tmp_path):
     rep = verify_dr_moments(H75, 1.0, 400, 12, SMALL)
     for res, closed in [(rep.pointwise, rep.pointwise_closed), (rep.energy, rep.energy_closed)]:
         assert res.replications == 400
         assert res.std_error > 0
         assert abs(res.estimate - closed) <= 3 * res.std_error + res.truncation_budget
-    rows = list(rep.rows())
-    assert [r["quantity"] for r in rows] == ["pointwise", "energy"]
+    write_moments_csv(tmp_path / "moments.csv", [rep])
+    header, *rows = (line.split(",") for line in (tmp_path / "moments.csv").read_text().splitlines())
+    assert [r[header.index("quantity")] for r in rows] == ["pointwise", "energy"]
 
 
 def test_verify_dr_moments_brownian_is_exactly_zero():
@@ -279,9 +280,9 @@ def test_a_law_op_builds_two_weight_vectors_and_its_budgets_are_the_exact_discre
     eval_idx, quad_w = _energy_quadrature(SMALL, H75)
     report = verify_dr_moments(H75, 1.0, 100, 3, SMALL)
     assert report.pointwise.truncation_budget == abs(
-        dr_pointwise_closed_form(H75, 1.0) - discrete_dr_energy(SMALL, H75, m0, eval_idx[-1:], [1.0]))
+        dr_pointwise_closed_form(H75, 1.0) - discrete_dr_energy(SMALL, H75, eval_idx[-1:], [1.0]))
     assert report.energy.truncation_budget == abs(
-        dr_energy_closed_form(H75, 1.0) - discrete_dr_energy(SMALL, H75, m0, eval_idx, quad_w))
+        dr_energy_closed_form(H75, 1.0) - discrete_dr_energy(SMALL, H75, eval_idx, quad_w))
 
 
 def test_shiryaev_defect_decreases_and_validates():

@@ -488,22 +488,20 @@ def test_dr_budget_matches_exact_arithmetic(grid, h):
                                                         for i in range(far, m0))
             want += mpmath.fsum((mpmath.mpf(edges[i + 1]) - mpmath.mpf(edges[i]))
                                 * _exact_far_dr_weight(hp, edges[i], edges[i + 1], t) ** 2 for i in range(far))
-        got = discrete_dr_energy(grid, hp, m0, [j], [1.0])
+        got = discrete_dr_energy(grid, hp, [j], [1.0])
         assert abs(got - want) <= 1e-13 * want, (j, got, want)
-    with pytest.raises(ValueError, match="seg_idx"):
-        discrete_dr_energy(grid, hp, m0, [m0 - 1, n], [1.0, 1.0])
     # an index before the origin or past the last lattice point, index n, is refused in one line, at h = 1/2 too
     weights = fbmdelay.noise.fbm_weight_vector
-    for j, off in ((n + 1, lambda: discrete_dr_energy(grid, hp, m0, [n, n + 1], [1.0, 1.0])),
+    for j, off in ((m0 - 1, lambda: discrete_dr_energy(grid, hp, [m0 - 1, n], [1.0, 1.0])),
+                   (m0 - 1, lambda: discrete_dr_energy(grid, H5, [m0 - 1, n], [1.0, 1.0])),  # every moment is 0 there
+                   (n + 1, lambda: discrete_dr_energy(grid, hp, [n, n + 1], [1.0, 1.0])),
                    (n + 1, lambda: weights(grid, hp, n + 1)),
                    (n + 5, lambda: history_kernel(grid, (hp,)).far_weights(grid, [m0, n + 5])),
                    (m0 - 1, lambda: history_kernel(grid, (hp,)).far_weights(grid, m0 - 1)),
                    (m0 - 3, lambda: weights(grid, H5, m0 - 3)),
-                   (n + 1, lambda: discrete_dr_energy(grid, H5, m0, [n + 1], [1.0]))):
+                   (n + 1, lambda: discrete_dr_energy(grid, H5, [n + 1], [1.0]))):
         with pytest.raises(ValueError, match=rf"^lattice index {j} is off the main lattice, indices {m0} to {n}$"):
             off()
-    with pytest.raises(ValueError, match="seg_idx"):  # at h = 1/2 too, where every moment is 0
-        discrete_dr_energy(grid, H5, m0, [m0 - 1, n], [1.0, 1.0])
 
 
 DESK_GRID = make_grid(1.0, 4096, warmup=1e14)
@@ -755,7 +753,7 @@ def test_dr_pointwise_mc_matches_discrete_expectation(mc_batch, grid):
     sq = drv ** 2
     est = float(np.mean(sq))
     se = float(np.std(sq, ddof=1) / math.sqrt(sq.size))
-    target = discrete_dr_energy(grid, H75, m0, [grid.cell_count], [1.0])
+    target = discrete_dr_energy(grid, H75, [grid.cell_count], [1.0])
     assert abs(est - target) <= 3 * se
     # the distance to the continuum closed form is the declared budget; at this
     # unit-test history (L = 4.14) the truncated tail carries (1+L)^(2h-2) = 44.1%
@@ -803,7 +801,7 @@ def test_dr_mc_energy_three_hurst_values(grid):
         est = float(np.mean(vals))
         se = float(np.std(vals, ddof=1) / math.sqrt(vals.size))
         closed = dr_energy_closed_form(hp, 1.0)
-        target = discrete_dr_energy(grid, hp, m0, m0 + 1 + np.arange(n), wq)
+        target = discrete_dr_energy(grid, hp, m0 + 1 + np.arange(n), wq)
         assert abs(est - target) <= 3 * se
         assert abs(est - closed) <= 3 * se + abs(closed - target)
 
