@@ -71,7 +71,8 @@ def matrix(steps: int) -> list[list[str]]:
                  ["decay", "--integrand", "det:const:1.0", "--hurst", "0.75", "--levels", "3:5", "--reps", "16", *grid]]
         # the branches the runs above leave out, appended so that the runs above keep their numbers
         runs += [["simulate", "--kind", kind, "--hurst", "0.5", *grid] for kind in ("B_H", "R_H", "DR_H")]
-        runs += [["continuity", "--integrand", spec, "--reps", "16", *grid] for spec in ("pp:rl:0.7:0.25:4", "pp:bm2:4")]
+        runs += [["continuity", "--integrand", spec, "--reps", "16", *grid]
+                 for spec in ("pp:rl:0.7:0.25:4", "pp:bm2:4")]
         runs += [["decay", "--integrand", spec, "--hurst", "0.75", "--levels", "3:5", "--reps", "16", *grid]
                  for spec in ("bm2", "rl:0.7:0.25")]
         runs += [["verify-moments", "--hurst", "0.5", "--reps", "100", *grid],

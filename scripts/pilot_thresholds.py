@@ -23,15 +23,14 @@ from fbmdelay.noise import discrete_dr_energy, discrete_fbm_cov, dr_energy_close
 
 def main() -> int:
     grid = DESK
-    m0 = grid.origin_index
     print(f"== desk synthesis over the closed form (exact discrete expectations), {grid.cell_count} cells, "
           f"{grid.far_cells} far, history to {grid.warmup_start:.4g} ==")
     for h in (0.75, 0.9, 0.95):
         hp = hurst_constant(h)
         eval_idx, quad_w = _energy_quadrature(grid, hp)
         var = discrete_fbm_cov(grid, hp, 1.0, 1.0)
-        point = discrete_dr_energy(grid, hp, m0, eval_idx[-1:], [1.0]) / dr_pointwise_closed_form(hp, 1.0)
-        energy = discrete_dr_energy(grid, hp, m0, eval_idx, quad_w) / dr_energy_closed_form(hp, 1.0)
+        point = discrete_dr_energy(grid, hp, eval_idx[-1:], [1.0]) / dr_pointwise_closed_form(hp, 1.0)
+        energy = discrete_dr_energy(grid, hp, eval_idx, quad_w) / dr_energy_closed_form(hp, 1.0)
         print(f"  h={h}: Var B_H(1) {var:.5f}  E DR_H(1)^2 {point:.5f}  E int DR_H^2 {energy:.5f}")
 
     print("== continuity finals (threshold: final < 0.05 * x-norm), seed 2024, 1000 reps ==")

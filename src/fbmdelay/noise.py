@@ -814,5 +814,7 @@ def write_path_csv(kind: str, h: float, seed: int, times: np.ndarray, values: np
     """
     column = _time_column(np.ascontiguousarray(times, dtype=float).tobytes())
     rows = [f"{t}{v!r}\n" for t, v in zip(column, np.asarray(values, dtype=float).tolist())]
+    # joined before the open, so that running out of memory here leaves no file
+    text = f"# kind={kind} h={h!r} seed={seed}\ntime,value\n" + "".join(rows)
     with open(path, "w", newline="") as fh:
-        fh.write(f"# kind={kind} h={h!r} seed={seed}\ntime,value\n" + "".join(rows))
+        fh.write(text)

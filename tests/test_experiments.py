@@ -276,7 +276,6 @@ def test_a_law_op_builds_two_weight_vectors_and_its_budgets_are_the_exact_discre
     monkeypatch.undo()
     assert var_res.truncation_budget == abs(1.0 - discrete_fbm_cov(SMALL, H75, 1.0, 1.0))
     assert cov_res.truncation_budget == abs(0.5 - discrete_fbm_cov(SMALL, H75, 1.0, 0.5))
-    m0 = SMALL.origin_index
     eval_idx, quad_w = _energy_quadrature(SMALL, H75)
     report = verify_dr_moments(H75, 1.0, 100, 3, SMALL)
     assert report.pointwise.truncation_budget == abs(

@@ -98,7 +98,7 @@ def test_compare_outputs_finds_no_difference_of_head_with_itself_and_reports_a_p
     work = tmp_path / "work"
     proc = _run_script("compare_outputs.py", "HEAD", "HEAD", "--steps", "64", "--keep", str(work), cwd=tmp_path)
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert proc.stdout == "288 runs and 540 files compared: 0 difference(s)\n"
+    assert proc.stdout == "472 runs and 888 files compared: 0 difference(s)\n"
     spec = importlib.util.spec_from_file_location("compare_outputs", ROOT / "scripts" / "compare_outputs.py")
     module = importlib.util.module_from_spec(spec)
     sys.path.insert(0, str(ROOT / "scripts"))  # it imports bench_pairs, as a script does from its directory
@@ -111,4 +111,4 @@ def test_compare_outputs_finds_no_difference_of_head_with_itself_and_reports_a_p
     data[data.index(b'"value": ') + len(b'"value": ')] ^= 1  # the first byte of the integral's value
     planted.write_bytes(bytes(data))
     lines, runs, files = module.differences(str(work / "parent" / "out"), str(work / "change" / "out"))
-    assert lines == ["run run007/out.json: differs"] and (runs, files) == (288, 540)
+    assert lines == ["run run007/out.json: differs"] and (runs, files) == (472, 888)
