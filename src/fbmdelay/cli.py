@@ -30,7 +30,8 @@ import scipy
 
 from . import __version__
 from .kernels import HALF, hurst_constant
-from .noise import BIT_GENERATOR, FAR_RATIO, SimulationGrid, make_grid, process_values, write_path_csv, PROCESS_KINDS
+from .noise import (BIT_GENERATOR, FAR_NODES, FAR_RATIO, FAR_VARIABLE, SimulationGrid, make_grid, process_values,
+                    write_path_csv, PROCESS_KINDS)
 from .integrator import delayed_integral_batch, result_record
 from .experiments import (
     _integration_plan,
@@ -212,10 +213,13 @@ def _config_from_manifest(stored) -> RunConfig:
 
 
 def _lattice(grid: SimulationGrid) -> dict:
-    """The history lattice of a grid, as a manifest records it: its output bytes depend on all of it."""
-    return {"near_window": -grid.uniform_start, "far_ratio": FAR_RATIO, "reach": grid.warmup_length,
-            "far_cells": grid.far_cells, "near_cells": grid.near_cells,
-            "main_cells": grid.main_steps}
+    """The history lattice of a grid, as a manifest records it: its output bytes depend on all of it, and on how
+    the far cells' weights are interpolated where it has any."""
+    lattice = {"near_window": -grid.uniform_start, "far_ratio": FAR_RATIO, "reach": grid.warmup_length,
+               "far_cells": grid.far_cells, "near_cells": grid.near_cells, "main_cells": grid.main_steps}
+    if grid.far_cells:
+        lattice.update(far_nodes=FAR_NODES, far_variable=FAR_VARIABLE)
+    return lattice
 
 
 #: the noise record of a manifest: a seed draws these bytes only with this bit generator

@@ -97,14 +97,15 @@ DESK = make_grid(1.0, 4096, 1e14)
 #: CPUs this process may run on: _replicate runs up to this many chunks at once
 WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else (os.cpu_count() or 1)
 
-#: the most noise, in bytes, in flight across all chunk threads (128 replications of the 8,724-cell desk
-#: grid) and in one chunk (32, 2.1 MiB).  A desk chunk's fields take 1.9-2.7 times its noise again, so 64-row
-#: chunks held ~15 MB more at peak; grids with rows past the cap still run on WORKERS threads.
-_CHUNK_BYTES = 128 * 8_724 * 8
-_CHUNK_CAP_BYTES = 32 * 8_724 * 8
-#: what a chunk allocates beyond its noise, at most, in multiples of it: a desk chunk takes 1.9-2.7
-#: (test_a_desk_chunk_allocates_at_most_three_times_its_noise)
-_FIELD_FACTOR = 3
+#: the most noise, in bytes, in flight across all chunk threads (128 replications of the desk grid, 5.1 MiB)
+#: and in one chunk (32, 1.3 MiB).  A chunk's fields (_FIELDS) come on top, so 64-row chunks held ~15 MB more
+#: at peak; grids with rows past the cap still run on WORKERS threads.
+_CHUNK_BYTES = 128 * DESK.cell_count * 8
+_CHUNK_CAP_BYTES = 32 * DESK.cell_count * 8
+#: what a chunk allocates beyond its noise, at most, in float fields of main_steps + 1 points a row: a desk
+#: chunk takes 2.5 (DR_H moments), 3.8 (decay) and 4.3 (continuity, 4 h)
+#: (test_a_desk_chunk_allocates_at_most_five_fields_a_row)
+_FIELDS = 5
 
 
 @dataclass(frozen=True)
@@ -160,7 +161,8 @@ def _plan(grid: SimulationGrid, hps=(), cells: int | None = None) -> _Plan:
     if any(not hp.is_brownian for hp in hps):
         refuse_no_history(grid)
     rows = max(1, _CHUNK_BYTES // (8 * grid.cell_count))
-    need, free = rows * 8 * (grid.cell_count if cells is None else cells) * (1 + _FIELD_FACTOR), _memory_available()
+    row = (grid.cell_count if cells is None else cells) + _FIELDS * (grid.main_steps + 1)  # floats: noise, fields
+    need, free = rows * 8 * row, _memory_available()
     if free is not None and need > free:
         raise ValueError(
             f"--steps {grid.main_steps} with --warmup {grid.warmup_length:.4g} needs {need / 2 ** 30:,.2f} GiB "

@@ -15,21 +15,25 @@ h -> 1/2.
 
 The history is graded (make_grid), after the near/far split of the hybrid
 scheme (Bennedsen, Lunde & Pakkanen, Finance Stoch. 2017).  Cells of one
-step cover [0, T] and a near window of NEAR_WINDOW * T before the origin;
-beyond it the far cells widen by FAR_RATIO each out to the reach, L =
---warmup, about 530 cells for L = 1e14 at desk scale.  On the cells of one
+step cover [0, T] and a near window D of NEAR_WINDOW * T (T/8) before the
+origin; beyond it the far cells widen by FAR_RATIO each out to the reach,
+L = --warmup, 567 cells for L = 1e14 at desk scale.  On the cells of one
 step the weights are a function of the index lag only, so whole paths come
 out of one causal convolution (FFT), `history_conv`.  `blockwise_conv`
 takes its sum within every block, a Toeplitz product for short blocks;
 `block_conv` restarts one at every block start through it, for the delayed
 integral's segments and forecast runs.  A far cell's weight is a smooth
-function of t on [0, T]: it is interpolated at FAR_NODES Chebyshev nodes,
-so the far history at every main lattice point costs two small products
-per row (`past_conv`, the one reader of the cells before the origin).
-`past_dot` takes an inner product with it without forming it: a row with
-few nonzero weights (a step integrand's breakpoints) by one dot product of
-its cells with the kernel at each, any other in the frequency domain.  Both refuse a grid with no cells before the
-origin (`refuse_no_history`), where the history would be cut with no budget.
+function of t on [0, T], singular only at t <= -D.  In s = log(t + D) every
+singularity lies on Im s = pi, pi from [log D, log(T + D)], whose half-width
+is log(9) / 2 at D = T/8: the Bernstein ellipse through them has rho = 5.9,
+so FAR_NODES Chebyshev nodes in s reach float64 precision (in t they would
+need D near T).  The far history at every main lattice point then costs two
+small products per row (`past_conv`, the one reader of the cells before the
+origin).  `past_dot` takes an inner product with it without forming it: a
+row with few nonzero weights (a step integrand's breakpoints) by one dot
+product of its cells with the kernel at each, any other in the frequency
+domain.  Both refuse a grid with no cells before the origin
+(`refuse_no_history`), where the history would be cut with no budget.
 The kernels are built once per grid and list of h (`history_kernel`) and
 shared by every chunk thread.
 
@@ -99,12 +103,15 @@ _FFT_BLOCK_POINTS = 2 ** 16
 _TOEPLITZ_MAX = 256
 _DOT_TILE = 4096  # row_dot's tile: within one 8,192-element einsum buffer
 
-#: the history is cells of one step for this many horizons before the origin (D = T) ...
-NEAR_WINDOW = 1
+#: the history is cells of one step for this fraction of a horizon before the origin, rounded up to a whole
+#: step (D = T/8) ...
+NEAR_WINDOW = 1 / 8
 #: ... and beyond them cells that widen by this ratio, one to the next, out to the reach
 FAR_RATIO = 1.0 + 1.0 / 16.0
-#: the far cells' weights are interpolated in t over [0, T] at this many Chebyshev nodes
+#: the far cells' weights are interpolated in log(t + D) over t in [0, T] at this many Chebyshev nodes (a
+#: manifest records both)
 FAR_NODES = 20
+FAR_VARIABLE = "log(t + near_window)"
 #: Gauss-Legendre rule for a far cell's average of the B_H kernel
 _FAR_GAUSS = np.polynomial.legendre.leggauss(8)
 #: the numpy bit generator behind every stream: a seed's bytes are those of this generator, and a
@@ -188,9 +195,10 @@ class SimulationGrid:
 def make_grid(horizon: float, steps: int, warmup: float = 0.0) -> SimulationGrid:
     """Grid with `steps` cells on [0, horizon] and >= warmup of history before 0: the counts that reach it.
 
-    The history is cells of one step out to NEAR_WINDOW horizons before the
-    origin, or to warmup if that is shorter; beyond them, far cells that
-    widen by FAR_RATIO each, out to warmup or just past it (none if shorter).
+    The history is ceil(steps / 8) cells of one step, the near window of
+    NEAR_WINDOW horizons before the origin, or as many as reach warmup if
+    that is shorter; beyond them, far cells that widen by FAR_RATIO each, out
+    to warmup or just past it (none if shorter).
     """
     step = SimulationGrid(horizon, steps).step  # the grid checks the horizon and the steps
     if not 0.0 <= warmup < math.inf:
@@ -199,7 +207,7 @@ def make_grid(horizon: float, steps: int, warmup: float = 0.0) -> SimulationGrid
     if warmup / step == math.inf:
         raise overflow
     warmup_cells = int(math.ceil(warmup / step - 1e-12))
-    near_cells = min(warmup_cells, NEAR_WINDOW * steps)
+    near_cells = min(warmup_cells, math.ceil(NEAR_WINDOW * steps))
     far = 0
     if warmup_cells > near_cells:
         far = int(math.ceil(math.log(warmup / (near_cells * step)) / math.log(FAR_RATIO) - 1e-12))
@@ -412,9 +420,9 @@ class HistoryKernel:
     table[q, m] is kernel q's cell-average weight at lag m on the cells of
     one step (table[q, 0] is never read).  The far cells' weights at the
     main lattice point j are sum_m basis[m, j - origin] far[q, m]: far holds
-    them at the FAR_NODES Chebyshev nodes of [0, T], and basis interpolates
-    (B_H's over t, and basis times t; far is (k, FAR_NODES, 0) on a grid
-    with no far cells).
+    them at the FAR_NODES Chebyshev nodes in log(t + D) over [0, T]
+    (_far_nodes), and basis interpolates (B_H's over t, and basis times t;
+    far is (k, FAR_NODES, 0) on a grid with no far cells).
     """
 
     table: np.ndarray
@@ -459,7 +467,7 @@ def _build_kernel(grid: SimulationGrid, hps: tuple, kind: str) -> HistoryKernel 
     else:
         raise ValueError(f"no history kernel of kind {kind!r}")
     table.setflags(write=False)
-    far = _far_at_nodes(grid, hps, kind)
+    far = _far_at(grid, hps, kind, _far_nodes(grid))
     far.setflags(write=False)
     return HistoryKernel(table=table, far=far, basis=_far_basis(grid, kind))
 
@@ -469,8 +477,17 @@ def _chebyshev_nodes() -> np.ndarray:
     return np.cos(np.pi * (np.arange(FAR_NODES) + 0.5) / FAR_NODES)
 
 
-def _far_at_nodes(grid: SimulationGrid, hps, kind: str) -> np.ndarray:
-    """HistoryKernel.far: the far cells' weights at the Chebyshev nodes of [0, T], per h.
+def _far_nodes(grid: SimulationGrid) -> np.ndarray:
+    """The times t in [0, T] of the Chebyshev nodes of x = 2 log(1 + t / D) / log(1 + T / D) - 1, D the near window.
+
+    A grid with no near window has no far cells, whose weights the nodes and the basis would carry: there D is a step.
+    """
+    near = grid.near_cells or 1
+    return grid.step * near * power_diff(1.0, grid.main_steps / near, 0.5 * (1.0 + _chebyshev_nodes()))
+
+
+def _far_at(grid: SimulationGrid, hps, kind: str, t: np.ndarray) -> np.ndarray:
+    """(len(hps), len(t), far_cells): the far cells' weights at times t in (0, T], per h; B_H's over t.
 
     A far cell covers distances [d, d + w] before the origin.  Its DR_H
     weight at t is c_h ((t + d + w)^p - (t + d)^p) / w, p = h - 1/2, one
@@ -478,14 +495,13 @@ def _far_at_nodes(grid: SimulationGrid, hps, kind: str) -> np.ndarray:
     over u of c_h ((t + u)^p - u^p), a power_diff in u that a Gauss-Legendre
     rule averages: no difference of two large powers is ever formed.
     That weight is t times a smooth function of t, which is the one
-    interpolated, so it keeps its relative precision down to t = step.
-    Both weights are analytic in t on [0, T] and singular only at t = -d
-    <= -NEAR_WINDOW T, so FAR_NODES nodes reach float64 precision.
+    returned (and interpolated), so it keeps its relative precision down to
+    t = step.
     """
     edges = grid.far_edges()
     d, w = -edges[1:], np.diff(edges)  # each cell's distance before the origin, and its width
-    t = 0.5 * grid.horizon * (1.0 + _chebyshev_nodes())
-    far = np.empty((len(hps), FAR_NODES, grid.far_cells))
+    t = np.asarray(t, dtype=float)
+    far = np.empty((len(hps), len(t), grid.far_cells))
     for q, hp in enumerate(hps):
         p = hp.h - HALF
         if kind == "DR_H":
@@ -499,20 +515,29 @@ def _far_at_nodes(grid: SimulationGrid, hps, kind: str) -> np.ndarray:
     return far
 
 
+def _barycentric(x: np.ndarray) -> np.ndarray:
+    """(FAR_NODES, len(x)): the Lagrange basis of the Chebyshev nodes at the points x of [-1, 1].
+
+    Barycentric form; a point that sits on a node exactly gets that node's unit column.
+    """
+    k = np.arange(FAR_NODES)[:, None]
+    diff = x - _chebyshev_nodes()[:, None]
+    on_node = diff == 0.0
+    basis = (-1.0) ** k * np.sin(np.pi * (k + 0.5) / FAR_NODES) / np.where(on_node, 1.0, diff)
+    basis /= basis.sum(axis=0)
+    return np.where(on_node.any(axis=0), on_node, basis)
+
+
 # traffic: one basis per grid and kind for every h list, e.g. continuity's 4-h kernel and its fbm:0.75 integrand's
 @functools.lru_cache(maxsize=4)
 def _far_basis(grid: SimulationGrid, kind: str) -> np.ndarray:
     """HistoryKernel.basis, shared by every h: the Lagrange basis of the nodes at the main lattice points.
 
-    Barycentric form at x_j = 2 j / N - 1, times t_j for B_H.  The x_j are
-    rational and, with FAR_NODES even, no node is (cos of a rational
-    multiple of pi is rational only at 0, +-1/2 and +-1), so no x_j sits on
-    a node.
+    At x_j = 2 log(1 + j / D) / log(1 + N / D) - 1, D = near_cells, the
+    point t_j in _far_nodes' variable, times t_j for B_H.
     """
-    k, n = np.arange(FAR_NODES)[:, None], grid.main_steps
-    basis = (-1.0) ** k * np.sin(np.pi * (k + 0.5) / FAR_NODES) / (2.0 * np.arange(n + 1) / n - 1.0
-                                                                   - _chebyshev_nodes()[:, None])
-    basis /= basis.sum(axis=0)
+    n, near = grid.main_steps, grid.near_cells or 1  # D as in _far_nodes
+    basis = _barycentric(2.0 * np.log1p(np.arange(n + 1) / near) / math.log1p(n / near) - 1.0)
     if kind == "B_H":
         basis *= grid.step * np.arange(n + 1)
     basis.setflags(write=False)

@@ -145,7 +145,7 @@ FEWER_THAN_TWO_LEVELS = [
 
 # an rl start off the lattice, alone or inside a step integrand
 _OFF_START = "starts at t=0.3, off the lattice of --steps"
-_TAKE_A_START = "; take a start that is a multiple of {!r} from -1.0 to 1.0".format
+_TAKE_A_START = "; take a start that is a multiple of {!r} from -0.125 to 1.0".format
 OFF_LATTICE_STARTS = [
     (["integrate", "--integrand", "rl:0.7:0.3", "--steps", "256", "--level", "2", "--out", "x.json"],
      f"--integrand 'rl:0.7:0.3' {_OFF_START} 256{_TAKE_A_START(1 / 256)}"),
@@ -333,9 +333,9 @@ def test_what_reads_no_history_runs_without_one(tmp_path, capsys):
 
 
 def test_an_rl_start_on_the_lattice_runs(tmp_path, capsys):
-    """A start on the lattice, after the origin or before it, is not refused."""
+    """A start on the lattice, after the origin or before it (from the near window's start, -T/8), is not refused."""
     for argv in (["integrate", "--integrand", "rl:0.7:0.25", "--steps", "256", "--level", "2"],
-                 ["integrate", "--integrand", "rl:0.7:-0.25", "--steps", "256", "--level", "2"],
+                 ["integrate", "--integrand", "rl:0.7:-0.125", "--steps", "256", "--level", "2"],
                  ["decay", "--integrand", "rl:0.7:0.25", "--steps", "256", "--levels", "2:3", "--reps", "8"]):
         assert _run([*argv, "--out", str(tmp_path / "x")], capsys)[0] == 0
 
@@ -349,7 +349,7 @@ COMMAND_ARGVS = {  # each command on the 128-step grid, with what it needs to ru
 @pytest.mark.parametrize("command", COMMAND_ARGVS)
 def test_a_grid_too_large_for_the_memory_available_is_refused_before_any_draw(tmp_path, capsys, monkeypatch,
                                                                               command):
-    """With 1 MiB available, the rows in flight (8.9 MB of noise) and their fields are refused: one line, no draw."""
+    """With 1 MiB available, the rows in flight (5.3 MB of noise) and their fields are refused: one line, no draw."""
     os.chdir(tmp_path)
     draws = []
     monkeypatch.setattr(fbmdelay.experiments, "_memory_available", lambda: 2 ** 20)
@@ -357,7 +357,8 @@ def test_a_grid_too_large_for_the_memory_available_is_refused_before_any_draw(tm
     monkeypatch.setattr(fbmdelay.noise, "_build_kernel", None)  # a kernel build would raise TypeError
     code, _, err = _run([command, *FAST, *COMMAND_ARGVS[command], "--out", "x.out"], capsys)
     assert code == 2 and err.count("\n") == 1, err
-    assert err.startswith("fbmdelay: error: --steps 128 with --warmup 1 needs ") and "lower --steps or --warmup" in err
+    assert err.startswith("fbmdelay: error: --steps 128 with --warmup 1.043 needs ")
+    assert "lower --steps or --warmup" in err
     assert draws == [] and not list(tmp_path.iterdir())
 
 
@@ -584,7 +585,8 @@ def test_manifest_replay_refuses_a_config_that_is_not_a_run_config(tmp_path, cap
 
 
 def test_manifests_record_the_versions_and_the_history_lattice(tmp_path, capsys):
-    """The package, Python, numpy and scipy versions, and the lattice: near window, ratio, reach, cell counts."""
+    """The package, Python, numpy and scipy versions, and the lattice: near window, ratio, reach, cell counts, and
+    how the far weights are interpolated, where there are far cells."""
     out = tmp_path / "path.csv"
     assert _run(["simulate", "--seed", "3", "--steps", "128", "--out", str(out)], capsys)[0] == 0
     record = json.loads((tmp_path / "path.csv.manifest.json").read_text())
@@ -593,8 +595,13 @@ def test_manifests_record_the_versions_and_the_history_lattice(tmp_path, capsys)
     assert (record["versions"]["numpy"], record["versions"]["scipy"]) == (numpy.__version__, scipy.__version__)
     reach = make_grid(1.0, 128, 1e14).warmup_length
     assert reach >= 1e14
-    assert record["lattice"] == {"near_window": 1.0, "far_ratio": 1.0625, "reach": reach,
-                                 "far_cells": 532, "near_cells": 128, "main_cells": 128}
+    assert record["lattice"] == {"near_window": 0.125, "far_ratio": 1.0625, "reach": reach,
+                                 "far_cells": 567, "near_cells": 16, "main_cells": 128,
+                                 "far_nodes": 20, "far_variable": "log(t + near_window)"}
+    assert _run(["simulate", "--seed", "3", "--steps", "128", "--warmup", "0.125", "--out", str(out)], capsys)[0] == 0
+    record = json.loads((tmp_path / "path.csv.manifest.json").read_text())
+    assert record["lattice"] == {"near_window": 0.125, "far_ratio": 1.0625, "reach": 0.125,  # no far weights
+                                 "far_cells": 0, "near_cells": 16, "main_cells": 128}
     assert record["noise"] == {"bit_generator": "SFC64"} and fbmdelay.noise.BIT_GENERATOR == "SFC64"
 
 
@@ -617,6 +624,26 @@ def test_manifest_replay_refuses_another_history_lattice(tmp_path, capsys, edit,
     assert code == 2 and stdout == "" and not out.exists()
     assert err.count("\n") == 1
     assert err.startswith("fbmdelay: error: manifest history lattice") and fragment in err
+
+
+def test_manifest_replay_refuses_a_lattice_without_its_far_interpolation(tmp_path, capsys, monkeypatch):
+    """A manifest with far cells that does not record how their weights are interpolated (every one written while
+    they were interpolated in t) is refused in one line, before any draw, though its counts be this build's: a grid
+    whose counts did not move, make_grid(1.0, 1, 4.0), has far weights that moved at the rounding level."""
+    old = tmp_path / "old"
+    old.mkdir()
+    argv = ["simulate", "--seed", "3", "--steps", "64", "--warmup", "4.0", "--out", str(old / "path.csv")]
+    assert _run(argv, capsys)[0] == 0
+    manifest = old / "path.csv.manifest.json"
+    record = json.loads(manifest.read_text())
+    assert record["lattice"]["far_cells"] == make_grid(1.0, 64, 4.0).far_cells > 0
+    del record["lattice"]["far_nodes"], record["lattice"]["far_variable"]
+    record["config"]["out"] = "path.csv"
+    manifest.write_text(json.dumps(record))
+    run = tmp_path / "run"
+    run.mkdir()
+    err = _refused_before_any_draw(["--manifest", str(manifest)], run, capsys, monkeypatch)
+    assert err.startswith("fbmdelay: error: manifest history lattice {") and "'far_nodes': 20" in err
 
 
 @pytest.mark.parametrize("edit,noise", [

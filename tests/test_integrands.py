@@ -37,7 +37,7 @@ BATCH = generate_noise_batch(123, GRID, 800)
 # contracts shared by the provided family
 # ---------------------------------------------------------------------------
 
-PRE_ORIGIN = SegmentGrid([-0.25, 0.5, 1.0])  # first freeze before the origin
+PRE_ORIGIN = SegmentGrid([-0.125, 0.5, 1.0])  # first freeze before the origin, at the near window's start
 
 FAMILY = [
     DeterministicIntegrand.polynomial([0.5, -1.0, 2.0]),
@@ -135,7 +135,7 @@ def test_fbm_forecast_before_origin_matches_weight_sum(h1):
     gamma = FbmIntegrand(h1)
     m0 = GRID.origin_index
     incs = BATCH[:3]
-    for tau in (-1.0, -0.25, 0.0, 0.25):
+    for tau in (-0.125, -0.0625, 0.0, 0.25):  # the near window's start, a point within it, the origin, after
         a = GRID.index_of(tau)
         cells = gamma.frozen_values_on_cells(GRID, incs, np.full(GRID.main_steps, a))
         for t in (0.0, 0.125, 0.5, 0.875):
@@ -147,9 +147,9 @@ def test_fbm_forecast_before_origin_matches_weight_sum(h1):
 
 
 def test_fbm_cond_var_before_origin_mc():
-    """Var_tau B_H1(t) at tau = -1/4 carries the cells of (tau, 0) through (t-r)^p - (-r)^p."""
+    """Var_tau B_H1(t) at tau = -1/8 carries the cells of (tau, 0) through (t-r)^p - (-r)^p."""
     gamma = FbmIntegrand(0.75)
-    tau, t = -0.25, 0.5
+    tau, t = -0.125, 0.5
     incs = BATCH
     freeze = np.full(GRID.main_steps, GRID.index_of(tau))
     l = GRID.index_of(t) - GRID.origin_index
@@ -258,7 +258,7 @@ def test_dyadic_cells_equal_per_level_projections(gamma):
 
 
 STEPPED = [BrownianIntegrand(), FbmIntegrand(0.75), RlFbmIntegrand(0.7), QuadraticBrownianIntegrand(),
-           RlFbmIntegrand(0.7, 0.3125), RlFbmIntegrand(0.7, -0.5)]
+           RlFbmIntegrand(0.7, 0.3125), RlFbmIntegrand(0.7, -0.125)]
 LEVELS = range(0, 7)  # segments of 512 down to 8 cells: Toeplitz blocks of 256 down to 4
 
 
@@ -441,7 +441,7 @@ def test_closed_form_x_norm_is_the_sum_of_second_moments(gamma):
 def test_freeze_time_is_the_last_breakpoint_at_or_before_t():
     """On [T_k, T_k+1) the freeze is T_k; before T_0 it is T_0, and from T_n on T_n-1."""
     gamma = PiecewisePredictableIntegrand(BrownianIntegrand(), PRE_ORIGIN)
-    for t, want in ((-1.0, -0.25), (-0.25, -0.25), (0.0, -0.25), (0.5, 0.5), (0.75, 0.5), (1.0, 0.5), (2.0, 0.5)):
+    for t, want in ((-1.0, -0.125), (-0.125, -0.125), (0.0, -0.125), (0.5, 0.5), (0.75, 0.5), (1.0, 0.5), (2.0, 0.5)):
         assert gamma.freeze_time(t) == want
 
 

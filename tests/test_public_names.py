@@ -47,7 +47,7 @@ def test_every_public_name_is_used_outside_the_tests():
 
 
 #: the functions whose kernel weights are a difference of powers, per module
-POWER_DIFF_SITES = {("noise", "avg_kernel_table"), ("noise", "dr_kernel_table"), ("noise", "_far_at_nodes"),
+POWER_DIFF_SITES = {("noise", "avg_kernel_table"), ("noise", "dr_kernel_table"), ("noise", "_far_at"),
                     ("experiments", "_energy_quadrature"), ("kernels", "mvn_kernel"), ("kernels", "gh_transform"),
                     ("integrands", "cond_var")}
 
